@@ -7,9 +7,9 @@ GO ?= go
 # e.g. BENCHTIME=1s for statistically steadier baselines.
 BENCHTIME ?= 1x
 
-.PHONY: verify test race fmt vet build staticcheck chaos fuzz bench bench-diff cover
+.PHONY: verify test race fmt vet build cross staticcheck chaos fuzz bench bench-diff cover
 
-verify: fmt vet staticcheck build race
+verify: fmt vet staticcheck build cross race
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -49,6 +49,13 @@ chaos:
 build:
 	$(GO) build ./...
 
+# The tensor kernels pick assembly by GOARCH + CPUID, so the pure-Go
+# fallback is never compiled on an amd64 box unless asked for. (vet's
+# asmdecl pass checks the amd64 frame layout in the `vet` target.)
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/...
+
 # Run every benchmark and write the machine-readable baseline used to
 # spot performance regressions (cmd/benchjson normalizes the output).
 bench:
@@ -83,6 +90,7 @@ cover:
 	fi
 	$(GO) test -cover ./...
 
-# Short fuzz pass over the tensor wire-format decoder.
+# Short fuzz pass over the two wire-format decoders.
 fuzz:
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeTensor -fuzztime 15s
+	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeWeights -fuzztime 15s

@@ -2,8 +2,10 @@ package modelfmt
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
+	"ampsinf/internal/nn"
 	"ampsinf/internal/tensor"
 )
 
@@ -55,6 +57,47 @@ func FuzzDecodeTensor(f *testing.F) {
 		// the exact input bytes.
 		if re := EncodeTensor(dec); !bytes.Equal(re, data) {
 			t.Fatalf("re-encode of %v is not canonical:\n in %x\nout %x", dec.Shape(), data, re)
+		}
+	})
+}
+
+// FuzzDecodeWeights asserts the same contract for the weights container:
+// arbitrary bytes never panic and never make the decoder allocate more
+// than a small multiple of the input, whatever element counts the
+// chunks claim.
+//
+// Seed corpus: testdata/fuzz/FuzzDecodeWeights holds the blob whose
+// 2^21·2^21·2^21 shape wrapped the element product negative and crashed
+// make().
+func FuzzDecodeWeights(f *testing.F) {
+	m := smallModel()
+	valid, err := EncodeWeights(m, nn.InitWeights(m, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(append([]byte(nil), valid[:len(valid)-5]...))
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(badCRC)-1] ^= 0xFF
+	f.Add(badCRC)
+	f.Add([]byte("AMPW"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The slack covers what does not scale with the input: the map,
+		// error strings, CheckWeights' spec tables.
+		budget := 64*uint64(len(data)) + 1<<20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := DecodeWeights(m, data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		if err := nn.CheckWeights(m, w); err != nil {
+			t.Fatalf("decoded weights do not fit the model: %v", err)
 		}
 	})
 }

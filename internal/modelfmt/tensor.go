@@ -1,11 +1,9 @@
 package modelfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"ampsinf/internal/tensor"
 )
@@ -24,86 +22,32 @@ var tensorMagic = [4]byte{'A', 'M', 'P', 'T'}
 func EncodeTensor(t *tensor.Tensor) []byte {
 	shape := t.Shape()
 	data := t.Data()
-	body := make([]byte, 0, 2+4*len(shape)+4*len(data))
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(shape)))
-	for _, d := range shape {
-		body = binary.LittleEndian.AppendUint32(body, uint32(d))
-	}
-	off := len(body)
-	body = append(body, make([]byte, 4*len(data))...)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(body[off+4*i:], math.Float32bits(v))
-	}
-	out := make([]byte, 0, 4+len(body)+4)
-	out = append(out, tensorMagic[:]...)
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	out := make([]byte, 4+shapeSize(len(shape))+4*len(data)+4)
+	copy(out, tensorMagic[:])
+	off := putShape(out, 4, shape)
+	off = putFloats(out, off, data)
+	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[4:off]))
 	return out
 }
-
-// Decode limits: a tensor larger than maxDecodeElems elements (1 GiB
-// of float32) or deeper than maxDecodeRank cannot come from this
-// system and is rejected before any allocation is sized from it —
-// hostile dimension lists must not overflow the element product or
-// drive a huge make().
-const (
-	maxDecodeElems = 1 << 28
-	maxDecodeRank  = 16
-)
 
 // DecodeTensor parses a tensor, verifying the checksum. Arbitrary
 // (corrupt or hostile) input errors cleanly: it never panics and never
 // allocates more than a small multiple of len(data).
 func DecodeTensor(data []byte) (*tensor.Tensor, error) {
-	if len(data) < 10 || data[0] != 'A' || data[1] != 'M' || data[2] != 'P' || data[3] != 'T' {
+	if len(data) < 10 || [4]byte(data[:4]) != tensorMagic {
 		return nil, fmt.Errorf("modelfmt: bad tensor magic")
 	}
 	body := data[4 : len(data)-4]
-	r := bytes.NewReader(data[4:])
-	wantCRC := crc32.ChecksumIEEE(body)
-	rank, err := readU16(r)
+	c := cursor{data: body}
+	shape, elems, err := c.shape(maxDecodeElems)
 	if err != nil {
-		return nil, fmt.Errorf("modelfmt: truncated tensor rank")
+		return nil, fmt.Errorf("modelfmt: tensor: %w", err)
 	}
-	if rank > maxDecodeRank {
-		return nil, fmt.Errorf("modelfmt: implausible tensor rank %d", rank)
+	if c.remaining() != 4*elems {
+		return nil, fmt.Errorf("modelfmt: tensor payload is %d bytes, want %d", len(body), c.off+4*elems)
 	}
-	shape := make([]int, rank)
-	elems := 1
-	for i := range shape {
-		d, err := readU32(r)
-		if err != nil {
-			return nil, fmt.Errorf("modelfmt: truncated tensor shape")
-		}
-		if d == 0 || d > maxDecodeElems {
-			return nil, fmt.Errorf("modelfmt: implausible tensor dimension %d", d)
-		}
-		shape[i] = int(d)
-		elems *= int(d)
-		// Each factor is ≤ 2^28 and the running product is checked every
-		// step, so it can reach at most 2^56 — far from int64 overflow.
-		if elems > maxDecodeElems {
-			return nil, fmt.Errorf("modelfmt: tensor of %v exceeds the %d-element decode limit", shape[:i+1], maxDecodeElems)
-		}
-	}
-	if len(body) != 2+4*int(rank)+4*elems {
-		return nil, fmt.Errorf("modelfmt: tensor payload is %d bytes, want %d", len(body), 2+4*int(rank)+4*elems)
-	}
-	vals := make([]float32, elems)
-	for i := range vals {
-		bits, err := readU32(r)
-		if err != nil {
-			return nil, fmt.Errorf("modelfmt: truncated tensor data")
-		}
-		vals[i] = math.Float32frombits(bits)
-	}
-	var crcBytes [4]byte
-	if _, err := fullRead(r, crcBytes[:]); err != nil {
-		return nil, fmt.Errorf("modelfmt: truncated tensor checksum")
-	}
-	got := uint32(crcBytes[0]) | uint32(crcBytes[1])<<8 | uint32(crcBytes[2])<<16 | uint32(crcBytes[3])<<24
-	if got != wantCRC {
+	if binary.LittleEndian.Uint32(data[len(data)-4:]) != crc32.ChecksumIEEE(body) {
 		return nil, fmt.Errorf("modelfmt: tensor checksum mismatch (corrupt transfer)")
 	}
-	return tensor.FromSlice(vals, shape...), nil
+	return tensor.FromSlice(getFloats(body[c.off:]), shape...), nil
 }

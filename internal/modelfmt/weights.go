@@ -1,7 +1,6 @@
 package modelfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -29,7 +28,18 @@ import (
 
 var weightsMagic = [4]byte{'A', 'M', 'P', 'W'}
 
-const weightsVersion = 1
+const (
+	weightsVersion    = 1
+	weightsHeaderSize = 4 + 2 + 4
+	// maxChunkDim bounds a single weight dimension; no layer of any model
+	// here comes near it.
+	maxChunkDim = 1 << 24
+)
+
+// chunkSize is the encoded size of one chunk, checksum included.
+func chunkSize(name string, t *tensor.Tensor) int {
+	return 2 + len(name) + 2 + shapeSize(t.Rank()) + 4*t.Elems() + 4
+}
 
 // EncodeWeights serializes weights for all parameterized layers of m, in
 // topological order.
@@ -37,48 +47,54 @@ func EncodeWeights(m *nn.Model, w nn.Weights) ([]byte, error) {
 	if err := nn.CheckWeights(m, w); err != nil {
 		return nil, fmt.Errorf("modelfmt: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(weightsMagic[:])
-	writeU16(&buf, weightsVersion)
+	size := weightsHeaderSize
 	var nchunks uint32
 	for _, l := range m.Layers {
-		nchunks += uint32(len(w[l.Name]))
-	}
-	writeU32(&buf, nchunks)
-	for _, l := range m.Layers {
-		for i, t := range w[l.Name] {
-			if err := writeChunk(&buf, l.Name, i, t); err != nil {
-				return nil, err
-			}
+		if len(l.Name) > math.MaxUint16 {
+			return nil, fmt.Errorf("modelfmt: layer name too long (%d bytes)", len(l.Name))
+		}
+		for _, t := range w[l.Name] {
+			size += chunkSize(l.Name, t)
+			nchunks++
 		}
 	}
-	return buf.Bytes(), nil
+	out := make([]byte, size)
+	copy(out, weightsMagic[:])
+	binary.LittleEndian.PutUint16(out[4:], weightsVersion)
+	binary.LittleEndian.PutUint32(out[6:], nchunks)
+	off := weightsHeaderSize
+	for _, l := range m.Layers {
+		for i, t := range w[l.Name] {
+			off = putChunk(out, off, l.Name, i, t)
+		}
+	}
+	return out, nil
 }
 
 // DecodeWeights parses a weights container and verifies every chunk's
 // checksum. The result is validated against the model's weight specs.
+// Arbitrary (corrupt or hostile) input errors cleanly: it never panics
+// and never allocates more than a small multiple of len(data).
 func DecodeWeights(m *nn.Model, data []byte) (nn.Weights, error) {
-	r := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := r.Read(magic[:]); err != nil || magic != weightsMagic {
+	c := cursor{data: data}
+	if magic, ok := c.bytes(4); !ok || [4]byte(magic) != weightsMagic {
 		return nil, fmt.Errorf("modelfmt: bad weights magic")
 	}
-	ver, err := readU16(r)
-	if err != nil || ver != weightsVersion {
+	if ver, ok := c.u16(); !ok || ver != weightsVersion {
 		return nil, fmt.Errorf("modelfmt: unsupported weights version %d", ver)
 	}
-	nchunks, err := readU32(r)
-	if err != nil {
+	nchunks, ok := c.u32()
+	if !ok {
 		return nil, fmt.Errorf("modelfmt: truncated header")
 	}
 	w := make(nn.Weights)
-	for c := uint32(0); c < nchunks; c++ {
-		name, idx, t, err := readChunk(r)
+	for n := uint32(0); n < nchunks; n++ {
+		name, idx, t, err := c.chunk()
 		if err != nil {
-			return nil, fmt.Errorf("modelfmt: chunk %d: %w", c, err)
+			return nil, fmt.Errorf("modelfmt: chunk %d: %w", n, err)
 		}
 		if int(idx) != len(w[name]) {
-			return nil, fmt.Errorf("modelfmt: chunk %d for %q out of order (index %d, have %d)", c, name, idx, len(w[name]))
+			return nil, fmt.Errorf("modelfmt: chunk %d for %q out of order (index %d, have %d)", n, name, idx, len(w[name]))
 		}
 		w[name] = append(w[name], t)
 	}
@@ -139,132 +155,50 @@ func MergeWeights(m *nn.Model, blobs [][]byte, bounds []int) (nn.Weights, error)
 	return w, nil
 }
 
-func writeChunk(buf *bytes.Buffer, name string, idx int, t *tensor.Tensor) error {
-	if len(name) > math.MaxUint16 {
-		return fmt.Errorf("modelfmt: layer name too long (%d bytes)", len(name))
-	}
-	shape := t.Shape()
-	data := t.Data()
-	body := make([]byte, 0, 2+len(name)+2+2+4*len(shape)+4*len(data))
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(name)))
-	body = append(body, name...)
-	body = binary.LittleEndian.AppendUint16(body, uint16(idx))
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(shape)))
-	for _, d := range shape {
-		body = binary.LittleEndian.AppendUint32(body, uint32(d))
-	}
-	// Bulk-append the float payload: this path moves whole models, so it
-	// must not pay a function call per element.
-	off := len(body)
-	body = append(body, make([]byte, 4*len(data))...)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(body[off+4*i:], math.Float32bits(v))
-	}
-	buf.Write(body)
-	writeU32(buf, crc32.ChecksumIEEE(body))
-	return nil
+// putChunk writes one chunk and its checksum at out[off:] and returns the
+// new offset. The caller has sized out with chunkSize.
+func putChunk(out []byte, off int, name string, idx int, t *tensor.Tensor) int {
+	start := off
+	binary.LittleEndian.PutUint16(out[off:], uint16(len(name)))
+	off += 2
+	off += copy(out[off:], name)
+	binary.LittleEndian.PutUint16(out[off:], uint16(idx))
+	off += 2
+	off = putShape(out, off, t.Shape())
+	off = putFloats(out, off, t.Data())
+	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[start:off]))
+	return off + 4
 }
 
-func readChunk(r *bytes.Reader) (name string, idx uint16, t *tensor.Tensor, err error) {
-	start := r.Size() - int64(r.Len())
-	nameLen, err := readU16(r)
-	if err != nil {
+// chunk reads one chunk at the cursor and verifies its checksum.
+func (c *cursor) chunk() (name string, idx uint16, t *tensor.Tensor, err error) {
+	start := c.off
+	nameLen, ok := c.u16()
+	if !ok {
 		return "", 0, nil, fmt.Errorf("truncated name length")
 	}
-	nameBytes := make([]byte, nameLen)
-	if _, err := fullRead(r, nameBytes); err != nil {
+	nameBytes, ok := c.bytes(int(nameLen))
+	if !ok {
 		return "", 0, nil, fmt.Errorf("truncated name")
 	}
-	idx, err = readU16(r)
-	if err != nil {
+	if idx, ok = c.u16(); !ok {
 		return "", 0, nil, fmt.Errorf("truncated index")
 	}
-	rank, err := readU16(r)
+	shape, elems, err := c.shape(maxChunkDim)
 	if err != nil {
-		return "", 0, nil, fmt.Errorf("truncated rank")
+		return "", 0, nil, err
 	}
-	shape := make([]int, rank)
-	elems := 1
-	for i := range shape {
-		d, err := readU32(r)
-		if err != nil {
-			return "", 0, nil, fmt.Errorf("truncated shape")
-		}
-		if d == 0 || d > 1<<24 {
-			return "", 0, nil, fmt.Errorf("implausible dimension %d", d)
-		}
-		shape[i] = int(d)
-		elems *= int(d)
+	payload, ok := c.bytes(4 * elems)
+	if !ok {
+		return "", 0, nil, fmt.Errorf("chunk claims %d elements, only %d bytes remain", elems, c.remaining())
 	}
-	if int64(elems) > int64(r.Len())/4+1 {
-		return "", 0, nil, fmt.Errorf("chunk claims %d elements, only %d bytes remain", elems, r.Len())
-	}
-	raw4 := make([]byte, 4*elems)
-	if _, err := fullRead(r, raw4); err != nil {
-		return "", 0, nil, fmt.Errorf("truncated data")
-	}
-	data := make([]float32, elems)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw4[4*i:]))
-	}
-	end := r.Size() - int64(r.Len())
-	wantCRC, err := readU32(r)
-	if err != nil {
+	end := c.off
+	wantCRC, ok := c.u32()
+	if !ok {
 		return "", 0, nil, fmt.Errorf("truncated checksum")
 	}
-	// Recompute CRC over the raw chunk bytes.
-	raw := make([]byte, end-start)
-	if _, err := r.Seek(start, 0); err != nil {
-		return "", 0, nil, err
+	if crc32.ChecksumIEEE(c.data[start:end]) != wantCRC {
+		return "", 0, nil, fmt.Errorf("checksum mismatch for %q (corrupt weights)", nameBytes)
 	}
-	if _, err := fullRead(r, raw); err != nil {
-		return "", 0, nil, err
-	}
-	if _, err := r.Seek(end+4, 0); err != nil {
-		return "", 0, nil, err
-	}
-	if got := crc32.ChecksumIEEE(raw); got != wantCRC {
-		return "", 0, nil, fmt.Errorf("checksum mismatch for %q (corrupt weights)", string(nameBytes))
-	}
-	return string(nameBytes), idx, tensor.FromSlice(data, shape...), nil
-}
-
-func fullRead(r *bytes.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		k, err := r.Read(p[n:])
-		n += k
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := fullRead(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-func readU32(r *bytes.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := fullRead(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return string(nameBytes), idx, tensor.FromSlice(getFloats(payload), shape...), nil
 }

@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -251,5 +252,52 @@ func TestResNet50PartitionedInferenceEquivalence(t *testing.T) {
 	}
 	if !tensor.AllClose(whole, cur, 0) {
 		t.Fatalf("partitioned output differs by %v", tensor.MaxAbsDiff(whole, cur))
+	}
+}
+
+// Partitioned inference is the same arithmetic in the same order as the
+// whole model's, so chaining the standalone partition models over their
+// weight subsets must reproduce Forward bit for bit — on the models whose
+// layers bottom out in the SIMD primitives as much as on any other.
+func TestPartitionedForwardBitIdentical(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"tinycnn", 0}, {"mobilenet", 64}} {
+		m, err := Build(c.name, c.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := nn.InitWeights(m, 3)
+		rng := rand.New(rand.NewSource(4))
+		in := tensor.New(m.InputShape...)
+		for i := range in.Data() {
+			in.Data()[i] = float32(rng.Float64())
+		}
+		whole, err := m.Forward(w, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := m.CutPoints()
+		bounds := []int{1, cuts[len(cuts)/3], cuts[2*len(cuts)/3], len(m.Layers)}
+		cur := in
+		for p := 0; p+1 < len(bounds); p++ {
+			lo, hi := bounds[p], bounds[p+1]
+			part, err := m.Partition(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cur, err = part.Forward(nn.SubsetWeights(m, w, lo, hi), cur); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !cur.Shape().Equal(whole.Shape()) {
+			t.Fatalf("%s: partitioned shape %v, whole %v", c.name, cur.Shape(), whole.Shape())
+		}
+		for i, v := range whole.Data() {
+			if math.Float32bits(cur.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: output %d is %v partitioned, %v whole", c.name, i, cur.Data()[i], v)
+			}
+		}
 	}
 }

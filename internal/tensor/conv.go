@@ -52,7 +52,9 @@ func ConvOutShape(in Shape, kh, kw, stride int, pad Padding, outC int) Shape {
 //	kernel: [KH, KW, Cin, Cout]
 //	bias:   [Cout] or nil
 //
-// Rows of the output are computed in parallel.
+// Rows of the output are computed in parallel. Zero activations are
+// skipped (about half of all post-ReLU inputs); every other one is a
+// single axpy over the cout axis.
 func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 	if in.Rank() != 4 || kernel.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: conv2d wants rank-4 input/kernel, got %v / %v", in.shape, kernel.shape))
@@ -67,6 +69,7 @@ func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 	if oh == 0 || ow == 0 {
 		panic(fmt.Sprintf("tensor: conv2d produces empty output for input %v kernel %v", in.shape, kernel.shape))
 	}
+	bd := biasData(bias, cout)
 	out := New(n, oh, ow, cout)
 
 	kd := kernel.data
@@ -96,19 +99,14 @@ func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 							if sv == 0 {
 								continue
 							}
-							kRow := kd[kBase+ci*cout : kBase+(ci+1)*cout]
-							for co := range dst {
-								dst[co] += sv * kRow[co]
-							}
+							axpy(sv, kd[kBase+ci*cout:kBase+(ci+1)*cout], dst)
 						}
 					}
 				}
 			}
+			addBias(out.data[outBase:outBase+ow*cout], bd)
 		}
 	})
-	if bias != nil {
-		return BiasAdd(out, bias)
-	}
 	return out
 }
 
@@ -128,6 +126,7 @@ func DepthwiseConv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor 
 	}
 	oh, padH := convGeometry(h, kh, stride, pad)
 	ow, padW := convGeometry(w, kw, stride, pad)
+	bd := biasData(bias, c)
 	out := New(n, oh, ow, c)
 	kd := kernel.data
 	parallelFor(n*oh, func(lo, hi int) {
@@ -151,18 +150,13 @@ func DepthwiseConv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor 
 							continue
 						}
 						src := in.data[inBase+(iy*w+ix)*c : inBase+(iy*w+ix+1)*c]
-						kRow := kd[(ky*kw+kx)*c : (ky*kw+kx+1)*c]
-						for ci := range dst {
-							dst[ci] += src[ci] * kRow[ci]
-						}
+						mulAdd(src, kd[(ky*kw+kx)*c:(ky*kw+kx+1)*c], dst)
 					}
 				}
 			}
+			addBias(out.data[outBase:outBase+ow*c], bd)
 		}
 	})
-	if bias != nil {
-		return BiasAdd(out, bias)
-	}
 	return out
 }
 

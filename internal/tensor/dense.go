@@ -25,10 +25,7 @@ func MatMul(a, b *Tensor) *Tensor {
 				if av == 0 {
 					continue
 				}
-				brow := b.data[kk*n : (kk+1)*n]
-				for j := range dst {
-					dst[j] += av * brow[j]
-				}
+				axpy(av, b.data[kk*n:(kk+1)*n], dst)
 			}
 		}
 	})
@@ -42,9 +39,7 @@ func MatMul(a, b *Tensor) *Tensor {
 //	bias: [U] or nil
 func Dense(in, w, bias *Tensor) *Tensor {
 	out := MatMul(in, w)
-	if bias != nil {
-		return BiasAdd(out, bias)
-	}
+	addBias(out.data, biasData(bias, out.shape[1]))
 	return out
 }
 

@@ -1,0 +1,147 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sparseTensor is randTensor with about half the elements zeroed, the way
+// a post-ReLU activation looks, so the kernels' zero-skip is exercised.
+func sparseTensor(rng *rand.Rand, shape ...int) *Tensor {
+	t := randTensor(rng, shape...)
+	for i := range t.data {
+		if rng.Intn(2) == 0 {
+			t.data[i] = 0
+		}
+	}
+	return t
+}
+
+// sameBits fails the test unless got and want hold the same bit patterns.
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d is %08x (%v), want %08x (%v)", what, i,
+				math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
+		}
+	}
+}
+
+// requireIdentical fails unless got agrees with the reference in shape
+// and in every bit of every element.
+func requireIdentical(t *testing.T, got, want *Tensor) {
+	t.Helper()
+	if !got.shape.Equal(want.shape) {
+		t.Fatalf("shape %v, want %v", got.shape, want.shape)
+	}
+	sameBits(t, "kernel vs reference", got.data, want.data)
+}
+
+// requirePanics fails for every named call that returns normally.
+func requirePanics(t *testing.T, complaint string, calls map[string]func()) {
+	t.Helper()
+	for name, fn := range calls {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s %s", name, complaint)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// atWorkerCounts runs fn under each kernel parallelism the partitioned
+// and unpartitioned paths can meet.
+func atWorkerCounts(t *testing.T, fn func(t *testing.T)) {
+	prev := MaxWorkers()
+	defer SetMaxWorkers(prev)
+	for _, w := range []int{1, 2, 3, 8} {
+		SetMaxWorkers(w)
+		t.Run(fmt.Sprintf("workers=%d", w), fn)
+	}
+}
+
+// The geometry keeps n*oh >= 64 for every case, so parallelFor really
+// splits the rows; cin = 3 is the image layer, and 37 channels make the
+// primitives run their 32-wide body, 8-wide step and scalar tail.
+const (
+	refBatch, refH, refW = 4, 40, 9
+	refCin, refCout      = 3, 37
+)
+
+var refKernels = [][2]int{{1, 1}, {3, 3}, {7, 1}, {1, 7}}
+
+func TestConv2DMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	in := sparseTensor(rng, refBatch, refH, refW, refCin)
+	bias := randTensor(rng, refCout)
+	atWorkerCounts(t, func(t *testing.T) {
+		for _, k := range refKernels {
+			kernel := randTensor(rng, k[0], k[1], refCin, refCout)
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []Padding{Same, Valid} {
+					requireIdentical(t, Conv2D(in, kernel, bias, stride, pad), refConv2D(in, kernel, bias, stride, pad))
+					requireIdentical(t, Conv2D(in, kernel, nil, stride, pad), refConv2D(in, kernel, nil, stride, pad))
+				}
+			}
+		}
+	})
+}
+
+func TestDepthwiseConv2DMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	in := sparseTensor(rng, refBatch, refH, refW, refCout)
+	bias := randTensor(rng, refCout)
+	atWorkerCounts(t, func(t *testing.T) {
+		for _, k := range refKernels {
+			kernel := randTensor(rng, k[0], k[1], refCout, 1)
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []Padding{Same, Valid} {
+					requireIdentical(t, DepthwiseConv2D(in, kernel, bias, stride, pad), refDepthwiseConv2D(in, kernel, bias, stride, pad))
+					requireIdentical(t, DepthwiseConv2D(in, kernel, nil, stride, pad), refDepthwiseConv2D(in, kernel, nil, stride, pad))
+				}
+			}
+		}
+	})
+}
+
+func TestMatMulMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := sparseTensor(rng, 70, 19)
+	b := randTensor(rng, 19, refCout)
+	bias := randTensor(rng, refCout)
+	atWorkerCounts(t, func(t *testing.T) {
+		requireIdentical(t, MatMul(a, b), refMatMul(a, b))
+		requireIdentical(t, Dense(a, b, bias), BiasAdd(refMatMul(a, b), bias))
+		requireIdentical(t, Dense(a, b, nil), refMatMul(a, b))
+	})
+}
+
+// In-place bias must still reject a bias of the wrong length, before any
+// work is done.
+func TestKernelBiasMismatchPanics(t *testing.T) {
+	in := New(1, 4, 4, 2)
+	requirePanics(t, "accepted a bias of the wrong length", map[string]func(){
+		"conv2d":    func() { Conv2D(in, New(1, 1, 2, 5), New(4), 1, Same) },
+		"depthwise": func() { DepthwiseConv2D(in, New(3, 3, 2, 1), New(3), 1, Same) },
+		"dense":     func() { Dense(New(2, 3), New(3, 5), New(4)) },
+	})
+}
+
+// The primitives take the length from y and must refuse a short operand
+// instead of reading past it.
+func TestAxpyShortOperandPanics(t *testing.T) {
+	requirePanics(t, "accepted an operand shorter than y", map[string]func(){
+		"axpy":     func() { axpy(2, make([]float32, 7), make([]float32, 8)) },
+		"mulAdd x": func() { mulAdd(make([]float32, 7), make([]float32, 8), make([]float32, 8)) },
+		"mulAdd k": func() { mulAdd(make([]float32, 8), make([]float32, 7), make([]float32, 8)) },
+	})
+}

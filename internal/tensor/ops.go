@@ -163,20 +163,30 @@ func Flatten(t *Tensor) *Tensor {
 // BiasAdd adds a per-channel bias to the innermost dimension.
 func BiasAdd(t *Tensor, bias *Tensor) *Tensor {
 	c := t.shape[len(t.shape)-1]
-	if bias.Elems() != c {
-		panic(fmt.Sprintf("tensor: bias length %d for %d channels", bias.Elems(), c))
-	}
+	bd := biasData(bias, c)
 	out := New(t.shape...)
 	rows := len(t.data) / c
 	parallelFor(rows, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			base := r * c
 			for i := 0; i < c; i++ {
-				out.data[base+i] = t.data[base+i] + bias.data[i]
+				out.data[base+i] = t.data[base+i] + bd[i]
 			}
 		}
 	})
 	return out
+}
+
+// biasData returns bias's elements after checking there is one per
+// channel, or nil for a nil bias.
+func biasData(bias *Tensor, c int) []float32 {
+	if bias == nil {
+		return nil
+	}
+	if bias.Elems() != c {
+		panic(fmt.Sprintf("tensor: bias length %d for %d channels", bias.Elems(), c))
+	}
+	return bias.data
 }
 
 // Stack concatenates tensors along the batch (outermost) dimension. All
