@@ -1,8 +1,8 @@
 // Serving under load: drive an AMPS-Inf deployment with an open-loop
-// Poisson request trace and report the latency distribution and cost —
-// the regime the BATCH baseline's buffering targets. Compare a
-// cost-optimal deployment against an SLO-tightened one to see the
-// provisioning knob at work.
+// Poisson request trace through the serving scheduler and report the
+// latency distribution and cost — the regime the BATCH baseline's
+// buffering targets. Compare a cost-optimal deployment against an
+// SLO-tightened one to see the provisioning knob at work.
 //
 //	go run ./examples/servingload
 package main
@@ -15,6 +15,7 @@ import (
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
+	"ampsinf/internal/serving"
 	"ampsinf/internal/workload"
 )
 
@@ -49,16 +50,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := svc.ServeTrace(inputs, arrivals)
+		rep, err := svc.Serve(inputs, arrivals, serving.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-16s  %-9s  %7.2fs   %7.2fs   %7.2fs   %.5f\n",
 			cfg.label, fmt.Sprint(svc.Plan.Memories()),
 			rep.AvgLatency.Seconds(), rep.P95Latency.Seconds(),
-			rep.Makespan.Seconds(), rep.Cost)
+			rep.Makespan.Seconds(), rep.TotalCost)
 		svc.Close()
 	}
-	fmt.Println("\nA tighter SLO buys shorter service times, which also drains the")
-	fmt.Println("queue faster — lower tail latency at a higher per-request cost.")
+	fmt.Println("\nA tighter SLO buys shorter service times, so fewer requests overlap")
+	fmt.Println("and cold-start a second container — lower tail latency at a higher")
+	fmt.Println("per-request cost.")
 }

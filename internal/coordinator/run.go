@@ -3,7 +3,6 @@ package coordinator
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"ampsinf/internal/cloud/lambda"
@@ -539,74 +538,4 @@ func (d *Deployment) cleanup(job string) {
 		d.cfg.Store.Delete(fmt.Sprintf("%s/out%d", job, i))
 	}
 	d.cfg.Store.Delete(job + "/input")
-}
-
-// TraceReport summarizes serving a request trace through one pipeline.
-type TraceReport struct {
-	Requests int
-	// Latency percentiles over queueing + service per request.
-	AvgLatency time.Duration
-	P95Latency time.Duration
-	MaxLatency time.Duration
-	// Makespan is the simulated time from the first arrival to the last
-	// response.
-	Makespan time.Duration
-	Cost     float64
-	// Latencies holds every request's response latency, in order.
-	Latencies []time.Duration
-}
-
-// ServeTrace serves an open-loop request trace: request i arrives at
-// arrivals[i] (non-decreasing offsets from time zero) and requests are
-// served FIFO by this single pipeline — the serving regime the BATCH
-// paper's buffering targets. The first request pays the cold start;
-// later ones reuse warm containers. Latency is queueing delay plus the
-// request's own pipeline completion.
-func (d *Deployment) ServeTrace(inputs []*tensor.Tensor, arrivals []time.Duration) (*TraceReport, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("coordinator: empty trace")
-	}
-	if len(arrivals) != len(inputs) {
-		return nil, fmt.Errorf("coordinator: %d arrivals for %d inputs", len(arrivals), len(inputs))
-	}
-	rep := &TraceReport{Requests: len(inputs)}
-	var free time.Duration // when the pipeline becomes idle
-	var totalLatency time.Duration
-	var cost float64
-	for i, in := range inputs {
-		if i > 0 && arrivals[i] < arrivals[i-1] {
-			return nil, fmt.Errorf("coordinator: arrivals not sorted at %d", i)
-		}
-		r, err := d.RunEager(in)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: trace request %d: %w", i, err)
-		}
-		start := arrivals[i]
-		if free > start {
-			start = free
-		}
-		done := start + r.Completion
-		free = done
-		lat := done - arrivals[i]
-		rep.Latencies = append(rep.Latencies, lat)
-		totalLatency += lat
-		if lat > rep.MaxLatency {
-			rep.MaxLatency = lat
-		}
-		if done > rep.Makespan {
-			rep.Makespan = done
-		}
-		cost += r.Cost
-	}
-	rep.AvgLatency = totalLatency / time.Duration(rep.Requests)
-	rep.Cost = cost
-	// Nearest-rank p95.
-	sorted := append([]time.Duration(nil), rep.Latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (95*len(sorted) + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	rep.P95Latency = sorted[idx]
-	return rep, nil
 }

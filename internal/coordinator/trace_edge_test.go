@@ -2,93 +2,9 @@ package coordinator
 
 import (
 	"testing"
-	"time"
 
 	"ampsinf/internal/tensor"
 )
-
-// Edge cases of the TraceReport percentile math, table-driven: a
-// single-request trace, a trace whose latencies are all equal (warm
-// pipeline, arrivals too far apart to queue), and unsorted arrivals.
-func TestTraceReportPercentileEdges(t *testing.T) {
-	_, d, m, _ := deployTinySplit(t)
-	// Warm the pipeline so identical inputs get identical service times.
-	if _, err := d.RunEager(randomInput(m, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name     string
-		inputs   int
-		arrivals []time.Duration
-		wantErr  bool
-		check    func(t *testing.T, rep *TraceReport)
-	}{
-		{
-			name:     "single request",
-			inputs:   1,
-			arrivals: []time.Duration{0},
-			check: func(t *testing.T, rep *TraceReport) {
-				if rep.Requests != 1 || len(rep.Latencies) != 1 {
-					t.Fatalf("requests %d, latencies %d", rep.Requests, len(rep.Latencies))
-				}
-				lat := rep.Latencies[0]
-				if lat <= 0 {
-					t.Fatal("non-positive latency")
-				}
-				if rep.P95Latency != lat || rep.MaxLatency != lat || rep.AvgLatency != lat {
-					t.Fatalf("1-request percentiles disagree: p95 %v, max %v, avg %v, lat %v",
-						rep.P95Latency, rep.MaxLatency, rep.AvgLatency, lat)
-				}
-				if rep.Makespan != lat {
-					t.Fatalf("makespan %v != latency %v for a single arrival at 0", rep.Makespan, lat)
-				}
-			},
-		},
-		{
-			name:     "all latencies equal",
-			inputs:   4,
-			arrivals: []time.Duration{0, time.Hour, 2 * time.Hour, 3 * time.Hour},
-			check: func(t *testing.T, rep *TraceReport) {
-				first := rep.Latencies[0]
-				for i, lat := range rep.Latencies {
-					if lat != first {
-						t.Fatalf("latency %d = %v, want %v (idle warm pipeline)", i, lat, first)
-					}
-				}
-				if rep.P95Latency != first || rep.MaxLatency != first || rep.AvgLatency != first {
-					t.Fatalf("equal-latency percentiles disagree: p95 %v, max %v, avg %v, lat %v",
-						rep.P95Latency, rep.MaxLatency, rep.AvgLatency, first)
-				}
-			},
-		},
-		{
-			name:     "unsorted arrivals rejected",
-			inputs:   2,
-			arrivals: []time.Duration{time.Second, 0},
-			wantErr:  true,
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			inputs := make([]*tensor.Tensor, c.inputs)
-			for i := range inputs {
-				inputs[i] = randomInput(m, 10)
-			}
-			rep, err := d.ServeTrace(inputs, c.arrivals)
-			if c.wantErr {
-				if err == nil {
-					t.Fatal("expected an error")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.check(t, rep)
-		})
-	}
-}
 
 func TestRunBatchedEmptySlice(t *testing.T) {
 	_, d, _, _ := deployTinySplit(t)

@@ -3,95 +3,11 @@ package coordinator
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"ampsinf/internal/tensor"
-	"ampsinf/internal/workload"
 )
 
 func tensorAllClose(a, b *tensor.Tensor) bool { return tensor.AllClose(a, b, 0) }
-
-func TestServeTraceQueueing(t *testing.T) {
-	_, d, m, _ := deployTinySplit(t)
-	inputs := []*tensor.Tensor{
-		randomInput(m, 1), randomInput(m, 2), randomInput(m, 3),
-	}
-	// All three arrive at once: later requests queue behind earlier ones.
-	arrivals := []time.Duration{0, 0, 0}
-	rep, err := d.ServeTrace(inputs, arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 3 || len(rep.Latencies) != 3 {
-		t.Fatalf("requests %d, latencies %d", rep.Requests, len(rep.Latencies))
-	}
-	if !(rep.Latencies[0] < rep.Latencies[1] && rep.Latencies[1] < rep.Latencies[2]) {
-		t.Fatalf("burst latencies not increasing: %v", rep.Latencies)
-	}
-	if rep.MaxLatency != rep.Latencies[2] {
-		t.Fatal("max latency wrong")
-	}
-	if rep.P95Latency < rep.AvgLatency {
-		t.Fatal("p95 below average for a skewed burst")
-	}
-	if rep.Makespan < rep.Latencies[2] {
-		t.Fatal("makespan smaller than final latency")
-	}
-	if rep.Cost <= 0 {
-		t.Fatal("no cost recorded")
-	}
-}
-
-func TestServeTraceIdleSystemHasNoQueueing(t *testing.T) {
-	_, d, m, _ := deployTinySplit(t)
-	// Warm the pipeline so service times are uniform.
-	if _, err := d.RunEager(randomInput(m, 9)); err != nil {
-		t.Fatal(err)
-	}
-	inputs := []*tensor.Tensor{randomInput(m, 1), randomInput(m, 2)}
-	// Arrivals far apart: each request's latency equals its own service.
-	arrivals := []time.Duration{0, time.Hour}
-	rep, err := d.ServeTrace(inputs, arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := rep.Latencies[0] - rep.Latencies[1]
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 50*time.Millisecond {
-		t.Fatalf("idle-system latencies differ: %v vs %v", rep.Latencies[0], rep.Latencies[1])
-	}
-}
-
-func TestServeTraceValidation(t *testing.T) {
-	_, d, m, _ := deployTinySplit(t)
-	if _, err := d.ServeTrace(nil, nil); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	inputs := []*tensor.Tensor{randomInput(m, 1), randomInput(m, 2)}
-	if _, err := d.ServeTrace(inputs, []time.Duration{0}); err == nil {
-		t.Fatal("mismatched arrivals accepted")
-	}
-	if _, err := d.ServeTrace(inputs, []time.Duration{time.Second, 0}); err == nil {
-		t.Fatal("unsorted arrivals accepted")
-	}
-}
-
-func TestServeTraceWithGeneratedArrivals(t *testing.T) {
-	_, d, m, _ := deployTinySplit(t)
-	inputs := make([]*tensor.Tensor, 5)
-	for i := range inputs {
-		inputs[i] = randomInput(m, int64(i))
-	}
-	rep, err := d.ServeTrace(inputs, workload.PoissonArrivals(5, 1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 5 {
-		t.Fatalf("requests %d", rep.Requests)
-	}
-}
 
 // Concurrent jobs on one deployment must be safe (run under -race) and
 // every job must still produce the correct prediction.

@@ -364,12 +364,6 @@ func (s *Service) Serve(inputs []*tensor.Tensor, arrivals []time.Duration, cfg s
 	return serving.Serve(cfg, inputs, arrivals)
 }
 
-// ServeTrace serves an open-loop request trace (FIFO on this pipeline);
-// see coordinator.Deployment.ServeTrace.
-func (s *Service) ServeTrace(inputs []*tensor.Tensor, arrivals []time.Duration) (*coordinator.TraceReport, error) {
-	return s.deployment.ServeTrace(inputs, arrivals)
-}
-
 // ColdStart resets every partition container, so the next job measures a
 // cold end-to-end serving time (used by the experiment harness).
 func (s *Service) ColdStart() {

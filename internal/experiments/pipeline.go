@@ -20,7 +20,7 @@ type PipelineCell struct {
 	Batch int // max batch size (0 = one request per invocation)
 }
 
-// PipelineLadder is the fixed ladder: the sequential scheduler, each
+// PipelineLadder is the fixed ladder: the whole-job executor, each
 // mechanism alone, and both together.
 var PipelineLadder = []PipelineCell{
 	{Name: "sequential"},

@@ -9,13 +9,14 @@ import (
 	"ampsinf/internal/obs"
 )
 
-// PipelinePolicy enables pipelined partition execution: instead of
-// admitting each request's whole job as one unit, the scheduler runs
+// PipelinePolicy selects the scheduler's staged executor: instead of
+// running each admitted request as one whole job, the scheduler runs
 // partitions as stages and overlaps partition i of request n with
 // partition i+1 of request n−1 on warm containers. Depth bounds how many
 // requests may occupy pipeline stages at once; the account concurrency
-// limit still gates every admission. The zero value (and Depth 1)
-// preserves today's sequential scheduler byte for byte.
+// limit still gates every admission. The zero value (and Depth 1) leaves
+// the whole-job executor in place — which is not a one-slot pipeline:
+// whole jobs have no depth gate and overlap phases inside the job.
 type PipelinePolicy struct {
 	// Depth is the maximum number of requests concurrently holding
 	// pipeline stages (0 or 1 = no pipelining).
@@ -38,8 +39,9 @@ func (p PipelinePolicy) Validate() error {
 // batch dimension and submitted as one batched invocation, whose shared
 // cost is split across the member requests (SplitCost) so the serving
 // report's per-request charges still reconstruct the meter total
-// exactly. The zero value (and MaxBatch 1) preserves today's
-// one-request-per-invocation behaviour byte for byte.
+// exactly. Batched units always run on the staged executor, pipelined
+// or not. The zero value (and MaxBatch 1) keeps one request per
+// invocation.
 type BatchPolicy struct {
 	// MaxBatch is the most requests coalesced into one invocation
 	// (0 or 1 = no batching).
@@ -104,11 +106,16 @@ func (p SamplePolicy) sampler() *obs.Sampler {
 	if !p.enabled() {
 		return nil
 	}
-	seed := p.Seed
+	return obs.NewSampler(seedOr1(p.Seed), p.Rate)
+}
+
+// seedOr1 applies the policies' shared convention that a zero seed
+// behaves as seed 1.
+func seedOr1(seed int64) int64 {
 	if seed == 0 {
-		seed = 1
+		return 1
 	}
-	return obs.NewSampler(seed, p.Rate)
+	return seed
 }
 
 // defaultBatchWindow is the coalescing window when the policy leaves it
@@ -220,7 +227,13 @@ func SplitCost(total float64, n int) []float64 {
 	if n <= 0 {
 		return nil
 	}
-	shares := make([]float64, n)
+	return splitCostInto(make([]float64, n), total)
+}
+
+// splitCostInto is SplitCost into caller-owned storage: it fills and
+// returns shares (len ≥ 1), so a hot path can reuse one scratch slice.
+func splitCostInto(shares []float64, total float64) []float64 {
+	n := len(shares)
 	if n == 1 {
 		shares[0] = total
 		return shares

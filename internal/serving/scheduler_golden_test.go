@@ -1,0 +1,208 @@
+package serving
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+	"time"
+
+	"ampsinf/internal/cloud/faults"
+	"ampsinf/internal/coordinator"
+	"ampsinf/internal/obs"
+	"ampsinf/internal/sim"
+	"ampsinf/internal/tensor"
+	"ampsinf/internal/workload"
+)
+
+// schedulerGolden is one run's observable output, hashed: the rendered
+// report, the span forest (retained runs), the metrics snapshot, the
+// window stream and the shared meter's total.
+type schedulerGolden struct {
+	Render  string `json:"render_sha256"`
+	Traces  string `json:"traces_sha256"`
+	Metrics string `json:"metrics_sha256"`
+	Series  string `json:"series_sha256"`
+	Meter   string `json:"meter_total"`
+}
+
+func sha(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}
+
+// goldenScenario is one overload regime legacy_test.go predates, with
+// the condition that proves the run actually entered it.
+type goldenScenario struct {
+	name   string
+	faults faults.Config
+	mutate func(*coordinator.Config)
+	cfg    Config
+	n      int
+	rate   float64
+	// lanes is the account concurrency limit in whole jobs.
+	lanes   int
+	reached func(*Report) bool
+}
+
+func goldenScenarios() []goldenScenario {
+	tolerate := SLOPolicy{TolerateFailures: true}
+	throttle := ThrottlePolicy{MaxAttempts: 200, JitterSeed: 3}
+	return []goldenScenario{
+		{
+			name:   "brownout-shed",
+			faults: faults.Uniform(0.6, 131),
+			cfg: Config{Throttle: throttle, SLO: tolerate, Brownout: BrownoutPolicy{
+				Enabled: true, MinJobs: 1, BadFraction: 0.05, StepUpAfter: 1, StepDownAfter: 3,
+			}},
+			n: 96, rate: 1.5, lanes: 12,
+			reached: func(r *Report) bool {
+				return r.BrownoutDeepest == BrownoutShed && r.BrownoutShed > 0 && r.FallbackServed > 0
+			},
+		},
+		{
+			name:   "fallback-swap",
+			faults: faults.Uniform(0.5, 97),
+			cfg: Config{Throttle: throttle, SLO: tolerate, Brownout: BrownoutPolicy{
+				Enabled: true, MinJobs: 1, BadFraction: 0.05,
+				StepUpAfter: 1, StepDownAfter: 100, MaxLevel: BrownoutFallback,
+			}},
+			n: 48, rate: 8, lanes: 4,
+			reached: func(r *Report) bool {
+				return r.BrownoutDeepest == BrownoutFallback && r.FallbackServed > 0
+			},
+		},
+		{
+			name:   "budget-storm",
+			faults: faults.Uniform(0.5, 431),
+			mutate: func(c *coordinator.Config) {
+				c.Budget = coordinator.BudgetPolicy{MaxTokens: 1, InitialTokens: 1, EarnPerSuccess: 0.01}
+			},
+			cfg: Config{Throttle: throttle, SLO: tolerate},
+			n:   48, rate: 6, lanes: 4,
+			reached: func(r *Report) bool { return r.BudgetExhausted > 0 && r.BudgetDenied > 0 },
+		},
+		{
+			// Deadline fail-fast, SLO shedding and exhausted admissions in
+			// one run, on an account limit two jobs wide.
+			name:   "slo-storm",
+			faults: faults.Uniform(0.35, 59),
+			cfg: Config{
+				Throttle: ThrottlePolicy{MaxAttempts: 5, BaseBackoff: time.Second, JitterSeed: 5},
+				SLO:      SLOPolicy{Deadline: 26 * time.Second, Shed: true, TolerateFailures: true},
+			},
+			n: 64, rate: 1, lanes: 2,
+			reached: func(r *Report) bool { return r.Deadline > 0 && r.Shed > 0 && r.Throttles > 0 && r.Completed > 0 },
+		},
+	}
+}
+
+// goldenRun serves one scenario on a fresh deployment pair and hashes
+// everything observable.
+func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) schedulerGolden {
+	t.Helper()
+	e, fb := deployOverloadPair(t, sc.faults, sc.mutate)
+	e.pl.SetAccountConcurrency(sc.lanes * e.dep.Partitions())
+	mx := obs.NewMetrics()
+	series := obs.NewTimeSeries(250 * time.Millisecond)
+	cfg := sc.cfg
+	cfg.Deployment = e.dep
+	cfg.Fallback = fb
+	cfg.Metrics = mx
+	cfg.Series = series
+	if staged {
+		cfg.Pipeline = PipelinePolicy{Depth: 3}
+		cfg.Batch = BatchPolicy{MaxBatch: 2, Window: 250 * time.Millisecond, JitterSeed: 7}
+	}
+	arrivals := workload.PoissonArrivals(sc.n, sc.rate, 29)
+	in := inputs(e.model, sc.n)
+	var rep *Report
+	var err error
+	if stream {
+		rep, err = ServeStream(cfg, sim.NewSlice(arrivals), func(i int) *tensor.Tensor { return in[i] })
+	} else {
+		// Retained runs also pin head sampling's keep/drop bookkeeping.
+		cfg.Sample = SamplePolicy{Rate: 0.5, Seed: 11}
+		rep, err = Serve(cfg, in, arrivals)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	series.Close()
+	if !sc.reached(rep) {
+		t.Fatalf("run never entered the regime it pins:\n%s", rep.Summary())
+	}
+	traces, err := json.Marshal(rep.Traces())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mb, sb bytes.Buffer
+	if err := mx.WriteJSON(&mb); err != nil {
+		t.Fatal(err)
+	}
+	if err := series.WriteNDJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return schedulerGolden{
+		Render:  sha([]byte(rep.Render())),
+		Traces:  sha(traces),
+		Metrics: sha(mb.Bytes()),
+		Series:  sha(sb.Bytes()),
+		Meter:   strconv.FormatFloat(e.meter.Total(), 'g', -1, 64),
+	}
+}
+
+// TestSchedulerGolden pins the scheduler's output under the policies
+// the legacy battery predates — brownout, fallback routing, the retry
+// budget, deadline fail-fast with shedding — for both executors and
+// both entry points. Regenerate deliberately with
+// `go test ./internal/serving -run TestSchedulerGolden -update-golden`.
+func TestSchedulerGolden(t *testing.T) {
+	path := filepath.Join("testdata", "scheduler_golden.json")
+	got := map[string]schedulerGolden{}
+	for _, sc := range goldenScenarios() {
+		for _, ex := range []struct {
+			name   string
+			staged bool
+		}{{"whole-job", false}, {"pipelined+batched", true}} {
+			for _, entry := range []struct {
+				name   string
+				stream bool
+			}{{"Serve", false}, {"ServeStream", true}} {
+				name := sc.name + "/" + ex.name + "/" + entry.name
+				t.Run(name, func(t *testing.T) {
+					got[name] = goldenRun(t, sc, ex.staged, entry.stream)
+				})
+			}
+		}
+	}
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create it)", err)
+	}
+	var want map[string]schedulerGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file has %d runs, test produced %d", len(want), len(got))
+	}
+	for name, g := range got {
+		if w := want[name]; g != w {
+			t.Errorf("%s drifted from %s:\n got %+v\nwant %+v", name, path, g, w)
+		}
+	}
+}

@@ -141,12 +141,15 @@ type Config struct {
 	// behaviour byte for byte.
 	SLO SLOPolicy
 	// Pipeline enables staged partition execution overlapped across
-	// requests. The zero value (or Depth 1) keeps the sequential
-	// scheduler byte for byte.
+	// requests. The scheduler has one admission and settlement path and
+	// two executors: with Pipeline and Batch both disabled (zero value,
+	// Depth ≤ 1, MaxBatch ≤ 1) each admitted request runs as one whole
+	// job; enabling either switches admitted units to the staged
+	// executor.
 	Pipeline PipelinePolicy
-	// Batch coalesces queued requests into shared batched invocations.
-	// The zero value (or MaxBatch 1) keeps one invocation per request
-	// byte for byte.
+	// Batch coalesces queued requests into shared batched invocations on
+	// the staged executor. The zero value (or MaxBatch 1) keeps one
+	// invocation per request.
 	Batch BatchPolicy
 	// Sample head-samples request span trees (see SamplePolicy). The
 	// zero value keeps always-on tracing byte for byte.
@@ -308,19 +311,33 @@ func (r *Report) requests() int {
 	return len(r.Jobs)
 }
 
+// eventCounter counts one kind of serving event in both sinks: the
+// run-total registry and the windowed series. Handles against nil sinks
+// are no-ops, so no callsite needs a guard.
+type eventCounter struct {
+	total  obs.CounterHandle
+	series obs.SeriesCounterHandle
+}
+
+func newEventCounter(mx *obs.Metrics, ts *obs.TimeSeries, name string) eventCounter {
+	return eventCounter{total: mx.CounterHandle(name), series: ts.CounterHandle(name)}
+}
+
+// inc counts n events at simulated instant at.
+func (e eventCounter) inc(at time.Duration, n int64) {
+	e.total.Inc(n)
+	e.series.Inc(at, n)
+}
+
 // serveHandles are the serving-level metric and time-series slots,
 // resolved once at the start of a run so the per-event loop records
 // through pre-resolved handles — index arithmetic, no name lookups.
-// Handles against nil sinks are no-ops, so no callsite needs a guard.
 type serveHandles struct {
-	shed, throttles, admFail, deadline, failures, jobs obs.CounterHandle
-	spansSampled, spansDropped                         obs.CounterHandle
-	budgetExhausted, brownoutShed, fallback            obs.CounterHandle
+	shed, throttles, admFail, deadline, failures, jobs eventCounter
+	spansSampled, spansDropped                         eventCounter
+	budgetExhausted, brownoutShed, fallback            eventCounter
 	cost                                               obs.TotalHandle
 	queueSec, latencySec                               obs.HistHandle
-	tsShed, tsThrottles, tsAdmFail, tsDeadline         obs.SeriesCounterHandle
-	tsFailures, tsJobs, tsSpansSampled, tsSpansDropped obs.SeriesCounterHandle
-	tsBudgetExhausted, tsBrownoutShed, tsFallback      obs.SeriesCounterHandle
 	tsCost                                             obs.SeriesTotalHandle
 	tsQueueSec, tsLatencySec                           obs.SeriesHistHandle
 	tsQueueDepth, tsBrownoutLevel                      obs.SeriesGaugeHandle
@@ -328,50 +345,26 @@ type serveHandles struct {
 
 func newServeHandles(mx *obs.Metrics, ts *obs.TimeSeries) serveHandles {
 	return serveHandles{
-		shed:              mx.CounterHandle("serving_shed_total"),
-		throttles:         mx.CounterHandle("serving_throttles_total"),
-		admFail:           mx.CounterHandle("serving_admission_failures_total"),
-		deadline:          mx.CounterHandle("serving_deadline_failures_total"),
-		failures:          mx.CounterHandle("serving_failures_total"),
-		jobs:              mx.CounterHandle("serving_jobs_total"),
-		spansSampled:      mx.CounterHandle("serving_spans_sampled_total"),
-		spansDropped:      mx.CounterHandle("serving_spans_dropped_total"),
-		budgetExhausted:   mx.CounterHandle("serving_budget_exhausted_total"),
-		brownoutShed:      mx.CounterHandle("serving_brownout_shed_total"),
-		fallback:          mx.CounterHandle("serving_fallback_total"),
-		cost:              mx.TotalHandle("serving_cost_usd_total"),
-		queueSec:          mx.HistHandle("serving_queue_seconds", obs.DurationBounds),
-		latencySec:        mx.HistHandle("serving_latency_seconds", obs.DurationBounds),
-		tsShed:            ts.CounterHandle("serving_shed_total"),
-		tsThrottles:       ts.CounterHandle("serving_throttles_total"),
-		tsAdmFail:         ts.CounterHandle("serving_admission_failures_total"),
-		tsDeadline:        ts.CounterHandle("serving_deadline_failures_total"),
-		tsFailures:        ts.CounterHandle("serving_failures_total"),
-		tsJobs:            ts.CounterHandle("serving_jobs_total"),
-		tsSpansSampled:    ts.CounterHandle("serving_spans_sampled_total"),
-		tsSpansDropped:    ts.CounterHandle("serving_spans_dropped_total"),
-		tsBudgetExhausted: ts.CounterHandle("serving_budget_exhausted_total"),
-		tsBrownoutShed:    ts.CounterHandle("serving_brownout_shed_total"),
-		tsFallback:        ts.CounterHandle("serving_fallback_total"),
-		tsCost:            ts.TotalHandle("serving_cost_usd_total"),
-		tsQueueSec:        ts.HistHandle("serving_queue_seconds"),
-		tsLatencySec:      ts.HistHandle("serving_latency_seconds"),
-		tsQueueDepth:      ts.GaugeHandle("serving_queue_depth"),
-		tsBrownoutLevel:   ts.GaugeHandle("serving_brownout_level"),
+		shed:            newEventCounter(mx, ts, "serving_shed_total"),
+		throttles:       newEventCounter(mx, ts, "serving_throttles_total"),
+		admFail:         newEventCounter(mx, ts, "serving_admission_failures_total"),
+		deadline:        newEventCounter(mx, ts, "serving_deadline_failures_total"),
+		failures:        newEventCounter(mx, ts, "serving_failures_total"),
+		jobs:            newEventCounter(mx, ts, "serving_jobs_total"),
+		spansSampled:    newEventCounter(mx, ts, "serving_spans_sampled_total"),
+		spansDropped:    newEventCounter(mx, ts, "serving_spans_dropped_total"),
+		budgetExhausted: newEventCounter(mx, ts, "serving_budget_exhausted_total"),
+		brownoutShed:    newEventCounter(mx, ts, "serving_brownout_shed_total"),
+		fallback:        newEventCounter(mx, ts, "serving_fallback_total"),
+		cost:            mx.TotalHandle("serving_cost_usd_total"),
+		queueSec:        mx.HistHandle("serving_queue_seconds", obs.DurationBounds),
+		latencySec:      mx.HistHandle("serving_latency_seconds", obs.DurationBounds),
+		tsCost:          ts.TotalHandle("serving_cost_usd_total"),
+		tsQueueSec:      ts.HistHandle("serving_queue_seconds"),
+		tsLatencySec:    ts.HistHandle("serving_latency_seconds"),
+		tsQueueDepth:    ts.GaugeHandle("serving_queue_depth"),
+		tsBrownoutLevel: ts.GaugeHandle("serving_brownout_level"),
 	}
-}
-
-// pending is one request waiting to run: its next admission instant and
-// how many times the concurrency limit has already turned it away.
-// Records are slab-recycled; the waits slice keeps its capacity across
-// reuse.
-type pending struct {
-	idx      int
-	arrival  time.Duration
-	readyAt  time.Duration
-	attempts int
-	wait     time.Duration
-	waits    []time.Duration
 }
 
 // Serve runs inputs through the deployment: request i arrives at
@@ -382,12 +375,8 @@ type pending struct {
 // its containers occupied until their true lifetimes end. One shared
 // meter bills everything, so Report costs are marginal charges on it.
 func Serve(cfg Config, inputs []*tensor.Tensor, arrivals []time.Duration) (*Report, error) {
-	dep := cfg.Deployment
-	if dep == nil {
-		return nil, fmt.Errorf("serving: config needs a deployment")
-	}
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("serving: empty trace")
+	if err := validate(cfg, len(inputs)); err != nil {
+		return nil, err
 	}
 	if len(arrivals) != len(inputs) {
 		return nil, fmt.Errorf("serving: %d arrivals for %d inputs", len(arrivals), len(inputs))
@@ -397,467 +386,40 @@ func Serve(cfg Config, inputs []*tensor.Tensor, arrivals []time.Duration) (*Repo
 			return nil, fmt.Errorf("serving: arrivals not sorted at %d", i)
 		}
 	}
-	if err := cfg.Throttle.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
+	return serve(cfg, sim.NewSlice(arrivals), func(i int) *tensor.Tensor { return inputs[i] }, true)
+}
+
+// validate rejects a config no serving run can start from; requests is
+// the trace length. Serve and ServeStream share it.
+func validate(cfg Config, requests int) error {
+	dep := cfg.Deployment
+	if dep == nil {
+		return fmt.Errorf("serving: config needs a deployment")
 	}
-	if err := cfg.SLO.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
+	if requests == 0 {
+		return fmt.Errorf("serving: empty trace")
 	}
-	if err := cfg.Pipeline.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if err := cfg.Batch.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if err := cfg.Sample.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if err := cfg.Brownout.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
+	for _, err := range []error{
+		cfg.Throttle.Validate(), cfg.SLO.Validate(), cfg.Pipeline.Validate(),
+		cfg.Batch.Validate(), cfg.Sample.Validate(), cfg.Brownout.Validate(),
+	} {
+		if err != nil {
+			return fmt.Errorf("serving: %w", err)
+		}
 	}
 	if cfg.Brownout.enabled() && cfg.Series == nil {
-		return nil, fmt.Errorf("serving: brownout needs a time series to observe")
+		return fmt.Errorf("serving: brownout needs a time series to observe")
 	}
 	if fb := cfg.Fallback; fb != nil {
 		if fb.Platform() != dep.Platform() {
-			return nil, fmt.Errorf("serving: fallback deployment must share the primary's platform")
+			return fmt.Errorf("serving: fallback deployment must share the primary's platform")
 		}
 		if fb.Partitions() != dep.Partitions() {
-			return nil, fmt.Errorf("serving: fallback has %d partitions, primary %d",
+			return fmt.Errorf("serving: fallback has %d partitions, primary %d",
 				fb.Partitions(), dep.Partitions())
 		}
 	}
-	if cfg.Pipeline.enabled() || cfg.Batch.enabled() {
-		// Depth 1 and batch size 1 are exactly today's scheduler, so only
-		// a policy that actually overlaps or coalesces takes the staged
-		// path — the equivalence property the test suite locks down.
-		return servePipelined(cfg, inputs, arrivals)
-	}
-	return runSequential(cfg, sim.NewSlice(arrivals), func(i int) *tensor.Tensor { return inputs[i] }, false)
-}
-
-// runSequential is the sequential serving scheduler on the unified
-// discrete-event core (internal/sim): a binary event heap orders
-// throttle re-admissions by (readyAt, index), a slab recycles pending
-// records, and arrivals stream from src one at a time so the full
-// trace is never materialized. Because arrivals are non-decreasing
-// with increasing indices, the globally earliest-ready request is
-// always either the heap top or the source head — the selection is
-// exactly the (readyAt, idx) lexicographic minimum the former
-// linear-scan loop picked, so runs are byte-identical to it.
-//
-// In stream mode per-request results fold into the summary accumulator
-// as they settle instead of being retained, and span trees are never
-// built, so memory stays O(backlog) over million-request traces.
-func runSequential(cfg Config, src sim.Source, input func(int) *tensor.Tensor, stream bool) (*Report, error) {
-	dep := cfg.Deployment
-	pl := dep.Platform()
-	pl.EnableClock()
-	width := dep.Partitions()
-	limit := pl.AccountConcurrency()
-	mx := cfg.Metrics
-	ts := cfg.Series
-	h := newServeHandles(mx, ts)
-	// Queue-depth dedupe state: the gauge is last-write-wins per window,
-	// so a write repeating the previous (window, depth) pair cannot
-	// change any frame and is skipped. tsWindow is hoisted out of the
-	// loop.
-	tsWindow := ts.Window()
-	var depthDedup gaugeDedup
-	sampler := cfg.Sample.sampler()
-
-	// Brownout controller: subscribed to the series, it judges each
-	// flushed window inside ts.Advance; the loop enacts the level it
-	// asks for before the next admission (applyBrownout below).
-	var ctl *brownoutCtl
-	fallback := cfg.Fallback
-	if cfg.Brownout.enabled() {
-		ctl = newBrownoutCtl(cfg.Brownout)
-		ts.Subscribe(ctl.observe)
-	}
-	applyBrownout := func(now time.Duration) {
-		if ctl == nil || ctl.level == ctl.applied {
-			return
-		}
-		ctl.applied = ctl.level
-		h.tsBrownoutLevel.Set(now, float64(ctl.level))
-		hedgeOff := ctl.level >= BrownoutNoHedge
-		dep.SetHedgingDisabled(hedgeOff)
-		if fallback != nil {
-			fallback.SetHedgingDisabled(hedgeOff)
-		}
-	}
-
-	seed := cfg.Throttle.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-
-	n := src.Remaining()
-	rep := &Report{Mode: "eager", Requests: n}
-	if cfg.Sequential {
-		rep.Mode = "sequential"
-	}
-	if !stream {
-		rep.Jobs = make([]JobResult, n)
-	}
-	slo := cfg.SLO
-	rep.SLOActive = slo.enabled()
-	rep.SLODeadline = slo.Deadline
-	// Running mean of completed service times — the admission-control
-	// completion predictor. Deterministic: it only folds in completed
-	// jobs, in event order.
-	var estSum time.Duration
-	var estN int
-
-	var acc summaryAcc
-	var scratch JobResult
-
-	var pq sim.Heap // backed-off re-admissions: (readyAt, idx)
-	var slab sim.Slab[pending]
-	// One-arrival lookahead into the source; the trace beyond it stays
-	// unmaterialized.
-	nextArr, haveNext := src.Next()
-	nextIdx := 0
-	var lastArr time.Duration
-
-	for {
-		var p *pending
-		var id int32
-		top, havePQ := pq.Peek()
-		// The next request is the earlier of the heap top and the source
-		// head (ties break toward the smaller index; every heap entry's
-		// index precedes the source head's).
-		if haveNext && (!havePQ || nextArr < top.At ||
-			(nextArr == top.At && uint64(nextIdx) < top.Seq)) {
-			if nextArr < lastArr {
-				return nil, fmt.Errorf("serving: arrivals not sorted at %d", nextIdx)
-			}
-			lastArr = nextArr
-			id, p = slab.Alloc()
-			p.idx = nextIdx
-			p.arrival = nextArr
-			p.readyAt = nextArr
-			p.attempts = 0
-			p.wait = 0
-			p.waits = p.waits[:0]
-			nextIdx++
-			nextArr, haveNext = src.Next()
-		} else if havePQ {
-			e, _ := pq.Pop()
-			id = e.ID
-			p = slab.Get(id)
-		} else {
-			break
-		}
-
-		pl.AdvanceTo(p.readyAt)
-		now := pl.Now()
-		if ts != nil {
-			ts.Advance(now)
-			// Queue depth after this request leaves the queue:
-			// re-admissions waiting in the heap plus every arrival not yet
-			// admitted. Skipped entirely with no series attached, and
-			// deduped against the previous write — rewriting an equal
-			// depth into the same window cannot change the frame.
-			depth := pq.Len() + src.Remaining()
-			if haveNext {
-				depth++
-			}
-			if depthDedup.changed(int64(now/tsWindow), depth) {
-				h.tsQueueDepth.Set(now, float64(depth))
-			}
-		}
-		applyBrownout(now)
-		elapsed := now - p.arrival
-
-		jr := &scratch
-		if stream {
-			scratch = JobResult{}
-		} else {
-			jr = &rep.Jobs[p.idx]
-		}
-
-		// Brownout's deepest rung rejects every new admission outright.
-		// These rejections bill through their own counter rather than
-		// serving_shed_total, so the controller's health triggers see
-		// post-shed windows as healthy and probe back up the ladder.
-		if ctl.Level() >= BrownoutShed {
-			jr.Index = p.idx
-			jr.Arrival = p.arrival
-			jr.Start = now
-			jr.Done = now
-			jr.Queue = elapsed
-			jr.Latency = elapsed
-			jr.Throttles = p.attempts
-			jr.ThrottleWait = p.wait
-			jr.Outcome = OutcomeShed
-			if !stream {
-				jr.Trace = requestSpan(jr, p.waits, nil)
-			}
-			rep.BrownoutShed++
-			h.brownoutShed.Inc(1)
-			h.tsBrownoutShed.Inc(now, 1)
-			if stream {
-				acc.fold(rep, jr)
-			}
-			slab.Free(id)
-			continue
-		}
-
-		// SLO-aware load shedding: reject at admission when the request
-		// has already missed its deadline in the queue, or when the
-		// running service-time estimate predicts it will.
-		if slo.Shed && (elapsed >= slo.Deadline ||
-			(estN > 0 && elapsed+estSum/time.Duration(estN) > slo.Deadline)) {
-			jr.Index = p.idx
-			jr.Arrival = p.arrival
-			jr.Start = now
-			jr.Done = now
-			jr.Queue = elapsed
-			jr.Latency = elapsed
-			jr.Throttles = p.attempts
-			jr.ThrottleWait = p.wait
-			jr.Outcome = OutcomeShed
-			if !stream {
-				jr.Trace = requestSpan(jr, p.waits, nil)
-			}
-			h.shed.Inc(1)
-			h.tsShed.Inc(now, 1)
-			if stream {
-				acc.fold(rep, jr)
-			}
-			slab.Free(id)
-			continue
-		}
-
-		if pl.InFlightAt(now)+width > limit {
-			// Admission would push the account past its concurrency
-			// limit: the request is throttled (429) and backs off.
-			p.attempts++
-			rep.Throttles++
-			h.throttles.Inc(1)
-			h.tsThrottles.Inc(now, 1)
-			if p.attempts >= cfg.Throttle.attempts() {
-				if !slo.TolerateFailures {
-					return nil, fmt.Errorf("serving: request %d throttled %d times (limit %d, width %d)",
-						p.idx, p.attempts, limit, width)
-				}
-				jr.Index = p.idx
-				jr.Arrival = p.arrival
-				jr.Start = now
-				jr.Done = now
-				jr.Queue = elapsed
-				jr.Latency = elapsed
-				jr.Throttles = p.attempts
-				jr.ThrottleWait = p.wait
-				jr.Outcome = OutcomeThrottled
-				jr.Err = fmt.Sprintf("throttled %d times", p.attempts)
-				if !stream {
-					jr.Trace = requestSpan(jr, p.waits, nil)
-				}
-				h.admFail.Inc(1)
-				h.tsAdmFail.Inc(now, 1)
-				if stream {
-					acc.fold(rep, jr)
-				}
-				slab.Free(id)
-				continue
-			}
-			bo := backoff(cfg.Throttle, p.attempts, rng)
-			p.wait += bo
-			if !stream {
-				// Individual waits feed span building only; stream
-				// mode keeps just the scalar total.
-				p.waits = append(p.waits, bo)
-			}
-			p.readyAt = now + bo
-			pq.Push(sim.Event{At: p.readyAt, Seq: uint64(p.idx), ID: id})
-			continue
-		}
-
-		// Deadline propagation: the coordinator gets only what is left of
-		// the request's budget after queueing. A non-positive remainder
-		// still runs with a token budget so the job fails fast through the
-		// typed deadline path rather than running unbounded.
-		var jobDeadline time.Duration
-		if slo.Deadline > 0 {
-			jobDeadline = slo.Deadline - elapsed
-			if jobDeadline <= 0 {
-				jobDeadline = time.Nanosecond
-			}
-		}
-
-		// Brownout's fallback rung swaps this admission onto the
-		// quantized deployment; the shared platform and meter keep the
-		// request's marginal cost exact either way.
-		cur := dep
-		if ctl.Level() >= BrownoutFallback && fallback != nil {
-			cur = fallback
-			rep.FallbackServed++
-			h.fallback.Inc(1)
-			h.tsFallback.Inc(now, 1)
-		}
-
-		before := pl.Meter().Total()
-		jrep, err := cur.Run(input(p.idx), coordinator.RunOptions{
-			Sequential: cfg.Sequential,
-			Deadline:   jobDeadline,
-			NoTrace:    stream || !sampler.Keep(uint64(p.idx)),
-			Lean:       stream,
-		})
-
-		jr.Index = p.idx
-		jr.Arrival = p.arrival
-		jr.Start = now
-		jr.Queue = elapsed
-		jr.Cost = pl.Meter().Total() - before
-		jr.Throttles = p.attempts
-		jr.ThrottleWait = p.wait
-		if jrep != nil {
-			jr.Retries = jrep.Retries
-			jr.Faults = jrep.FaultsInjected
-			jr.Hedges = jrep.Hedges
-			jr.HedgeWins = jrep.HedgeWins
-			jr.ShortCircuits = jrep.ShortCircuits
-			jr.BudgetDenied = jrep.BudgetDenied
-			jr.WastedSpend = jrep.WastedSpend
-			for _, lr := range jrep.PerLambda {
-				if lr.Cold {
-					jr.ColdStarts++
-				}
-			}
-		}
-
-		if err != nil {
-			deadlined := coordinator.IsDeadlineExceeded(err)
-			if !deadlined && !slo.TolerateFailures {
-				return nil, fmt.Errorf("serving: request %d: %w", p.idx, err)
-			}
-			if deadlined && slo.Deadline == 0 {
-				// A coordinator-config deadline with no serving SLO keeps
-				// the old fail-the-run contract unless tolerated.
-				if !slo.TolerateFailures {
-					return nil, fmt.Errorf("serving: request %d: %w", p.idx, err)
-				}
-			}
-			jr.Outcome = OutcomeFailed
-			if deadlined {
-				jr.Outcome = OutcomeDeadline
-				h.deadline.Inc(1)
-				h.tsDeadline.Inc(now, 1)
-			} else if coordinator.IsBudgetExhausted(err) {
-				jr.Outcome = OutcomeBudgetExhausted
-				h.budgetExhausted.Inc(1)
-				h.tsBudgetExhausted.Inc(now, 1)
-			} else {
-				h.failures.Inc(1)
-				h.tsFailures.Inc(now, 1)
-			}
-			jr.Err = err.Error()
-			// The failed job still consumed simulated time before giving
-			// up; its failure trace records how much.
-			var failTrace *obs.Span
-			var failDur time.Duration
-			if jrep != nil && jrep.Trace != nil {
-				failTrace = jrep.Trace
-				failDur = failTrace.Duration
-			} else if jrep != nil {
-				// Lean failures carry the elapsed time as a scalar
-				// instead of a span tree.
-				failDur = jrep.Elapsed
-			}
-			jr.Done = now + failDur
-			jr.Latency = jr.Done - p.arrival
-			if !stream {
-				jr.Trace = requestSpan(jr, p.waits, failTrace)
-			}
-			if jr.Done > rep.Makespan {
-				rep.Makespan = jr.Done
-			}
-			h.cost.Add(jr.Cost)
-			h.tsCost.Add(jr.Done, jr.Cost)
-			if stream {
-				acc.fold(rep, jr)
-				if jrep != nil {
-					cur.ReleaseReport(jrep)
-				}
-			}
-			slab.Free(id)
-			continue
-		}
-
-		jr.Done = now + jrep.Completion
-		jr.Latency = jr.Done - p.arrival
-		jr.Outcome = OutcomeOK
-		estSum += jrep.Completion
-		estN++
-		// Under sampling a dropped job carries no coordinator tree (unless
-		// its hedge won, which forces the sample); the request then keeps
-		// no span tree at all, only its exact meter-delta cost.
-		if !stream {
-			if jrep.Trace != nil {
-				jr.Trace = requestSpan(jr, p.waits, jrep.Trace)
-				if sampler != nil {
-					h.spansSampled.Inc(1)
-					h.tsSpansSampled.Inc(jr.Done, 1)
-				}
-			} else if sampler != nil {
-				h.spansDropped.Inc(1)
-				h.tsSpansDropped.Inc(jr.Done, 1)
-			}
-		}
-
-		if inFlight := pl.InFlightAt(now); inFlight > rep.PeakInFlight {
-			rep.PeakInFlight = inFlight
-		}
-		if jr.Done > rep.Makespan {
-			rep.Makespan = jr.Done
-		}
-		queueSec := jr.Queue.Seconds()
-		latencySec := jr.Latency.Seconds()
-		h.jobs.Inc(1)
-		h.queueSec.Observe(queueSec)
-		h.latencySec.Observe(latencySec)
-		h.cost.Add(jr.Cost)
-		h.tsJobs.Inc(jr.Done, 1)
-		h.tsQueueSec.Observe(now, queueSec)
-		h.tsLatencySec.Observe(jr.Done, latencySec)
-		h.tsCost.Add(jr.Done, jr.Cost)
-		if stream {
-			acc.fold(rep, jr)
-			cur.ReleaseReport(jrep)
-		}
-		slab.Free(id)
-	}
-
-	if stream {
-		acc.finalize(rep, n)
-	} else {
-		summarize(rep)
-	}
-	cfg.Series.Advance(rep.Makespan)
-	cfg.Series.Flush()
-	mx.Gauge("serving_peak_in_flight", float64(rep.PeakInFlight))
-	finishBrownout(ctl, rep, mx, dep, fallback)
-	return rep, nil
-}
-
-// finishBrownout records the controller's run totals and restores the
-// deployments' hedging state so the next run on them starts healthy.
-func finishBrownout(ctl *brownoutCtl, rep *Report, mx *obs.Metrics,
-	dep, fallback *coordinator.Deployment) {
-	if ctl == nil {
-		return
-	}
-	rep.BrownoutDeepest = ctl.deepest
-	rep.BrownoutTransitions = ctl.transitions
-	mx.Gauge("serving_brownout_level", float64(ctl.level))
-	dep.SetHedgingDisabled(false)
-	if fallback != nil {
-		fallback.SetHedgingDisabled(false)
-	}
+	return nil
 }
 
 // backoff draws the equal-jitter wait before re-admission attempt n

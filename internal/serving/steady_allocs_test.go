@@ -10,11 +10,11 @@ import (
 )
 
 // TestServeStreamSteadyStateAllocs pins the hot path's allocation
-// behavior: with metrics and a time series attached (the production
-// configuration), a fully-warmed streaming sequential serve must run
-// its steady state allocation-free. Fixed per-run costs are real (the
-// latency reservoir, the report, first-touch pool growth), so the test
-// measures the marginal allocations between two run lengths — the
+// behavior for both executors: with metrics and a time series attached
+// (the production configuration), a fully-warmed streaming serve must
+// run its steady state allocation-free. Fixed per-run costs are real
+// (the latency reservoir, the report, first-touch pool growth), so the
+// test measures the marginal allocations between two run lengths — the
 // per-request slope, not the intercept — and requires it to be zero.
 func TestServeStreamSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
@@ -23,6 +23,28 @@ func TestServeStreamSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats escape analysis; alloc counts are only meaningful in production builds")
 	}
+	for _, c := range []struct {
+		name     string
+		pipeline PipelinePolicy
+		batch    BatchPolicy
+		// bound leaves room for the O(log n) terms a doubled run length
+		// legitimately adds: heap and free-list slice doublings plus slab
+		// chunk-table growth — a handful of allocations, not per-request.
+		// The staged executor additionally stacks each batch's inputs into
+		// a fresh tensor — tensor.Stack's 4 allocations per batch, measured
+		// 2.00 allocs/request at MaxBatch 2 — and nothing else.
+		bound float64
+	}{
+		{name: "whole-job", bound: 0.01},
+		{name: "staged", pipeline: PipelinePolicy{Depth: 4}, batch: BatchPolicy{MaxBatch: 2}, bound: 2.01},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			steadyStateAllocs(t, c.pipeline, c.batch, c.bound)
+		})
+	}
+}
+
+func steadyStateAllocs(t *testing.T, pipeline PipelinePolicy, batch BatchPolicy, bound float64) {
 	measure := func(n int) float64 {
 		e := deployWide(t, 16)
 		e.pl.SetAccountConcurrency(256)
@@ -35,6 +57,8 @@ func TestServeStreamSteadyStateAllocs(t *testing.T) {
 		cfg := Config{
 			Deployment: e.dep,
 			Throttle:   ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
+			Pipeline:   pipeline,
+			Batch:      batch,
 			Metrics:    mx,
 			Series:     ts,
 		}
@@ -54,10 +78,7 @@ func TestServeStreamSteadyStateAllocs(t *testing.T) {
 	a1 := measure(n1)
 	a2 := measure(n2)
 	perReq := (a2 - a1) / float64(n2-n1)
-	// The bound leaves room for the O(log n) terms a doubled run length
-	// legitimately adds: heap and free-list slice doublings plus slab
-	// chunk-table growth — a handful of allocations, not per-request.
-	if perReq > 0.01 {
+	if perReq > bound {
 		t.Fatalf("steady-state allocations: %.4f allocs/request (runs: %.0f @ %d, %.0f @ %d)",
 			perReq, a1, n1, a2, n2)
 	}

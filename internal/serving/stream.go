@@ -9,24 +9,32 @@ import (
 
 // ServeStream serves a trace produced lazily by src — request i
 // arrives at the i-th offset the source yields — with inputs built on
-// demand by input(i). Unlike Serve it retains no per-request results
-// and builds no span trees: settled requests fold straight into the
-// report's aggregates, so a million-request trace runs in O(backlog)
-// memory. Everything else matches Serve's scheduler byte for byte:
-// same admission order, same throttle backoffs, same coalescing RNG
-// draws, same metrics and time-series emissions, same meter totals.
+// demand by input(i). It is Serve with a folding result sink: the same
+// scheduler and executors, so the same admission order, throttle
+// backoffs, coalescing RNG draws, metrics and time-series emissions and
+// meter totals — but no per-request results are retained and no span
+// trees built. Settled requests fold straight into the report's
+// aggregates and jobs run on the coordinator's lean path, so a
+// million-request trace runs in O(backlog) memory under either executor
+// (batch units are coalesced incrementally, one unit of lookahead beyond
+// the admission frontier).
 //
-// Pipelined and batched policies stream too: batch units are coalesced
-// incrementally (one unit of lookahead beyond the admission frontier),
-// so the staged scheduler also runs million-request traces in
-// O(backlog) memory. Span sampling stays rejected — it exists to
-// retain trees, which contradicts the no-retention contract.
+// Two things differ from Serve by construction. Per-job costs are the
+// lean path's meter deltas, which agree with Serve's span replays to
+// 1e-9 (the shared meter total is exact). And a staged Serve coalesces
+// its whole trace before the first event, so under batching its
+// serving_queue_depth counts units and its batch windows never see
+// brownout widening; a stream counts the request backlog and widens
+// live. Span sampling is
+// rejected — it exists to retain trees, which contradicts the
+// no-retention contract.
 func ServeStream(cfg Config, src sim.Source, input func(int) *tensor.Tensor) (*Report, error) {
-	if cfg.Deployment == nil {
-		return nil, fmt.Errorf("serving: config needs a deployment")
+	requests := 0
+	if src != nil {
+		requests = src.Remaining()
 	}
-	if src == nil || src.Remaining() == 0 {
-		return nil, fmt.Errorf("serving: empty trace")
+	if err := validate(cfg, requests); err != nil {
+		return nil, err
 	}
 	if input == nil {
 		return nil, fmt.Errorf("serving: streaming serve needs an input builder")
@@ -34,35 +42,5 @@ func ServeStream(cfg Config, src sim.Source, input func(int) *tensor.Tensor) (*R
 	if cfg.Sample.enabled() {
 		return nil, fmt.Errorf("serving: streaming serve keeps no span trees to sample")
 	}
-	if err := cfg.Throttle.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if err := cfg.SLO.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if err := cfg.Pipeline.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if err := cfg.Batch.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if err := cfg.Brownout.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if cfg.Brownout.enabled() && cfg.Series == nil {
-		return nil, fmt.Errorf("serving: brownout needs a time series to observe")
-	}
-	if fb := cfg.Fallback; fb != nil {
-		if fb.Platform() != cfg.Deployment.Platform() {
-			return nil, fmt.Errorf("serving: fallback deployment must share the primary's platform")
-		}
-		if fb.Partitions() != cfg.Deployment.Partitions() {
-			return nil, fmt.Errorf("serving: fallback has %d partitions, primary %d",
-				fb.Partitions(), cfg.Deployment.Partitions())
-		}
-	}
-	if cfg.Pipeline.enabled() || cfg.Batch.enabled() {
-		return runPipelined(cfg, src, input, true)
-	}
-	return runSequential(cfg, src, input, true)
+	return serve(cfg, src, input, false)
 }
