@@ -149,14 +149,21 @@ type retryInfo struct {
 	holdBucket  *obs.CostBucket
 }
 
-func (ri retryInfo) retries() int { return ri.attempts - 1 }
+// retries is how many times the operation was re-attempted. An
+// operation that failed fast before its first attempt — the job's
+// deadline was already spent — ran nothing and retried nothing.
+func (ri retryInfo) retries() int { return max(ri.attempts-1, 0) }
 
 // delay is the extra wall-clock the retries added in front of the
 // successful attempt's work: failed execution time, backoff waits, one
 // dispatch per re-invocation, and — when the hedge won — the hedge
 // delay plus its dispatch.
 func (ri retryInfo) delay() time.Duration {
-	return ri.wasted + ri.backoff + time.Duration(ri.retries())*invokeDispatchLatency + ri.hedgeExtra
+	// attempts-1, not retries(): the zero-attempt fail-fast above comes
+	// out one dispatch latency negative. That is a quirk, not a design —
+	// but the staged scheduler frees the failing stage's slot at
+	// now+delay, so clamping it here would move simulated timelines.
+	return ri.wasted + ri.backoff + time.Duration(ri.attempts-1)*invokeDispatchLatency + ri.hedgeExtra
 }
 
 // jobBudget tracks a job-wide retry allowance.

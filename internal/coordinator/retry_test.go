@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -222,5 +223,40 @@ func TestBackoffWindows(t *testing.T) {
 		if got < c.want/2 || got > c.want {
 			t.Errorf("backoff(%d) = %v, want within [%v, %v]", c.n, got, c.want/2, c.want)
 		}
+	}
+}
+
+// A job whose deadline is already spent when an operation starts fails
+// fast before any attempt runs. Such an operation retried nothing: it
+// must not subtract one from the job's retry count.
+func TestDeadlineFailFastRetriesNonNegative(t *testing.T) {
+	_, d, m, _ := deployTinySplit(t)
+	in := randomInput(m, 1)
+	check := func(name string, rep *Report, err error) {
+		t.Helper()
+		if !IsDeadlineExceeded(err) {
+			t.Fatalf("%s: a 1 ns budget did not fail on the deadline: %v", name, err)
+		}
+		if rep.Retries != 0 {
+			t.Fatalf("%s: fail-fast job reports %d retries, want 0", name, rep.Retries)
+		}
+	}
+	// The input upload spends the whole budget, so the first partition's
+	// invocation fails fast with zero attempts.
+	for _, opts := range []RunOptions{
+		{Deadline: time.Nanosecond},
+		{Deadline: time.Nanosecond, Sequential: true},
+		{Deadline: time.Nanosecond, Lean: true},
+	} {
+		rep, err := d.Run(in, opts)
+		check(fmt.Sprintf("Run %+v", opts), rep, err)
+	}
+	for _, lean := range []bool{false, true} {
+		sj, err := d.BeginStaged(in, StagedOptions{Deadline: time.Nanosecond, Lean: lean})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sj.RunStage(sj.InputReady())
+		check(fmt.Sprintf("staged lean=%v", lean), sj.Rep(), err)
 	}
 }

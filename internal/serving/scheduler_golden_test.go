@@ -136,6 +136,16 @@ func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) schedulerGo
 	if !sc.reached(rep) {
 		t.Fatalf("run never entered the regime it pins:\n%s", rep.Summary())
 	}
+	// A deadline fail-fast runs zero attempts; it must count as zero
+	// retries, not minus one.
+	if rep.Retries < 0 {
+		t.Fatalf("report counts %d retries", rep.Retries)
+	}
+	for i := range rep.Jobs {
+		if r := rep.Jobs[i].Retries; r < 0 {
+			t.Fatalf("request %d counts %d retries", i, r)
+		}
+	}
 	traces, err := json.Marshal(rep.Traces())
 	if err != nil {
 		t.Fatal(err)
