@@ -5,7 +5,10 @@
 // amounts (e.g. MobileNet at 512 MB for 22.03 s → $0.00018).
 package pricing
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Lambda pricing and quotas (2020).
 const (
@@ -94,6 +97,23 @@ func Quota2021() Quota {
 		BillingGranularity: time.Millisecond,
 		AccountConcurrency: LambdaAccountConcurrency,
 	}
+}
+
+// Validate rejects a quota whose memory grid cannot be enumerated: a
+// non-positive minimum or step, or a maximum below the minimum. Callers
+// that accept a Quota from outside (optimizer.New) check it before
+// walking the grid, which would otherwise divide by the step or index
+// an empty block list.
+func (q Quota) Validate() error {
+	switch {
+	case q.MinMemoryMB <= 0:
+		return fmt.Errorf("pricing: quota MinMemoryMB = %d, want > 0", q.MinMemoryMB)
+	case q.MemoryStepMB <= 0:
+		return fmt.Errorf("pricing: quota MemoryStepMB = %d, want > 0", q.MemoryStepMB)
+	case q.MaxMemoryMB < q.MinMemoryMB:
+		return fmt.Errorf("pricing: quota MaxMemoryMB = %d below MinMemoryMB = %d", q.MaxMemoryMB, q.MinMemoryMB)
+	}
+	return nil
 }
 
 // ValidMemory reports whether memMB is allocatable under the quota.

@@ -221,6 +221,12 @@ func newOptimizer(req Request, reference bool) (*Optimizer, error) {
 		return nil, fmt.Errorf("optimizer: nil model")
 	}
 	req.fillDefaults()
+	if err := req.Quota.Validate(); err != nil {
+		return nil, fmt.Errorf("optimizer: %w", err)
+	}
+	if err := req.Perf.Validate(); err != nil {
+		return nil, fmt.Errorf("optimizer: %w", err)
+	}
 	segs := req.Model.Segments()
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("optimizer: model %q has no segments", req.Model.Name)

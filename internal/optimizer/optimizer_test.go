@@ -257,3 +257,50 @@ func TestPlanPerLambdaEstimatesSum(t *testing.T) {
 		t.Fatalf("costs do not sum: %v vs %v", csum, plan.EstCost)
 	}
 }
+
+func TestNewRejectsInvalidQuotaAndPerf(t *testing.T) {
+	// Each of these used to panic (integer divide by zero in
+	// SearchBlocks, blocks[-1]), spin forever (MinFeasibleMemoryMB with
+	// step 0) or convert +Inf to a Duration; New must return an error.
+	quota := func(mut func(*pricing.Quota)) *pricing.Quota {
+		q := pricing.Quota2020()
+		mut(&q)
+		return &q
+	}
+	cases := []struct {
+		name  string
+		quota *pricing.Quota
+		perf  perf.Params
+	}{
+		{"zero memory step", quota(func(q *pricing.Quota) { q.MemoryStepMB = 0 }), perf.Default()},
+		{"negative memory step", quota(func(q *pricing.Quota) { q.MemoryStepMB = -64 }), perf.Default()},
+		{"min above max", quota(func(q *pricing.Quota) { q.MinMemoryMB, q.MaxMemoryMB = 3008, 128 }), perf.Default()},
+		{"zero min memory", quota(func(q *pricing.Quota) { q.MinMemoryMB = 0 }), perf.Default()},
+		{"zero-value quota", &pricing.Quota{}, perf.Default()},
+		{"zero-value perf", nil, perf.Params{}},
+		{"negative compute rate", nil, func() perf.Params { p := perf.Default(); p.PeakGFLOPS = -1; return p }()},
+		{"NaN compute rate", nil, func() perf.Params { p := perf.Default(); p.PeakGFLOPS = math.NaN(); return p }()},
+		{"infinite compute rate", nil, func() perf.Params { p := perf.Default(); p.PeakGFLOPS = math.Inf(1); return p }()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req := request("tinycnn")
+			req.Quota, req.Perf = c.quota, c.perf
+			for _, stride := range []int{0, 1} {
+				req.SearchStrideMB = stride
+				if o, err := New(req); err == nil {
+					t.Fatalf("stride %d: New accepted the request (optimizer %v)", stride, o != nil)
+				}
+			}
+		})
+	}
+	// The shipped quotas and parameters stay valid.
+	for _, q := range []pricing.Quota{pricing.Quota2020(), pricing.Quota2021()} {
+		if err := q.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := perf.Default().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

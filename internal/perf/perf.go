@@ -10,6 +10,8 @@
 package perf
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"ampsinf/internal/nn"
@@ -65,6 +67,16 @@ func Default() Params {
 		RuntimeOverheadMB:   40,
 		BatchMarginal:       0.25,
 	}
+}
+
+// Validate rejects parameters the time model cannot evaluate: a compute
+// rate that is not a positive finite number makes every compute time
+// +Inf or NaN, whose conversion to a time.Duration is undefined.
+func (p Params) Validate() error {
+	if !(p.PeakGFLOPS > 0) || math.IsInf(p.PeakGFLOPS, 1) {
+		return fmt.Errorf("perf: PeakGFLOPS = %v, want a positive finite rate", p.PeakGFLOPS)
+	}
+	return nil
 }
 
 // BatchFLOPs returns the effective compute of serving a batch of n
