@@ -111,6 +111,28 @@ func dot(a, x []float64) float64 {
 	return v
 }
 
+// nonZeroSpans returns, for each row of Q, the half-open column range
+// [lo, hi) outside which the row is zero. The iterative kernels (power
+// iteration, projected gradient) walk that range instead of the whole
+// row: a skipped term is ±0, and adding it could change nothing in the
+// sum but the sign of an exact zero. The planner's one-hot problems have
+// a diagonal Q, so a row's range is a single column; a dense Q keeps the
+// full-row loop.
+func nonZeroSpans(Q [][]float64) [][2]int {
+	spans := make([][2]int, len(Q))
+	for i, row := range Q {
+		lo, hi := 0, len(row)
+		for lo < hi && row[lo] == 0 {
+			lo++
+		}
+		for hi > lo && row[hi-1] == 0 {
+			hi--
+		}
+		spans[i] = [2]int{lo, hi}
+	}
+	return spans
+}
+
 // MinEigenvalue estimates the smallest eigenvalue of symmetric Q by
 // shifted power iteration: λmin(Q) = σ − λmax(σI − Q) with σ a
 // Gershgorin upper bound. The estimate errs on the small side by at most
@@ -147,12 +169,15 @@ func MinEigenvalue(Q [][]float64) float64 {
 		v[i] /= norm0
 	}
 	mv := make([]float64, n)
+	spans := nonZeroSpans(Q)
 	lambda := 0.0
 	for it := 0; it < 500; it++ {
 		for i := range mv {
 			s := sigma * v[i]
-			for j := range Q[i] {
-				s -= Q[i][j] * v[j]
+			lo, hi := spans[i][0], spans[i][1]
+			vs := v[lo:hi]
+			for j, q := range Q[i][lo:hi] {
+				s -= q * vs[j]
 			}
 			mv[i] = s
 		}

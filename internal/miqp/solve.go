@@ -70,6 +70,7 @@ func Solve(pr *Problem, opts Options) (*Solution, error) {
 	// once instead of per node.
 	s.step = 1.0
 	if conv.Q != nil {
+		s.spans = nonZeroSpans(conv.Q)
 		lip := 0.0
 		for i := range conv.Q {
 			r := 0.0
@@ -114,7 +115,8 @@ type solver struct {
 	bestX      []float64
 	nodes      int
 	maxNodes   int
-	step       float64 // projected-gradient step, 1/Lipschitz
+	step       float64  // projected-gradient step, 1/Lipschitz
+	spans      [][2]int // non-zero column range of each row of conv.Q
 	// Per-node scratch. relax is only read between a node's own
 	// lowerBound call and its first recursive branch, so one shared
 	// buffer serves the whole depth-first search; xtmp holds complete
@@ -258,9 +260,10 @@ func (s *solver) lowerBound(fixed []int8) (float64, []float64) {
 		moved := 0.0
 		for i := range grad {
 			g := s.conv.P[i]
-			row := s.conv.Q[i]
-			for j := range row {
-				g += 2 * row[j] * x[j]
+			lo, hi := s.spans[i][0], s.spans[i][1]
+			xs := x[lo:hi]
+			for j, q := range s.conv.Q[i][lo:hi] {
+				g += 2 * q * xs[j]
 			}
 			grad[i] = g
 		}

@@ -3,8 +3,6 @@ package optimizer
 import (
 	"testing"
 	"time"
-
-	"ampsinf/internal/cloud/pricing"
 )
 
 // The paper reports the optimizer overhead as "within a few seconds on a
@@ -75,10 +73,7 @@ func BenchmarkOptimizeQuota2021Stride1(b *testing.B) {
 // cost-optimal plan's response time, so Optimize has to bisect λ.
 func stride1Request(b *testing.B) Request {
 	b.Helper()
-	req := request("resnet50")
-	q := pricing.Quota2021()
-	req.Quota = &q
-	req.SearchStrideMB = 1
+	req := stride1(request("resnet50"))
 	o, err := New(req)
 	if err != nil {
 		b.Fatal(err)
@@ -91,6 +86,21 @@ func stride1Request(b *testing.B) Request {
 	return req
 }
 
+// BenchmarkNewMobileNetQuota2021Stride1 builds the largest span table
+// the zoo produces: MobileNet's 3,570 spans over the 10,113-block 2021
+// grid (≈36 M block evaluations), the dominant case of the repo
+// benchmark's plan_zoo round.
+func BenchmarkNewMobileNetQuota2021Stride1(b *testing.B) {
+	req := stride1(request("mobilenet"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkOptimizeBnBPath(b *testing.B) {
 	req := request("tinycnn")
 	req.UseBnB = true
@@ -101,6 +111,24 @@ func BenchmarkOptimizeBnBPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := o.Optimize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeBnBCostOnly is the λ = 0 plan in BnB mode, which
+// reuses the solves the table build recorded.
+func BenchmarkOptimizeBnBCostOnly(b *testing.B) {
+	req := request("tinycnn")
+	req.UseBnB = true
+	o, err := New(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.OptimizeCostOnly(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,10 +20,15 @@ package optimizer
 //   - λ = 0 — where exact cost ties between blocks are genuinely
 //     possible (cost is memory × billed time, and e.g. 512 MB × 200 ms
 //     equals 1024 MB × 100 ms bit-for-bit) — bypasses the envelope
-//     entirely: solveSpan records the scan's own λ=0 argmin.
+//     entirely: envBuild records the scan's own λ=0 argmin.
 //
 // A property test drives the envelope against the retained exact scan
 // across randomized multipliers.
+
+import (
+	"math"
+	"time"
+)
 
 // envPoint is one line of a span's lower envelope.
 type envPoint struct {
@@ -51,6 +56,37 @@ func envPush(env []envPoint, pt envPoint) []envPoint {
 		break
 	}
 	return append(env, pt)
+}
+
+// envBuild folds the evaluated blocks lo … lo+len(ts)−1 (ascending
+// memory) into env, skipping blocks over the timeout, and returns the
+// envelope with the λ = 0 scan argmin (lowest index on exact cost ties)
+// and its cost; the index is −1 when no block is allowed. env is the
+// caller's scratch: it never grows past one point per block.
+func envBuild(env []envPoint, lo int, ts []time.Duration, costs []float64, timeout time.Duration) ([]envPoint, int, float64) {
+	zeroIdx, zeroVal := -1, math.Inf(1)
+	var prevT time.Duration
+	var sec float64
+	for i, t := range ts {
+		if t > timeout {
+			continue
+		}
+		cost := costs[i]
+		if cost < zeroVal {
+			zeroIdx, zeroVal = lo+i, cost
+		}
+		if t != prevT || len(env) == 0 {
+			prevT, sec = t, t.Seconds()
+		}
+		if n := len(env); n > 0 && sec == env[n-1].sec {
+			// Time plateau: the same duration at more memory costs
+			// strictly more (same billed time, higher GB-seconds), and
+			// the earlier block also wins the scan's index tie-break.
+			continue
+		}
+		env = envPush(env, envPoint{j: lo + i, sec: sec, cost: cost})
+	}
+	return env, zeroIdx, zeroVal
 }
 
 // envQuery returns the block index and objective value minimizing

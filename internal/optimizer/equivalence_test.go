@@ -13,12 +13,12 @@ import (
 	"ampsinf/internal/perf"
 )
 
-// The hot-path overhaul (prefix-sum profiling, parallel table build,
-// lower-envelope block selection, scratch reuse) claims byte-identical
-// plans, not approximately equal ones. These tests drive the fast path
-// against the retained reference implementation across models, quotas,
-// SLO tightness and solver modes, demanding reflect.DeepEqual — any
-// float that drifts by one ulp fails.
+// The hot-path overhaul (prefix-sum profiling, block-grid kernel,
+// parallel table build, lower-envelope block selection, scratch reuse)
+// claims byte-identical plans, not approximately equal ones. These tests
+// drive the fast path against the retained reference implementation
+// across models, quotas, SLO tightness and solver modes, demanding
+// reflect.DeepEqual — any float that drifts by one ulp fails.
 
 func equivRequest(t *testing.T, model string, quota2021 bool, useBnB bool) Request {
 	t.Helper()
@@ -89,6 +89,25 @@ func TestFastMatchesReferencePlans(t *testing.T) {
 			comparePlans(t, base, fractions, fmt.Sprintf("%s quota2021=%v", model, quota2021))
 		}
 	}
+	for _, base := range stride1Requests(t) {
+		comparePlans(t, base, []float64{0, 0.7}, base.Model.Name+" quota2021 stride 1")
+	}
+}
+
+// stride1Requests is the hot configuration — the 2021 quota searched at
+// 1 MB stride, 10,113 blocks per span — on tinycnn and one mid-size
+// model. The reference rescans every block of every span on every λ
+// step, so it is skipped under -short.
+func stride1Requests(t *testing.T) []Request {
+	t.Helper()
+	if testing.Short() {
+		return nil
+	}
+	var reqs []Request
+	for _, model := range []string{"tinycnn", "xception"} {
+		reqs = append(reqs, stride1(equivRequest(t, model, false, false)))
+	}
+	return reqs
 }
 
 func TestFastMatchesReferencePlansBnB(t *testing.T) {
@@ -146,36 +165,40 @@ func TestEnvelopeMatchesExactScan(t *testing.T) {
 	// value of the reference's full scan (fresh objective slice +
 	// lowest-index argmin).
 	rng := rand.New(rand.NewSource(7))
+	var reqs []Request
 	for _, model := range []string{"tinycnn", "vgg16", "resnet50"} {
 		for _, quota2021 := range []bool{false, true} {
-			req := equivRequest(t, model, quota2021, false)
-			fastO, err := New(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refO, err := newReference(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			S := len(fastO.Segments())
-			lambdas := []float64{0, 1e-9, 1e-6, 1e-3, 0.1, 5, 1e3}
-			for i := 0; i < 40; i++ {
-				lambdas = append(lambdas, math.Exp(rng.Float64()*30-12))
-			}
-			for a := 0; a < S; a++ {
-				for b := a + 1; b <= S; b++ {
-					fsc := &fastO.table[a][b]
-					rsc := refO.table[a][b]
-					if !fsc.feasible {
-						continue
-					}
-					for _, lambda := range lambdas {
-						gj, gv := fastO.selectBlock(fsc, lambda)
-						wj, wv := refO.selectBlockRef(rsc, lambda)
-						if gj != wj || gv != wv {
-							t.Fatalf("%s quota2021=%v span [%d,%d) λ=%g: envelope (%d, %v) vs scan (%d, %v)",
-								model, quota2021, a, b, lambda, gj, gv, wj, wv)
-						}
+			reqs = append(reqs, equivRequest(t, model, quota2021, false))
+		}
+	}
+	for _, req := range append(reqs, stride1Requests(t)...) {
+		tag := fmt.Sprintf("%s quota2021=%v stride=%d", req.Model.Name, req.Quota != nil, req.SearchStrideMB)
+		fastO, err := New(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refO, err := newReference(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		S := len(fastO.Segments())
+		lambdas := []float64{0, 1e-9, 1e-6, 1e-3, 0.1, 5, 1e3}
+		for i := 0; i < 40; i++ {
+			lambdas = append(lambdas, math.Exp(rng.Float64()*30-12))
+		}
+		for a := 0; a < S; a++ {
+			for b := a + 1; b <= S; b++ {
+				fsc := &fastO.table[a][b]
+				rsc := refO.table[a][b]
+				if !fsc.feasible {
+					continue
+				}
+				for _, lambda := range lambdas {
+					gj, gv := fastO.selectBlock(fsc, lambda)
+					wj, wv := refO.selectBlockRef(rsc, lambda)
+					if gj != wj || gv != wv {
+						t.Fatalf("%s span [%d,%d) λ=%g: envelope (%d, %v) vs scan (%d, %v)",
+							tag, a, b, lambda, gj, gv, wj, wv)
 					}
 				}
 			}

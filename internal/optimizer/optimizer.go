@@ -19,13 +19,15 @@
 // λ is found exactly by dynamic programming over segment boundaries. An
 // outer bisection drives λ to the smallest feasible plan cost.
 //
-// The hot path is engineered around three precomputations whose outputs
-// are byte-identical to the direct formulation (DESIGN.md §10): O(1)
-// prefix-sum span profiling (perf.SpanProfiler), a parallel span-table
-// build over the independent (a, b) cells, and a per-span lower envelope
-// of the (time, cost) block frontier answering any λ in O(log L) instead
-// of an O(L) rescan. A retained reference implementation of the original
-// single-threaded scans backs the equivalence property tests.
+// The hot path is engineered around precomputations whose outputs are
+// byte-identical to the direct formulation (DESIGN.md §10): O(1)
+// prefix-sum span profiling (perf.SpanProfiler), a block-grid kernel
+// evaluating each span's (time, cost) per memory block (grid.go), a
+// parallel span-table build over the independent (a, b) cells, and a
+// per-span lower envelope of the (time, cost) block frontier answering
+// any λ in O(log L) instead of an O(L) rescan. The original
+// single-threaded scans live on in reference_test.go and back the
+// equivalence property tests.
 package optimizer
 
 import (
@@ -38,6 +40,7 @@ import (
 	"time"
 
 	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/miqp"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/perf"
 )
@@ -164,18 +167,22 @@ type spanChoice struct {
 	memIdx   int // λ=0 optimal index into blocks, or -1
 	time     time.Duration
 	cost     float64 // S_i without the position-dependent storage term
-	// Span invariants for on-demand per-block evaluation (fast path):
-	// working-set floor (Eq. 7), S3 transfer time and the WeightScale-
-	// adjusted profile.
-	minMem   int
-	transfer time.Duration
-	prof     perf.SegmentProfile
+	// zeroObj is the λ=0 subproblem's objective as its solver reported it
+	// at build time (the scan's minimal cost, or the branch-and-bound
+	// objective), so λ=0 queries never re-solve.
+	zeroObj float64
+	// Span invariants for on-demand per-block evaluation: the working-set
+	// floor (Eq. 7) and the kernel's inputs for the WeightScale-adjusted
+	// profile.
+	minMem int
+	work   spanWork
 	// env is the lower envelope of (time, cost) over allowed blocks; the
-	// Lagrangian re-weighting re-selects without re-profiling (fast path,
-	// scan mode).
+	// Lagrangian re-weighting re-selects without re-profiling (scan
+	// mode).
 	env []envPoint
-	// Dense per-block tables, retained by the reference path and by BnB
-	// mode (the branch-and-bound oracle consumes the explicit block set).
+	// Dense per-block tables, retained by BnB mode (the branch-and-bound
+	// oracle consumes the explicit block set); times and costs are
+	// meaningful where allow is set.
 	times []time.Duration
 	costs []float64
 	allow []bool
@@ -191,12 +198,10 @@ type Optimizer struct {
 	segs     []nn.Segment
 	blocks   []int
 	profiler *perf.SpanProfiler
-	// reference routes every solve through the retained pre-overhaul
-	// implementation; equivalence tests assert byte-identical plans.
-	reference bool
+	grid     *blockGrid
 	// table[a][b] is the per-lambda data for the span [a, b).
 	table [][]spanChoice
-	// DP scratch reused across solveForLambda calls (fast path).
+	// DP scratch reused across solveForLambda calls.
 	dpBest   [][]float64
 	dpPrev   [][]int
 	dpChoice [][]int
@@ -206,17 +211,17 @@ type Optimizer struct {
 
 // New profiles the model and precomputes the per-span decision tables.
 func New(req Request) (*Optimizer, error) {
-	return newOptimizer(req, false)
+	o, err := newOptimizer(req)
+	if err != nil {
+		return nil, err
+	}
+	o.buildTable()
+	return o, nil
 }
 
-// newReference builds an Optimizer that solves everything through the
-// retained reference (pre-overhaul) path. Tests compare its plans
-// byte-for-byte against New's.
-func newReference(req Request) (*Optimizer, error) {
-	return newOptimizer(req, true)
-}
-
-func newOptimizer(req Request, reference bool) (*Optimizer, error) {
+// newOptimizer validates the request and prepares everything but the
+// span table.
+func newOptimizer(req Request) (*Optimizer, error) {
 	if req.Model == nil {
 		return nil, fmt.Errorf("optimizer: nil model")
 	}
@@ -233,15 +238,10 @@ func newOptimizer(req Request, reference bool) (*Optimizer, error) {
 	}
 	o := &Optimizer{
 		req: req, segs: segs,
-		blocks:    req.Quota.SearchBlocks(req.SearchStrideMB),
-		profiler:  perf.NewSpanProfiler(req.Model, segs),
-		reference: reference,
+		blocks:   req.Quota.SearchBlocks(req.SearchStrideMB),
+		profiler: perf.NewSpanProfiler(req.Model, segs),
 	}
-	if reference {
-		o.buildTableRef()
-		return o, nil
-	}
-	o.buildTable()
+	o.grid = newBlockGrid(&o.req.Perf, o.req.Quota, o.blocks)
 	S := len(segs)
 	K := req.MaxLambdas
 	if K > S {
@@ -261,11 +261,31 @@ func newOptimizer(req Request, reference bool) (*Optimizer, error) {
 // Segments exposes the model's atomic segments.
 func (o *Optimizer) Segments() []nn.Segment { return o.segs }
 
+// spanScratch is one table-build worker's reusable buffers: the kernel's
+// per-block outputs, the envelope under construction (one point per
+// block at most, so it never grows) and the BnB problem.
+type spanScratch struct {
+	ts    []time.Duration
+	costs []float64
+	env   []envPoint
+	bnb   bnbScratch
+}
+
+func (o *Optimizer) newSpanScratch() *spanScratch {
+	L := len(o.blocks)
+	return &spanScratch{
+		ts:    make([]time.Duration, L),
+		costs: make([]float64, L),
+		env:   make([]envPoint, 0, L),
+	}
+}
+
 // buildTable solves every candidate span. The cells are mutually
 // independent — solveSpan reads only immutable state (request, blocks,
-// profiler) and each result is written to its own fixed index — so the
-// build fans out over a GOMAXPROCS-sized worker pool and the table is
-// identical to a serial build regardless of scheduling.
+// profiler, grid) plus its worker's scratch, and each result is written
+// to its own fixed index — so the build fans out over a GOMAXPROCS-sized
+// worker pool and the table is identical to a serial build regardless of
+// scheduling.
 func (o *Optimizer) buildTable() {
 	S := len(o.segs)
 	o.table = make([][]spanChoice, S)
@@ -283,43 +303,45 @@ func (o *Optimizer) buildTable() {
 	if workers > len(cells) {
 		workers = len(cells)
 	}
-	if workers <= 1 {
-		for _, c := range cells {
-			o.table[c.a][c.b] = o.solveSpan(c.a, c.b)
+	var next atomic.Int64
+	worker := func() {
+		scr := o.newSpanScratch()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(cells) {
+				return
+			}
+			c := cells[i]
+			o.table[c.a][c.b] = o.solveSpan(c.a, c.b, scr)
 		}
+	}
+	if workers <= 1 {
+		worker()
 		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				c := cells[i]
-				o.table[c.a][c.b] = o.solveSpan(c.a, c.b)
-			}
+			worker()
 		}()
 	}
 	wg.Wait()
 }
 
 // solveSpan evaluates a candidate partition covering segments [a, b):
-// feasibility (Eqs. 4–7), per-block T_i and S_i, and the cost-minimal
-// block (the λ=0 subproblem). The fast path profiles the span in O(1)
-// and folds each allowed block straight into the lower envelope instead
-// of materializing dense per-block tables; BnB mode keeps the dense
+// feasibility (Eqs. 4–7), per-block T_i and S_i through the block-grid
+// kernel, and the cost-minimal block (the λ=0 subproblem). Scan mode
+// evaluates into the worker's scratch and folds the allowed blocks into
+// the lower envelope, stored at its exact size; BnB mode keeps the dense
 // tables the branch-and-bound oracle consumes.
-func (o *Optimizer) solveSpan(a, b int) spanChoice {
+func (o *Optimizer) solveSpan(a, b int, scr *spanScratch) spanChoice {
 	prof := o.profiler.Profile(a, b)
 	// Quantization shrinks the shipped and loaded weight bytes; compute
 	// is unchanged (weights are dequantized on load).
 	prof.WeightsBytes = int64(float64(prof.WeightsBytes) * o.req.WeightScale)
-	sc := spanChoice{memIdx: -1, prof: prof}
+	sc := spanChoice{memIdx: -1}
 
 	// Constraint (6): per-partition layer cap.
 	if cap := o.req.MaxLayersPerPartition; cap > 0 && prof.Layers > cap {
@@ -327,7 +349,7 @@ func (o *Optimizer) solveSpan(a, b int) spanChoice {
 	}
 	// Constraint (4): unzipped deployment = partition package + the
 	// dependency layer D + handler F must fit the platform limit.
-	p := o.req.Perf
+	p := &o.req.Perf
 	q := o.req.Quota
 	deploy := prof.DeployBytes(o.req.DescBytes) + int64(p.DepsMB*(1<<20))
 	if deploy > int64(q.DeployLimitMB)<<20 {
@@ -342,55 +364,34 @@ func (o *Optimizer) solveSpan(a, b int) spanChoice {
 	// Constraint (7): prune memory blocks below the working-set floor —
 	// a prefix of the ascending block grid, skipped without evaluation.
 	sc.minMem = p.MinFeasibleMemoryMB(prof.WeightsBytes, q.MinMemoryMB, q.MemoryStepMB)
-	sc.transfer = o.transferTime(prof.InBytes) + o.transferTime(prof.OutBytes)
+	transfer := o.transferTime(prof.InBytes) + o.transferTime(prof.OutBytes)
+	sc.work = o.grid.work(prof.FLOPs, prof.WeightsBytes, transfer)
 
 	L := len(o.blocks)
-	dense := o.req.UseBnB
-	if dense {
+	lo := sort.SearchInts(o.blocks, sc.minMem)
+	if o.req.UseBnB {
 		sc.times = make([]time.Duration, L)
 		sc.costs = make([]float64, L)
 		sc.allow = make([]bool, L)
-	}
-
-	eval := p.SpanEval(prof.FLOPs, prof.WeightsBytes)
-	zeroIdx, zeroVal := -1, math.Inf(1)
-	for j := sort.SearchInts(o.blocks, sc.minMem); j < L; j++ {
-		mem := o.blocks[j]
-		t := eval.Time(mem) + sc.transfer
-		if t > q.Timeout {
-			continue
+		o.grid.eval(&sc.work, lo, sc.times[lo:], sc.costs[lo:])
+		for j := lo; j < L; j++ {
+			sc.allow[j] = sc.times[j] <= q.Timeout
 		}
-		// S_i (Eq. 3) without the position-dependent q_i·T·H storage
-		// term, which is settled once the cut is known (it is orders of
-		// magnitude below the decision-relevant terms).
-		cost := q.ExecutionCost(mem, t) +
-			pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
-		if dense {
-			sc.allow[j] = true
-			sc.times[j] = t
-			sc.costs[j] = cost
-			continue
-		}
-		if cost < zeroVal {
-			zeroIdx, zeroVal = j, cost
-		}
-		s := t.Seconds()
-		if n := len(sc.env); n > 0 && s == sc.env[n-1].sec {
-			// Time plateau: the same duration at more memory costs
-			// strictly more (same billed time, higher GB-seconds), and
-			// the earlier block also wins the scan's index tie-break.
-			continue
-		}
-		sc.env = envPush(sc.env, envPoint{j: j, sec: s, cost: cost})
-	}
-
-	if dense {
 		// BnB selects the λ=0 block through the full solver, exactly as
-		// every later λ step will (fresh per-call scratch: the parallel
-		// table build must not share the Optimizer's buffers).
-		sc.memIdx, _ = o.selectBlockBnB(&sc, 0, nil)
+		// every later λ step will.
+		sc.memIdx, sc.zeroObj = o.selectBlockBnB(&sc, 0, &scr.bnb)
 	} else {
-		sc.memIdx = zeroIdx
+		ts, costs := scr.ts[:L-lo], scr.costs[:L-lo]
+		o.grid.eval(&sc.work, lo, ts, costs)
+		var env []envPoint
+		env, sc.memIdx, sc.zeroObj = envBuild(scr.env[:0], lo, ts, costs, q.Timeout)
+		if len(env) > 0 {
+			// (make + copy into a local is the form the compiler turns
+			// into one allocation without zeroing.)
+			exact := make([]envPoint, len(env))
+			copy(exact, env)
+			sc.env = exact
+		}
 	}
 	sc.feasible = sc.memIdx >= 0
 	if sc.feasible {
@@ -409,9 +410,9 @@ func (o *Optimizer) transferTime(bytes int64) time.Duration {
 }
 
 // blockTimeCost returns (T_i, S_i) for block index j of a solved span,
-// serving dense tables when the span retains them and otherwise
-// re-deriving the pair from the span invariants — the same float
-// expressions the table build evaluated, hence the same bits.
+// serving dense tables when the span retains them and otherwise running
+// the kernel on that one block — the table build's own formula, hence
+// the same bits.
 func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64, bool) {
 	if sc.times != nil {
 		if j < 0 || j >= len(sc.allow) || !sc.allow[j] {
@@ -419,22 +420,16 @@ func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64
 		}
 		return sc.times[j], sc.costs[j], true
 	}
-	if !sc.capsOK || j < 0 || j >= len(o.blocks) {
+	if !sc.capsOK || j < 0 || j >= len(o.blocks) || o.blocks[j] < sc.minMem {
 		return 0, 0, false
 	}
-	mem := o.blocks[j]
-	if mem < sc.minMem {
+	var t [1]time.Duration
+	var cost [1]float64
+	o.grid.eval(&sc.work, j, t[:], cost[:])
+	if t[0] > o.req.Quota.Timeout {
 		return 0, 0, false
 	}
-	p := o.req.Perf
-	eval := p.SpanEval(sc.prof.FLOPs, sc.prof.WeightsBytes)
-	t := eval.Time(mem) + sc.transfer
-	if t > o.req.Quota.Timeout {
-		return 0, 0, false
-	}
-	cost := o.req.Quota.ExecutionCost(mem, t) +
-		pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
-	return t, cost, true
+	return t[0], cost[0], true
 }
 
 // selectBlock solves the per-lambda subproblem min_j cost_j + λ·time_j
@@ -442,18 +437,18 @@ func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64
 // constructs the explicit 0-1 quadratic program (quadratic term v·u·x²
 // from price×compute, linear term from transfers and λ) and runs it
 // through QCR + branch-and-bound; otherwise the span's precomputed lower
-// envelope answers in O(log L). λ = 0 returns the scan argmin recorded
-// at build time, where exact cost ties between blocks resolve by block
-// index.
+// envelope answers in O(log L). λ = 0 returns, in either mode, the
+// solution recorded at build time — for the scan its argmin, where exact
+// cost ties between blocks resolve by block index.
 func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
-	if o.req.UseBnB {
-		return o.selectBlockBnB(sc, lambda, &o.bnb)
-	}
-	if len(sc.env) == 0 {
+	if !sc.feasible {
 		return -1, math.Inf(1)
 	}
 	if lambda == 0 {
-		return sc.memIdx, sc.cost
+		return sc.memIdx, sc.zeroObj
+	}
+	if o.req.UseBnB {
+		return o.selectBlockBnB(sc, lambda, &o.bnb)
 	}
 	return envQuery(sc.env, lambda)
 }
@@ -470,17 +465,10 @@ type bnbScratch struct {
 }
 
 // selectBlockBnB builds the explicit binary QP over the allowed blocks
-// and solves it with QCR + branch-and-bound. A nil scratch allocates
-// per call (used by the parallel table build, which must not share the
-// Optimizer's buffers across workers).
+// and solves it with QCR + branch-and-bound. The scratch belongs to the
+// caller: the Optimizer's for λ steps, a worker's during the parallel
+// table build.
 func (o *Optimizer) selectBlockBnB(sc *spanChoice, lambda float64, scr *bnbScratch) (int, float64) {
-	if sc.allow == nil {
-		return -1, math.Inf(1)
-	}
-	var local bnbScratch
-	if scr == nil {
-		scr = &local
-	}
 	idx := scr.idx[:0]
 	for j, ok := range sc.allow {
 		if ok {
@@ -520,6 +508,27 @@ func (o *Optimizer) selectBlockBnB(sc *spanChoice, lambda float64, scr *bnbScrat
 	return solveOneHotQP(idx, q, pvec, ones)
 }
 
+// solveOneHotQP runs the constructed binary QP (Σx = 1) through
+// QCR + branch-and-bound and maps the winning row back to its block
+// index. Shared with the reference planner in reference_test.go — the
+// solver sees identical values either way.
+func solveOneHotQP(idx []int, q [][]float64, pvec, ones []float64) (int, float64) {
+	pr := &miqp.Problem{
+		N: len(idx), Q: q, P: pvec,
+		Eq: []miqp.LinConstraint{{A: ones, B: 1}},
+	}
+	sol, err := miqp.Solve(pr, miqp.Options{})
+	if err != nil || sol.Status != miqp.Optimal {
+		return -1, math.Inf(1)
+	}
+	for r, j := range idx {
+		if sol.X[r] > 0.5 {
+			return j, sol.Objective
+		}
+	}
+	return -1, math.Inf(1)
+}
+
 type dpResult struct {
 	objective float64
 	bounds    []int // segment boundaries, length k+1
@@ -530,9 +539,6 @@ type dpResult struct {
 // objective covering segments [0, b) with k partitions. The DP tables
 // are Optimizer-owned scratch reused across the bisection's λ steps.
 func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
-	if o.reference {
-		return o.solveForLambdaRef(lambda)
-	}
 	S := len(o.segs)
 	K := o.req.MaxLambdas
 	if K > S {
@@ -547,9 +553,14 @@ func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
 		}
 	}
 	best[0][0] = 0
-	for b := 1; b <= S; b++ {
-		for a := 0; a < b; a++ {
-			sc := &o.table[a][b]
+	// Push order: every span [a', a) ending at a has been relaxed before a
+	// becomes a source, so best[a] is final here, and each (b, k) still
+	// sees its candidates in ascending a — the pull order's tie-break —
+	// while the table is walked row by row.
+	for a := 0; a < S; a++ {
+		from, row := best[a], o.table[a]
+		for b := a + 1; b <= S; b++ {
+			sc := &row[b]
 			if !sc.feasible {
 				continue
 			}
@@ -557,14 +568,13 @@ func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
 			if j < 0 {
 				continue
 			}
+			to, toPrev, toChoice := best[b], prev[b], choice[b]
 			for k := 1; k <= K; k++ {
-				if best[a][k-1] == inf {
+				if from[k-1] == inf {
 					continue
 				}
-				if cand := best[a][k-1] + val; cand < best[b][k] {
-					best[b][k] = cand
-					prev[b][k] = a
-					choice[b][k] = j
+				if cand := from[k-1] + val; cand < to[k] {
+					to[k], toPrev[k], toChoice[k] = cand, a, j
 				}
 			}
 		}
@@ -664,12 +674,7 @@ func (o *Optimizer) assemble(res dpResult, lambda float64) *Plan {
 		a, b := res.bounds[i], res.bounds[i+1]
 		sc := &o.table[a][b]
 		j := res.memIdx[i]
-		var prof perf.SegmentProfile
-		if o.reference {
-			prof = perf.ProfilePartition(o.req.Model, o.segs, a, b)
-		} else {
-			prof = o.profiler.Profile(a, b)
-		}
+		prof := o.profiler.Profile(a, b)
 		lo, hi, _ := nn.SegmentRange(o.segs, a, b)
 		t, base, _ := o.blockTimeCost(sc, j)
 		cost := base +

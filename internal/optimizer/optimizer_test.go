@@ -18,6 +18,15 @@ func request(model string) Request {
 	return Request{Model: m, Perf: perf.Default()}
 }
 
+// stride1 points req at the hot configuration: the 2021 quota searched
+// at 1 MB stride, 10,113 memory blocks per span.
+func stride1(req Request) Request {
+	q := pricing.Quota2021()
+	req.Quota = &q
+	req.SearchStrideMB = 1
+	return req
+}
+
 func TestOptimizeTinyCNNSingleLambda(t *testing.T) {
 	// TinyCNN fits one lambda; the cost-optimal plan should not split it
 	// (splitting adds invocation + transfer costs with no benefit).

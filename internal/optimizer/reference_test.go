@@ -2,22 +2,44 @@ package optimizer
 
 // This file retains the pre-overhaul planner implementation verbatim:
 // serial table build, O(span) profiling through perf.ProfilePartition,
-// and a full per-block rescan (fresh objective slice or fresh BnB
-// problem) on every λ step. It is not a fallback — newReference routes
-// all solves through it so the equivalence property tests can assert
-// that the overhauled hot path (prefix-sum profiling, parallel build,
+// per-block perf.EndToEndTime + Quota.ExecutionCost, and a full
+// per-block rescan (fresh objective slice or fresh BnB problem) on every
+// λ step. It is test-only — newReference routes all solves through it
+// so the equivalence property tests can assert that the overhauled hot
+// path (prefix-sum profiling, block-grid kernel, parallel build,
 // lower-envelope selection, scratch reuse) produces byte-identical
 // Plans. Keep any behavioral change here in lockstep with a matching
 // change to the fast path, or the equivalence tests will say so.
 
 import (
+	"fmt"
 	"math"
 	"time"
 
 	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/miqp"
+	"ampsinf/internal/nn"
 	"ampsinf/internal/perf"
 )
+
+// refOptimizer is an Optimizer whose table holds the reference's dense
+// per-block spans and whose Optimize, OptimizeCostOnly, DP and assembly
+// are the retained originals. The config helpers (SpanFeasible,
+// FeasibleMemories, SpanEstimate) are the embedded Optimizer's: they
+// read the dense tables.
+type refOptimizer struct{ *Optimizer }
+
+// newReference builds an optimizer that solves everything through the
+// retained reference (pre-overhaul) path. Tests compare its plans
+// byte-for-byte against New's.
+func newReference(req Request) (refOptimizer, error) {
+	o, err := newOptimizer(req)
+	if err != nil {
+		return refOptimizer{}, err
+	}
+	o.buildTableRef()
+	return refOptimizer{o}, nil
+}
 
 func (o *Optimizer) buildTableRef() {
 	S := len(o.segs)
@@ -31,13 +53,12 @@ func (o *Optimizer) buildTableRef() {
 }
 
 // solveSpanRef is the original solveSpan: dense per-block tables filled
-// by a direct scan. It additionally records the span invariants the
-// shared config helpers read (capsOK, minMem, transfer, prof); those do
-// not influence the solve.
+// by a direct scan. It additionally records capsOK and minMem, which the
+// shared config helpers read; those do not influence the solve.
 func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 	prof := perf.ProfilePartition(o.req.Model, o.segs, a, b)
 	prof.WeightsBytes = int64(float64(prof.WeightsBytes) * o.req.WeightScale)
-	sc := spanChoice{memIdx: -1, prof: prof}
+	sc := spanChoice{memIdx: -1}
 
 	if cap := o.req.MaxLayersPerPartition; cap > 0 && prof.Layers > cap {
 		return sc
@@ -62,7 +83,6 @@ func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 	sc.allow = make([]bool, L)
 
 	transfer := o.transferTime(prof.InBytes) + o.transferTime(prof.OutBytes)
-	sc.transfer = transfer
 	for j, mem := range o.blocks {
 		if mem < minMem {
 			continue
@@ -122,27 +142,6 @@ func (o *Optimizer) selectBlockRef(sc spanChoice, lambda float64) (int, float64)
 		ones[r] = 1
 	}
 	return solveOneHotQP(idx, q, pvec, ones)
-}
-
-// solveOneHotQP runs the constructed binary QP (Σx = 1) through
-// QCR + branch-and-bound and maps the winning row back to its block
-// index. Shared by the reference path and the scratch-reusing fast
-// path — the solver sees identical values either way.
-func solveOneHotQP(idx []int, q [][]float64, pvec, ones []float64) (int, float64) {
-	pr := &miqp.Problem{
-		N: len(idx), Q: q, P: pvec,
-		Eq: []miqp.LinConstraint{{A: ones, B: 1}},
-	}
-	sol, err := miqp.Solve(pr, miqp.Options{})
-	if err != nil || sol.Status != miqp.Optimal {
-		return -1, math.Inf(1)
-	}
-	for r, j := range idx {
-		if sol.X[r] > 0.5 {
-			return j, sol.Objective
-		}
-	}
-	return -1, math.Inf(1)
 }
 
 // solveForLambdaRef is the original solveForLambda: freshly allocated
@@ -209,4 +208,97 @@ func (o *Optimizer) solveForLambdaRef(lambda float64) (dpResult, bool) {
 	}
 	bounds[0] = 0
 	return dpResult{objective: bestObj, bounds: bounds, memIdx: mems}, true
+}
+
+// Optimize is the original Optimize over solveForLambdaRef.
+func (o refOptimizer) Optimize() (*Plan, error) {
+	res, ok := o.solveForLambdaRef(0)
+	if !ok {
+		return nil, fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
+	}
+	plan := o.assembleRef(res, 0)
+	if o.req.SLO <= 0 || plan.EstTime <= o.req.SLO {
+		plan.MeetsSLO = true
+		return plan, nil
+	}
+
+	lo, hi := 0.0, 1e-6
+	var feasiblePlan *Plan
+	for iter := 0; iter < 60; iter++ {
+		r, ok := o.solveForLambdaRef(hi)
+		if !ok {
+			break
+		}
+		p := o.assembleRef(r, hi)
+		if p.EstTime <= o.req.SLO {
+			feasiblePlan = p
+			break
+		}
+		lo = hi
+		hi *= 8
+	}
+	if feasiblePlan == nil {
+		r, ok := o.solveForLambdaRef(hi)
+		if !ok {
+			r = res
+		}
+		p := o.assembleRef(r, hi)
+		p.MeetsSLO = false
+		return p, nil
+	}
+	for iter := 0; iter < 40; iter++ {
+		mid := (lo + hi) / 2
+		r, ok := o.solveForLambdaRef(mid)
+		if !ok {
+			break
+		}
+		p := o.assembleRef(r, mid)
+		if p.EstTime <= o.req.SLO {
+			hi = mid
+			if p.EstCost < feasiblePlan.EstCost {
+				feasiblePlan = p
+			}
+		} else {
+			lo = mid
+		}
+	}
+	feasiblePlan.MeetsSLO = true
+	return feasiblePlan, nil
+}
+
+// OptimizeCostOnly is the original λ = 0 plan.
+func (o refOptimizer) OptimizeCostOnly() (*Plan, error) {
+	res, ok := o.solveForLambdaRef(0)
+	if !ok {
+		return nil, fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
+	}
+	p := o.assembleRef(res, 0)
+	p.MeetsSLO = o.req.SLO <= 0 || p.EstTime <= o.req.SLO
+	return p, nil
+}
+
+// assembleRef is the original assemble: O(span) profiling and the dense
+// tables' stored (time, cost).
+func (o *Optimizer) assembleRef(res dpResult, lambda float64) *Plan {
+	plan := &Plan{LagrangeMultiplier: lambda}
+	var qBytes int64
+	for i := 0; i+1 < len(res.bounds); i++ {
+		a, b := res.bounds[i], res.bounds[i+1]
+		sc := &o.table[a][b]
+		j := res.memIdx[i]
+		prof := perf.ProfilePartition(o.req.Model, o.segs, a, b)
+		lo, hi, _ := nn.SegmentRange(o.segs, a, b)
+		t, base := sc.times[j], sc.costs[j]
+		cost := base +
+			float64(qBytes)/(1<<30)*t.Seconds()*pricing.S3StoragePerGBSecond
+		plan.Lambdas = append(plan.Lambdas, LambdaPlan{
+			SegLo: a, SegHi: b, LayerLo: lo, LayerHi: hi,
+			MemoryMB: o.blocks[j], Profile: prof,
+			EstTime: t, EstCost: cost,
+		})
+		plan.EstTime += t
+		plan.EstCost += cost
+		qBytes += prof.OutBytes
+	}
+	return plan
 }

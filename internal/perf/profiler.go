@@ -1,10 +1,6 @@
 package perf
 
-import (
-	"time"
-
-	"ampsinf/internal/nn"
-)
+import "ampsinf/internal/nn"
 
 // SpanProfiler answers ProfilePartition queries in O(1) by precomputing
 // prefix sums (layers, FLOPs, weights) and a range-max table (peak
@@ -43,44 +39,4 @@ func (sp *SpanProfiler) Profile(sLo, sHi int) SegmentProfile {
 	}
 	p.OutBytes = sp.segs[sHi-1].OutBytes
 	return p
-}
-
-// EndToEndEval evaluates EndToEndTime for one fixed partition profile
-// across many memory blocks, hoisting the per-span invariants (working
-// set, full-share work seconds) out of the per-block loop. Time(mem) is
-// bit-identical to Params.EndToEndTime(mem, flops, weightsBytes): the
-// hoisted subexpressions are pure functions of span-constant inputs, so
-// reusing their values performs exactly the same float operations.
-type EndToEndEval struct {
-	p        Params
-	ws       float64
-	depsWork float64
-	loadWork float64
-	compWork float64
-	base     time.Duration
-}
-
-// SpanEval precomputes the invariants for a partition of the given
-// compute and weight footprint.
-func (p Params) SpanEval(flops, weightsBytes int64) EndToEndEval {
-	mb := float64(weightsBytes) / (1 << 20)
-	return EndToEndEval{
-		p:        p,
-		ws:       p.WorkingSetMB(weightsBytes),
-		depsWork: p.DepsMB * p.DepsInitSecPerMB,
-		loadWork: mb * p.WeightsLoadSecPerMB,
-		compWork: float64(flops) / (p.PeakGFLOPS * 1e9),
-		base:     p.ColdStartBase + p.InvokeOverhead,
-	}
-}
-
-// Time returns the cold-start end-to-end serving time at memMB,
-// excluding network transfers (as EndToEndTime does).
-func (e *EndToEndEval) Time(memMB int) time.Duration {
-	share := e.p.Share(memMB)
-	pen := e.p.Penalty(memMB, e.ws)
-	scale := func(work float64) time.Duration {
-		return time.Duration(work / share * pen * float64(time.Second))
-	}
-	return e.base + scale(e.depsWork) + scale(e.loadWork) + scale(e.compWork)
 }
