@@ -253,7 +253,7 @@ type HedgePolicy struct {
 	// MinSamples of history (and exclusively when Percentile is 0).
 	Delay time.Duration
 	// MinSamples is how much history the percentile path needs before
-	// it takes over from Delay (default 3).
+	// it takes over from Delay (default 3, at most the 64 samples kept).
 	MinSamples int
 	// MaxRate caps the fraction of primary invocations that may hedge,
 	// bounding cost inflation (default 0.25).
@@ -289,6 +289,11 @@ func (p HedgePolicy) Validate() error {
 	}
 	if p.MinSamples < 0 {
 		return fmt.Errorf("hedge policy: MinSamples %d is negative", p.MinSamples)
+	}
+	if p.MinSamples > latencyHistorySize {
+		// The history never holds more, so the percentile path would stay
+		// off for the life of the deployment.
+		return fmt.Errorf("hedge policy: MinSamples %d exceeds the %d-sample latency history", p.MinSamples, latencyHistorySize)
 	}
 	if p.MaxRate < 0 || p.MaxRate > 1 {
 		return fmt.Errorf("hedge policy: MaxRate %v outside [0, 1]", p.MaxRate)

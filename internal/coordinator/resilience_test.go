@@ -2,6 +2,8 @@ package coordinator
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +89,26 @@ func TestDeployRejectsInvalidPolicies(t *testing.T) {
 				t.Fatalf("Deploy accepted invalid config (%s)", tc.name)
 			}
 		})
+	}
+}
+
+// MinSamples above the history size could never be met — the ring's
+// size saturates at latencyHistorySize — so Validate names the limit
+// instead of leaving percentile hedging silently off.
+func TestHedgePolicyValidateMinSamples(t *testing.T) {
+	for _, tc := range []struct {
+		min int
+		ok  bool
+	}{
+		{-1, false}, {0, true}, {3, true}, {latencyHistorySize, true}, {latencyHistorySize + 1, false}, {100, false},
+	} {
+		err := HedgePolicy{Percentile: 95, MinSamples: tc.min}.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("MinSamples %d: Validate() = %v, want ok=%v", tc.min, err, tc.ok)
+		}
+		if tc.min > latencyHistorySize && (err == nil || !strings.Contains(err.Error(), fmt.Sprint(latencyHistorySize))) {
+			t.Errorf("MinSamples %d: error %v does not name the %d-sample limit", tc.min, err, latencyHistorySize)
+		}
 	}
 }
 
