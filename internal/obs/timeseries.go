@@ -146,8 +146,8 @@ func (ts *TimeSeries) SetRetention(n int) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	ts.compactLocked() // the old cap's slack must not resurface under a looser one
 	ts.retain = n
-	ts.evictLocked()
 }
 
 // Subscribe registers fn to be called with each frame as it is flushed,
@@ -600,11 +600,29 @@ func (ts *TimeSeries) recycleAggLocked(w *windowAgg) {
 	ts.aggFree = append(ts.aggFree, w)
 }
 
+// evictLocked drops frames beyond the retention cap, compacting in place
+// only once the slice holds twice the cap — so a long run moves each
+// retained pointer O(1) times amortised instead of copying the whole
+// retained set per flush. retainedLocked hides the slack.
 func (ts *TimeSeries) evictLocked() {
-	if ts.retain > 0 && len(ts.frames) > ts.retain {
-		keep := ts.frames[len(ts.frames)-ts.retain:]
-		ts.frames = append([]*WindowFrame(nil), keep...)
+	if ts.retain > 0 && len(ts.frames) > 2*ts.retain {
+		ts.compactLocked()
 	}
+}
+
+func (ts *TimeSeries) compactLocked() {
+	n := copy(ts.frames, ts.retainedLocked())
+	clear(ts.frames[n:])
+	ts.frames = ts.frames[:n]
+}
+
+// retainedLocked is the newest retain frames (all of them when
+// retention is off), in window order.
+func (ts *TimeSeries) retainedLocked() []*WindowFrame {
+	if ts.retain > 0 && len(ts.frames) > ts.retain {
+		return ts.frames[len(ts.frames)-ts.retain:]
+	}
+	return ts.frames
 }
 
 // frameLocked freezes a window's aggregation into an immutable
@@ -660,7 +678,7 @@ func (ts *TimeSeries) Frames() []*WindowFrame {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return append([]*WindowFrame(nil), ts.frames...)
+	return append([]*WindowFrame(nil), ts.retainedLocked()...)
 }
 
 // WriteNDJSON writes the flushed frames as newline-delimited JSON, one

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -101,6 +103,53 @@ func TestTimeSeriesSubscribeAndRetention(t *testing.T) {
 	frames := ts.Frames()
 	if len(frames) != 2 || frames[0].Index != 3 || frames[1].Index != 4 {
 		t.Fatalf("retention kept wrong frames: %+v", frames)
+	}
+}
+
+// Eviction is amortised: a long run under a retention cap must not copy
+// the retained set on every flush (10 000 flushes at retention 100 used
+// to allocate an extra 8 MB of pointer slices), and what it keeps is
+// exactly the tail of the same run without a cap.
+func TestTimeSeriesRetentionAmortised(t *testing.T) {
+	const flushes, retain = 10_000, 100
+	run := func(retention int) (*TimeSeries, uint64) {
+		ts := NewTimeSeries(time.Second)
+		ts.SetRetention(retention)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < flushes; i++ {
+			at := time.Duration(i) * time.Second
+			ts.Inc(at, "n", int64(i))
+			ts.Advance(at + time.Second)
+		}
+		runtime.ReadMemStats(&m1)
+		return ts, m1.TotalAlloc - m0.TotalAlloc
+	}
+	all, _ := run(0)
+	capped, allocated := run(retain)
+	// ~350 B per flushed frame (the frame and its one-entry map); copying
+	// the retained set per flush added 800 B to each.
+	if limit := uint64(5 << 20); allocated > limit {
+		t.Fatalf("%d flushes at retention %d allocated %d B, limit %d", flushes, retain, allocated, limit)
+	}
+	if got, want := capped.Frames(), all.Frames()[flushes-retain:]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("retained %d frames [%d..], want the uncapped run's last %d", len(got), got[0].Index, retain)
+	}
+	var a, b bytes.Buffer
+	if err := capped.WriteNDJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	all.SetRetention(retain)
+	if err := all.WriteNDJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || bytes.Count(a.Bytes(), []byte("\n")) != retain {
+		t.Fatal("WriteNDJSON under retention is not the newest frames in window order")
+	}
+	// Loosening the cap must not bring evicted frames back.
+	capped.SetRetention(0)
+	if n := len(capped.Frames()); n != retain {
+		t.Fatalf("lifting retention resurfaced frames: %d, want %d", n, retain)
 	}
 }
 
