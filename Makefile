@@ -97,7 +97,9 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-# Short fuzz pass over the two wire-format decoders.
+# Short fuzz pass over the two wire-format decoders and the hedge-delay
+# latency ring (against its copy-and-sort reference).
 fuzz:
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeTensor -fuzztime 15s
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeWeights -fuzztime 15s
+	$(GO) test ./internal/coordinator/ -fuzz FuzzLatencyRing -fuzztime 10s

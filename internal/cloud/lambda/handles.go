@@ -2,6 +2,8 @@ package lambda
 
 import (
 	"fmt"
+	"maps"
+	"time"
 
 	"ampsinf/internal/obs"
 )
@@ -11,20 +13,31 @@ import (
 // invocations neither format label strings nor resolve names through
 // the registries' maps. Rebuilt whenever SetMetrics or SetSeries swap
 // a registry (handles are nil-safe: with nothing installed every
-// recording call is a no-op). Per-phase and per-fault-kind handles are
-// resolved lazily under pl.mu because handlers may introduce new phase
-// names at runtime.
+// recording call is a no-op). Handlers may introduce new phase names at
+// runtime, so the per-phase and per-fault-kind tables grow on first
+// sight — copy-on-write under pl.mu: a published map is never written
+// again, and Invoke reads the copy it took under the lock without one.
 type platformHandles struct {
-	invocations obs.CounterHandle            // lambda_invocations_total
-	coldStarts  obs.CounterHandle            // lambda_cold_starts_total
-	gbSeconds   obs.TotalHandle              // lambda_gb_seconds_total
-	throttles   obs.CounterHandle            // lambda_throttles_total{reason="concurrency"}
-	faultMx     map[string]obs.CounterHandle // lambda_faults_total{kind=...}
-	phaseMx     map[string]obs.HistHandle    // lambda_phase_seconds{phase=...}
+	invocations obs.CounterHandle         // lambda_invocations_total
+	coldStarts  obs.CounterHandle         // lambda_cold_starts_total
+	gbSeconds   obs.TotalHandle           // lambda_gb_seconds_total
+	throttles   obs.CounterHandle         // lambda_throttles_total{reason="concurrency"}
+	faults      map[string]faultCounters  // lambda_faults_total{kind=...}
+	phaseMx     map[string]obs.HistHandle // lambda_phase_seconds{phase=...}
 
-	tsThrottles obs.SeriesCounterHandle            // lambda_throttles_total{reason="concurrency"}
-	tsFault     map[string]obs.SeriesCounterHandle // lambda_faults_total{kind=...}
-	tsInflight  obs.SeriesGaugeHandle              // lambda_inflight
+	tsThrottles obs.SeriesCounterHandle // lambda_throttles_total{reason="concurrency"}
+	tsInflight  obs.SeriesGaugeHandle   // lambda_inflight
+}
+
+// faultCounters is one fault kind's counter in both registries.
+type faultCounters struct {
+	mx obs.CounterHandle
+	ts obs.SeriesCounterHandle
+}
+
+func (f faultCounters) inc(at time.Duration) {
+	f.mx.Inc(1)
+	f.ts.Inc(at, 1)
 }
 
 // fnHandles caches the per-function time-series handles whose labels
@@ -52,10 +65,7 @@ func (pl *Platform) rebuildHandlesLocked() {
 		coldStarts:  mx.CounterHandle("lambda_cold_starts_total"),
 		gbSeconds:   mx.TotalHandle("lambda_gb_seconds_total"),
 		throttles:   mx.CounterHandle(`lambda_throttles_total{reason="concurrency"}`),
-		faultMx:     make(map[string]obs.CounterHandle),
-		phaseMx:     make(map[string]obs.HistHandle),
 		tsThrottles: ts.CounterHandle(`lambda_throttles_total{reason="concurrency"}`),
-		tsFault:     make(map[string]obs.SeriesCounterHandle),
 		tsInflight:  ts.GaugeHandle("lambda_inflight"),
 	}
 	for _, fn := range pl.fns {
@@ -63,33 +73,44 @@ func (pl *Platform) rebuildHandlesLocked() {
 	}
 }
 
-// faultHandles returns the metrics and series counters for one fault
-// kind, resolving and caching both on first sight.
-func (pl *Platform) faultHandles(kind string) (obs.CounterHandle, obs.SeriesCounterHandle) {
+// faultHandles returns the counters for one fault kind from seen, the
+// table the caller copied out of pl.h; a kind it lacks is resolved and
+// published.
+func (pl *Platform) faultHandles(seen map[string]faultCounters, kind string) faultCounters {
+	if f, ok := seen[kind]; ok {
+		return f
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	mh, ok := pl.h.faultMx[kind]
+	f, ok := pl.h.faults[kind]
 	if !ok {
-		mh = pl.mx.CounterHandle(fmt.Sprintf("lambda_faults_total{kind=%q}", kind))
-		pl.h.faultMx[kind] = mh
+		name := fmt.Sprintf("lambda_faults_total{kind=%q}", kind)
+		f = faultCounters{mx: pl.mx.CounterHandle(name), ts: pl.series.CounterHandle(name)}
+		pl.h.faults = withEntry(pl.h.faults, kind, f)
 	}
-	sh, ok := pl.h.tsFault[kind]
-	if !ok {
-		sh = pl.series.CounterHandle(fmt.Sprintf("lambda_faults_total{kind=%q}", kind))
-		pl.h.tsFault[kind] = sh
-	}
-	return mh, sh
+	return f
 }
 
-// phaseHist returns the latency histogram for one phase name,
-// resolving and caching it on first sight.
-func (pl *Platform) phaseHist(name string) obs.HistHandle {
+// phaseHist is faultHandles for one phase name's latency histogram.
+func (pl *Platform) phaseHist(seen map[string]obs.HistHandle, name string) obs.HistHandle {
+	if ph, ok := seen[name]; ok {
+		return ph
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	h, ok := pl.h.phaseMx[name]
+	ph, ok := pl.h.phaseMx[name]
 	if !ok {
-		h = pl.mx.HistHandle(fmt.Sprintf("lambda_phase_seconds{phase=%q}", name), obs.DurationBounds)
-		pl.h.phaseMx[name] = h
+		ph = pl.mx.HistHandle(fmt.Sprintf("lambda_phase_seconds{phase=%q}", name), obs.DurationBounds)
+		pl.h.phaseMx = withEntry(pl.h.phaseMx, name, ph)
 	}
-	return h
+	return ph
+}
+
+// withEntry returns a copy of m with one more entry, leaving m — which
+// concurrent invocations may be reading — untouched.
+func withEntry[V any](m map[string]V, key string, v V) map[string]V {
+	c := make(map[string]V, len(m)+1)
+	maps.Copy(c, m)
+	c[key] = v
+	return c
 }

@@ -12,6 +12,7 @@ package lambda
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ampsinf/internal/cloud/billing"
@@ -85,6 +86,7 @@ type Platform struct {
 	// override (0 = quota default).
 	clocked     bool
 	clock       sim.Clock
+	now         atomic.Int64 // clock's reading, republished on every advance for Now
 	concurrency int
 
 	// O(1) in-flight accounting (clocked mode): busy counts containers
@@ -324,8 +326,9 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	}
 	inj := pl.inj
 	ts := pl.series
-	h := pl.h
+	h := pl.h // its label tables are immutable, so the copy is read unlocked
 	fh := fn.h
+	domains := pl.domains
 	now := pl.clock.Now()
 	// An injected throttle (429) rejects the invocation before any
 	// container is assigned: warm state is untouched and nothing bills.
@@ -334,9 +337,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	fault, hang := inj.InvokeFaultAt(name, now)
 	if fault == faults.Throttle {
 		pl.mu.Unlock()
-		fmx, fts := pl.faultHandles(faults.Throttle.String())
-		fmx.Inc(1)
-		fts.Inc(now, 1)
+		pl.faultHandles(h.faults, faults.Throttle.String()).inc(now)
 		return nil, &faults.Error{Kind: faults.Throttle, Op: "invoke", Target: name}
 	}
 	// Domain outage: the first invocation to observe a new outage window
@@ -344,7 +345,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	// while the window lasts, acquisitions landing in that domain fail
 	// before any work runs (the sandbox never comes up), billing nothing.
 	outDomain, outStart, outActive := inj.DomainOutageAt(now)
-	if outActive && pl.domains > 1 && outStart != pl.lastOutage {
+	if outActive && domains > 1 && outStart != pl.lastOutage {
 		pl.lastOutage = outStart
 		pl.purgeDomainLocked(outDomain)
 	}
@@ -355,15 +356,13 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 		h.tsThrottles.Inc(now, 1)
 		return nil, &faults.Error{Kind: faults.Throttle, Op: "invoke", Target: name}
 	}
-	if outActive && pl.domains > 1 && c.domain == outDomain {
+	if outActive && domains > 1 && c.domain == outDomain {
 		if i := fn.findLocked(c.id); i >= 0 {
 			pl.discardLocked(fn, i)
 		}
 		pl.mu.Unlock()
 		inj.NoteDomainFault()
-		fmx, fts := pl.faultHandles(faults.DomainOutage.String())
-		fmx.Inc(1)
-		fts.Inc(now, 1)
+		pl.faultHandles(h.faults, faults.DomainOutage.String()).inc(now)
 		return nil, &faults.Error{Kind: faults.DomainOutage, Op: "invoke", Target: name}
 	}
 	cfg := fn.cfg
@@ -410,7 +409,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	timedOut := ctx.timedOut
 	*ctx = Context{}
 	pl.ctxPool.Put(ctx)
-	discarded := false
+	discard := false // a crashed, wedged or killed sandbox is lost — it alone
 	if timedOut {
 		res.Duration = cfg.Timeout
 		herr = fmt.Errorf("lambda: function %q timed out after %v", name, cfg.Timeout)
@@ -424,8 +423,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 			res.InjectedFault = fault.String()
 			res.Response = nil
 			herr = &faults.Error{Kind: faults.Crash, Op: "invoke", Target: name}
-			pl.discardContainer(name, c.id) // only the crashed container is lost
-			discarded = true
+			discard = true
 		case faults.Timeout:
 			res.InjectedFault = fault.String()
 			res.Response = nil
@@ -435,8 +433,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 			}
 			res.Duration = hung
 			herr = &faults.Error{Kind: faults.Timeout, Op: "invoke", Target: name}
-			pl.discardContainer(name, c.id) // only the wedged container is lost
-			discarded = true
+			discard = true
 		default:
 			// An outage of this container's domain beginning mid-execution
 			// kills the invocation partway: the response is lost, the run up
@@ -444,22 +441,28 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 			// caller retries from scratch on a surviving domain — the load
 			// amplification a domain storm causes is exactly this redone,
 			// already-paid-for work.
-			if pl.domains > 1 {
+			if domains > 1 {
 				if killAt, killed := inj.DomainKillAt(c.domain, now, now+res.Duration); killed {
 					res.InjectedFault = faults.DomainOutage.String()
 					res.Response = nil
 					res.Duration = killAt - now
 					herr = &faults.Error{Kind: faults.DomainOutage, Op: "invoke", Target: name}
-					pl.discardContainer(name, c.id)
-					discarded = true
+					discard = true
 					inj.NoteDomainFault()
 				}
 			}
 		}
 	}
-	if !discarded {
-		pl.finishContainer(name, c.id, now+res.Duration)
+	// One lock section settles the container and reads what the occupancy
+	// gauges below report at the invocation's finish.
+	end := now + res.Duration
+	pl.mu.Lock()
+	poolSize := pl.releaseLocked(name, c.id, end, discard)
+	inFlight := 0
+	if ts != nil {
+		inFlight = pl.inFlightLocked(end)
 	}
+	pl.mu.Unlock()
 	res.BilledDuration = roundUp(res.Duration, pl.quota.BillingGranularity)
 	if !opts.DeferBilling {
 		ec := pl.quota.ExecutionCost(cfg.MemoryMB, res.Duration)
@@ -474,30 +477,23 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	if cold {
 		h.coldStarts.Inc(1)
 	}
-	var faultMx obs.CounterHandle
-	var faultTs obs.SeriesCounterHandle
 	if res.InjectedFault != "" {
-		faultMx, faultTs = pl.faultHandles(res.InjectedFault)
-		faultMx.Inc(1)
+		pl.faultHandles(h.faults, res.InjectedFault).inc(now)
 	}
 	for _, ph := range res.Phases {
-		pl.phaseHist(ph.Name).Observe(ph.Duration.Seconds())
+		pl.phaseHist(h.phaseMx, ph.Name).Observe(ph.Duration.Seconds())
 	}
 	if ts != nil {
 		// Counters land in the dispatch window; the latency observation
 		// and the occupancy gauges land at the invocation's finish, the
 		// instant the pool actually reflects it.
-		end := now + res.Duration
 		fh.invocations.Inc(now, 1)
 		if cold {
 			fh.coldStarts.Inc(now, 1)
 		}
-		if res.InjectedFault != "" {
-			faultTs.Inc(now, 1)
-		}
 		fh.invokeSec.Observe(end, res.Duration.Seconds())
-		fh.poolSize.Set(end, float64(pl.PoolSize(name)))
-		h.tsInflight.Set(end, float64(pl.InFlightAt(end)))
+		fh.poolSize.Set(end, float64(poolSize))
+		h.tsInflight.Set(end, float64(inFlight))
 	}
 
 	if herr != nil {

@@ -75,10 +75,14 @@ func (pl *Platform) EnableClock() {
 func (pl *Platform) AdvanceTo(t time.Duration) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if !pl.clock.AdvanceTo(t) || !pl.clocked {
+	if !pl.clock.AdvanceTo(t) {
 		return
 	}
 	now := pl.clock.Now()
+	pl.now.Store(int64(now))
+	if !pl.clocked {
+		return
+	}
 	for {
 		e, ok := pl.expiry.Peek()
 		if !ok || e.At > now {
@@ -97,11 +101,11 @@ func (pl *Platform) AdvanceTo(t time.Duration) {
 	}
 }
 
-// Now returns the current simulated-clock reading.
+// Now returns the current simulated-clock reading. It takes no lock:
+// the serving loop and the fault injector read the clock several times
+// per attempt.
 func (pl *Platform) Now() time.Duration {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return pl.clock.Now()
+	return time.Duration(pl.now.Load())
 }
 
 // SetAccountConcurrency overrides the account-wide concurrent-execution
@@ -264,20 +268,25 @@ func (fn *Function) acquireLocked(pl *Platform) (c *container, cold, throttled b
 	return c, true, false
 }
 
-// finishContainer settles a container's busy window once its invocation
-// returned.
-func (pl *Platform) finishContainer(name string, id int, until time.Duration) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
+// releaseLocked ends an invocation's hold on its container: the busy
+// window settles at until, or — discard — the crashed or wedged sandbox
+// is reaped (the function's other containers, idle or mid-flight, are
+// untouched). It reports the function's pool size afterwards. A container
+// a domain outage purged meanwhile is simply gone. Callers hold pl.mu.
+func (pl *Platform) releaseLocked(name string, id int, until time.Duration, discard bool) int {
 	fn, ok := pl.fns[name]
 	if !ok {
-		return
+		return 0
 	}
 	if i := fn.findLocked(id); i >= 0 {
-		c := fn.pool[i]
-		c.busyUntil = until
-		pl.settleWindowLocked(c, until)
+		if discard {
+			pl.discardLocked(fn, i)
+		} else {
+			fn.pool[i].busyUntil = until
+			pl.settleWindowLocked(fn.pool[i], until)
+		}
 	}
+	return len(fn.pool)
 }
 
 // OccupyUntil extends one container's busy window to an absolute
@@ -313,25 +322,10 @@ func (pl *Platform) discardLocked(fn *Function, i int) {
 	pl.unregisterLocked(c)
 }
 
-// discardContainer removes exactly one container from a function's pool
-// (crashed or wedged sandboxes are reaped individually; the function's
-// other containers — idle or mid-flight — are untouched).
-func (pl *Platform) discardContainer(name string, id int) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	fn, ok := pl.fns[name]
-	if !ok {
-		return
-	}
-	if i := fn.findLocked(id); i >= 0 {
-		pl.discardLocked(fn, i)
-	}
-}
-
 // purgeDomainLocked reaps every container in the given failure domain
 // across every function at once — the platform-wide blast radius of a
 // domain outage. Idle and mid-flight containers alike are lost; a
-// stranded invocation's finishContainer simply finds its container gone.
+// stranded invocation's releaseLocked simply finds its container gone.
 // Callers hold pl.mu.
 func (pl *Platform) purgeDomainLocked(domain int) {
 	if pl.domains <= 1 {

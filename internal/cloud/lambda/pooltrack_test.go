@@ -74,7 +74,9 @@ func TestBusyCounterMatchesScan(t *testing.T) {
 				checkBusy(t, pl, step, "reset")
 			default: // discard the last container (crash reap path)
 				if lastFn != "" {
-					pl.discardContainer(lastFn, lastID)
+					pl.mu.Lock()
+					pl.releaseLocked(lastFn, lastID, 0, true)
+					pl.mu.Unlock()
 					lastFn = ""
 					checkBusy(t, pl, step, "discard")
 				}

@@ -144,6 +144,8 @@ type partition struct {
 	// function's circuit breaker (nil when breakers are disabled).
 	hist latencyRing
 	brk  *breaker
+	// h holds the function-labelled resilience-event handles.
+	h partHandles
 }
 
 type invokePayload struct {
@@ -281,6 +283,7 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 			blob:     blobs[i],
 			qbits:    cfg.QuantizeBits,
 		}
+		p.h = d.resolvePartHandles(p.fnName)
 		if cfg.Breaker.enabled() {
 			p.brk = &breaker{pol: cfg.Breaker}
 		}
@@ -366,7 +369,7 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 			// accounting and phase spans are identical to the path below.
 			n, err := ctx.GetObjectSize(d.cfg.Store, req.InputKey)
 			if err != nil {
-				return nil, fmt.Errorf("partition %d: reading input: %w", p.index, err)
+				return nil, &lazyError{"partition %d: reading input: %v", p.index, err}
 			}
 			ctx.TmpFree(n)
 			ctx.Compute(ctx.Perf().BatchFLOPs(p.flops, rt.lj.enc.batch), p.weightsB)
@@ -375,7 +378,7 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 				return outBytes, nil
 			}
 			if err := ctx.PutObjectStable(d.cfg.Store, rt.lj.outKeys[p.index], outBytes); err != nil {
-				return nil, fmt.Errorf("partition %d: staging output: %w", p.index, err)
+				return nil, &lazyError{"partition %d: staging output: %v", p.index, err}
 			}
 			return rt.lj.outKeyB[p.index], nil
 		}

@@ -246,6 +246,43 @@ type jobHandles struct {
 	tsCompletion                       obs.SeriesHistHandle
 	tsCost                             obs.SeriesTotalHandle
 	tsRetries                          obs.SeriesCounterHandle
+
+	deniedRetry, deniedHedge eventHandles // coordinator_budget_denied_total{kind=...}
+	tsBudgetTokens           obs.SeriesGaugeHandle
+}
+
+// eventHandles is one event counter in both registries.
+type eventHandles struct {
+	mx obs.CounterHandle
+	ts obs.SeriesCounterHandle
+}
+
+func (d *Deployment) eventHandles(name string) eventHandles {
+	return eventHandles{mx: d.cfg.Metrics.CounterHandle(name), ts: d.cfg.Series.CounterHandle(name)}
+}
+
+func (h eventHandles) inc(at time.Duration) {
+	h.mx.Inc(1)
+	h.ts.Inc(at, 1)
+}
+
+// partHandles holds one partition function's resilience-event handles,
+// whose names embed the function name: formatted once at Deploy.
+type partHandles struct {
+	tsHedgesFired, tsHedgesWon obs.SeriesCounterHandle
+	transitions                [3]eventHandles // by the breakerState entered
+	tsBreakerState             obs.SeriesGaugeHandle
+}
+
+func (d *Deployment) resolvePartHandles(fn string) (h partHandles) {
+	ts := d.cfg.Series
+	h.tsHedgesFired = ts.CounterHandle(fmt.Sprintf("coordinator_hedges_fired_total{function=%q}", fn))
+	h.tsHedgesWon = ts.CounterHandle(fmt.Sprintf("coordinator_hedges_won_total{function=%q}", fn))
+	for to := range h.transitions {
+		h.transitions[to] = d.eventHandles(fmt.Sprintf("coordinator_breaker_transitions_total{function=%q,to=%q}", fn, breakerState(to)))
+	}
+	h.tsBreakerState = ts.GaugeHandle(fmt.Sprintf("coordinator_breaker_state{function=%q}", fn))
+	return h
 }
 
 func (d *Deployment) resolveJobHandles() {
@@ -276,5 +313,9 @@ func (d *Deployment) resolveJobHandles() {
 		tsCompletion: ts.HistHandle("coordinator_job_completion_seconds"),
 		tsCost:       ts.TotalHandle("coordinator_job_cost_usd_total"),
 		tsRetries:    ts.CounterHandle("coordinator_retries_total"),
+
+		deniedRetry:    d.eventHandles(`coordinator_budget_denied_total{kind="retry"}`),
+		deniedHedge:    d.eventHandles(`coordinator_budget_denied_total{kind="hedge"}`),
+		tsBudgetTokens: ts.GaugeHandle("coordinator_retry_budget_tokens"),
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -327,25 +327,34 @@ func hedgeDelayFrom(base time.Duration, u float64) time.Duration {
 const latencyHistorySize = 64
 
 // latencyRing is a fixed-size ring of recent successful attempt
-// durations for one partition function. Callers hold the deployment's
-// retryMu.
+// durations for one partition function, with the live samples mirrored
+// in ascending order so a percentile is one index read. Callers hold
+// the deployment's retryMu.
 type latencyRing struct {
-	buf  [latencyHistorySize]time.Duration
-	n    int // total recorded (may exceed len(buf))
-	next int
+	buf    [latencyHistorySize]time.Duration
+	sorted [latencyHistorySize]time.Duration // the live samples of buf, ascending
+	n      int                               // total recorded (may exceed len(buf))
+	next   int
 }
 
 func (r *latencyRing) add(d time.Duration) {
+	live := r.size()
+	if live == len(r.buf) {
+		// Full: the slot about to be overwritten leaves the sorted mirror.
+		i, _ := slices.BinarySearch(r.sorted[:live], r.buf[r.next])
+		copy(r.sorted[i:], r.sorted[i+1:live])
+		live--
+	}
+	i, _ := slices.BinarySearch(r.sorted[:live], d)
+	copy(r.sorted[i+1:live+1], r.sorted[i:live])
+	r.sorted[i] = d
 	r.buf[r.next] = d
 	r.next = (r.next + 1) % len(r.buf)
 	r.n++
 }
 
 func (r *latencyRing) size() int {
-	if r.n < len(r.buf) {
-		return r.n
-	}
-	return len(r.buf)
+	return min(r.n, len(r.buf))
 }
 
 // percentile returns the nearest-rank p-th percentile of the recorded
@@ -355,17 +364,8 @@ func (r *latencyRing) percentile(p float64) time.Duration {
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, r.buf[:n])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	idx := int(math.Ceil(p/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
+	return r.sorted[min(max(idx, 0), n-1)]
 }
 
 // BreakerPolicy configures the per-partition-function circuit breaker:

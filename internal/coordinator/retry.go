@@ -188,6 +188,18 @@ func (b *jobBudget) take() bool {
 	return true
 }
 
+// lazyError wraps cause under a message — format takes n, then the
+// cause — built only when read: a storm fails thousands of operations
+// whose text nobody prints.
+type lazyError struct {
+	format string
+	n      int
+	cause  error
+}
+
+func (e *lazyError) Error() string { return fmt.Sprintf(e.format, e.n, e.cause) }
+func (e *lazyError) Unwrap() error { return e.cause }
+
 // retryGate decides, after a failed attempt, whether the operation
 // retries or stops. On stop it returns the final error; on retry it
 // draws the backoff onto ri/step. opDelay is the serial time the
@@ -200,10 +212,10 @@ func (d *Deployment) retryGate(ri *retryInfo, step *retryStep, st *jobState, err
 		return true, err
 	}
 	if ri.attempts >= d.cfg.Retry.MaxAttempts {
-		return true, fmt.Errorf("gave up after %d attempts: %w", ri.attempts, err)
+		return true, &lazyError{"gave up after %d attempts: %v", ri.attempts, err}
 	}
 	if !st.budget.take() {
-		return true, fmt.Errorf("job retry budget exhausted after %d attempts: %w", ri.attempts, err)
+		return true, &lazyError{"job retry budget exhausted after %d attempts: %v", ri.attempts, err}
 	}
 	bo := d.backoff(ri.attempts)
 	if st.deadlined() && st.elapsed+opDelay+bo+redispatch >= st.deadline {
@@ -216,7 +228,7 @@ func (d *Deployment) retryGate(ri *retryInfo, step *retryStep, st *jobState, err
 	// (see BudgetPolicy).
 	if !d.spendRetryToken() {
 		ri.budgetDenied++
-		d.noteBudgetDenied("retry")
+		d.noteBudgetDenied(d.jh.deniedRetry)
 		return true, &BudgetExhaustedError{Op: opKind + opName, Attempts: ri.attempts, Cause: err}
 	}
 	ri.backoff += bo
@@ -268,7 +280,7 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 			bcur := p.brk.state
 			d.retryMu.Unlock()
 			if bcur != bprev {
-				d.noteBreakerTransition(fnName, bcur, bnow)
+				d.noteBreakerTransition(p, bcur, bnow)
 			}
 			if !allowed {
 				ri.attempts++
@@ -313,9 +325,7 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 			if hdelay > 0 && res.Duration > hdelay && d.takeHedgeSlot() {
 				hedged = true
 				ri.hedges++
-				if ts := d.cfg.Series; ts != nil {
-					ts.Inc(d.breakerNow(st, &ri), fmt.Sprintf("coordinator_hedges_fired_total{function=%q}", fnName), 1)
-				}
+				p.h.tsHedgesFired.Inc(d.breakerNow(st, &ri), 1)
 				hbucket = d.newBucket(st)
 				var hprev *obs.CostBucket
 				if hbucket != nil {
@@ -337,9 +347,7 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 				res, err = out, nil
 				if ri.hedgeWon {
 					bucket = hbucket
-					if ts := d.cfg.Series; ts != nil {
-						ts.Inc(d.breakerNow(st, &ri), fmt.Sprintf("coordinator_hedges_won_total{function=%q}", fnName), 1)
-					}
+					p.h.tsHedgesWon.Inc(d.breakerNow(st, &ri), 1)
 				}
 			} else {
 				// Both sides failed: one combined failed attempt.
@@ -570,7 +578,7 @@ func (d *Deployment) takeHedgeSlot() bool {
 	}
 	if !d.spendBudgetLocked(d.cfg.Budget.hedgeCost()) {
 		d.retryMu.Unlock()
-		d.noteBudgetDenied("hedge")
+		d.noteBudgetDenied(d.jh.deniedHedge)
 		return false
 	}
 	d.hedgesTotal++
@@ -580,18 +588,14 @@ func (d *Deployment) takeHedgeSlot() bool {
 
 // noteBudgetDenied publishes one budget denial: a counter labeled with
 // what was denied, plus a window-stream gauge of the remaining balance.
-func (d *Deployment) noteBudgetDenied(kind string) {
+func (d *Deployment) noteBudgetDenied(kind eventHandles) {
 	d.retryMu.Lock()
 	d.budgetDenied++
 	tokens := d.budgetTokens
 	d.retryMu.Unlock()
-	name := fmt.Sprintf("coordinator_budget_denied_total{kind=%q}", kind)
-	d.cfg.Metrics.Inc(name, 1)
-	if ts := d.cfg.Series; ts != nil {
-		at := d.cfg.Platform.Now()
-		ts.Inc(at, name, 1)
-		ts.Gauge(at, "coordinator_retry_budget_tokens", tokens)
-	}
+	at := d.cfg.Platform.Now()
+	kind.inc(at)
+	d.jh.tsBudgetTokens.Set(at, tokens)
 }
 
 // BudgetDenied reports how many retries/hedges the deployment-wide
@@ -614,20 +618,16 @@ func (d *Deployment) recordOutcome(p *partition, now time.Duration, ok bool) {
 	bcur := p.brk.state
 	d.retryMu.Unlock()
 	if bcur != bprev {
-		d.noteBreakerTransition(p.fnName, bcur, now)
+		d.noteBreakerTransition(p, bcur, now)
 	}
 }
 
 // noteBreakerTransition publishes one breaker state change at simulated
 // instant at: a counter labeled with the state entered, plus a window-
 // stream gauge encoding the state (0=closed, 1=open, 2=half-open).
-func (d *Deployment) noteBreakerTransition(fn string, to breakerState, at time.Duration) {
-	name := fmt.Sprintf("coordinator_breaker_transitions_total{function=%q,to=%q}", fn, to)
-	d.cfg.Metrics.Inc(name, 1)
-	if ts := d.cfg.Series; ts != nil {
-		ts.Inc(at, name, 1)
-		ts.Gauge(at, fmt.Sprintf("coordinator_breaker_state{function=%q}", fn), float64(to))
-	}
+func (d *Deployment) noteBreakerTransition(p *partition, to breakerState, at time.Duration) {
+	p.h.transitions[to].inc(at)
+	p.h.tsBreakerState.Set(at, float64(to))
 }
 
 // recordLatency feeds one successful attempt duration to the

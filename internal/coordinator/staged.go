@@ -192,7 +192,7 @@ func (sj *StagedJob) RunStage(start time.Duration) (time.Duration, error) {
 		sj.spend += d.meterTotal() - before
 		sj.st.elapsed = start + info.delay()
 		sj.fail()
-		return info.delay(), fmt.Errorf("coordinator: partition %d: %w", i, err)
+		return info.delay(), &lazyError{"coordinator: partition %d: %v", i, err}
 	}
 	svc := info.delay() + invokeDispatchLatency + res.Duration
 	sj.st.elapsed = start + svc

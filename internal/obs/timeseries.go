@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -35,10 +36,10 @@ import (
 type TimeSeries struct {
 	mu        sync.Mutex
 	window    time.Duration
-	flushedTo int64 // lowest window index still open
-	pending   map[int64]*windowAgg
-	curIdx    int64      // window index of curAgg, valid iff curAgg != nil
-	curAgg    *windowAgg // cache of the most recently touched open window
+	flushedTo int64        // lowest window index still open
+	pending   []openWindow // the open windows, ascending by index
+	curIdx    int64        // window index of curAgg, valid iff curAgg != nil
+	curAgg    *windowAgg   // cache of the most recently touched open window
 	frames    []*WindowFrame
 	retain    int
 	subs      []seriesSub
@@ -58,6 +59,12 @@ type TimeSeries struct {
 
 	aggFree  []*windowAgg // recycled window aggregations
 	histFree []*logHist   // recycled per-window histograms
+}
+
+// openWindow is one entry of the pending list.
+type openWindow struct {
+	idx int64
+	agg *windowAgg
 }
 
 // windowAgg is one still-open window's mutable aggregation state:
@@ -96,11 +103,7 @@ func NewTimeSeries(window time.Duration) *TimeSeries {
 	if window <= 0 {
 		window = time.Second
 	}
-	return &TimeSeries{
-		window:  window,
-		pending: make(map[int64]*windowAgg),
-		done:    make(chan struct{}),
-	}
+	return &TimeSeries{window: window, done: make(chan struct{})}
 }
 
 // seriesSub is one registered subscriber; the id lets Subscribe's cancel
@@ -339,7 +342,7 @@ func (ts *TimeSeries) newLogHistLocked() *logHist {
 		ts.histFree = ts.histFree[:n-1]
 		return h
 	}
-	return newLogHist()
+	return &logHist{}
 }
 
 // --- pre-resolved handles ---
@@ -462,7 +465,7 @@ func (h SeriesHistHandle) Observe(at time.Duration, v float64) {
 // aggLocked returns the open window aggregation for the instant at,
 // clamping instants before the flush point into the oldest open window.
 // The most recently touched window is cached: in a time-ordered run
-// virtually every recording hits the cache and skips the map.
+// virtually every recording hits the cache and skips the search.
 func (ts *TimeSeries) aggLocked(at time.Duration) *windowAgg {
 	if at < 0 {
 		at = 0
@@ -474,13 +477,12 @@ func (ts *TimeSeries) aggLocked(at time.Duration) *windowAgg {
 	if ts.curAgg != nil && ts.curIdx == idx {
 		return ts.curAgg
 	}
-	w, ok := ts.pending[idx]
+	i, ok := slices.BinarySearchFunc(ts.pending, idx, func(w openWindow, idx int64) int { return cmp.Compare(w.idx, idx) })
 	if !ok {
-		w = ts.newAggLocked()
-		ts.pending[idx] = w
+		ts.pending = slices.Insert(ts.pending, i, openWindow{idx: idx, agg: ts.newAggLocked()})
 	}
-	ts.curIdx, ts.curAgg = idx, w
-	return w
+	ts.curIdx, ts.curAgg = idx, ts.pending[i].agg
+	return ts.curAgg
 }
 
 func (ts *TimeSeries) newAggLocked() *windowAgg {
@@ -520,15 +522,8 @@ func (ts *TimeSeries) Flush() {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	var max int64
-	any := false
-	for idx := range ts.pending {
-		if !any || idx > max {
-			max, any = idx, true
-		}
-	}
-	if any {
-		ts.flushLocked(max + 1)
+	if n := len(ts.pending); n > 0 {
+		ts.flushLocked(ts.pending[n-1].idx + 1)
 	}
 }
 
@@ -553,27 +548,17 @@ func (ts *TimeSeries) flushLocked(target int64) {
 	if target <= ts.flushedTo {
 		return
 	}
-	if len(ts.pending) == 0 {
-		ts.flushedTo = target
-		return
-	}
-	idxs := make([]int64, 0, len(ts.pending))
-	for idx := range ts.pending {
-		if idx < target {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		w := ts.pending[idx]
-		frame := ts.frameLocked(w, idx)
-		delete(ts.pending, idx)
-		ts.recycleAggLocked(w)
+	n := 0
+	for ; n < len(ts.pending) && ts.pending[n].idx < target; n++ {
+		w := ts.pending[n]
+		frame := ts.frameLocked(w.agg, w.idx)
+		ts.recycleAggLocked(w.agg)
 		ts.frames = append(ts.frames, frame)
 		for _, s := range ts.subs {
 			s.fn(frame)
 		}
 	}
+	ts.pending = append(ts.pending[:0], ts.pending[n:]...)
 	ts.curAgg = nil
 	ts.evictLocked()
 	ts.flushedTo = target
@@ -582,21 +567,13 @@ func (ts *TimeSeries) flushLocked(target int64) {
 // recycleAggLocked resets a flushed window's aggregation for reuse.
 // Histograms were already returned to the free list by frameLocked.
 func (ts *TimeSeries) recycleAggLocked(w *windowAgg) {
-	for i := range w.counters {
-		w.counters[i] = 0
-		w.countersSet[i] = false
-	}
-	for i := range w.totals {
-		w.totals[i] = 0
-		w.totalsSet[i] = false
-	}
-	for i := range w.gauges {
-		w.gauges[i] = 0
-		w.gaugesSet[i] = false
-	}
-	for i := range w.hists {
-		w.hists[i] = nil
-	}
+	clear(w.counters)
+	clear(w.countersSet)
+	clear(w.totals)
+	clear(w.totalsSet)
+	clear(w.gauges)
+	clear(w.gaugesSet)
+	clear(w.hists)
 	ts.aggFree = append(ts.aggFree, w)
 }
 
@@ -626,49 +603,63 @@ func (ts *TimeSeries) retainedLocked() []*WindowFrame {
 }
 
 // frameLocked freezes a window's aggregation into an immutable
-// WindowFrame, returning its histograms to the free list.
+// WindowFrame, returning its histograms to the free list. Each map is
+// made at its final size, and the frame's histograms and their buckets
+// share one allocation each.
 func (ts *TimeSeries) frameLocked(w *windowAgg, idx int64) *WindowFrame {
 	f := &WindowFrame{
 		Index: idx,
 		Start: (time.Duration(idx) * ts.window).Seconds(),
 		End:   (time.Duration(idx+1) * ts.window).Seconds(),
 	}
-	for slot, set := range w.countersSet {
-		if set {
-			if f.Counters == nil {
-				f.Counters = make(map[string]int64)
-			}
-			f.Counters[ts.counterNms[slot]] = w.counters[slot]
+	f.Counters = frameScalars(ts.counterNms, w.counters, w.countersSet)
+	f.Totals = frameScalars(ts.totalNms, w.totals, w.totalsSet)
+	f.Gauges = frameScalars(ts.gaugeNms, w.gauges, w.gaugesSet)
+	nh, nb := 0, 0
+	for _, h := range w.hists {
+		if h != nil {
+			nh++
+			nb += len(h.cells)
 		}
 	}
-	for slot, set := range w.totalsSet {
-		if set {
-			if f.Totals == nil {
-				f.Totals = make(map[string]float64)
-			}
-			f.Totals[ts.totalNms[slot]] = w.totals[slot]
-		}
+	if nh == 0 {
+		return f
 	}
-	for slot, set := range w.gaugesSet {
-		if set {
-			if f.Gauges == nil {
-				f.Gauges = make(map[string]float64)
-			}
-			f.Gauges[ts.gaugeNms[slot]] = w.gauges[slot]
-		}
-	}
+	f.Hists = make(map[string]*HistFrame, nh)
+	frames, buckets := make([]HistFrame, nh), make([]HistBucket, nb)
 	for slot, h := range w.hists {
 		if h == nil {
 			continue
 		}
-		if f.Hists == nil {
-			f.Hists = make(map[string]*HistFrame)
-		}
-		f.Hists[ts.histNms[slot]] = h.frame()
+		n := len(h.cells)
+		h.frame(&frames[0], buckets[:n:n])
+		f.Hists[ts.histNms[slot]] = &frames[0]
+		frames, buckets = frames[1:], buckets[n:]
 		h.reset()
 		ts.histFree = append(ts.histFree, h)
 	}
 	return f
+}
+
+// frameScalars copies the slots written this window into a map of
+// exactly that size (nil when none was written).
+func frameScalars[T int64 | float64](names []string, vals []T, set []bool) map[string]T {
+	n := 0
+	for _, s := range set {
+		if s {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]T, n)
+	for slot, s := range set {
+		if s {
+			m[names[slot]] = vals[slot]
+		}
+	}
+	return m
 }
 
 // Frames returns the flushed frames in window order.
@@ -713,26 +704,35 @@ const zeroBucketIndex = math.MinInt32
 // logHist is a sparse log-linear histogram: each positive observation
 // lands in one of 16 equal-width buckets inside its binade (the
 // [2^(e-1), 2^e) range from math.Frexp), so quantiles are recovered to
-// ~3% without storing samples.
+// ~3% without storing samples. The occupied buckets — a handful per
+// window — are kept in ascending index order, which is the order a
+// frame lists them in.
 type logHist struct {
-	counts map[int]int64
-	count  int64
-	sum    float64
-	min    float64
-	max    float64
+	cells []histCell
+	count int64
+	sum   float64
+	min   float64
+	max   float64
 }
 
-func newLogHist() *logHist { return &logHist{counts: make(map[int]int64)} }
+// histCell is one occupied bucket: n observations at grid index idx.
+type histCell struct {
+	idx int
+	n   int64
+}
 
-// reset clears the histogram for reuse, keeping the bucket map's
-// storage.
+// reset clears the histogram for reuse, keeping the bucket storage.
 func (h *logHist) reset() {
-	clear(h.counts)
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
+	*h = logHist{cells: h.cells[:0]}
 }
 
 func (h *logHist) observe(v float64) {
-	h.counts[histBucketIndex(v)]++
+	idx := histBucketIndex(v)
+	i, ok := slices.BinarySearchFunc(h.cells, idx, func(c histCell, idx int) int { return cmp.Compare(c.idx, idx) })
+	if !ok {
+		h.cells = slices.Insert(h.cells, i, histCell{idx: idx})
+	}
+	h.cells[i].n++
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -796,27 +796,23 @@ type HistFrame struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-func (h *logHist) frame() *HistFrame {
-	idxs := make([]int, 0, len(h.counts))
-	for idx := range h.counts {
-		idxs = append(idxs, idx)
+// frame freezes the histogram into f, listing its occupied buckets in
+// the caller's storage (len(h.cells) long).
+func (h *logHist) frame(f *HistFrame, buckets []HistBucket) {
+	for i, c := range h.cells {
+		buckets[i] = HistBucket{Le: histBucketUpper(c.idx), N: c.n}
 	}
-	sort.Ints(idxs)
-	f := &HistFrame{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	f.Buckets = make([]HistBucket, 0, len(idxs))
-	for _, idx := range idxs {
-		f.Buckets = append(f.Buckets, HistBucket{Le: histBucketUpper(idx), N: h.counts[idx]})
+	*f = HistFrame{
+		Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+		P50: h.quantile(0.50), P95: h.quantile(0.95), P99: h.quantile(0.99),
+		Buckets: buckets,
 	}
-	f.P50 = h.quantileLocked(idxs, 0.50)
-	f.P95 = h.quantileLocked(idxs, 0.95)
-	f.P99 = h.quantileLocked(idxs, 0.99)
-	return f
 }
 
-// quantileLocked is the nearest-rank quantile over the sorted bucket
-// indexes, resolved to the bucket's upper bound (clamped to the
-// observed max so a lone sample reports itself, not its bucket edge).
-func (h *logHist) quantileLocked(sortedIdxs []int, q float64) float64 {
+// quantile is the nearest-rank quantile over the occupied buckets,
+// resolved to the bucket's upper bound (clamped to the observed max so
+// a lone sample reports itself, not its bucket edge).
+func (h *logHist) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -825,10 +821,10 @@ func (h *logHist) quantileLocked(sortedIdxs []int, q float64) float64 {
 		rank = 1
 	}
 	var seen int64
-	for _, idx := range sortedIdxs {
-		seen += h.counts[idx]
+	for _, c := range h.cells {
+		seen += c.n
 		if seen >= rank {
-			up := histBucketUpper(idx)
+			up := histBucketUpper(c.idx)
 			if up > h.max {
 				up = h.max
 			}

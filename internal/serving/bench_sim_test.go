@@ -1,10 +1,12 @@
 package serving
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"ampsinf/internal/cloud/billing"
+	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/coordinator"
@@ -159,5 +161,115 @@ func BenchmarkServeSequential50(b *testing.B) {
 		}, ins, arrivals); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// chaosStorm is bench/storm.go's storm_chaos configuration at a fifth
+// of its size: three partitions, 5 % uniform faults with 6× bursts,
+// retries, percentile hedging, breaker, global budget, an 8-deep
+// pipeline with 4-wide batches and a shedding SLO, metrics and a 1 s
+// series attached. Each call deploys afresh, as each benchmark unit does.
+const chaosStormRequests = 20_000
+
+func chaosStorm(t testing.TB) (Config, *nn.Model) {
+	t.Helper()
+	m := zoo.LinearNet(8)
+	plan, err := optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default(), MaxLayersPerPartition: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := &billing.Meter{}
+	pl := lambda.New(meter, perf.Default())
+	store := s3.New(s3.DefaultConfig(), meter)
+	mx := obs.NewMetrics()
+	ts := obs.NewTimeSeries(time.Second)
+	pl.SetMetrics(mx)
+	pl.SetSeries(ts)
+	store.SetMetrics(mx)
+	pl.SetAccountConcurrency(256)
+	fc := faults.Uniform(0.05, 11)
+	fc.BurstEvery, fc.BurstLength, fc.BurstFactor = 20*time.Second, 4*time.Second, 6
+	inj := faults.New(fc)
+	pl.SetInjector(inj)
+	store.SetInjector(inj)
+	inj.SetClock(pl.Now)
+	retry := coordinator.DefaultRetryPolicy()
+	retry.MaxAttempts, retry.JitterSeed = 5, 12
+	dep, err := coordinator.Deploy(coordinator.Config{
+		Platform: pl, Store: store, SkipCompute: true, Metrics: mx, Series: ts,
+		Retry:   retry,
+		Hedge:   coordinator.HedgePolicy{Percentile: 95, Delay: 2 * time.Second, JitterSeed: 13},
+		Breaker: coordinator.BreakerPolicy{ConsecutiveFailures: 8},
+		Budget:  coordinator.BudgetPolicy{MaxTokens: 64, EarnPerSuccess: 0.25},
+	}, m, nn.InitWeights(m, 42), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dep.Teardown(); ts.Close() })
+	return Config{
+		Deployment: dep,
+		Throttle:   ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
+		Pipeline:   PipelinePolicy{Depth: 8},
+		Batch:      BatchPolicy{MaxBatch: 4, Window: 200 * time.Millisecond, JitterSeed: 5},
+		SLO:        SLOPolicy{Deadline: 60 * time.Second, Shed: true, TolerateFailures: true},
+		Metrics:    mx, Series: ts,
+	}, m
+}
+
+// serveChaosStorm streams the chaos storm once through a fresh
+// deployment and returns the host heap's growth in bytes and objects
+// across the ServeStream call.
+func serveChaosStorm(t testing.TB, cfg Config, m *nn.Model) (bytes, mallocs uint64) {
+	t.Helper()
+	in := randomInput(m, 1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rep, err := ServeStream(cfg, sim.NewPoisson(chaosStormRequests, 1, 7), func(int) *tensor.Tensor { return in })
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Hedges == 0 || rep.Retries == 0 || rep.Shed == 0 {
+		t.Fatalf("storm left the chaos regime: hedges %d retries %d shed %d", rep.Hedges, rep.Retries, rep.Shed)
+	}
+	return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+}
+
+// BenchmarkServeStreamChaos is the only in-module benchmark with
+// hedging on: the staged, batched, retried and hedged path the paper's
+// deployments take, which the other storms bypass.
+func BenchmarkServeStreamChaos(b *testing.B) {
+	var mallocs uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg, m := chaosStorm(b)
+		b.StartTimer()
+		_, n := serveChaosStorm(b, cfg, m)
+		mallocs += n
+	}
+	total := float64(chaosStormRequests) * float64(b.N)
+	b.ReportMetric(total/b.Elapsed().Seconds(), "req/s")
+	b.ReportMetric(float64(mallocs)/total, "mallocs/req")
+}
+
+// TestServeStreamChaosAllocBudget keeps the chaos storm's host
+// allocation per request under a ceiling, so a per-attempt or
+// per-window allocation (a sort, an unsized map) cannot creep back in
+// unnoticed: 3.1 KB and 33.9 mallocs per request before the hedge-delay
+// percentile and the window flush were made allocation-flat.
+func TestServeStreamChaosAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves a 20k-request storm")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation defeats escape analysis; alloc counts are only meaningful in production builds")
+	}
+	cfg, m := chaosStorm(t)
+	bytes, mallocs := serveChaosStorm(t, cfg, m)
+	perReqB, perReqN := float64(bytes)/chaosStormRequests, float64(mallocs)/chaosStormRequests
+	t.Logf("%.0f B and %.1f mallocs per request", perReqB, perReqN)
+	if perReqB > 2000 || perReqN > 26 {
+		t.Fatalf("chaos storm allocates %.0f B and %.1f mallocs per request; budget is 2000 B and 26", perReqB, perReqN)
 	}
 }
