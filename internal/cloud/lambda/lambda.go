@@ -246,10 +246,19 @@ func (pl *Platform) CreateFunction(cfg FunctionConfig) error {
 	return nil
 }
 
-// DeleteFunction removes a function; deleting a missing one is a no-op.
+// DeleteFunction removes a function and reaps its containers, idle or
+// mid-flight, so none of them stays in the in-flight count; deleting a
+// missing function is a no-op.
 func (pl *Platform) DeleteFunction(name string) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
+	fn, ok := pl.fns[name]
+	if !ok {
+		return
+	}
+	for i := len(fn.pool) - 1; i >= 0; i-- {
+		pl.discardLocked(fn, i)
+	}
 	delete(pl.fns, name)
 }
 

@@ -68,7 +68,8 @@ func (pl *Platform) EnableClock() {
 // AdvanceTo moves the simulated clock forward to t (the clock never goes
 // backwards; earlier instants are ignored), draining every container
 // busy-window that expires on the way so the busy counter always equals
-// the scan count at the new instant. Each drained event is O(log n) and
+// the scan count at the new instant (every path that drops a container
+// from a pool — DeleteFunction included — goes through discardLocked). Each drained event is O(log n) and
 // fires at most once per (container, busy window), so a whole serving
 // run spends O(total invocations · log pool) here instead of the former
 // O(events · pool) rescans.

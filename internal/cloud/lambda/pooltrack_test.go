@@ -113,3 +113,36 @@ func TestEnableClockRebuildsCounter(t *testing.T) {
 	pl.EnableClock()
 	checkBusy(t, pl, 2, "re-enable")
 }
+
+// TestDeleteFunctionReleasesInFlight: a deleted function's busy
+// containers leave the in-flight count with it — the O(1) counter (read
+// at the clock) and the scan (read off it) agree before the delete,
+// after it, and after the old busy window would have expired.
+func TestDeleteFunctionReleasesInFlight(t *testing.T) {
+	pl, _ := newPlatform()
+	pl.EnableClock()
+	slow := func(ctx *Context, _ []byte) ([]byte, error) {
+		ctx.Advance("work", 10*time.Second)
+		return nil, nil
+	}
+	if err := pl.CreateFunction(FunctionConfig{Name: "f", MemoryMB: 512, Handler: slow}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Invoke("f", nil, InvokeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	both := func(when string, want int) {
+		t.Helper()
+		now := pl.Now()
+		if counter, scan := pl.InFlightAt(now), pl.InFlightAt(now+1); counter != want || scan != want {
+			t.Fatalf("%s: counter %d, scan %d, want %d", when, counter, scan, want)
+		}
+	}
+	both("before delete", 1)
+	pl.DeleteFunction("f")
+	both("after delete", 0)
+	pl.AdvanceTo(time.Second)
+	both("one second on", 0)
+	pl.AdvanceTo(time.Minute) // past the deleted container's window: its expiry event is stale
+	both("after the old window", 0)
+}
