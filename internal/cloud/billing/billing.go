@@ -5,6 +5,7 @@ package billing
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -41,9 +42,11 @@ func (m *Meter) SetObserver(obs Observer) {
 
 // Add charges amount dollars to the category. Negative amounts panic:
 // simulated clouds never issue refunds, so a negative charge is a bug.
+// So do NaN and ±Inf, which would make Total — and every per-job meter
+// delta after it — NaN for the life of the meter.
 func (m *Meter) Add(category string, amount float64) {
-	if amount < 0 {
-		panic(fmt.Sprintf("billing: negative charge %f to %q", amount, category))
+	if !(amount >= 0 && amount <= math.MaxFloat64) {
+		panic(fmt.Sprintf("billing: negative or non-finite charge %f to %q", amount, category))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -35,6 +35,45 @@ func TestMeterRejectsNegative(t *testing.T) {
 	m.Add("x", -1)
 }
 
+// Add must refuse every amount that is not a finite, non-negative
+// number, and a refused charge must leave the meter untouched.
+func TestMeterRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		amount float64
+		panics bool
+	}{
+		{"zero", 0, false},
+		{"smallest", math.SmallestNonzeroFloat64, false},
+		{"largest", math.MaxFloat64 / 4, false},
+		{"negative", -1e-300, true},
+		{"negative zero", math.Copysign(0, -1), false},
+		{"NaN", math.NaN(), true},
+		{"+Inf", math.Inf(1), true},
+		{"-Inf", math.Inf(-1), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m Meter
+			m.Add("x", 1)
+			func() {
+				defer func() {
+					if got := recover() != nil; got != tc.panics {
+						t.Fatalf("Add(%v) panicked: %v, want %v", tc.amount, got, tc.panics)
+					}
+				}()
+				m.Add("x", tc.amount)
+			}()
+			want := 1.0
+			if !tc.panics {
+				want += tc.amount
+			}
+			if got := m.Total(); got != want {
+				t.Fatalf("total after Add(%v) = %v, want %v", tc.amount, got, want)
+			}
+		})
+	}
+}
+
 func TestMeterConcurrent(t *testing.T) {
 	var m Meter
 	var wg sync.WaitGroup
