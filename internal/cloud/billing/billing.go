@@ -6,7 +6,7 @@ package billing
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -18,16 +18,18 @@ type Observer func(category string, amount float64)
 
 // Meter accumulates dollar amounts by category. The zero value is ready
 // to use. All methods are safe for concurrent use.
+//
+// Categories live in two parallel slices kept sorted by name: the
+// simulators charge into a handful of constant categories, so finding
+// one is a short scan (equal constants compare by pointer) and Total is
+// a slice sum in sorted order — no hashing and no sorting on the
+// per-request path, and the bit pattern of the float result is that of
+// sorting the categories on every call.
 type Meter struct {
-	mu         sync.Mutex
-	byCategory map[string]float64
-	observer   Observer
-	// sorted caches the sorted category list Total sums over; it is
-	// rebuilt only when a charge lands on a previously unseen category,
-	// so the hot Total path never sorts. The summation order (and hence
-	// the bit pattern of the float result) is identical to sorting on
-	// every call.
-	sorted []string
+	mu       sync.Mutex
+	names    []string  // ascending
+	amounts  []float64 // amounts[i] is what names[i] was charged
+	observer Observer
 }
 
 // SetObserver installs (or, with nil, removes) the charge observer. The
@@ -40,6 +42,16 @@ func (m *Meter) SetObserver(obs Observer) {
 	m.observer = obs
 }
 
+// slotLocked finds category's slot, or -1.
+func (m *Meter) slotLocked(category string) int {
+	for i, n := range m.names {
+		if n == category {
+			return i
+		}
+	}
+	return -1
+}
+
 // Add charges amount dollars to the category. Negative amounts panic:
 // simulated clouds never issue refunds, so a negative charge is a bug.
 // So do NaN and ±Inf, which would make Total — and every per-job meter
@@ -50,13 +62,13 @@ func (m *Meter) Add(category string, amount float64) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.byCategory == nil {
-		m.byCategory = make(map[string]float64)
+	i := m.slotLocked(category)
+	if i < 0 {
+		i, _ = slices.BinarySearch(m.names, category)
+		m.names = slices.Insert(m.names, i, category)
+		m.amounts = slices.Insert(m.amounts, i, 0)
 	}
-	if _, seen := m.byCategory[category]; !seen {
-		m.sorted = nil
-	}
-	m.byCategory[category] += amount
+	m.amounts[i] += amount
 	if m.observer != nil {
 		m.observer(category, amount)
 	}
@@ -64,21 +76,14 @@ func (m *Meter) Add(category string, amount float64) {
 
 // Total returns the sum across all categories. Categories are summed
 // in sorted order so the float result is bit-for-bit reproducible —
-// map iteration order must not leak into reported costs.
+// charge order must not leak into reported costs.
 func (m *Meter) Total() float64 {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sorted == nil && len(m.byCategory) > 0 {
-		m.sorted = make([]string, 0, len(m.byCategory))
-		for k := range m.byCategory {
-			m.sorted = append(m.sorted, k)
-		}
-		sort.Strings(m.sorted)
-	}
 	var t float64
-	for _, k := range m.sorted {
-		t += m.byCategory[k]
+	for _, a := range m.amounts {
+		t += a
 	}
+	m.mu.Unlock()
 	return t
 }
 
@@ -86,16 +91,19 @@ func (m *Meter) Total() float64 {
 func (m *Meter) Category(category string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.byCategory[category]
+	if i := m.slotLocked(category); i >= 0 {
+		return m.amounts[i]
+	}
+	return 0
 }
 
 // Breakdown returns a copy of all category totals.
 func (m *Meter) Breakdown() map[string]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.byCategory))
-	for k, v := range m.byCategory {
-		out[k] = v
+	out := make(map[string]float64, len(m.names))
+	for i, n := range m.names {
+		out[n] = m.amounts[i]
 	}
 	return out
 }
@@ -104,22 +112,19 @@ func (m *Meter) Breakdown() map[string]float64 {
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.byCategory = nil
-	m.sorted = nil
+	m.names, m.amounts = nil, nil
 }
 
 // String renders the breakdown sorted by category name.
 func (m *Meter) String() string {
-	bd := m.Breakdown()
-	keys := make([]string, 0, len(bd))
-	for k := range bd {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s: $%.6f\n", k, bd[k])
+	var t float64
+	for i, n := range m.names {
+		fmt.Fprintf(&b, "%s: $%.6f\n", n, m.amounts[i])
+		t += m.amounts[i]
 	}
-	fmt.Fprintf(&b, "total: $%.6f", m.Total())
+	fmt.Fprintf(&b, "total: $%.6f", t)
 	return b.String()
 }

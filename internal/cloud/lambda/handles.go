@@ -3,7 +3,6 @@ package lambda
 import (
 	"fmt"
 	"maps"
-	"time"
 
 	"ampsinf/internal/obs"
 )
@@ -11,33 +10,22 @@ import (
 // platformHandles caches pre-resolved telemetry handles for the
 // installed metrics registry and time-series stream, so steady-state
 // invocations neither format label strings nor resolve names through
-// the registries' maps. Rebuilt whenever SetMetrics or SetSeries swap
-// a registry (handles are nil-safe: with nothing installed every
-// recording call is a no-op). Handlers may introduce new phase names at
-// runtime, so the per-phase and per-fault-kind tables grow on first
-// sight — copy-on-write under pl.mu: a published map is never written
-// again, and Invoke reads the copy it took under the lock without one.
+// the registries' maps. A published value is immutable: SetMetrics and
+// SetSeries publish a fresh one (handles are nil-safe: with nothing
+// installed every recording call is a no-op), and a phase name or fault
+// kind seen for the first time publishes a copy with one more table
+// entry, under pl.mu. Readers load the pointer and read without a lock.
 type platformHandles struct {
-	invocations obs.CounterHandle         // lambda_invocations_total
-	coldStarts  obs.CounterHandle         // lambda_cold_starts_total
-	gbSeconds   obs.TotalHandle           // lambda_gb_seconds_total
-	throttles   obs.CounterHandle         // lambda_throttles_total{reason="concurrency"}
-	faults      map[string]faultCounters  // lambda_faults_total{kind=...}
-	phaseMx     map[string]obs.HistHandle // lambda_phase_seconds{phase=...}
+	mx *obs.Metrics    // the registries every handle below belongs to
+	ts *obs.TimeSeries // (what Invoke opens its write sections on)
 
-	tsThrottles obs.SeriesCounterHandle // lambda_throttles_total{reason="concurrency"}
-	tsInflight  obs.SeriesGaugeHandle   // lambda_inflight
-}
-
-// faultCounters is one fault kind's counter in both registries.
-type faultCounters struct {
-	mx obs.CounterHandle
-	ts obs.SeriesCounterHandle
-}
-
-func (f faultCounters) inc(at time.Duration) {
-	f.mx.Inc(1)
-	f.ts.Inc(at, 1)
+	invocations obs.CounterHandle           // lambda_invocations_total
+	coldStarts  obs.CounterHandle           // lambda_cold_starts_total
+	gbSeconds   obs.TotalHandle             // lambda_gb_seconds_total
+	throttles   obs.EventCounter            // lambda_throttles_total{reason="concurrency"}
+	faults      map[string]obs.EventCounter // lambda_faults_total{kind=...}
+	phaseMx     map[string]obs.HistHandle   // lambda_phase_seconds{phase=...}
+	tsInflight  obs.SeriesGaugeHandle       // lambda_inflight
 }
 
 // fnHandles caches the per-function time-series handles whose labels
@@ -49,8 +37,8 @@ type fnHandles struct {
 	poolSize    obs.SeriesGaugeHandle   // lambda_pool_size{function=...}
 }
 
-func newFnHandles(ts *obs.TimeSeries, name string) fnHandles {
-	return fnHandles{
+func newFnHandles(ts *obs.TimeSeries, name string) *fnHandles {
+	return &fnHandles{
 		invocations: ts.CounterHandle(fmt.Sprintf("lambda_invocations_total{function=%q}", name)),
 		coldStarts:  ts.CounterHandle(fmt.Sprintf("lambda_cold_starts_total{function=%q}", name)),
 		invokeSec:   ts.HistHandle(fmt.Sprintf("lambda_invoke_seconds{function=%q}", name)),
@@ -60,48 +48,53 @@ func newFnHandles(ts *obs.TimeSeries, name string) fnHandles {
 
 func (pl *Platform) rebuildHandlesLocked() {
 	mx, ts := pl.mx, pl.series
-	pl.h = platformHandles{
+	pl.h.Store(&platformHandles{
+		mx:          mx,
+		ts:          ts,
 		invocations: mx.CounterHandle("lambda_invocations_total"),
 		coldStarts:  mx.CounterHandle("lambda_cold_starts_total"),
 		gbSeconds:   mx.TotalHandle("lambda_gb_seconds_total"),
-		throttles:   mx.CounterHandle(`lambda_throttles_total{reason="concurrency"}`),
-		tsThrottles: ts.CounterHandle(`lambda_throttles_total{reason="concurrency"}`),
+		throttles:   obs.NewEventCounter(mx, ts, `lambda_throttles_total{reason="concurrency"}`),
 		tsInflight:  ts.GaugeHandle("lambda_inflight"),
-	}
-	for _, fn := range pl.fns {
+	})
+	for _, fn := range pl.fnList {
 		fn.h = newFnHandles(ts, fn.cfg.Name)
 	}
 }
 
-// faultHandles returns the counters for one fault kind from seen, the
-// table the caller copied out of pl.h; a kind it lacks is resolved and
-// published.
-func (pl *Platform) faultHandles(seen map[string]faultCounters, kind string) faultCounters {
-	if f, ok := seen[kind]; ok {
+// faultCounter returns the counter for one fault kind from seen, the
+// table the caller loaded; a kind it lacks is resolved and published.
+func (pl *Platform) faultCounter(seen *platformHandles, kind string) obs.EventCounter {
+	if f, ok := seen.faults[kind]; ok {
 		return f
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	f, ok := pl.h.faults[kind]
+	cur := pl.h.Load()
+	f, ok := cur.faults[kind]
 	if !ok {
-		name := fmt.Sprintf("lambda_faults_total{kind=%q}", kind)
-		f = faultCounters{mx: pl.mx.CounterHandle(name), ts: pl.series.CounterHandle(name)}
-		pl.h.faults = withEntry(pl.h.faults, kind, f)
+		f = obs.NewEventCounter(pl.mx, pl.series, fmt.Sprintf("lambda_faults_total{kind=%q}", kind))
+		next := *cur
+		next.faults = withEntry(cur.faults, kind, f)
+		pl.h.Store(&next)
 	}
 	return f
 }
 
-// phaseHist is faultHandles for one phase name's latency histogram.
-func (pl *Platform) phaseHist(seen map[string]obs.HistHandle, name string) obs.HistHandle {
-	if ph, ok := seen[name]; ok {
+// phaseHist is faultCounter for one phase name's latency histogram.
+func (pl *Platform) phaseHist(seen *platformHandles, name string) obs.HistHandle {
+	if ph, ok := seen.phaseMx[name]; ok {
 		return ph
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ph, ok := pl.h.phaseMx[name]
+	cur := pl.h.Load()
+	ph, ok := cur.phaseMx[name]
 	if !ok {
 		ph = pl.mx.HistHandle(fmt.Sprintf("lambda_phase_seconds{phase=%q}", name), obs.DurationBounds)
-		pl.h.phaseMx = withEntry(pl.h.phaseMx, name, ph)
+		next := *cur
+		next.phaseMx = withEntry(cur.phaseMx, name, ph)
+		pl.h.Store(&next)
 	}
 	return ph
 }

@@ -11,6 +11,7 @@ package lambda
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,12 +55,24 @@ type FunctionConfig struct {
 
 // Function is a deployed function with its warm-container pool.
 type Function struct {
-	cfg    FunctionConfig
-	pool   []*container
-	nextID int
+	cfg  *FunctionConfig // never written after CreateFunction
+	pool []*container
+	// busyUntil mirrors pool[i].busyUntil densely, so the idle search and
+	// the in-flight scan read one array instead of chasing every
+	// container; pool and mirror are only ever changed together (see
+	// pool.go). live bounds the scan: every container at index ≥ live was
+	// seen idle at some past clock reading and has not been acquired
+	// since, so — the clock never retreats — it is idle at any instant
+	// from now on. Acquisition takes the lowest idle index, which keeps
+	// the busy ones in front and the long tail of a burst's leftovers
+	// behind live.
+	busyUntil []time.Duration
+	live      int
+	nextID    int
 	// h holds the function-labelled time-series handles, formatted once
-	// at registration (see handles.go).
-	h fnHandles
+	// at registration and replaced, never written, when the series is
+	// swapped (see handles.go).
+	h *fnHandles
 }
 
 // Platform is a simulated Lambda region.
@@ -68,8 +81,9 @@ type Platform struct {
 	perf  perf.Params
 	quota pricing.Quota
 
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	fns    map[string]*Function
+	fnList []*Function // the values of fns in creation order, for scans
 	inj    *faults.Injector
 	mx     *obs.Metrics
 	series *obs.TimeSeries
@@ -98,9 +112,10 @@ type Platform struct {
 	expiry   sim.Heap
 	registry []*container
 
-	// h caches pre-resolved telemetry handles for mx and series, rebuilt
-	// when either registry is swapped (see handles.go).
-	h platformHandles
+	// h is the current immutable table of pre-resolved telemetry handles
+	// for mx and series, republished under mu when either registry is
+	// swapped or a new phase or fault name appears (see handles.go).
+	h atomic.Pointer[platformHandles]
 
 	// resPool and ctxPool recycle invocation Results and Contexts for
 	// callers that hand Results back through RecycleResult; callers that
@@ -146,12 +161,6 @@ func (pl *Platform) SetMetrics(mx *obs.Metrics) {
 	pl.rebuildHandlesLocked()
 }
 
-func (pl *Platform) metrics() *obs.Metrics {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return pl.mx
-}
-
 // SetSeries installs (or, with nil, removes) the windowed time-series
 // stream the platform feeds per-invocation activity into (invocations,
 // cold starts, faults, per-function pool occupancy, account in-flight)
@@ -185,24 +194,19 @@ func (pl *Platform) ResetWarm(name string) {
 	if !ok {
 		return
 	}
-	if !pl.clocked {
-		for _, c := range fn.pool {
-			pl.unregisterLocked(c)
-		}
-		fn.pool = nil
-		return
-	}
-	kept := fn.pool[:0]
+	kept := 0
 	for _, c := range fn.pool {
-		if c.busyUntil > pl.clock.Now() {
-			kept = append(kept, c)
+		if pl.clocked && c.busyUntil > pl.clock.Now() {
+			fn.pool[kept], fn.busyUntil[kept] = c, c.busyUntil
+			kept++
 		} else {
 			// Discarded idle containers were not counted in-flight, so
 			// busy is untouched; their registry slots are released.
 			pl.unregisterLocked(c)
 		}
 	}
-	fn.pool = kept
+	clear(fn.pool[kept:])
+	fn.pool, fn.busyUntil, fn.live = fn.pool[:kept], fn.busyUntil[:kept], kept
 }
 
 // ValidMemory reports whether memMB is an allocatable 2020 memory block.
@@ -242,7 +246,9 @@ func (pl *Platform) CreateFunction(cfg FunctionConfig) error {
 	if _, dup := pl.fns[cfg.Name]; dup {
 		return fmt.Errorf("lambda: function %q already exists", cfg.Name)
 	}
-	pl.fns[cfg.Name] = &Function{cfg: cfg, h: newFnHandles(pl.series, cfg.Name)}
+	fn := &Function{cfg: &cfg, h: newFnHandles(pl.series, cfg.Name)}
+	pl.fns[cfg.Name] = fn
+	pl.fnList = append(pl.fnList, fn)
 	return nil
 }
 
@@ -260,12 +266,13 @@ func (pl *Platform) DeleteFunction(name string) {
 		pl.discardLocked(fn, i)
 	}
 	delete(pl.fns, name)
+	pl.fnList = slices.DeleteFunc(pl.fnList, func(f *Function) bool { return f == fn })
 }
 
 // Functions returns the deployed function names.
 func (pl *Platform) Functions() []string {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	names := make([]string, 0, len(pl.fns))
 	for n := range pl.fns {
 		names = append(names, n)
@@ -334,8 +341,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 		return nil, fmt.Errorf("lambda: no such function %q", name)
 	}
 	inj := pl.inj
-	ts := pl.series
-	h := pl.h // its label tables are immutable, so the copy is read unlocked
+	h := pl.h.Load() // immutable, like fn.h and fn.cfg: read unlocked below
 	fh := fn.h
 	domains := pl.domains
 	now := pl.clock.Now()
@@ -346,7 +352,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	fault, hang := inj.InvokeFaultAt(name, now)
 	if fault == faults.Throttle {
 		pl.mu.Unlock()
-		pl.faultHandles(h.faults, faults.Throttle.String()).inc(now)
+		pl.faultCounter(h, faults.Throttle.String()).Inc(now, 1)
 		return nil, &faults.Error{Kind: faults.Throttle, Op: "invoke", Target: name}
 	}
 	// Domain outage: the first invocation to observe a new outage window
@@ -361,8 +367,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	c, cold, throttled := fn.acquireLocked(pl)
 	if throttled {
 		pl.mu.Unlock()
-		h.throttles.Inc(1)
-		h.tsThrottles.Inc(now, 1)
+		h.throttles.Inc(now, 1)
 		return nil, &faults.Error{Kind: faults.Throttle, Op: "invoke", Target: name}
 	}
 	if outActive && domains > 1 && c.domain == outDomain {
@@ -371,7 +376,7 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 		}
 		pl.mu.Unlock()
 		inj.NoteDomainFault()
-		pl.faultHandles(h.faults, faults.DomainOutage.String()).inc(now)
+		pl.faultCounter(h, faults.DomainOutage.String()).Inc(now, 1)
 		return nil, &faults.Error{Kind: faults.DomainOutage, Op: "invoke", Target: name}
 	}
 	cfg := fn.cfg
@@ -466,9 +471,9 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 	// gauges below report at the invocation's finish.
 	end := now + res.Duration
 	pl.mu.Lock()
-	poolSize := pl.releaseLocked(name, c.id, end, discard)
+	poolSize := pl.releaseLocked(fn, c.id, end, discard)
 	inFlight := 0
-	if ts != nil {
+	if h.ts != nil {
 		inFlight = pl.inFlightLocked(end)
 	}
 	pl.mu.Unlock()
@@ -477,32 +482,55 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 		ec := pl.quota.ExecutionCost(cfg.MemoryMB, res.Duration)
 		pl.meter.Add("lambda:execution", ec)
 		res.Cost = ec + pricing.LambdaInvocation
-		h.gbSeconds.Add(gbSeconds(cfg.MemoryMB, res.Duration))
 	} else {
 		res.Cost = pricing.LambdaInvocation
 	}
 
-	h.invocations.Inc(1)
-	if cold {
-		h.coldStarts.Inc(1)
-	}
+	// Telemetry: one write section per registry. Handles that may need
+	// resolving (a first-sight fault kind or phase name takes pl.mu and
+	// the registry's own lock) are resolved before either section opens.
+	var injected obs.EventCounter
 	if res.InjectedFault != "" {
-		pl.faultHandles(h.faults, res.InjectedFault).inc(now)
+		injected = pl.faultCounter(h, res.InjectedFault)
 	}
-	for _, ph := range res.Phases {
-		pl.phaseHist(h.phaseMx, ph.Name).Observe(ph.Duration.Seconds())
+	if h.mx != nil {
+		var buf [8]obs.HistHandle
+		hists := buf[:0]
+		for i := range res.Phases {
+			hists = append(hists, pl.phaseHist(h, res.Phases[i].Name))
+		}
+		w := h.mx.Begin()
+		if !opts.DeferBilling {
+			w.Add(h.gbSeconds, gbSeconds(cfg.MemoryMB, res.Duration))
+		}
+		w.Inc(h.invocations, 1)
+		if cold {
+			w.Inc(h.coldStarts, 1)
+		}
+		if res.InjectedFault != "" {
+			w.IncEvent(injected, 1)
+		}
+		for i, hh := range hists {
+			w.Observe(hh, res.Phases[i].Duration.Seconds())
+		}
+		w.End()
 	}
-	if ts != nil {
+	if h.ts != nil {
 		// Counters land in the dispatch window; the latency observation
 		// and the occupancy gauges land at the invocation's finish, the
 		// instant the pool actually reflects it.
-		fh.invocations.Inc(now, 1)
-		if cold {
-			fh.coldStarts.Inc(now, 1)
+		w := h.ts.Begin()
+		if res.InjectedFault != "" {
+			w.IncEvent(injected, now, 1)
 		}
-		fh.invokeSec.Observe(end, res.Duration.Seconds())
-		fh.poolSize.Set(end, float64(poolSize))
-		h.tsInflight.Set(end, float64(inFlight))
+		w.Inc(fh.invocations, now, 1)
+		if cold {
+			w.Inc(fh.coldStarts, now, 1)
+		}
+		w.Observe(fh.invokeSec, end, res.Duration.Seconds())
+		w.Set(fh.poolSize, end, float64(poolSize))
+		w.Set(h.tsInflight, end, float64(inFlight))
+		w.End()
 	}
 
 	if herr != nil {
@@ -534,10 +562,7 @@ func (pl *Platform) RecycleResult(res *Result) {
 func (pl *Platform) SettleExecution(memMB int, billed time.Duration) float64 {
 	c := pl.quota.ExecutionCost(memMB, billed)
 	pl.meter.Add("lambda:execution", c)
-	pl.mu.RLock()
-	gh := pl.h.gbSeconds
-	pl.mu.RUnlock()
-	gh.Add(gbSeconds(memMB, billed))
+	pl.h.Load().gbSeconds.Add(gbSeconds(memMB, billed))
 	return c
 }
 

@@ -1,6 +1,7 @@
 package lambda
 
 import (
+	"slices"
 	"time"
 
 	"ampsinf/internal/cloud/pricing"
@@ -69,10 +70,10 @@ func (pl *Platform) EnableClock() {
 // backwards; earlier instants are ignored), draining every container
 // busy-window that expires on the way so the busy counter always equals
 // the scan count at the new instant (every path that drops a container
-// from a pool — DeleteFunction included — goes through discardLocked). Each drained event is O(log n) and
-// fires at most once per (container, busy window), so a whole serving
-// run spends O(total invocations · log pool) here instead of the former
-// O(events · pool) rescans.
+// from a pool — DeleteFunction included — goes through discardLocked).
+// Each drained event is O(log n) and fires at most once per (container,
+// busy window), so a whole serving run spends O(total invocations · log
+// pool) here instead of the former O(events · pool) rescans.
 func (pl *Platform) AdvanceTo(t time.Duration) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -119,8 +120,8 @@ func (pl *Platform) SetAccountConcurrency(n int) {
 
 // AccountConcurrency returns the effective concurrent-execution limit.
 func (pl *Platform) AccountConcurrency() int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	return pl.concurrencyLocked()
 }
 
@@ -138,10 +139,10 @@ func (pl *Platform) concurrencyLocked() int {
 // every function — the quantity the account concurrency limit caps. At
 // the current clock reading (the admission-control hot path) it is the
 // O(1) busy counter; other instants (telemetry probing an invocation's
-// future end) fall back to the scan.
+// future end) scan the functions' dense busyUntil mirrors.
 func (pl *Platform) InFlightAt(t time.Duration) int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	return pl.inFlightLocked(t)
 }
 
@@ -149,10 +150,17 @@ func (pl *Platform) inFlightLocked(t time.Duration) int {
 	if pl.clocked && t == pl.clock.Now() {
 		return pl.busy
 	}
-	n := 0
-	for _, fn := range pl.fns {
-		for _, c := range fn.pool {
-			if c.busyUntil > t {
+	n, now := 0, pl.clock.Now()
+	for _, fn := range pl.fnList {
+		scan := fn.busyUntil
+		if t >= now {
+			for fn.live > 0 && scan[fn.live-1] <= now {
+				fn.live--
+			}
+			scan = scan[:fn.live]
+		}
+		for _, until := range scan {
+			if until > t {
 				n++
 			}
 		}
@@ -163,8 +171,8 @@ func (pl *Platform) inFlightLocked(t time.Duration) int {
 // PoolSize reports how many containers (idle or busy) the named function
 // currently keeps.
 func (pl *Platform) PoolSize(name string) int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	if fn, ok := pl.fns[name]; ok {
 		return len(fn.pool)
 	}
@@ -236,6 +244,15 @@ func (fn *Function) findLocked(id int) int {
 	return -1
 }
 
+// setBusyLocked moves pool container i's busy-window end — in the
+// container, which the expiry events read by registry slot, and in the
+// dense mirror. Callers hold pl.mu.
+func (fn *Function) setBusyLocked(i int, until time.Duration) {
+	fn.pool[i].busyUntil = until
+	fn.busyUntil[i] = until
+	fn.live = max(fn.live, i+1)
+}
+
 // acquireLocked hands out a container for one invocation: the
 // lowest-numbered idle warm container when one exists, otherwise a fresh
 // cold container — subject, in clocked mode, to the account concurrency
@@ -244,18 +261,15 @@ func (fn *Function) acquireLocked(pl *Platform) (c *container, cold, throttled b
 	// The pool is sorted by id (containers append in creation order and
 	// discards splice in place), so the first idle container is the
 	// lowest-numbered one.
-	for _, cc := range fn.pool {
-		if !pl.clocked || cc.busyUntil <= pl.clock.Now() {
-			c = cc
-			break
+	now := pl.clock.Now()
+	for i, until := range fn.busyUntil {
+		if !pl.clocked || until <= now {
+			fn.setBusyLocked(i, executing)
+			pl.markBusyLocked(fn.pool[i])
+			return fn.pool[i], false, false
 		}
 	}
-	if c != nil {
-		c.busyUntil = executing
-		pl.markBusyLocked(c)
-		return c, false, false
-	}
-	if pl.clocked && pl.inFlightLocked(pl.clock.Now()) >= pl.concurrencyLocked() {
+	if pl.clocked && pl.busy >= pl.concurrencyLocked() {
 		return nil, false, true
 	}
 	c = &container{id: fn.nextID, busyUntil: executing}
@@ -264,6 +278,8 @@ func (fn *Function) acquireLocked(pl *Platform) (c *container, cold, throttled b
 	}
 	fn.nextID++
 	fn.pool = append(fn.pool, c)
+	fn.busyUntil = append(fn.busyUntil, executing)
+	fn.live = len(fn.pool)
 	pl.registerLocked(c)
 	pl.markBusyLocked(c)
 	return c, true, false
@@ -273,17 +289,14 @@ func (fn *Function) acquireLocked(pl *Platform) (c *container, cold, throttled b
 // window settles at until, or — discard — the crashed or wedged sandbox
 // is reaped (the function's other containers, idle or mid-flight, are
 // untouched). It reports the function's pool size afterwards. A container
-// a domain outage purged meanwhile is simply gone. Callers hold pl.mu.
-func (pl *Platform) releaseLocked(name string, id int, until time.Duration, discard bool) int {
-	fn, ok := pl.fns[name]
-	if !ok {
-		return 0
-	}
+// a domain outage purged meanwhile is simply gone, and so is every
+// container of a function deleted meanwhile. Callers hold pl.mu.
+func (pl *Platform) releaseLocked(fn *Function, id int, until time.Duration, discard bool) int {
 	if i := fn.findLocked(id); i >= 0 {
 		if discard {
 			pl.discardLocked(fn, i)
 		} else {
-			fn.pool[i].busyUntil = until
+			fn.setBusyLocked(i, until)
 			pl.settleWindowLocked(fn.pool[i], until)
 		}
 	}
@@ -303,10 +316,9 @@ func (pl *Platform) OccupyUntil(name string, containerID int, until time.Duratio
 		return
 	}
 	if i := fn.findLocked(containerID); i >= 0 {
-		c := fn.pool[i]
-		if c.busyUntil != executing && until > c.busyUntil {
-			c.busyUntil = until
-			pl.settleWindowLocked(c, until)
+		if cur := fn.busyUntil[i]; cur != executing && until > cur {
+			fn.setBusyLocked(i, until)
+			pl.settleWindowLocked(fn.pool[i], until)
 		}
 	}
 }
@@ -315,7 +327,11 @@ func (pl *Platform) OccupyUntil(name string, containerID int, until time.Duratio
 // keeping the busy counter and registry consistent. Callers hold pl.mu.
 func (pl *Platform) discardLocked(fn *Function, i int) {
 	c := fn.pool[i]
-	fn.pool = append(fn.pool[:i], fn.pool[i+1:]...)
+	fn.pool = slices.Delete(fn.pool, i, i+1)
+	fn.busyUntil = slices.Delete(fn.busyUntil, i, i+1)
+	if i < fn.live {
+		fn.live--
+	}
 	if pl.clocked && c.counted {
 		c.counted = false
 		pl.busy--
@@ -332,7 +348,7 @@ func (pl *Platform) purgeDomainLocked(domain int) {
 	if pl.domains <= 1 {
 		return
 	}
-	for _, fn := range pl.fns {
+	for _, fn := range pl.fnList {
 		for i := len(fn.pool) - 1; i >= 0; i-- {
 			if fn.pool[i].domain == domain {
 				pl.discardLocked(fn, i)

@@ -9,8 +9,8 @@ import (
 // scanInFlight is the reference in-flight count: a full pool scan at t,
 // ignoring the O(1) busy counter entirely.
 func (pl *Platform) scanInFlight(t time.Duration) int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	n := 0
 	for _, fn := range pl.fns {
 		for _, c := range fn.pool {
@@ -75,7 +75,7 @@ func TestBusyCounterMatchesScan(t *testing.T) {
 			default: // discard the last container (crash reap path)
 				if lastFn != "" {
 					pl.mu.Lock()
-					pl.releaseLocked(lastFn, lastID, 0, true)
+					pl.releaseLocked(pl.fns[lastFn], lastID, 0, true)
 					pl.mu.Unlock()
 					lastFn = ""
 					checkBusy(t, pl, step, "discard")

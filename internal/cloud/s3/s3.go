@@ -44,7 +44,7 @@ type Store struct {
 	cfg   Config
 	meter *billing.Meter
 
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	objects map[string][]byte
 	failing bool
 	inj     *faults.Injector
@@ -159,14 +159,16 @@ func (s *Store) put(key string, data []byte, copied bool) (time.Duration, error)
 	s.objects[key] = stored
 	s.puts++
 	s.meter.Add("s3:put", pricing.S3PutRequest)
-	s.h.reqPut.Inc(1)
-	s.h.bytesPut.Inc(int64(len(data)))
-	s.h.stored.Set(float64(s.storedBytes))
 	d := s.TransferTime(int64(len(data)))
+	w := s.mx.Begin()
+	w.Inc(s.h.reqPut, 1)
+	w.Inc(s.h.bytesPut, int64(len(data)))
+	w.Set(s.h.stored, float64(s.storedBytes))
 	if fault == faults.Slow {
-		s.h.faultSlow.Inc(1)
+		w.Inc(s.h.faultSlow, 1)
 		d = time.Duration(float64(d) * factor)
 	}
+	w.End()
 	return d, nil
 }
 
@@ -203,13 +205,15 @@ func (s *Store) get(key string, copied bool) ([]byte, int64, time.Duration, erro
 	}
 	s.gets++
 	s.meter.Add("s3:get", pricing.S3GetRequest)
-	s.h.reqGet.Inc(1)
-	s.h.bytesGet.Inc(int64(len(data)))
 	d := s.TransferTime(int64(len(data)))
+	w := s.mx.Begin()
+	w.Inc(s.h.reqGet, 1)
+	w.Inc(s.h.bytesGet, int64(len(data)))
 	if fault == faults.Slow {
-		s.h.faultSlow.Inc(1)
+		w.Inc(s.h.faultSlow, 1)
 		d = time.Duration(float64(d) * factor)
 	}
+	w.End()
 	var cp []byte
 	if copied {
 		cp = make([]byte, len(data))
@@ -220,8 +224,8 @@ func (s *Store) get(key string, copied bool) ([]byte, int64, time.Duration, erro
 
 // Head reports whether key exists and its size, without charging.
 func (s *Store) Head(key string) (int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	data, ok := s.objects[key]
 	return int64(len(data)), ok
 }
@@ -233,8 +237,8 @@ func (s *Store) Delete(key string) {
 	if old, ok := s.objects[key]; ok {
 		s.storedBytes -= int64(len(old))
 		s.h.stored.Set(float64(s.storedBytes))
+		delete(s.objects, key)
 	}
-	delete(s.objects, key)
 }
 
 // ChargeStorage meters the storage cost of holding bytes for d — the
@@ -245,23 +249,23 @@ func (s *Store) ChargeStorage(bytes int64, d time.Duration) {
 	}
 	gb := float64(bytes) / (1 << 30)
 	s.meter.Add("s3:storage", gb*d.Seconds()*pricing.S3StoragePerGBSecond)
-	s.mu.RLock()
+	s.mu.Lock()
 	h := s.h.storageGBs
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	h.Add(gb * d.Seconds())
 }
 
 // Stats returns the request counters.
 func (s *Store) Stats() (puts, gets int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.puts, s.gets
 }
 
 // TotalBytes returns the summed size of all stored objects.
 func (s *Store) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var n int64
 	for _, d := range s.objects {
 		n += int64(len(d))

@@ -111,7 +111,7 @@ type Deployment struct {
 	// Lean serving state (see lean.go): the recycled-scratch free list
 	// and sequence, the payload→job routing table the handler fast path
 	// consults, and the per-batch zero-tensor encoding cache.
-	leanMu     sync.RWMutex
+	leanMu     sync.Mutex
 	leanSeq    int
 	leanFree   []*leanJob
 	leanRoutes map[string]leanRoute

@@ -74,11 +74,11 @@ type leanJob struct {
 // one — with a new unique job id — only when the list is empty) and
 // resets its per-run state.
 func (d *Deployment) acquireLean(input *tensor.Tensor, deadline time.Duration, mode string) *leanJob {
+	d.leanMu.Lock()
 	var enc *leanEncoding
 	if d.cfg.SkipCompute {
-		enc = d.leanEncodingFor(input)
+		enc = d.leanEncodingLocked(input)
 	}
-	d.leanMu.Lock()
 	var lj *leanJob
 	if n := len(d.leanFree); n > 0 {
 		lj = d.leanFree[n-1]
@@ -127,12 +127,11 @@ func (d *Deployment) newLeanJobLocked() *leanJob {
 	return lj
 }
 
-// leanEncodingFor returns the cached zero-tensor encodings for the
+// leanEncodingLocked returns the cached zero-tensor encodings for the
 // input's batch size, building (or rebuilding, should the trailing
-// dimensions ever change) on first sight.
-func (d *Deployment) leanEncodingFor(input *tensor.Tensor) *leanEncoding {
+// dimensions ever change) on first sight. Callers hold leanMu.
+func (d *Deployment) leanEncodingLocked(input *tensor.Tensor) *leanEncoding {
 	shape := input.Shape()
-	d.leanMu.Lock()
 	enc := d.leanEnc[shape[0]]
 	if enc != nil && !sameShape(enc.inShape, shape) {
 		enc = nil
@@ -144,7 +143,6 @@ func (d *Deployment) leanEncodingFor(input *tensor.Tensor) *leanEncoding {
 		}
 		d.leanEnc[shape[0]] = enc
 	}
-	d.leanMu.Unlock()
 	return enc
 }
 
@@ -215,10 +213,10 @@ func (d *Deployment) cleanupLean(lj *leanJob) {
 // payload belongs to this partition and the job's cached encodings are
 // live (the handler fast path needs them for its output bytes).
 func (d *Deployment) leanRouteFor(p *partition, payload []byte) (leanRoute, bool) {
-	d.leanMu.RLock()
+	d.leanMu.Lock()
 	rt, ok := d.leanRoutes[string(payload)]
 	ok = ok && rt.part == p.index && rt.lj.enc != nil
-	d.leanMu.RUnlock()
+	d.leanMu.Unlock()
 	if !ok {
 		return leanRoute{}, false
 	}
@@ -247,30 +245,15 @@ type jobHandles struct {
 	tsCost                             obs.SeriesTotalHandle
 	tsRetries                          obs.SeriesCounterHandle
 
-	deniedRetry, deniedHedge eventHandles // coordinator_budget_denied_total{kind=...}
+	deniedRetry, deniedHedge obs.EventCounter // coordinator_budget_denied_total{kind=...}
 	tsBudgetTokens           obs.SeriesGaugeHandle
-}
-
-// eventHandles is one event counter in both registries.
-type eventHandles struct {
-	mx obs.CounterHandle
-	ts obs.SeriesCounterHandle
-}
-
-func (d *Deployment) eventHandles(name string) eventHandles {
-	return eventHandles{mx: d.cfg.Metrics.CounterHandle(name), ts: d.cfg.Series.CounterHandle(name)}
-}
-
-func (h eventHandles) inc(at time.Duration) {
-	h.mx.Inc(1)
-	h.ts.Inc(at, 1)
 }
 
 // partHandles holds one partition function's resilience-event handles,
 // whose names embed the function name: formatted once at Deploy.
 type partHandles struct {
 	tsHedgesFired, tsHedgesWon obs.SeriesCounterHandle
-	transitions                [3]eventHandles // by the breakerState entered
+	transitions                [3]obs.EventCounter // by the breakerState entered
 	tsBreakerState             obs.SeriesGaugeHandle
 }
 
@@ -279,7 +262,7 @@ func (d *Deployment) resolvePartHandles(fn string) (h partHandles) {
 	h.tsHedgesFired = ts.CounterHandle(fmt.Sprintf("coordinator_hedges_fired_total{function=%q}", fn))
 	h.tsHedgesWon = ts.CounterHandle(fmt.Sprintf("coordinator_hedges_won_total{function=%q}", fn))
 	for to := range h.transitions {
-		h.transitions[to] = d.eventHandles(fmt.Sprintf("coordinator_breaker_transitions_total{function=%q,to=%q}", fn, breakerState(to)))
+		h.transitions[to] = obs.NewEventCounter(d.cfg.Metrics, ts, fmt.Sprintf("coordinator_breaker_transitions_total{function=%q,to=%q}", fn, breakerState(to)))
 	}
 	h.tsBreakerState = ts.GaugeHandle(fmt.Sprintf("coordinator_breaker_state{function=%q}", fn))
 	return h
@@ -314,8 +297,8 @@ func (d *Deployment) resolveJobHandles() {
 		tsCost:       ts.TotalHandle("coordinator_job_cost_usd_total"),
 		tsRetries:    ts.CounterHandle("coordinator_retries_total"),
 
-		deniedRetry:    d.eventHandles(`coordinator_budget_denied_total{kind="retry"}`),
-		deniedHedge:    d.eventHandles(`coordinator_budget_denied_total{kind="hedge"}`),
+		deniedRetry:    obs.NewEventCounter(mx, ts, `coordinator_budget_denied_total{kind="retry"}`),
+		deniedHedge:    obs.NewEventCounter(mx, ts, `coordinator_budget_denied_total{kind="hedge"}`),
 		tsBudgetTokens: ts.GaugeHandle("coordinator_retry_budget_tokens"),
 	}
 }

@@ -152,13 +152,13 @@ type retryInfo struct {
 // retries is how many times the operation was re-attempted. An
 // operation that failed fast before its first attempt — the job's
 // deadline was already spent — ran nothing and retried nothing.
-func (ri retryInfo) retries() int { return max(ri.attempts-1, 0) }
+func (ri *retryInfo) retries() int { return max(ri.attempts-1, 0) }
 
 // delay is the extra wall-clock the retries added in front of the
 // successful attempt's work: failed execution time, backoff waits, one
 // dispatch per re-invocation, and — when the hedge won — the hedge
 // delay plus its dispatch.
-func (ri retryInfo) delay() time.Duration {
+func (ri *retryInfo) delay() time.Duration {
 	// attempts-1, not retries(): the zero-attempt fail-fast above comes
 	// out one dispatch latency negative. That is a quirk, not a design —
 	// but the staged scheduler frees the failing stage's slot at
@@ -588,13 +588,13 @@ func (d *Deployment) takeHedgeSlot() bool {
 
 // noteBudgetDenied publishes one budget denial: a counter labeled with
 // what was denied, plus a window-stream gauge of the remaining balance.
-func (d *Deployment) noteBudgetDenied(kind eventHandles) {
+func (d *Deployment) noteBudgetDenied(kind obs.EventCounter) {
 	d.retryMu.Lock()
 	d.budgetDenied++
 	tokens := d.budgetTokens
 	d.retryMu.Unlock()
 	at := d.cfg.Platform.Now()
-	kind.inc(at)
+	kind.Inc(at, 1)
 	d.jh.tsBudgetTokens.Set(at, tokens)
 }
 
@@ -626,7 +626,7 @@ func (d *Deployment) recordOutcome(p *partition, now time.Duration, ok bool) {
 // instant at: a counter labeled with the state entered, plus a window-
 // stream gauge encoding the state (0=closed, 1=open, 2=half-open).
 func (d *Deployment) noteBreakerTransition(p *partition, to breakerState, at time.Duration) {
-	p.h.transitions[to].inc(at)
+	p.h.transitions[to].Inc(at, 1)
 	p.h.tsBreakerState.Set(at, float64(to))
 }
 

@@ -205,12 +205,12 @@ func (d *Deployment) run(input *tensor.Tensor, eager bool, deadline time.Duratio
 			root = d.failureTrace(rep, job, st, upInfo, nil, rootBucket)
 			rep.Trace = root
 		}
-		d.recordRetries(rep, upInfo)
+		d.recordRetries(rep, &upInfo)
 		return rep, fmt.Errorf("coordinator: uploading input: %w", err)
 	}
 	upDur += upInfo.backoff
 	st.elapsed = upDur
-	d.recordRetries(rep, upInfo)
+	d.recordRetries(rep, &upInfo)
 
 	var results []*lambda.Result
 	var infos []retryInfo
@@ -245,7 +245,7 @@ func (d *Deployment) run(input *tensor.Tensor, eager bool, deadline time.Duratio
 		}
 		res, info, err := d.invokeWithRetry(p, payload, eager, prevBytes, st)
 		infos = append(infos, info)
-		d.recordRetries(rep, info)
+		d.recordRetries(rep, &info)
 		if err != nil {
 			rep.Cost = d.meterTotal() - before
 			if lean {
@@ -302,7 +302,7 @@ func (d *Deployment) run(input *tensor.Tensor, eager bool, deadline time.Duratio
 		now := d.cfg.Platform.Now()
 		rep.Completion = upDur
 		for i, res := range results {
-			info := infos[i]
+			info := &infos[i]
 			rep.Completion += info.delay() + invokeDispatchLatency + res.Duration
 			// The container's real busy window ends when its turn in the
 			// sequential chain does, not when its own handler alone would
@@ -348,62 +348,62 @@ func (d *Deployment) run(input *tensor.Tensor, eager bool, deadline time.Duratio
 // coordinator's own three falls back to formatting a label.
 func (d *Deployment) recordJobMetrics(rep *Report) {
 	jh := &d.jh
+	mx, ts := d.cfg.Metrics, d.cfg.Series
+	jobs, tsJobs := jh.jobsSeq, jh.tsJobsSeq
 	switch rep.Mode {
 	case "sequential":
-		jh.jobsSeq.Inc(1)
 	case "eager":
-		jh.jobsEager.Inc(1)
+		jobs, tsJobs = jh.jobsEager, jh.tsJobsEager
 	case "pipelined":
-		jh.jobsPipe.Inc(1)
-	default:
-		d.cfg.Metrics.Inc(fmt.Sprintf("coordinator_jobs_total{mode=%q}", rep.Mode), 1)
+		jobs, tsJobs = jh.jobsPipe, jh.tsJobsPipe
+	default: // resolved outside the write sections: resolving takes the registry's lock
+		name := fmt.Sprintf("coordinator_jobs_total{mode=%q}", rep.Mode)
+		jobs, tsJobs = mx.CounterHandle(name), ts.CounterHandle(name)
 	}
-	jh.completion.Observe(rep.Completion.Seconds())
-	jh.cost.Add(rep.Cost)
-	jh.retries.Inc(int64(rep.Retries))
-	jh.faults.Inc(int64(rep.FaultsInjected))
-	jh.backoff.Add(rep.BackoffWait.Seconds())
+	completion := rep.Completion.Seconds()
+	w := mx.Begin()
+	w.Inc(jobs, 1)
+	w.Observe(jh.completion, completion)
+	w.Add(jh.cost, rep.Cost)
+	w.Inc(jh.retries, int64(rep.Retries))
+	w.Inc(jh.faults, int64(rep.FaultsInjected))
+	w.Add(jh.backoff, rep.BackoffWait.Seconds())
 	// Resilience counters appear only when the mechanisms fire, so
 	// zero-value policies leave metrics snapshots unchanged.
 	if rep.Hedges > 0 {
-		jh.hedges.Inc(int64(rep.Hedges))
-		jh.hedgeWins.Inc(int64(rep.HedgeWins))
+		w.Inc(jh.hedges, int64(rep.Hedges))
+		w.Inc(jh.hedgeWins, int64(rep.HedgeWins))
 	}
 	if rep.ShortCircuits > 0 {
-		jh.shortCircuits.Inc(int64(rep.ShortCircuits))
+		w.Inc(jh.shortCircuits, int64(rep.ShortCircuits))
 	}
 	if rep.WastedSpend > 0 {
-		jh.wastedSpend.Add(rep.WastedSpend)
+		w.Add(jh.wastedSpend, rep.WastedSpend)
 	}
-	for _, lr := range rep.PerLambda {
-		jh.phaseInit.Add(lr.Init.Seconds())
-		jh.phaseLoad.Add(lr.Load.Seconds())
-		jh.phaseRead.Add(lr.Read.Seconds())
-		jh.phaseCompute.Add(lr.Compute.Seconds())
-		jh.phaseWrite.Add(lr.Write.Seconds())
+	for i := range rep.PerLambda {
+		lr := &rep.PerLambda[i]
+		w.Add(jh.phaseInit, lr.Init.Seconds())
+		w.Add(jh.phaseLoad, lr.Load.Seconds())
+		w.Add(jh.phaseRead, lr.Read.Seconds())
+		w.Add(jh.phaseCompute, lr.Compute.Seconds())
+		w.Add(jh.phaseWrite, lr.Write.Seconds())
 	}
-	if ts := d.cfg.Series; ts != nil {
+	w.End()
+	if ts != nil {
 		at := d.cfg.Platform.Now()
-		switch rep.Mode {
-		case "sequential":
-			jh.tsJobsSeq.Inc(at, 1)
-		case "eager":
-			jh.tsJobsEager.Inc(at, 1)
-		case "pipelined":
-			jh.tsJobsPipe.Inc(at, 1)
-		default:
-			ts.Inc(at, fmt.Sprintf("coordinator_jobs_total{mode=%q}", rep.Mode), 1)
-		}
-		jh.tsCompletion.Observe(at, rep.Completion.Seconds())
-		jh.tsCost.Add(at, rep.Cost)
+		w := ts.Begin()
+		w.Inc(tsJobs, at, 1)
+		w.Observe(jh.tsCompletion, at, completion)
+		w.Add(jh.tsCost, at, rep.Cost)
 		if rep.Retries > 0 {
-			jh.tsRetries.Inc(at, int64(rep.Retries))
+			w.Inc(jh.tsRetries, at, int64(rep.Retries))
 		}
+		w.End()
 	}
 }
 
 // recordRetries folds one operation's retry record into the job report.
-func (d *Deployment) recordRetries(rep *Report, ri retryInfo) {
+func (d *Deployment) recordRetries(rep *Report, ri *retryInfo) {
 	rep.Retries += ri.retries()
 	rep.FaultsInjected += len(ri.faults)
 	rep.BackoffWait += ri.backoff
@@ -425,7 +425,7 @@ func (d *Deployment) settleEager(rep *Report, results []*lambda.Result, infos []
 	tr := d.cfg.Tracer
 	avail := upDur // when partition 0's input is ready in S3
 	for i, res := range results {
-		info := infos[i]
+		info := &infos[i]
 		lr := phaseSplit(res)
 		initDone := lr.Init + lr.Load
 		work := lr.Read + lr.Compute + lr.Write

@@ -121,7 +121,7 @@ func (d *Deployment) BeginStaged(input *tensor.Tensor, opts StagedOptions) (*Sta
 	upDur, upInfo, err := d.putWithRetry(inKey, inData, sj.st)
 	sj.spend += d.meterTotal() - before
 	sj.upInfo = upInfo
-	d.recordRetries(sj.rep, upInfo)
+	d.recordRetries(sj.rep, &upInfo)
 	if err != nil {
 		sj.fail()
 		return sj, fmt.Errorf("coordinator: uploading input: %w", err)
@@ -187,7 +187,7 @@ func (sj *StagedJob) RunStage(start time.Duration) (time.Duration, error) {
 	before := d.meterTotal()
 	res, info, err := d.invokeWithRetry(p, payload, false, sj.prevBytes, sj.st)
 	sj.infos = append(sj.infos, info)
-	d.recordRetries(sj.rep, info)
+	d.recordRetries(sj.rep, &info)
 	if err != nil {
 		sj.spend += d.meterTotal() - before
 		sj.st.elapsed = start + info.delay()

@@ -314,6 +314,78 @@ func (h HistHandle) Observe(v float64) {
 	h.m.mu.Unlock()
 }
 
+// --- held-lock write sections ---
+
+// MetricsWriter is a write section on one registry: Begin takes the
+// registry's lock once, the writes between Begin and End are bare slot
+// updates — the same slots the handles' own methods write, so a
+// snapshot cannot tell the two apart — and End releases it. It is for
+// sites that record many metrics back to back; one-off writes keep
+// using the handles directly. Inside a section the caller must not call
+// any other method of the registry (the lock is held) nor block on a
+// lock that a holder of this one may want. A handle of a different
+// registry is written through its own locked method, never through the
+// held lock; handles of a nil registry stay no-ops, and a section on a
+// nil registry holds nothing.
+type MetricsWriter struct{ m *Metrics }
+
+// Begin opens a write section; every Begin needs exactly one End.
+func (m *Metrics) Begin() MetricsWriter {
+	if m != nil {
+		m.mu.Lock()
+	}
+	return MetricsWriter{m}
+}
+
+// End closes the section.
+func (w MetricsWriter) End() {
+	if w.m != nil {
+		w.m.mu.Unlock()
+	}
+}
+
+// Inc is CounterHandle.Inc under the section's lock.
+func (w MetricsWriter) Inc(h CounterHandle, delta int64) {
+	if h.m != w.m || h.m == nil {
+		h.Inc(delta)
+		return
+	}
+	s := &h.m.counterVals[h.slot]
+	s.v += delta
+	s.set = true
+}
+
+// Add is TotalHandle.Add under the section's lock.
+func (w MetricsWriter) Add(h TotalHandle, v float64) {
+	if h.m != w.m || h.m == nil {
+		h.Add(v)
+		return
+	}
+	s := &h.m.totalVals[h.slot]
+	s.v += v
+	s.set = true
+}
+
+// Set is GaugeHandle.Set under the section's lock.
+func (w MetricsWriter) Set(h GaugeHandle, v float64) {
+	if h.m != w.m || h.m == nil {
+		h.Set(v)
+		return
+	}
+	s := &h.m.gaugeVals[h.slot]
+	s.v = v
+	s.set = true
+}
+
+// Observe is HistHandle.Observe under the section's lock.
+func (w MetricsWriter) Observe(h HistHandle, v float64) {
+	if h.m != w.m || h.m == nil {
+		h.Observe(v)
+		return
+	}
+	h.m.histVals[h.slot].h.observe(v)
+}
+
 // Snapshot is a point-in-time copy of the registry, shaped for JSON.
 type Snapshot struct {
 	Counters   map[string]int64      `json:"counters"`

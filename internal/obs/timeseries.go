@@ -462,6 +462,64 @@ func (h SeriesHistHandle) Observe(at time.Duration, v float64) {
 	h.ts.mu.Unlock()
 }
 
+// SeriesWriter is MetricsWriter for a TimeSeries: one lock section,
+// bare slot writes into the windows containing each recording's instant,
+// under the same rules (no other call into the series before End; a
+// handle of another series takes its own lock). No window is flushed
+// inside a section — only Advance, Flush and Close flush.
+type SeriesWriter struct{ ts *TimeSeries }
+
+// Begin opens a write section; every Begin needs exactly one End.
+func (ts *TimeSeries) Begin() SeriesWriter {
+	if ts != nil {
+		ts.mu.Lock()
+	}
+	return SeriesWriter{ts}
+}
+
+// End closes the section.
+func (w SeriesWriter) End() {
+	if w.ts != nil {
+		w.ts.mu.Unlock()
+	}
+}
+
+// Inc is SeriesCounterHandle.Inc under the section's lock.
+func (w SeriesWriter) Inc(h SeriesCounterHandle, at time.Duration, delta int64) {
+	if h.ts != w.ts || h.ts == nil {
+		h.Inc(at, delta)
+		return
+	}
+	h.ts.incLocked(at, h.slot, delta)
+}
+
+// Add is SeriesTotalHandle.Add under the section's lock.
+func (w SeriesWriter) Add(h SeriesTotalHandle, at time.Duration, v float64) {
+	if h.ts != w.ts || h.ts == nil {
+		h.Add(at, v)
+		return
+	}
+	h.ts.addLocked(at, h.slot, v)
+}
+
+// Set is SeriesGaugeHandle.Set under the section's lock.
+func (w SeriesWriter) Set(h SeriesGaugeHandle, at time.Duration, v float64) {
+	if h.ts != w.ts || h.ts == nil {
+		h.Set(at, v)
+		return
+	}
+	h.ts.gaugeLocked(at, h.slot, v)
+}
+
+// Observe is SeriesHistHandle.Observe under the section's lock.
+func (w SeriesWriter) Observe(h SeriesHistHandle, at time.Duration, v float64) {
+	if h.ts != w.ts || h.ts == nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		h.Observe(at, v)
+		return
+	}
+	h.ts.observeLocked(at, h.slot, v)
+}
+
 // aggLocked returns the open window aggregation for the instant at,
 // clamping instants before the flush point into the oldest open window.
 // The most recently touched window is cached: in a time-ordered run

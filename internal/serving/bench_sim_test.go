@@ -173,8 +173,35 @@ const chaosStormRequests = 20_000
 
 func chaosStorm(t testing.TB) (Config, *nn.Model) {
 	t.Helper()
+	dcfg, m, plan, store := stormCloud(t, 3, time.Second)
+	pl := dcfg.Platform
+	fc := faults.Uniform(0.05, 11)
+	fc.BurstEvery, fc.BurstLength, fc.BurstFactor = 20*time.Second, 4*time.Second, 6
+	inj := faults.New(fc)
+	pl.SetInjector(inj)
+	store.SetInjector(inj)
+	inj.SetClock(pl.Now)
+	dcfg.Retry = coordinator.DefaultRetryPolicy()
+	dcfg.Retry.MaxAttempts, dcfg.Retry.JitterSeed = 5, 12
+	dcfg.Hedge = coordinator.HedgePolicy{Percentile: 95, Delay: 2 * time.Second, JitterSeed: 13}
+	dcfg.Breaker = coordinator.BreakerPolicy{ConsecutiveFailures: 8}
+	dcfg.Budget = coordinator.BudgetPolicy{MaxTokens: 64, EarnPerSuccess: 0.25}
+	cfg := deployStorm(t, dcfg, m, plan)
+	cfg.Pipeline = PipelinePolicy{Depth: 8}
+	cfg.Batch = BatchPolicy{MaxBatch: 4, Window: 200 * time.Millisecond, JitterSeed: 5}
+	cfg.SLO = SLOPolicy{Deadline: 60 * time.Second, Shed: true, TolerateFailures: true}
+	return cfg, m
+}
+
+// stormCloud is the private cloud each bench/storm.go unit builds:
+// LinearNet(8) planned at maxLayers per partition, a fresh meter,
+// platform (account concurrency 256) and store, and one registry plus
+// one series of the given window attached to all of them — telemetry on
+// every layer a request crosses, not on serving alone.
+func stormCloud(t testing.TB, maxLayers int, window time.Duration) (coordinator.Config, *nn.Model, *optimizer.Plan, *s3.Store) {
+	t.Helper()
 	m := zoo.LinearNet(8)
-	plan, err := optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default(), MaxLayersPerPartition: 3})
+	plan, err := optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default(), MaxLayersPerPartition: maxLayers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,38 +209,58 @@ func chaosStorm(t testing.TB) (Config, *nn.Model) {
 	pl := lambda.New(meter, perf.Default())
 	store := s3.New(s3.DefaultConfig(), meter)
 	mx := obs.NewMetrics()
-	ts := obs.NewTimeSeries(time.Second)
+	ts := obs.NewTimeSeries(window)
 	pl.SetMetrics(mx)
 	pl.SetSeries(ts)
 	store.SetMetrics(mx)
 	pl.SetAccountConcurrency(256)
-	fc := faults.Uniform(0.05, 11)
-	fc.BurstEvery, fc.BurstLength, fc.BurstFactor = 20*time.Second, 4*time.Second, 6
-	inj := faults.New(fc)
-	pl.SetInjector(inj)
-	store.SetInjector(inj)
-	inj.SetClock(pl.Now)
-	retry := coordinator.DefaultRetryPolicy()
-	retry.MaxAttempts, retry.JitterSeed = 5, 12
-	dep, err := coordinator.Deploy(coordinator.Config{
-		Platform: pl, Store: store, SkipCompute: true, Metrics: mx, Series: ts,
-		Retry:   retry,
-		Hedge:   coordinator.HedgePolicy{Percentile: 95, Delay: 2 * time.Second, JitterSeed: 13},
-		Breaker: coordinator.BreakerPolicy{ConsecutiveFailures: 8},
-		Budget:  coordinator.BudgetPolicy{MaxTokens: 64, EarnPerSuccess: 0.25},
-	}, m, nn.InitWeights(m, 42), plan)
+	return coordinator.Config{Platform: pl, Store: store, SkipCompute: true, Metrics: mx, Series: ts}, m, plan, store
+}
+
+// deployStorm deploys onto a stormCloud and returns the serving config
+// both storms share.
+func deployStorm(t testing.TB, dcfg coordinator.Config, m *nn.Model, plan *optimizer.Plan) Config {
+	t.Helper()
+	dep, err := coordinator.Deploy(dcfg, m, nn.InitWeights(m, 42), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { dep.Teardown(); ts.Close() })
+	t.Cleanup(func() { dep.Teardown(); dcfg.Series.Close() })
 	return Config{
 		Deployment: dep,
 		Throttle:   ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
-		Pipeline:   PipelinePolicy{Depth: 8},
-		Batch:      BatchPolicy{MaxBatch: 4, Window: 200 * time.Millisecond, JitterSeed: 5},
-		SLO:        SLOPolicy{Deadline: 60 * time.Second, Shed: true, TolerateFailures: true},
-		Metrics:    mx, Series: ts,
-	}, m
+		Metrics:    dcfg.Metrics, Series: dcfg.Series,
+	}
+}
+
+// steadyStorm is bench/storm.go's storm_steady configuration: one
+// partition, the whole-job executor, no faults, full telemetry.
+func steadyStorm(t testing.TB, window time.Duration) (Config, *nn.Model) {
+	t.Helper()
+	dcfg, m, plan, _ := stormCloud(t, 16, window)
+	return deployStorm(t, dcfg, m, plan), m
+}
+
+// BenchmarkServeStreamSteady is storm_steady at two fifths of its size:
+// unlike BenchmarkSimServe100k, whose telemetry hangs off serving alone,
+// every layer writes its metrics, so the profile is a real request's.
+func BenchmarkServeStreamSteady(b *testing.B) {
+	const n = 100_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg, m := steadyStorm(b, time.Second)
+		in := randomInput(m, 1)
+		b.StartTimer()
+		rep, err := ServeStream(cfg, sim.NewPoisson(n, 100, 7), func(int) *tensor.Tensor { return in })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Completed != n {
+			b.Fatalf("completed %d of %d", rep.Completed, n)
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
 // serveChaosStorm streams the chaos storm once through a fresh

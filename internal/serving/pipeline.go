@@ -53,7 +53,7 @@ func (f *fifo) peek() (int32, bool) {
 // stage index, so their names are formatted here — once — instead of
 // per stage event.
 type pipeHandles struct {
-	batches     eventCounter
+	batches     obs.EventCounter
 	tsBatchSize obs.SeriesHistHandle
 	tsRunning   obs.SeriesGaugeHandle
 	tsStageBusy []obs.SeriesTotalHandle
@@ -61,7 +61,7 @@ type pipeHandles struct {
 
 func newPipeHandles(mx *obs.Metrics, ts *obs.TimeSeries, width int) pipeHandles {
 	ph := pipeHandles{
-		batches:     newEventCounter(mx, ts, "serving_batches_total"),
+		batches:     obs.NewEventCounter(mx, ts, "serving_batches_total"),
 		tsBatchSize: ts.HistHandle("serving_batch_size"),
 		tsRunning:   ts.GaugeHandle("serving_pipeline_running"),
 		tsStageBusy: make([]obs.SeriesTotalHandle, width),
@@ -224,7 +224,7 @@ func (s *scheduler) beginStaged(uid int32, u *unit, opts coordinator.StagedOptio
 			return fmt.Errorf("serving: batching requests %d..%d: %w", u.First, u.First+u.Size-1, err)
 		}
 		in = stacked
-		x.ph.batches.inc(u.start, 1)
+		x.ph.batches.Inc(u.start, 1)
 	}
 	x.ph.tsBatchSize.Observe(u.start, float64(u.Size))
 	sj, err := u.dep.BeginStaged(in, opts)
@@ -232,7 +232,7 @@ func (s *scheduler) beginStaged(uid int32, u *unit, opts coordinator.StagedOptio
 	u.seq = x.seq
 	x.seq++
 	if err != nil {
-		return s.settle(uid, u, sj.Rep(), sj.Rep().Cost, err)
+		return s.settle(uid, u, sj.Rep(), err)
 	}
 	u.next = 0
 	u.prevEnd = u.start + sj.InputReady()
@@ -254,7 +254,7 @@ func (s *scheduler) stageEvent() error {
 	if e.Class == evFinish {
 		s.running--
 		jrep, err := u.sj.Finish(now - u.start)
-		ferr := s.settle(e.ID, u, jrep, jrep.Cost, err)
+		ferr := s.settle(e.ID, u, jrep, err)
 		if err == nil {
 			x.ph.tsRunning.Set(now, float64(s.running))
 		}
@@ -267,7 +267,7 @@ func (s *scheduler) stageEvent() error {
 	x.freeAt[i] = now + svc
 	if err != nil {
 		s.running--
-		if ferr := s.settle(e.ID, u, u.sj.Rep(), u.sj.Rep().Cost, err); ferr != nil {
+		if ferr := s.settle(e.ID, u, u.sj.Rep(), err); ferr != nil {
 			return ferr
 		}
 	} else {

@@ -77,7 +77,7 @@ func (r *results) commit(jr *JobResult) {
 
 // reject settles every member of a unit turned away at admission; ev
 // counts the rejection.
-func (r *results) reject(u *unit, now time.Duration, outcome, errText string, ev eventCounter) {
+func (r *results) reject(u *unit, now time.Duration, outcome, errText string, ev obs.EventCounter) {
 	for k := 0; k < u.Size; k++ {
 		jr := r.slot(u.First + k)
 		jr.Index = u.First + k
@@ -93,7 +93,7 @@ func (r *results) reject(u *unit, now time.Duration, outcome, errText string, ev
 		if r.retain {
 			jr.Trace = requestSpan(jr, u.waits, nil)
 		}
-		ev.inc(now, 1)
+		ev.Inc(now, 1)
 		r.commit(jr)
 	}
 }
@@ -156,6 +156,7 @@ type scheduler struct {
 	// any frame and is skipped.
 	tsWindow   time.Duration
 	depthDedup gaugeDedup
+	advanced   int64 // window index of the last ts.Advance call
 	sampler    *obs.Sampler
 	// ctl is the brownout controller (nil when disabled): subscribed to
 	// the series, it judges each flushed window inside ts.Advance; the
@@ -383,14 +384,20 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 	now := s.advance(at)
 	s.backlog -= u.Size
 	if s.ts != nil {
-		s.ts.Advance(now)
+		// Advance flushes nothing until now enters a window past the one
+		// the last call saw, so the calls in between are skipped.
+		w := int64(now / s.tsWindow)
+		if w > s.advanced {
+			s.advanced = w
+			s.ts.Advance(now)
+		}
 		// Queue depth after this unit leaves the queue (see
 		// newScheduler for what a precoalesced run counts).
 		d := s.admitQ.Len()
 		if !s.precoalesced {
 			d = s.backlog + s.coal.unread()
 		}
-		if s.depthDedup.changed(int64(now/s.tsWindow), d) {
+		if s.depthDedup.changed(w, d) {
 			s.h.tsQueueDepth.Set(now, float64(d))
 		}
 	}
@@ -422,7 +429,7 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 		// the unit is throttled (429) and backs off.
 		u.attempts++
 		s.rep.Throttles++
-		s.h.throttles.inc(now, 1)
+		s.h.throttles.Inc(now, 1)
 		if u.attempts >= s.cfg.Throttle.attempts() {
 			if !slo.TolerateFailures {
 				return fmt.Errorf("serving: request %d throttled %d times (limit %d, width %d)",
@@ -462,7 +469,7 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 	if s.ctl.Level() >= BrownoutFallback && s.cfg.Fallback != nil {
 		u.dep = s.cfg.Fallback
 		s.rep.FallbackServed += u.Size
-		s.h.fallback.inc(now, int64(u.Size))
+		s.h.fallback.Inc(now, int64(u.Size))
 	}
 	u.start = now
 	return s.execute(uid, u, jobDeadline)
@@ -478,17 +485,13 @@ func (s *scheduler) execute(uid int32, u *unit, deadline time.Duration) error {
 			Deadline: deadline, Batch: u.Size, NoTrace: noTrace, Lean: lean,
 		})
 	}
-	meter := s.pl.Meter()
-	before := meter.Total()
 	jrep, err := u.dep.Run(s.input(u.First), coordinator.RunOptions{
 		Sequential: s.cfg.Sequential, Deadline: deadline, NoTrace: noTrace, Lean: lean,
 	})
-	// The request's cost is its marginal charge on the shared meter.
-	cost := meter.Total() - before
 	if err == nil {
 		s.samplePeak(u.start)
 	}
-	return s.settle(uid, u, jrep, cost, err)
+	return s.settle(uid, u, jrep, err)
 }
 
 func (s *scheduler) samplePeak(now time.Duration) {
@@ -499,9 +502,10 @@ func (s *scheduler) samplePeak(now time.Duration) {
 
 // settle closes an executed unit: it classifies the outcome, fills each
 // member's result, writes the serving metrics, recycles the job report
-// and frees the unit. cost is the unit's total charge, split across its
-// members. It returns a non-nil error when a failure must abort the
-// whole run.
+// and frees the unit. The unit's charge — jrep.Cost, the job's marginal
+// charge on the shared meter as the coordinator measured it — is split
+// across its members. It returns a non-nil error when a failure must
+// abort the whole run.
 //
 // done is the unit's completion instant; stamp is when the scheduler
 // learned its fate. A staged unit settles when its finish (or failing
@@ -509,10 +513,10 @@ func (s *scheduler) samplePeak(now time.Duration) {
 // its admission instant, ahead of the clock reaching done: its queueing
 // delay and failure counters are stamped at admission, while jobs,
 // latency and cost land in the window that contains done.
-func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, cost float64, err error) error {
+func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, err error) error {
 	outcome, errText := OutcomeOK, ""
 	done := u.start + jrep.Completion
-	var failed eventCounter
+	var failed obs.EventCounter
 	if err != nil {
 		deadlined := coordinator.IsDeadlineExceeded(err)
 		// Failures abort the run unless tolerated. A deadline failure is
@@ -546,7 +550,7 @@ func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, cost fl
 		stamp = u.start
 	}
 
-	shares := s.splitCost(cost, u.Size)
+	shares := s.splitCost(jrep.Cost, u.Size)
 	for k := 0; k < u.Size; k++ {
 		jr := s.out.slot(u.First + k)
 		jr.Index = u.First + k
@@ -567,19 +571,37 @@ func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, cost fl
 		} else if jrep.Trace != nil {
 			jr.Trace = batchRideSpan(jr, u.waits, u.First, u.Size)
 		}
-		s.h.cost.Add(jr.Cost)
-		s.h.tsCost.Add(done, jr.Cost)
-		if err != nil {
-			failed.inc(stamp, 1)
-		} else {
-			queueSec, latencySec := jr.Queue.Seconds(), jr.Latency.Seconds()
-			s.h.jobs.inc(done, 1)
-			s.h.queueSec.Observe(queueSec)
-			s.h.latencySec.Observe(latencySec)
-			s.h.tsQueueSec.Observe(stamp, queueSec)
-			s.h.tsLatencySec.Observe(done, latencySec)
-		}
 		s.out.commit(jr)
+	}
+	// Telemetry in one write section per registry, members in order (the
+	// float totals and histogram sums depend on it).
+	if mx := s.cfg.Metrics; mx != nil {
+		w := mx.Begin()
+		for k := 0; k < u.Size; k++ {
+			w.Add(s.h.cost, shares[k])
+			if err != nil {
+				w.IncEvent(failed, 1)
+				continue
+			}
+			w.IncEvent(s.h.jobs, 1)
+			w.Observe(s.h.queueSec, (u.start - u.arrs[k]).Seconds())
+			w.Observe(s.h.latencySec, (done - u.arrs[k]).Seconds())
+		}
+		w.End()
+	}
+	if s.ts != nil {
+		w := s.ts.Begin()
+		for k := 0; k < u.Size; k++ {
+			w.Add(s.h.tsCost, done, shares[k])
+			if err != nil {
+				w.IncEvent(failed, stamp, 1)
+				continue
+			}
+			w.IncEvent(s.h.jobs, done, 1)
+			w.Observe(s.h.tsQueueSec, stamp, (u.start - u.arrs[k]).Seconds())
+			w.Observe(s.h.tsLatencySec, done, (done - u.arrs[k]).Seconds())
+		}
+		w.End()
 	}
 	if done > s.rep.Makespan {
 		s.rep.Makespan = done
@@ -616,9 +638,9 @@ func (s *scheduler) fillLeader(jr *JobResult, u *unit, jrep *coordinator.Report,
 	}
 	if s.sampler != nil && countSample {
 		if jrep.Trace != nil {
-			s.h.spansSampled.inc(jr.Done, 1)
+			s.h.spansSampled.Inc(jr.Done, 1)
 		} else {
-			s.h.spansDropped.inc(jr.Done, 1)
+			s.h.spansDropped.Inc(jr.Done, 1)
 		}
 	}
 }

@@ -311,31 +311,13 @@ func (r *Report) requests() int {
 	return len(r.Jobs)
 }
 
-// eventCounter counts one kind of serving event in both sinks: the
-// run-total registry and the windowed series. Handles against nil sinks
-// are no-ops, so no callsite needs a guard.
-type eventCounter struct {
-	total  obs.CounterHandle
-	series obs.SeriesCounterHandle
-}
-
-func newEventCounter(mx *obs.Metrics, ts *obs.TimeSeries, name string) eventCounter {
-	return eventCounter{total: mx.CounterHandle(name), series: ts.CounterHandle(name)}
-}
-
-// inc counts n events at simulated instant at.
-func (e eventCounter) inc(at time.Duration, n int64) {
-	e.total.Inc(n)
-	e.series.Inc(at, n)
-}
-
 // serveHandles are the serving-level metric and time-series slots,
 // resolved once at the start of a run so the per-event loop records
 // through pre-resolved handles — index arithmetic, no name lookups.
 type serveHandles struct {
-	shed, throttles, admFail, deadline, failures, jobs eventCounter
-	spansSampled, spansDropped                         eventCounter
-	budgetExhausted, brownoutShed, fallback            eventCounter
+	shed, throttles, admFail, deadline, failures, jobs obs.EventCounter
+	spansSampled, spansDropped                         obs.EventCounter
+	budgetExhausted, brownoutShed, fallback            obs.EventCounter
 	cost                                               obs.TotalHandle
 	queueSec, latencySec                               obs.HistHandle
 	tsCost                                             obs.SeriesTotalHandle
@@ -345,17 +327,17 @@ type serveHandles struct {
 
 func newServeHandles(mx *obs.Metrics, ts *obs.TimeSeries) serveHandles {
 	return serveHandles{
-		shed:            newEventCounter(mx, ts, "serving_shed_total"),
-		throttles:       newEventCounter(mx, ts, "serving_throttles_total"),
-		admFail:         newEventCounter(mx, ts, "serving_admission_failures_total"),
-		deadline:        newEventCounter(mx, ts, "serving_deadline_failures_total"),
-		failures:        newEventCounter(mx, ts, "serving_failures_total"),
-		jobs:            newEventCounter(mx, ts, "serving_jobs_total"),
-		spansSampled:    newEventCounter(mx, ts, "serving_spans_sampled_total"),
-		spansDropped:    newEventCounter(mx, ts, "serving_spans_dropped_total"),
-		budgetExhausted: newEventCounter(mx, ts, "serving_budget_exhausted_total"),
-		brownoutShed:    newEventCounter(mx, ts, "serving_brownout_shed_total"),
-		fallback:        newEventCounter(mx, ts, "serving_fallback_total"),
+		shed:            obs.NewEventCounter(mx, ts, "serving_shed_total"),
+		throttles:       obs.NewEventCounter(mx, ts, "serving_throttles_total"),
+		admFail:         obs.NewEventCounter(mx, ts, "serving_admission_failures_total"),
+		deadline:        obs.NewEventCounter(mx, ts, "serving_deadline_failures_total"),
+		failures:        obs.NewEventCounter(mx, ts, "serving_failures_total"),
+		jobs:            obs.NewEventCounter(mx, ts, "serving_jobs_total"),
+		spansSampled:    obs.NewEventCounter(mx, ts, "serving_spans_sampled_total"),
+		spansDropped:    obs.NewEventCounter(mx, ts, "serving_spans_dropped_total"),
+		budgetExhausted: obs.NewEventCounter(mx, ts, "serving_budget_exhausted_total"),
+		brownoutShed:    obs.NewEventCounter(mx, ts, "serving_brownout_shed_total"),
+		fallback:        obs.NewEventCounter(mx, ts, "serving_fallback_total"),
 		cost:            mx.TotalHandle("serving_cost_usd_total"),
 		queueSec:        mx.HistHandle("serving_queue_seconds", obs.DurationBounds),
 		latencySec:      mx.HistHandle("serving_latency_seconds", obs.DurationBounds),

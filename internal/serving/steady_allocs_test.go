@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,5 +82,40 @@ func steadyStateAllocs(t *testing.T, pipeline PipelinePolicy, batch BatchPolicy,
 	if perReq > bound {
 		t.Fatalf("steady-state allocations: %.4f allocs/request (runs: %.0f @ %d, %.0f @ %d)",
 			perReq, a1, n1, a2, n2)
+	}
+}
+
+// TestServeStreamSteadyFullTelemetryAllocs is the same pin on the whole
+// request: storm_steady's environment (steadyStorm — telemetry on the
+// platform, the store and the coordinator as well, 1 s windows), where
+// every layer's write sections, handle tables and meter slots are live.
+// It counts everything a fresh 100k-request storm allocates — cold
+// starts, pool growth and one frame per window included — which comes to
+// 0.12 mallocs per request; a single allocation per request anywhere on
+// the path would show as 1.
+func TestServeStreamSteadyFullTelemetryAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves a 100k-request storm")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation defeats escape analysis; alloc counts are only meaningful in production builds")
+	}
+	const n = 100_000
+	cfg, m := steadyStorm(t, time.Second)
+	in := randomInput(m, 1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rep, err := ServeStream(cfg, sim.NewPoisson(n, 100, 7), func(int) *tensor.Tensor { return in })
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != n {
+		t.Fatalf("completed %d of %d", rep.Completed, n)
+	}
+	perReq := float64(m1.Mallocs-m0.Mallocs) / n
+	t.Logf("%.3f mallocs per request", perReq)
+	if perReq > 0.25 {
+		t.Fatalf("steady storm allocates %.3f objects per request; budget is 0.25", perReq)
 	}
 }
