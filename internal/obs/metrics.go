@@ -86,108 +86,69 @@ type histSlot struct {
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
 
+// internSlot resolves name in idx; a name seen for the first time gets
+// slot next, and the caller appends that slot's storage.
+func internSlot(idx *map[string]int32, name string, next int) (slot int32, fresh bool) {
+	if i, ok := (*idx)[name]; ok {
+		return i, false
+	}
+	if *idx == nil {
+		*idx = make(map[string]int32)
+	}
+	(*idx)[name] = int32(next)
+	return int32(next), true
+}
+
 func (m *Metrics) counterSlotLocked(name string) int32 {
-	if i, ok := m.counterIdx[name]; ok {
-		return i
+	i, fresh := internSlot(&m.counterIdx, name, len(m.counterVals))
+	if fresh {
+		m.counterVals = append(m.counterVals, scalarSlot[int64]{name: name})
 	}
-	if m.counterIdx == nil {
-		m.counterIdx = make(map[string]int32)
-	}
-	i := int32(len(m.counterVals))
-	m.counterIdx[name] = i
-	m.counterVals = append(m.counterVals, scalarSlot[int64]{name: name})
 	return i
 }
 
 func (m *Metrics) totalSlotLocked(name string) int32 {
-	if i, ok := m.totalIdx[name]; ok {
-		return i
+	i, fresh := internSlot(&m.totalIdx, name, len(m.totalVals))
+	if fresh {
+		m.totalVals = append(m.totalVals, scalarSlot[float64]{name: name})
 	}
-	if m.totalIdx == nil {
-		m.totalIdx = make(map[string]int32)
-	}
-	i := int32(len(m.totalVals))
-	m.totalIdx[name] = i
-	m.totalVals = append(m.totalVals, scalarSlot[float64]{name: name})
 	return i
 }
 
 func (m *Metrics) gaugeSlotLocked(name string) int32 {
-	if i, ok := m.gaugeIdx[name]; ok {
-		return i
+	i, fresh := internSlot(&m.gaugeIdx, name, len(m.gaugeVals))
+	if fresh {
+		m.gaugeVals = append(m.gaugeVals, scalarSlot[float64]{name: name})
 	}
-	if m.gaugeIdx == nil {
-		m.gaugeIdx = make(map[string]int32)
-	}
-	i := int32(len(m.gaugeVals))
-	m.gaugeIdx[name] = i
-	m.gaugeVals = append(m.gaugeVals, scalarSlot[float64]{name: name})
 	return i
 }
 
 func (m *Metrics) histSlotLocked(name string, bounds []float64) int32 {
-	if i, ok := m.histIdx[name]; ok {
-		return i
+	i, fresh := internSlot(&m.histIdx, name, len(m.histVals))
+	if fresh {
+		m.histVals = append(m.histVals, histSlot{name: name, h: &Histogram{
+			Bounds: append([]float64(nil), bounds...),
+			Counts: make([]int64, len(bounds)+1),
+		}})
 	}
-	if m.histIdx == nil {
-		m.histIdx = make(map[string]int32)
-	}
-	i := int32(len(m.histVals))
-	m.histIdx[name] = i
-	m.histVals = append(m.histVals, histSlot{name: name, h: &Histogram{
-		Bounds: append([]float64(nil), bounds...),
-		Counts: make([]int64, len(bounds)+1),
-	}})
 	return i
 }
 
 // Inc adds delta to the named integer counter.
-func (m *Metrics) Inc(name string, delta int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	s := &m.counterVals[m.counterSlotLocked(name)]
-	s.v += delta
-	s.set = true
-	m.mu.Unlock()
-}
+func (m *Metrics) Inc(name string, delta int64) { m.CounterHandle(name).Inc(delta) }
 
 // Add accumulates v into the named float total (GB-seconds, dollars,
 // seconds of backoff).
-func (m *Metrics) Add(name string, v float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	s := &m.totalVals[m.totalSlotLocked(name)]
-	s.v += v
-	s.set = true
-	m.mu.Unlock()
-}
+func (m *Metrics) Add(name string, v float64) { m.TotalHandle(name).Add(v) }
 
 // Gauge sets the named gauge to v.
-func (m *Metrics) Gauge(name string, v float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	s := &m.gaugeVals[m.gaugeSlotLocked(name)]
-	s.v = v
-	s.set = true
-	m.mu.Unlock()
-}
+func (m *Metrics) Gauge(name string, v float64) { m.GaugeHandle(name).Set(v) }
 
 // Observe records v into the named histogram, creating it with the
 // given fixed bounds on first use (later calls reuse the original
 // bounds).
 func (m *Metrics) Observe(name string, bounds []float64, v float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.histVals[m.histSlotLocked(name, bounds)].h.observe(v)
-	m.mu.Unlock()
+	m.HistHandle(name, bounds).Observe(v)
 }
 
 // --- pre-resolved handles ---
@@ -216,14 +177,9 @@ func (m *Metrics) CounterHandle(name string) CounterHandle {
 
 // Inc adds delta to the counter.
 func (h CounterHandle) Inc(delta int64) {
-	if h.m == nil {
-		return
-	}
-	h.m.mu.Lock()
-	s := &h.m.counterVals[h.slot]
-	s.v += delta
-	s.set = true
-	h.m.mu.Unlock()
+	w := h.m.Begin()
+	w.Inc(h, delta)
+	w.End()
 }
 
 // TotalHandle is a pre-resolved float accumulator.
@@ -245,14 +201,9 @@ func (m *Metrics) TotalHandle(name string) TotalHandle {
 
 // Add accumulates v into the total.
 func (h TotalHandle) Add(v float64) {
-	if h.m == nil {
-		return
-	}
-	h.m.mu.Lock()
-	s := &h.m.totalVals[h.slot]
-	s.v += v
-	s.set = true
-	h.m.mu.Unlock()
+	w := h.m.Begin()
+	w.Add(h, v)
+	w.End()
 }
 
 // GaugeHandle is a pre-resolved gauge.
@@ -274,14 +225,9 @@ func (m *Metrics) GaugeHandle(name string) GaugeHandle {
 
 // Set sets the gauge to v.
 func (h GaugeHandle) Set(v float64) {
-	if h.m == nil {
-		return
-	}
-	h.m.mu.Lock()
-	s := &h.m.gaugeVals[h.slot]
-	s.v = v
-	s.set = true
-	h.m.mu.Unlock()
+	w := h.m.Begin()
+	w.Set(h, v)
+	w.End()
 }
 
 // HistHandle is a pre-resolved fixed-bound histogram.
@@ -306,27 +252,21 @@ func (m *Metrics) HistHandle(name string, bounds []float64) HistHandle {
 
 // Observe records v into the histogram.
 func (h HistHandle) Observe(v float64) {
-	if h.m == nil {
-		return
-	}
-	h.m.mu.Lock()
-	h.m.histVals[h.slot].h.observe(v)
-	h.m.mu.Unlock()
+	w := h.m.Begin()
+	w.Observe(h, v)
+	w.End()
 }
 
 // --- held-lock write sections ---
 
 // MetricsWriter is a write section on one registry: Begin takes the
-// registry's lock once, the writes between Begin and End are bare slot
-// updates — the same slots the handles' own methods write, so a
-// snapshot cannot tell the two apart — and End releases it. It is for
-// sites that record many metrics back to back; one-off writes keep
-// using the handles directly. Inside a section the caller must not call
-// any other method of the registry (the lock is held) nor block on a
-// lock that a holder of this one may want. A handle of a different
-// registry is written through its own locked method, never through the
-// held lock; handles of a nil registry stay no-ops, and a section on a
-// nil registry holds nothing.
+// registry's lock once, the writes up to End are bare updates of the
+// slots the handles name, and End releases it — for sites that record
+// many metrics back to back (a handle's own method is a section of one
+// write). Until End the caller must not call any other method of the
+// registry, nor block on a lock a holder of this one may want. A handle
+// of a different registry is written under its own lock instead; a nil
+// handle is a no-op, and a section on a nil registry holds nothing.
 type MetricsWriter struct{ m *Metrics }
 
 // Begin opens a write section; every Begin needs exactly one End.
@@ -344,46 +284,46 @@ func (w MetricsWriter) End() {
 	}
 }
 
-// Inc is CounterHandle.Inc under the section's lock.
+// Inc adds delta to the counter.
 func (w MetricsWriter) Inc(h CounterHandle, delta int64) {
-	if h.m != w.m || h.m == nil {
+	if h.m != w.m {
 		h.Inc(delta)
-		return
+	} else if h.m != nil {
+		s := &h.m.counterVals[h.slot]
+		s.v += delta
+		s.set = true
 	}
-	s := &h.m.counterVals[h.slot]
-	s.v += delta
-	s.set = true
 }
 
-// Add is TotalHandle.Add under the section's lock.
+// Add accumulates v into the total.
 func (w MetricsWriter) Add(h TotalHandle, v float64) {
-	if h.m != w.m || h.m == nil {
+	if h.m != w.m {
 		h.Add(v)
-		return
+	} else if h.m != nil {
+		s := &h.m.totalVals[h.slot]
+		s.v += v
+		s.set = true
 	}
-	s := &h.m.totalVals[h.slot]
-	s.v += v
-	s.set = true
 }
 
-// Set is GaugeHandle.Set under the section's lock.
+// Set sets the gauge to v.
 func (w MetricsWriter) Set(h GaugeHandle, v float64) {
-	if h.m != w.m || h.m == nil {
+	if h.m != w.m {
 		h.Set(v)
-		return
+	} else if h.m != nil {
+		s := &h.m.gaugeVals[h.slot]
+		s.v = v
+		s.set = true
 	}
-	s := &h.m.gaugeVals[h.slot]
-	s.v = v
-	s.set = true
 }
 
-// Observe is HistHandle.Observe under the section's lock.
+// Observe records v into the histogram.
 func (w MetricsWriter) Observe(h HistHandle, v float64) {
-	if h.m != w.m || h.m == nil {
+	if h.m != w.m {
 		h.Observe(v)
-		return
+	} else if h.m != nil {
+		h.m.histVals[h.slot].h.observe(v)
 	}
-	h.m.histVals[h.slot].h.observe(v)
 }
 
 // Snapshot is a point-in-time copy of the registry, shaped for JSON.

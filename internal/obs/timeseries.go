@@ -183,56 +183,30 @@ func (ts *TimeSeries) Subscribe(fn func(*WindowFrame)) (cancel func()) {
 
 // --- slot registries ---
 
-func (ts *TimeSeries) counterSlotLocked(name string) int32 {
-	if i, ok := ts.counterIdx[name]; ok {
-		return i
+// internName is internSlot for a series registry, whose per-slot
+// storage is just the name.
+func internName(idx *map[string]int32, names *[]string, name string) int32 {
+	i, fresh := internSlot(idx, name, len(*names))
+	if fresh {
+		*names = append(*names, name)
 	}
-	if ts.counterIdx == nil {
-		ts.counterIdx = make(map[string]int32)
-	}
-	i := int32(len(ts.counterNms))
-	ts.counterIdx[name] = i
-	ts.counterNms = append(ts.counterNms, name)
 	return i
+}
+
+func (ts *TimeSeries) counterSlotLocked(name string) int32 {
+	return internName(&ts.counterIdx, &ts.counterNms, name)
 }
 
 func (ts *TimeSeries) totalSlotLocked(name string) int32 {
-	if i, ok := ts.totalIdx[name]; ok {
-		return i
-	}
-	if ts.totalIdx == nil {
-		ts.totalIdx = make(map[string]int32)
-	}
-	i := int32(len(ts.totalNms))
-	ts.totalIdx[name] = i
-	ts.totalNms = append(ts.totalNms, name)
-	return i
+	return internName(&ts.totalIdx, &ts.totalNms, name)
 }
 
 func (ts *TimeSeries) gaugeSlotLocked(name string) int32 {
-	if i, ok := ts.gaugeIdx[name]; ok {
-		return i
-	}
-	if ts.gaugeIdx == nil {
-		ts.gaugeIdx = make(map[string]int32)
-	}
-	i := int32(len(ts.gaugeNms))
-	ts.gaugeIdx[name] = i
-	ts.gaugeNms = append(ts.gaugeNms, name)
-	return i
+	return internName(&ts.gaugeIdx, &ts.gaugeNms, name)
 }
 
 func (ts *TimeSeries) histSlotLocked(name string) int32 {
-	if i, ok := ts.histIdx[name]; ok {
-		return i
-	}
-	if ts.histIdx == nil {
-		ts.histIdx = make(map[string]int32)
-	}
-	i := int32(len(ts.histNms))
-	ts.histIdx[name] = i
-	ts.histNms = append(ts.histNms, name)
-	return i
+	return internName(&ts.histIdx, &ts.histNms, name)
 }
 
 // grow extends a slot array (and its set flags) to cover slot.
@@ -249,12 +223,7 @@ func growSlots[T any](vals []T, n int) []T {
 
 // Inc adds delta to the named counter in the window containing at.
 func (ts *TimeSeries) Inc(at time.Duration, name string, delta int64) {
-	if ts == nil {
-		return
-	}
-	ts.mu.Lock()
-	ts.incLocked(at, ts.counterSlotLocked(name), delta)
-	ts.mu.Unlock()
+	ts.CounterHandle(name).Inc(at, delta)
 }
 
 func (ts *TimeSeries) incLocked(at time.Duration, slot int32, delta int64) {
@@ -271,12 +240,7 @@ func (ts *TimeSeries) incLocked(at time.Duration, slot int32, delta int64) {
 // Add accumulates v into the named float total in the window
 // containing at.
 func (ts *TimeSeries) Add(at time.Duration, name string, v float64) {
-	if ts == nil {
-		return
-	}
-	ts.mu.Lock()
-	ts.addLocked(at, ts.totalSlotLocked(name), v)
-	ts.mu.Unlock()
+	ts.TotalHandle(name).Add(at, v)
 }
 
 func (ts *TimeSeries) addLocked(at time.Duration, slot int32, v float64) {
@@ -293,12 +257,7 @@ func (ts *TimeSeries) addLocked(at time.Duration, slot int32, v float64) {
 // Gauge sets the named gauge in the window containing at; the last
 // write into a window wins.
 func (ts *TimeSeries) Gauge(at time.Duration, name string, v float64) {
-	if ts == nil {
-		return
-	}
-	ts.mu.Lock()
-	ts.gaugeLocked(at, ts.gaugeSlotLocked(name), v)
-	ts.mu.Unlock()
+	ts.GaugeHandle(name).Set(at, v)
 }
 
 func (ts *TimeSeries) gaugeLocked(at time.Duration, slot int32, v float64) {
@@ -315,12 +274,7 @@ func (ts *TimeSeries) gaugeLocked(at time.Duration, slot int32, v float64) {
 // Observe records v into the named log-linear histogram in the window
 // containing at. Non-finite values are ignored.
 func (ts *TimeSeries) Observe(at time.Duration, name string, v float64) {
-	if ts == nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	ts.mu.Lock()
-	ts.observeLocked(at, ts.histSlotLocked(name), v)
-	ts.mu.Unlock()
+	ts.HistHandle(name).Observe(at, v)
 }
 
 func (ts *TimeSeries) observeLocked(at time.Duration, slot int32, v float64) {
@@ -371,12 +325,9 @@ func (ts *TimeSeries) CounterHandle(name string) SeriesCounterHandle {
 
 // Inc adds delta to the counter in the window containing at.
 func (h SeriesCounterHandle) Inc(at time.Duration, delta int64) {
-	if h.ts == nil {
-		return
-	}
-	h.ts.mu.Lock()
-	h.ts.incLocked(at, h.slot, delta)
-	h.ts.mu.Unlock()
+	w := h.ts.Begin()
+	w.Inc(h, at, delta)
+	w.End()
 }
 
 // SeriesTotalHandle is a pre-resolved windowed float accumulator.
@@ -398,12 +349,9 @@ func (ts *TimeSeries) TotalHandle(name string) SeriesTotalHandle {
 
 // Add accumulates v into the total in the window containing at.
 func (h SeriesTotalHandle) Add(at time.Duration, v float64) {
-	if h.ts == nil {
-		return
-	}
-	h.ts.mu.Lock()
-	h.ts.addLocked(at, h.slot, v)
-	h.ts.mu.Unlock()
+	w := h.ts.Begin()
+	w.Add(h, at, v)
+	w.End()
 }
 
 // SeriesGaugeHandle is a pre-resolved windowed gauge.
@@ -426,12 +374,9 @@ func (ts *TimeSeries) GaugeHandle(name string) SeriesGaugeHandle {
 // Set sets the gauge in the window containing at; the last write into
 // a window wins.
 func (h SeriesGaugeHandle) Set(at time.Duration, v float64) {
-	if h.ts == nil {
-		return
-	}
-	h.ts.mu.Lock()
-	h.ts.gaugeLocked(at, h.slot, v)
-	h.ts.mu.Unlock()
+	w := h.ts.Begin()
+	w.Set(h, at, v)
+	w.End()
 }
 
 // SeriesHistHandle is a pre-resolved windowed log-linear histogram.
@@ -454,19 +399,15 @@ func (ts *TimeSeries) HistHandle(name string) SeriesHistHandle {
 // Observe records v into the histogram in the window containing at.
 // Non-finite values are ignored.
 func (h SeriesHistHandle) Observe(at time.Duration, v float64) {
-	if h.ts == nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	h.ts.mu.Lock()
-	h.ts.observeLocked(at, h.slot, v)
-	h.ts.mu.Unlock()
+	w := h.ts.Begin()
+	w.Observe(h, at, v)
+	w.End()
 }
 
-// SeriesWriter is MetricsWriter for a TimeSeries: one lock section,
-// bare slot writes into the windows containing each recording's instant,
-// under the same rules (no other call into the series before End; a
-// handle of another series takes its own lock). No window is flushed
-// inside a section — only Advance, Flush and Close flush.
+// SeriesWriter is MetricsWriter for a TimeSeries: one lock section, bare
+// writes into the window containing each recording's instant, under the
+// same rules. No window is flushed inside a section — only Advance,
+// Flush and Close flush.
 type SeriesWriter struct{ ts *TimeSeries }
 
 // Begin opens a write section; every Begin needs exactly one End.
@@ -484,40 +425,41 @@ func (w SeriesWriter) End() {
 	}
 }
 
-// Inc is SeriesCounterHandle.Inc under the section's lock.
+// Inc adds delta to the counter in the window containing at.
 func (w SeriesWriter) Inc(h SeriesCounterHandle, at time.Duration, delta int64) {
-	if h.ts != w.ts || h.ts == nil {
+	if h.ts != w.ts {
 		h.Inc(at, delta)
-		return
+	} else if h.ts != nil {
+		h.ts.incLocked(at, h.slot, delta)
 	}
-	h.ts.incLocked(at, h.slot, delta)
 }
 
-// Add is SeriesTotalHandle.Add under the section's lock.
+// Add accumulates v into the total in the window containing at.
 func (w SeriesWriter) Add(h SeriesTotalHandle, at time.Duration, v float64) {
-	if h.ts != w.ts || h.ts == nil {
+	if h.ts != w.ts {
 		h.Add(at, v)
-		return
+	} else if h.ts != nil {
+		h.ts.addLocked(at, h.slot, v)
 	}
-	h.ts.addLocked(at, h.slot, v)
 }
 
-// Set is SeriesGaugeHandle.Set under the section's lock.
+// Set sets the gauge in the window containing at.
 func (w SeriesWriter) Set(h SeriesGaugeHandle, at time.Duration, v float64) {
-	if h.ts != w.ts || h.ts == nil {
+	if h.ts != w.ts {
 		h.Set(at, v)
-		return
+	} else if h.ts != nil {
+		h.ts.gaugeLocked(at, h.slot, v)
 	}
-	h.ts.gaugeLocked(at, h.slot, v)
 }
 
-// Observe is SeriesHistHandle.Observe under the section's lock.
+// Observe records v in the window containing at; non-finite values are
+// ignored.
 func (w SeriesWriter) Observe(h SeriesHistHandle, at time.Duration, v float64) {
-	if h.ts != w.ts || h.ts == nil || math.IsNaN(v) || math.IsInf(v, 0) {
+	if h.ts != w.ts {
 		h.Observe(at, v)
-		return
+	} else if h.ts != nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
+		h.ts.observeLocked(at, h.slot, v)
 	}
-	h.ts.observeLocked(at, h.slot, v)
 }
 
 // aggLocked returns the open window aggregation for the instant at,
