@@ -108,12 +108,13 @@ type Deployment struct {
 	// budgetDenied counts retries/hedges skipped by an empty bucket.
 	budgetDenied int64
 
-	// Lean serving state (see lean.go): the recycled-scratch free list
-	// and sequence, the payload→job routing table the handler fast path
-	// consults, and the per-batch zero-tensor encoding cache.
+	// Pooled-job state (see job.go, lean.go): the free list of job
+	// records and their sequence, the payload→job routing table the
+	// handler fast path consults, and the per-batch zero-tensor encoding
+	// cache.
 	leanMu     sync.Mutex
 	leanSeq    int
-	leanFree   []*leanJob
+	leanFree   []*job
 	leanRoutes map[string]leanRoute
 	leanEnc    map[int]*leanEncoding
 
@@ -372,15 +373,15 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 				return nil, &lazyError{"partition %d: reading input: %v", p.index, err}
 			}
 			ctx.TmpFree(n)
-			ctx.Compute(ctx.Perf().BatchFLOPs(p.flops, rt.lj.enc.batch), p.weightsB)
-			outBytes := rt.lj.enc.parts[p.index]
+			ctx.Compute(ctx.Perf().BatchFLOPs(p.flops, rt.j.enc.batch), p.weightsB)
+			outBytes := rt.j.enc.parts[p.index]
 			if last {
 				return outBytes, nil
 			}
-			if err := ctx.PutObjectStable(d.cfg.Store, rt.lj.outKeys[p.index], outBytes); err != nil {
+			if err := ctx.PutObjectStable(d.cfg.Store, rt.j.outKeys[p.index], outBytes); err != nil {
 				return nil, &lazyError{"partition %d: staging output: %v", p.index, err}
 			}
-			return rt.lj.outKeyB[p.index], nil
+			return rt.j.outKeyB[p.index], nil
 		}
 
 		inBytes, err := ctx.GetObject(d.cfg.Store, req.InputKey)

@@ -1,35 +1,28 @@
 package coordinator
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
-	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/obs"
 	"ampsinf/internal/tensor"
 )
 
-// The lean path is the coordinator's allocation-free serving mode,
-// used by internal/serving's streaming schedulers: every per-job
-// scratch object — job id, S3 keys, invocation payloads, result and
-// retry-record slices, the Report itself — lives on a pooled leanJob
-// and is recycled through ReleaseReport once the caller has folded the
-// Report into its aggregates. Lean jobs skip the tracer entirely
-// (Report.Trace stays nil even on failure or a hedge win) and report
-// Cost as the job's exact meter delta; every simulated charge, fault
-// draw and metric update is byte-identical to the regular path,
-// because billing and timing depend only on payload sizes and the
-// injector's draw sequence — never on key contents or tensor data.
+// A lean job (RunOptions.Lean, StagedOptions.Lean — internal/serving's
+// streaming schedulers) runs on a pooled job record (see job.go): job
+// id, S3 keys, invocation payloads, result and retry-record slices and
+// the Report itself are recycled through ReleaseReport. Every simulated
+// charge, fault draw and metric update is byte-identical to a traced
+// job's, because billing and timing depend only on payload sizes and
+// the injector's draw sequence — never on key contents or tensor data.
 //
-// Under Config.SkipCompute the lean path additionally caches one
+// Under Config.SkipCompute a pooled job additionally runs on one cached
 // encoded zero tensor per batch size for the input upload and each
 // partition's output (leanEncoding): SkipCompute handlers never read
 // tensor contents, and an encoding's bytes depend only on its shape,
 // so recycled encodings are indistinguishable from per-job ones. The
 // cached encodings also unlock the handler fast path, which routes a
-// recognized lean payload past JSON parsing, tensor decode/encode and
+// recognized pooled payload past JSON parsing, tensor decode/encode and
 // store copies (GetObjectSize/PutObjectStable).
 
 // leanEncoding caches the encoded zero tensors for one batch size.
@@ -40,91 +33,12 @@ type leanEncoding struct {
 	parts   [][]byte // per partition: EncodeTensor of its zero output
 }
 
-// leanRoute maps one lean payload to its pre-parsed request, so the
-// handler fast path skips parsePayload and key formatting.
+// leanRoute maps one pooled job's payload to its pre-parsed request, so
+// the handler fast path skips parsePayload and key formatting.
 type leanRoute struct {
 	req  invokePayload
-	lj   *leanJob
+	j    *job
 	part int
-}
-
-// leanJob is the recycled per-job scratch. Its id, keys, payloads and
-// routes are built once and survive recycling; the per-run state is
-// reset by acquireLean and truncated by ReleaseReport.
-type leanJob struct {
-	id       string
-	inKey    string
-	outKeys  []string // outKeys[i] = id + "/out" + i (last one: cleanup only)
-	outKeyB  [][]byte // outKeys pre-converted for handler returns
-	payloads [][]byte // payloads[i] = JSON invokePayload for partition i
-	enc      *leanEncoding
-
-	st  jobState
-	rep Report
-	sj  StagedJob
-
-	results      []*lambda.Result
-	infos        []retryInfo
-	starts       []time.Duration
-	storedBefore []int64
-	perLambda    []LambdaRun
-}
-
-// acquireLean checks a scratch out of the free list (building a fresh
-// one — with a new unique job id — only when the list is empty) and
-// resets its per-run state.
-func (d *Deployment) acquireLean(input *tensor.Tensor, deadline time.Duration, mode string) *leanJob {
-	d.leanMu.Lock()
-	var enc *leanEncoding
-	if d.cfg.SkipCompute {
-		enc = d.leanEncodingLocked(input)
-	}
-	var lj *leanJob
-	if n := len(d.leanFree); n > 0 {
-		lj = d.leanFree[n-1]
-		d.leanFree[n-1] = nil
-		d.leanFree = d.leanFree[:n-1]
-	} else {
-		lj = d.newLeanJobLocked()
-	}
-	lj.enc = enc
-	d.leanMu.Unlock()
-	d.initJobState(&lj.st, deadline)
-	lj.st.lean = true
-	lj.rep = Report{Mode: mode, lj: lj}
-	lj.rep.PerLambda = lj.perLambda[:0]
-	return lj
-}
-
-func (d *Deployment) newLeanJobLocked() *leanJob {
-	d.leanSeq++
-	n := len(d.parts)
-	lj := &leanJob{
-		id:           fmt.Sprintf("%s/jobs/%s/lean%d", d.cfg.NamePrefix, d.model.Name, d.leanSeq),
-		outKeys:      make([]string, n),
-		outKeyB:      make([][]byte, n),
-		payloads:     make([][]byte, n),
-		results:      make([]*lambda.Result, 0, n),
-		infos:        make([]retryInfo, 0, n),
-		starts:       make([]time.Duration, 0, n),
-		storedBefore: make([]int64, 0, n),
-		perLambda:    make([]LambdaRun, 0, n),
-	}
-	lj.inKey = lj.id + "/input"
-	if d.leanRoutes == nil {
-		d.leanRoutes = make(map[string]leanRoute)
-	}
-	prev := lj.inKey
-	for i := 0; i < n; i++ {
-		lj.outKeys[i] = fmt.Sprintf("%s/out%d", lj.id, i)
-		lj.outKeyB[i] = []byte(lj.outKeys[i])
-		req := invokePayload{Job: lj.id, InputKey: prev}
-		payload, _ := json.Marshal(req)
-		lj.payloads[i] = payload
-		d.leanRoutes[string(payload)] = leanRoute{req: req, lj: lj, part: i}
-		prev = lj.outKeys[i]
-	}
-	return lj
 }
 
 // leanEncodingLocked returns the cached zero-tensor encodings for the
@@ -173,49 +87,13 @@ func sameShape(a, b []int) bool {
 	return true
 }
 
-// ReleaseReport hands a lean job's Report back to the deployment once
-// the caller is done with it, recycling the job's scratch (including
-// every lambda.Result and the Report itself — none may be touched
-// afterwards). Reports from regular runs are left alone, so callers
-// can release unconditionally.
-func (d *Deployment) ReleaseReport(rep *Report) {
-	if rep == nil || rep.lj == nil {
-		return
-	}
-	lj := rep.lj
-	rep.lj = nil
-	for i, res := range lj.results {
-		lj.results[i] = nil
-		d.cfg.Platform.RecycleResult(res)
-	}
-	lj.results = lj.results[:0]
-	lj.infos = lj.infos[:0]
-	lj.starts = lj.starts[:0]
-	lj.storedBefore = lj.storedBefore[:0]
-	rep.Output = nil
-	rep.Trace = nil
-	rep.PerLambda = nil
-	d.leanMu.Lock()
-	lj.enc = nil
-	d.leanFree = append(d.leanFree, lj)
-	d.leanMu.Unlock()
-}
-
-// cleanupLean is cleanup(job) over the scratch's precomputed keys.
-func (d *Deployment) cleanupLean(lj *leanJob) {
-	for _, k := range lj.outKeys {
-		d.cfg.Store.Delete(k)
-	}
-	d.cfg.Store.Delete(lj.inKey)
-}
-
 // leanRouteFor resolves a payload to its lean route; ok only when the
 // payload belongs to this partition and the job's cached encodings are
 // live (the handler fast path needs them for its output bytes).
 func (d *Deployment) leanRouteFor(p *partition, payload []byte) (leanRoute, bool) {
 	d.leanMu.Lock()
 	rt, ok := d.leanRoutes[string(payload)]
-	ok = ok && rt.part == p.index && rt.lj.enc != nil
+	ok = ok && rt.part == p.index && rt.j.enc != nil
 	d.leanMu.Unlock()
 	if !ok {
 		return leanRoute{}, false

@@ -591,49 +591,6 @@ func (b *breaker) pruneWindow(now time.Duration) {
 	}
 }
 
-// jobState threads one job's resilience context — retry budget,
-// deadline, and the serial-chain elapsed-time estimate — through every
-// operation. In eager mode elapsed is the sequential-chain sum, a
-// conservative overestimate of the overlapped schedule: the deadline
-// gate may fail a job slightly early, never late.
-type jobState struct {
-	budget   jobBudget
-	deadline time.Duration
-	elapsed  time.Duration
-	// anchored marks a staged job whose scheduler advances the platform
-	// clock to each stage's true start: the clock already covers the
-	// job's committed time, so breaker decisions must not add elapsed on
-	// top of it again.
-	anchored bool
-	// lean marks a job on the recycled-scratch serving path (see
-	// lean.go): no tracer buckets or span trees are built, and stores
-	// supporting it take no-copy puts.
-	lean bool
-}
-
-func (st *jobState) deadlined() bool { return st.deadline > 0 }
-
-// remaining is the budget left after the committed elapsed time.
-func (st *jobState) remaining() time.Duration { return st.deadline - st.elapsed }
-
-func (d *Deployment) newJobState(deadline time.Duration) *jobState {
-	st := &jobState{}
-	d.initJobState(st, deadline)
-	return st
-}
-
-// initJobState resets st for a fresh job — the in-place variant lean
-// scratch reuse needs.
-func (d *Deployment) initJobState(st *jobState, deadline time.Duration) {
-	if deadline == 0 {
-		deadline = d.cfg.Deadline
-	}
-	if deadline < 0 {
-		deadline = 0
-	}
-	*st = jobState{budget: d.newJobBudget(), deadline: deadline}
-}
-
 // hedgeDelay derives the partition's current hedge delay: the
 // percentile of its success history once MinSamples have accumulated,
 // the fixed fallback before that, jittered from the seeded hedge

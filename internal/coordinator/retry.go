@@ -207,19 +207,20 @@ func (e *lazyError) Unwrap() error { return e.cause }
 // next attempt would pay up front — together with the drawn backoff
 // they must still fit in the job's deadline, or the operation fails
 // fast with a typed DeadlineError instead of retrying blind.
-func (d *Deployment) retryGate(ri *retryInfo, step *retryStep, st *jobState, err error, opKind, opName string, retryable bool, opDelay, redispatch time.Duration) (stop bool, ferr error) {
+func (j *job) retryGate(ri *retryInfo, step *retryStep, err error, opKind, opName string, retryable bool, opDelay, redispatch time.Duration) (stop bool, ferr error) {
+	d := j.d
 	if !d.cfg.Retry.enabled() || !retryable {
 		return true, err
 	}
 	if ri.attempts >= d.cfg.Retry.MaxAttempts {
 		return true, &lazyError{"gave up after %d attempts: %v", ri.attempts, err}
 	}
-	if !st.budget.take() {
+	if !j.budget.take() {
 		return true, &lazyError{"job retry budget exhausted after %d attempts: %v", ri.attempts, err}
 	}
 	bo := d.backoff(ri.attempts)
-	if st.deadlined() && st.elapsed+opDelay+bo+redispatch >= st.deadline {
-		return true, &DeadlineError{Op: opKind + opName, Deadline: st.deadline, Elapsed: st.elapsed + opDelay, Cause: err}
+	if j.deadlined() && j.elapsed+opDelay+bo+redispatch >= j.deadline {
+		return true, &DeadlineError{Op: opKind + opName, Deadline: j.deadline, Elapsed: j.elapsed + opDelay, Cause: err}
 	}
 	// The deployment-wide token bucket is the last gate, so tokens map
 	// one-to-one onto retries that actually run: when it is empty the
@@ -241,11 +242,11 @@ func (d *Deployment) retryGate(ri *retryInfo, step *retryStep, st *jobState, err
 // plus the job's committed serial time. Anchored (staged) jobs have the
 // clock advanced to each stage's true start already — adding elapsed
 // again would double-count the committed time.
-func (d *Deployment) breakerNow(st *jobState, ri *retryInfo) time.Duration {
-	if st.anchored {
-		return d.cfg.Platform.Now() + ri.delay()
+func (j *job) breakerNow(ri *retryInfo) time.Duration {
+	if j.anchored {
+		return j.d.cfg.Platform.Now() + ri.delay()
 	}
-	return d.cfg.Platform.Now() + st.elapsed + ri.delay()
+	return j.d.cfg.Platform.Now() + j.elapsed + ri.delay()
 }
 
 // invokeWithRetry runs one partition invocation under the resilience
@@ -259,21 +260,21 @@ func (d *Deployment) breakerNow(st *jobState, ri *retryInfo) time.Duration {
 // speculative duplicate; the first success wins and the loser is
 // cancelled, billed only up to the winner's finish. An open circuit
 // breaker short-circuits attempts without touching the platform.
-func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, heldBytes int64, st *jobState) (*lambda.Result, retryInfo, error) {
-	tr := d.cfg.Tracer
-	fnName := p.fnName
+func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
+	d, tr := j.d, j.tr
+	fnName, payload := p.fnName, j.payloads[p.index]
 	hedging := d.cfg.Hedge.enabled()
-	deferred := eager || hedging
+	deferred := j.eager || hedging
 	var ri retryInfo
-	if st.deadlined() && st.elapsed >= st.deadline {
-		return nil, ri, &DeadlineError{Op: "invoke " + fnName, Deadline: st.deadline, Elapsed: st.elapsed}
+	if j.deadlined() && j.elapsed >= j.deadline {
+		return nil, ri, &DeadlineError{Op: "invoke " + fnName, Deadline: j.deadline, Elapsed: j.elapsed}
 	}
 	for {
 		// Circuit-breaker gate: an open breaker consumes the attempt
 		// without invoking (nothing billed); backing off gives it time to
 		// reach half-open.
 		if p.brk != nil {
-			bnow := d.breakerNow(st, &ri)
+			bnow := j.breakerNow(&ri)
 			d.retryMu.Lock()
 			bprev := p.brk.state
 			allowed, until := p.brk.allow(bnow)
@@ -288,7 +289,7 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 				ri.faults = append(ri.faults, "breaker-open")
 				step := retryStep{fault: "breaker-open"}
 				err := &BreakerOpenError{Function: fnName, Until: until}
-				stop, ferr := d.retryGate(&ri, &step, st, err, "invoke ", fnName, true, ri.delay(), invokeDispatchLatency)
+				stop, ferr := j.retryGate(&ri, &step, err, "invoke ", fnName, true, ri.delay(), invokeDispatchLatency)
 				ri.steps = append(ri.steps, step)
 				if stop {
 					return nil, ri, ferr
@@ -302,15 +303,10 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 			d.invokesTotal++
 			d.retryMu.Unlock()
 		}
-		bucket := d.newBucket(st)
-		var prevSink *obs.CostBucket
-		if bucket != nil {
-			prevSink = tr.SetSink(bucket)
-		}
+		bucket := tr.NewBucket()
+		prevSink := tr.SetSink(bucket)
 		res, err := d.cfg.Platform.Invoke(fnName, payload, lambda.InvokeOptions{DeferBilling: deferred})
-		if bucket != nil {
-			tr.SetSink(prevSink)
-		}
+		tr.SetSink(prevSink)
 
 		// Hedge decision: only an attempt that actually executed has a
 		// timeline to outlive the hedge delay (a throttle rejects at
@@ -325,16 +321,11 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 			if hdelay > 0 && res.Duration > hdelay && d.takeHedgeSlot() {
 				hedged = true
 				ri.hedges++
-				p.h.tsHedgesFired.Inc(d.breakerNow(st, &ri), 1)
-				hbucket = d.newBucket(st)
-				var hprev *obs.CostBucket
-				if hbucket != nil {
-					hprev = tr.SetSink(hbucket)
-				}
+				p.h.tsHedgesFired.Inc(j.breakerNow(&ri), 1)
+				hbucket = tr.NewBucket()
+				hprev := tr.SetSink(hbucket)
 				hres, herr = d.cfg.Platform.Invoke(fnName, payload, lambda.InvokeOptions{DeferBilling: true})
-				if hbucket != nil {
-					tr.SetSink(hprev)
-				}
+				tr.SetSink(hprev)
 			}
 		}
 
@@ -347,12 +338,12 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 				res, err = out, nil
 				if ri.hedgeWon {
 					bucket = hbucket
-					p.h.tsHedgesWon.Inc(d.breakerNow(st, &ri), 1)
+					p.h.tsHedgesWon.Inc(j.breakerNow(&ri), 1)
 				}
 			} else {
 				// Both sides failed: one combined failed attempt.
-				d.recordOutcome(p, d.breakerNow(st, &ri), false)
-				stop, ferr := d.retryGate(&ri, hstep, st, err, "invoke ", fnName, faults.IsTransient(err), ri.delay(), invokeDispatchLatency)
+				d.recordOutcome(p, j.breakerNow(&ri), false)
+				stop, ferr := j.retryGate(&ri, hstep, err, "invoke ", fnName, faults.IsTransient(err), ri.delay(), invokeDispatchLatency)
 				ri.steps = append(ri.steps, *hstep)
 				if stop {
 					return nil, ri, ferr
@@ -362,7 +353,7 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 		}
 
 		if err == nil {
-			if deferred && !eager {
+			if deferred && !j.eager {
 				// Sequential mode under hedging defers billing (the winner
 				// was unknowable at invoke time); settle the winner at its
 				// own duration now, into its attempt's charges.
@@ -370,7 +361,7 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 					d.cfg.Platform.SettleExecution(res.MemoryMB, res.Duration)
 				})
 			}
-			d.recordOutcome(p, d.breakerNow(st, &ri), true)
+			d.recordOutcome(p, j.breakerNow(&ri), true)
 			d.recordLatency(p, res.Duration)
 			if ri.attempts == 1 && ri.hedges == 0 {
 				// A clean first-attempt success earns the budget back:
@@ -381,14 +372,10 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 			if hold := ri.wasted + ri.backoff + ri.hedgeExtra; hold > 0 {
 				// Upstream intermediates sat in S3 through the failed
 				// attempts and backoff waits; that storage time bills.
-				if st.lean {
-					d.cfg.Store.ChargeStorage(heldBytes, hold)
-				} else {
-					ri.holdBucket = tr.NewBucket()
-					pb := tr.SetSink(ri.holdBucket)
-					d.cfg.Store.ChargeStorage(heldBytes, hold)
-					tr.SetSink(pb)
-				}
+				ri.holdBucket = tr.NewBucket()
+				pb := tr.SetSink(ri.holdBucket)
+				d.cfg.Store.ChargeStorage(j.prevBytes, hold)
+				tr.SetSink(pb)
 			}
 			return res, ri, nil
 		}
@@ -416,8 +403,8 @@ func (d *Deployment) invokeWithRetry(p *partition, payload []byte, eager bool, h
 		if len(ri.faults) > nfaults {
 			step.fault = ri.faults[len(ri.faults)-1]
 		}
-		d.recordOutcome(p, d.breakerNow(st, &ri), false)
-		stop, ferr := d.retryGate(&ri, &step, st, err, "invoke ", fnName, faults.IsTransient(err), ri.delay(), invokeDispatchLatency)
+		d.recordOutcome(p, j.breakerNow(&ri), false)
+		stop, ferr := j.retryGate(&ri, &step, err, "invoke ", fnName, faults.IsTransient(err), ri.delay(), invokeDispatchLatency)
 		ri.steps = append(ri.steps, step)
 		if stop {
 			return nil, ri, ferr
@@ -545,7 +532,7 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 }
 
 // chargeInto runs f with the tracer sink pointed at bucket. A nil
-// bucket (lean path, or no tracer) runs f without touching the sink.
+// bucket (a pooled job, or no tracer) runs f without touching the sink.
 func (d *Deployment) chargeInto(b *obs.CostBucket, f func()) {
 	if b == nil {
 		f()
@@ -554,16 +541,6 @@ func (d *Deployment) chargeInto(b *obs.CostBucket, f func()) {
 	prev := d.cfg.Tracer.SetSink(b)
 	f()
 	d.cfg.Tracer.SetSink(prev)
-}
-
-// newBucket returns a fresh cost bucket for one attempt's charges, or
-// nil on the lean path — lean jobs build no trace, and their Cost is
-// the job's meter delta, so per-attempt attribution has no consumer.
-func (d *Deployment) newBucket(st *jobState) *obs.CostBucket {
-	if st.lean {
-		return nil
-	}
-	return d.cfg.Tracer.NewBucket()
 }
 
 // takeHedgeSlot claims one hedge under the deployment-wide rate cap,
@@ -641,52 +618,47 @@ func (d *Deployment) recordLatency(p *partition, dur time.Duration) {
 	d.retryMu.Unlock()
 }
 
-// putWithRetry uploads the job input under the retry policy. A failed
-// PUT costs no money (5xx requests are not billed) but each retry
-// waits out a backoff, which the caller folds into completion time —
-// and which must still fit in the job's deadline.
-func (d *Deployment) putWithRetry(key string, data []byte, st *jobState) (time.Duration, retryInfo, error) {
-	tr := d.cfg.Tracer
-	var ri retryInfo
-	if st.deadlined() && st.elapsed >= st.deadline {
-		return 0, ri, &DeadlineError{Op: "put " + key, Deadline: st.deadline, Elapsed: st.elapsed}
+// putWithRetry uploads the job input under the retry policy, recording
+// the operation in j.upInfo. A failed PUT costs no money (5xx requests
+// are not billed) but each retry waits out a backoff, which the caller
+// folds into completion time — and which must still fit in the job's
+// deadline.
+func (j *job) putWithRetry(data []byte) (time.Duration, error) {
+	d, tr, ri := j.d, j.tr, &j.upInfo
+	if j.deadlined() && j.elapsed >= j.deadline {
+		return 0, &DeadlineError{Op: "put " + j.inKey, Deadline: j.deadline, Elapsed: j.elapsed}
 	}
 	for {
 		ri.attempts++
-		bucket := d.newBucket(st)
-		var prevSink *obs.CostBucket
-		if bucket != nil {
-			prevSink = tr.SetSink(bucket)
-		}
+		bucket := tr.NewBucket()
+		prevSink := tr.SetSink(bucket)
 		var dur time.Duration
 		var err error
-		if st.lean && d.stablePut != nil {
-			// Lean inputs are immutable for the object's lifetime (cached
-			// zero encodings, or a fresh encoding nobody else holds), so
-			// the store may retain the slice without a copy.
-			dur, err = d.stablePut.PutStable(key, data)
+		if d.stablePut != nil {
+			// The encoded input is immutable for the object's lifetime (a
+			// cached zero encoding, or a fresh encoding only this job
+			// holds), so the store may retain the slice without a copy.
+			dur, err = d.stablePut.PutStable(j.inKey, data)
 		} else {
-			dur, err = d.cfg.Store.Put(key, data)
+			dur, err = d.cfg.Store.Put(j.inKey, data)
 		}
-		if bucket != nil {
-			tr.SetSink(prevSink)
-		}
+		tr.SetSink(prevSink)
 		if err == nil {
 			if ri.attempts == 1 {
 				d.earnBudgetToken()
 			}
 			ri.finalBucket = bucket
-			return dur, ri, nil
+			return dur, nil
 		}
 		step := retryStep{bucket: bucket}
 		if fe := faultOf(err); fe != nil {
 			ri.faults = append(ri.faults, fe.Kind.String())
 			step.fault = fe.Kind.String()
 		}
-		stop, ferr := d.retryGate(&ri, &step, st, err, "put ", key, faults.IsTransient(err), ri.backoff, 0)
+		stop, ferr := j.retryGate(ri, &step, err, "put ", j.inKey, faults.IsTransient(err), ri.backoff, 0)
 		ri.steps = append(ri.steps, step)
 		if stop {
-			return 0, ri, ferr
+			return 0, ferr
 		}
 	}
 }

@@ -1,12 +1,10 @@
 package coordinator
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"ampsinf/internal/cloud/lambda"
-	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/obs"
 	"ampsinf/internal/tensor"
 )
@@ -62,9 +60,8 @@ func phaseSplit(res *lambda.Result) (lr LambdaRun) {
 type Report struct {
 	Mode       string
 	Completion time.Duration
-	// Elapsed is the job's committed simulated time when it stopped.
-	// Failed lean jobs report it here in place of the failure trace's
-	// root Duration (lean runs never build span trees).
+	// Elapsed is a failed job's committed simulated time when it stopped
+	// (the failure trace's root Duration, for jobs that build one).
 	Elapsed time.Duration
 	// Cost is the job's marginal charge: execution, invocations, S3
 	// requests and intermediate storage — including everything failed
@@ -93,10 +90,10 @@ type Report struct {
 	// Cost.
 	Trace *obs.Span
 
-	// lj points back at the recycled scratch a lean job ran on (nil for
-	// regular runs); ReleaseReport uses it to return the scratch — this
-	// Report included — to the deployment's pool.
-	lj *leanJob
+	// job points back at the record the job ran on; ReleaseReport uses
+	// it to return a pooled record — this Report included — to the
+	// deployment's free list.
+	job *job
 }
 
 // RunOptions tunes one job run.
@@ -116,8 +113,8 @@ type RunOptions struct {
 	// carry the failed job's charges), and a job whose hedge won builds
 	// its tree regardless so hedge-won outcomes are always sampled.
 	NoTrace bool
-	// Lean runs the job on the deployment's recycled scratch (see
-	// lean.go): zero steady-state allocations, Report.Trace always nil
+	// Lean runs the job on the deployment's pooled job record (see
+	// job.go): zero steady-state allocations, Report.Trace always nil
 	// (failures and hedge wins included), Cost still the exact meter
 	// delta. The caller must hand the Report back via ReleaseReport
 	// once done and must not retain it — the streaming schedulers'
@@ -129,7 +126,11 @@ type RunOptions struct {
 // when non-nil, carries a partial trace holding the exact charges the
 // failed job billed, so serving-level cost attribution stays exact.
 func (d *Deployment) Run(input *tensor.Tensor, opts RunOptions) (*Report, error) {
-	return d.run(input, !opts.Sequential, opts.Deadline, opts.NoTrace, opts.Lean)
+	mode := "eager"
+	if opts.Sequential {
+		mode = "sequential"
+	}
+	return d.run(input, mode, StagedOptions{Deadline: opts.Deadline, NoTrace: opts.NoTrace, Lean: opts.Lean})
 }
 
 // RunSequential serves one input with strictly sequential invocations:
@@ -137,7 +138,7 @@ func (d *Deployment) Run(input *tensor.Tensor, opts RunOptions) (*Report, error)
 // model behind the paper's formulation, where the response time is the
 // sum of per-lambda times (Eq. 2).
 func (d *Deployment) RunSequential(input *tensor.Tensor) (*Report, error) {
-	return d.run(input, false, 0, false, false)
+	return d.run(input, "sequential", StagedOptions{})
 }
 
 // RunEager serves one input with the measurement-matching schedule: all
@@ -147,200 +148,49 @@ func (d *Deployment) RunSequential(input *tensor.Tensor) (*Report, error) {
 // deployed system achieves the completion times of the paper's Tables 3
 // and 5.
 func (d *Deployment) RunEager(input *tensor.Tensor) (*Report, error) {
-	return d.run(input, true, 0, false, false)
+	return d.run(input, "eager", StagedOptions{})
 }
 
-func (d *Deployment) run(input *tensor.Tensor, eager bool, deadline time.Duration, noTrace, lean bool) (*Report, error) {
-	tr := d.cfg.Tracer
-	var root *obs.Span
-	var rootBucket *obs.CostBucket
-
-	mode := "sequential"
-	if eager {
-		mode = "eager"
-	}
-	var lj *leanJob
-	var rep *Report
-	var st *jobState
-	var job, inKey string
-	var inData []byte
-	if lean {
-		// Lean jobs run entirely on recycled scratch: no tracer, no span
-		// tree (failures included), recycled job id/keys/payloads, and the
-		// input encoding from the per-batch cache when SkipCompute lets
-		// tensor contents go unread.
-		lj = d.acquireLean(input, deadline, mode)
-		job, inKey = lj.id, lj.inKey
-		rep, st = &lj.rep, &lj.st
-		defer d.cleanupLean(lj)
-		if lj.enc != nil {
-			inData = lj.enc.input
-		} else {
-			inData = modelfmt.EncodeTensor(input)
-		}
-	} else {
-		tr.BeginJob()
-		defer func() { tr.EndJob(root) }()
-		rootBucket = tr.NewBucket()
-		prevSink := tr.SetSink(rootBucket)
-		defer tr.SetSink(prevSink)
-		job = d.nextJobID()
-		inKey = job + "/input"
-		defer d.cleanup(job)
-		rep = &Report{Mode: mode}
-		st = d.newJobState(deadline)
-		inData = modelfmt.EncodeTensor(input)
-	}
-
-	before := d.meterTotal()
-
-	// Upload the input image(s), retrying transient store faults.
-	upDur, upInfo, err := d.putWithRetry(inKey, inData, st)
+// run is the whole-job driver: it walks the whole chain in one call and
+// settles every partition once the chain succeeded — storage holds
+// included, so a run that fails midway has billed none of them.
+func (d *Deployment) run(input *tensor.Tensor, mode string, opts StagedOptions) (*Report, error) {
+	j, err := d.begin(input, mode, opts)
 	if err != nil {
-		rep.Cost = d.meterTotal() - before
-		if lean {
-			rep.Elapsed = st.elapsed
-			d.jh.jobsFailed.Inc(1)
-		} else {
-			root = d.failureTrace(rep, job, st, upInfo, nil, rootBucket)
-			rep.Trace = root
-		}
-		d.recordRetries(rep, &upInfo)
-		return rep, fmt.Errorf("coordinator: uploading input: %w", err)
+		return &j.rep, err
 	}
-	upDur += upInfo.backoff
-	st.elapsed = upDur
-	d.recordRetries(rep, &upInfo)
-
-	var results []*lambda.Result
-	var infos []retryInfo
-	var storedBefore []int64
-	if lean {
-		results = lj.results[:0]
-		infos = lj.infos[:0]
-		storedBefore = lj.storedBefore[:0]
-		// Re-sync the grown headers into the scratch on every exit, so
-		// ReleaseReport recycles exactly the results this run produced.
-		defer func() {
-			lj.results = results
-			lj.infos = infos
-			lj.storedBefore = storedBefore
-		}()
-	} else {
-		results = make([]*lambda.Result, 0, len(d.parts))
-		infos = make([]retryInfo, 0, len(d.parts))
-		storedBefore = make([]int64, 0, len(d.parts))
-	}
-	prevKey := inKey
-	var prevBytes int64 // accumulated intermediate bytes in S3
-	for i, p := range d.parts {
-		storedBefore = append(storedBefore, prevBytes)
-		var payload []byte
-		if lean {
-			payload = lj.payloads[i]
-		} else {
-			payload, _ = json.Marshal(invokePayload{
-				Job: job, InputKey: prevKey,
-			})
-		}
-		res, info, err := d.invokeWithRetry(p, payload, eager, prevBytes, st)
-		infos = append(infos, info)
-		d.recordRetries(rep, &info)
+	defer j.close()
+	for j.next < len(d.parts) {
+		res, info, err := j.invoke()
 		if err != nil {
-			rep.Cost = d.meterTotal() - before
-			if lean {
-				rep.Elapsed = st.elapsed
-				d.jh.jobsFailed.Inc(1)
-			} else {
-				root = d.failureTrace(rep, job, st, upInfo, infos, rootBucket)
-				rep.Trace = root
-			}
-			return rep, fmt.Errorf("coordinator: partition %d: %w", i, err)
+			j.fail()
+			return &j.rep, err
 		}
-		results = append(results, res)
 		// The job's committed serial time grows by this partition's turn
 		// in the chain — the quantity every later deadline check gates
 		// on. (In eager mode this is a conservative overestimate of the
 		// overlapped schedule.)
-		st.elapsed += info.delay() + invokeDispatchLatency + res.Duration
-		if i < len(d.parts)-1 {
-			if lean {
-				prevKey = lj.outKeys[i]
-			} else {
-				prevKey = string(res.Response)
-			}
-			if n, ok := d.cfg.Store.Head(prevKey); ok {
-				prevBytes += n
-			}
-		}
+		j.elapsed += info.delay() + invokeDispatchLatency + res.Duration
 	}
-	if !lean || lj.enc == nil {
-		// A lean job running on cached encodings skips the final decode:
-		// its last response is a recycled zero tensor nobody reads.
-		out, err := modelfmt.DecodeTensor(results[len(results)-1].Response)
-		if err != nil {
-			rep.Cost = d.meterTotal() - before
-			if lean {
-				rep.Elapsed = st.elapsed
-				d.jh.jobsFailed.Inc(1)
-			} else {
-				root = d.failureTrace(rep, job, st, upInfo, infos, rootBucket)
-				rep.Trace = root
-			}
-			return rep, fmt.Errorf("coordinator: decoding prediction: %w", err)
-		}
-		rep.Output = out
+	if err := j.decodeOutput(); err != nil {
+		return &j.rep, err
 	}
-
-	var partBuckets []*obs.CostBucket
-	if !lean {
-		partBuckets = make([]*obs.CostBucket, len(d.parts))
-	}
-	if eager {
-		d.settleEager(rep, results, infos, upDur, storedBefore, partBuckets, lean)
+	if j.eager {
+		j.settleEager()
 	} else {
 		now := d.cfg.Platform.Now()
-		rep.Completion = upDur
-		for i, res := range results {
-			info := &infos[i]
-			rep.Completion += info.delay() + invokeDispatchLatency + res.Duration
+		j.rep.Completion = j.upDur
+		for i, res := range j.results {
+			j.rep.Completion += j.infos[i].delay() + invokeDispatchLatency + res.Duration
 			// The container's real busy window ends when its turn in the
 			// sequential chain does, not when its own handler alone would
 			// (the platform settled it at job start + handler duration).
-			d.cfg.Platform.OccupyUntil(d.parts[i].fnName, res.ContainerID, now+rep.Completion)
-			if lean {
-				d.cfg.Store.ChargeStorage(storedBefore[i], res.Duration)
-			} else {
-				partBuckets[i] = tr.NewBucket()
-				p := tr.SetSink(partBuckets[i])
-				d.cfg.Store.ChargeStorage(storedBefore[i], res.Duration)
-				tr.SetSink(p)
-			}
-			lr := phaseSplit(res)
-			lr.FunctionName = d.parts[i].fnName
-			lr.MemoryMB = res.MemoryMB
-			lr.Cold = res.ColdStart
-			lr.Active = res.Duration
-			lr.Billed = res.BilledDuration
-			lr.Attempts = info.attempts
-			lr.InjectedFaults = info.faults
-			lr.BackoffWait = info.backoff
-			lr.Wasted = info.wasted
-			rep.PerLambda = append(rep.PerLambda, lr)
+			d.cfg.Platform.OccupyUntil(d.parts[i].fnName, res.ContainerID, now+j.rep.Completion)
+			j.settlePart(i, phaseSplit(res), res.Duration, res.BilledDuration)
 		}
 	}
-	rep.Cost = d.meterTotal() - before
-	// Head sampling: a dropped job skips the whole tree build (the
-	// dominant per-job allocation), unless its hedge won — hedge-won
-	// outcomes are always sampled, and rep.HedgeWins is final here
-	// because recordRetries already folded every operation in. Lean
-	// jobs never build a tree.
-	if !lean && (!noTrace || rep.HedgeWins > 0) {
-		root = d.buildTrace(rep, job, eager, upDur, upInfo, results, infos, partBuckets, rootBucket, nil)
-		rep.Trace = root
-	}
-	d.recordJobMetrics(rep)
-	return rep, nil
+	j.complete()
+	return &j.rep, nil
 }
 
 // recordJobMetrics folds one finished job into the metrics registry
@@ -421,11 +271,10 @@ func (d *Deployment) recordRetries(rep *Report, ri *retryInfo) {
 // wait. Retried partitions lose their head start: the failed attempts'
 // execution and backoff waits push the successful attempt's work back
 // (the failed attempts themselves were settled as they happened).
-func (d *Deployment) settleEager(rep *Report, results []*lambda.Result, infos []retryInfo, upDur time.Duration, storedBefore []int64, partBuckets []*obs.CostBucket, lean bool) {
-	tr := d.cfg.Tracer
-	avail := upDur // when partition 0's input is ready in S3
-	for i, res := range results {
-		info := &infos[i]
+func (j *job) settleEager() {
+	pl := j.d.cfg.Platform
+	avail := j.upDur // when partition 0's input is ready in S3
+	for i, res := range j.results {
 		lr := phaseSplit(res)
 		initDone := lr.Init + lr.Load
 		work := lr.Read + lr.Compute + lr.Write
@@ -433,36 +282,17 @@ func (d *Deployment) settleEager(rep *Report, results []*lambda.Result, infos []
 		if avail > start {
 			start = avail
 		}
-		start += info.delay()
+		start += j.infos[i].delay()
 		exit := start + work
 		billed := exit - invokeDispatchLatency
-		if lean {
-			d.cfg.Platform.SettleExecution(res.MemoryMB, billed)
-			d.cfg.Store.ChargeStorage(storedBefore[i], billed)
-		} else {
-			partBuckets[i] = tr.NewBucket()
-			p := tr.SetSink(partBuckets[i])
-			d.cfg.Platform.SettleExecution(res.MemoryMB, billed)
-			d.cfg.Store.ChargeStorage(storedBefore[i], billed)
-			tr.SetSink(p)
-		}
-		lr.FunctionName = d.parts[i].fnName
-		lr.MemoryMB = res.MemoryMB
-		lr.Cold = res.ColdStart
-		lr.Active = res.Duration
-		lr.Billed = billed
-		lr.Attempts = info.attempts
-		lr.InjectedFaults = info.faults
-		lr.BackoffWait = info.backoff
-		lr.Wasted = info.wasted
-		rep.PerLambda = append(rep.PerLambda, lr)
+		j.settlePart(i, lr, billed, billed)
 		// The container's true lifetime spans dispatch to exit — the
 		// input-polling wait included — which is longer than the
 		// handler-active window the platform recorded at invoke time.
-		d.cfg.Platform.OccupyUntil(d.parts[i].fnName, res.ContainerID, d.cfg.Platform.Now()+exit)
+		pl.OccupyUntil(j.d.parts[i].fnName, res.ContainerID, pl.Now()+exit)
 		avail = exit
 	}
-	rep.Completion = avail
+	j.rep.Completion = avail
 }
 
 // BatchReport aggregates a multi-image batch job.
@@ -531,11 +361,4 @@ func (d *Deployment) RunBatched(inputs []*tensor.Tensor) (*Report, error) {
 
 func (d *Deployment) meterTotal() float64 {
 	return d.cfg.Platform.Meter().Total()
-}
-
-func (d *Deployment) cleanup(job string) {
-	for i := range d.parts {
-		d.cfg.Store.Delete(fmt.Sprintf("%s/out%d", job, i))
-	}
-	d.cfg.Store.Delete(job + "/input")
 }

@@ -27,30 +27,34 @@ import (
 // the matching span (S3 request fees land on their transfer phase), so
 // obs.SumCosts over the tree replays the meter's charges exactly.
 //
-// starts, when non-nil, overrides the sequential-chain geometry with an
-// externally scheduled start offset per invocation (staged/pipelined
-// jobs, whose stages wait on shared pipeline slots between partitions).
-func (d *Deployment) buildTrace(rep *Report, job string, eager bool, upDur time.Duration, upInfo retryInfo, results []*lambda.Result, infos []retryInfo, partBuckets []*obs.CostBucket, rootBucket *obs.CostBucket, starts []time.Duration) *obs.Span {
+// A staged job's invocations sit at its scheduler's stage starts instead
+// of the sequential-chain geometry (its stages wait on shared pipeline
+// slots between partitions).
+func (j *job) buildTrace() *obs.Span {
+	rep, eager := &j.rep, j.eager
 	root := &obs.Span{
-		Name: job, Kind: obs.KindJob, Track: "coordinator",
+		Name: j.id, Kind: obs.KindJob, Track: "coordinator",
 		Duration: rep.Completion,
 	}
 	root.SetAttr("mode", rep.Mode)
-	root.SetAttr("model", d.model.Name)
-	attachBucket(root, rootBucket)
+	root.SetAttr("model", j.d.model.Name)
+	if j.batch > 1 {
+		root.SetAttr("batch", strconv.Itoa(j.batch))
+	}
+	attachBucket(root, j.rootBucket)
 
-	d.buildUploadSpan(root, job, upDur, upInfo)
+	j.buildUploadSpan(root)
 
-	jobCursor := upDur // sequential chain cursor
-	avail := upDur     // eager availability chain
-	for i, res := range results {
-		info := infos[i]
+	jobCursor := j.upDur // sequential chain cursor
+	avail := j.upDur     // eager availability chain
+	for i, res := range j.results {
+		info := &j.infos[i]
 		lr := phaseSplit(res)
-		track := d.parts[i].fnName
+		track := j.d.parts[i].fnName
 
 		var invStart, workStart, exit time.Duration
-		if starts != nil {
-			invStart = starts[i]
+		if j.anchored {
+			invStart = j.starts[i]
 			exit = invStart + info.delay() + invokeDispatchLatency + res.Duration
 		} else if eager {
 			// Mirror settleEager's schedule arithmetic exactly.
@@ -84,7 +88,7 @@ func (d *Deployment) buildTrace(rep *Report, job string, eager bool, upDur time.
 		if info.shortCircuits > 0 {
 			inv.SetAttr("short_circuits", strconv.Itoa(info.shortCircuits))
 		}
-		attachBucket(inv, partBuckets[i])
+		attachBucket(inv, j.partBuckets[i])
 		attachBucket(inv, info.holdBucket)
 
 		cursor := invStart
@@ -129,7 +133,8 @@ func (d *Deployment) buildTrace(rep *Report, job string, eager bool, upDur time.
 // buildUploadSpan lays out the input upload: failed PUT attempts are
 // zero-length (a failed PUT transfers nothing and bills nothing), each
 // followed by its backoff; the successful PUT closes the span.
-func (d *Deployment) buildUploadSpan(root *obs.Span, job string, upDur time.Duration, upInfo retryInfo) {
+func (j *job) buildUploadSpan(root *obs.Span) {
+	upDur, upInfo := j.upDur, &j.upInfo
 	putDur := upDur - upInfo.backoff
 	upload := root.AddChild(&obs.Span{
 		Name: "upload-input", Kind: obs.KindUpload, Track: "input",
@@ -142,7 +147,7 @@ func (d *Deployment) buildUploadSpan(root *obs.Span, job string, upDur time.Dura
 		Start: cursor, Duration: putDur,
 	})
 	put.SetAttr("attempt", strconv.Itoa(upInfo.attempts))
-	if n, ok := d.cfg.Store.Head(job + "/input"); ok {
+	if n, ok := j.d.cfg.Store.Head(j.inKey); ok {
 		put.SetAttr("bytes", strconv.FormatInt(n, 10))
 	}
 	attachBucket(put, upInfo.finalBucket)
@@ -294,19 +299,20 @@ func attachBucket(s *obs.Span, b *obs.CostBucket) {
 
 // failureTrace builds the span tree of a job that never finished: a
 // single root carrying every charge the job billed before it gave up
-// (failed attempts, cancelled hedges, holds), so obs.SumCosts over a
-// failed job's trace still reproduces its Report.Cost exactly and
-// serving-level cost attribution stays bit-exact under faults.
-func (d *Deployment) failureTrace(rep *Report, job string, st *jobState, upInfo retryInfo, infos []retryInfo, rootBucket *obs.CostBucket) *obs.Span {
+// (failed attempts, cancelled hedges, holds — and the settlements of
+// the stages a staged job completed), so obs.SumCosts over a failed
+// job's trace still reproduces its charges exactly and serving-level
+// cost attribution stays bit-exact under faults.
+func (j *job) failureTrace() *obs.Span {
 	root := &obs.Span{
-		Name: job, Kind: obs.KindJob, Track: "coordinator",
-		Duration: st.elapsed,
+		Name: j.id, Kind: obs.KindJob, Track: "coordinator",
+		Duration: j.elapsed,
 	}
-	root.SetAttr("mode", rep.Mode)
-	root.SetAttr("model", d.model.Name)
+	root.SetAttr("mode", j.rep.Mode)
+	root.SetAttr("model", j.d.model.Name)
 	root.SetAttr("failed", "true")
-	attachBucket(root, rootBucket)
-	collect := func(ri retryInfo) {
+	attachBucket(root, j.rootBucket)
+	collect := func(ri *retryInfo) {
 		for _, s := range ri.steps {
 			attachBucket(root, s.bucket)
 			if s.hedge != nil {
@@ -319,15 +325,17 @@ func (d *Deployment) failureTrace(rep *Report, job string, st *jobState, upInfo 
 		attachBucket(root, ri.finalBucket)
 		attachBucket(root, ri.holdBucket)
 	}
-	collect(upInfo)
-	for _, ri := range infos {
-		collect(ri)
+	collect(&j.upInfo)
+	for i := range j.infos {
+		collect(&j.infos[i])
+	}
+	for _, b := range j.partBuckets {
+		attachBucket(root, b)
 	}
 	var total float64
 	for _, e := range root.CostEvents {
 		total += e.Amount
 	}
 	root.Cost = total
-	d.cfg.Metrics.Inc("coordinator_jobs_failed_total", 1)
 	return root
 }

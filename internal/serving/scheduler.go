@@ -534,13 +534,8 @@ func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, err err
 			outcome, failed = OutcomeFailed, s.h.failures
 		}
 		errText = err.Error()
-		// The failed job still consumed simulated time before giving up:
-		// its failure trace records how much, or — lean failures carry no
-		// span tree — the report's Elapsed scalar.
+		// The failed job still consumed simulated time before giving up.
 		done = u.start + jrep.Elapsed
-		if jrep.Trace != nil {
-			done = u.start + jrep.Trace.Duration
-		}
 	} else {
 		s.estSum += jrep.Completion
 		s.estN++
