@@ -123,8 +123,13 @@ func (j *job) request(i int) invokePayload {
 // "pipelined"): it takes a record — pooled scratch or a fresh one — and
 // uploads the input, retrying transient store faults. On error the
 // returned job is already finalized and its Report carries the exact
-// charges the upload billed.
+// charges the upload billed. A request that cannot be served at all is
+// turned away before anything is taken, uploaded or billed: the job that
+// comes back is finished and its Report empty.
 func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions) (*job, error) {
+	if err := d.checkInput(input); err != nil {
+		return &job{d: d, rep: Report{Mode: mode}, jobRun: jobRun{done: true}}, err
+	}
 	var j *job
 	if opts.Lean {
 		j = d.acquirePooled(input)
@@ -174,6 +179,22 @@ func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions
 	j.upDur = dur + j.upInfo.backoff
 	j.elapsed = j.upDur
 	return j, nil
+}
+
+// checkInput holds a request's input to the model's input shape: same
+// rank, at least one example, every other dimension equal. Handlers
+// index the batch dimension and size their outputs from it, so a
+// malformed input must not reach them.
+func (d *Deployment) checkInput(input *tensor.Tensor) error {
+	want := d.model.InputShape
+	if input == nil {
+		return fmt.Errorf("coordinator: nil input, want shape %v", want)
+	}
+	got := input.Shape()
+	if len(got) != len(want) || got[0] < 1 || !got[1:].Equal(want[1:]) {
+		return fmt.Errorf("coordinator: input shape %v does not fit the model's %v (any batch ≥ 1)", got, want)
+	}
+	return nil
 }
 
 // invoke runs the job's next partition under the resilience policies,
