@@ -3,6 +3,7 @@ package coordinator
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"ampsinf/internal/tensor"
 )
@@ -73,6 +74,33 @@ func TestMalformedInputRejectedBeforeBilling(t *testing.T) {
 				}
 				d.ReleaseReport(rep)
 			})
+		}
+	}
+}
+
+// A negative per-job deadline is rejected like Deploy and
+// SLOPolicy.Validate reject theirs. It used to read as "no deadline" and
+// so switched the deployment's own Config.Deadline off for that job.
+func TestNegativeJobDeadlineRejected(t *testing.T) {
+	for _, lean := range []bool{false, true} {
+		e, d, m, _ := deployTinyResilient(t, 0, 0, func(cfg *Config) { cfg.Deadline = time.Nanosecond })
+		in := randomInput(m, 1)
+		rep, err := d.Run(in, RunOptions{Lean: lean})
+		if !IsDeadlineExceeded(err) {
+			t.Fatalf("lean=%v: a 1 ns Config.Deadline did not fail the job on its deadline: %v", lean, err)
+		}
+		d.ReleaseReport(rep)
+		before := e.meter.Total()
+		rep, err = d.Run(in, RunOptions{Lean: lean, Deadline: -time.Second})
+		if err == nil || IsDeadlineExceeded(err) || rep == nil || rep.Cost != 0 || e.meter.Total() != before {
+			t.Fatalf("lean=%v: Run with a negative deadline: report %+v, err %v, want a plain rejection", lean, rep, err)
+		}
+		sj, err := d.BeginStaged(in, StagedOptions{Lean: lean, Deadline: -time.Second})
+		if err == nil || IsDeadlineExceeded(err) || sj.Rep().Cost != 0 || e.meter.Total() != before {
+			t.Fatalf("lean=%v: BeginStaged with a negative deadline: report %+v, err %v, want a plain rejection", lean, sj.Rep(), err)
+		}
+		if _, err := sj.RunStage(0); err == nil {
+			t.Fatalf("lean=%v: a rejected staged job ran a stage", lean)
 		}
 	}
 }

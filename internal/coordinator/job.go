@@ -127,7 +127,11 @@ func (j *job) request(i int) invokePayload {
 // turned away before anything is taken, uploaded or billed: the job that
 // comes back is finished and its Report empty.
 func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions) (*job, error) {
-	if err := d.checkInput(input); err != nil {
+	err := d.checkInput(input)
+	if err == nil && opts.Deadline < 0 {
+		err = fmt.Errorf("coordinator: negative deadline %v", opts.Deadline)
+	}
+	if err != nil {
 		return &job{d: d, rep: Report{Mode: mode}, jobRun: jobRun{done: true}}, err
 	}
 	var j *job
@@ -140,9 +144,6 @@ func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions
 	deadline := opts.Deadline
 	if deadline == 0 {
 		deadline = d.cfg.Deadline
-	}
-	if deadline < 0 {
-		deadline = 0
 	}
 	j.jobRun = jobRun{
 		eager: mode == "eager", anchored: mode == "pipelined",
