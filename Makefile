@@ -7,9 +7,9 @@ GO ?= go
 # e.g. BENCHTIME=1s for statistically steadier baselines.
 BENCHTIME ?= 1x
 
-.PHONY: verify test race fmt vet build cross staticcheck chaos fuzz bench bench-diff cover loc
+.PHONY: verify test race fmt vet build cross staticcheck equiv chaos fuzz bench bench-diff cover loc
 
-verify: fmt vet staticcheck build cross race
+verify: fmt vet staticcheck build cross race equiv
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -34,6 +34,17 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# Hot-path equivalence: each fast path against the reference it
+# replaced or the path it shares code with — telemetry write sections
+# vs single writes, the slot meter vs the map meter, the busy-until
+# mirror vs the pointer scan, a pooled job vs a traced one — three
+# times under the race detector. CI runs this target.
+equiv:
+	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites' ./internal/obs/
+	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
+	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
+	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob' ./internal/coordinator/
 
 # Chaos smoke: the resilience and pipelining×batching ladders at a 60%
 # base fault rate with 8× correlated storms, plus two 100k-request

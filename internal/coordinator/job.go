@@ -27,9 +27,9 @@ type job struct {
 	id       string
 	inKey    string
 	outKeys  []string // outKeys[i] = id + "/out" + i (last one: cleanup only)
-	outKeyB  [][]byte // outKeys pre-converted for handler returns
 	payloads [][]byte // payloads[i] = JSON invokePayload for partition i
 	pooled   bool
+	outKeyB  [][]byte // pooled: outKeys pre-converted for handler returns
 	// tr receives the job's cost attribution: the deployment's tracer,
 	// or nil for a pooled job, whose Cost is its meter delta and which
 	// builds no tree for per-operation charges to land on. Every
@@ -93,7 +93,6 @@ func (d *Deployment) newJob(id string) *job {
 	j := &job{
 		d: d, id: id, inKey: id + "/input",
 		outKeys:      make([]string, n),
-		outKeyB:      make([][]byte, n),
 		payloads:     make([][]byte, n),
 		results:      make([]*lambda.Result, 0, n),
 		infos:        make([]retryInfo, 0, n),
@@ -104,7 +103,6 @@ func (d *Deployment) newJob(id string) *job {
 	}
 	for i := 0; i < n; i++ {
 		j.outKeys[i] = fmt.Sprintf("%s/out%d", id, i)
-		j.outKeyB[i] = []byte(j.outKeys[i])
 		j.payloads[i], _ = json.Marshal(j.request(i))
 	}
 	return j
@@ -366,6 +364,7 @@ func (d *Deployment) acquirePooled(input *tensor.Tensor) *job {
 		}
 		for i, payload := range j.payloads {
 			d.leanRoutes[string(payload)] = leanRoute{req: j.request(i), j: j, part: i}
+			j.outKeyB = append(j.outKeyB, []byte(j.outKeys[i]))
 		}
 	}
 	if d.cfg.SkipCompute {

@@ -27,10 +27,9 @@ import (
 
 // leanEncoding caches the encoded zero tensors for one batch size.
 type leanEncoding struct {
-	batch   int
-	inShape []int
-	input   []byte   // EncodeTensor of a zero input tensor
-	parts   [][]byte // per partition: EncodeTensor of its zero output
+	batch int
+	input []byte   // EncodeTensor of a zero input tensor
+	parts [][]byte // per partition: EncodeTensor of its zero output
 }
 
 // leanRoute maps one pooled job's payload to its pre-parsed request, so
@@ -42,49 +41,28 @@ type leanRoute struct {
 }
 
 // leanEncodingLocked returns the cached zero-tensor encodings for the
-// input's batch size, building (or rebuilding, should the trailing
-// dimensions ever change) on first sight. Callers hold leanMu.
+// input's batch size, building them on first sight; begin has held the
+// input's other dimensions to the model's. Callers hold leanMu.
 func (d *Deployment) leanEncodingLocked(input *tensor.Tensor) *leanEncoding {
 	shape := input.Shape()
 	enc := d.leanEnc[shape[0]]
-	if enc != nil && !sameShape(enc.inShape, shape) {
-		enc = nil
-	}
 	if enc == nil {
-		enc = d.buildLeanEncoding(shape)
+		enc = &leanEncoding{
+			batch: shape[0],
+			input: modelfmt.EncodeTensor(tensor.New(shape...)),
+			parts: make([][]byte, len(d.parts)),
+		}
+		for i, p := range d.parts {
+			out := p.model.Output().OutShape.Clone()
+			out[0] = shape[0]
+			enc.parts[i] = modelfmt.EncodeTensor(tensor.New(out...))
+		}
 		if d.leanEnc == nil {
 			d.leanEnc = make(map[int]*leanEncoding)
 		}
 		d.leanEnc[shape[0]] = enc
 	}
 	return enc
-}
-
-func (d *Deployment) buildLeanEncoding(shape []int) *leanEncoding {
-	enc := &leanEncoding{
-		batch:   shape[0],
-		inShape: append([]int(nil), shape...),
-		input:   modelfmt.EncodeTensor(tensor.New(shape...)),
-		parts:   make([][]byte, len(d.parts)),
-	}
-	for i, p := range d.parts {
-		out := p.model.Output().OutShape.Clone()
-		out[0] = shape[0]
-		enc.parts[i] = modelfmt.EncodeTensor(tensor.New(out...))
-	}
-	return enc
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // leanRouteFor resolves a payload to its lean route; ok only when the

@@ -102,9 +102,9 @@ type RunOptions struct {
 	// of the default overlapped (eager) one.
 	Sequential bool
 	// Deadline overrides the deployment's Config.Deadline for this job
-	// (0 = use the config default). Once the job's committed simulated
-	// time cannot cover another attempt, operations fail fast with a
-	// DeadlineError.
+	// (0 = use the config default; negative is rejected). Once the job's
+	// committed simulated time cannot cover another attempt, operations
+	// fail fast with a DeadlineError.
 	Deadline time.Duration
 	// NoTrace skips materializing the success span tree (Report.Trace
 	// stays nil), the head-sampling hook internal/serving uses to stop
