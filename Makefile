@@ -1,13 +1,11 @@
 # Verification entry points. `make verify` is the full pre-merge gate
-# (formatting, vet, build, tests under the race detector); `make test`
-# is the quick tier-1 check.
+# (formatting, vet, build, tests under the race detector, hot-path
+# equivalence); `make test` is the quick tier-1 check; `make bench`,
+# `bench-compare` and `bench-record` drive the repo benchmark in bench/.
 
 GO ?= go
-# One pass per benchmark keeps `make bench` to ~half a minute; raise to
-# e.g. BENCHTIME=1s for statistically steadier baselines.
-BENCHTIME ?= 1x
 
-.PHONY: verify test race fmt vet build cross staticcheck equiv chaos fuzz bench bench-diff cover loc
+.PHONY: verify test race fmt vet build cross staticcheck equiv chaos fuzz bench bench-compare bench-record cover loc
 
 verify: fmt vet staticcheck build cross race equiv
 
@@ -67,30 +65,31 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/...
 
-# Run every benchmark and write the machine-readable baseline used to
-# spot performance regressions (cmd/benchjson normalizes the output).
+# The repo benchmark (bench/, its own module; BENCHMARK.json names its
+# workloads, metrics and bounds). `make bench` runs all four workloads,
+# an untraced and a traced pass each, into bench/out/result.json (~2.5
+# min at 20 s a pass); `make bench-compare A=base.json B=new.json` sets two
+# such files side by side, row by row; `make bench-record` appends the
+# last run as one line to BENCH_history.ndjson — one line per PR, never
+# rewritten, so the measurements are a trajectory.
+#
+# CI runs none of these. `-compare` fails on any host metric that reads
+# worse than the base beyond its bound, and against a result stored from
+# another machine that is the machine speaking: only the sim_* metrics,
+# good_share and the sim digests are machine-independent. A speed claim
+# needs alternating parent/change pairs on one box (bench/README.md,
+# "Comparing two commits"); what CI gates on is counted, not timed — the
+# allocation-budget tests in internal/serving.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) ./... | $(GO) run ./cmd/benchjson > BENCH_baseline.json
-	@echo "wrote BENCH_baseline.json"
+	bash bench/run.sh
 
-# Re-run every benchmark and print the per-benchmark ns/op and B/op
-# delta against the committed baseline. Informational: wall-clock noise
-# varies by machine, so this never fails the build.
-bench-diff:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -diff BENCH_baseline.json
+bench-compare:
+	bash bench/run.sh -compare $(abspath $(A)) $(abspath $(B))
 
-# Same diff, but exit non-zero if any benchmark's req/s throughput
-# falls more than BENCH_GATE_PCT percent below the committed baseline,
-# or its allocs/op grows more than BENCH_ALLOC_GATE_PCT percent above
-# it. The throughput gate is loose on purpose: single-iteration
-# wall-clock on shared CI runners is noisy, so only order-of-magnitude
-# regressions (a hot path quietly de-optimized) should trip it. The
-# alloc gate can be much tighter because alloc counts are
-# deterministic, not wall-clock noise.
-BENCH_GATE_PCT ?= 75
-BENCH_ALLOC_GATE_PCT ?= 25
-bench-gate:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -diff BENCH_baseline.json -fail-below-pct $(BENCH_GATE_PCT) -fail-allocs-above-pct $(BENCH_ALLOC_GATE_PCT)
+bench-record:
+	@test -s bench/out/result.json || { echo "no bench/out/result.json: run 'make bench' first" >&2; exit 1; }
+	{ tr -d '\n' < bench/out/result.json; echo; } >> BENCH_history.ndjson
+	@echo "appended bench/out/result.json to BENCH_history.ndjson"
 
 # Per-package coverage report. Fails if any internal package ships with
 # no test files at all — every subsystem must carry its own tests.

@@ -180,6 +180,9 @@ func cmdInfer(args []string) error {
 	metricsOut := fs.String("metrics", "", "write a metrics snapshot JSON to this file")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
+	if *images < 1 {
+		return fmt.Errorf("-images %d: need at least one image", *images)
+	}
 	stopProf, err := startProf()
 	if err != nil {
 		return err
@@ -353,6 +356,9 @@ func cmdServe(args []string) error {
 	metricsOut := fs.String("metrics", "", "write a metrics snapshot JSON to this file")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
+	if *requests < 1 {
+		return fmt.Errorf("-requests %d: need at least one request", *requests)
+	}
 	stopProf, err := startProf()
 	if err != nil {
 		return err

@@ -66,7 +66,6 @@ type jobRun struct {
 	// sequential-chain sum, a conservative overestimate of the overlapped
 	// schedule: the deadline gate may fail a job slightly early, never
 	// late.
-	budget   jobBudget
 	deadline time.Duration
 	elapsed  time.Duration
 
@@ -146,7 +145,7 @@ func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions
 	j.jobRun = jobRun{
 		eager: mode == "eager", anchored: mode == "pipelined",
 		noTrace: opts.NoTrace, batch: opts.Batch,
-		budget: d.newJobBudget(), deadline: deadline,
+		deadline: deadline,
 	}
 	j.rep = Report{Mode: mode, PerLambda: j.perLambda[:0], job: j}
 	var data []byte

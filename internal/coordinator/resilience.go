@@ -100,8 +100,6 @@ type BudgetPolicy struct {
 	// (default 0.1, i.e. one retry allowed per ten clean operations once
 	// the initial stake is spent).
 	EarnPerSuccess float64
-	// RetryCost is the tokens one retry spends (default 1).
-	RetryCost float64
 	// HedgeCost is the tokens one hedged duplicate spends (default 1).
 	HedgeCost float64
 }
@@ -122,13 +120,6 @@ func (p BudgetPolicy) earn() float64 {
 	return 0.1
 }
 
-func (p BudgetPolicy) retryCost() float64 {
-	if p.RetryCost > 0 {
-		return p.RetryCost
-	}
-	return 1
-}
-
 func (p BudgetPolicy) hedgeCost() float64 {
 	if p.HedgeCost > 0 {
 		return p.HedgeCost
@@ -146,9 +137,6 @@ func (p BudgetPolicy) Validate() error {
 	}
 	if p.EarnPerSuccess < 0 {
 		return fmt.Errorf("budget policy: EarnPerSuccess %v is negative", p.EarnPerSuccess)
-	}
-	if p.RetryCost < 0 {
-		return fmt.Errorf("budget policy: RetryCost %v is negative", p.RetryCost)
 	}
 	if p.HedgeCost < 0 {
 		return fmt.Errorf("budget policy: HedgeCost %v is negative", p.HedgeCost)
@@ -170,11 +158,12 @@ func (d *Deployment) spendBudgetLocked(cost float64) bool {
 	return true
 }
 
-// spendRetryToken claims one retry from the deployment-wide budget.
+// spendRetryToken claims one retry — one token — from the
+// deployment-wide budget.
 func (d *Deployment) spendRetryToken() bool {
 	d.retryMu.Lock()
 	defer d.retryMu.Unlock()
-	return d.spendBudgetLocked(d.cfg.Budget.retryCost())
+	return d.spendBudgetLocked(1)
 }
 
 // earnBudgetToken credits the bucket for one first-attempt success,
@@ -207,22 +196,12 @@ func (d *Deployment) SetHedgingDisabled(off bool) {
 	d.retryMu.Unlock()
 }
 
-// hedgingDisabled reports the runtime hedge override.
-func (d *Deployment) hedgingDisabled() bool {
-	d.retryMu.Lock()
-	defer d.retryMu.Unlock()
-	return d.hedgeOff
-}
-
 // Validate rejects nonsensical retry policies at deployment time, so a
 // mistake like Multiplier 0.5 surfaces as a clear error instead of being
 // silently replaced with the default inside backoff().
 func (p RetryPolicy) Validate() error {
 	if p.MaxAttempts < 0 {
 		return fmt.Errorf("retry policy: MaxAttempts %d is negative", p.MaxAttempts)
-	}
-	if p.JobRetryBudget < 0 {
-		return fmt.Errorf("retry policy: JobRetryBudget %d is negative", p.JobRetryBudget)
 	}
 	if p.BaseBackoff < 0 {
 		return fmt.Errorf("retry policy: BaseBackoff %v is negative", p.BaseBackoff)

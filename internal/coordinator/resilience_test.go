@@ -72,7 +72,6 @@ func TestDeployRejectsInvalidPolicies(t *testing.T) {
 		}},
 		{"retry negative backoff", func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: -time.Second} }},
 		{"retry negative attempts", func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: -1} }},
-		{"retry negative budget", func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 3, JobRetryBudget: -2} }},
 		{"hedge percentile > 100", func(cfg *Config) { cfg.Hedge = HedgePolicy{Percentile: 150} }},
 		{"hedge negative delay", func(cfg *Config) { cfg.Hedge = HedgePolicy{Delay: -time.Second} }},
 		{"hedge rate > 1", func(cfg *Config) { cfg.Hedge = HedgePolicy{Delay: time.Second, MaxRate: 1.5} }},

@@ -29,9 +29,6 @@ type RetryPolicy struct {
 	// MaxAttempts caps attempts per operation (per partition
 	// invocation or input upload). Values ≤ 1 disable retries.
 	MaxAttempts int
-	// JobRetryBudget caps total retries across one job (0 = no cap
-	// beyond the per-operation MaxAttempts).
-	JobRetryBudget int
 	// BaseBackoff is the wait before the first retry (default 200 ms).
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 10 s).
@@ -166,28 +163,6 @@ func (ri *retryInfo) delay() time.Duration {
 	return ri.wasted + ri.backoff + time.Duration(ri.attempts-1)*invokeDispatchLatency + ri.hedgeExtra
 }
 
-// jobBudget tracks a job-wide retry allowance.
-type jobBudget struct {
-	capped    bool
-	remaining int
-}
-
-func (d *Deployment) newJobBudget() jobBudget {
-	p := d.cfg.Retry
-	return jobBudget{capped: p.JobRetryBudget > 0, remaining: p.JobRetryBudget}
-}
-
-func (b *jobBudget) take() bool {
-	if !b.capped {
-		return true
-	}
-	if b.remaining == 0 {
-		return false
-	}
-	b.remaining--
-	return true
-}
-
 // lazyError wraps cause under a message — format takes n, then the
 // cause — built only when read: a storm fails thousands of operations
 // whose text nobody prints.
@@ -214,9 +189,6 @@ func (j *job) retryGate(ri *retryInfo, step *retryStep, err error, opKind, opNam
 	}
 	if ri.attempts >= d.cfg.Retry.MaxAttempts {
 		return true, &lazyError{"gave up after %d attempts: %v", ri.attempts, err}
-	}
-	if !j.budget.take() {
-		return true, &lazyError{"job retry budget exhausted after %d attempts: %v", ri.attempts, err}
 	}
 	bo := d.backoff(ri.attempts)
 	if j.deadlined() && j.elapsed+opDelay+bo+redispatch >= j.deadline {

@@ -136,24 +136,6 @@ func TestZeroPolicyFailsFast(t *testing.T) {
 	}
 }
 
-// A job-wide retry budget caps recovery even when per-operation
-// attempts remain.
-func TestJobRetryBudgetExhausted(t *testing.T) {
-	policy := resilientPolicy(5)
-	policy.JobRetryBudget = 1
-	_, d, m, _ := deployTinyFaulty(t, 0.9, 5, policy)
-	var sawBudget bool
-	for j := 0; j < 10 && !sawBudget; j++ {
-		_, err := d.RunEager(randomInput(m, int64(j)))
-		if err != nil && strings.Contains(err.Error(), "retry budget exhausted") {
-			sawBudget = true
-		}
-	}
-	if !sawBudget {
-		t.Fatal("90% fault rate never exhausted a 1-retry job budget")
-	}
-}
-
 // Deterministic (non-transient) failures must not be retried, even
 // with retries enabled.
 func TestNonTransientNotRetried(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/s3"
-	"ampsinf/internal/cloud/stage"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/obs"
@@ -39,10 +38,6 @@ type Options struct {
 	Store    *s3.Store
 	Meter    *billing.Meter
 	Perf     *perf.Params
-	S3Config *s3.Config
-	// Stage overrides the staging backend entirely (e.g. a redis.Store);
-	// when set it takes precedence over Store/S3Config.
-	Stage stage.Store
 	// Faults installs a fault injector on the platform and S3 store the
 	// framework ends up with (nil = fault-free).
 	Faults *faults.Injector
@@ -63,7 +58,7 @@ type Options struct {
 // Coordinator pipeline for submitted models.
 type Framework struct {
 	platform *lambda.Platform
-	store    stage.Store
+	store    *s3.Store
 	meter    *billing.Meter
 	perf     perf.Params
 	tracer   *obs.Tracer
@@ -86,22 +81,13 @@ func NewFramework(opts Options) *Framework {
 	if platform == nil {
 		platform = lambda.New(meter, p)
 	}
-	var store stage.Store = opts.Stage
-	if store == nil && opts.Store != nil {
-		store = opts.Store
-	}
+	store := opts.Store
 	if store == nil {
-		cfg := s3.DefaultConfig()
-		if opts.S3Config != nil {
-			cfg = *opts.S3Config
-		}
-		store = s3.New(cfg, meter)
+		store = s3.New(s3.DefaultConfig(), meter)
 	}
 	if opts.Faults != nil {
 		platform.SetInjector(opts.Faults)
-		if s3s, ok := store.(*s3.Store); ok {
-			s3s.SetInjector(opts.Faults)
-		}
+		store.SetInjector(opts.Faults)
 		// Burst mode needs simulated time for store draws; the lambda
 		// path passes its clock offset explicitly inside Invoke.
 		opts.Faults.SetClock(platform.Now)
@@ -111,9 +97,7 @@ func NewFramework(opts Options) *Framework {
 	}
 	if opts.Metrics != nil {
 		platform.SetMetrics(opts.Metrics)
-		if s3s, ok := store.(*s3.Store); ok {
-			s3s.SetMetrics(opts.Metrics)
-		}
+		store.SetMetrics(opts.Metrics)
 	}
 	if opts.Series != nil {
 		platform.SetSeries(opts.Series)
@@ -131,7 +115,7 @@ func (f *Framework) Meter() *billing.Meter { return f.meter }
 func (f *Framework) Platform() *lambda.Platform { return f.platform }
 
 // Store returns the staging object store.
-func (f *Framework) Store() stage.Store { return f.store }
+func (f *Framework) Store() *s3.Store { return f.store }
 
 // SubmitOptions tunes one submission.
 type SubmitOptions struct {

@@ -2,8 +2,7 @@
 // evaluation (Sec. 2 and Sec. 5) on the simulated platform. Each
 // Table*/Figure* function builds a fresh environment, runs the workload,
 // and returns a typed result with a Render method that prints the same
-// rows/series the paper reports. cmd/experiments prints them all;
-// bench_test.go wraps each in a testing.B benchmark.
+// rows/series the paper reports. cmd/experiments prints them all.
 package experiments
 
 import (

@@ -61,10 +61,6 @@ type BrownoutPolicy struct {
 	// hard-shed rejections are excluded, so the ladder's deepest rung
 	// does not feed back into its own trigger.
 	BadFraction float64
-	// ThrottleFraction marks a window unhealthy when admission
-	// throttles exceed this fraction of admission attempts (default
-	// 0.5).
-	ThrottleFraction float64
 	// MinJobs is the minimum number of settled requests (latency
 	// observations for the P99 trigger; settled outcomes for the
 	// fraction triggers) a window needs before those triggers can fire
@@ -81,10 +77,16 @@ type BrownoutPolicy struct {
 	// MaxLevel caps the descent (default BrownoutShed). A run without a
 	// fallback deployment treats BrownoutFallback as BrownoutWideBatch.
 	MaxLevel int
-	// BatchWindowFactor multiplies the admission batch window at
-	// BrownoutWideBatch and below (default 4).
-	BatchWindowFactor float64
 }
+
+// A window is also unhealthy when admission throttles exceed
+// brownoutThrottleFraction of its admission attempts; the admission
+// batch window is multiplied by brownoutBatchWindowFactor at
+// BrownoutWideBatch and below.
+const (
+	brownoutThrottleFraction  = 0.5
+	brownoutBatchWindowFactor = 4
+)
 
 func (p BrownoutPolicy) enabled() bool { return p.Enabled }
 
@@ -93,13 +95,6 @@ func (p BrownoutPolicy) badFraction() float64 {
 		return p.BadFraction
 	}
 	return 0.2
-}
-
-func (p BrownoutPolicy) throttleFraction() float64 {
-	if p.ThrottleFraction > 0 {
-		return p.ThrottleFraction
-	}
-	return 0.5
 }
 
 func (p BrownoutPolicy) minJobs() int64 {
@@ -130,13 +125,6 @@ func (p BrownoutPolicy) maxLevel() int {
 	return BrownoutShed
 }
 
-func (p BrownoutPolicy) batchFactor() float64 {
-	if p.BatchWindowFactor > 1 {
-		return p.BatchWindowFactor
-	}
-	return 4
-}
-
 // Validate rejects nonsensical brownout policies before a run starts.
 func (p BrownoutPolicy) Validate() error {
 	if !p.Enabled {
@@ -147,9 +135,6 @@ func (p BrownoutPolicy) Validate() error {
 	}
 	if p.BadFraction < 0 || p.BadFraction > 1 {
 		return fmt.Errorf("brownout policy: BadFraction %v outside [0, 1]", p.BadFraction)
-	}
-	if p.ThrottleFraction < 0 || p.ThrottleFraction > 1 {
-		return fmt.Errorf("brownout policy: ThrottleFraction %v outside [0, 1]", p.ThrottleFraction)
 	}
 	if p.MinJobs < 0 {
 		return fmt.Errorf("brownout policy: MinJobs %d is negative", p.MinJobs)
@@ -162,9 +147,6 @@ func (p BrownoutPolicy) Validate() error {
 	}
 	if p.MaxLevel < 0 || p.MaxLevel > BrownoutShed {
 		return fmt.Errorf("brownout policy: MaxLevel %d outside [0, %d]", p.MaxLevel, BrownoutShed)
-	}
-	if p.BatchWindowFactor < 0 {
-		return fmt.Errorf("brownout policy: BatchWindowFactor %v is negative", p.BatchWindowFactor)
 	}
 	return nil
 }
@@ -264,7 +246,7 @@ func (c *brownoutCtl) unhealthyWindow(f *obs.WindowFrame) bool {
 	}
 	throttles := f.Counters["serving_throttles_total"]
 	if attempts := jobs + throttles; attempts >= min &&
-		float64(throttles)/float64(attempts) > c.pol.throttleFraction() {
+		float64(throttles)/float64(attempts) > brownoutThrottleFraction {
 		return true
 	}
 	return false
@@ -284,5 +266,5 @@ func (c *brownoutCtl) widenBatch() (float64, bool) {
 	if c == nil || c.level < BrownoutWideBatch {
 		return 1, false
 	}
-	return c.pol.batchFactor(), true
+	return brownoutBatchWindowFactor, true
 }

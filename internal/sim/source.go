@@ -8,9 +8,9 @@ import (
 // Source yields a workload's arrival offsets one at a time, in
 // non-decreasing order, without ever materializing the full trace: a
 // million-request Poisson source is one rng and two counters, not an
-// 8 MB slice. The generator sources below are bit-compatible with the
-// corresponding internal/workload slice generators — same seed, same
-// offsets — which the cross-package equality tests pin down.
+// 8 MB slice. PoissonSource is bit-compatible with internal/workload's
+// slice generator — same seed, same offsets — which a cross-package
+// equality test pins down; the other patterns arrive as slices.
 type Source interface {
 	// Next returns the next arrival offset, or ok=false when the trace
 	// is exhausted.
@@ -86,75 +86,3 @@ func (s *PoissonSource) Next() (time.Duration, bool) {
 
 // Remaining implements Source.
 func (s *PoissonSource) Remaining() int { return s.left }
-
-// UniformSource streams n arrivals spread evenly across a window —
-// bit-compatible with workload.UniformArrivals(n, window).
-type UniformSource struct {
-	step time.Duration
-	n, i int
-}
-
-// NewUniform creates a streaming uniform arrival source. A
-// non-positive window degenerates to n simultaneous arrivals at zero.
-func NewUniform(n int, window time.Duration) *UniformSource {
-	if n <= 0 {
-		return &UniformSource{}
-	}
-	if window < 0 {
-		window = 0
-	}
-	return &UniformSource{step: window / time.Duration(n), n: n}
-}
-
-// Next implements Source.
-func (s *UniformSource) Next() (time.Duration, bool) {
-	if s.i >= s.n {
-		return 0, false
-	}
-	a := s.step * time.Duration(s.i)
-	s.i++
-	return a, true
-}
-
-// Remaining implements Source.
-func (s *UniformSource) Remaining() int { return s.n - s.i }
-
-// BurstSource streams bursts of burstSize simultaneous requests every
-// gap, n requests total — bit-compatible with
-// workload.BurstArrivals(n, burstSize, gap).
-type BurstSource struct {
-	gap   time.Duration
-	burst int
-	n, i  int
-}
-
-// NewBursts creates a streaming burst arrival source. Non-positive
-// burst sizes behave as 1; negative gaps as 0.
-func NewBursts(n, burstSize int, gap time.Duration) *BurstSource {
-	if n <= 0 {
-		return &BurstSource{burst: 1}
-	}
-	if burstSize <= 0 {
-		burstSize = 1
-	}
-	if gap < 0 {
-		gap = 0
-	}
-	if bursts := (n - 1) / burstSize; bursts > 0 && gap > maxOffset/time.Duration(bursts) {
-		gap = maxOffset / time.Duration(bursts)
-	}
-	return &BurstSource{gap: gap, burst: burstSize, n: n}
-}
-
-// Next implements Source.
-func (s *BurstSource) Next() (time.Duration, bool) {
-	if s.i >= s.n {
-		return 0, false
-	}
-	a := s.gap * time.Duration(s.i/s.burst)
-	s.i++
-	return a, true
-}
-
-// Remaining implements Source.
-func (s *BurstSource) Remaining() int { return s.n - s.i }

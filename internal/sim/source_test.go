@@ -63,28 +63,6 @@ func TestPoissonSourceMatchesWorkload(t *testing.T) {
 	}
 }
 
-func TestUniformSourceMatchesWorkload(t *testing.T) {
-	for _, c := range []struct {
-		n      int
-		window time.Duration
-	}{{1, time.Second}, {64, 10 * time.Second}, {7, 0}, {13, -5}, {100, time.Duration(1) << 61}} {
-		want := workload.UniformArrivals(c.n, c.window)
-		got := drain(t, NewUniform(c.n, c.window), c.n)
-		equalTraces(t, "uniform", got, want)
-	}
-}
-
-func TestBurstSourceMatchesWorkload(t *testing.T) {
-	for _, c := range []struct {
-		n, burst int
-		gap      time.Duration
-	}{{12, 4, time.Second}, {1, 1, 0}, {30, 7, 250 * time.Millisecond}, {9, 0, -3}, {40, 3, time.Duration(1) << 61}} {
-		want := workload.BurstArrivals(c.n, c.burst, c.gap)
-		got := drain(t, NewBursts(c.n, c.burst, c.gap), c.n)
-		equalTraces(t, "bursts", got, want)
-	}
-}
-
 func TestSliceSource(t *testing.T) {
 	want := []time.Duration{0, time.Second, time.Second, 3 * time.Second}
 	got := drain(t, NewSlice(want), len(want))
@@ -97,8 +75,6 @@ func TestSliceSource(t *testing.T) {
 func TestEmptySources(t *testing.T) {
 	for name, s := range map[string]Source{
 		"poisson": NewPoisson(0, 1, 1),
-		"uniform": NewUniform(0, time.Second),
-		"bursts":  NewBursts(0, 3, time.Second),
 	} {
 		if _, ok := s.Next(); ok {
 			t.Fatalf("%s: empty source yielded", name)

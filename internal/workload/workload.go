@@ -22,8 +22,12 @@ func Image(m *nn.Model, seed int64) *tensor.Tensor {
 	return in
 }
 
-// Images synthesizes n distinct images, deterministic in seed.
+// Images synthesizes n distinct images, deterministic in seed; none
+// for a non-positive n.
 func Images(m *nn.Model, n int, seed int64) []*tensor.Tensor {
+	if n <= 0 {
+		return nil
+	}
 	out := make([]*tensor.Tensor, n)
 	for i := range out {
 		out[i] = Image(m, seed+int64(i)*7919)
@@ -32,14 +36,17 @@ func Images(m *nn.Model, n int, seed int64) []*tensor.Tensor {
 }
 
 // Batches splits n images into consecutive batches of size batchSize
-// (the last batch may be smaller).
+// (the last batch may be smaller). A non-positive batchSize behaves as 1.
 func Batches(m *nn.Model, n, batchSize int, seed int64) [][]*tensor.Tensor {
+	if batchSize <= 0 {
+		batchSize = 1
+	}
 	imgs := Images(m, n, seed)
 	var out [][]*tensor.Tensor
-	for lo := 0; lo < n; lo += batchSize {
+	for lo := 0; lo < len(imgs); lo += batchSize {
 		hi := lo + batchSize
-		if hi > n {
-			hi = n
+		if hi > len(imgs) {
+			hi = len(imgs)
 		}
 		out = append(out, imgs[lo:hi])
 	}

@@ -44,9 +44,30 @@ func TestImagesDistinct(t *testing.T) {
 
 func TestBatches(t *testing.T) {
 	m := zoo.TinyCNN(0)
-	bs := Batches(m, 7, 3, 1)
-	if len(bs) != 3 || len(bs[0]) != 3 || len(bs[2]) != 1 {
-		t.Fatalf("batch sizes %d/%d/%d", len(bs[0]), len(bs[1]), len(bs[2]))
+	// A non-positive batch size behaves as 1, a non-positive n as empty,
+	// the way the arrival generators clamp.
+	for _, tc := range []struct {
+		n, batchSize int
+		sizes        []int
+	}{
+		{7, 3, []int{3, 3, 1}},
+		{3, 0, []int{1, 1, 1}},
+		{3, -2, []int{1, 1, 1}},
+		{-1, 3, nil},
+		{0, 0, nil},
+	} {
+		bs := Batches(m, tc.n, tc.batchSize, 1)
+		if len(bs) != len(tc.sizes) {
+			t.Fatalf("Batches(%d, %d): %d batches, want %d", tc.n, tc.batchSize, len(bs), len(tc.sizes))
+		}
+		for i, b := range bs {
+			if len(b) != tc.sizes[i] {
+				t.Errorf("Batches(%d, %d): batch %d holds %d, want %d", tc.n, tc.batchSize, i, len(b), tc.sizes[i])
+			}
+		}
+	}
+	if imgs := Images(m, -1, 1); len(imgs) != 0 {
+		t.Fatalf("Images(-1) gave %d images", len(imgs))
 	}
 }
 
