@@ -37,12 +37,19 @@ staticcheck:
 # replaced or the path it shares code with — telemetry write sections
 # vs single writes, the slot meter vs the map meter, the busy-until
 # mirror vs the pointer scan, a pooled job vs a traced one — three
-# times under the race detector. CI runs this target.
+# times under the race detector. For the planner's certified envelope
+# prefixes: their independence of query order and worker count the same
+# way, and — serial code, so without the detector, under which the
+# largest cases skip themselves — the prefixes against the exact scan
+# (every span of mobilenet at 1 MB stride included) and what their
+# certificate rests on. CI runs this target.
 equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
 	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob' ./internal/coordinator/
+	$(GO) test -race -count=3 -run 'TestQueryOrderIndependence|TestSpanTableIdenticalAcrossGOMAXPROCS' ./internal/optimizer/
+	$(GO) test -run 'TestEnvelopeMatchesExactScan|TestCertificateFloorsHold|FuzzSelectBlockCertified' ./internal/optimizer/
 
 # Chaos smoke: the resilience and pipelining×batching ladders at a 60%
 # base fault rate with 8× correlated storms, plus two 100k-request
@@ -107,9 +114,11 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-# Short fuzz pass over the two wire-format decoders and the hedge-delay
-# latency ring (against its copy-and-sort reference).
+# Short fuzz pass over the two wire-format decoders, the hedge-delay
+# latency ring (against its copy-and-sort reference) and the planner's
+# certified block selection (against a full kernel scan).
 fuzz:
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeTensor -fuzztime 15s
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeWeights -fuzztime 15s
 	$(GO) test ./internal/coordinator/ -fuzz FuzzLatencyRing -fuzztime 10s
+	$(GO) test ./internal/optimizer/ -run '^$$' -fuzz FuzzSelectBlockCertified -fuzztime 15s

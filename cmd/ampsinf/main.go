@@ -621,16 +621,12 @@ func sweepMeasured(m *nn.Model, o *optimizer.Optimizer, segments int, traceOut, 
 	fmt.Println("measured (one eager job per memory block):")
 	fmt.Println("memMB  time(s)  cost($)")
 	for _, mem := range pricing.MemoryBlocks() {
-		if _, _, err := o.SpanEstimate(0, segments, mem); err != nil {
+		// One lambda at this block, with this block's estimates; a block
+		// the model cannot run at is skipped, as in the table above.
+		plan, err := o.PlanForConfig([]int{0, segments}, []int{mem})
+		if err != nil {
 			continue
 		}
-		plan, err := optimizer.Optimize(optimizer.Request{
-			Model: m, Perf: perf.Default(), MaxLambdas: 1,
-		})
-		if err != nil {
-			return err
-		}
-		plan.Lambdas[0].MemoryMB = mem
 
 		meter := &billing.Meter{}
 		if tracer != nil {

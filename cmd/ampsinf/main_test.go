@@ -2,14 +2,20 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestServeInferCounts drives the two subcommands that size a workload
-// from a flag: a count below one must come back as an error, not reach
-// the image generator, and a tiny valid run must succeed.
+// TestServeInferCounts drives the subcommands that run jobs. serve and
+// infer size a workload from a flag: a count below one must come back as
+// an error, not reach the image generator, and a tiny valid run must
+// succeed. sweep must print its table, serve one measured job per
+// feasible block when asked for a trace or metrics (and write both
+// files), and decline to measure a model that does not fit one lambda.
 func TestServeInferCounts(t *testing.T) {
+	tmp := t.TempDir()
+	trace, metrics := filepath.Join(tmp, "trace.json"), filepath.Join(tmp, "metrics.json")
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +39,10 @@ func TestServeInferCounts(t *testing.T) {
 		{"serve unknown pattern", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-pattern", "zipf"}, "unknown arrival pattern"},
 		{"infer one real", cmdInfer, []string{"-model", "tinycnn", "-real"}, ""},
 		{"infer two", cmdInfer, []string{"-model", "tinycnn", "-images", "2"}, ""},
+		{"sweep estimates", cmdSweep, []string{"-model", "tinycnn"}, ""},
+		{"sweep measured", cmdSweep, []string{"-model", "tinycnn", "-trace", trace, "-metrics", metrics}, ""},
+		{"sweep too big for one lambda", cmdSweep, []string{"-model", "resnet50", "-trace", filepath.Join(tmp, "none.json")}, ""},
+		{"sweep unknown model", cmdSweep, []string{"-model", "nosuchnet"}, "nosuchnet"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cmd(tc.args)
@@ -43,5 +53,13 @@ func TestServeInferCounts(t *testing.T) {
 				t.Fatalf("%v: error %v, want one naming %q", tc.args, err, tc.wantErr)
 			}
 		})
+	}
+	for _, f := range []string{trace, metrics} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("sweep measured left no %s (%v)", filepath.Base(f), err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(tmp, "none.json")); err == nil {
+		t.Error("sweep measured a model that does not fit one lambda")
 	}
 }

@@ -56,7 +56,8 @@ func BenchmarkOptimizeWithBindingSLO(b *testing.B) {
 // sweep extension hits: every λ-bisection step re-solves the per-span
 // block selection over the full grid.
 func BenchmarkOptimizeQuota2021Stride1(b *testing.B) {
-	req := stride1Request(b)
+	// 12% under the cost-optimal time, so Optimize has to bisect λ.
+	req := stride1Request(b, "resnet50", 0.88)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o, err := New(req)
@@ -69,11 +70,35 @@ func BenchmarkOptimizeQuota2021Stride1(b *testing.B) {
 	}
 }
 
-// stride1Request builds the ~10k-block request with an SLO 12% under the
-// cost-optimal plan's response time, so Optimize has to bisect λ.
-func stride1Request(b *testing.B) Request {
+// BenchmarkOptimizeUnattainableSLOStride1 is the certified prefixes'
+// worst case: an SLO at half the cost-optimal time, which no plan meets,
+// drives λ up to 1.5e48, so every span's chain is run to completion — in
+// installments between the DP's λ steps, not in one pass of the table
+// build.
+func BenchmarkOptimizeUnattainableSLOStride1(b *testing.B) {
+	for _, model := range []string{"mobilenet", "resnet50"} {
+		req := stride1Request(b, model, 0.5)
+		b.Run(model, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o, err := New(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				plan, err := o.Optimize()
+				if err != nil || plan.MeetsSLO {
+					b.Fatalf("plan %+v, err %v: want a plan that misses the SLO", plan, err)
+				}
+			}
+		})
+	}
+}
+
+// stride1Request builds the ~10k-block request with an SLO at frac of
+// the cost-optimal plan's response time.
+func stride1Request(b *testing.B, model string, frac float64) Request {
 	b.Helper()
-	req := stride1(request("resnet50"))
+	req := stride1(request(model))
 	o, err := New(req)
 	if err != nil {
 		b.Fatal(err)
@@ -82,7 +107,7 @@ func stride1Request(b *testing.B) Request {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req.SLO = time.Duration(float64(base.EstTime) * 0.88)
+	req.SLO = time.Duration(float64(base.EstTime) * frac)
 	return req
 }
 

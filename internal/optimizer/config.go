@@ -51,14 +51,20 @@ func (o *Optimizer) PlanForConfig(segBounds []int, memories []int) (*Plan, error
 	return o.assemble(res, 0), nil
 }
 
-// FeasibleMemories returns the memory blocks allowed for the partition
-// covering segments [a, b), or nil when the span itself is infeasible.
-func (o *Optimizer) FeasibleMemories(a, b int) []int {
+// span returns the table cell of segments [a, b), or nil when the range
+// is not a span of the model.
+func (o *Optimizer) span(a, b int) *spanChoice {
 	if a < 0 || b > len(o.segs) || a >= b {
 		return nil
 	}
-	sc := &o.table[a][b]
-	if !sc.capsOK {
+	return &o.table[a][b]
+}
+
+// FeasibleMemories returns the memory blocks allowed for the partition
+// covering segments [a, b), or nil when the span itself is infeasible.
+func (o *Optimizer) FeasibleMemories(a, b int) []int {
+	sc := o.span(a, b)
+	if sc == nil || !sc.capsOK {
 		return nil
 	}
 	var out []int
@@ -73,16 +79,17 @@ func (o *Optimizer) FeasibleMemories(a, b int) []int {
 // SpanFeasible reports whether segments [a, b) can form a partition at
 // all (deployment, temp storage, layer cap, ≥1 feasible block).
 func (o *Optimizer) SpanFeasible(a, b int) bool {
-	if a < 0 || b > len(o.segs) || a >= b {
-		return false
-	}
-	return o.table[a][b].feasible
+	sc := o.span(a, b)
+	return sc != nil && sc.feasible
 }
 
 // SpanEstimate returns (T_i, S_i) for segments [a, b) at the given block,
 // excluding the position-dependent storage term.
 func (o *Optimizer) SpanEstimate(a, b, memMB int) (time.Duration, float64, error) {
-	sc := &o.table[a][b]
+	sc := o.span(a, b)
+	if sc == nil {
+		return 0, 0, fmt.Errorf("optimizer: [%d, %d) is not a span of the model's %d segments", a, b, len(o.segs))
+	}
 	for j, block := range o.blocks {
 		if block == memMB {
 			t, cost, ok := o.blockTimeCost(sc, j)
@@ -97,11 +104,14 @@ func (o *Optimizer) SpanEstimate(a, b, memMB int) (time.Duration, float64, error
 
 // MinFeasibleBlock returns the smallest allowed block for the span.
 func (o *Optimizer) MinFeasibleBlock(a, b int) (int, error) {
-	ms := o.FeasibleMemories(a, b)
-	if len(ms) == 0 {
-		return 0, fmt.Errorf("optimizer: span [%d, %d) infeasible", a, b)
+	if sc := o.span(a, b); sc != nil && sc.feasible {
+		for j, block := range o.blocks {
+			if _, _, ok := o.blockTimeCost(sc, j); ok {
+				return block, nil
+			}
+		}
 	}
-	return ms[0], nil
+	return 0, fmt.Errorf("optimizer: span [%d, %d) infeasible", a, b)
 }
 
 // MaxMemoryBlock returns the largest platform block (3008 MB in 2020).

@@ -47,6 +47,17 @@ func TestMinFeasibleBlock(t *testing.T) {
 	if err != nil || mb != 256 {
 		t.Fatalf("min feasible = %d, %v", mb, err)
 	}
+	// It is the first of FeasibleMemories on every span, an error exactly
+	// where there are none.
+	for a := 0; a < S; a++ {
+		for b := a + 1; b <= S; b++ {
+			ms := o.FeasibleMemories(a, b)
+			mb, err := o.MinFeasibleBlock(a, b)
+			if (err != nil) != (len(ms) == 0) || (err == nil && mb != ms[0]) {
+				t.Fatalf("span [%d, %d): MinFeasibleBlock = (%d, %v), FeasibleMemories = %v", a, b, mb, err, ms)
+			}
+		}
+	}
 }
 
 func TestSpanEstimateConsistency(t *testing.T) {
@@ -77,8 +88,29 @@ func TestSpanEstimateConsistency(t *testing.T) {
 func TestSpanFeasibleBounds(t *testing.T) {
 	o := newOpt(t, "resnet50")
 	S := len(o.Segments())
-	if o.SpanFeasible(-1, 1) || o.SpanFeasible(0, S+1) || o.SpanFeasible(3, 3) {
-		t.Fatal("invalid spans reported feasible")
+	// A range that is not a span is infeasible to every span accessor,
+	// none of which may index the table with it (SpanEstimate did).
+	for _, c := range []struct {
+		name string
+		a, b int
+	}{
+		{"negative start", -1, 1}, {"end past the model", 0, S + 1}, {"empty", 3, 3},
+		{"reversed", 5, 2}, {"start at the end", S, S + 1}, {"both out of range", -3, S + 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if o.SpanFeasible(c.a, c.b) {
+				t.Error("SpanFeasible reports it feasible")
+			}
+			if ms := o.FeasibleMemories(c.a, c.b); ms != nil {
+				t.Errorf("FeasibleMemories = %v, want nil", ms)
+			}
+			if d, cost, err := o.SpanEstimate(c.a, c.b, 1024); err == nil {
+				t.Errorf("SpanEstimate = (%v, %v), want an error", d, cost)
+			}
+			if mb, err := o.MinFeasibleBlock(c.a, c.b); err == nil {
+				t.Errorf("MinFeasibleBlock = %d, want an error", mb)
+			}
+		})
 	}
 	// The whole ResNet50 cannot be one partition (Table 1).
 	if o.SpanFeasible(0, S) {

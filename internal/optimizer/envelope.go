@@ -5,7 +5,10 @@ package optimizer
 // the line f_j(λ) = cost_j + sec_j·λ. Instead of rescanning all L blocks
 // for every λ the bisection visits (the pre-overhaul planner's dominant
 // cost on the 10k-block 2021 grid), each span precomputes the lower
-// envelope of its lines once and answers any λ ≥ 0 by binary search.
+// envelope of its lines and answers any λ ≥ 0 by binary search. It is
+// built from the smallest allowed block upward only as far as a
+// certificate needs (Optimizer.reach): a span stores the envelope of a
+// prefix of its blocks, the full construction stopped early and resumable.
 //
 // Byte-identity with the exact scan is preserved by construction:
 //
@@ -25,10 +28,7 @@ package optimizer
 // A property test drives the envelope against the retained exact scan
 // across randomized multipliers.
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // envPoint is one line of a span's lower envelope.
 type envPoint struct {
@@ -58,13 +58,13 @@ func envPush(env []envPoint, pt envPoint) []envPoint {
 	return append(env, pt)
 }
 
-// envBuild folds the evaluated blocks lo … lo+len(ts)−1 (ascending
-// memory) into env, skipping blocks over the timeout, and returns the
-// envelope with the λ = 0 scan argmin (lowest index on exact cost ties)
-// and its cost; the index is −1 when no block is allowed. env is the
-// caller's scratch: it never grows past one point per block.
-func envBuild(env []envPoint, lo int, ts []time.Duration, costs []float64, timeout time.Duration) ([]envPoint, int, float64) {
-	zeroIdx, zeroVal := -1, math.Inf(1)
+// envBuild continues a span's chain over the evaluated blocks
+// lo … lo+len(ts)−1 (ascending memory, directly after those already in
+// env), skipping blocks over the timeout, and returns the envelope with
+// the λ = 0 scan argmin so far (zeroIdx, zeroVal: lowest index on exact
+// cost ties; −1 and +Inf before any allowed block). Run by run or at
+// once, the envelope is the same: env is the only state between blocks.
+func envBuild(env []envPoint, zeroIdx int, zeroVal float64, lo int, ts []time.Duration, costs []float64, timeout time.Duration) ([]envPoint, int, float64) {
 	var prevT time.Duration
 	var sec float64
 	for i, t := range ts {
@@ -89,6 +89,11 @@ func envBuild(env []envPoint, lo int, ts []time.Duration, costs []float64, timeo
 	return env, zeroIdx, zeroVal
 }
 
+// lineAt is the per-lambda objective cost + λ·sec. The envelope query
+// and the certificate's floor both go through it, so a platform that
+// fuses the multiply-add fuses it in both.
+func lineAt(cost, sec, lambda float64) float64 { return cost + lambda*sec }
+
 // envQuery returns the block index and objective value minimizing
 // cost + λ·sec over the envelope, for λ > 0. The value sequence along
 // the envelope is convex in the entry order, so the leftmost minimum is
@@ -99,11 +104,11 @@ func envQuery(env []envPoint, lambda float64) (int, float64) {
 	lo, hi := 0, len(env)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if env[mid].cost+lambda*env[mid].sec <= env[mid+1].cost+lambda*env[mid+1].sec {
+		if lineAt(env[mid].cost, env[mid].sec, lambda) <= lineAt(env[mid+1].cost, env[mid+1].sec, lambda) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return env[lo].j, env[lo].cost + lambda*env[lo].sec
+	return env[lo].j, lineAt(env[lo].cost, env[lo].sec, lambda)
 }

@@ -89,10 +89,18 @@ func (g *blockGrid) work(flops, weightsBytes int64, transfer time.Duration) span
 	return w
 }
 
+// blockCost is S_i of a block of gb GB billed for billedSec seconds. The
+// conversion rounds the product before the fees are added, so no
+// platform may fuse it into the sum.
+func blockCost(gb, billedSec float64) float64 {
+	return float64(gb*billedSec*pricing.LambdaGBSecond) +
+		pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
+}
+
 // eval writes the time and cost of blocks lo … lo+len(ts)−1 into ts and
-// costs. It does not apply the timeout: callers compare ts against the
-// quota's.
-func (g *blockGrid) eval(w *spanWork, lo int, ts []time.Duration, costs []float64) {
+// costs and returns the billed seconds of the last one. It does not
+// apply the timeout: callers compare ts against the quota's.
+func (g *blockGrid) eval(w *spanWork, lo int, ts []time.Duration, costs []float64) float64 {
 	n := len(ts)
 	costs = costs[:n]
 	memF, share, gb := g.memF[lo:lo+n], g.share[lo:lo+n], g.gb[lo:lo+n]
@@ -119,9 +127,7 @@ func (g *blockGrid) eval(w *spanWork, lo int, ts []time.Duration, costs []float6
 			billedSec = billed.Seconds()
 		}
 		ts[i] = t
-		// The conversion rounds the product before the fees are added,
-		// so no platform may fuse it into the sum.
-		costs[i] = float64(gb[i]*billedSec*pricing.LambdaGBSecond) +
-			pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
+		costs[i] = blockCost(gb[i], billedSec)
 	}
+	return billedSec
 }

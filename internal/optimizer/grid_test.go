@@ -162,35 +162,79 @@ func mutantTime(p *perf.Params, mem int, flops, weights int64) time.Duration {
 }
 
 func TestSpanTableIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	// The serial branch (one worker) and the fan-out must run the same
-	// kernel and store the same cells.
+	// One worker and the fan-out must store the same cells — in the
+	// table build, and in the passes that extend envelope prefixes while
+	// Optimize bisects a binding SLO: how far each span was extended must
+	// not depend on the worker count either.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, req := range []Request{stride1(request("tinycnn")), equivRequest(t, "vgg16", false, false), equivRequest(t, "tinycnn", false, true)} {
-		var first [][]spanChoice
+	extended := 0
+	for _, req := range []Request{stride1(request("tinycnn")), stride1(request("xception")), equivRequest(t, "vgg16", false, false), equivRequest(t, "tinycnn", false, true)} {
+		// (vgg16 has no plan on the 2020 quota and BnB mode has no
+		// prefixes: only their builds are compared.)
+		base, planErr := Optimize(req)
+		if planErr == nil {
+			req.SLO = time.Duration(0.8 * float64(base.EstTime))
+		}
+		var built, solved [][]spanChoice
+		var first *Plan
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
 			o, err := New(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if first == nil {
-				first = o.table
+			tag := fmt.Sprintf("%s (bnb=%v, %d blocks) under GOMAXPROCS=%d", req.Model.Name, req.UseBnB, len(o.blocks), procs)
+			if built == nil {
+				built = tableCopy(o.table)
+			} else if !reflect.DeepEqual(o.table, built) {
+				t.Fatalf("%s: span table differs from GOMAXPROCS=1", tag)
+			}
+			if planErr != nil || req.UseBnB {
 				continue
 			}
-			if !reflect.DeepEqual(o.table, first) {
-				t.Fatalf("%s (bnb=%v): span table under GOMAXPROCS=%d differs from GOMAXPROCS=1", req.Model.Name, req.UseBnB, procs)
+			plan, err := o.Optimize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first, solved = plan, o.table
+				if !reflect.DeepEqual(solved, built) {
+					extended++
+				}
+				continue
+			}
+			if !reflect.DeepEqual(plan, first) {
+				t.Fatalf("%s: plan differs from GOMAXPROCS=1", tag)
+			}
+			if !reflect.DeepEqual(o.table, solved) {
+				t.Fatalf("%s: span table after Optimize differs from GOMAXPROCS=1", tag)
 			}
 		}
 	}
+	if extended == 0 {
+		t.Fatal("no Optimize extended a prefix: the second comparison compared nothing new")
+	}
+}
+
+// tableCopy copies the span table's cells (their slices are never
+// written in place: an extended envelope is a new slice).
+func tableCopy(table [][]spanChoice) [][]spanChoice {
+	out := make([][]spanChoice, len(table))
+	for a := range table {
+		out[a] = append([]spanChoice(nil), table[a]...)
+	}
+	return out
 }
 
 func TestNewAllocationBudget(t *testing.T) {
-	// The span table's envelopes are built in per-worker scratch and
-	// stored at their exact size: New may allocate little more than it
-	// retains, and about one object per feasible span. append-grown
-	// envelopes allocated 3.3× what they kept.
+	// The span table's envelope prefixes are built in per-worker scratch
+	// and stored at their exact size: New may allocate little more than
+	// it retains, about one object per feasible span, and — now that a
+	// span keeps the envelope of the blocks its λ = 0 certificate needed,
+	// about a sixth of the grid, and not of all 10,113 (213 MB) — retain
+	// little. append-grown envelopes allocated 3.3× what they kept.
 	req := stride1(request("mobilenet"))
-	var before, after runtime.MemStats
+	var before, after, live runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	o, err := New(req)
@@ -198,7 +242,10 @@ func TestNewAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retained uint64
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	retained := live.HeapAlloc - before.HeapAlloc
+	var envelopes uint64
 	feasible := 0
 	for a := range o.table {
 		for b := range o.table[a] {
@@ -206,17 +253,21 @@ func TestNewAllocationBudget(t *testing.T) {
 			if sc.feasible {
 				feasible++
 			}
-			retained += uint64(cap(sc.env)) * uint64(unsafe.Sizeof(envPoint{}))
+			envelopes += uint64(cap(sc.env)) * uint64(unsafe.Sizeof(envPoint{}))
 		}
 	}
+	runtime.KeepAlive(o)
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	t.Logf("New allocated %.1f MB in %d objects; envelopes retain %.1f MB over %d feasible spans",
-		float64(bytes)/(1<<20), mallocs, float64(retained)/(1<<20), feasible)
+	t.Logf("New allocated %.1f MB in %d objects and retains %.1f MB, %.1f MB of it envelopes of %d feasible spans",
+		float64(bytes)/(1<<20), mallocs, float64(retained)/(1<<20), float64(envelopes)/(1<<20), feasible)
 	if float64(bytes) > 1.15*float64(retained) {
-		t.Errorf("New allocated %d B, more than 1.15 × the %d B its envelopes retain", bytes, retained)
+		t.Errorf("New allocated %d B, more than 1.15 × the %d B it retains", bytes, retained)
 	}
 	if mallocs > 2*uint64(feasible) {
 		t.Errorf("New made %d allocations for %d feasible spans (budget 2 per span)", mallocs, feasible)
+	}
+	if retained > 30<<20 {
+		t.Errorf("New retains %d B, over the 30 MB cap", retained)
 	}
 }
 

@@ -25,15 +25,16 @@
 // evaluating each span's (time, cost) per memory block (grid.go), a
 // parallel span-table build over the independent (a, b) cells, and a
 // per-span lower envelope of the (time, cost) block frontier answering
-// any λ in O(log L) instead of an O(L) rescan. The original
-// single-threaded scans live on in reference_test.go and back the
-// equivalence property tests.
+// any λ in O(log L) instead of an O(L) rescan, built over the prefix of
+// blocks a certificate needs and extended on demand. The original scans
+// live on in reference_test.go and back the equivalence property tests.
 package optimizer
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -176,10 +177,15 @@ type spanChoice struct {
 	// profile.
 	minMem int
 	work   spanWork
-	// env is the lower envelope of (time, cost) over allowed blocks; the
-	// Lagrangian re-weighting re-selects without re-profiling (scan
-	// mode).
-	env []envPoint
+	// env is the lower envelope of (time, cost) over the allowed blocks
+	// below next, the first block the span's chain has not evaluated
+	// (len(blocks) once complete, as the dense tables always are); reach
+	// extends this prefix when a multiplier needs more (scan mode). secL
+	// and bsL, the last block's seconds and billed seconds, floor every
+	// block's.
+	env       []envPoint
+	next      int
+	secL, bsL float64
 	// Dense per-block tables, retained by BnB mode (the branch-and-bound
 	// oracle consumes the explicit block set); times and costs are
 	// meaningful where allow is set.
@@ -190,9 +196,11 @@ type spanChoice struct {
 
 // Optimizer precomputes span tables for one model and answers Optimize
 // calls. Create with New. An Optimizer reuses internal scratch buffers
-// across bisection steps, so a single instance must not be used from
-// multiple goroutines concurrently (constructing one Optimizer per
-// Optimize call, as the package-level Optimize does, is always safe).
+// across bisection steps, and a query at a new multiplier may extend the
+// queried spans' envelope prefixes in the table, so a single instance
+// must not be used from multiple goroutines concurrently (constructing
+// one Optimizer per Optimize call, as the package-level Optimize does, is
+// always safe).
 type Optimizer struct {
 	req      Request
 	segs     []nn.Segment
@@ -201,12 +209,16 @@ type Optimizer struct {
 	grid     *blockGrid
 	// table[a][b] is the per-lambda data for the span [a, b).
 	table [][]spanChoice
+	// open lists the feasible spans whose prefix is incomplete; reached
+	// is the largest multiplier certify has extended them for.
+	open    []*spanChoice
+	reached float64
+	// One scratch per pool worker; the serial paths use the first.
+	scr []spanScratch
 	// DP scratch reused across solveForLambda calls.
 	dpBest   [][]float64
 	dpPrev   [][]int
 	dpChoice [][]int
-	// Scratch for the BnB problem construction, reused across λ steps.
-	bnb bnbScratch
 }
 
 // New profiles the model and precomputes the per-span decision tables.
@@ -242,6 +254,7 @@ func newOptimizer(req Request) (*Optimizer, error) {
 		profiler: perf.NewSpanProfiler(req.Model, segs),
 	}
 	o.grid = newBlockGrid(&o.req.Perf, o.req.Quota, o.blocks)
+	o.scr = make([]spanScratch, runtime.GOMAXPROCS(0))
 	S := len(segs)
 	K := req.MaxLambdas
 	if K > S {
@@ -261,30 +274,44 @@ func newOptimizer(req Request) (*Optimizer, error) {
 // Segments exposes the model's atomic segments.
 func (o *Optimizer) Segments() []nn.Segment { return o.segs }
 
-// spanScratch is one table-build worker's reusable buffers: the kernel's
-// per-block outputs, the envelope under construction (one point per
-// block at most, so it never grows) and the BnB problem.
+// blockRun is how many blocks a chain evaluates between two looks at its
+// certificate. A grid no larger (the 2020 quota's 46 blocks, the 2021
+// quota's 159 at its automatic stride) completes every span in the build.
+const blockRun = 256
+
+// spanScratch is one worker's reusable buffers: the kernel's outputs for
+// one run of blocks, the envelope under extension (it grows to the
+// largest envelope the worker has met and stays) and the BnB problem.
 type spanScratch struct {
-	ts    []time.Duration
-	costs []float64
+	ts    [blockRun]time.Duration
+	costs [blockRun]float64
 	env   []envPoint
 	bnb   bnbScratch
 }
 
-func (o *Optimizer) newSpanScratch() *spanScratch {
-	L := len(o.blocks)
-	return &spanScratch{
-		ts:    make([]time.Duration, L),
-		costs: make([]float64, L),
-		env:   make([]envPoint, 0, L),
+// parallel calls fn(i, scratch) for every i in [0, n) from a pool of one
+// worker per scratch. Each call may touch only immutable state, its
+// worker's scratch and what index i owns: scheduling cannot show.
+func (o *Optimizer) parallel(n int, fn func(i int, scr *spanScratch)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(len(o.scr), n); w++ {
+		wg.Add(1)
+		go func(scr *spanScratch) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i, scr)
+			}
+		}(&o.scr[w])
 	}
+	wg.Wait()
 }
 
 // buildTable solves every candidate span. The cells are mutually
 // independent — solveSpan reads only immutable state (request, blocks,
 // profiler, grid) plus its worker's scratch, and each result is written
-// to its own fixed index — so the build fans out over a GOMAXPROCS-sized
-// worker pool and the table is identical to a serial build regardless of
+// to its own fixed index — so the build fans out over the worker pool
+// and the table is identical to a serial build regardless of
 // scheduling.
 func (o *Optimizer) buildTable() {
 	S := len(o.segs)
@@ -299,49 +326,44 @@ func (o *Optimizer) buildTable() {
 			cells = append(cells, cell{a, b})
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var next atomic.Int64
-	worker := func() {
-		scr := o.newSpanScratch()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(cells) {
-				return
-			}
-			c := cells[i]
-			o.table[c.a][c.b] = o.solveSpan(c.a, c.b, scr)
+	o.parallel(len(cells), func(i int, scr *spanScratch) {
+		c := cells[i]
+		o.table[c.a][c.b] = o.solveSpan(c.a, c.b, scr)
+	})
+	for _, c := range cells {
+		if sc := &o.table[c.a][c.b]; sc.feasible && sc.next < len(o.blocks) {
+			o.open = append(o.open, sc)
 		}
 	}
-	if workers <= 1 {
-		worker()
+}
+
+// certify extends every open span's prefix until it answers λ, on the
+// worker pool, ahead of the serial DP's queries — when λ exceeds every
+// multiplier asked before, the steps that move prefixes far (an
+// unattainable SLO completes every span this way); below that the DP's
+// own queries extend the few spans that need it. reach is a function of
+// the span's own state, so the table afterwards does not depend on the
+// worker count. Free once every span is complete.
+func (o *Optimizer) certify(lambda float64) {
+	if len(o.open) == 0 || lambda <= o.reached {
 		return
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	wg.Wait()
+	o.reached = lambda
+	o.parallel(len(o.open), func(i int, scr *spanScratch) { o.reach(o.open[i], lambda, scr) })
+	o.open = slices.DeleteFunc(o.open, func(sc *spanChoice) bool { return sc.next == len(o.blocks) })
 }
 
 // solveSpan evaluates a candidate partition covering segments [a, b):
 // feasibility (Eqs. 4–7), per-block T_i and S_i through the block-grid
 // kernel, and the cost-minimal block (the λ=0 subproblem). Scan mode
-// evaluates into the worker's scratch and folds the allowed blocks into
-// the lower envelope, stored at its exact size; BnB mode keeps the dense
-// tables the branch-and-bound oracle consumes.
+// builds the envelope prefix that certifies λ = 0 (reach); BnB mode keeps
+// the dense tables the branch-and-bound oracle consumes.
 func (o *Optimizer) solveSpan(a, b int, scr *spanScratch) spanChoice {
 	prof := o.profiler.Profile(a, b)
 	// Quantization shrinks the shipped and loaded weight bytes; compute
 	// is unchanged (weights are dequantized on load).
 	prof.WeightsBytes = int64(float64(prof.WeightsBytes) * o.req.WeightScale)
-	sc := spanChoice{memIdx: -1}
+	sc := spanChoice{memIdx: -1, zeroObj: math.Inf(1)}
 
 	// Constraint (6): per-partition layer cap.
 	if cap := o.req.MaxLayersPerPartition; cap > 0 && prof.Layers > cap {
@@ -373,6 +395,7 @@ func (o *Optimizer) solveSpan(a, b int, scr *spanScratch) spanChoice {
 		sc.times = make([]time.Duration, L)
 		sc.costs = make([]float64, L)
 		sc.allow = make([]bool, L)
+		sc.next = L
 		o.grid.eval(&sc.work, lo, sc.times[lo:], sc.costs[lo:])
 		for j := lo; j < L; j++ {
 			sc.allow[j] = sc.times[j] <= q.Timeout
@@ -381,17 +404,7 @@ func (o *Optimizer) solveSpan(a, b int, scr *spanScratch) spanChoice {
 		// every later λ step will.
 		sc.memIdx, sc.zeroObj = o.selectBlockBnB(&sc, 0, &scr.bnb)
 	} else {
-		ts, costs := scr.ts[:L-lo], scr.costs[:L-lo]
-		o.grid.eval(&sc.work, lo, ts, costs)
-		var env []envPoint
-		env, sc.memIdx, sc.zeroObj = envBuild(scr.env[:0], lo, ts, costs, q.Timeout)
-		if len(env) > 0 {
-			// (make + copy into a local is the form the compiler turns
-			// into one allocation without zeroing.)
-			exact := make([]envPoint, len(env))
-			copy(exact, env)
-			sc.env = exact
-		}
+		o.begin(&sc, lo, scr)
 	}
 	sc.feasible = sc.memIdx >= 0
 	if sc.feasible {
@@ -436,10 +449,10 @@ func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64
 // over the allowed one-hot x — the paper's Eq. (12)–(14). With UseBnB it
 // constructs the explicit 0-1 quadratic program (quadratic term v·u·x²
 // from price×compute, linear term from transfers and λ) and runs it
-// through QCR + branch-and-bound; otherwise the span's precomputed lower
-// envelope answers in O(log L). λ = 0 returns, in either mode, the
-// solution recorded at build time — for the scan its argmin, where exact
-// cost ties between blocks resolve by block index.
+// through QCR + branch-and-bound; otherwise the span's lower envelope
+// answers in O(log L), its prefix extended first if need be (reach). λ = 0
+// returns, in either mode, the solution recorded at build time — for the
+// scan its argmin, where exact cost ties resolve by block index.
 func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
 	if !sc.feasible {
 		return -1, math.Inf(1)
@@ -448,9 +461,71 @@ func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
 		return sc.memIdx, sc.zeroObj
 	}
 	if o.req.UseBnB {
-		return o.selectBlockBnB(sc, lambda, &o.bnb)
+		return o.selectBlockBnB(sc, lambda, &o.scr[0].bnb)
 	}
-	return envQuery(sc.env, lambda)
+	return o.reach(sc, lambda, &o.scr[0])
+}
+
+// begin runs a scan-mode span's chain from block lo, its working-set
+// floor, until the prefix certifies the λ = 0 argmin. No block undercuts
+// the last one's time and billed seconds: memF and share are
+// non-decreasing in the block index, so for non-negative work and
+// pressure (perf.Params.Validate) every quotient, product and truncation
+// of the kernel is non-increasing in it. With the last block over the
+// timeout, then, no block is allowed. A span one run completes is never
+// asked for a certificate and keeps the trivial floors, zero.
+func (o *Optimizer) begin(sc *spanChoice, lo int, scr *spanScratch) {
+	if L := len(o.blocks); L-lo > blockRun {
+		sc.bsL = o.grid.eval(&sc.work, L-1, scr.ts[:1], scr.costs[:1])
+		if scr.ts[0] > o.req.Quota.Timeout {
+			return
+		}
+		sc.secL = scr.ts[0].Seconds()
+	}
+	sc.next = lo
+	o.reach(sc, 0, scr)
+}
+
+// reach answers min_j cost_j + λ·sec_j for a scan-mode span from its
+// envelope prefix, first continuing the span's chain — kernel, then
+// envBuild — over further runs of blocks while the prefix cannot certify
+// the answer: value ≤ blockCost(gb[next], bsL) + λ·secL. Time is
+// non-increasing and gb increasing in the block index (begin)
+// and every float operation involved rounds monotonically, so the
+// right-hand side is a floor on each later block's own cost + λ·sec as
+// the scan computes it; on equality the scan's lowest-index tie-break
+// keeps the prefix's block (DESIGN.md §10). At λ = 0 the value is the
+// argmin the chain has tracked: that is how the build ends a prefix.
+//
+// reach mutates the span — the Optimizer's single-goroutine contract
+// covers it; certify hands each span to one worker.
+func (o *Optimizer) reach(sc *spanChoice, lambda float64, scr *spanScratch) (int, float64) {
+	L := len(o.blocks)
+	env, grown := sc.env, false
+	for {
+		j, val := sc.memIdx, sc.zeroObj
+		if lambda > 0 && len(env) > 0 {
+			j, val = envQuery(env, lambda)
+		}
+		if sc.next == L || val <= lineAt(blockCost(o.grid.gb[sc.next], sc.bsL), sc.secL, lambda) {
+			if grown {
+				// (make + copy into a local is the form the compiler
+				// turns into one allocation without zeroing.)
+				exact := make([]envPoint, len(env))
+				copy(exact, env)
+				sc.env, scr.env = exact, env[:0]
+			}
+			return j, val
+		}
+		if !grown {
+			env, grown = append(scr.env[:0], sc.env...), true
+		}
+		n := min(blockRun, L-sc.next)
+		ts, costs := scr.ts[:n], scr.costs[:n]
+		o.grid.eval(&sc.work, sc.next, ts, costs)
+		env, sc.memIdx, sc.zeroObj = envBuild(env, sc.memIdx, sc.zeroObj, sc.next, ts, costs, o.req.Quota.Timeout)
+		sc.next += n
+	}
 }
 
 // bnbScratch holds the reusable buffers for the explicit binary-QP
@@ -553,6 +628,9 @@ func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
 		}
 	}
 	best[0][0] = 0
+	if lambda > 0 {
+		o.certify(lambda)
+	}
 	// Push order: every span [a', a) ending at a has been relaxed before a
 	// becomes a source, so best[a] is final here, and each (b, k) still
 	// sees its candidates in ascending a — the pull order's tie-break —

@@ -290,6 +290,10 @@ func TestNewRejectsInvalidQuotaAndPerf(t *testing.T) {
 		{"negative compute rate", nil, func() perf.Params { p := perf.Default(); p.PeakGFLOPS = -1; return p }()},
 		{"NaN compute rate", nil, func() perf.Params { p := perf.Default(); p.PeakGFLOPS = math.NaN(); return p }()},
 		{"infinite compute rate", nil, func() perf.Params { p := perf.Default(); p.PeakGFLOPS = math.Inf(1); return p }()},
+		// Time would rise with memory: the envelope's and the
+		// certificate's precondition.
+		{"negative memory pressure", nil, func() perf.Params { p := perf.Default(); p.MemPressureAlpha = -0.2; return p }()},
+		{"NaN load rate", nil, func() perf.Params { p := perf.Default(); p.WeightsLoadSecPerMB = math.NaN(); return p }()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
