@@ -42,12 +42,19 @@ staticcheck:
 # way, and — serial code, so without the detector, under which the
 # largest cases skip themselves — the prefixes against the exact scan
 # (every span of mobilenet at 1 MB stride included) and what their
-# certificate rests on. CI runs this target.
+# certificate rests on. For the cold path's shared memory: a forward pass
+# that overwrites its own activations against the evaluator that
+# overwrites nothing, weight tensors that are views of their container
+# (the race build turns on checkptr, which checks the unsafe.Slice cast's
+# alignment and bounds), and concurrent jobs over those views. CI runs
+# this target.
 equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
-	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob' ./internal/coordinator/
+	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights' ./internal/coordinator/
+	$(GO) test -race -count=3 -run 'TestForwardRangeMatchesOutOfPlaceEvaluator' ./internal/nn/
+	$(GO) test -race -count=3 -run 'TestDecodeWeightsAliasesAlignedContainer|TestDecodeWeightsCopiesMisalignedContainer|TestParallelChunksMatchInline' ./internal/modelfmt/
 	$(GO) test -race -count=3 -run 'TestQueryOrderIndependence|TestSpanTableIdenticalAcrossGOMAXPROCS' ./internal/optimizer/
 	$(GO) test -run 'TestEnvelopeMatchesExactScan|TestCertificateFloorsHold|FuzzSelectBlockCertified' ./internal/optimizer/
 
@@ -67,10 +74,13 @@ build:
 
 # The tensor kernels pick assembly by GOARCH + CPUID, so the pure-Go
 # fallback is never compiled on an amd64 box unless asked for. (vet's
-# asmdecl pass checks the amd64 frame layout in the `vet` target.)
+# asmdecl pass checks the amd64 frame layout in the `vet` target.) The
+# codecs pick copy or per-element conversion by the host's byte order;
+# s390x is the big-endian build that keeps the latter compiling.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/...
+	GOARCH=s390x $(GO) build ./...
 
 # The repo benchmark (bench/, its own module; BENCHMARK.json names its
 # workloads, metrics and bounds). `make bench` runs all four workloads,

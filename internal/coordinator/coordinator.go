@@ -134,10 +134,12 @@ type partition struct {
 	weightsB int64
 
 	// Warm-container cache: decoded weights survive across invocations of
-	// the same (warm) function, as they would in a real runtime.
+	// the same (warm) function, as they would in a real runtime. Float32
+	// weights are views of blob (modelfmt.DecodeWeights), which lives as
+	// long as the partition; invocations share both and write neither.
 	mu      sync.Mutex
 	weights nn.Weights
-	blob    []byte // float32 container, or quantized when qbits > 0
+	blob    []byte // float32 container, or quantized when qbits > 0; nil when no handler will decode it
 	qbits   int
 
 	// Resilience state, guarded by the deployment's retryMu: the
@@ -251,8 +253,7 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 	if cfg.Deadline < 0 {
 		return nil, fmt.Errorf("coordinator: negative deadline %v", cfg.Deadline)
 	}
-	bounds := plan.Bounds()
-	blobs, err := packageWeights(model, weights, bounds, cfg.QuantizeBits)
+	blobs, sizes, err := packageWeights(model, weights, plan.Bounds(), cfg.QuantizeBits, cfg.SkipCompute)
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: splitting weights: %w", err)
 	}
@@ -280,7 +281,7 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 			model:    part,
 			memoryMB: lp.MemoryMB,
 			flops:    lp.Profile.FLOPs,
-			weightsB: int64(len(blobs[i])), // what is shipped and loaded
+			weightsB: sizes[i], // what is shipped and loaded
 			blob:     blobs[i],
 			qbits:    cfg.QuantizeBits,
 		}
@@ -288,7 +289,7 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 		if cfg.Breaker.enabled() {
 			p.brk = &breaker{pol: cfg.Breaker}
 		}
-		pkgBytes := int64(len(blobs[i])) + int64(len(desc)) + int64(1<<20) // weights + description + handler
+		pkgBytes := sizes[i] + int64(len(desc)) + int64(1<<20) // weights + description + handler
 		err = cfg.Platform.CreateFunction(lambda.FunctionConfig{
 			Name:         p.fnName,
 			MemoryMB:     lp.MemoryMB,
@@ -419,7 +420,8 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 	}
 }
 
-// Teardown deletes the deployment's functions and leftover objects.
+// Teardown deletes the deployment's functions. (Staged objects are not
+// its business: each job deletes its own when it closes.)
 func (d *Deployment) Teardown() {
 	for _, p := range d.parts {
 		d.cfg.Platform.DeleteFunction(p.fnName)
@@ -450,28 +452,38 @@ func (d *Deployment) nextJobID() string {
 	return fmt.Sprintf("%s/jobs/%s/%d", d.cfg.NamePrefix, d.model.Name, d.jobSeq)
 }
 
-// packageWeights encodes per-partition weight containers: float32
-// modelfmt containers by default, or quantized containers when bits > 0.
-func packageWeights(model *nn.Model, weights nn.Weights, bounds []int, bits int) ([][]byte, error) {
-	if bits == 0 {
-		return modelfmt.SplitWeights(model, weights, bounds)
-	}
-	blobs := make([][]byte, 0, len(bounds)-1)
-	for p := 0; p+1 < len(bounds); p++ {
+// packageWeights encodes per-partition weight containers — float32
+// modelfmt containers by default, quantized ones when bits > 0 — and
+// reports their sizes. A container is a snapshot: it shares no memory
+// with weights. sizeOnly (a timing-only deployment, whose handlers never
+// decode) leaves float32 blobs nil, their size being known without them.
+func packageWeights(model *nn.Model, weights nn.Weights, bounds []int, bits int, sizeOnly bool) (blobs [][]byte, sizes []int64, err error) {
+	blobs, sizes = make([][]byte, len(bounds)-1), make([]int64, len(bounds)-1)
+	for p := range blobs {
 		part, err := model.Partition(bounds[p], bounds[p+1])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sub := nn.SubsetWeights(model, weights, bounds[p], bounds[p+1])
-		qw, err := quant.QuantizeWeights(part, sub, bits)
-		if err != nil {
-			return nil, err
+		var n int
+		switch {
+		case bits > 0:
+			qw, qerr := quant.QuantizeWeights(part, sub, bits)
+			if qerr != nil {
+				return nil, nil, qerr
+			}
+			blobs[p], err = quant.Encode(part, qw)
+			n = len(blobs[p])
+		case sizeOnly:
+			n, err = modelfmt.WeightsSize(part, sub)
+		default:
+			blobs[p], err = modelfmt.EncodeWeights(part, sub)
+			n = len(blobs[p])
 		}
-		blob, err := quant.Encode(part, qw)
 		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("partition %d: %w", p, err)
 		}
-		blobs = append(blobs, blob)
+		sizes[p] = int64(n)
 	}
-	return blobs, nil
+	return blobs, sizes, nil
 }

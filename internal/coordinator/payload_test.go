@@ -41,13 +41,22 @@ func TestPackageWeightsQuantizedSize(t *testing.T) {
 	m := zoo.TinyCNN(0)
 	w := nn.InitWeights(m, 1)
 	bounds := []int{1, len(m.Layers)}
-	floatBlobs, err := packageWeights(m, w, bounds, 0)
+	floatBlobs, floatSizes, err := packageWeights(m, w, bounds, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q8Blobs, err := packageWeights(m, w, bounds, 8)
+	// A timing-only deployment sizes the float package without making it.
+	if blobs, sizes, err := packageWeights(m, w, bounds, 0, true); err != nil || blobs[0] != nil ||
+		sizes[0] != floatSizes[0] || sizes[0] != int64(len(floatBlobs[0])) {
+		t.Fatalf("size-only float package: blob %d bytes, size %v, want nil and %d (err %v)", len(blobs[0]), sizes, len(floatBlobs[0]), err)
+	}
+	// A quantized one is encoded either way.
+	q8Blobs, q8Sizes, err := packageWeights(m, w, bounds, 8, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q8Sizes[0] != int64(len(q8Blobs[0])) {
+		t.Fatalf("8-bit package reported as %d bytes, is %d", q8Sizes[0], len(q8Blobs[0]))
 	}
 	if len(q8Blobs[0])*3 > len(floatBlobs[0]) {
 		t.Fatalf("8-bit package %d bytes not ≪ float %d", len(q8Blobs[0]), len(floatBlobs[0]))

@@ -1,6 +1,8 @@
 package coordinator
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,4 +75,49 @@ func TestTimelineRendersPhases(t *testing.T) {
 
 func containsStr(s, sub string) bool {
 	return len(s) >= len(sub) && strings.Contains(s, sub)
+}
+
+// A partition's decoded weights are views of its blob, shared by every
+// concurrent invocation. Parallel batches — each job resets the warm
+// pool, so cold starts re-decode while other jobs compute — must only
+// ever read them (run under -race): predictions stay exact and the blobs
+// keep their bytes.
+func TestConcurrentBatchesOnlyReadSharedWeights(t *testing.T) {
+	_, d, m, w := deployTinySplit(t)
+	var blobs [][]byte
+	for _, p := range d.parts {
+		blobs = append(blobs, append([]byte(nil), p.blob...))
+	}
+	inputs := []*tensor.Tensor{randomInput(m, 200), randomInput(m, 201), randomInput(m, 202)}
+	var want []*tensor.Tensor
+	for _, in := range inputs {
+		out, err := m.Forward(w, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, out)
+	}
+	const batches = 4
+	errs := make(chan error, batches)
+	for b := 0; b < batches; b++ {
+		go func() {
+			br, err := d.RunBatchParallel(inputs)
+			for i := 0; err == nil && i < len(inputs); i++ {
+				if !tensorAllClose(want[i], br.Jobs[i].Output) {
+					err = fmt.Errorf("image %d: wrong prediction", i)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for b := 0; b < batches; b++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for i, p := range d.parts {
+		if !bytes.Equal(blobs[i], p.blob) {
+			t.Errorf("partition %d: serving changed the weight container", i)
+		}
+	}
 }

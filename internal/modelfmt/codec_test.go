@@ -14,11 +14,12 @@ import (
 	"ampsinf/internal/tensor"
 )
 
-// Digests of the two wire formats, computed with the encoder as it was
-// before the codecs became single-pass. A change to either format —
-// field order, widths, checksum coverage — changes a digest.
+// Digests of the two wire formats: the tensor format's computed with the
+// encoder as it was before the codecs became single-pass, the weights
+// container's with the first version-2 encoder. A change to either
+// format — field order, widths, checksum coverage — changes a digest.
 const (
-	pinnedWeightsSHA256 = "0e4887c7312308f65562d2538e733537cd962ac0b0dd9353e15c064f1665a988"
+	pinnedWeightsSHA256 = "557ba2d1b8f1b0b792826f9c43af70499856f113c1b35141078ca09eae1caf06"
 	pinnedTensorSHA256  = "46f3896f0d7e44f696814e9ad2202a3d387b6289edae6c2c14f63f1263545d78"
 )
 
@@ -62,7 +63,9 @@ func bytesPerRun(f func()) float64 {
 
 // The codecs move whole models on the cold path, so their allocation is
 // budgeted: an encode allocates its output and nothing of that order
-// besides, a decode the float payload it returns.
+// besides; a tensor decode the float payload it returns; a weights decode
+// no float payload at all — its tensors are views of the container — only
+// the index it parsed.
 func TestCodecAllocBudget(t *testing.T) {
 	m := zoo.MobileNet(0)
 	w := nn.InitWeights(m, 1)
@@ -70,17 +73,20 @@ func TestCodecAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := float64(m.WeightBytes())
 	act := tensor.New(4, 28, 28, 64)
 	actBlob := EncodeTensor(act)
 
+	decodeBudget := 0.02 * float64(len(blob))
+	if !hostLittleEndian {
+		decodeBudget = 1.05 * float64(m.WeightBytes()) // the copying path
+	}
 	budgets := []struct {
 		name   string
 		budget float64
 		f      func()
 	}{
 		{"EncodeWeights", 1.05 * float64(len(blob)), func() { _, _ = EncodeWeights(m, w) }},
-		{"DecodeWeights", 1.05 * payload, func() { _, _ = DecodeWeights(m, blob) }},
+		{"DecodeWeights", decodeBudget, func() { _, _ = DecodeWeights(m, blob) }},
 		{"EncodeTensor", 1.05 * float64(len(actBlob)), func() { EncodeTensor(act) }},
 		{"DecodeTensor", 1.05 * float64(4*act.Elems()), func() { _, _ = DecodeTensor(actBlob) }},
 	}
@@ -90,15 +96,17 @@ func TestCodecAllocBudget(t *testing.T) {
 		}
 	}
 
-	// The single-allocation invariant, counted: the tensor encoder makes
-	// its output and nothing else, and the weights encoder adds exactly
-	// one allocation to what validating the weights already costs.
+	// Counted: the tensor encoder makes its output and nothing else; the
+	// weights encoder adds to what validating the weights already costs
+	// its output, two per-chunk tables and what starting its workers
+	// takes — nothing per chunk.
 	if n := testing.AllocsPerRun(10, func() { EncodeTensor(act) }); n != 1 {
 		t.Errorf("EncodeTensor makes %v allocations, want 1", n)
 	}
 	check := testing.AllocsPerRun(10, func() { _ = nn.CheckWeights(m, w) })
-	if n := testing.AllocsPerRun(10, func() { _, _ = EncodeWeights(m, w) }); n != check+1 {
-		t.Errorf("EncodeWeights makes %v allocations, CheckWeights alone %v: want exactly one more", n, check)
+	extra := float64(5 + 2*tensor.MaxWorkers())
+	if n := testing.AllocsPerRun(10, func() { _, _ = EncodeWeights(m, w) }); n > check+extra {
+		t.Errorf("EncodeWeights makes %v allocations, CheckWeights alone %v: want at most %v more", n, check, extra)
 	}
 }
 
@@ -134,9 +142,10 @@ func TestTruncationAtEveryByteErrors(t *testing.T) {
 	}
 }
 
-// hostileWeightsBlob is a one-chunk container whose rank-3 shape 2^21 ×
-// 2^21 × 2^21 wraps the int element product to -2^63. The chunk reader
-// used to pass that through its bytes-remaining test into make().
+// hostileWeightsBlob is a one-chunk container whose index entry has the
+// rank-3 shape 2^21 × 2^21 × 2^21, which wraps the int element product to
+// -2^63. The chunk reader used to pass that through its bytes-remaining
+// test into make().
 func hostileWeightsBlob() []byte {
 	b := append([]byte(nil), weightsMagic[:]...)
 	b = binary.LittleEndian.AppendUint16(b, weightsVersion)
@@ -148,7 +157,7 @@ func hostileWeightsBlob() []byte {
 	for i := 0; i < 3; i++ {
 		b = binary.LittleEndian.AppendUint32(b, 1<<21)
 	}
-	return b
+	return binary.LittleEndian.AppendUint32(b, 0) // crc
 }
 
 func TestDecodeWeightsRejectsOverflowingShape(t *testing.T) {

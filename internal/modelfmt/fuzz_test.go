@@ -66,9 +66,11 @@ func FuzzDecodeTensor(f *testing.F) {
 // than a small multiple of the input, whatever element counts the
 // chunks claim.
 //
-// Seed corpus: testdata/fuzz/FuzzDecodeWeights holds the blob whose
-// 2^21·2^21·2^21 shape wrapped the element product negative and crashed
-// make().
+// Seed corpus: testdata/fuzz/FuzzDecodeWeights, written by hand for
+// container version 2: an index entry whose 2^21·2^21·2^21 shape wrapped
+// the element product negative and (in version 1) crashed make(); an
+// index describing four floats over a data section of three; nchunks =
+// 2^32-1 over a fifteen-byte body; and a version 1 container.
 func FuzzDecodeWeights(f *testing.F) {
 	m := smallModel()
 	valid, err := EncodeWeights(m, nn.InitWeights(m, 1))

@@ -25,8 +25,8 @@ func EncodeTensor(t *tensor.Tensor) []byte {
 	out := make([]byte, 4+shapeSize(len(shape))+4*len(data)+4)
 	copy(out, tensorMagic[:])
 	off := putShape(out, 4, shape)
-	off = putFloats(out, off, data)
-	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[4:off]))
+	off, sum := putFloatsSum(out, off, data, crc32.ChecksumIEEE(out[4:off]))
+	binary.LittleEndian.PutUint32(out[off:], sum)
 	return out
 }
 

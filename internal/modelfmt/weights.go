@@ -5,76 +5,162 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"ampsinf/internal/nn"
 	"ampsinf/internal/tensor"
 )
 
-// Weights container layout (all integers little-endian):
+// Weights container layout, version 2 (all integers little-endian):
 //
 //	magic   [4]byte  "AMPW"
-//	version uint16   (1)
+//	version uint16   (2)
 //	nchunks uint32
-//	chunks  × nchunks:
+//	index   × nchunks:
 //	  nameLen uint16, name []byte   — layer name
 //	  index   uint16                — tensor index within the layer
 //	  rank    uint16, dims []uint32 — tensor shape
-//	  data    []float32 (bits as uint32)
-//	  crc     uint32                — CRC-32 over name+index+shape+data
+//	  crc     uint32                — CRC-32 over this entry's bytes
+//	                                  before crc, then its payload
+//	data    × nchunks: []float32 (bits as uint32), back to back
 //
-// Chunks appear in the model's topological order, so splitting by layer
-// range is a contiguous byte-range operation conceptually; Split
-// re-encodes for simplicity and safety.
+// Chunks appear in the model's topological order. The fields are those
+// of version 1 regrouped — every payload moved behind the index — so a
+// container's size is unchanged, and it is exact: header + index + Σ
+// 4·elems must equal the blob's length. With the payloads contiguous and
+// each a multiple of four bytes, aligning the data section aligns every
+// payload: the encoder places the container so that it is, and the
+// decoder then returns tensors that are views of the blob (see
+// DecodeWeights).
 
 var weightsMagic = [4]byte{'A', 'M', 'P', 'W'}
 
 const (
-	weightsVersion    = 1
+	weightsVersion    = 2
 	weightsHeaderSize = 4 + 2 + 4
 	// maxChunkDim bounds a single weight dimension; no layer of any model
 	// here comes near it.
 	maxChunkDim = 1 << 24
+	// minEntrySize is an index entry with an empty name and rank 0.
+	minEntrySize = 2 + 2 + 2 + 4
 )
 
-// chunkSize is the encoded size of one chunk, checksum included.
-func chunkSize(name string, t *tensor.Tensor) int {
-	return 2 + len(name) + 2 + shapeSize(t.Rank()) + 4*t.Elems() + 4
+// chunk is one tensor's place in a container: its index entry up to the
+// checksum field at [entry, crc), its payload at [data, end). The encoder
+// adds where the payload comes from, the decoder what the entry says.
+type chunk struct {
+	entry, crc, data, end int
+	src                   []float32
+	name                  []byte
+	idx                   uint16
+	shape                 []int
+	want                  uint32
+	bad                   bool
 }
 
-// EncodeWeights serializes weights for all parameterized layers of m, in
-// topological order.
-func EncodeWeights(m *nn.Model, w nn.Weights) ([]byte, error) {
-	if err := nn.CheckWeights(m, w); err != nil {
-		return nil, fmt.Errorf("modelfmt: %w", err)
+// eachChunk calls fn for every chunk index below n, from up to
+// tensor.MaxWorkers() goroutines (the caller's among them) that take the
+// next index as they finish one. fn may touch nothing shared but its own
+// chunk and that chunk's byte ranges.
+func eachChunk(n int, fn func(i int)) {
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
 	}
-	size := weightsHeaderSize
-	var nchunks uint32
+	var wg sync.WaitGroup
+	for k := min(tensor.MaxWorkers(), n); k > 1; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+}
+
+// weightsLayout validates w against m and sizes its container: the
+// bytes of the index and data sections and the number of chunks.
+func weightsLayout(m *nn.Model, w nn.Weights) (index, data, nchunks int, err error) {
+	if err := nn.CheckWeights(m, w); err != nil {
+		return 0, 0, 0, fmt.Errorf("modelfmt: %w", err)
+	}
 	for _, l := range m.Layers {
 		if len(l.Name) > math.MaxUint16 {
-			return nil, fmt.Errorf("modelfmt: layer name too long (%d bytes)", len(l.Name))
+			return 0, 0, 0, fmt.Errorf("modelfmt: layer name too long (%d bytes)", len(l.Name))
 		}
 		for _, t := range w[l.Name] {
-			size += chunkSize(l.Name, t)
+			index += 2 + len(l.Name) + 2 + shapeSize(t.Rank()) + 4
+			data += 4 * t.Elems()
 			nchunks++
 		}
 	}
-	out := make([]byte, size)
+	return index, data, nchunks, nil
+}
+
+// WeightsSize is the length of what EncodeWeights(m, w) returns, without
+// encoding anything.
+func WeightsSize(m *nn.Model, w nn.Weights) (int, error) {
+	index, data, _, err := weightsLayout(m, w)
+	return weightsHeaderSize + index + data, err
+}
+
+// EncodeWeights serializes weights for all parameterized layers of m, in
+// topological order. The returned slice is placed in its allocation so
+// that the data section starts on a 4-byte boundary.
+func EncodeWeights(m *nn.Model, w nn.Weights) ([]byte, error) {
+	index, data, nchunks, err := weightsLayout(m, w)
+	if err != nil {
+		return nil, err
+	}
+	// Three bytes of slack let the data section, not the header, take the
+	// allocation's alignment.
+	dataOff := weightsHeaderSize + index
+	buf := make([]byte, dataOff+data+3)
+	skip := int(-(uintptr(unsafe.Pointer(unsafe.SliceData(buf))) + uintptr(dataOff)) & 3)
+	out := buf[skip : skip+dataOff+data : skip+dataOff+data]
+
 	copy(out, weightsMagic[:])
 	binary.LittleEndian.PutUint16(out[4:], weightsVersion)
-	binary.LittleEndian.PutUint32(out[6:], nchunks)
-	off := weightsHeaderSize
+	binary.LittleEndian.PutUint32(out[6:], uint32(nchunks))
+	chunks := make([]chunk, 0, nchunks)
+	off, doff := weightsHeaderSize, dataOff
 	for _, l := range m.Layers {
 		for i, t := range w[l.Name] {
-			off = putChunk(out, off, l.Name, i, t)
+			c := chunk{entry: off, data: doff, end: doff + 4*t.Elems(), src: t.Data()}
+			binary.LittleEndian.PutUint16(out[off:], uint16(len(l.Name)))
+			off += 2 + copy(out[off+2:], l.Name)
+			binary.LittleEndian.PutUint16(out[off:], uint16(i))
+			c.crc = putShape(out, off+2, t.Shape())
+			off, doff = c.crc+4, c.end
+			chunks = append(chunks, c)
 		}
 	}
+	eachChunk(nchunks, func(i int) {
+		c := chunks[i]
+		_, sum := putFloatsSum(out, c.data, c.src, crc32.ChecksumIEEE(out[c.entry:c.crc]))
+		binary.LittleEndian.PutUint32(out[c.crc:], sum)
+	})
 	return out, nil
 }
 
-// DecodeWeights parses a weights container and verifies every chunk's
-// checksum. The result is validated against the model's weight specs.
-// Arbitrary (corrupt or hostile) input errors cleanly: it never panics
-// and never allocates more than a small multiple of len(data).
+// DecodeWeights parses a weights container, checks that its length is
+// exactly what its index describes, and verifies every chunk's checksum.
+// The result is validated against the model's weight specs. Arbitrary
+// (corrupt or hostile) input errors cleanly: it never panics and never
+// allocates more than a small multiple of len(data).
+//
+// The returned tensors are read-only and, where the host allows it, are
+// views of data rather than copies: on a little-endian host, when the
+// data section lies on a 4-byte boundary — as it does in a slice
+// EncodeWeights returned — no payload is copied, and the weights are
+// valid for as long as data is kept and left unmodified. Otherwise
+// (big-endian host, or a container re-sliced to a misaligned address)
+// every payload is decoded into memory of its own.
 func DecodeWeights(m *nn.Model, data []byte) (nn.Weights, error) {
 	c := cursor{data: data}
 	if magic, ok := c.bytes(4); !ok || [4]byte(magic) != weightsMagic {
@@ -83,20 +169,65 @@ func DecodeWeights(m *nn.Model, data []byte) (nn.Weights, error) {
 	if ver, ok := c.u16(); !ok || ver != weightsVersion {
 		return nil, fmt.Errorf("modelfmt: unsupported weights version %d", ver)
 	}
-	nchunks, ok := c.u32()
+	n, ok := c.u32()
 	if !ok {
 		return nil, fmt.Errorf("modelfmt: truncated header")
 	}
+	if int64(n) > int64(c.remaining()/minEntrySize) {
+		return nil, fmt.Errorf("modelfmt: an index of %d chunks cannot fit in %d bytes", n, c.remaining())
+	}
+	chunks := make([]chunk, n)
+	var payload int64
+	for i := range chunks {
+		ch := &chunks[i]
+		ch.entry = c.off
+		nameLen, ok := c.u16()
+		if ok {
+			ch.name, ok = c.bytes(int(nameLen))
+		}
+		if ok {
+			ch.idx, ok = c.u16()
+		}
+		if !ok {
+			return nil, fmt.Errorf("modelfmt: chunk %d: truncated name or index", i)
+		}
+		var elems int
+		var err error
+		if ch.shape, elems, err = c.shape(maxChunkDim); err != nil {
+			return nil, fmt.Errorf("modelfmt: chunk %d: %w", i, err)
+		}
+		ch.crc = c.off
+		if ch.want, ok = c.u32(); !ok {
+			return nil, fmt.Errorf("modelfmt: chunk %d: truncated checksum", i)
+		}
+		ch.data, ch.end = int(payload), int(payload)+4*elems // from the data section's start, not yet known
+		payload += 4 * int64(elems)
+	}
+	if payload != int64(c.remaining()) {
+		return nil, fmt.Errorf("modelfmt: index describes %d bytes of data, container holds %d", payload, c.remaining())
+	}
+	index, data := data[:c.off], data[c.off:]
+	eachChunk(len(chunks), func(i int) {
+		ch := &chunks[i]
+		sum := crc32.Update(crc32.ChecksumIEEE(index[ch.entry:ch.crc]), crc32.IEEETable, data[ch.data:ch.end])
+		ch.bad = sum != ch.want
+	})
+
 	w := make(nn.Weights)
-	for n := uint32(0); n < nchunks; n++ {
-		name, idx, t, err := c.chunk()
-		if err != nil {
-			return nil, fmt.Errorf("modelfmt: chunk %d: %w", n, err)
+	for i, ch := range chunks {
+		if ch.bad {
+			return nil, fmt.Errorf("modelfmt: chunk %d: checksum mismatch for %q (corrupt weights)", i, ch.name)
 		}
-		if int(idx) != len(w[name]) {
-			return nil, fmt.Errorf("modelfmt: chunk %d for %q out of order (index %d, have %d)", n, name, idx, len(w[name]))
+		name := string(ch.name)
+		if int(ch.idx) != len(w[name]) {
+			return nil, fmt.Errorf("modelfmt: chunk %d for %q out of order (index %d, have %d)", i, name, ch.idx, len(w[name]))
 		}
-		w[name] = append(w[name], t)
+		raw := data[ch.data:ch.end]
+		floats := floatView(raw)
+		if floats == nil {
+			floats = getFloats(raw)
+		}
+		w[name] = append(w[name], tensor.FromSlice(floats, ch.shape...))
 	}
 	if err := nn.CheckWeights(m, w); err != nil {
 		return nil, fmt.Errorf("modelfmt: decoded weights invalid: %w", err)
@@ -130,7 +261,8 @@ func SplitWeights(m *nn.Model, w nn.Weights, bounds []int) ([][]byte, error) {
 }
 
 // MergeWeights reassembles full-model weights from per-partition blobs
-// produced by SplitWeights with the same bounds.
+// produced by SplitWeights with the same bounds. Like DecodeWeights'
+// result, the merged weights are read-only and may be views of blobs.
 func MergeWeights(m *nn.Model, blobs [][]byte, bounds []int) (nn.Weights, error) {
 	if len(blobs) != len(bounds)-1 {
 		return nil, fmt.Errorf("modelfmt: %d blobs for %d partitions", len(blobs), len(bounds)-1)
@@ -153,52 +285,4 @@ func MergeWeights(m *nn.Model, blobs [][]byte, bounds []int) (nn.Weights, error)
 		return nil, fmt.Errorf("modelfmt: merged weights invalid: %w", err)
 	}
 	return w, nil
-}
-
-// putChunk writes one chunk and its checksum at out[off:] and returns the
-// new offset. The caller has sized out with chunkSize.
-func putChunk(out []byte, off int, name string, idx int, t *tensor.Tensor) int {
-	start := off
-	binary.LittleEndian.PutUint16(out[off:], uint16(len(name)))
-	off += 2
-	off += copy(out[off:], name)
-	binary.LittleEndian.PutUint16(out[off:], uint16(idx))
-	off += 2
-	off = putShape(out, off, t.Shape())
-	off = putFloats(out, off, t.Data())
-	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[start:off]))
-	return off + 4
-}
-
-// chunk reads one chunk at the cursor and verifies its checksum.
-func (c *cursor) chunk() (name string, idx uint16, t *tensor.Tensor, err error) {
-	start := c.off
-	nameLen, ok := c.u16()
-	if !ok {
-		return "", 0, nil, fmt.Errorf("truncated name length")
-	}
-	nameBytes, ok := c.bytes(int(nameLen))
-	if !ok {
-		return "", 0, nil, fmt.Errorf("truncated name")
-	}
-	if idx, ok = c.u16(); !ok {
-		return "", 0, nil, fmt.Errorf("truncated index")
-	}
-	shape, elems, err := c.shape(maxChunkDim)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	payload, ok := c.bytes(4 * elems)
-	if !ok {
-		return "", 0, nil, fmt.Errorf("chunk claims %d elements, only %d bytes remain", elems, c.remaining())
-	}
-	end := c.off
-	wantCRC, ok := c.u32()
-	if !ok {
-		return "", 0, nil, fmt.Errorf("truncated checksum")
-	}
-	if crc32.ChecksumIEEE(c.data[start:end]) != wantCRC {
-		return "", 0, nil, fmt.Errorf("checksum mismatch for %q (corrupt weights)", nameBytes)
-	}
-	return string(nameBytes), idx, tensor.FromSlice(getFloats(payload), shape...), nil
 }

@@ -3,14 +3,17 @@ package modelfmt
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
 // Both codecs are single-pass. Encoders compute the exact output size
-// first, allocate once and write every field, payload and checksum in
-// place; decoders walk the input slice with a cursor, checksum
-// data[start:end] where it lies, and allocate only what the result keeps
-// (float payloads, shapes, names).
+// first, allocate the output once and write every field, payload and
+// checksum in place; decoders walk the input slice with a cursor, checksum the bytes
+// where they lie, and allocate only what the result keeps: shapes, names
+// and — for a tensor, or a weights container that cannot be viewed in
+// place (see DecodeWeights) — float payloads.
 
 // Decode limits: a tensor larger than maxDecodeElems elements (1 GiB
 // of float32) or deeper than maxDecodeRank cannot come from this
@@ -36,50 +39,64 @@ func putShape(b []byte, off int, shape []int) int {
 	return off
 }
 
+// hostLittleEndian is whether a float32's bytes in memory are already
+// its wire encoding, in which case payloads move by copy — or, for
+// DecodeWeights, do not move at all. Other hosts convert per element.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// byteView is f's memory as bytes.
+func byteView(f []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
+}
+
+// floatView is b's memory as float32s — b itself, nothing copied — or
+// nil where that is not its decoding: on a big-endian host, or when b
+// does not start on a 4-byte boundary.
+func floatView(b []byte) []float32 {
+	if !hostLittleEndian || uintptr(unsafe.Pointer(unsafe.SliceData(b)))&3 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
+}
+
 // putFloats writes the bit patterns of data at b[off:] and returns the
-// new offset. This path moves whole models: eight elements a step at
-// constant offsets into fixed-length windows, so the compiler drops every
-// bounds check and the loop runs at copy speed.
+// new offset.
 func putFloats(b []byte, off int, data []float32) int {
 	end := off + 4*len(data)
-	dst := b[off:end]
-	for len(data) >= 8 && len(dst) >= 32 {
-		d, s := dst[:32:32], data[:8:8]
-		binary.LittleEndian.PutUint32(d[0:], math.Float32bits(s[0]))
-		binary.LittleEndian.PutUint32(d[4:], math.Float32bits(s[1]))
-		binary.LittleEndian.PutUint32(d[8:], math.Float32bits(s[2]))
-		binary.LittleEndian.PutUint32(d[12:], math.Float32bits(s[3]))
-		binary.LittleEndian.PutUint32(d[16:], math.Float32bits(s[4]))
-		binary.LittleEndian.PutUint32(d[20:], math.Float32bits(s[5]))
-		binary.LittleEndian.PutUint32(d[24:], math.Float32bits(s[6]))
-		binary.LittleEndian.PutUint32(d[28:], math.Float32bits(s[7]))
-		dst, data = dst[32:], data[8:]
+	if hostLittleEndian {
+		copy(b[off:end], byteView(data))
+		return end
 	}
 	for i, v := range data {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+		binary.LittleEndian.PutUint32(b[off+4*i:], math.Float32bits(v))
 	}
 	return end
 }
 
-// getFloats decodes len(src)/4 float32 bit patterns, unrolled like
-// putFloats.
+// putFloatsSum is putFloats that also extends the CRC-32 sum over the
+// bytes it writes — a block at a time, small enough that the checksum
+// reads what the copy has just left in cache instead of fetching the
+// payload from memory a second time.
+func putFloatsSum(b []byte, off int, data []float32, sum uint32) (int, uint32) {
+	const block = 32 << 10 // elements
+	for len(data) > 0 {
+		n := min(block, len(data))
+		end := putFloats(b, off, data[:n])
+		sum = crc32.Update(sum, crc32.IEEETable, b[off:end])
+		off, data = end, data[n:]
+	}
+	return off, sum
+}
+
+// getFloats decodes len(src)/4 float32 bit patterns into a new slice.
 func getFloats(src []byte) []float32 {
 	out := make([]float32, len(src)/4)
-	dst := out
-	for len(dst) >= 8 && len(src) >= 32 {
-		s, d := src[:32:32], dst[:8:8]
-		d[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))
-		d[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))
-		d[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))
-		d[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:]))
-		d[4] = math.Float32frombits(binary.LittleEndian.Uint32(s[16:]))
-		d[5] = math.Float32frombits(binary.LittleEndian.Uint32(s[20:]))
-		d[6] = math.Float32frombits(binary.LittleEndian.Uint32(s[24:]))
-		d[7] = math.Float32frombits(binary.LittleEndian.Uint32(s[28:]))
-		src, dst = src[32:], dst[8:]
+	if hostLittleEndian {
+		copy(byteView(out), src)
+		return out
 	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 	return out
 }

@@ -258,12 +258,15 @@ func TestResNet50PartitionedInferenceEquivalence(t *testing.T) {
 // Partitioned inference is the same arithmetic in the same order as the
 // whole model's, so chaining the standalone partition models over their
 // weight subsets must reproduce Forward bit for bit — on the models whose
-// layers bottom out in the SIMD primitives as much as on any other.
+// layers bottom out in the SIMD primitives as much as on any other, and
+// on the residual and multi-branch graphs where a forward pass overwrites
+// activations it owns (small input sides keep the two big ones under a
+// second).
 func TestPartitionedForwardBitIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		size int
-	}{{"tinycnn", 0}, {"mobilenet", 64}} {
+	}{{"tinycnn", 0}, {"mobilenet", 64}, {"resnet50", 64}, {"inceptionv3", 96}} {
 		m, err := Build(c.name, c.size)
 		if err != nil {
 			t.Fatal(err)

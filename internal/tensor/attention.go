@@ -7,16 +7,17 @@ import (
 
 // GELU applies the Gaussian error linear unit (tanh approximation, as in
 // BERT) elementwise.
-func GELU(t *Tensor) *Tensor {
-	out := New(t.shape...)
+func GELU(t *Tensor) *Tensor { return GELUTo(New(t.shape...), t) }
+
+// GELUTo is GELU into dst.
+func GELUTo(dst, t *Tensor) *Tensor {
 	const c = 0.7978845608028654 // sqrt(2/π)
-	parallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x := float64(t.data[i])
-			out.data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
+	return elementwise("gelu", dst, t, func(out, in []float32) {
+		for i, v := range in {
+			x := float64(v)
+			out[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
 		}
 	})
-	return out
 }
 
 // LayerNorm normalizes each innermost vector to zero mean and unit

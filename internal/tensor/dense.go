@@ -50,6 +50,12 @@ func Dense(in, w, bias *Tensor) *Tensor {
 //
 // gamma, beta, mean, variance all have length C (the innermost dim).
 func BatchNorm(in, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
+	return BatchNormTo(New(in.shape...), in, gamma, beta, mean, variance, eps)
+}
+
+// BatchNormTo is BatchNorm into dst, which may be in.
+func BatchNormTo(dst, in, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
+	mustFit("batchnorm", dst, in)
 	c := in.shape[len(in.shape)-1]
 	for _, p := range []*Tensor{gamma, beta, mean, variance} {
 		if p.Elems() != c {
@@ -64,17 +70,16 @@ func BatchNorm(in, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
 		scale[i] = s
 		shift[i] = beta.data[i] - mean.data[i]*s
 	}
-	out := New(in.shape...)
 	rows := len(in.data) / c
 	parallelFor(rows, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			base := r * c
-			for i := 0; i < c; i++ {
-				out.data[base+i] = in.data[base+i]*scale[i] + shift[i]
+			out := dst.data[r*c : (r+1)*c]
+			for i, x := range in.data[r*c : (r+1)*c] {
+				out[i] = x*scale[i] + shift[i]
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 func sqrt32(v float32) float32 {

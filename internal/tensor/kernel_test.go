@@ -145,3 +145,56 @@ func TestAxpyShortOperandPanics(t *testing.T) {
 		"mulAdd k": func() { mulAdd(make([]float32, 8), make([]float32, 7), make([]float32, 8)) },
 	})
 }
+
+// Every elementwise kernel writing over its own input must leave the
+// bits the allocating form returns — including +0 from ReLU for -0 and
+// NaN, which the allocating form used to get from a zero-filled output.
+func TestInPlaceKernelsMatchAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fresh := func() *Tensor {
+		x := randTensor(rand.New(rand.NewSource(9)), 2, 5, 5, 8)
+		copy(x.data, []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(-1)), float32(math.Inf(1)), -7, 7, 0})
+		return x
+	}
+	other := randTensor(rng, 2, 5, 5, 8)
+	g, b, mu, v := randTensor(rng, 8), randTensor(rng, 8), randTensor(rng, 8), randTensor(rng, 8)
+	for i := range v.data {
+		v.data[i] = v.data[i]*v.data[i] + 0.1
+	}
+	cases := []struct {
+		name    string
+		alloc   func(x *Tensor) *Tensor
+		inPlace func(x *Tensor) *Tensor
+	}{
+		{"relu", ReLU, func(x *Tensor) *Tensor { return ReLUTo(x, x) }},
+		{"relu6", ReLU6, func(x *Tensor) *Tensor { return ReLU6To(x, x) }},
+		{"sigmoid", Sigmoid, func(x *Tensor) *Tensor { return SigmoidTo(x, x) }},
+		{"tanh", Tanh, func(x *Tensor) *Tensor { return TanhTo(x, x) }},
+		{"softmax", Softmax, func(x *Tensor) *Tensor { return SoftmaxTo(x, x) }},
+		{"gelu", GELU, func(x *Tensor) *Tensor { return GELUTo(x, x) }},
+		{"add into a", func(x *Tensor) *Tensor { return Add(x, other) }, func(x *Tensor) *Tensor { return AddTo(x, x, other) }},
+		{"add into b", func(x *Tensor) *Tensor { return Add(other, x) }, func(x *Tensor) *Tensor { return AddTo(x, other, x) }},
+		{"batchnorm", func(x *Tensor) *Tensor { return BatchNorm(x, g, b, mu, v, 1e-3) }, func(x *Tensor) *Tensor { return BatchNormTo(x, x, g, b, mu, v, 1e-3) }},
+	}
+	for _, c := range cases {
+		want, x := c.alloc(fresh()), fresh()
+		if got := c.inPlace(x); got != x {
+			t.Errorf("%s: in-place form returned another tensor", c.name)
+		}
+		for i := range want.data {
+			if math.Float32bits(want.data[i]) != math.Float32bits(x.data[i]) {
+				t.Errorf("%s: element %d is %x in place, %x allocating", c.name, i, math.Float32bits(x.data[i]), math.Float32bits(want.data[i]))
+				break
+			}
+		}
+	}
+	if r := ReLU(fresh()); math.Float32bits(r.data[0]) != 0 || math.Float32bits(r.data[1]) != 0 {
+		t.Errorf("ReLU(-0), ReLU(NaN) = %x, %x, want +0", math.Float32bits(r.data[0]), math.Float32bits(r.data[1]))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ReLUTo into a differently shaped tensor did not panic")
+		}
+	}()
+	ReLUTo(New(3), New(4))
+}

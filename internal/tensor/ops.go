@@ -5,71 +5,97 @@ import (
 	"math"
 )
 
+// The elementwise kernels come in pairs: xTo(dst, t) writes into dst,
+// which may be t itself, and x(t) is xTo into a new tensor — the same
+// arithmetic, so the same bits.
+
+// mustFit panics unless dst has the shape of op's operand t.
+func mustFit(op string, dst, t *Tensor) {
+	if !dst.shape.Equal(t.shape) {
+		panic(fmt.Sprintf("tensor: %s into shape %v from %v", op, dst.shape, t.shape))
+	}
+}
+
+// elementwise runs f over matching ranges of t's and dst's elements.
+func elementwise(op string, dst, t *Tensor, f func(out, in []float32)) *Tensor {
+	mustFit(op, dst, t)
+	parallelFor(len(t.data), func(lo, hi int) { f(dst.data[lo:hi], t.data[lo:hi]) })
+	return dst
+}
+
 // ReLU applies max(0, x) elementwise, returning a new tensor.
-func ReLU(t *Tensor) *Tensor {
-	out := New(t.shape...)
-	parallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := t.data[i]; v > 0 {
-				out.data[i] = v
+func ReLU(t *Tensor) *Tensor { return ReLUTo(New(t.shape...), t) }
+
+// ReLUTo stores everything not above zero — negatives, -0, NaN — as +0.
+func ReLUTo(dst, t *Tensor) *Tensor {
+	return elementwise("relu", dst, t, func(out, in []float32) {
+		for i, v := range in {
+			if !(v > 0) {
+				v = 0
 			}
+			out[i] = v
 		}
 	})
-	return out
 }
 
 // ReLU6 applies min(max(0, x), 6) elementwise (MobileNet's activation).
-func ReLU6(t *Tensor) *Tensor {
-	out := New(t.shape...)
-	parallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := t.data[i]
+func ReLU6(t *Tensor) *Tensor { return ReLU6To(New(t.shape...), t) }
+
+// ReLU6To is ReLU6 into dst.
+func ReLU6To(dst, t *Tensor) *Tensor {
+	return elementwise("relu6", dst, t, func(out, in []float32) {
+		for i, v := range in {
 			if v < 0 {
 				v = 0
 			} else if v > 6 {
 				v = 6
 			}
-			out.data[i] = v
+			out[i] = v
 		}
 	})
-	return out
 }
 
 // Sigmoid applies the logistic function elementwise.
-func Sigmoid(t *Tensor) *Tensor {
-	out := New(t.shape...)
-	parallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = float32(1 / (1 + math.Exp(-float64(t.data[i]))))
+func Sigmoid(t *Tensor) *Tensor { return SigmoidTo(New(t.shape...), t) }
+
+// SigmoidTo is Sigmoid into dst.
+func SigmoidTo(dst, t *Tensor) *Tensor {
+	return elementwise("sigmoid", dst, t, func(out, in []float32) {
+		for i, v := range in {
+			out[i] = float32(1 / (1 + math.Exp(-float64(v))))
 		}
 	})
-	return out
 }
 
 // Tanh applies the hyperbolic tangent elementwise.
-func Tanh(t *Tensor) *Tensor {
-	out := New(t.shape...)
-	parallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = float32(math.Tanh(float64(t.data[i])))
+func Tanh(t *Tensor) *Tensor { return TanhTo(New(t.shape...), t) }
+
+// TanhTo is Tanh into dst.
+func TanhTo(dst, t *Tensor) *Tensor {
+	return elementwise("tanh", dst, t, func(out, in []float32) {
+		for i, v := range in {
+			out[i] = float32(math.Tanh(float64(v)))
 		}
 	})
-	return out
 }
 
 // Softmax normalizes the innermost dimension to a probability
 // distribution, numerically stabilized by max subtraction.
-func Softmax(t *Tensor) *Tensor {
+func Softmax(t *Tensor) *Tensor { return SoftmaxTo(New(t.shape...), t) }
+
+// SoftmaxTo is Softmax into dst: a row's maximum is taken before any of
+// the row is written, and each element is read before it is stored.
+func SoftmaxTo(dst, t *Tensor) *Tensor {
 	if t.Rank() == 0 {
 		panic("tensor: softmax on rank-0 tensor")
 	}
+	mustFit("softmax", dst, t)
 	inner := t.shape[len(t.shape)-1]
 	rows := len(t.data) / inner
-	out := New(t.shape...)
 	parallelFor(rows, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := t.data[r*inner : (r+1)*inner]
-			dst := out.data[r*inner : (r+1)*inner]
+			out := dst.data[r*inner : (r+1)*inner]
 			mx := row[0]
 			for _, v := range row[1:] {
 				if v > mx {
@@ -79,31 +105,35 @@ func Softmax(t *Tensor) *Tensor {
 			var sum float64
 			for i, v := range row {
 				e := math.Exp(float64(v - mx))
-				dst[i] = float32(e)
+				out[i] = float32(e)
 				sum += e
 			}
 			inv := float32(1 / sum)
-			for i := range dst {
-				dst[i] *= inv
+			for i := range out {
+				out[i] *= inv
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 // Add returns the elementwise sum of two same-shaped tensors (residual
 // connections).
-func Add(a, b *Tensor) *Tensor {
+func Add(a, b *Tensor) *Tensor { return AddTo(New(a.shape...), a, b) }
+
+// AddTo is Add into dst, which may be a or b.
+func AddTo(dst, a, b *Tensor) *Tensor {
 	if !a.shape.Equal(b.shape) {
 		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", a.shape, b.shape))
 	}
-	out := New(a.shape...)
+	mustFit("add", dst, a)
 	parallelFor(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] + b.data[i]
+		out, y := dst.data[lo:hi], b.data[lo:hi]
+		for i, x := range a.data[lo:hi] {
+			out[i] = x + y[i]
 		}
 	})
-	return out
+	return dst
 }
 
 // Scale multiplies every element by s, returning a new tensor.
