@@ -46,8 +46,9 @@ staticcheck:
 # that overwrites its own activations against the evaluator that
 # overwrites nothing, weight tensors that are views of their container
 # (the race build turns on checkptr, which checks the unsafe.Slice cast's
-# alignment and bounds), and concurrent jobs over those views. CI runs
-# this target.
+# alignment and bounds), containers — float32 and quantized — encoded,
+# quantized, checksummed and dequantized by several workers against one,
+# and concurrent jobs over those views. CI runs this target.
 equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
@@ -124,9 +125,10 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-# Short fuzz pass over the two wire-format decoders, the hedge-delay
-# latency ring (against its copy-and-sort reference) and the planner's
-# certified block selection (against a full kernel scan).
+# Short fuzz pass over the two wire-format decoders — FuzzDecodeWeights
+# reads both weights container kinds, float32 and quantized packages —
+# the hedge-delay latency ring (against its copy-and-sort reference) and
+# the planner's certified block selection (against a full kernel scan).
 fuzz:
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeTensor -fuzztime 15s
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeWeights -fuzztime 15s

@@ -371,7 +371,7 @@ func cmdServe(args []string) error {
 	}
 	w := nn.InitWeights(m, 1)
 	opts := core.Options{}
-	subOpts := core.SubmitOptions{SLO: *slo, SkipCompute: !*real}
+	subOpts := core.SubmitOptions{SLO: *slo, SkipCompute: !*real, FallbackBits: *fallbackBits}
 	if *faultRate > 0 || *retries > 1 || *domains > 1 {
 		fcfg := faults.Uniform(*faultRate, *seed)
 		fcfg.BurstEvery = *burstEvery
@@ -389,9 +389,6 @@ func cmdServe(args []string) error {
 	}
 	if *budget > 0 {
 		subOpts.Budget = coordinator.BudgetPolicy{MaxTokens: *budget, EarnPerSuccess: *budgetEarn}
-	}
-	if *fallbackBits > 0 {
-		subOpts.FallbackBits = *fallbackBits
 	}
 	if *brownout {
 		subOpts.Brownout = serving.BrownoutPolicy{

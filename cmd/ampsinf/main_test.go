@@ -37,6 +37,9 @@ func TestServeInferCounts(t *testing.T) {
 		{"serve three", cmdServe, []string{"-model", "tinycnn", "-requests", "3"}, ""},
 		{"serve burst pipelined", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-pattern", "burst", "-burst-size", "0", "-pipeline", "2", "-batch", "2"}, ""},
 		{"serve unknown pattern", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-pattern", "zipf"}, "unknown arrival pattern"},
+		{"serve fallback brownout", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fallback-bits", "4", "-brownout"}, ""},
+		{"serve negative fallback", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fallback-bits", "-4"}, "width -4"},
+		{"serve 3-bit fallback", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fallback-bits", "3"}, "width 3"},
 		{"infer one real", cmdInfer, []string{"-model", "tinycnn", "-real"}, ""},
 		{"infer two", cmdInfer, []string{"-model", "tinycnn", "-images", "2"}, ""},
 		{"sweep estimates", cmdSweep, []string{"-model", "tinycnn"}, ""},

@@ -22,7 +22,6 @@ import (
 	"ampsinf/internal/nn"
 	"ampsinf/internal/obs"
 	"ampsinf/internal/optimizer"
-	"ampsinf/internal/quant"
 	"ampsinf/internal/tensor"
 )
 
@@ -134,13 +133,13 @@ type partition struct {
 	weightsB int64
 
 	// Warm-container cache: decoded weights survive across invocations of
-	// the same (warm) function, as they would in a real runtime. Float32
-	// weights are views of blob (modelfmt.DecodeWeights), which lives as
-	// long as the partition; invocations share both and write neither.
+	// the same (warm) function, as they would in a real runtime. Weights
+	// from a float32 container are views of blob (modelfmt.DecodeWeights),
+	// which lives as long as the partition; invocations share both and
+	// write neither.
 	mu      sync.Mutex
 	weights nn.Weights
-	blob    []byte // float32 container, or quantized when qbits > 0; nil when no handler will decode it
-	qbits   int
+	blob    []byte // weights container, float32 or quantized; nil when no handler will decode it
 
 	// Resilience state, guarded by the deployment's retryMu: the
 	// success-latency history the hedge delay derives from, and the
@@ -235,8 +234,8 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 	if err := nn.CheckWeights(model, weights); err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
-	if cfg.QuantizeBits != 0 && cfg.QuantizeBits != 8 && cfg.QuantizeBits != 4 {
-		return nil, fmt.Errorf("coordinator: unsupported quantization width %d", cfg.QuantizeBits)
+	if err := modelfmt.CheckQuantBits(cfg.QuantizeBits); err != nil {
+		return nil, fmt.Errorf("coordinator: %w", err)
 	}
 	if err := cfg.Retry.Validate(); err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
@@ -283,7 +282,6 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 			flops:    lp.Profile.FLOPs,
 			weightsB: sizes[i], // what is shipped and loaded
 			blob:     blobs[i],
-			qbits:    cfg.QuantizeBits,
 		}
 		p.h = d.resolvePartHandles(p.fnName)
 		if cfg.Breaker.enabled() {
@@ -341,21 +339,9 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 			// the hot loop's only allocation.
 			w := emptyWeights
 			if !d.cfg.SkipCompute {
-				if p.qbits > 0 {
-					qw, qerr := quant.Decode(p.blob)
-					if qerr != nil {
-						return nil, fmt.Errorf("partition %d: corrupt deployment: %w", p.index, qerr)
-					}
-					w = quant.DequantizeWeights(qw)
-					if cerr := nn.CheckWeights(p.model, w); cerr != nil {
-						return nil, fmt.Errorf("partition %d: corrupt deployment: %w", p.index, cerr)
-					}
-				} else {
-					var derr error
-					w, derr = modelfmt.DecodeWeights(p.model, p.blob)
-					if derr != nil {
-						return nil, fmt.Errorf("partition %d: corrupt deployment: %w", p.index, derr)
-					}
+				var derr error
+				if w, derr = modelfmt.DecodeWeights(p.model, p.blob); derr != nil {
+					return nil, fmt.Errorf("partition %d: corrupt deployment: %w", p.index, derr)
 				}
 			}
 			p.mu.Lock()
@@ -452,11 +438,11 @@ func (d *Deployment) nextJobID() string {
 	return fmt.Sprintf("%s/jobs/%s/%d", d.cfg.NamePrefix, d.model.Name, d.jobSeq)
 }
 
-// packageWeights encodes per-partition weight containers — float32
-// modelfmt containers by default, quantized ones when bits > 0 — and
-// reports their sizes. A container is a snapshot: it shares no memory
-// with weights. sizeOnly (a timing-only deployment, whose handlers never
-// decode) leaves float32 blobs nil, their size being known without them.
+// packageWeights encodes per-partition weight containers — float32 when
+// bits is 0, quantized to bits otherwise — and reports their sizes. A
+// container is a snapshot: it shares no memory with weights. sizeOnly (a
+// timing-only deployment, whose handlers never decode) leaves the blobs
+// nil, their size being known without them.
 func packageWeights(model *nn.Model, weights nn.Weights, bounds []int, bits int, sizeOnly bool) (blobs [][]byte, sizes []int64, err error) {
 	blobs, sizes = make([][]byte, len(bounds)-1), make([]int64, len(bounds)-1)
 	for p := range blobs {
@@ -466,18 +452,10 @@ func packageWeights(model *nn.Model, weights nn.Weights, bounds []int, bits int,
 		}
 		sub := nn.SubsetWeights(model, weights, bounds[p], bounds[p+1])
 		var n int
-		switch {
-		case bits > 0:
-			qw, qerr := quant.QuantizeWeights(part, sub, bits)
-			if qerr != nil {
-				return nil, nil, qerr
-			}
-			blobs[p], err = quant.Encode(part, qw)
-			n = len(blobs[p])
-		case sizeOnly:
-			n, err = modelfmt.WeightsSize(part, sub)
-		default:
-			blobs[p], err = modelfmt.EncodeWeights(part, sub)
+		if sizeOnly {
+			n, err = modelfmt.WeightsSize(part, sub, bits)
+		} else {
+			blobs[p], err = modelfmt.EncodeWeights(part, sub, bits)
 			n = len(blobs[p])
 		}
 		if err != nil {

@@ -3,9 +3,9 @@ package coordinator
 import (
 	"testing"
 
+	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
-	"ampsinf/internal/quant"
 )
 
 func TestParsePayloadJSON(t *testing.T) {
@@ -50,8 +50,7 @@ func TestPackageWeightsQuantizedSize(t *testing.T) {
 		sizes[0] != floatSizes[0] || sizes[0] != int64(len(floatBlobs[0])) {
 		t.Fatalf("size-only float package: blob %d bytes, size %v, want nil and %d (err %v)", len(blobs[0]), sizes, len(floatBlobs[0]), err)
 	}
-	// A quantized one is encoded either way.
-	q8Blobs, q8Sizes, err := packageWeights(m, w, bounds, 8, true)
+	q8Blobs, q8Sizes, err := packageWeights(m, w, bounds, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +60,17 @@ func TestPackageWeightsQuantizedSize(t *testing.T) {
 	if len(q8Blobs[0])*3 > len(floatBlobs[0]) {
 		t.Fatalf("8-bit package %d bytes not ≪ float %d", len(q8Blobs[0]), len(floatBlobs[0]))
 	}
+	// It sizes a quantized package without making it, too.
+	if blobs, sizes, err := packageWeights(m, w, bounds, 8, true); err != nil || blobs[0] != nil || sizes[0] != q8Sizes[0] {
+		t.Fatalf("size-only 8-bit package: blob %d bytes, size %v, want nil and %d (err %v)", len(blobs[0]), sizes, q8Sizes[0], err)
+	}
 	// The quantized blob decodes to valid weights for the partition.
 	part, _ := m.Partition(1, len(m.Layers))
-	qw, err := quant.Decode(q8Blobs[0])
+	qw, err := modelfmt.DecodeWeights(part, q8Blobs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.CheckWeights(part, quant.DequantizeWeights(qw)); err != nil {
+	if err := nn.CheckWeights(part, qw); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,11 +22,11 @@ import (
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/coordinator"
+	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/obs"
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/perf"
-	"ampsinf/internal/quant"
 	"ampsinf/internal/serving"
 	"ampsinf/internal/tensor"
 )
@@ -203,9 +203,11 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	weightScale := 0.0
-	if opts.QuantizeBits > 0 {
-		weightScale = quant.CompressionScale(opts.QuantizeBits)
+	if err := modelfmt.CheckQuantBits(opts.QuantizeBits); err != nil {
+		return nil, fmt.Errorf("core: QuantizeBits: %w", err)
+	}
+	if err := modelfmt.CheckQuantBits(opts.FallbackBits); err != nil {
+		return nil, fmt.Errorf("core: FallbackBits: %w", err)
 	}
 	quota := f.platform.Quota()
 	start := time.Now()
@@ -218,7 +220,7 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 		UseBnB:                opts.UseBnB,
 		Quota:                 &quota,
 		SearchStrideMB:        opts.SearchStrideMB,
-		WeightScale:           weightScale,
+		WeightScale:           modelfmt.CompressionScale(opts.QuantizeBits),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: optimizing %q: %w", model.Name, err)
@@ -244,30 +246,25 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	if prefix == "" {
 		prefix = "ampsinf"
 	}
-	dep, err := coordinator.Deploy(coordinator.Config{
+	cfg := coordinator.Config{
 		Platform: f.platform, Store: f.store, NamePrefix: prefix,
 		SkipCompute: opts.SkipCompute, QuantizeBits: opts.QuantizeBits,
 		Retry: opts.Retry, Deadline: opts.Deadline, Hedge: opts.Hedge,
 		Breaker: opts.Breaker, Budget: opts.Budget, Tracer: f.tracer,
 		Metrics: f.metrics, Series: f.series,
-	}, model, weights, plan)
+	}
+	dep, err := coordinator.Deploy(cfg, model, weights, plan)
 	if err != nil {
 		return nil, fmt.Errorf("core: deploying %q: %w", model.Name, err)
 	}
 	var fb *coordinator.Deployment
-	if opts.FallbackBits > 0 {
+	if opts.FallbackBits != 0 {
 		// The fallback reuses the exact partition plan — same stage count,
 		// same functions-per-request shape — with quantized packages, so a
 		// mid-run swap never changes the pipeline's structure, only the
 		// bytes each stage loads.
-		fb, err = coordinator.Deploy(coordinator.Config{
-			Platform: f.platform, Store: f.store,
-			NamePrefix:  prefix + "-fallback",
-			SkipCompute: opts.SkipCompute, QuantizeBits: opts.FallbackBits,
-			Retry: opts.Retry, Deadline: opts.Deadline, Hedge: opts.Hedge,
-			Breaker: opts.Breaker, Budget: opts.Budget, Tracer: f.tracer,
-			Metrics: f.metrics, Series: f.series,
-		}, model, weights, plan)
+		cfg.NamePrefix, cfg.QuantizeBits = prefix+"-fallback", opts.FallbackBits
+		fb, err = coordinator.Deploy(cfg, model, weights, plan)
 		if err != nil {
 			dep.Teardown()
 			return nil, fmt.Errorf("core: deploying %q fallback: %w", model.Name, err)

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/perf"
-	"ampsinf/internal/quant"
 	"ampsinf/internal/tensor"
 )
 
@@ -63,11 +65,15 @@ func TestQuantizedPipelineCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qw, err := quant.QuantizeWeights(m, w, 8)
+	blob, err := modelfmt.EncodeWeights(m, w, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Forward(quant.DequantizeWeights(qw), in)
+	qw, err := modelfmt.DecodeWeights(m, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Forward(qw, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +156,18 @@ func TestSubmitRejectsBadQuantBits(t *testing.T) {
 	fw := NewFramework(Options{})
 	if _, err := fw.Submit(m, nn.InitWeights(m, 1), SubmitOptions{QuantizeBits: 3}); err == nil {
 		t.Fatal("3-bit quantization accepted")
+	}
+	// Either width is refused before planning; a negative fallback width
+	// is not read as "no fallback".
+	for _, opts := range []SubmitOptions{{QuantizeBits: -4}, {FallbackBits: -4}, {FallbackBits: 3}} {
+		_, err := fw.Submit(m, nn.InitWeights(m, 1), opts)
+		if err == nil || !strings.HasPrefix(err.Error(), "core: ") || strings.Contains(err.Error(), "optimizing") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("width %d", opts.QuantizeBits+opts.FallbackBits)) {
+			t.Errorf("%+v: got %v, want core's width error before planning", opts, err)
+		}
+	}
+	if fns := fw.Platform().Functions(); len(fns) != 0 {
+		t.Errorf("rejected submissions left functions deployed: %v", fns)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"ampsinf/internal/cloud/stage"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
+	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/perf"
 	"ampsinf/internal/workload"
@@ -170,13 +171,9 @@ func AblationQuantization() (*AblationQuantizationResult, error) {
 			return nil, err
 		}
 		load, _ := core.Breakdown(rep)
-		scale := 1.0
-		if bits > 0 {
-			scale = float64(bits)/32 + 0.02
-		}
 		res.Rows = append(res.Rows, AblationQuantRow{
 			Bits:       bits,
-			PackageMB:  float64(m.WeightBytes()) * scale / (1 << 20),
+			PackageMB:  float64(m.WeightBytes()) * modelfmt.CompressionScale(bits) / (1 << 20),
 			LoadTime:   load,
 			Completion: rep.Completion,
 			Cost:       rep.Cost,

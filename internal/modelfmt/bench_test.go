@@ -14,7 +14,7 @@ func BenchmarkEncodeWeightsMobileNet(b *testing.B) {
 	b.SetBytes(m.WeightBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeWeights(m, w); err != nil {
+		if _, err := EncodeWeights(m, w, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -23,7 +23,7 @@ func BenchmarkEncodeWeightsMobileNet(b *testing.B) {
 func BenchmarkDecodeWeightsMobileNet(b *testing.B) {
 	m := zoo.MobileNet(0)
 	w := nn.InitWeights(m, 1)
-	blob, err := EncodeWeights(m, w)
+	blob, err := EncodeWeights(m, w, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

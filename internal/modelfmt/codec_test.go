@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -34,7 +36,7 @@ func pinnedTensor() *tensor.Tensor {
 
 func TestWireFormatPinned(t *testing.T) {
 	m := testModel()
-	blob, err := EncodeWeights(m, nn.InitWeights(m, 1))
+	blob, err := EncodeWeights(m, nn.InitWeights(m, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func bytesPerRun(f func()) float64 {
 func TestCodecAllocBudget(t *testing.T) {
 	m := zoo.MobileNet(0)
 	w := nn.InitWeights(m, 1)
-	blob, err := EncodeWeights(m, w)
+	blob, err := EncodeWeights(m, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestCodecAllocBudget(t *testing.T) {
 		budget float64
 		f      func()
 	}{
-		{"EncodeWeights", 1.05 * float64(len(blob)), func() { _, _ = EncodeWeights(m, w) }},
+		{"EncodeWeights", 1.05 * float64(len(blob)), func() { _, _ = EncodeWeights(m, w, 0) }},
 		{"DecodeWeights", decodeBudget, func() { _, _ = DecodeWeights(m, blob) }},
 		{"EncodeTensor", 1.05 * float64(len(actBlob)), func() { EncodeTensor(act) }},
 		{"DecodeTensor", 1.05 * float64(4*act.Elems()), func() { _, _ = DecodeTensor(actBlob) }},
@@ -105,7 +107,7 @@ func TestCodecAllocBudget(t *testing.T) {
 	}
 	check := testing.AllocsPerRun(10, func() { _ = nn.CheckWeights(m, w) })
 	extra := float64(5 + 2*tensor.MaxWorkers())
-	if n := testing.AllocsPerRun(10, func() { _, _ = EncodeWeights(m, w) }); n > check+extra {
+	if n := testing.AllocsPerRun(10, func() { _, _ = EncodeWeights(m, w, 0) }); n > check+extra {
 		t.Errorf("EncodeWeights makes %v allocations, CheckWeights alone %v: want at most %v more", n, check, extra)
 	}
 }
@@ -122,16 +124,18 @@ func smallModel() *nn.Model {
 
 func TestTruncationAtEveryByteErrors(t *testing.T) {
 	m := smallModel()
-	blob, err := EncodeWeights(m, nn.InitWeights(m, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeWeights(m, blob); err != nil {
-		t.Fatalf("intact weights rejected: %v", err)
-	}
-	for n := 0; n < len(blob); n++ {
-		if _, err := DecodeWeights(m, blob[:n:n]); err == nil {
-			t.Fatalf("weights truncated to %d of %d bytes accepted", n, len(blob))
+	for _, bits := range []int{0, 8, 4} {
+		blob, err := EncodeWeights(m, nn.InitWeights(m, 1), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeWeights(m, blob); err != nil {
+			t.Fatalf("intact %d-bit weights rejected: %v", bits, err)
+		}
+		for n := 0; n < len(blob); n++ {
+			if _, err := DecodeWeights(m, blob[:n:n]); err == nil {
+				t.Fatalf("%d-bit weights truncated to %d of %d bytes accepted", bits, n, len(blob))
+			}
 		}
 	}
 	tb := EncodeTensor(pinnedTensor())
@@ -142,33 +146,55 @@ func TestTruncationAtEveryByteErrors(t *testing.T) {
 	}
 }
 
-// hostileWeightsBlob is a one-chunk container whose index entry has the
-// rank-3 shape 2^21 × 2^21 × 2^21, which wraps the int element product to
-// -2^63. The chunk reader used to pass that through its bytes-remaining
-// test into make().
-func hostileWeightsBlob() []byte {
-	b := append([]byte(nil), weightsMagic[:]...)
+// oneChunkBlob is a container with a single index entry named "x" whose
+// shape is dims and whose checksum is valid for an empty payload; bits 0
+// makes it float32, anything else quantized at that width.
+func oneChunkBlob(bits int, dims ...uint32) []byte {
+	magic := weightsMagic
+	if bits != 0 {
+		magic = quantizedMagic
+	}
+	b := append([]byte(nil), magic[:]...)
 	b = binary.LittleEndian.AppendUint16(b, weightsVersion)
 	b = binary.LittleEndian.AppendUint32(b, 1) // nchunks
+	entry := len(b)
 	b = binary.LittleEndian.AppendUint16(b, 1) // name length
 	b = append(b, 'x')
 	b = binary.LittleEndian.AppendUint16(b, 0) // index
-	b = binary.LittleEndian.AppendUint16(b, 3) // rank
-	for i := 0; i < 3; i++ {
-		b = binary.LittleEndian.AppendUint32(b, 1<<21)
+	if bits != 0 {
+		b = append(b, byte(bits))
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(0)) // min
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(1)) // scale
 	}
-	return binary.LittleEndian.AppendUint32(b, 0) // crc
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(dims))) // rank
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint32(b, d)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[entry:]))
 }
 
+// Index entries no real tensor has are refused before anything is sized
+// from them. The shape 2^21 × 2^21 × 2^21 wraps the int element product
+// to -2^63; version 1's float32 chunk reader passed that through its
+// bytes-remaining test into make(). So did the quantizer's own container,
+// with the 42-byte blob of the 2^24 × 2^24 × 2^15 row.
 func TestDecodeWeightsRejectsOverflowingShape(t *testing.T) {
-	_, err := DecodeWeights(testModel(), hostileWeightsBlob())
-	if err == nil || !strings.Contains(err.Error(), "decode limit") {
-		t.Fatalf("overflowing shape: got error %v, want the element-limit error", err)
-	}
-	// A rank beyond any real tensor is refused before its dims are read.
-	deep := hostileWeightsBlob()
+	deep := oneChunkBlob(0, 1<<21, 1<<21, 1<<21)
 	binary.LittleEndian.PutUint16(deep[15:], maxDecodeRank+1)
-	if _, err := DecodeWeights(testModel(), deep); err == nil || !strings.Contains(err.Error(), "implausible rank") {
-		t.Fatalf("rank %d: got error %v, want the rank error", maxDecodeRank+1, err)
+	for _, c := range []struct {
+		name, want string
+		blob       []byte
+	}{
+		{"2^21·2^21·2^21", "decode limit", oneChunkBlob(0, 1<<21, 1<<21, 1<<21)},
+		{"rank beyond any tensor", "implausible rank", deep},
+		{"8-bit 2^24·2^24·2^15", "decode limit", oneChunkBlob(8, 1<<24, 1<<24, 1<<15)},
+		{"5-bit codes", "unsupported quantization width 5", oneChunkBlob(5, 1)},
+	} {
+		if _, err := DecodeWeights(testModel(), c.blob); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	if n := len(oneChunkBlob(8, 1<<24, 1<<24, 1<<15)); n != 42 {
+		t.Errorf("the quantized reproducer is %d bytes, want 42", n)
 	}
 }

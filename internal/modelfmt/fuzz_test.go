@@ -61,28 +61,36 @@ func FuzzDecodeTensor(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWeights asserts the same contract for the weights container:
-// arbitrary bytes never panic and never make the decoder allocate more
-// than a small multiple of the input, whatever element counts the
-// chunks claim.
+// FuzzDecodeWeights asserts the same contract for the weights container
+// of either kind, float32 or quantized: arbitrary bytes never panic and
+// never make the decoder allocate more than a small multiple of the
+// input, whatever element counts the chunks claim.
 //
 // Seed corpus: testdata/fuzz/FuzzDecodeWeights, written by hand for
 // container version 2: an index entry whose 2^21·2^21·2^21 shape wrapped
 // the element product negative and (in version 1) crashed make(); an
 // index describing four floats over a data section of three; nchunks =
-// 2^32-1 over a fifteen-byte body; and a version 1 container.
+// 2^32-1 over a fifteen-byte body; a version 1 container; the 42-byte
+// quantized container, shape 2^24·2^24·2^15 under a valid checksum, that
+// crashed the quantizer's own decoder the same way; and a quantized entry
+// of 5-bit codes. The seeds below add valid 8- and 4-bit containers —
+// smallModel's dense bias has an odd element count, so at 4 bits its
+// last byte holds one code.
 func FuzzDecodeWeights(f *testing.F) {
 	m := smallModel()
-	valid, err := EncodeWeights(m, nn.InitWeights(m, 1))
-	if err != nil {
-		f.Fatal(err)
+	for _, bits := range []int{0, 8, 4} {
+		valid, err := EncodeWeights(m, nn.InitWeights(m, 1), bits)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		f.Add(append([]byte(nil), valid[:len(valid)-5]...))
+		badCRC := append([]byte(nil), valid...)
+		badCRC[len(badCRC)-1] ^= 0xFF
+		f.Add(badCRC)
 	}
-	f.Add(valid)
-	f.Add(append([]byte(nil), valid[:len(valid)-5]...))
-	badCRC := append([]byte(nil), valid...)
-	badCRC[len(badCRC)-1] ^= 0xFF
-	f.Add(badCRC)
 	f.Add([]byte("AMPW"))
+	f.Add([]byte("AMPQ"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The slack covers what does not scale with the input: the map,

@@ -73,7 +73,7 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 func TestWeightsRoundTrip(t *testing.T) {
 	m := testModel()
 	w := nn.InitWeights(m, 17)
-	blob, err := EncodeWeights(m, w)
+	blob, err := EncodeWeights(m, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestWeightsRoundTrip(t *testing.T) {
 func TestWeightsDetectCorruption(t *testing.T) {
 	m := testModel()
 	w := nn.InitWeights(m, 17)
-	blob, err := EncodeWeights(m, w)
+	blob, err := EncodeWeights(m, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWeightsDetectCorruption(t *testing.T) {
 func TestWeightsDetectTruncation(t *testing.T) {
 	m := testModel()
 	w := nn.InitWeights(m, 17)
-	blob, _ := EncodeWeights(m, w)
+	blob, _ := EncodeWeights(m, w, 0)
 	if _, err := DecodeWeights(m, blob[:len(blob)/3]); err == nil {
 		t.Fatal("truncated weights accepted")
 	}
@@ -163,7 +163,7 @@ func TestSplitWeightsRejectsInvalidBounds(t *testing.T) {
 func TestSplitMergeProperty(t *testing.T) {
 	m := zoo.LinearNet(0)
 	w := nn.InitWeights(m, 9)
-	whole, _ := EncodeWeights(m, w)
+	whole, _ := EncodeWeights(m, w, 0)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := len(m.Layers)
@@ -182,7 +182,7 @@ func TestSplitMergeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		re, err := EncodeWeights(m, merged)
+		re, err := EncodeWeights(m, merged, 0)
 		if err != nil {
 			return false
 		}
@@ -239,7 +239,7 @@ func TestSplitWeightsDrivePartitionedInference(t *testing.T) {
 func TestEncodedSizeTracksParamCount(t *testing.T) {
 	m := testModel()
 	w := nn.InitWeights(m, 1)
-	blob, _ := EncodeWeights(m, w)
+	blob, _ := EncodeWeights(m, w, 0)
 	paramBytes := m.WeightBytes()
 	if int64(len(blob)) < paramBytes {
 		t.Fatalf("container %d bytes smaller than raw params %d", len(blob), paramBytes)

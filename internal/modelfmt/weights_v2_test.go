@@ -62,7 +62,7 @@ func byHand(version uint16, m *nn.Model, w nn.Weights) []byte {
 func TestEncodeWeightsMatchesLayoutByHand(t *testing.T) {
 	for _, m := range []*nn.Model{smallModel(), testModel()} {
 		w := nn.InitWeights(m, 5)
-		got, err := EncodeWeights(m, w)
+		got, err := EncodeWeights(m, w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +80,10 @@ func TestVersion1ContainerRejected(t *testing.T) {
 	}
 }
 
-// Version 2 regroups version 1's fields, so no container changes size:
-// every simulated load time and package size derived from it stands.
+// Version 2 regroups the fields of both version 1 formats — float32
+// weights, and the quantizer's own 8-/4-bit container — so no container
+// changes size: every simulated load time and package size derived from
+// it stands.
 func TestContainerSizeEqualsVersion1(t *testing.T) {
 	for _, name := range zoo.Names() {
 		m, err := zoo.Build(name, 0)
@@ -93,24 +95,33 @@ func TestContainerSizeEqualsVersion1(t *testing.T) {
 		}
 		// Shapes are all a size depends on; zero tensors are never touched.
 		w := nn.Weights{}
-		v1 := weightsHeaderSize
+		v1 := map[int]int{0: weightsHeaderSize, 8: weightsHeaderSize, 4: weightsHeaderSize}
 		for _, l := range m.Layers {
 			for _, shape := range m.WeightSpecs(l) {
 				w[l.Name] = append(w[l.Name], tensor.New(shape...))
-				v1 += 2 + len(l.Name) + 2 + 2 + 4*len(shape) + 4*shape.Elems() + 4
+				n := shape.Elems()
+				v1[0] += 2 + len(l.Name) + 2 + 2 + 4*len(shape) + 4*n + 4
+				// The quantizer's chunk: name, index, bits, min, scale,
+				// shape, packed codes, CRC.
+				v1[8] += 2 + len(l.Name) + 2 + 1 + 4 + 4 + 2 + 4*len(shape) + n + 4
+				v1[4] += 2 + len(l.Name) + 2 + 1 + 4 + 4 + 2 + 4*len(shape) + (n+1)/2 + 4
 			}
 		}
-		got, err := WeightsSize(m, w)
-		if err != nil || got != v1 {
-			t.Errorf("%s: version 2 container is %d bytes (err %v), version 1 was %d", name, got, err, v1)
+		for bits, want := range v1 {
+			got, err := WeightsSize(m, w, bits)
+			if err != nil || got != want {
+				t.Errorf("%s, %d bits: version 2 container is %d bytes (err %v), version 1 was %d", name, bits, got, err, want)
+			}
 		}
 	}
 	for _, m := range []*nn.Model{smallModel(), testModel(), zoo.MobileNet(0)} {
 		w := nn.InitWeights(m, 1)
-		blob, err := EncodeWeights(m, w)
-		size, serr := WeightsSize(m, w)
-		if err != nil || serr != nil || len(blob) != size {
-			t.Errorf("%s: encoded %d bytes, WeightsSize %d (%v, %v)", m.Name, len(blob), size, err, serr)
+		for _, bits := range []int{0, 8, 4} {
+			blob, err := EncodeWeights(m, w, bits)
+			size, serr := WeightsSize(m, w, bits)
+			if err != nil || serr != nil || len(blob) != size {
+				t.Errorf("%s, %d bits: encoded %d bytes, WeightsSize %d (%v, %v)", m.Name, bits, len(blob), size, err, serr)
+			}
 		}
 	}
 	m := smallModel()
@@ -130,7 +141,7 @@ func sharesMemory(blob []byte, t *tensor.Tensor) bool {
 func TestDecodeWeightsExactSize(t *testing.T) {
 	m := smallModel()
 	w := nn.InitWeights(m, 1)
-	blob, err := EncodeWeights(m, w)
+	blob, err := EncodeWeights(m, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +196,7 @@ func TestDecodeWeightsExactSize(t *testing.T) {
 func TestDecodeWeightsAliasesAlignedContainer(t *testing.T) {
 	m := testModel()
 	w := nn.InitWeights(m, 17)
-	blob, err := EncodeWeights(m, w)
+	blob, err := EncodeWeights(m, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +241,7 @@ func TestDecodeWeightsAliasesAlignedContainer(t *testing.T) {
 func TestDecodeWeightsCopiesMisalignedContainer(t *testing.T) {
 	m := testModel()
 	w := nn.InitWeights(m, 17)
-	blob, err := EncodeWeights(m, w)
+	blob, err := EncodeWeights(m, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,51 +266,66 @@ func TestDecodeWeightsCopiesMisalignedContainer(t *testing.T) {
 	}
 }
 
-// Every byte of a container is covered: by the magic, the version, the
-// exact-size rule or a chunk checksum.
+// Every byte of a container of either kind is covered: by the magic, the
+// version, the exact-size rule, a quantized entry's width check or a
+// chunk checksum.
 func TestFlipAtEveryByteErrors(t *testing.T) {
 	m := smallModel()
-	blob, err := EncodeWeights(m, nn.InitWeights(m, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blob {
-		for _, mask := range []byte{0x01, 0x80, 0xFF} {
-			bad := append([]byte(nil), blob...)
-			bad[i] ^= mask
-			if _, err := DecodeWeights(m, bad); err == nil {
-				t.Fatalf("byte %d of %d xor %#x accepted", i, len(blob), mask)
+	for _, bits := range []int{0, 8, 4} {
+		blob, err := EncodeWeights(m, nn.InitWeights(m, 1), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range blob {
+			for _, mask := range []byte{0x01, 0x80, 0xFF} {
+				bad := append([]byte(nil), blob...)
+				bad[i] ^= mask
+				if _, err := DecodeWeights(m, bad); err == nil {
+					t.Fatalf("%d bits: byte %d of %d xor %#x accepted", bits, i, len(blob), mask)
+				}
 			}
 		}
 	}
 }
 
-// A container big enough to be encoded and verified by several workers
-// is the same bytes, and reports corruption the same way, as one done
-// inline.
+// A container big enough to be encoded and decoded by several workers —
+// quantized and dequantized by them, at 8 and 4 bits — is the same bytes,
+// decodes to the same weights, and reports corruption the same way, as
+// one done inline.
 func TestParallelChunksMatchInline(t *testing.T) {
 	m := zoo.MobileNet(0)
 	w := nn.InitWeights(m, 1)
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	inline, err := EncodeWeights(m, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 7} {
-		tensor.SetMaxWorkers(workers)
-		blob, err := EncodeWeights(m, w)
+	for _, bits := range []int{0, 8, 4} {
+		tensor.SetMaxWorkers(1)
+		inline, err := EncodeWeights(m, w, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(inline, blob) {
-			t.Fatalf("%d workers encode different bytes than one", workers)
+		want, err := DecodeWeights(m, inline)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := DecodeWeights(m, blob); err != nil {
-			t.Fatalf("%d workers: %v", workers, err)
-		}
-		blob[len(blob)/2] ^= 1
-		if _, err := DecodeWeights(m, blob); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Fatalf("%d workers: corrupt payload gave %v", workers, err)
+		for _, workers := range []int{2, 3, 7} {
+			tensor.SetMaxWorkers(workers)
+			blob, err := EncodeWeights(m, w, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(inline, blob) {
+				t.Fatalf("%d bits, %d workers encode different bytes than one", bits, workers)
+			}
+			got, err := DecodeWeights(m, blob)
+			if err != nil {
+				t.Fatalf("%d bits, %d workers: %v", bits, workers, err)
+			}
+			if !bitsEqual(want, got) {
+				t.Fatalf("%d bits, %d workers decode different weights than one", bits, workers)
+			}
+			blob[len(blob)/2] ^= 1
+			if _, err := DecodeWeights(m, blob); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("%d bits, %d workers: corrupt payload gave %v", bits, workers, err)
+			}
 		}
 	}
 }

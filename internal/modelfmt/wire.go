@@ -12,8 +12,8 @@ import (
 // first, allocate the output once and write every field, payload and
 // checksum in place; decoders walk the input slice with a cursor, checksum the bytes
 // where they lie, and allocate only what the result keeps: shapes, names
-// and — for a tensor, or a weights container that cannot be viewed in
-// place (see DecodeWeights) — float payloads.
+// and — for a tensor, a quantized weights container, or a float32 one
+// that cannot be viewed in place (see DecodeWeights) — float payloads.
 
 // Decode limits: a tensor larger than maxDecodeElems elements (1 GiB
 // of float32) or deeper than maxDecodeRank cannot come from this

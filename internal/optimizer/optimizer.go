@@ -76,7 +76,7 @@ type Request struct {
 	SearchStrideMB int
 	// WeightScale scales partition weight bytes in the size and load-time
 	// accounting (0 = 1.0). Weight quantization before deployment sets it
-	// to quant.CompressionScale(bits).
+	// to modelfmt.CompressionScale(bits).
 	WeightScale float64
 }
 
