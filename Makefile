@@ -48,13 +48,19 @@ staticcheck:
 # (the race build turns on checkptr, which checks the unsafe.Slice cast's
 # alignment and bounds), containers — float32 and quantized — encoded,
 # quantized, checksummed and dequantized by several workers against one,
-# and concurrent jobs over those views. CI runs this target.
+# and concurrent jobs over those views. For the tensor kernels' split by
+# work: the split contract, the conv kernels against their scalar
+# reference on single-image shapes that split, and whole zoo models —
+# partitioned and at 1, 2 and 3 workers — against one worker, bit for
+# bit. CI runs this target.
 equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
 	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights' ./internal/coordinator/
 	$(GO) test -race -count=3 -run 'TestForwardRangeMatchesOutOfPlaceEvaluator' ./internal/nn/
+	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/
+	$(GO) test -race -count=3 -run 'TestPartitionedForwardBitIdentical' ./internal/nn/zoo/
 	$(GO) test -race -count=3 -run 'TestDecodeWeightsAliasesAlignedContainer|TestDecodeWeightsCopiesMisalignedContainer|TestParallelChunksMatchInline' ./internal/modelfmt/
 	$(GO) test -race -count=3 -run 'TestQueryOrderIndependence|TestSpanTableIdenticalAcrossGOMAXPROCS' ./internal/optimizer/
 	$(GO) test -run 'TestEnvelopeMatchesExactScan|TestCertificateFloorsHold|FuzzSelectBlockCertified' ./internal/optimizer/

@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -258,49 +259,81 @@ func TestResNet50PartitionedInferenceEquivalence(t *testing.T) {
 // Partitioned inference is the same arithmetic in the same order as the
 // whole model's, so chaining the standalone partition models over their
 // weight subsets must reproduce Forward bit for bit — on the models whose
-// layers bottom out in the SIMD primitives as much as on any other, and
-// on the residual and multi-branch graphs where a forward pass overwrites
-// activations it owns (small input sides keep the two big ones under a
-// second).
+// layers bottom out in the SIMD primitives as much as on any other, on
+// the residual and multi-branch graphs where a forward pass overwrites
+// activations it owns, on separable convolutions (xception), on a plain
+// conv stack (vgg16) and on attention (the two encoders). Every output
+// element is computed by one kernel worker, so the whole Forward must
+// also be the same bits at 1, 2 and 3 workers. Small input sides and
+// short sequences keep the big models fast. Under the race detector
+// vgg16 and bertbase skip: theirs are the largest weights in the table,
+// and the detector's shadow memory multiplies them.
 func TestPartitionedForwardBitIdentical(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	for _, c := range []struct {
-		name string
-		size int
-	}{{"tinycnn", 0}, {"mobilenet", 64}, {"resnet50", 64}, {"inceptionv3", 96}} {
-		m, err := Build(c.name, c.size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := nn.InitWeights(m, 3)
-		rng := rand.New(rand.NewSource(4))
-		in := tensor.New(m.InputShape...)
-		for i := range in.Data() {
-			in.Data()[i] = float32(rng.Float64())
-		}
-		whole, err := m.Forward(w, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cuts := m.CutPoints()
-		bounds := []int{1, cuts[len(cuts)/3], cuts[2*len(cuts)/3], len(m.Layers)}
-		cur := in
-		for p := 0; p+1 < len(bounds); p++ {
-			lo, hi := bounds[p], bounds[p+1]
-			part, err := m.Partition(lo, hi)
+		name       string
+		size       int
+		skipOnRace bool
+	}{
+		{"tinycnn", 0, false}, {"mobilenet", 64, false}, {"resnet50", 64, false},
+		{"inceptionv3", 96, false}, {"xception", 80, false}, {"vgg16", 32, true},
+		{"tinytransformer", 0, false}, {"bertbase", 4, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if raceEnabled && c.skipOnRace {
+				t.Skip("weights too large under the race detector")
+			}
+			m, err := Build(c.name, c.size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cur, err = part.Forward(nn.SubsetWeights(m, w, lo, hi), cur); err != nil {
+			w := nn.InitWeights(m, 3)
+			rng := rand.New(rand.NewSource(4))
+			in := tensor.New(m.InputShape...)
+			for i := range in.Data() {
+				in.Data()[i] = float32(rng.Float64())
+			}
+			tensor.SetMaxWorkers(1)
+			whole, err := m.Forward(w, in)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if !cur.Shape().Equal(whole.Shape()) {
-			t.Fatalf("%s: partitioned shape %v, whole %v", c.name, cur.Shape(), whole.Shape())
-		}
-		for i, v := range whole.Data() {
-			if math.Float32bits(cur.Data()[i]) != math.Float32bits(v) {
-				t.Fatalf("%s: output %d is %v partitioned, %v whole", c.name, i, cur.Data()[i], v)
+			for _, workers := range []int{2, 3} {
+				tensor.SetMaxWorkers(workers)
+				again, err := m.Forward(w, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, fmt.Sprintf("%d workers", workers), again, whole)
 			}
+			cuts := m.CutPoints()
+			bounds := []int{1, cuts[len(cuts)/3], cuts[2*len(cuts)/3], len(m.Layers)}
+			cur := in
+			for p := 0; p+1 < len(bounds); p++ {
+				lo, hi := bounds[p], bounds[p+1]
+				part, err := m.Partition(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cur, err = part.Forward(nn.SubsetWeights(m, w, lo, hi), cur); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireSameBits(t, "partitioned", cur, whole)
+		})
+	}
+}
+
+// requireSameBits fails unless got has want's shape and every element's
+// bits.
+func requireSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.Shape().Equal(want.Shape()) {
+		t.Fatalf("%s: shape %v, want %v", what, got.Shape(), want.Shape())
+	}
+	for i, v := range want.Data() {
+		if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+			t.Fatalf("%s: output %d is %v, want %v", what, i, got.Data()[i], v)
 		}
 	}
 }

@@ -31,7 +31,7 @@ func LayerNorm(t, gamma, beta *Tensor, eps float32) *Tensor {
 	}
 	out := New(t.shape...)
 	rows := len(t.data) / d
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, d, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := t.data[r*d : (r+1)*d]
 			dst := out.data[r*d : (r+1)*d]
@@ -81,7 +81,7 @@ func SelfAttention(x, wq, bq, wk, bk, wv, bv, wo, bo *Tensor, heads int) *Tensor
 
 	ctx := New(n*tLen, d)
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	parallelFor(n*heads, func(lo, hi int) {
+	parallelFor(n*heads, 2*tLen*tLen*dh, func(lo, hi int) {
 		scores := make([]float32, tLen)
 		for bh := lo; bh < hi; bh++ {
 			b := bh / heads

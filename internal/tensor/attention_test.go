@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,21 +96,24 @@ func TestSelfAttentionUniformWhenKeysZero(t *testing.T) {
 	}
 }
 
+// Two sequences of 32 positions, model dim 32 in 4 heads: the head loop
+// and the projections' 64 rows both carry enough work to split.
 func TestSelfAttentionParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x := randTensor(rng, 2, 6, 8)
+	x := randTensor(rng, 2, 32, 32)
 	ws := make([]*Tensor, 8)
 	for i := 0; i < 8; i += 2 {
-		ws[i] = randTensor(rng, 8, 8)
-		ws[i+1] = randTensor(rng, 8)
+		ws[i] = randTensor(rng, 32, 32)
+		ws[i+1] = randTensor(rng, 32)
 	}
-	prev := SetMaxWorkers(1)
+	requireSplits(t, 2*4, 2*32*32*8)
+	requireSplits(t, 2*32, 32*32)
+	defer SetMaxWorkers(SetMaxWorkers(1))
 	serial := SelfAttention(x, ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6], ws[7], 4)
-	SetMaxWorkers(8)
-	parallel := SelfAttention(x, ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6], ws[7], 4)
-	SetMaxWorkers(prev)
-	if !AllClose(serial, parallel, 0) {
-		t.Fatalf("attention differs across parallelism by %v", MaxAbsDiff(serial, parallel))
+	for _, w := range []int{2, 3, 8} {
+		SetMaxWorkers(w)
+		parallel := SelfAttention(x, ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6], ws[7], 4)
+		sameBits(t, fmt.Sprintf("attention at %d workers vs 1", w), parallel.data, serial.data)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -32,6 +33,23 @@ func BenchmarkConv2DPointwise(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Conv2D(in, k, nil, 1, Same)
+	}
+}
+
+// BenchmarkConv2DSingleImage runs one image through the late-stage
+// shapes of a 160 px input, whose few output rows a row split left on
+// one worker.
+func BenchmarkConv2DSingleImage(b *testing.B) {
+	for _, c := range []struct{ side, k, cin, cout int }{
+		{10, 3, 256, 256}, {5, 3, 512, 512}, {20, 1, 512, 128}, {40, 3, 64, 64},
+	} {
+		b.Run(fmt.Sprintf("%dx%d_k%d_%d-%d", c.side, c.side, c.k, c.cin, c.cout), func(b *testing.B) {
+			in := benchTensor(1, c.side, c.side, c.cin)
+			k := benchTensor(c.k, c.k, c.cin, c.cout)
+			for i := 0; i < b.N; i++ {
+				Conv2D(in, k, nil, 1, Same)
+			}
+		})
 	}
 }
 
@@ -70,5 +88,15 @@ func BenchmarkMaxPool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MaxPool2D(in, 2, 2, Valid)
+	}
+}
+
+// BenchmarkParallelForHandoff prices a split apart from its work: two
+// empty ranges handed to two goroutines and waited for. grain is sized
+// against it.
+func BenchmarkParallelForHandoff(b *testing.B) {
+	defer SetMaxWorkers(SetMaxWorkers(2))
+	for i := 0; i < b.N; i++ {
+		parallelFor(2, grain, func(lo, hi int) {})
 	}
 }

@@ -52,9 +52,10 @@ func ConvOutShape(in Shape, kh, kw, stride int, pad Padding, outC int) Shape {
 //	kernel: [KH, KW, Cin, Cout]
 //	bias:   [Cout] or nil
 //
-// Rows of the output are computed in parallel. Zero activations are
-// skipped (about half of all post-ReLU inputs); every other one is a
-// single axpy over the cout axis.
+// Output pixels are split across workers, each pixel computed by one
+// worker in (ky, kx, ci) order. Zero activations are skipped (about half
+// of all post-ReLU inputs); every other one is a single axpy over the
+// cout axis.
 func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 	if in.Rank() != 4 || kernel.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: conv2d wants rank-4 input/kernel, got %v / %v", in.shape, kernel.shape))
@@ -73,16 +74,14 @@ func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 	out := New(n, oh, ow, cout)
 
 	kd := kernel.data
-	parallelFor(n*oh, func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			b := row / oh
-			oy := row % oh
-			inBase := b * h * w * cin
-			outBase := (b*oh + oy) * ow * cout
-			for ox := 0; ox < ow; ox++ {
-				dst := out.data[outBase+ox*cout : outBase+(ox+1)*cout]
-				iy0 := oy*stride - padH
-				ix0 := ox*stride - padW
+	parallelFor(n*oh*ow, kh*kw*cin*cout, func(lo, hi int) {
+		for p := lo; p < hi; {
+			row := p / ow // b*oh + oy
+			inBase := row / oh * h * w * cin
+			iy0 := row%oh*stride - padH
+			for end := min(hi, (row+1)*ow); p < end; p++ {
+				dst := out.data[p*cout : (p+1)*cout]
+				ix0 := (p-row*ow)*stride - padW
 				for ky := 0; ky < kh; ky++ {
 					iy := iy0 + ky
 					if iy < 0 || iy >= h {
@@ -103,8 +102,8 @@ func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 						}
 					}
 				}
+				addBias(dst, bd)
 			}
-			addBias(out.data[outBase:outBase+ow*cout], bd)
 		}
 	})
 	return out
@@ -129,16 +128,14 @@ func DepthwiseConv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor 
 	bd := biasData(bias, c)
 	out := New(n, oh, ow, c)
 	kd := kernel.data
-	parallelFor(n*oh, func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			b := row / oh
-			oy := row % oh
-			inBase := b * h * w * c
-			outBase := (b*oh + oy) * ow * c
-			for ox := 0; ox < ow; ox++ {
-				dst := out.data[outBase+ox*c : outBase+(ox+1)*c]
-				iy0 := oy*stride - padH
-				ix0 := ox*stride - padW
+	parallelFor(n*oh*ow, kh*kw*c, func(lo, hi int) {
+		for p := lo; p < hi; {
+			row := p / ow // b*oh + oy
+			inBase := row / oh * h * w * c
+			iy0 := row%oh*stride - padH
+			for end := min(hi, (row+1)*ow); p < end; p++ {
+				dst := out.data[p*c : (p+1)*c]
+				ix0 := (p-row*ow)*stride - padW
 				for ky := 0; ky < kh; ky++ {
 					iy := iy0 + ky
 					if iy < 0 || iy >= h {
@@ -153,8 +150,8 @@ func DepthwiseConv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor 
 						mulAdd(src, kd[(ky*kw+kx)*c:(ky*kw+kx+1)*c], dst)
 					}
 				}
+				addBias(dst, bd)
 			}
-			addBias(out.data[outBase:outBase+ow*c], bd)
 		}
 	})
 	return out

@@ -17,7 +17,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: matmul inner-dim mismatch %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	parallelFor(m, func(lo, hi int) {
+	parallelFor(m, k*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.data[i*k : (i+1)*k]
 			dst := out.data[i*n : (i+1)*n]
@@ -71,7 +71,7 @@ func BatchNormTo(dst, in, gamma, beta, mean, variance *Tensor, eps float32) *Ten
 		shift[i] = beta.data[i] - mean.data[i]*s
 	}
 	rows := len(in.data) / c
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, c, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			out := dst.data[r*c : (r+1)*c]
 			for i, x := range in.data[r*c : (r+1)*c] {

@@ -69,15 +69,39 @@ func atWorkerCounts(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// The geometry keeps n*oh >= 64 for every case, so parallelFor really
-// splits the rows; cin = 3 is the image layer, and 37 channels make the
-// primitives run their 32-wide body, 8-wide step and scalar tail.
+// requireSplits fails unless parallelFor, given more than one worker,
+// splits a loop of items indices at cost each.
+func requireSplits(t *testing.T, items, cost int) {
+	t.Helper()
+	if items < 2 || items*cost < grain {
+		t.Fatalf("%d items of cost %d run inline: the test would compare the inline path with itself", items, cost)
+	}
+}
+
+// The batched geometry sits on both sides of the grain: most cases split,
+// while 1×1 kernels at stride 2, every 1×1 depthwise and the stride-2
+// valid 1×7 depthwise run inline. cin = 3 is the image layer, and 37
+// channels make the primitives run their 32-wide body, 8-wide step and
+// scalar tail.
 const (
 	refBatch, refH, refW = 4, 40, 9
 	refCin, refCout      = 3, 37
 )
 
 var refKernels = [][2]int{{1, 1}, {3, 3}, {7, 1}, {1, 7}}
+
+// The single-image shapes a cold inference runs: the last stages of a
+// 160 px input are 10×10 and 5×5, the classifier's 1×1, and a stride-2
+// valid 3×3 (Inception's grid reductions) makes 7×7 of 15×15. At
+// singleCin → refCout channels (conv) and singleC (depthwise) every
+// output but the single pixel splits; singleC = 20·32 + 16 + 5 keeps the
+// primitives' tails.
+var singleImage = []struct {
+	side, k, stride int
+	pad             Padding
+}{{1, 3, 1, Same}, {5, 3, 1, Same}, {10, 3, 1, Same}, {10, 1, 1, Same}, {15, 3, 2, Valid}}
+
+const singleCin, singleC = 32, 661
 
 func TestConv2DMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -91,6 +115,15 @@ func TestConv2DMatchesReference(t *testing.T) {
 					requireIdentical(t, Conv2D(in, kernel, bias, stride, pad), refConv2D(in, kernel, bias, stride, pad))
 					requireIdentical(t, Conv2D(in, kernel, nil, stride, pad), refConv2D(in, kernel, nil, stride, pad))
 				}
+			}
+		}
+		for _, c := range singleImage {
+			in := sparseTensor(rng, 1, c.side, c.side, singleCin)
+			kernel := randTensor(rng, c.k, c.k, singleCin, refCout)
+			out := Conv2D(in, kernel, bias, c.stride, c.pad)
+			requireIdentical(t, out, refConv2D(in, kernel, bias, c.stride, c.pad))
+			if pixels := out.Elems() / refCout; pixels > 1 {
+				requireSplits(t, pixels, c.k*c.k*singleCin*refCout)
 			}
 		}
 	})
@@ -110,14 +143,25 @@ func TestDepthwiseConv2DMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		bias := randTensor(rng, singleC)
+		for _, c := range singleImage {
+			in := sparseTensor(rng, 1, c.side, c.side, singleC)
+			kernel := randTensor(rng, c.k, c.k, singleC, 1)
+			out := DepthwiseConv2D(in, kernel, bias, c.stride, c.pad)
+			requireIdentical(t, out, refDepthwiseConv2D(in, kernel, bias, c.stride, c.pad))
+			if pixels := out.Elems() / singleC; pixels > 1 {
+				requireSplits(t, pixels, c.k*c.k*singleC)
+			}
+		}
 	})
 }
 
 func TestMatMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := sparseTensor(rng, 70, 19)
-	b := randTensor(rng, 19, refCout)
+	a := sparseTensor(rng, 70, 32)
+	b := randTensor(rng, 32, refCout)
 	bias := randTensor(rng, refCout)
+	requireSplits(t, 70, 32*refCout)
 	atWorkerCounts(t, func(t *testing.T) {
 		requireIdentical(t, MatMul(a, b), refMatMul(a, b))
 		requireIdentical(t, Dense(a, b, bias), BiasAdd(refMatMul(a, b), bias))

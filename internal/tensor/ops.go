@@ -19,7 +19,7 @@ func mustFit(op string, dst, t *Tensor) {
 // elementwise runs f over matching ranges of t's and dst's elements.
 func elementwise(op string, dst, t *Tensor, f func(out, in []float32)) *Tensor {
 	mustFit(op, dst, t)
-	parallelFor(len(t.data), func(lo, hi int) { f(dst.data[lo:hi], t.data[lo:hi]) })
+	parallelFor(len(t.data), 1, func(lo, hi int) { f(dst.data[lo:hi], t.data[lo:hi]) })
 	return dst
 }
 
@@ -92,7 +92,7 @@ func SoftmaxTo(dst, t *Tensor) *Tensor {
 	mustFit("softmax", dst, t)
 	inner := t.shape[len(t.shape)-1]
 	rows := len(t.data) / inner
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, inner, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := t.data[r*inner : (r+1)*inner]
 			out := dst.data[r*inner : (r+1)*inner]
@@ -127,7 +127,7 @@ func AddTo(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", a.shape, b.shape))
 	}
 	mustFit("add", dst, a)
-	parallelFor(len(a.data), func(lo, hi int) {
+	parallelFor(len(a.data), 1, func(lo, hi int) {
 		out, y := dst.data[lo:hi], b.data[lo:hi]
 		for i, x := range a.data[lo:hi] {
 			out[i] = x + y[i]
@@ -139,7 +139,7 @@ func AddTo(dst, a, b *Tensor) *Tensor {
 // Scale multiplies every element by s, returning a new tensor.
 func Scale(t *Tensor, s float32) *Tensor {
 	out := New(t.shape...)
-	parallelFor(len(t.data), func(lo, hi int) {
+	parallelFor(len(t.data), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.data[i] = t.data[i] * s
 		}
@@ -168,7 +168,7 @@ func ConcatChannels(ts ...*Tensor) *Tensor {
 	}
 	out := New(n, h, w, totalC)
 	pixels := n * h * w
-	parallelFor(pixels, func(lo, hi int) {
+	parallelFor(pixels, totalC, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			off := 0
 			for _, t := range ts {
@@ -196,7 +196,7 @@ func BiasAdd(t *Tensor, bias *Tensor) *Tensor {
 	bd := biasData(bias, c)
 	out := New(t.shape...)
 	rows := len(t.data) / c
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, c, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			base := r * c
 			for i := 0; i < c; i++ {

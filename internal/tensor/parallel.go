@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// maxWorkers bounds kernel parallelism. It defaults to GOMAXPROCS and can
-// be lowered by the cloud simulator to emulate memory-scaled CPU shares.
+// maxWorkers bounds kernel parallelism. It defaults to GOMAXPROCS; only
+// tests lower it, to hold the kernels' output bits to the worker count.
 var (
 	workerMu   sync.RWMutex
 	maxWorkers = runtime.GOMAXPROCS(0)
@@ -32,32 +32,30 @@ func MaxWorkers() int {
 	return maxWorkers
 }
 
-// parallelFor runs fn(lo, hi) over [0, n) split into roughly equal chunks,
-// one per worker. For small n it runs inline to avoid goroutine overhead.
-func parallelFor(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := MaxWorkers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n < 64 {
+// grain is the least work, in multiply-adds or elements touched, worth
+// handing to other goroutines. A split costs 1–3 µs of spawn and wake-up
+// while the other core is busy or briefly idle (BenchmarkParallelForHandoff),
+// and halving W multiply-adds at 7–10 G/s a core saves more than that
+// from 14–54 Ki on (DESIGN.md §17, "Splitting by work").
+const grain = 1 << 16
+
+// parallelFor runs fn(lo, hi) over [0, n), where each index is cost units
+// of work. It runs fn(0, n) inline when there is one worker or less than
+// a grain of work in all; otherwise it splits [0, n) into one contiguous
+// range per worker, sizes differing by at most one, and waits for them.
+func parallelFor(n, cost int, fn func(lo, hi int)) {
+	w := min(MaxWorkers(), n)
+	if w <= 1 || n*cost < grain {
 		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
+	wg.Add(w)
+	for i := 0; i < w; i++ {
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(i*n/w, (i+1)*n/w)
 	}
 	wg.Wait()
 }

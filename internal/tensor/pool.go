@@ -27,7 +27,7 @@ func pool2D(in *Tensor, k, stride int, pad Padding, isMax bool) *Tensor {
 		panic(fmt.Sprintf("tensor: pool produces empty output for %v window %d", in.shape, k))
 	}
 	out := New(n, oh, ow, c)
-	parallelFor(n*oh, func(lo, hi int) {
+	parallelFor(n*oh, ow*k*k*c, func(lo, hi int) {
 		acc := make([]float32, c)
 		for row := lo; row < hi; row++ {
 			b := row / oh
@@ -96,7 +96,7 @@ func GlobalAvgPool2D(in *Tensor) *Tensor {
 	n, h, w, c := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
 	out := New(n, c)
 	inv := float32(1) / float32(h*w)
-	parallelFor(n, func(lo, hi int) {
+	parallelFor(n, h*w*c, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			dst := out.data[b*c : (b+1)*c]
 			base := b * h * w * c
@@ -123,7 +123,7 @@ func ZeroPad2D(in *Tensor, top, bottom, left, right int) *Tensor {
 	n, h, w, c := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
 	oh, ow := h+top+bottom, w+left+right
 	out := New(n, oh, ow, c)
-	parallelFor(n*h, func(lo, hi int) {
+	parallelFor(n*h, w*c, func(lo, hi int) {
 		for row := lo; row < hi; row++ {
 			b := row / h
 			y := row % h

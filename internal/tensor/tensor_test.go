@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -396,20 +397,19 @@ func TestSetMaxWorkers(t *testing.T) {
 }
 
 // Property: kernels produce identical results regardless of parallelism.
+// The conv's 2·5·5 output pixels carry enough work to split.
 func TestParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	in := randTensor(rng, 2, 9, 9, 4)
-	k := randTensor(rng, 3, 3, 4, 6)
-	bias := randTensor(rng, 6)
+	in := randTensor(rng, 2, 9, 9, 16)
+	k := randTensor(rng, 3, 3, 16, 24)
+	bias := randTensor(rng, 24)
+	requireSplits(t, 2*5*5, 3*3*16*24)
 
-	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(SetMaxWorkers(1))
 	serial := Conv2D(in, k, bias, 2, Same)
-	SetMaxWorkers(8)
-	parallel := Conv2D(in, k, bias, 2, Same)
-	SetMaxWorkers(prev)
-
-	if !AllClose(serial, parallel, 0) {
-		t.Fatalf("parallel conv differs from serial by %v", MaxAbsDiff(serial, parallel))
+	for _, w := range []int{2, 3, 8} {
+		SetMaxWorkers(w)
+		sameBits(t, fmt.Sprintf("conv at %d workers vs 1", w), Conv2D(in, k, bias, 2, Same).data, serial.data)
 	}
 }
 
