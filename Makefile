@@ -52,14 +52,18 @@ staticcheck:
 # work: the split contract, the conv kernels against their scalar
 # reference on single-image shapes that split, and whole zoo models —
 # partitioned and at 1, 2 and 3 workers — against one worker, bit for
-# bit. CI runs this target.
+# bit. The kernel reference tests run with the assembly and again without
+# it, on inputs and kernels carrying -0, NaN, ±Inf and denormals; beside
+# them, the branch-free conv term-list walk (convList) and ReLU/ReLU6
+# against their Go definitions at every width and offset, both paths.
+# CI runs this target.
 equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
 	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights' ./internal/coordinator/
 	$(GO) test -race -count=3 -run 'TestForwardRangeMatchesOutOfPlaceEvaluator' ./internal/nn/
-	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/
+	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestMatMulMatchesReference|TestConvListMatchesGo|TestReLUMatchesDefinition|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/
 	$(GO) test -race -count=3 -run 'TestPartitionedForwardBitIdentical' ./internal/nn/zoo/
 	$(GO) test -race -count=3 -run 'TestDecodeWeightsAliasesAlignedContainer|TestDecodeWeightsCopiesMisalignedContainer|TestParallelChunksMatchInline' ./internal/modelfmt/
 	$(GO) test -race -count=3 -run 'TestQueryOrderIndependence|TestSpanTableIdenticalAcrossGOMAXPROCS' ./internal/optimizer/

@@ -7,6 +7,7 @@ import (
 
 	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/coordinator"
+	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/perf"
 	"ampsinf/internal/workload"
@@ -25,13 +26,18 @@ type Table1Row struct {
 	FitsLambda  bool
 }
 
-// Table1 computes model and deployment sizes for the paper's models.
+// Table1 computes model and deployment sizes for the paper's models. The
+// sizes need only the layer graphs, so it initialises no weights (vgg16's
+// and bertbase's alone are ~1 GB, and no other experiment runs them).
 func Table1() *Table1Result {
 	deps := int64(perf.Default().DepsMB * (1 << 20))
 	limit := int64(pricing.LambdaDeployLimitMB) << 20
 	res := &Table1Result{}
 	for _, name := range []string{"resnet50", "inceptionv3", "xception", "mobilenet", "vgg16", "bertbase"} {
-		m, _ := Model(name)
+		m, err := zoo.Build(name, 0)
+		if err != nil {
+			panic(err)
+		}
 		deploy := m.WeightBytes() + deps
 		res.Rows = append(res.Rows, Table1Row{
 			Model: name, ModelBytes: m.WeightBytes(), DeployBytes: deploy,

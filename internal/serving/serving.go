@@ -14,6 +14,7 @@ package serving
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -530,10 +531,11 @@ func (a *summaryAcc) finalize(rep *Report, requests int) {
 		n := time.Duration(rep.Completed)
 		rep.AvgLatency = a.latSum / n
 		rep.AvgQueue = a.qSum / n
-		rep.P50Latency = workload.Percentile(a.lats, 50)
-		rep.P90Latency = workload.Percentile(a.lats, 90)
-		rep.P95Latency = workload.Percentile(a.lats, 95)
-		rep.P99Latency = workload.Percentile(a.lats, 99)
+		slices.Sort(a.lats) // the accumulator's own copy; nothing reads it in arrival order
+		rep.P50Latency = workload.SortedPercentile(a.lats, 50)
+		rep.P90Latency = workload.SortedPercentile(a.lats, 90)
+		rep.P95Latency = workload.SortedPercentile(a.lats, 95)
+		rep.P99Latency = workload.SortedPercentile(a.lats, 99)
 	}
 	rep.CostPerJob = rep.TotalCost / float64(requests)
 	if rep.Makespan > 0 {

@@ -1,55 +1,19 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// specials are sprinkled over the random payloads. The NaN is the one bit
-// pattern x86 itself produces for an invalid operation (Inf*0, Inf-Inf),
-// so every NaN in play is the same value and the comparison can demand
-// bit equality: which of two differently-tagged NaN operands survives an
-// add depends on operand order, which the Go compiler does not fix even
-// for the scalar loop.
-var specials = []float32{
-	math.Float32frombits(0xFFC00000), // NaN
-	float32(math.Inf(1)),
-	float32(math.Inf(-1)),
-	math.Float32frombits(0x80000000), // -0
-	0,
-	math.Float32frombits(1),          // smallest denormal
-	math.Float32frombits(0x807FFFFF), // largest negative denormal
-	math.MaxFloat32,                  // overflows to Inf when scaled
-	1e-30,                            // product underflows into denormals
-}
-
-func payload(rng *rand.Rand, n int) []float32 {
-	p := make([]float32, n)
-	for i := range p {
-		if rng.Intn(4) == 0 {
-			p[i] = specials[rng.Intn(len(specials))]
-		} else {
-			p[i] = float32(rng.NormFloat64())
-		}
+// atBothPaths runs fn with the assembly, where the CPU has it, and again
+// with it off, so the portable path runs on amd64 too.
+func atBothPaths(t *testing.T, fn func(t *testing.T)) {
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	if useAVX2 {
+		t.Run("avx2", fn)
 	}
-	return p
-}
-
-// forEachWindow calls fn for every length 0..257 and every pair of
-// starting offsets 0..7, so each routine sees its 32-wide body, 8-wide
-// step and scalar tail at every load/store misalignment. total is the
-// size of the buffer the window [off, off+n) is cut from; whatever lies
-// outside the window must come back untouched.
-func forEachWindow(fn func(n, offA, offB, total int)) {
-	const maxLen, maxOff = 257, 7
-	for n := 0; n <= maxLen; n++ {
-		for offA := 0; offA <= maxOff; offA++ {
-			for offB := 0; offB <= maxOff; offB++ {
-				fn(n, offA, offB, maxLen+2*maxOff+1)
-			}
-		}
-	}
+	useAVX2 = false
+	t.Run("go", fn)
 }
 
 func TestAxpyMatchesGo(t *testing.T) {

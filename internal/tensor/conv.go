@@ -53,9 +53,11 @@ func ConvOutShape(in Shape, kh, kw, stride int, pad Padding, outC int) Shape {
 //	bias:   [Cout] or nil
 //
 // Output pixels are split across workers, each pixel computed by one
-// worker in (ky, kx, ci) order. Zero activations are skipped (about half
-// of all post-ReLU inputs); every other one is a single axpy over the
-// cout axis.
+// worker in (ky, kx, ci) order. Per tap, the input pixel's nonzero
+// activations (about half of all post-ReLU inputs are zero) are compacted
+// into a term list, and convList adds their kernel rows into the output
+// pixel. Up to 16 pixels of a row take each tap in turn, so the tap's
+// kernel is reread from cache.
 func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 	if in.Rank() != 4 || kernel.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: conv2d wants rank-4 input/kernel, got %v / %v", in.shape, kernel.shape))
@@ -73,37 +75,36 @@ func Conv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 	bd := biasData(bias, cout)
 	out := New(n, oh, ow, cout)
 
-	kd := kernel.data
 	parallelFor(n*oh*ow, kh*kw*cin*cout, func(lo, hi int) {
+		list := termLists.Get().(*[]term)
+		defer termLists.Put(list)
+		if len(*list) < cin {
+			*list = make([]term, cin)
+		}
 		for p := lo; p < hi; {
 			row := p / ow // b*oh + oy
 			inBase := row / oh * h * w * cin
 			iy0 := row%oh*stride - padH
-			for end := min(hi, (row+1)*ow); p < end; p++ {
-				dst := out.data[p*cout : (p+1)*cout]
-				ix0 := (p-row*ow)*stride - padW
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < kw; kx++ {
-						ix := ix0 + kx
+			end := min(hi, (row+1)*ow, p+16)
+			for ky := 0; ky < kh; ky++ {
+				iy := iy0 + ky
+				if iy < 0 || iy >= h {
+					continue
+				}
+				for kx := 0; kx < kw; kx++ {
+					tap := kernel.data[(ky*kw+kx)*cin*cout : (ky*kw+kx+1)*cin*cout]
+					for q := p; q < end; q++ {
+						ix := (q-row*ow)*stride - padW + kx
 						if ix < 0 || ix >= w {
 							continue
 						}
 						src := in.data[inBase+(iy*w+ix)*cin : inBase+(iy*w+ix+1)*cin]
-						kBase := ((ky*kw + kx) * cin) * cout
-						for ci, sv := range src {
-							if sv == 0 {
-								continue
-							}
-							axpy(sv, kd[kBase+ci*cout:kBase+(ci+1)*cout], dst)
-						}
+						convList((*list)[:compact(src, cout, *list)], tap, out.data[q*cout:(q+1)*cout])
 					}
 				}
-				addBias(dst, bd)
 			}
+			addBias(out.data[p*cout:end*cout], bd)
+			p = end
 		}
 	})
 	return out

@@ -18,15 +18,13 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	out := New(m, n)
 	parallelFor(m, k*n, func(lo, hi int) {
+		list := termLists.Get().(*[]term)
+		defer termLists.Put(list)
+		if len(*list) < k {
+			*list = make([]term, k)
+		}
 		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			dst := out.data[i*n : (i+1)*n]
-			for kk, av := range arow {
-				if av == 0 {
-					continue
-				}
-				axpy(av, b.data[kk*n:(kk+1)*n], dst)
-			}
+			convList((*list)[:compact(a.data[i*k:(i+1)*k], n, *list)], b.data, out.data[i*n:(i+1)*n])
 		}
 	})
 	return out

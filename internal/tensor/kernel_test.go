@@ -7,13 +7,78 @@ import (
 	"testing"
 )
 
-// sparseTensor is randTensor with about half the elements zeroed, the way
-// a post-ReLU activation looks, so the kernels' zero-skip is exercised.
-func sparseTensor(rng *rand.Rand, shape ...int) *Tensor {
+var negZero = math.Float32frombits(0x80000000)
+
+// specials are sprinkled over the random payloads. The NaN is the one bit
+// pattern x86 itself produces for an invalid operation (Inf*0, Inf-Inf),
+// so every NaN in play is the same value and the comparison can demand
+// bit equality: which of two differently-tagged NaN operands survives an
+// add depends on operand order, which the Go compiler does not fix even
+// for the scalar loop.
+var specials = []float32{
+	math.Float32frombits(0xFFC00000), // NaN
+	float32(math.Inf(1)),
+	float32(math.Inf(-1)),
+	negZero,
+	0,
+	math.Float32frombits(1),          // smallest denormal
+	math.Float32frombits(0x807FFFFF), // largest negative denormal
+	math.MaxFloat32,                  // overflows to Inf when scaled
+	1e-30,                            // product underflows into denormals
+}
+
+func payload(rng *rand.Rand, n int) []float32 {
+	p := make([]float32, n)
+	for i := range p {
+		if rng.Intn(4) == 0 {
+			p[i] = specials[rng.Intn(len(specials))]
+		} else {
+			p[i] = float32(rng.NormFloat64())
+		}
+	}
+	return p
+}
+
+// forEachWindow calls fn for every length 0..257 and every pair of
+// starting offsets 0..7, so each routine sees its 64- or 32-wide body,
+// 8-wide step and scalar tail at every load/store misalignment. total is
+// the size of the buffer the window [off, off+n) is cut from; whatever
+// lies outside the window must come back untouched.
+func forEachWindow(fn func(n, offA, offB, total int)) {
+	const maxLen, maxOff = 257, 7
+	for n := 0; n <= maxLen; n++ {
+		for offA := 0; offA <= maxOff; offA++ {
+			for offB := 0; offB <= maxOff; offB++ {
+				fn(n, offA, offB, maxLen+2*maxOff+1)
+			}
+		}
+	}
+}
+
+// spicedTensor is randTensor with one element in 128 one of the specials.
+// In a kernel they make the zero-skip observable: 0 or -0 times a finite
+// weight adds nothing, times ±Inf or NaN it adds NaN.
+func spicedTensor(rng *rand.Rand, shape ...int) *Tensor {
 	t := randTensor(rng, shape...)
 	for i := range t.data {
-		if rng.Intn(2) == 0 {
+		if rng.Intn(128) == 0 {
+			t.data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return t
+}
+
+// sparseTensor is spicedTensor with about half the elements zeroed, the
+// way a post-ReLU activation looks, so the kernels' zero-skip is
+// exercised. One zero in four is -0, which is skipped too.
+func sparseTensor(rng *rand.Rand, shape ...int) *Tensor {
+	t := spicedTensor(rng, shape...)
+	for i := range t.data {
+		switch r := rng.Intn(8); {
+		case r < 3:
 			t.data[i] = 0
+		case r < 4:
+			t.data[i] = negZero
 		}
 	}
 	return t
@@ -59,13 +124,13 @@ func requirePanics(t *testing.T, complaint string, calls map[string]func()) {
 }
 
 // atWorkerCounts runs fn under each kernel parallelism the partitioned
-// and unpartitioned paths can meet.
+// and unpartitioned paths can meet, with the assembly and without.
 func atWorkerCounts(t *testing.T, fn func(t *testing.T)) {
 	prev := MaxWorkers()
 	defer SetMaxWorkers(prev)
 	for _, w := range []int{1, 2, 3, 8} {
 		SetMaxWorkers(w)
-		t.Run(fmt.Sprintf("workers=%d", w), fn)
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) { atBothPaths(t, fn) })
 	}
 }
 
@@ -109,7 +174,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 	bias := randTensor(rng, refCout)
 	atWorkerCounts(t, func(t *testing.T) {
 		for _, k := range refKernels {
-			kernel := randTensor(rng, k[0], k[1], refCin, refCout)
+			kernel := spicedTensor(rng, k[0], k[1], refCin, refCout)
 			for _, stride := range []int{1, 2} {
 				for _, pad := range []Padding{Same, Valid} {
 					requireIdentical(t, Conv2D(in, kernel, bias, stride, pad), refConv2D(in, kernel, bias, stride, pad))
@@ -119,7 +184,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 		}
 		for _, c := range singleImage {
 			in := sparseTensor(rng, 1, c.side, c.side, singleCin)
-			kernel := randTensor(rng, c.k, c.k, singleCin, refCout)
+			kernel := spicedTensor(rng, c.k, c.k, singleCin, refCout)
 			out := Conv2D(in, kernel, bias, c.stride, c.pad)
 			requireIdentical(t, out, refConv2D(in, kernel, bias, c.stride, c.pad))
 			if pixels := out.Elems() / refCout; pixels > 1 {
@@ -135,7 +200,7 @@ func TestDepthwiseConv2DMatchesReference(t *testing.T) {
 	bias := randTensor(rng, refCout)
 	atWorkerCounts(t, func(t *testing.T) {
 		for _, k := range refKernels {
-			kernel := randTensor(rng, k[0], k[1], refCout, 1)
+			kernel := spicedTensor(rng, k[0], k[1], refCout, 1)
 			for _, stride := range []int{1, 2} {
 				for _, pad := range []Padding{Same, Valid} {
 					requireIdentical(t, DepthwiseConv2D(in, kernel, bias, stride, pad), refDepthwiseConv2D(in, kernel, bias, stride, pad))
@@ -146,7 +211,7 @@ func TestDepthwiseConv2DMatchesReference(t *testing.T) {
 		bias := randTensor(rng, singleC)
 		for _, c := range singleImage {
 			in := sparseTensor(rng, 1, c.side, c.side, singleC)
-			kernel := randTensor(rng, c.k, c.k, singleC, 1)
+			kernel := spicedTensor(rng, c.k, c.k, singleC, 1)
 			out := DepthwiseConv2D(in, kernel, bias, c.stride, c.pad)
 			requireIdentical(t, out, refDepthwiseConv2D(in, kernel, bias, c.stride, c.pad))
 			if pixels := out.Elems() / singleC; pixels > 1 {
@@ -159,7 +224,7 @@ func TestDepthwiseConv2DMatchesReference(t *testing.T) {
 func TestMatMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := sparseTensor(rng, 70, 32)
-	b := randTensor(rng, 32, refCout)
+	b := spicedTensor(rng, 32, refCout)
 	bias := randTensor(rng, refCout)
 	requireSplits(t, 70, 32*refCout)
 	atWorkerCounts(t, func(t *testing.T) {
@@ -180,13 +245,101 @@ func TestKernelBiasMismatchPanics(t *testing.T) {
 	})
 }
 
-// The primitives take the length from y and must refuse a short operand
-// instead of reading past it.
+// The primitives take the length from y (dst, in) and must refuse a short
+// operand instead of reading or writing past it.
 func TestAxpyShortOperandPanics(t *testing.T) {
 	requirePanics(t, "accepted an operand shorter than y", map[string]func(){
 		"axpy":     func() { axpy(2, make([]float32, 7), make([]float32, 8)) },
 		"mulAdd x": func() { mulAdd(make([]float32, 7), make([]float32, 8), make([]float32, 8)) },
 		"mulAdd k": func() { mulAdd(make([]float32, 8), make([]float32, 7), make([]float32, 8)) },
+		"convList": func() { convList([]term{{0, 1}, {4, 1}}, make([]float32, 8), make([]float32, 5)) },
+		"relu":     func() { relu(make([]float32, 7), make([]float32, 8)) },
+		"relu6":    func() { relu6(make([]float32, 7), make([]float32, 8)) },
+	})
+}
+
+// convList against its Go definition at every width 0..257 and every pair
+// of kernel/dst offsets 0..7, over lists of 0 to 4 terms whose rows lie
+// at unequal alignments, with the specials in values, kernel and dst.
+func TestConvListMatchesGo(t *testing.T) {
+	atBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		var vals, k, dst []float32
+		var stride int
+		forEachWindow(func(n, offK, offY, total int) {
+			if offK == 0 && offY == 0 {
+				vals, dst, stride = payload(rng, 4), payload(rng, total), n+rng.Intn(8)
+				k = payload(rng, 7+4*stride)
+			}
+			list := make([]term, (n+offK+offY)%5)
+			for j := range list {
+				list[j] = term{int32(offK + j*stride), vals[j]}
+			}
+			want := append([]float32(nil), dst...)
+			got := append([]float32(nil), dst...)
+			convListGo(list, k, want[offY:offY+n])
+			convList(list, k, got[offY:offY+n])
+			sameBits(t, "convList", got, want)
+		})
+	})
+}
+
+// ReLU and ReLU6 against their branchy definitions at every length 0..257
+// and every pair of offsets 0..7, over inputs thick with the values a
+// bit mask or MAXPS/MINPS operand order could get wrong.
+func TestReLUMatchesDefinition(t *testing.T) {
+	edges := []float32{
+		0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7FC00000), math.Float32frombits(0xFFC00000), // ±NaN
+		math.Float32frombits(0x7F800001), math.Float32frombits(0xFFFFFFFF), // signalling, all ones
+		6, math.Nextafter32(6, 7), math.Nextafter32(6, 5), -6,
+		math.Float32frombits(1), math.Float32frombits(0x80000001), // ±smallest denormal
+		math.Float32frombits(0x007FFFFF), math.Float32frombits(0x807FFFFF), // ±largest denormal
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	kernels := []struct {
+		name string
+		fn   func(out, in []float32)
+		def  func(v float32) float32
+	}{
+		{"relu", relu, func(v float32) float32 {
+			if !(v > 0) {
+				return 0
+			}
+			return v
+		}},
+		{"relu6", relu6, func(v float32) float32 {
+			if v < 0 {
+				return 0
+			} else if v > 6 {
+				return 6
+			}
+			return v
+		}},
+	}
+	atBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		var in, out []float32
+		for _, kr := range kernels {
+			forEachWindow(func(n, offIn, offOut, total int) {
+				if offIn == 0 && offOut == 0 {
+					in, out = make([]float32, total), payload(rng, total)
+					for i := range in {
+						in[i] = float32(4 * rng.NormFloat64())
+						if rng.Intn(2) == 0 {
+							in[i] = edges[rng.Intn(len(edges))]
+						}
+					}
+				}
+				want := append([]float32(nil), out...)
+				got := append([]float32(nil), out...)
+				for i, v := range in[offIn : offIn+n] {
+					want[offOut+i] = kr.def(v)
+				}
+				kr.fn(got[offOut:offOut+n], in[offIn:offIn+n])
+				sameBits(t, kr.name, got, want)
+			})
+		}
 	})
 }
 

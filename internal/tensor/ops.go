@@ -27,33 +27,13 @@ func elementwise(op string, dst, t *Tensor, f func(out, in []float32)) *Tensor {
 func ReLU(t *Tensor) *Tensor { return ReLUTo(New(t.shape...), t) }
 
 // ReLUTo stores everything not above zero — negatives, -0, NaN — as +0.
-func ReLUTo(dst, t *Tensor) *Tensor {
-	return elementwise("relu", dst, t, func(out, in []float32) {
-		for i, v := range in {
-			if !(v > 0) {
-				v = 0
-			}
-			out[i] = v
-		}
-	})
-}
+func ReLUTo(dst, t *Tensor) *Tensor { return elementwise("relu", dst, t, relu) }
 
 // ReLU6 applies min(max(0, x), 6) elementwise (MobileNet's activation).
 func ReLU6(t *Tensor) *Tensor { return ReLU6To(New(t.shape...), t) }
 
-// ReLU6To is ReLU6 into dst.
-func ReLU6To(dst, t *Tensor) *Tensor {
-	return elementwise("relu6", dst, t, func(out, in []float32) {
-		for i, v := range in {
-			if v < 0 {
-				v = 0
-			} else if v > 6 {
-				v = 6
-			}
-			out[i] = v
-		}
-	})
-}
+// ReLU6To is ReLU6 into dst; NaN and -0 pass through.
+func ReLU6To(dst, t *Tensor) *Tensor { return elementwise("relu6", dst, t, relu6) }
 
 // Sigmoid applies the logistic function elementwise.
 func Sigmoid(t *Tensor) *Tensor { return SigmoidTo(New(t.shape...), t) }

@@ -32,6 +32,10 @@ func MaxWorkers() int {
 	return maxWorkers
 }
 
+// termLists recycles the term lists Conv2D and MatMul workers compact
+// their input rows into.
+var termLists = sync.Pool{New: func() any { return new([]term) }}
+
 // grain is the least work, in multiply-adds or elements touched, worth
 // handing to other goroutines. A split costs 1–3 µs of spawn and wake-up
 // while the other core is busy or briefly idle (BenchmarkParallelForHandoff),

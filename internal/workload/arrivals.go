@@ -3,7 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -84,11 +84,17 @@ func BurstArrivals(n, burstSize int, gap time.Duration) []time.Duration {
 // Percentile returns the p-th percentile (0 < p ≤ 100) of durations,
 // using nearest-rank on a sorted copy.
 func Percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile of durations already sorted ascending,
+// so several percentiles of one set cost one sort.
+func SortedPercentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
 	if rank < 0 {
 		rank = 0

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -19,7 +20,10 @@ func decodeDurations(data []byte) []time.Duration {
 
 // FuzzPercentile checks Percentile's contract on arbitrary inputs: it
 // never panics, returns 0 on an empty set and a member of the set
-// otherwise, and is monotone in p.
+// otherwise, and is monotone in p. SortedPercentile over one sort of the
+// set must return exactly what Percentile does, and for 0 < p ≤ 100 both
+// must be the nearest rank: fewer than ⌈p/100·n⌉ members lie below the
+// result and at least that many at or below it.
 func FuzzPercentile(f *testing.F) {
 	f.Add([]byte{}, 50.0, 95.0)
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, 0.0, 100.0)
@@ -29,6 +33,30 @@ func FuzzPercentile(f *testing.F) {
 		ds := decodeDurations(data)
 		vp := Percentile(ds, p)
 		vq := Percentile(ds, q)
+		sorted := slices.Clone(ds)
+		slices.Sort(sorted)
+		for _, r := range []float64{p, q, 50, 90, 95, 99} {
+			got := SortedPercentile(sorted, r)
+			if want := Percentile(ds, r); got != want {
+				t.Fatalf("SortedPercentile(p%.3g) = %v, Percentile = %v", r, got, want)
+			}
+			if len(ds) == 0 || !(r > 0 && r <= 100) {
+				continue
+			}
+			need := max(1, int(math.Ceil(r/100*float64(len(ds)))))
+			below, atOrBelow := 0, 0
+			for _, d := range ds {
+				if d < got {
+					below++
+				}
+				if d <= got {
+					atOrBelow++
+				}
+			}
+			if below >= need || atOrBelow < need {
+				t.Fatalf("p%.3g = %v: %d members below, %d at or below, nearest rank %d", r, got, below, atOrBelow, need)
+			}
+		}
 		if len(ds) == 0 {
 			if vp != 0 || vq != 0 {
 				t.Fatalf("percentile of empty set = %v, %v", vp, vq)
