@@ -35,7 +35,9 @@ staticcheck:
 
 # Hot-path equivalence: each fast path against the reference it
 # replaced or the path it shares code with — telemetry write sections
-# vs single writes, the slot meter vs the map meter, the busy-until
+# vs single writes, the window log's NDJSON encoder vs json.Marshal of
+# the frames it materialises (rendered unlocked while a writer flushes
+# and evicts), the slot meter vs the map meter, the busy-until
 # mirror vs the pointer scan, a pooled job vs a traced one — three
 # times under the race detector. For the planner's certified envelope
 # prefixes: their independence of query order and worker count the same
@@ -58,7 +60,7 @@ staticcheck:
 # against their Go definitions at every width and offset, both paths.
 # CI runs this target.
 equiv:
-	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites' ./internal/obs/
+	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites|TestWindowNDJSONMatchesMarshal' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
 	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights' ./internal/coordinator/
@@ -137,10 +139,12 @@ loc:
 
 # Short fuzz pass over the two wire-format decoders — FuzzDecodeWeights
 # reads both weights container kinds, float32 and quantized packages —
-# the hedge-delay latency ring (against its copy-and-sort reference) and
-# the planner's certified block selection (against a full kernel scan).
+# the hedge-delay latency ring (against its copy-and-sort reference),
+# the planner's certified block selection (against a full kernel scan)
+# and the window log's NDJSON encoder (against json.Marshal).
 fuzz:
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeTensor -fuzztime 15s
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeWeights -fuzztime 15s
 	$(GO) test ./internal/coordinator/ -fuzz FuzzLatencyRing -fuzztime 10s
 	$(GO) test ./internal/optimizer/ -run '^$$' -fuzz FuzzSelectBlockCertified -fuzztime 15s
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzWindowNDJSON -fuzztime 15s

@@ -13,7 +13,6 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -611,8 +610,32 @@ func (in *Injector) Total() int64 {
 }
 
 // IsTransient reports whether err (anywhere in its chain) is an
-// injected fault that a retry can clear.
+// injected fault that a retry can clear. It asks the *Error that
+// errors.As would find — the first in a depth-first walk through
+// Unwrap() error and Unwrap() []error; no error here has an As method —
+// without the heap-allocated target errors.As needs, since the retry
+// loop asks on every failed attempt.
 func IsTransient(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe) && fe.Transient()
+	fe, ok := firstFault(err)
+	return ok && fe.Transient()
+}
+
+func firstFault(err error) (*Error, bool) {
+	for {
+		switch e := err.(type) {
+		case *Error:
+			return e, true
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, c := range e.Unwrap() {
+				if fe, ok := firstFault(c); ok {
+					return fe, true
+				}
+			}
+			return nil, false
+		default:
+			return nil, false
+		}
+	}
 }

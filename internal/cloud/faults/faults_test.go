@@ -165,6 +165,30 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
+// IsTransient finds the *Error errors.As finds — depth first through
+// single and multi-error wrappers — and allocates nothing doing it.
+func TestIsTransientMatchesErrorsAs(t *testing.T) {
+	fe := &Error{Kind: Crash, Op: "invoke", Target: "p1"}
+	plain := errors.New("handler bug")
+	for i, err := range []error{
+		nil, plain, fe, (*Error)(nil),
+		fmt.Errorf("a: %w", fmt.Errorf("b: %w", fe)),
+		errors.Join(plain, fmt.Errorf("c: %w", fe)),
+		errors.Join(plain, errors.New("d")),
+		fmt.Errorf("%w and %w", plain, fe),
+		errors.Join(nil, errors.Join(plain), fe),
+	} {
+		var target *Error
+		if got, want := IsTransient(err), errors.As(err, &target) && target.Transient(); got != want {
+			t.Errorf("case %d (%v): IsTransient %v, errors.As %v", i, err, got, want)
+		}
+	}
+	wrapped := fmt.Errorf("stage: %w", fe)
+	if n := testing.AllocsPerRun(100, func() { IsTransient(wrapped) }); n != 0 {
+		t.Fatalf("IsTransient allocates %v times per call", n)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
 		None: "none", Throttle: "throttle", Crash: "crash",

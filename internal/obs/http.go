@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -78,80 +77,51 @@ func (st *ServeState) handleStream(w http.ResponseWriter, r *http.Request) {
 	st.followStream(w, r, ts)
 }
 
-// followStream serves /metrics/stream?follow=1: the flushed history
-// first, then each new window as it is flushed, until the series is
-// closed (the run is over and its final partial window has been
-// delivered) or the client goes away. The subscriber callback runs
-// under the series lock on the event loop's goroutine, so it never
-// blocks: frames a slow client cannot absorb are dropped from the live
-// tail (the snapshot endpoints still carry the complete stream).
+// followStream serves /metrics/stream?follow=1: the retained windows
+// first, then each window as it is flushed, until the series is closed
+// (the run is over and its final partial window has been delivered) or
+// the client goes away. It queues nothing: a flush only wakes it, and it
+// encodes from the series' log every window past the last one it wrote,
+// so a slow client holds no frames and misses none the log still has.
+// Windows that retention evicts before a stalled client reads them are
+// lost to it and counted in obs_stream_dropped_frames_total.
 func (st *ServeState) followStream(w http.ResponseWriter, r *http.Request, ts *TimeSeries) {
-	ch := make(chan *WindowFrame, 1024)
-	cancel := ts.Subscribe(func(f *WindowFrame) {
+	st.mu.Lock()
+	dropped := st.metrics.CounterHandle("obs_stream_dropped_frames_total")
+	st.mu.Unlock()
+	dropped.Inc(0) // exposed, at zero, once anyone follows
+	wake := make(chan struct{}, 1)
+	defer ts.Subscribe(func(*WindowFrame) {
 		select {
-		case ch <- f:
+		case wake <- struct{}{}:
 		default:
 		}
-	})
-	defer cancel()
+	})()
 
-	// The snapshot below races with frames flushing into the channel;
-	// frame indexes strictly increase in flush order, so tracking the
-	// last written index dedups the overlap.
-	last := int64(-1)
-	for _, f := range ts.Frames() {
-		if err := writeFrame(w, f); err != nil {
-			return
+	var e frameEncoder
+	next := int64(-1) // sequence number of the next window to write; -1 before the backlog
+	send := func() bool {
+		v, first := ts.view(max(next, 0))
+		if next >= 0 && first > next {
+			dropped.Inc(first - next)
 		}
-		last = f.Index
-	}
-	flush(w)
-
-	emit := func(f *WindowFrame) bool {
-		if f.Index <= last {
-			return true
-		}
-		if err := writeFrame(w, f); err != nil {
+		if e.write(w, &v) != nil {
 			return false
 		}
-		last = f.Index
+		next = first + int64(len(v.recs))
 		flush(w)
 		return true
 	}
-	for {
+	for send() {
 		select {
-		case f := <-ch:
-			if !emit(f) {
-				return
-			}
+		case <-wake:
 		case <-ts.Done():
-			// Drain what the subscriber enqueued before the close, then
-			// finish the response: followers see the tail window instead
-			// of hanging on a dead series.
-			for {
-				select {
-				case f := <-ch:
-					if !emit(f) {
-						return
-					}
-				default:
-					return
-				}
-			}
+			send() // the windows Close flushed
+			return
 		case <-r.Context().Done():
 			return
 		}
 	}
-}
-
-func writeFrame(w http.ResponseWriter, f *WindowFrame) error {
-	b, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }
 
 func flush(w http.ResponseWriter) {

@@ -2,7 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -109,5 +113,87 @@ func TestStreamFollowDrainsOnClose(t *testing.T) {
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("stream did not terminate cleanly: %v", err)
+	}
+}
+
+// A client that stalls on /metrics/stream?follow=1 costs the server no
+// queue: the follower encodes from the series' log, so what it can hold
+// is bounded by the retention cap, and every window retention evicts
+// before the client reads it is counted — drops = flushed − delivered —
+// in obs_stream_dropped_frames_total, which lints clean. The response
+// still ends at Close.
+func TestStreamFollowStalledClient(t *testing.T) {
+	const windows, retain, width = 5000, 64, 48
+	mx := NewMetrics()
+	ts := NewTimeSeries(time.Second)
+	ts.SetRetention(retain)
+	srv := httptest.NewServer(NewServeState(mx, ts).Handler())
+	defer srv.Close()
+	// The response starts once the (empty) backlog is written, so every
+	// window below is flushed after the follower subscribed.
+	resp, err := srv.Client().Get(srv.URL + "/metrics/stream?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	// Wide windows (~2 KB a line), written while nobody reads: the socket
+	// buffers fill and the follower blocks mid-write.
+	hs := make([]SeriesCounterHandle, width)
+	for i := range hs {
+		hs[i] = ts.CounterHandle(fmt.Sprintf("stalled_client_padding_%02d_total", i))
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for w := 0; w < windows; w++ {
+		at := time.Duration(w) * time.Second
+		for _, h := range hs {
+			h.Inc(at, int64(w))
+		}
+		ts.Advance(at + time.Second)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	// ~10 MB of stream went by; a queue of frames would hold most of it.
+	if grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); grew > 4<<20 {
+		t.Fatalf("heap grew %d B while the client stalled", grew)
+	}
+	ts.Close()
+
+	delivered, last := 0, int64(-1)
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var f WindowFrame
+		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Index <= last || len(f.Counters) != width {
+			t.Fatalf("line %d: window %d after %d, %d counters", delivered, f.Index, last, len(f.Counters))
+		}
+		delivered, last = delivered+1, f.Index
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream did not end cleanly: %v", err)
+	}
+	if last != windows-1 {
+		t.Fatalf("stream ended at window %d, want %d", last, windows-1)
+	}
+	dropped := mx.Snapshot().Counters["obs_stream_dropped_frames_total"]
+	t.Logf("delivered %d of %d windows, dropped %d", delivered, windows, dropped)
+	if dropped == 0 || dropped != int64(windows-delivered) {
+		t.Fatalf("dropped %d, flushed %d, delivered %d", dropped, windows, delivered)
+	}
+	var prom bytes.Buffer
+	if err := WritePrometheus(&prom, mx.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	text := prom.String()
+	if _, err := LintExposition(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "# TYPE obs_stream_dropped_frames_total counter\n") {
+		t.Fatalf("drop counter missing from the exposition:\n%s", text)
 	}
 }

@@ -6,17 +6,19 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
 
 // TimeSeries aggregates counters, gauges and log-linear latency
 // histograms into fixed windows of the simulated clock and flushes each
-// completed window as one immutable WindowFrame on an ordered,
-// deterministic stream. Recording is cheap — each name resolves once to
-// a dense slot index, and recordings are index writes into the open
-// window's slot arrays; the flushed frames are what consumers — the
-// NDJSON stream, subscribers, the re-planning daemon — read.
+// completed window, in window order, onto a deterministic stream.
+// Recording is cheap — each name resolves once to a dense slot index,
+// and recordings are index writes into the open window's slot arrays;
+// the flushed windows are what consumers — the NDJSON stream,
+// subscribers, the re-planning daemon — read.
 //
 // Windows are half-open intervals [i·W, (i+1)·W) of simulated time.
 // Advance(now) flushes, in ascending window order, every window whose
@@ -26,9 +28,10 @@ import (
 // flush point are clamped into the oldest open window defensively, so
 // nothing is ever silently dropped). Close flushes whatever remains.
 //
-// Flushed window aggregations and their histograms are recycled through
-// free lists, so a long streaming run allocates per flushed frame, not
-// per recording.
+// A flushed window is one pointer-free record in an append-only log
+// (see windowLog); WindowFrame is built from it on read. Open window
+// aggregations and their histograms are recycled through free lists, so
+// a long streaming run allocates per log chunk, not per window.
 //
 // All methods are nil-safe — a nil *TimeSeries is a valid no-op sink —
 // and safe for concurrent use. Only non-empty windows are emitted;
@@ -40,25 +43,47 @@ type TimeSeries struct {
 	pending   []openWindow // the open windows, ascending by index
 	curIdx    int64        // window index of curAgg, valid iff curAgg != nil
 	curAgg    *windowAgg   // cache of the most recently touched open window
-	frames    []*WindowFrame
+	log       windowLog
 	retain    int
 	subs      []seriesSub
 	subID     int
 	closed    bool
 	done      chan struct{}
 
-	// Slot registries: name → dense index, shared by every window.
-	counterIdx map[string]int32
-	counterNms []string
-	totalIdx   map[string]int32
-	totalNms   []string
-	gaugeIdx   map[string]int32
-	gaugeNms   []string
-	histIdx    map[string]int32
-	histNms    []string
+	reg [nKinds]slotReg // name → dense slot, per kind, shared by every window
 
 	aggFree  []*windowAgg // recycled window aggregations
 	histFree []*logHist   // recycled per-window histograms
+	scratch  logHist      // decodes records into subscriber frames
+}
+
+// The metric kinds, indexing the series' slot registries.
+const (
+	kCounter = iota
+	kTotal
+	kGauge
+	kHist
+	nKinds
+)
+
+// slotReg is one kind's slot registry. keys[slot] is json.Marshal of
+// names[slot], cached at intern time so the NDJSON encoder escapes
+// exactly as encoding/json does. Both slices are append-only, so a
+// reader may keep a copy of their headers outside the lock.
+type slotReg struct {
+	idx   map[string]int32
+	names []string
+	keys  []string
+}
+
+func (r *slotReg) intern(name string) int32 {
+	i, fresh := internSlot(&r.idx, name, len(r.names))
+	if fresh {
+		key, _ := json.Marshal(name) // a string always marshals
+		r.names = append(r.names, name)
+		r.keys = append(r.keys, string(key))
+	}
+	return i
 }
 
 // openWindow is one entry of the pending list.
@@ -68,17 +93,15 @@ type openWindow struct {
 }
 
 // windowAgg is one still-open window's mutable aggregation state:
-// per-kind slot arrays parallel to the series' name registries. The
-// set flags distinguish "never recorded this window" from a recorded
-// zero, so frames contain exactly the names that were written.
+// per-kind slot arrays parallel to the series' name registries. A
+// scalar cell holds a counter as int64 bits and a total or gauge as
+// float64 bits — the form a record stores. The set flags distinguish
+// "never recorded this window" from a recorded zero, so frames contain
+// exactly the names that were written.
 type windowAgg struct {
-	counters    []int64
-	countersSet []bool
-	totals      []float64
-	totalsSet   []bool
-	gauges      []float64
-	gaugesSet   []bool
-	hists       []*logHist // nil until first observation this window
+	vals  [kHist][]uint64
+	set   [kHist][]bool
+	hists []*logHist // nil until first observation this window
 }
 
 // WindowFrame is one flushed window of the metrics stream. Maps marshal
@@ -142,14 +165,15 @@ func (ts *TimeSeries) Window() time.Duration {
 
 // SetRetention caps the retained flushed frames to the most recent n,
 // ring-buffer style (0 = keep everything). Subscribers still see every
-// frame; only Frames/WriteNDJSON are bounded.
+// frame; Frames, WriteNDJSON and the follow stream's backlog are
+// bounded.
 func (ts *TimeSeries) SetRetention(n int) {
 	if ts == nil {
 		return
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.compactLocked() // the old cap's slack must not resurface under a looser one
+	ts.compactLocked(0) // the old cap's slack must not resurface under a looser one
 	ts.retain = n
 }
 
@@ -181,34 +205,6 @@ func (ts *TimeSeries) Subscribe(fn func(*WindowFrame)) (cancel func()) {
 	}
 }
 
-// --- slot registries ---
-
-// internName is internSlot for a series registry, whose per-slot
-// storage is just the name.
-func internName(idx *map[string]int32, names *[]string, name string) int32 {
-	i, fresh := internSlot(idx, name, len(*names))
-	if fresh {
-		*names = append(*names, name)
-	}
-	return i
-}
-
-func (ts *TimeSeries) counterSlotLocked(name string) int32 {
-	return internName(&ts.counterIdx, &ts.counterNms, name)
-}
-
-func (ts *TimeSeries) totalSlotLocked(name string) int32 {
-	return internName(&ts.totalIdx, &ts.totalNms, name)
-}
-
-func (ts *TimeSeries) gaugeSlotLocked(name string) int32 {
-	return internName(&ts.gaugeIdx, &ts.gaugeNms, name)
-}
-
-func (ts *TimeSeries) histSlotLocked(name string) int32 {
-	return internName(&ts.histIdx, &ts.histNms, name)
-}
-
 // grow extends a slot array (and its set flags) to cover slot.
 func growSlots[T any](vals []T, n int) []T {
 	if n <= cap(vals) {
@@ -226,32 +222,10 @@ func (ts *TimeSeries) Inc(at time.Duration, name string, delta int64) {
 	ts.CounterHandle(name).Inc(at, delta)
 }
 
-func (ts *TimeSeries) incLocked(at time.Duration, slot int32, delta int64) {
-	w := ts.aggLocked(at)
-	if int(slot) >= len(w.counters) {
-		n := len(ts.counterNms)
-		w.counters = growSlots(w.counters, n)
-		w.countersSet = growSlots(w.countersSet, n)
-	}
-	w.counters[slot] += delta
-	w.countersSet[slot] = true
-}
-
 // Add accumulates v into the named float total in the window
 // containing at.
 func (ts *TimeSeries) Add(at time.Duration, name string, v float64) {
 	ts.TotalHandle(name).Add(at, v)
-}
-
-func (ts *TimeSeries) addLocked(at time.Duration, slot int32, v float64) {
-	w := ts.aggLocked(at)
-	if int(slot) >= len(w.totals) {
-		n := len(ts.totalNms)
-		w.totals = growSlots(w.totals, n)
-		w.totalsSet = growSlots(w.totalsSet, n)
-	}
-	w.totals[slot] += v
-	w.totalsSet[slot] = true
 }
 
 // Gauge sets the named gauge in the window containing at; the last
@@ -260,15 +234,16 @@ func (ts *TimeSeries) Gauge(at time.Duration, name string, v float64) {
 	ts.GaugeHandle(name).Set(at, v)
 }
 
-func (ts *TimeSeries) gaugeLocked(at time.Duration, slot int32, v float64) {
+// cellLocked returns the kind-k scalar slot's cell in the window
+// containing at, marked written.
+func (ts *TimeSeries) cellLocked(k int, at time.Duration, slot int32) *uint64 {
 	w := ts.aggLocked(at)
-	if int(slot) >= len(w.gauges) {
-		n := len(ts.gaugeNms)
-		w.gauges = growSlots(w.gauges, n)
-		w.gaugesSet = growSlots(w.gaugesSet, n)
+	if int(slot) >= len(w.vals[k]) {
+		n := len(ts.reg[k].names)
+		w.vals[k], w.set[k] = growSlots(w.vals[k], n), growSlots(w.set[k], n)
 	}
-	w.gauges[slot] = v
-	w.gaugesSet[slot] = true
+	w.set[k][slot] = true
+	return &w.vals[k][slot]
 }
 
 // Observe records v into the named log-linear histogram in the window
@@ -280,7 +255,7 @@ func (ts *TimeSeries) Observe(at time.Duration, name string, v float64) {
 func (ts *TimeSeries) observeLocked(at time.Duration, slot int32, v float64) {
 	w := ts.aggLocked(at)
 	if int(slot) >= len(w.hists) {
-		w.hists = growSlots(w.hists, len(ts.histNms))
+		w.hists = growSlots(w.hists, len(ts.reg[kHist].names))
 	}
 	h := w.hists[slot]
 	if h == nil {
@@ -306,6 +281,13 @@ func (ts *TimeSeries) newLogHistLocked() *logHist {
 // (almost always the cached open window) and an index write. Handles
 // from a nil series are valid no-ops.
 
+// slot resolves name in kind k's registry.
+func (ts *TimeSeries) slot(k int, name string) int32 {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.reg[k].intern(name)
+}
+
 // SeriesCounterHandle is a pre-resolved windowed counter.
 type SeriesCounterHandle struct {
 	ts   *TimeSeries
@@ -317,10 +299,7 @@ func (ts *TimeSeries) CounterHandle(name string) SeriesCounterHandle {
 	if ts == nil {
 		return SeriesCounterHandle{}
 	}
-	ts.mu.Lock()
-	slot := ts.counterSlotLocked(name)
-	ts.mu.Unlock()
-	return SeriesCounterHandle{ts: ts, slot: slot}
+	return SeriesCounterHandle{ts: ts, slot: ts.slot(kCounter, name)}
 }
 
 // Inc adds delta to the counter in the window containing at.
@@ -341,10 +320,7 @@ func (ts *TimeSeries) TotalHandle(name string) SeriesTotalHandle {
 	if ts == nil {
 		return SeriesTotalHandle{}
 	}
-	ts.mu.Lock()
-	slot := ts.totalSlotLocked(name)
-	ts.mu.Unlock()
-	return SeriesTotalHandle{ts: ts, slot: slot}
+	return SeriesTotalHandle{ts: ts, slot: ts.slot(kTotal, name)}
 }
 
 // Add accumulates v into the total in the window containing at.
@@ -365,10 +341,7 @@ func (ts *TimeSeries) GaugeHandle(name string) SeriesGaugeHandle {
 	if ts == nil {
 		return SeriesGaugeHandle{}
 	}
-	ts.mu.Lock()
-	slot := ts.gaugeSlotLocked(name)
-	ts.mu.Unlock()
-	return SeriesGaugeHandle{ts: ts, slot: slot}
+	return SeriesGaugeHandle{ts: ts, slot: ts.slot(kGauge, name)}
 }
 
 // Set sets the gauge in the window containing at; the last write into
@@ -390,10 +363,7 @@ func (ts *TimeSeries) HistHandle(name string) SeriesHistHandle {
 	if ts == nil {
 		return SeriesHistHandle{}
 	}
-	ts.mu.Lock()
-	slot := ts.histSlotLocked(name)
-	ts.mu.Unlock()
-	return SeriesHistHandle{ts: ts, slot: slot}
+	return SeriesHistHandle{ts: ts, slot: ts.slot(kHist, name)}
 }
 
 // Observe records v into the histogram in the window containing at.
@@ -430,7 +400,7 @@ func (w SeriesWriter) Inc(h SeriesCounterHandle, at time.Duration, delta int64) 
 	if h.ts != w.ts {
 		h.Inc(at, delta)
 	} else if h.ts != nil {
-		h.ts.incLocked(at, h.slot, delta)
+		*h.ts.cellLocked(kCounter, at, h.slot) += uint64(delta)
 	}
 }
 
@@ -439,7 +409,8 @@ func (w SeriesWriter) Add(h SeriesTotalHandle, at time.Duration, v float64) {
 	if h.ts != w.ts {
 		h.Add(at, v)
 	} else if h.ts != nil {
-		h.ts.addLocked(at, h.slot, v)
+		c := h.ts.cellLocked(kTotal, at, h.slot)
+		*c = math.Float64bits(math.Float64frombits(*c) + v)
 	}
 }
 
@@ -448,7 +419,7 @@ func (w SeriesWriter) Set(h SeriesGaugeHandle, at time.Duration, v float64) {
 	if h.ts != w.ts {
 		h.Set(at, v)
 	} else if h.ts != nil {
-		h.ts.gaugeLocked(at, h.slot, v)
+		*h.ts.cellLocked(kGauge, at, h.slot) = math.Float64bits(v)
 	}
 }
 
@@ -551,143 +522,416 @@ func (ts *TimeSeries) flushLocked(target int64) {
 	n := 0
 	for ; n < len(ts.pending) && ts.pending[n].idx < target; n++ {
 		w := ts.pending[n]
-		frame := ts.frameLocked(w.agg, w.idx)
+		ts.appendLocked(w.agg, w.idx)
 		ts.recycleAggLocked(w.agg)
-		ts.frames = append(ts.frames, frame)
-		for _, s := range ts.subs {
-			s.fn(frame)
-		}
+		ts.publishLocked()
 	}
 	ts.pending = append(ts.pending[:0], ts.pending[n:]...)
 	ts.curAgg = nil
-	ts.evictLocked()
+	ts.compactLocked(2 * ts.retain)
 	ts.flushedTo = target
 }
 
+// publishLocked hands the record just appended to the subscribers as
+// one frame, built only if there are any.
+func (ts *TimeSeries) publishLocked() {
+	if len(ts.subs) == 0 {
+		return
+	}
+	v, _ := ts.viewLocked(ts.log.evicted + int64(len(ts.log.recs)) - 1)
+	f := new(WindowFrame)
+	v.frame(0, &ts.scratch, f)
+	for _, s := range ts.subs {
+		s.fn(f)
+	}
+}
+
 // recycleAggLocked resets a flushed window's aggregation for reuse.
-// Histograms were already returned to the free list by frameLocked.
+// Histograms were already returned to the free list by appendLocked.
 func (ts *TimeSeries) recycleAggLocked(w *windowAgg) {
-	clear(w.counters)
-	clear(w.countersSet)
-	clear(w.totals)
-	clear(w.totalsSet)
-	clear(w.gauges)
-	clear(w.gaugesSet)
+	for k := range w.vals {
+		clear(w.vals[k])
+		clear(w.set[k])
+	}
 	clear(w.hists)
 	ts.aggFree = append(ts.aggFree, w)
 }
 
-// evictLocked drops frames beyond the retention cap, compacting in place
-// only once the slice holds twice the cap — so a long run moves each
-// retained pointer O(1) times amortised instead of copying the whole
-// retained set per flush. retainedLocked hides the slack.
-func (ts *TimeSeries) evictLocked() {
-	if ts.retain > 0 && len(ts.frames) > 2*ts.retain {
-		ts.compactLocked()
+// --- the flushed-window log ---
+//
+// A flushed window is one record: its index and the position of its
+// words in chunked []uint64 arenas, neither holding a pointer for the
+// collector to mark. Records are immutable once appended; a reader
+// copies the record range and chunk list under the lock and decodes
+// without it (DESIGN §15 "Flushed windows as a packed log"). Words:
+//
+//	n[counter] | n[total]<<32, n[gauge] | n[hist]<<32, Σ cells
+//	(slot, value bits) per written counter, then total, then gauge, ascending slot
+//	(slot | cells<<32, count, sum, min, max, cells × (bucket index, n)) per histogram
+//
+// Chunks double from minChunkWords to maxChunkWords; a record larger
+// than that gets a chunk of its own size.
+const (
+	minChunkWords = 1 << 8
+	maxChunkWords = 1 << 15
+)
+
+// winRec locates one flushed window's record.
+type winRec struct {
+	idx   int64  // window index
+	chunk uint32 // absolute chunk number (see windowLog.chunk0)
+	off   uint32 // word offset in the chunk
+}
+
+type windowLog struct {
+	recs    []winRec
+	chunks  [][]uint64
+	chunk0  int   // absolute number of chunks[0]
+	fill    int   // words used in the last chunk
+	evicted int64 // records dropped so far: the sequence number of recs[0]
+}
+
+// alloc appends a record of n words for window idx and returns them.
+func (l *windowLog) alloc(idx int64, n int) []uint64 {
+	last := len(l.chunks) - 1
+	if last < 0 || l.fill+n > len(l.chunks[last]) {
+		size := minChunkWords
+		if last >= 0 {
+			size = min(2*len(l.chunks[last]), maxChunkWords)
+		}
+		l.chunks = append(l.chunks, make([]uint64, max(size, n)))
+		last, l.fill = last+1, 0
+	}
+	l.recs = append(l.recs, winRec{idx: idx, chunk: uint32(l.chunk0 + last), off: uint32(l.fill)})
+	l.fill += n
+	return l.chunks[last][l.fill-n : l.fill]
+}
+
+// drop evicts the oldest n records and the chunks only they used.
+func (l *windowLog) drop(n int) {
+	l.evicted += int64(n)
+	l.recs = l.recs[:copy(l.recs, l.recs[n:])]
+	keep := len(l.chunks) - 1 // the chunk being filled always stays
+	if len(l.recs) > 0 {
+		keep = int(l.recs[0].chunk) - l.chunk0
+	}
+	if keep > 0 {
+		m := copy(l.chunks, l.chunks[keep:])
+		clear(l.chunks[m:])
+		l.chunks, l.chunk0 = l.chunks[:m], l.chunk0+keep
 	}
 }
 
-func (ts *TimeSeries) compactLocked() {
-	n := copy(ts.frames, ts.retainedLocked())
-	clear(ts.frames[n:])
-	ts.frames = ts.frames[:n]
-}
-
-// retainedLocked is the newest retain frames (all of them when
-// retention is off), in window order.
-func (ts *TimeSeries) retainedLocked() []*WindowFrame {
-	if ts.retain > 0 && len(ts.frames) > ts.retain {
-		return ts.frames[len(ts.frames)-ts.retain:]
+// appendLocked packs window idx's aggregation into a log record,
+// returning its histograms to the free list.
+func (ts *TimeSeries) appendLocked(w *windowAgg, idx int64) {
+	var n [nKinds]int
+	cells := 0
+	for k := range w.set {
+		for _, s := range w.set[k] {
+			if s {
+				n[k]++
+			}
+		}
 	}
-	return ts.frames
-}
-
-// frameLocked freezes a window's aggregation into an immutable
-// WindowFrame, returning its histograms to the free list. Each map is
-// made at its final size, and the frame's histograms and their buckets
-// share one allocation each.
-func (ts *TimeSeries) frameLocked(w *windowAgg, idx int64) *WindowFrame {
-	f := &WindowFrame{
-		Index: idx,
-		Start: (time.Duration(idx) * ts.window).Seconds(),
-		End:   (time.Duration(idx+1) * ts.window).Seconds(),
-	}
-	f.Counters = frameScalars(ts.counterNms, w.counters, w.countersSet)
-	f.Totals = frameScalars(ts.totalNms, w.totals, w.totalsSet)
-	f.Gauges = frameScalars(ts.gaugeNms, w.gauges, w.gaugesSet)
-	nh, nb := 0, 0
 	for _, h := range w.hists {
 		if h != nil {
-			nh++
-			nb += len(h.cells)
+			n[kHist]++
+			cells += len(h.cells)
 		}
 	}
-	if nh == 0 {
-		return f
+	rec := ts.log.alloc(idx, 3+2*(n[kCounter]+n[kTotal]+n[kGauge])+5*n[kHist]+2*cells)
+	rec[0], rec[1], rec[2] = uint64(n[kCounter])|uint64(n[kTotal])<<32, uint64(n[kGauge])|uint64(n[kHist])<<32, uint64(cells)
+	p := 3
+	for k := range w.set {
+		for slot, s := range w.set[k] {
+			if s {
+				rec[p], rec[p+1] = uint64(slot), w.vals[k][slot]
+				p += 2
+			}
+		}
 	}
-	f.Hists = make(map[string]*HistFrame, nh)
-	frames, buckets := make([]HistFrame, nh), make([]HistBucket, nb)
 	for slot, h := range w.hists {
-		if h == nil {
-			continue
+		if h != nil {
+			p = h.pack(rec, p, slot)
+			h.reset()
+			ts.histFree = append(ts.histFree, h)
 		}
-		n := len(h.cells)
-		h.frame(&frames[0], buckets[:n:n])
-		f.Hists[ts.histNms[slot]] = &frames[0]
-		frames, buckets = frames[1:], buckets[n:]
-		h.reset()
-		ts.histFree = append(ts.histFree, h)
 	}
-	return f
 }
 
-// frameScalars copies the slots written this window into a map of
-// exactly that size (nil when none was written).
-func frameScalars[T int64 | float64](names []string, vals []T, set []bool) map[string]T {
-	n := 0
-	for _, s := range set {
-		if s {
-			n++
-		}
+// compactLocked drops the records beyond the retention cap once the log
+// holds more than limit. A flush passes twice the cap, so a long run
+// moves each retained record O(1) times amortised instead of copying the
+// whole retained set per flush; viewLocked hides the slack.
+func (ts *TimeSeries) compactLocked(limit int) {
+	if ts.retain > 0 && len(ts.log.recs) > max(limit, ts.retain) {
+		ts.log.drop(len(ts.log.recs) - ts.retain)
 	}
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]T, n)
-	for slot, s := range set {
-		if s {
-			m[names[slot]] = vals[slot]
-		}
-	}
-	return m
 }
 
-// Frames returns the flushed frames in window order.
-func (ts *TimeSeries) Frames() []*WindowFrame {
+// logView is a range of retained records with the chunks and names
+// they need.
+type logView struct {
+	window time.Duration
+	recs   []winRec
+	chunks [][]uint64
+	chunk0 int
+	names  [nKinds][]string
+	keys   [nKinds][]string
+}
+
+// viewLocked aliases the retained records from sequence number seq on
+// (from the oldest retained one if seq precedes it) and returns the
+// sequence number of its first record.
+func (ts *TimeSeries) viewLocked(seq int64) (logView, int64) {
+	l := &ts.log
+	lo := 0
+	if ts.retain > 0 && len(l.recs) > ts.retain {
+		lo = len(l.recs) - ts.retain
+	}
+	if s := seq - l.evicted; s > int64(lo) {
+		lo = int(min(s, int64(len(l.recs))))
+	}
+	v := logView{window: ts.window, recs: l.recs[lo:], chunks: l.chunks, chunk0: l.chunk0}
+	for k := range ts.reg {
+		v.names[k], v.keys[k] = ts.reg[k].names, ts.reg[k].keys
+	}
+	return v, l.evicted + int64(lo)
+}
+
+// view is viewLocked for a reader that decodes without the lock: it
+// copies the record range and the chunk list, which eviction compacts
+// in place.
+func (ts *TimeSeries) view(seq int64) (logView, int64) {
 	if ts == nil {
-		return nil
+		return logView{}, 0
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return append([]*WindowFrame(nil), ts.retainedLocked()...)
+	v, first := ts.viewLocked(seq)
+	v.recs, v.chunks = slices.Clone(v.recs), slices.Clone(v.chunks)
+	return v, first
 }
 
-// WriteNDJSON writes the flushed frames as newline-delimited JSON, one
-// frame per line in window order. Deterministic: map keys marshal
-// sorted and every number derives from the simulated clock, so two
-// same-seed runs produce byte-identical streams.
-func (ts *TimeSeries) WriteNDJSON(w io.Writer) error {
-	for _, f := range ts.Frames() {
-		b, err := json.Marshal(f)
+// rec returns the words of record i and its per-kind entry counts.
+func (v *logView) rec(i int) ([]uint64, [nKinds]int) {
+	r := v.recs[i]
+	w := v.chunks[int(r.chunk)-v.chunk0][r.off:]
+	return w, [nKinds]int{int(uint32(w[0])), int(w[0] >> 32), int(uint32(w[1])), int(w[1] >> 32)}
+}
+
+// frame builds record i's WindowFrame into f, decoding its histograms
+// through h. Each map is made at its final size, and the frame's
+// histograms and their buckets share one allocation each.
+func (v *logView) frame(i int, h *logHist, f *WindowFrame) {
+	rec, n := v.rec(i)
+	idx := v.recs[i].idx
+	*f = WindowFrame{Index: idx, Start: (time.Duration(idx) * v.window).Seconds(), End: (time.Duration(idx+1) * v.window).Seconds()}
+	var p int
+	f.Counters, p = unpackSlots(rec, 3, n[kCounter], v.names[kCounter], func(u uint64) int64 { return int64(u) })
+	f.Totals, p = unpackSlots(rec, p, n[kTotal], v.names[kTotal], math.Float64frombits)
+	f.Gauges, p = unpackSlots(rec, p, n[kGauge], v.names[kGauge], math.Float64frombits)
+	if n[kHist] == 0 {
+		return
+	}
+	f.Hists = make(map[string]*HistFrame, n[kHist])
+	frames, buckets := make([]HistFrame, n[kHist]), make([]HistBucket, rec[2])
+	for k := range frames {
+		var slot int
+		slot, p = h.unpack(rec, p)
+		nb := len(h.cells)
+		h.frame(&frames[k], buckets[:nb:nb])
+		f.Hists[v.names[kHist][slot]] = &frames[k]
+		buckets = buckets[nb:]
+	}
+}
+
+// unpackSlots reads n (slot, value) pairs at rec[p:] into a map keyed by
+// name (nil when n is 0) and returns the position after them.
+func unpackSlots[T int64 | float64](rec []uint64, p, n int, names []string, val func(uint64) T) (map[string]T, int) {
+	if n == 0 {
+		return nil, p
+	}
+	m := make(map[string]T, n)
+	for end := p + 2*n; p < end; p += 2 {
+		m[names[rec[p]]] = val(rec[p+1])
+	}
+	return m, p
+}
+
+// frameEncoder writes records as NDJSON lines that are byte for byte
+// json.Marshal of the frame each record builds, without building it or
+// reflecting: WindowFrame's and HistFrame's field order and omitempty
+// rules, map entries in sorted name order (how json.Marshal orders map
+// keys) under their cached encoded keys, encoding/json's float format,
+// and its UnsupportedValueError on a non-finite float.
+type frameEncoder struct {
+	b    []byte
+	err  error
+	ents []int // one record's entries of a kind, in name order
+	h    logHist
+	hf   HistFrame
+	bk   []HistBucket
+}
+
+// write encodes every record of v to w, a line per Write.
+func (e *frameEncoder) write(w io.Writer, v *logView) error {
+	for i := range v.recs {
+		b, err := e.line(v, i)
 		if err != nil {
 			return err
 		}
-		b = append(b, '\n')
 		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// size is the length of every record of v encoded, as write would
+// write them.
+func (e *frameEncoder) size(v *logView) (n int, err error) {
+	for i := range v.recs {
+		b, err := e.line(v, i)
+		if err != nil {
+			return 0, err
+		}
+		n += len(b)
+	}
+	return n, nil
+}
+
+// line encodes record i of v as one newline-terminated line; the
+// returned slice is reused by the next call.
+func (e *frameEncoder) line(v *logView, i int) ([]byte, error) {
+	rec, n := v.rec(i)
+	idx := v.recs[i].idx
+	e.b, e.err = strconv.AppendInt(append(e.b[:0], `{"window":`...), idx, 10), nil
+	e.float(`,"start_s":`, (time.Duration(idx) * v.window).Seconds())
+	e.float(`,"end_s":`, (time.Duration(idx+1) * v.window).Seconds())
+	p := 3
+	for k, field := range [...]string{`,"counters":{`, `,"totals":{`, `,"gauges":{`, `,"hists":{`} {
+		if n[k] == 0 {
+			continue
+		}
+		p = e.sort(v, k, rec, p, n[k])
+		e.b = append(e.b, field...)
+		for j, q := range e.ents {
+			if j > 0 {
+				e.b = append(e.b, ',')
+			}
+			switch k {
+			case kCounter:
+				e.b = strconv.AppendInt(append(append(e.b, v.keys[k][rec[q]]...), ':'), int64(rec[q+1]), 10)
+			case kHist:
+				e.hist(v, rec, q)
+			default:
+				e.b = append(e.b, v.keys[k][rec[q]]...)
+				e.float(":", math.Float64frombits(rec[q+1]))
+			}
+		}
+		e.b = append(e.b, '}')
+	}
+	e.b = append(e.b, "}\n"...)
+	return e.b, e.err
+}
+
+// sort lists the positions of the n kind-k entries at rec[p:] in name
+// order and returns the position after them.
+func (e *frameEncoder) sort(v *logView, k int, rec []uint64, p, n int) int {
+	e.ents = e.ents[:0]
+	for ; n > 0; n-- {
+		step := 2
+		if k == kHist {
+			step = 5 + 2*int(rec[p]>>32)
+		}
+		e.ents, p = append(e.ents, p), p+step
+	}
+	names := v.names[k]
+	slices.SortFunc(e.ents, func(a, b int) int { return strings.Compare(names[uint32(rec[a])], names[uint32(rec[b])]) })
+	return p
+}
+
+// hist encodes the histogram entry at rec[q:] as its HistFrame.
+func (e *frameEncoder) hist(v *logView, rec []uint64, q int) {
+	slot, _ := e.h.unpack(rec, q)
+	e.bk = slices.Grow(e.bk[:0], len(e.h.cells))[:len(e.h.cells)]
+	e.h.frame(&e.hf, e.bk)
+	e.b = strconv.AppendInt(append(append(e.b, v.keys[kHist][slot]...), `:{"count":`...), e.hf.Count, 10)
+	for i, f := range [...]float64{e.hf.Sum, e.hf.Min, e.hf.Max, e.hf.P50, e.hf.P95, e.hf.P99} {
+		e.float([...]string{`,"sum":`, `,"min":`, `,"max":`, `,"p50":`, `,"p95":`, `,"p99":`}[i], f)
+	}
+	if len(e.hf.Buckets) > 0 {
+		e.b = append(e.b, `,"buckets":[`...)
+		for j, b := range e.hf.Buckets {
+			if j > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.float(`{"le":`, b.Le)
+			e.b = append(strconv.AppendInt(append(e.b, `,"n":`...), b.N, 10), '}')
+		}
+		e.b = append(e.b, ']')
+	}
+	e.b = append(e.b, '}')
+}
+
+// float appends prefix and f as encoding/json formats a float64: 'f',
+// or 'e' when |f| is below 1e-6 or at least 1e21, with the exponent's
+// leading zero trimmed. A non-finite f records json.Marshal's error.
+func (e *frameEncoder) float(prefix string, f float64) {
+	e.b = append(e.b, prefix...)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if e.err == nil {
+			e.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
+}
+
+// Frames returns the retained flushed frames in window order, built
+// afresh on every call.
+func (ts *TimeSeries) Frames() []*WindowFrame {
+	v, _ := ts.view(0)
+	if len(v.recs) == 0 {
+		return nil
+	}
+	out := make([]*WindowFrame, len(v.recs))
+	var h logHist
+	for i := range out {
+		out[i] = new(WindowFrame)
+		v.frame(i, &h, out[i])
+	}
+	return out
+}
+
+// WriteNDJSON writes the flushed frames as newline-delimited JSON, one
+// frame per line in window order, each line exactly json.Marshal of the
+// frame Frames would return, encoded straight from the log outside the
+// series lock. Deterministic: map keys are sorted and every number
+// derives from the simulated clock, so two same-seed runs produce
+// byte-identical streams. A writer with a Grow method (bytes.Buffer,
+// strings.Builder) is first grown by the stream's exact size, so an
+// in-memory export allocates its output once instead of doubling into
+// it.
+func (ts *TimeSeries) WriteNDJSON(w io.Writer) error {
+	v, _ := ts.view(0)
+	var e frameEncoder
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		if n, err := e.size(&v); err == nil {
+			g.Grow(n)
+		}
+	}
+	return e.write(w, &v)
 }
 
 // --- log-linear histogram ---
@@ -724,6 +968,33 @@ type histCell struct {
 // reset clears the histogram for reuse, keeping the bucket storage.
 func (h *logHist) reset() {
 	*h = logHist{cells: h.cells[:0]}
+}
+
+// pack writes the histogram as slot's log record entry at rec[p:] and
+// returns the position after it.
+func (h *logHist) pack(rec []uint64, p, slot int) int {
+	rec[p] = uint64(slot) | uint64(len(h.cells))<<32
+	rec[p+1], rec[p+2] = uint64(h.count), math.Float64bits(h.sum)
+	rec[p+3], rec[p+4] = math.Float64bits(h.min), math.Float64bits(h.max)
+	p += 5
+	for _, c := range h.cells {
+		rec[p], rec[p+1] = uint64(c.idx), uint64(c.n)
+		p += 2
+	}
+	return p
+}
+
+// unpack loads the log record entry at rec[p:] into h and returns its
+// slot and the position after it.
+func (h *logHist) unpack(rec []uint64, p int) (slot, next int) {
+	cells := rec[p+5 : p+5+2*int(rec[p]>>32)]
+	h.count, h.sum = int64(rec[p+1]), math.Float64frombits(rec[p+2])
+	h.min, h.max = math.Float64frombits(rec[p+3]), math.Float64frombits(rec[p+4])
+	h.cells = h.cells[:0]
+	for ; len(cells) > 0; cells = cells[2:] {
+		h.cells = append(h.cells, histCell{idx: int(int64(cells[0])), n: int64(cells[1])})
+	}
+	return int(uint32(rec[p])), p + 5 + 2*len(h.cells)
 }
 
 func (h *logHist) observe(v float64) {

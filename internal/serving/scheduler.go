@@ -533,7 +533,12 @@ func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, err err
 		default:
 			outcome, failed = OutcomeFailed, s.h.failures
 		}
-		errText = err.Error()
+		if s.out.retain {
+			// Only a retained JobResult shows the text; a folded one is
+			// never read, and formatting a deadline error costs two
+			// Sprintfs.
+			errText = err.Error()
+		}
 		// The failed job still consumed simulated time before giving up.
 		done = u.start + jrep.Elapsed
 	} else {
