@@ -36,8 +36,8 @@ staticcheck:
 # Hot-path equivalence: each fast path against the reference it
 # replaced or the path it shares code with — telemetry write sections
 # vs single writes, the window log's NDJSON encoder vs json.Marshal of
-# the frames it materialises (rendered unlocked while a writer flushes
-# and evicts), the slot meter vs the map meter, the busy-until
+# the frames it materialises (rendered unlocked while a writer
+# flushes), the slot meter vs the map meter, the busy-until
 # mirror vs the pointer scan, a pooled job vs a traced one — three
 # times under the race detector. For the planner's certified envelope
 # prefixes: their independence of query order and worker count the same

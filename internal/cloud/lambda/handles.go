@@ -91,7 +91,7 @@ func (pl *Platform) phaseHist(seen *platformHandles, name string) obs.HistHandle
 	cur := pl.h.Load()
 	ph, ok := cur.phaseMx[name]
 	if !ok {
-		ph = pl.mx.HistHandle(fmt.Sprintf("lambda_phase_seconds{phase=%q}", name), obs.DurationBounds)
+		ph = pl.mx.HistHandle(fmt.Sprintf("lambda_phase_seconds{phase=%q}", name))
 		next := *cur
 		next.phaseMx = withEntry(cur.phaseMx, name, ph)
 		pl.h.Store(&next)

@@ -80,12 +80,13 @@ func (e *Engine) Run(m Machine, input []byte) (*Execution, error) {
 	span := &obs.Span{Name: "stepfn:" + m.Name, Kind: obs.KindJob, Track: "stepfn"}
 
 	exec := &Execution{}
+	transitions := e.Metrics.CounterHandle("stepfn_transitions_total")
 	payload := input
 	var cursor time.Duration
 	// The start transition plus one per state (AWS bills transitions
 	// into each state).
 	for _, st := range m.States {
-		cursor = e.transition(exec, span, cursor)
+		cursor = e.transition(exec, span, cursor, transitions)
 
 		bkt := tr.NewBucket()
 		prev := tr.SetSink(bkt)
@@ -117,7 +118,7 @@ func (e *Engine) Run(m Machine, input []byte) (*Execution, error) {
 		payload = res.Response
 	}
 	// Final transition to the terminal state.
-	cursor = e.transition(exec, span, cursor)
+	cursor = e.transition(exec, span, cursor, transitions)
 
 	span.Duration = cursor
 	exec.Output = payload
@@ -126,8 +127,9 @@ func (e *Engine) Run(m Machine, input []byte) (*Execution, error) {
 	return exec, nil
 }
 
-// transition accounts one billed state transition and its span.
-func (e *Engine) transition(exec *Execution, span *obs.Span, cursor time.Duration) time.Duration {
+// transition accounts one billed state transition, its span and its
+// count.
+func (e *Engine) transition(exec *Execution, span *obs.Span, cursor time.Duration, count obs.CounterHandle) time.Duration {
 	exec.Transitions++
 	exec.TransitionTime += e.TransitionDelay
 	exec.Duration += e.TransitionDelay
@@ -136,7 +138,7 @@ func (e *Engine) transition(exec *Execution, span *obs.Span, cursor time.Duratio
 	e.meter.Add("stepfn:transitions", pricing.StepFnTransition)
 	e.Tracer.SetSink(prev)
 	exec.Cost += pricing.StepFnTransition
-	e.Metrics.Inc("stepfn_transitions_total", 1)
+	count.Inc(1)
 	ts := span.AddChild(&obs.Span{
 		Name: "transition", Kind: obs.KindTransition, Track: "stepfn",
 		Start: cursor, Duration: e.TransitionDelay,

@@ -131,7 +131,7 @@ func (d *Deployment) resolveJobHandles() {
 		jobsEager:     mx.CounterHandle(`coordinator_jobs_total{mode="eager"}`),
 		jobsPipe:      mx.CounterHandle(`coordinator_jobs_total{mode="pipelined"}`),
 		jobsFailed:    mx.CounterHandle("coordinator_jobs_failed_total"),
-		completion:    mx.HistHandle("coordinator_job_completion_seconds", obs.DurationBounds),
+		completion:    mx.HistHandle("coordinator_job_completion_seconds"),
 		cost:          mx.TotalHandle("coordinator_job_cost_usd_total"),
 		retries:       mx.CounterHandle("coordinator_retries_total"),
 		faults:        mx.CounterHandle("coordinator_faults_absorbed_total"),

@@ -320,10 +320,10 @@ func (s *Service) Serve(inputs []*tensor.Tensor, arrivals []time.Duration, cfg s
 	if cfg.Series == nil {
 		cfg.Series = s.framework.series
 	}
-	if ts := cfg.Series; ts != nil && s.BatchPlan != nil {
+	if s.BatchPlan != nil {
 		// The optimizer's co-planned batch size, for comparison against
 		// the batch sizes the admission window actually chooses.
-		ts.Gauge(0, "serving_batch_coplanned", float64(s.BatchPlan.Chosen))
+		cfg.Series.GaugeHandle("serving_batch_coplanned").Set(0, float64(s.BatchPlan.Chosen))
 	}
 	if cfg.Pipeline == (serving.PipelinePolicy{}) {
 		cfg.Pipeline = s.pipeline

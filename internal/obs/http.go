@@ -77,19 +77,14 @@ func (st *ServeState) handleStream(w http.ResponseWriter, r *http.Request) {
 	st.followStream(w, r, ts)
 }
 
-// followStream serves /metrics/stream?follow=1: the retained windows
+// followStream serves /metrics/stream?follow=1: the flushed windows
 // first, then each window as it is flushed, until the series is closed
 // (the run is over and its final partial window has been delivered) or
 // the client goes away. It queues nothing: a flush only wakes it, and it
-// encodes from the series' log every window past the last one it wrote,
-// so a slow client holds no frames and misses none the log still has.
-// Windows that retention evicts before a stalled client reads them are
-// lost to it and counted in obs_stream_dropped_frames_total.
+// encodes from the series' log every window past the last one it wrote.
+// The log keeps every window, so a slow client holds no frames and
+// misses none.
 func (st *ServeState) followStream(w http.ResponseWriter, r *http.Request, ts *TimeSeries) {
-	st.mu.Lock()
-	dropped := st.metrics.CounterHandle("obs_stream_dropped_frames_total")
-	st.mu.Unlock()
-	dropped.Inc(0) // exposed, at zero, once anyone follows
 	wake := make(chan struct{}, 1)
 	defer ts.Subscribe(func(*WindowFrame) {
 		select {
@@ -99,16 +94,13 @@ func (st *ServeState) followStream(w http.ResponseWriter, r *http.Request, ts *T
 	})()
 
 	var e frameEncoder
-	next := int64(-1) // sequence number of the next window to write; -1 before the backlog
+	next := 0 // the next window to write
 	send := func() bool {
-		v, first := ts.view(max(next, 0))
-		if next >= 0 && first > next {
-			dropped.Inc(first - next)
-		}
+		v := ts.view(next)
 		if e.write(w, &v) != nil {
 			return false
 		}
-		next = first + int64(len(v.recs))
+		next += len(v.recs)
 		flush(w)
 		return true
 	}

@@ -3,13 +3,14 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Subscribe's cancel func must remove exactly its own subscription and
@@ -24,7 +25,7 @@ func TestSubscribeCancel(t *testing.T) {
 	ts.Subscribe(sub("b"))
 	ts.Subscribe(sub("c"))
 
-	ts.Inc(100*time.Millisecond, "x", 1)
+	ts.CounterHandle("x").Inc(100*time.Millisecond, 1)
 	ts.Flush()
 	if got := strings.Join(order, ""); got != "abc" {
 		t.Fatalf("delivery order %q, want abc", got)
@@ -32,7 +33,7 @@ func TestSubscribeCancel(t *testing.T) {
 	order = nil
 	cancelA()
 	cancelA() // idempotent
-	ts.Inc(1200*time.Millisecond, "x", 1)
+	ts.CounterHandle("x").Inc(1200*time.Millisecond, 1)
 	ts.Flush()
 	if got := strings.Join(order, ""); got != "bc" {
 		t.Fatalf("delivery after cancel %q, want bc", got)
@@ -74,8 +75,8 @@ func TestStreamFollowDrainsOnClose(t *testing.T) {
 	srv := httptest.NewServer(st.Handler())
 	defer srv.Close()
 
-	ts.Inc(500*time.Millisecond, "jobs", 1) // window 0
-	ts.Advance(2 * time.Second)             // flushed before the request
+	ts.CounterHandle("jobs").Inc(500*time.Millisecond, 1) // window 0
+	ts.Advance(2 * time.Second)                           // flushed before the request
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics/stream?follow=1")
 	if err != nil {
@@ -90,7 +91,7 @@ func TestStreamFollowDrainsOnClose(t *testing.T) {
 		t.Fatalf("first line is not window 0: %s", sc.Text())
 	}
 
-	ts.Inc(2500*time.Millisecond, "jobs", 2) // window 2
+	ts.CounterHandle("jobs").Inc(2500*time.Millisecond, 2) // window 2
 	ts.Advance(3 * time.Second)
 	if !sc.Scan() {
 		t.Fatalf("live window never arrived: %v", sc.Err())
@@ -99,7 +100,7 @@ func TestStreamFollowDrainsOnClose(t *testing.T) {
 		t.Fatalf("live line is not window 2: %s", sc.Text())
 	}
 
-	ts.Inc(3100*time.Millisecond, "jobs", 3) // partial window 3
+	ts.CounterHandle("jobs").Inc(3100*time.Millisecond, 3) // partial window 3
 	ts.Close()
 	if !sc.Scan() {
 		t.Fatalf("tail window dropped at close: %v", sc.Err())
@@ -117,17 +118,15 @@ func TestStreamFollowDrainsOnClose(t *testing.T) {
 }
 
 // A client that stalls on /metrics/stream?follow=1 costs the server no
-// queue: the follower encodes from the series' log, so what it can hold
-// is bounded by the retention cap, and every window retention evicts
-// before the client reads it is counted — drops = flushed − delivered —
-// in obs_stream_dropped_frames_total, which lints clean. The response
-// still ends at Close.
+// queue and misses no window: the follower encodes from the series'
+// log, which keeps every window, so the stalled client still receives
+// the whole stream, byte-equal to WriteNDJSON, and the response ends at
+// Close. Meanwhile the heap grows by the log's packed records and not
+// by the frames or lines a queue would hold.
 func TestStreamFollowStalledClient(t *testing.T) {
-	const windows, retain, width = 5000, 64, 48
-	mx := NewMetrics()
+	const windows, width = 5000, 48
 	ts := NewTimeSeries(time.Second)
-	ts.SetRetention(retain)
-	srv := httptest.NewServer(NewServeState(mx, ts).Handler())
+	srv := httptest.NewServer(NewServeState(nil, ts).Handler())
 	defer srv.Close()
 	// The response starts once the (empty) backlog is written, so every
 	// window below is flushed after the follower subscribed.
@@ -155,45 +154,26 @@ func TestStreamFollowStalledClient(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
-	// ~10 MB of stream went by; a queue of frames would hold most of it.
-	if grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); grew > 4<<20 {
-		t.Fatalf("heap grew %d B while the client stalled", grew)
-	}
 	ts.Close()
 
-	delivered, last := 0, int64(-1)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		var f WindowFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			t.Fatal(err)
-		}
-		if f.Index <= last || len(f.Counters) != width {
-			t.Fatalf("line %d: window %d after %d, %d counters", delivered, f.Index, last, len(f.Counters))
-		}
-		delivered, last = delivered+1, f.Index
-	}
-	if err := sc.Err(); err != nil {
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatalf("stream did not end cleanly: %v", err)
 	}
-	if last != windows-1 {
-		t.Fatalf("stream ended at window %d, want %d", last, windows-1)
-	}
-	dropped := mx.Snapshot().Counters["obs_stream_dropped_frames_total"]
-	t.Logf("delivered %d of %d windows, dropped %d", delivered, windows, dropped)
-	if dropped == 0 || dropped != int64(windows-delivered) {
-		t.Fatalf("dropped %d, flushed %d, delivered %d", dropped, windows, delivered)
-	}
-	var prom bytes.Buffer
-	if err := WritePrometheus(&prom, mx.Snapshot()); err != nil {
+	var want bytes.Buffer
+	if err := ts.WriteNDJSON(&want); err != nil {
 		t.Fatal(err)
 	}
-	text := prom.String()
-	if _, err := LintExposition(&prom); err != nil {
-		t.Fatal(err)
+	if n := bytes.Count(got, []byte("\n")); !bytes.Equal(got, want.Bytes()) || n != windows {
+		t.Fatalf("stalled follower got %d lines (%d B), want all %d windows (%d B) byte-equal to WriteNDJSON", n, len(got), windows, want.Len())
 	}
-	if !strings.Contains(text, "# TYPE obs_stream_dropped_frames_total counter\n") {
-		t.Fatalf("drop counter missing from the exposition:\n%s", text)
+	logBytes := int64(cap(ts.log.recs)) * int64(unsafe.Sizeof(winRec{}))
+	for _, c := range ts.log.chunks {
+		logBytes += int64(len(c)) * 8
+	}
+	grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	t.Logf("heap grew %d B, the log is %d B, %d B streamed", grew, logBytes, len(got))
+	if grew > logBytes+1<<20 {
+		t.Fatalf("heap grew %d B while the client stalled, the log is %d B", grew, logBytes)
 	}
 }

@@ -112,13 +112,13 @@ func TestLogHistMatchesMapReference(t *testing.T) {
 func TestTimeSeriesOutOfOrderWindows(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
 	for _, w := range []int{5, 2, 9, 2, 7, 0, 5} {
-		ts.Inc(time.Duration(w)*time.Second, "n", 1)
-		ts.Observe(time.Duration(w)*time.Second, "lat", float64(w))
+		ts.CounterHandle("n").Inc(time.Duration(w)*time.Second, 1)
+		ts.HistHandle("lat").Observe(time.Duration(w)*time.Second, float64(w))
 	}
 	var seen []int64
 	ts.Subscribe(func(f *WindowFrame) { seen = append(seen, f.Index) })
 	ts.Advance(6 * time.Second)
-	ts.Inc(3*time.Second, "n", 1) // below the flush point: clamped into window 6
+	ts.CounterHandle("n").Inc(3*time.Second, 1) // below the flush point: clamped into window 6
 	ts.Close()
 	if want := []int64{0, 2, 5, 6, 7, 9}; !reflect.DeepEqual(seen, want) {
 		t.Fatalf("flush order %v, want %v", seen, want)

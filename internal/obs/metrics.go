@@ -3,13 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sync"
 )
 
-// DurationBounds are the fixed histogram bounds (seconds) used for
-// simulated latencies, spanning S3 round-trips to the 900 s platform
-// timeout. Fixed bounds keep snapshots comparable across runs and
-// models.
+// DurationBounds are the bounds (seconds) of every registry histogram,
+// spanning S3 round-trips to the 900 s platform timeout. Fixed bounds
+// keep snapshots comparable across runs and models.
 var DurationBounds = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 30, 60, 120, 300, 900,
@@ -51,104 +51,29 @@ func (h *Histogram) observe(v float64) {
 // nil *Metrics is a valid no-op registry, so instrumentation sites
 // never need a guard.
 //
-// Storage is slot-based: each name resolves (once) to a dense index
-// into a per-kind slice, and both the string-keyed methods and the
-// pre-resolved handles (CounterHandle and friends) mutate the same
-// slot, so the two paths are observationally identical. A slot only
-// appears in snapshots after its first recording — resolving a handle
-// alone leaves no trace, matching the string-keyed behaviour where a
-// metric exists only once written.
+// A metric is written through a handle (CounterHandle and friends),
+// which resolves its name once to a dense per-kind slot — the layout a
+// TimeSeries window uses: the scalars are cells, the histograms a slice
+// filled on first observation. A slot only appears in snapshots after
+// its first recording; resolving a handle alone leaves no trace.
 type Metrics struct {
-	mu          sync.Mutex
-	counterIdx  map[string]int32
-	counterVals []scalarSlot[int64]
-	totalIdx    map[string]int32
-	totalVals   []scalarSlot[float64]
-	gaugeIdx    map[string]int32
-	gaugeVals   []scalarSlot[float64]
-	histIdx     map[string]int32
-	histVals    []histSlot
-}
-
-// scalarSlot is one named scalar metric cell. set distinguishes "never
-// recorded" (absent from snapshots) from a recorded zero.
-type scalarSlot[T int64 | float64] struct {
-	name string
-	v    T
-	set  bool
-}
-
-type histSlot struct {
-	name string
-	h    *Histogram
+	mu sync.Mutex
+	cells
+	reg   [nKinds]slotReg
+	hists []*Histogram // nil until the slot's first observation
 }
 
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// internSlot resolves name in idx; a name seen for the first time gets
-// slot next, and the caller appends that slot's storage.
-func internSlot(idx *map[string]int32, name string, next int) (slot int32, fresh bool) {
-	if i, ok := (*idx)[name]; ok {
-		return i, false
+// slot resolves name in kind k's registry (0 from a nil registry).
+func (m *Metrics) slot(k int, name string) int32 {
+	if m == nil {
+		return 0
 	}
-	if *idx == nil {
-		*idx = make(map[string]int32)
-	}
-	(*idx)[name] = int32(next)
-	return int32(next), true
-}
-
-func (m *Metrics) counterSlotLocked(name string) int32 {
-	i, fresh := internSlot(&m.counterIdx, name, len(m.counterVals))
-	if fresh {
-		m.counterVals = append(m.counterVals, scalarSlot[int64]{name: name})
-	}
-	return i
-}
-
-func (m *Metrics) totalSlotLocked(name string) int32 {
-	i, fresh := internSlot(&m.totalIdx, name, len(m.totalVals))
-	if fresh {
-		m.totalVals = append(m.totalVals, scalarSlot[float64]{name: name})
-	}
-	return i
-}
-
-func (m *Metrics) gaugeSlotLocked(name string) int32 {
-	i, fresh := internSlot(&m.gaugeIdx, name, len(m.gaugeVals))
-	if fresh {
-		m.gaugeVals = append(m.gaugeVals, scalarSlot[float64]{name: name})
-	}
-	return i
-}
-
-func (m *Metrics) histSlotLocked(name string, bounds []float64) int32 {
-	i, fresh := internSlot(&m.histIdx, name, len(m.histVals))
-	if fresh {
-		m.histVals = append(m.histVals, histSlot{name: name, h: &Histogram{
-			Bounds: append([]float64(nil), bounds...),
-			Counts: make([]int64, len(bounds)+1),
-		}})
-	}
-	return i
-}
-
-// Inc adds delta to the named integer counter.
-func (m *Metrics) Inc(name string, delta int64) { m.CounterHandle(name).Inc(delta) }
-
-// Add accumulates v into the named float total (GB-seconds, dollars,
-// seconds of backoff).
-func (m *Metrics) Add(name string, v float64) { m.TotalHandle(name).Add(v) }
-
-// Gauge sets the named gauge to v.
-func (m *Metrics) Gauge(name string, v float64) { m.GaugeHandle(name).Set(v) }
-
-// Observe records v into the named histogram, creating it with the
-// given fixed bounds on first use (later calls reuse the original
-// bounds).
-func (m *Metrics) Observe(name string, bounds []float64, v float64) {
-	m.HistHandle(name, bounds).Observe(v)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.reg[k].intern(name)
 }
 
 // --- pre-resolved handles ---
@@ -156,7 +81,7 @@ func (m *Metrics) Observe(name string, bounds []float64, v float64) {
 // A handle resolves a metric name to its slot once — at deploy time,
 // outside the hot loop — so steady-state recording is a mutex and an
 // index: no map lookup, no string hashing, no allocation. Handles from
-// a nil registry are valid no-ops, mirroring the string-keyed methods.
+// a nil registry are valid no-ops.
 
 // CounterHandle is a pre-resolved integer counter.
 type CounterHandle struct {
@@ -166,13 +91,7 @@ type CounterHandle struct {
 
 // CounterHandle resolves name to a counter slot.
 func (m *Metrics) CounterHandle(name string) CounterHandle {
-	if m == nil {
-		return CounterHandle{}
-	}
-	m.mu.Lock()
-	slot := m.counterSlotLocked(name)
-	m.mu.Unlock()
-	return CounterHandle{m: m, slot: slot}
+	return CounterHandle{m, m.slot(kCounter, name)}
 }
 
 // Inc adds delta to the counter.
@@ -182,7 +101,8 @@ func (h CounterHandle) Inc(delta int64) {
 	w.End()
 }
 
-// TotalHandle is a pre-resolved float accumulator.
+// TotalHandle is a pre-resolved float accumulator (GB-seconds, dollars,
+// seconds of backoff).
 type TotalHandle struct {
 	m    *Metrics
 	slot int32
@@ -190,13 +110,7 @@ type TotalHandle struct {
 
 // TotalHandle resolves name to a float-total slot.
 func (m *Metrics) TotalHandle(name string) TotalHandle {
-	if m == nil {
-		return TotalHandle{}
-	}
-	m.mu.Lock()
-	slot := m.totalSlotLocked(name)
-	m.mu.Unlock()
-	return TotalHandle{m: m, slot: slot}
+	return TotalHandle{m, m.slot(kTotal, name)}
 }
 
 // Add accumulates v into the total.
@@ -214,13 +128,7 @@ type GaugeHandle struct {
 
 // GaugeHandle resolves name to a gauge slot.
 func (m *Metrics) GaugeHandle(name string) GaugeHandle {
-	if m == nil {
-		return GaugeHandle{}
-	}
-	m.mu.Lock()
-	slot := m.gaugeSlotLocked(name)
-	m.mu.Unlock()
-	return GaugeHandle{m: m, slot: slot}
+	return GaugeHandle{m, m.slot(kGauge, name)}
 }
 
 // Set sets the gauge to v.
@@ -230,27 +138,18 @@ func (h GaugeHandle) Set(v float64) {
 	w.End()
 }
 
-// HistHandle is a pre-resolved fixed-bound histogram.
+// HistHandle is a pre-resolved histogram over DurationBounds.
 type HistHandle struct {
 	m    *Metrics
 	slot int32
 }
 
-// HistHandle resolves name to a histogram slot, creating the histogram
-// with the given bounds if it does not exist yet (an existing
-// histogram keeps its original bounds). The histogram stays absent
-// from snapshots until its first observation.
-func (m *Metrics) HistHandle(name string, bounds []float64) HistHandle {
-	if m == nil {
-		return HistHandle{}
-	}
-	m.mu.Lock()
-	slot := m.histSlotLocked(name, bounds)
-	m.mu.Unlock()
-	return HistHandle{m: m, slot: slot}
+// HistHandle resolves name to a histogram slot.
+func (m *Metrics) HistHandle(name string) HistHandle {
+	return HistHandle{m, m.slot(kHist, name)}
 }
 
-// Observe records v into the histogram.
+// Observe records v into the histogram. Non-finite values are ignored.
 func (h HistHandle) Observe(v float64) {
 	w := h.m.Begin()
 	w.Observe(h, v)
@@ -289,9 +188,7 @@ func (w MetricsWriter) Inc(h CounterHandle, delta int64) {
 	if h.m != w.m {
 		h.Inc(delta)
 	} else if h.m != nil {
-		s := &h.m.counterVals[h.slot]
-		s.v += delta
-		s.set = true
+		*h.m.cell(kCounter, h.slot) += uint64(delta)
 	}
 }
 
@@ -300,9 +197,7 @@ func (w MetricsWriter) Add(h TotalHandle, v float64) {
 	if h.m != w.m {
 		h.Add(v)
 	} else if h.m != nil {
-		s := &h.m.totalVals[h.slot]
-		s.v += v
-		s.set = true
+		addFloat(h.m.cell(kTotal, h.slot), v)
 	}
 }
 
@@ -311,19 +206,29 @@ func (w MetricsWriter) Set(h GaugeHandle, v float64) {
 	if h.m != w.m {
 		h.Set(v)
 	} else if h.m != nil {
-		s := &h.m.gaugeVals[h.slot]
-		s.v = v
-		s.set = true
+		*h.m.cell(kGauge, h.slot) = math.Float64bits(v)
 	}
 }
 
-// Observe records v into the histogram.
+// Observe records v into the histogram; non-finite values are ignored.
 func (w MetricsWriter) Observe(h HistHandle, v float64) {
 	if h.m != w.m {
 		h.Observe(v)
-	} else if h.m != nil {
-		h.m.histVals[h.slot].h.observe(v)
+	} else if h.m != nil && finite(v) {
+		m := h.m
+		if int(h.slot) >= len(m.hists) {
+			m.hists = growSlots(m.hists, len(m.reg[kHist].names))
+		}
+		if m.hists[h.slot] == nil {
+			m.hists[h.slot] = &Histogram{Bounds: DurationBounds, Counts: make([]int64, len(DurationBounds)+1)}
+		}
+		m.hists[h.slot].observe(v)
 	}
+}
+
+// cell returns kind k's scalar cell for slot, marked written.
+func (m *Metrics) cell(k int, slot int32) *uint64 {
+	return m.cells.cell(k, slot, len(m.reg[k].names))
 }
 
 // Snapshot is a point-in-time copy of the registry, shaped for JSON.
@@ -334,9 +239,8 @@ type Snapshot struct {
 	Histograms map[string]*Histogram `json:"histograms"`
 }
 
-// Snapshot copies the registry's current state. Only slots that have
-// received at least one recording appear, so the snapshot is
-// indistinguishable from one taken of a purely string-keyed registry.
+// Snapshot copies the registry's current state: every slot that has
+// received at least one recording.
 func (m *Metrics) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Counters:   map[string]int64{},
@@ -349,32 +253,27 @@ func (m *Metrics) Snapshot() *Snapshot {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.counterVals {
-		if sl := &m.counterVals[i]; sl.set {
-			s.Counters[sl.name] = sl.v
+	liveCells(s.Counters, &m.cells, kCounter, m.reg[kCounter].names, func(u uint64) int64 { return int64(u) })
+	liveCells(s.Totals, &m.cells, kTotal, m.reg[kTotal].names, math.Float64frombits)
+	liveCells(s.Gauges, &m.cells, kGauge, m.reg[kGauge].names, math.Float64frombits)
+	for slot, h := range m.hists {
+		if h != nil {
+			cp := *h
+			cp.Bounds = append([]float64(nil), h.Bounds...)
+			cp.Counts = append([]int64(nil), h.Counts...)
+			s.Histograms[m.reg[kHist].names[slot]] = &cp
 		}
-	}
-	for i := range m.totalVals {
-		if sl := &m.totalVals[i]; sl.set {
-			s.Totals[sl.name] = sl.v
-		}
-	}
-	for i := range m.gaugeVals {
-		if sl := &m.gaugeVals[i]; sl.set {
-			s.Gauges[sl.name] = sl.v
-		}
-	}
-	for i := range m.histVals {
-		h := m.histVals[i].h
-		if h.Count == 0 {
-			continue
-		}
-		cp := *h
-		cp.Bounds = append([]float64(nil), h.Bounds...)
-		cp.Counts = append([]int64(nil), h.Counts...)
-		s.Histograms[m.histVals[i].name] = &cp
 	}
 	return s
+}
+
+// liveCells copies kind k's written cells into dst under their names.
+func liveCells[T int64 | float64](dst map[string]T, c *cells, k int, names []string, val func(uint64) T) {
+	for slot, set := range c.set[k] {
+		if set {
+			dst[names[slot]] = val(c.vals[k][slot])
+		}
+	}
 }
 
 // WriteJSON writes the snapshot as indented JSON. encoding/json

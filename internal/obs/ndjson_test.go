@@ -103,13 +103,13 @@ func fuzzSeries(data []byte) *TimeSeries {
 		}
 		switch op & 3 {
 		case 0:
-			ts.Inc(at, name, n)
+			ts.CounterHandle(name).Inc(at, n)
 		case 1:
-			ts.Add(at, name, f)
+			ts.TotalHandle(name).Add(at, f)
 		case 2:
-			ts.Gauge(at, name, f)
+			ts.GaugeHandle(name).Set(at, f)
 		case 3:
-			ts.Observe(at, name, f)
+			ts.HistHandle(name).Observe(at, f)
 		}
 		ts.Advance(at)
 	}
@@ -129,86 +129,73 @@ func FuzzWindowNDJSON(f *testing.F) {
 
 // TestWindowNDJSONMatchesMarshal runs the encoder against the reference
 // while a writer flushes: readers list frames and render the stream
-// mid-run, unlocked, as the log grows (and, with a retention cap,
-// evicts), and every rendering must be a run of whole lines of the
-// final reference — records are immutable once appended — while every
-// frame a subscriber was handed at flush marshals to its line. Under
-// -race this is the check that encoding outside the series lock reads
-// nothing a flush writes.
+// mid-run, unlocked, as the log grows, and every rendering and listing
+// must be a prefix of the final reference — records are immutable once
+// appended — while every frame a subscriber was handed at flush
+// marshals to its line. Under -race this is the check that encoding
+// outside the series lock reads nothing a flush writes.
 func TestWindowNDJSONMatchesMarshal(t *testing.T) {
-	for _, retain := range []int{0, 7} {
-		ts := NewTimeSeries(250 * time.Millisecond)
-		ts.SetRetention(retain)
-		var delivered [][]byte
-		ts.Subscribe(func(f *WindowFrame) {
-			b, err := json.Marshal(f)
-			if err != nil {
-				t.Error(err)
-			}
-			delivered = append(delivered, append(b, '\n'))
-		})
-		// The reader keeps a rolling sample of what it rendered and listed.
-		renders, listed := make([][]byte, 32), make([][]*WindowFrame, 32)
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var b bytes.Buffer
-				if err := ts.WriteNDJSON(&b); err != nil {
-					t.Error(err)
-					return
-				}
-				renders[n%len(renders)], listed[n%len(listed)] = b.Bytes(), ts.Frames()
-			}
-		}()
-		rng := rand.New(rand.NewSource(int64(retain) + 1))
-		for i := 0; i < 3000; i++ {
-			at := time.Duration(i) * 37 * time.Millisecond
-			name := fuzzNames[rng.Intn(len(fuzzNames))]
-			v := fuzzFloats[rng.Intn(fuzzAccepted)] // a refused frame would end every rendering
-			switch rng.Intn(4) {
-			case 0:
-				ts.Inc(at, name, fuzzInts[rng.Intn(len(fuzzInts))])
-			case 1:
-				ts.Add(at, name, v)
-			case 2:
-				ts.Gauge(at, name, v)
-			case 3:
-				ts.Observe(at, name, v)
-			}
-			ts.Advance(at)
-		}
-		close(stop)
-		wg.Wait()
-		ts.Close()
-		all, err := marshalFrames(ts.Frames())
+	ts := NewTimeSeries(250 * time.Millisecond)
+	var delivered [][]byte
+	ts.Subscribe(func(f *WindowFrame) {
+		b, err := json.Marshal(f)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
-		if retain == 0 {
-			requireNDJSONMatchesMarshal(t, ts)
+		delivered = append(delivered, append(b, '\n'))
+	})
+	// The reader keeps a rolling sample of what it rendered and listed.
+	renders, listed := make([][]byte, 32), make([][]*WindowFrame, 32)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var b bytes.Buffer
+			if err := ts.WriteNDJSON(&b); err != nil {
+				t.Error(err)
+				return
+			}
+			renders[n%len(renders)], listed[n%len(listed)] = b.Bytes(), ts.Frames()
 		}
-		if want := bytes.Join(delivered, nil); retain == 0 && !bytes.Equal(all, want) || retain > 0 && !bytes.HasSuffix(want, all) {
-			t.Fatalf("retain %d: subscriber frames do not marshal to the stream", retain)
+	}()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		at := time.Duration(i) * 37 * time.Millisecond
+		name := fuzzNames[rng.Intn(len(fuzzNames))]
+		v := fuzzFloats[rng.Intn(fuzzAccepted)] // a refused frame would end every rendering
+		switch rng.Intn(4) {
+		case 0:
+			ts.CounterHandle(name).Inc(at, fuzzInts[rng.Intn(len(fuzzInts))])
+		case 1:
+			ts.TotalHandle(name).Add(at, v)
+		case 2:
+			ts.GaugeHandle(name).Set(at, v)
+		case 3:
+			ts.HistHandle(name).Observe(at, v)
 		}
-		whole := append([]byte("\n"), bytes.Join(delivered, nil)...)
-		for i, r := range renders {
-			if len(r) > 0 && !bytes.Contains(whole, append([]byte("\n"), r...)) {
-				t.Fatalf("retain %d: rendering %d is not a run of whole reference lines", retain, i)
-			}
-			if retain == 0 && !bytes.HasPrefix(whole[1:], r) {
-				t.Fatalf("rendering %d is not a prefix of the stream", i)
-			}
-			if got, _ := marshalFrames(listed[i]); retain == 0 && !bytes.HasPrefix(whole[1:], got) {
-				t.Fatalf("frame list %d is not a prefix of the stream", i)
-			}
+		ts.Advance(at)
+	}
+	close(stop)
+	wg.Wait()
+	ts.Close()
+	requireNDJSONMatchesMarshal(t, ts)
+	all := bytes.Join(delivered, nil)
+	if want, _ := marshalFrames(ts.Frames()); !bytes.Equal(all, want) {
+		t.Fatal("subscriber frames do not marshal to the stream")
+	}
+	for i, r := range renders {
+		if !bytes.HasPrefix(all, r) {
+			t.Fatalf("rendering %d is not a prefix of the stream", i)
+		}
+		if got, _ := marshalFrames(listed[i]); !bytes.HasPrefix(all, got) {
+			t.Fatalf("frame list %d is not a prefix of the stream", i)
 		}
 	}
 }
@@ -233,8 +220,8 @@ func TestWriteNDJSONGrowsOnce(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
 	for i := 0; i < 500; i++ {
 		at := time.Duration(i) * 300 * time.Millisecond
-		ts.Inc(at, fuzzNames[i%len(fuzzNames)], int64(i))
-		ts.Observe(at, "lat", float64(i%13)*0.01)
+		ts.CounterHandle(fuzzNames[i%len(fuzzNames)]).Inc(at, int64(i))
+		ts.HistHandle("lat").Observe(at, float64(i%13)*0.01)
 	}
 	ts.Close()
 	var w growWriter
@@ -246,8 +233,8 @@ func TestWriteNDJSONGrowsOnce(t *testing.T) {
 	}
 
 	refused := NewTimeSeries(time.Second)
-	refused.Inc(0, "reqs_total", 1)
-	refused.Add(time.Second, "cost", math.NaN())
+	refused.CounterHandle("reqs_total").Inc(0, 1)
+	refused.TotalHandle("cost").Add(time.Second, math.NaN())
 	refused.Close()
 	want, wantErr := marshalFrames(refused.Frames())
 	w = growWriter{}
@@ -300,13 +287,13 @@ func TestFramesBuiltFromLog(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
 	var seen *WindowFrame
 	ts.Subscribe(func(f *WindowFrame) { seen = f })
-	ts.Inc(0, "max", math.MaxInt64)
-	ts.Inc(0, "min", math.MinInt64)
-	ts.Add(0, "t", -0.5)
-	ts.Gauge(0, "g", 3)
-	ts.Observe(0, "h", 0)
-	ts.Observe(0, "h", -2)
-	ts.Observe(0, "h", 0.75)
+	ts.CounterHandle("max").Inc(0, math.MaxInt64)
+	ts.CounterHandle("min").Inc(0, math.MinInt64)
+	ts.TotalHandle("t").Add(0, -0.5)
+	ts.GaugeHandle("g").Set(0, 3)
+	ts.HistHandle("h").Observe(0, 0)
+	ts.HistHandle("h").Observe(0, -2)
+	ts.HistHandle("h").Observe(0, 0.75)
 	ts.Close()
 	want := &WindowFrame{
 		Index: 0, Start: 0, End: 1,

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,12 +12,12 @@ import (
 
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	m := NewMetrics()
-	m.Inc(`lambda_faults_total{kind="crash"}`, 2)
-	m.Inc("lambda_invocations_total", 7)
-	m.Add("lambda_gb_seconds_total", 1.25)
-	m.Gauge("s3_stored_bytes", 4096)
-	m.Observe("latency_seconds", DurationBounds, 0.42)
-	m.Observe("latency_seconds", DurationBounds, 3.0)
+	m.CounterHandle(`lambda_faults_total{kind="crash"}`).Inc(2)
+	m.CounterHandle("lambda_invocations_total").Inc(7)
+	m.TotalHandle("lambda_gb_seconds_total").Add(1.25)
+	m.GaugeHandle("s3_stored_bytes").Set(4096)
+	m.HistHandle("latency_seconds").Observe(0.42)
+	m.HistHandle("latency_seconds").Observe(3.0)
 
 	var a, b bytes.Buffer
 	if err := m.WriteJSON(&a); err != nil {
@@ -45,10 +47,10 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 
 func TestMetricsNilRegistryIsNoOp(t *testing.T) {
 	var m *Metrics
-	m.Inc("x", 1)
-	m.Add("y", 2)
-	m.Gauge("z", 3)
-	m.Observe("h", DurationBounds, 4)
+	m.CounterHandle("x").Inc(1)
+	m.TotalHandle("y").Add(2)
+	m.GaugeHandle("z").Set(3)
+	m.HistHandle("h").Observe(4)
 	s := m.Snapshot()
 	if len(s.Counters)+len(s.Totals)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", s)
@@ -57,20 +59,113 @@ func TestMetricsNilRegistryIsNoOp(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	m := NewMetrics()
-	bounds := []float64{1, 10}
-	m.Observe("h", bounds, 1)    // exactly on the first bound → bucket 0
-	m.Observe("h", bounds, 5)    // bucket 1
-	m.Observe("h", bounds, 11)   // overflow bucket
-	m.Observe("h", bounds, 0.01) // bucket 0
-	h := m.Snapshot().Histograms["h"]
-	want := []int64{2, 1, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("counts = %v, want %v", h.Counts, want)
-		}
+	h := m.HistHandle("h")
+	h.Observe(0.5)          // exactly on a bound (index 8) → that bucket
+	h.Observe(0.00390625)   // 0.0025 < v ≤ 0.005 → bucket 2
+	h.Observe(1024)         // past the last bound → overflow bucket
+	h.Observe(0.0009765625) // below the first bound → bucket 0
+	got := m.Snapshot().Histograms["h"]
+	want := make([]int64, len(DurationBounds)+1)
+	want[0], want[2], want[8], want[len(DurationBounds)] = 1, 1, 1, 1
+	if !reflect.DeepEqual(got.Counts, want) || !reflect.DeepEqual(got.Bounds, DurationBounds) {
+		t.Fatalf("bounds %v counts %v, want %v over DurationBounds", got.Bounds, got.Counts, want)
 	}
-	if h.Sum != 17.01 || h.Count != 4 {
-		t.Fatalf("sum/count = %v/%v", h.Sum, h.Count)
+	if got.Sum != 1024.5048828125 || got.Count != 4 || got.Min != 0.0009765625 || got.Max != 1024 {
+		t.Fatalf("sum/count/min/max = %v/%v/%v/%v", got.Sum, got.Count, got.Min, got.Max)
+	}
+}
+
+// A registry histogram ignores NaN and ±Inf, as the series does: one
+// recorded NaN would sit in a bucket, make _sum NaN, and fail every
+// later WriteJSON.
+func TestRegistryHistogramIgnoresNonFinite(t *testing.T) {
+	export := func(vs ...float64) (*Snapshot, string, string) {
+		m := NewMetrics()
+		h := m.HistHandle("latency_seconds")
+		for _, v := range vs {
+			h.Observe(v)
+			w := m.Begin() // and through a write section
+			w.Observe(h, v)
+			w.End()
+		}
+		var js, prom bytes.Buffer
+		if err := m.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := WritePrometheus(&prom, m.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot(), js.String(), prom.String()
+	}
+	wantSnap, wantJSON, wantProm := export(0.5)
+	gotSnap, gotJSON, gotProm := export(0.5, math.NaN(), math.Inf(1), math.Inf(-1))
+	if !reflect.DeepEqual(gotSnap, wantSnap) || gotJSON != wantJSON || gotProm != wantProm {
+		t.Fatalf("non-finite observations recorded:\n%s\n%s\nwant\n%s\n%s", gotJSON, gotProm, wantJSON, wantProm)
+	}
+}
+
+// There is one way to write a metric, and resolving its handle is not a
+// write: a resolved slot appears in no snapshot, exposition or frame
+// until it is written — a non-finite observation is not a write — and a
+// write of zero (a zero delta, a zero value) makes it appear, on both
+// sinks.
+func TestResolvedSlotLiveOnFirstWrite(t *testing.T) {
+	mx, ts := NewMetrics(), NewTimeSeries(time.Second)
+	// Never written: resolved first, so the written slots below sit past
+	// them in the same arrays.
+	for _, name := range []string{"unwritten_total", "unwritten"} {
+		mx.CounterHandle(name)
+		mx.TotalHandle(name)
+		mx.GaugeHandle(name)
+		mx.HistHandle(name)
+		ts.CounterHandle(name)
+		ts.TotalHandle(name)
+		ts.GaugeHandle(name)
+		ts.HistHandle(name)
+	}
+	c, tot, g, h := mx.CounterHandle("c_total"), mx.TotalHandle("t_total"), mx.GaugeHandle("g"), mx.HistHandle("h_seconds")
+	sc, stot, sg, sh := ts.CounterHandle("c_total"), ts.TotalHandle("t_total"), ts.GaugeHandle("g"), ts.HistHandle("h_seconds")
+	h.Observe(math.NaN())
+	sh.Observe(0, math.Inf(1))
+	ts.Flush()
+	var prom bytes.Buffer
+	if err := WritePrometheus(&prom, mx.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if s := mx.Snapshot(); len(s.Counters)+len(s.Totals)+len(s.Gauges)+len(s.Histograms) != 0 || prom.Len() != 0 {
+		t.Fatalf("unwritten slots surfaced: %+v\n%s", s, prom.String())
+	}
+	if f := ts.Frames(); f != nil {
+		t.Fatalf("unwritten slots flushed a frame: %+v", f[0])
+	}
+
+	c.Inc(0)
+	tot.Add(0)
+	g.Set(0)
+	h.Observe(0)
+	sc.Inc(0, 0)
+	stot.Add(0, 0)
+	sg.Set(0, 0)
+	sh.Observe(0, 0)
+	ts.Close()
+	counts := make([]int64, len(DurationBounds)+1)
+	counts[0] = 1
+	wantSnap := &Snapshot{
+		Counters:   map[string]int64{"c_total": 0},
+		Totals:     map[string]float64{"t_total": 0},
+		Gauges:     map[string]float64{"g": 0},
+		Histograms: map[string]*Histogram{"h_seconds": {Bounds: DurationBounds, Counts: counts, Count: 1}},
+	}
+	if got := mx.Snapshot(); !reflect.DeepEqual(got, wantSnap) {
+		t.Fatalf("snapshot %+v, want %+v", got, wantSnap)
+	}
+	frames := ts.Frames()
+	if len(frames) != 1 {
+		t.Fatalf("%d frames, want 1", len(frames))
+	}
+	f := frames[0]
+	if _, ok := f.Counters["c_total"]; !ok || len(f.Counters) != 1 || len(f.Totals) != 1 || len(f.Gauges) != 1 || len(f.Hists) != 1 || f.Hists["h_seconds"].Count != 1 {
+		t.Fatalf("frame %+v, want exactly the four zero writes", f)
 	}
 }
 

@@ -16,14 +16,14 @@ import (
 // fixed-bound histogram.
 func promFixture() *obs.Metrics {
 	m := obs.NewMetrics()
-	m.Inc("lambda_invocations_total", 12)
-	m.Inc(`lambda_faults_total{kind="crash"}`, 2)
-	m.Inc(`lambda_faults_total{kind="throttle"}`, 1)
-	m.Add("serving_cost_usd_total", 0.012345)
-	m.Gauge("serving_queue_depth", 4)
-	m.Gauge(`lambda_pool_size{function="f0"}`, 3)
+	m.CounterHandle("lambda_invocations_total").Inc(12)
+	m.CounterHandle(`lambda_faults_total{kind="crash"}`).Inc(2)
+	m.CounterHandle(`lambda_faults_total{kind="throttle"}`).Inc(1)
+	m.TotalHandle("serving_cost_usd_total").Add(0.012345)
+	m.GaugeHandle("serving_queue_depth").Set(4)
+	m.GaugeHandle(`lambda_pool_size{function="f0"}`).Set(3)
 	for _, v := range []float64{0.004, 0.03, 0.25, 2.5, 40} {
-		m.Observe("serving_latency_seconds", obs.DurationBounds, v)
+		m.HistHandle("serving_latency_seconds").Observe(v)
 	}
 	return m
 }

@@ -15,16 +15,16 @@ import (
 // sections against the writes they batch. One pseudo-random sequence of
 // Inc/Add/Set/Observe over random handles and instants — out-of-order
 // and negative instants, instants behind the flush point, zero and
-// negative values, NaN and ±Inf series observations, clock advances in
-// between — goes through single writes (handles and string-keyed
-// methods alternating) into one registry pair, and through sections of
-// random length into another. Sections also carry EventCounters, nil
-// handles and handles of a third registry pair, which must be written
-// through their own lock: that pair is compared with a single-write
-// twin as well. Every snapshot and every flushed frame (as delivered to
-// a subscriber, and as retained) must be reflect.DeepEqual, while a
-// goroutine snapshots, renders and lists frames throughout (under -race
-// it is the check that no slot is written outside its registry's lock).
+// negative values, NaN and ±Inf observations, clock advances in
+// between — goes through single writes into one registry pair, and
+// through sections of random length into another. Sections also carry
+// EventCounters, nil handles and handles of a third registry pair,
+// which must be written through their own lock: that pair is compared
+// with a single-write twin as well. Every snapshot and every flushed
+// frame (as delivered to a subscriber, and as listed by Frames) must be
+// reflect.DeepEqual, while a goroutine snapshots, renders and lists
+// frames throughout (under -race it is the check that no slot is
+// written outside its registry's lock).
 func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 	const (
 		names  = 5
@@ -55,7 +55,7 @@ func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 					s.ctrs = append(s.ctrs, s.mx.CounterHandle(name("ctr", i)))
 					s.tots = append(s.tots, s.mx.TotalHandle(name("tot", i)))
 					s.gauges = append(s.gauges, s.mx.GaugeHandle(name("gauge", i)))
-					s.hists = append(s.hists, s.mx.HistHandle(name("hist", i), DurationBounds))
+					s.hists = append(s.hists, s.mx.HistHandle(name("hist", i)))
 					s.tsCtrs = append(s.tsCtrs, s.ts.CounterHandle(name("ctr", i)))
 					s.tsTots = append(s.tsTots, s.ts.TotalHandle(name("tot", i)))
 					s.tsGauges = append(s.tsGauges, s.ts.GaugeHandle(name("gauge", i)))
@@ -120,7 +120,6 @@ func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 				}
 				i := rng.Intn(names)
 				at := clock + time.Duration(rng.Intn(int(3*window))) - window
-				str := rng.Intn(2) == 0 // the single side alternates handle and string-keyed writes
 				// Which pair the write lands on: section's own handles, the
 				// foreign pair's, or nil handles (no-ops on both sides).
 				dst, ref := section, single
@@ -134,13 +133,8 @@ func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 				case 0:
 					d := int64(rng.Intn(4)) - 1
 					if ref != nil {
-						if str {
-							ref.mx.Inc(name("ctr", i), d)
-							ref.ts.Inc(at, name("ctr", i), d)
-						} else {
-							ref.ctrs[i].Inc(d)
-							ref.tsCtrs[i].Inc(at, d)
-						}
+						ref.ctrs[i].Inc(d)
+						ref.tsCtrs[i].Inc(at, d)
 						mw.Inc(dst.ctrs[i], d)
 						sw.Inc(dst.tsCtrs[i], at, d)
 					} else {
@@ -150,13 +144,8 @@ func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 				case 1:
 					v := rng.NormFloat64()
 					if ref != nil {
-						if str {
-							ref.mx.Add(name("tot", i), v)
-							ref.ts.Add(at, name("tot", i), v)
-						} else {
-							ref.tots[i].Add(v)
-							ref.tsTots[i].Add(at, v)
-						}
+						ref.tots[i].Add(v)
+						ref.tsTots[i].Add(at, v)
 						mw.Add(dst.tots[i], v)
 						sw.Add(dst.tsTots[i], at, v)
 					} else {
@@ -166,13 +155,8 @@ func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 				case 2:
 					v := float64(rng.Intn(5) - 2)
 					if ref != nil {
-						if str {
-							ref.mx.Gauge(name("gauge", i), v)
-							ref.ts.Gauge(at, name("gauge", i), v)
-						} else {
-							ref.gauges[i].Set(v)
-							ref.tsGauges[i].Set(at, v)
-						}
+						ref.gauges[i].Set(v)
+						ref.tsGauges[i].Set(at, v)
 						mw.Set(dst.gauges[i], v)
 						sw.Set(dst.tsGauges[i], at, v)
 					} else {
@@ -181,26 +165,20 @@ func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 					}
 				case 3:
 					v := rng.ExpFloat64() - 0.2 // v ≤ 0 one time in five
-					tsV := v
 					switch rng.Intn(12) {
 					case 0:
-						tsV = math.NaN()
+						v = math.NaN()
 					case 1:
-						tsV = math.Inf(1 - 2*rng.Intn(2))
+						v = math.Inf(1 - 2*rng.Intn(2))
 					}
 					if ref != nil {
-						if str {
-							ref.mx.Observe(name("hist", i), DurationBounds, v)
-							ref.ts.Observe(at, name("hist", i), tsV)
-						} else {
-							ref.hists[i].Observe(v)
-							ref.tsHists[i].Observe(at, tsV)
-						}
+						ref.hists[i].Observe(v)
+						ref.tsHists[i].Observe(at, v)
 						mw.Observe(dst.hists[i], v)
-						sw.Observe(dst.tsHists[i], at, tsV)
+						sw.Observe(dst.tsHists[i], at, v)
 					} else {
 						mw.Observe(HistHandle{}, v)
-						sw.Observe(SeriesHistHandle{}, at, tsV)
+						sw.Observe(SeriesHistHandle{}, at, v)
 					}
 				case 4:
 					n := int64(rng.Intn(3))
@@ -235,7 +213,7 @@ func TestWriteSectionsMatchSingleWrites(t *testing.T) {
 					t.Errorf("%s: flushed frames differ (%d against %d)", pair.what, len(pair.want.flushed), len(pair.got.flushed))
 				}
 				if !reflect.DeepEqual(pair.want.ts.Frames(), pair.got.ts.Frames()) {
-					t.Errorf("%s: retained frames differ", pair.what)
+					t.Errorf("%s: listed frames differ", pair.what)
 				}
 			}
 		})

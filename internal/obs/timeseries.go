@@ -15,9 +15,9 @@ import (
 // TimeSeries aggregates counters, gauges and log-linear latency
 // histograms into fixed windows of the simulated clock and flushes each
 // completed window, in window order, onto a deterministic stream.
-// Recording is cheap — each name resolves once to a dense slot index,
-// and recordings are index writes into the open window's slot arrays;
-// the flushed windows are what consumers — the NDJSON stream,
+// Recording is cheap — a handle resolves its name once to a dense slot
+// index, and recordings are index writes into the open window's slot
+// arrays; the flushed windows are what consumers — the NDJSON stream,
 // subscribers, the re-planning daemon — read.
 //
 // Windows are half-open intervals [i·W, (i+1)·W) of simulated time.
@@ -29,9 +29,10 @@ import (
 // nothing is ever silently dropped). Close flushes whatever remains.
 //
 // A flushed window is one pointer-free record in an append-only log
-// (see windowLog); WindowFrame is built from it on read. Open window
-// aggregations and their histograms are recycled through free lists, so
-// a long streaming run allocates per log chunk, not per window.
+// (see windowLog) that keeps every window of the run; WindowFrame is
+// built from it on read. Open window aggregations and their histograms
+// are recycled through free lists, so a long streaming run allocates
+// per log chunk, not per window.
 //
 // All methods are nil-safe — a nil *TimeSeries is a valid no-op sink —
 // and safe for concurrent use. Only non-empty windows are emitted;
@@ -44,7 +45,6 @@ type TimeSeries struct {
 	curIdx    int64        // window index of curAgg, valid iff curAgg != nil
 	curAgg    *windowAgg   // cache of the most recently touched open window
 	log       windowLog
-	retain    int
 	subs      []seriesSub
 	subID     int
 	closed    bool
@@ -66,25 +66,57 @@ const (
 	nKinds
 )
 
-// slotReg is one kind's slot registry. keys[slot] is json.Marshal of
-// names[slot], cached at intern time so the NDJSON encoder escapes
-// exactly as encoding/json does. Both slices are append-only, so a
-// reader may keep a copy of their headers outside the lock.
+// slotReg is one kind's slot registry, in a Metrics or a TimeSeries.
+// keys[slot] is json.Marshal of names[slot], so the NDJSON encoder
+// escapes exactly as encoding/json does; a series caches it when a view
+// first needs it (the registry never does). Both slices are
+// append-only, so a reader may keep a copy of their headers outside the
+// lock.
 type slotReg struct {
 	idx   map[string]int32
 	names []string
 	keys  []string
 }
 
+// intern returns name's slot, giving a new name the next one.
 func (r *slotReg) intern(name string) int32 {
-	i, fresh := internSlot(&r.idx, name, len(r.names))
-	if fresh {
-		key, _ := json.Marshal(name) // a string always marshals
-		r.names = append(r.names, name)
-		r.keys = append(r.keys, string(key))
+	if i, ok := r.idx[name]; ok {
+		return i
 	}
+	if r.idx == nil {
+		r.idx = make(map[string]int32)
+	}
+	i := int32(len(r.names))
+	r.idx[name] = i
+	r.names = append(r.names, name)
 	return i
 }
+
+// cells holds scalar slots — a counter as int64 bits, a total or gauge as
+// float64 bits — with set flags that tell "never written" from a written
+// zero, so output lists exactly the names that were written. The
+// registry keeps its scalars in one, and so does each open window.
+type cells struct {
+	vals [kHist][]uint64
+	set  [kHist][]bool
+}
+
+// cell returns kind k's cell for slot, marked written, first growing the
+// arrays to the registry's n slots if slot is past them.
+func (c *cells) cell(k int, slot int32, n int) *uint64 {
+	if int(slot) >= len(c.vals[k]) {
+		c.vals[k], c.set[k] = growSlots(c.vals[k], n), growSlots(c.set[k], n)
+	}
+	c.set[k][slot] = true
+	return &c.vals[k][slot]
+}
+
+// addFloat accumulates v into a float64 cell.
+func addFloat(c *uint64, v float64) { *c = math.Float64bits(math.Float64frombits(*c) + v) }
+
+// finite reports whether v is neither NaN nor ±Inf; histograms of both
+// sinks ignore the rest.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // openWindow is one entry of the pending list.
 type openWindow struct {
@@ -93,14 +125,10 @@ type openWindow struct {
 }
 
 // windowAgg is one still-open window's mutable aggregation state:
-// per-kind slot arrays parallel to the series' name registries. A
-// scalar cell holds a counter as int64 bits and a total or gauge as
-// float64 bits — the form a record stores. The set flags distinguish
-// "never recorded this window" from a recorded zero, so frames contain
-// exactly the names that were written.
+// per-kind slot arrays parallel to the series' name registries, the
+// scalars in the form a record stores.
 type windowAgg struct {
-	vals  [kHist][]uint64
-	set   [kHist][]bool
+	cells
 	hists []*logHist // nil until first observation this window
 }
 
@@ -163,20 +191,6 @@ func (ts *TimeSeries) Window() time.Duration {
 	return ts.window
 }
 
-// SetRetention caps the retained flushed frames to the most recent n,
-// ring-buffer style (0 = keep everything). Subscribers still see every
-// frame; Frames, WriteNDJSON and the follow stream's backlog are
-// bounded.
-func (ts *TimeSeries) SetRetention(n int) {
-	if ts == nil {
-		return
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.compactLocked(0) // the old cap's slack must not resurface under a looser one
-	ts.retain = n
-}
-
 // Subscribe registers fn to be called with each frame as it is flushed,
 // in window order. fn runs under the series lock and must not call back
 // into the series. The returned cancel func removes the subscription
@@ -217,39 +231,10 @@ func growSlots[T any](vals []T, n int) []T {
 
 // --- recording ---
 
-// Inc adds delta to the named counter in the window containing at.
-func (ts *TimeSeries) Inc(at time.Duration, name string, delta int64) {
-	ts.CounterHandle(name).Inc(at, delta)
-}
-
-// Add accumulates v into the named float total in the window
-// containing at.
-func (ts *TimeSeries) Add(at time.Duration, name string, v float64) {
-	ts.TotalHandle(name).Add(at, v)
-}
-
-// Gauge sets the named gauge in the window containing at; the last
-// write into a window wins.
-func (ts *TimeSeries) Gauge(at time.Duration, name string, v float64) {
-	ts.GaugeHandle(name).Set(at, v)
-}
-
 // cellLocked returns the kind-k scalar slot's cell in the window
 // containing at, marked written.
 func (ts *TimeSeries) cellLocked(k int, at time.Duration, slot int32) *uint64 {
-	w := ts.aggLocked(at)
-	if int(slot) >= len(w.vals[k]) {
-		n := len(ts.reg[k].names)
-		w.vals[k], w.set[k] = growSlots(w.vals[k], n), growSlots(w.set[k], n)
-	}
-	w.set[k][slot] = true
-	return &w.vals[k][slot]
-}
-
-// Observe records v into the named log-linear histogram in the window
-// containing at. Non-finite values are ignored.
-func (ts *TimeSeries) Observe(at time.Duration, name string, v float64) {
-	ts.HistHandle(name).Observe(at, v)
+	return ts.aggLocked(at).cell(k, slot, len(ts.reg[k].names))
 }
 
 func (ts *TimeSeries) observeLocked(at time.Duration, slot int32, v float64) {
@@ -281,8 +266,11 @@ func (ts *TimeSeries) newLogHistLocked() *logHist {
 // (almost always the cached open window) and an index write. Handles
 // from a nil series are valid no-ops.
 
-// slot resolves name in kind k's registry.
+// slot resolves name in kind k's registry (0 from a nil series).
 func (ts *TimeSeries) slot(k int, name string) int32 {
+	if ts == nil {
+		return 0
+	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return ts.reg[k].intern(name)
@@ -296,10 +284,7 @@ type SeriesCounterHandle struct {
 
 // CounterHandle resolves name to a counter slot.
 func (ts *TimeSeries) CounterHandle(name string) SeriesCounterHandle {
-	if ts == nil {
-		return SeriesCounterHandle{}
-	}
-	return SeriesCounterHandle{ts: ts, slot: ts.slot(kCounter, name)}
+	return SeriesCounterHandle{ts, ts.slot(kCounter, name)}
 }
 
 // Inc adds delta to the counter in the window containing at.
@@ -317,10 +302,7 @@ type SeriesTotalHandle struct {
 
 // TotalHandle resolves name to a float-total slot.
 func (ts *TimeSeries) TotalHandle(name string) SeriesTotalHandle {
-	if ts == nil {
-		return SeriesTotalHandle{}
-	}
-	return SeriesTotalHandle{ts: ts, slot: ts.slot(kTotal, name)}
+	return SeriesTotalHandle{ts, ts.slot(kTotal, name)}
 }
 
 // Add accumulates v into the total in the window containing at.
@@ -338,10 +320,7 @@ type SeriesGaugeHandle struct {
 
 // GaugeHandle resolves name to a gauge slot.
 func (ts *TimeSeries) GaugeHandle(name string) SeriesGaugeHandle {
-	if ts == nil {
-		return SeriesGaugeHandle{}
-	}
-	return SeriesGaugeHandle{ts: ts, slot: ts.slot(kGauge, name)}
+	return SeriesGaugeHandle{ts, ts.slot(kGauge, name)}
 }
 
 // Set sets the gauge in the window containing at; the last write into
@@ -360,10 +339,7 @@ type SeriesHistHandle struct {
 
 // HistHandle resolves name to a histogram slot.
 func (ts *TimeSeries) HistHandle(name string) SeriesHistHandle {
-	if ts == nil {
-		return SeriesHistHandle{}
-	}
-	return SeriesHistHandle{ts: ts, slot: ts.slot(kHist, name)}
+	return SeriesHistHandle{ts, ts.slot(kHist, name)}
 }
 
 // Observe records v into the histogram in the window containing at.
@@ -409,8 +385,7 @@ func (w SeriesWriter) Add(h SeriesTotalHandle, at time.Duration, v float64) {
 	if h.ts != w.ts {
 		h.Add(at, v)
 	} else if h.ts != nil {
-		c := h.ts.cellLocked(kTotal, at, h.slot)
-		*c = math.Float64bits(math.Float64frombits(*c) + v)
+		addFloat(h.ts.cellLocked(kTotal, at, h.slot), v)
 	}
 }
 
@@ -428,7 +403,7 @@ func (w SeriesWriter) Set(h SeriesGaugeHandle, at time.Duration, v float64) {
 func (w SeriesWriter) Observe(h SeriesHistHandle, at time.Duration, v float64) {
 	if h.ts != w.ts {
 		h.Observe(at, v)
-	} else if h.ts != nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
+	} else if h.ts != nil && finite(v) {
 		h.ts.observeLocked(at, h.slot, v)
 	}
 }
@@ -528,7 +503,6 @@ func (ts *TimeSeries) flushLocked(target int64) {
 	}
 	ts.pending = append(ts.pending[:0], ts.pending[n:]...)
 	ts.curAgg = nil
-	ts.compactLocked(2 * ts.retain)
 	ts.flushedTo = target
 }
 
@@ -538,7 +512,7 @@ func (ts *TimeSeries) publishLocked() {
 	if len(ts.subs) == 0 {
 		return
 	}
-	v, _ := ts.viewLocked(ts.log.evicted + int64(len(ts.log.recs)) - 1)
+	v := ts.viewLocked(len(ts.log.recs) - 1)
 	f := new(WindowFrame)
 	v.frame(0, &ts.scratch, f)
 	for _, s := range ts.subs {
@@ -561,9 +535,10 @@ func (ts *TimeSeries) recycleAggLocked(w *windowAgg) {
 //
 // A flushed window is one record: its index and the position of its
 // words in chunked []uint64 arenas, neither holding a pointer for the
-// collector to mark. Records are immutable once appended; a reader
-// copies the record range and chunk list under the lock and decodes
-// without it (DESIGN §15 "Flushed windows as a packed log"). Words:
+// collector to mark. Records are immutable once appended and the log
+// only grows, so a reader takes the record range and chunk list under
+// the lock and decodes without it (DESIGN §15 "Flushed windows as a
+// packed log"). Words:
 //
 //	n[counter] | n[total]<<32, n[gauge] | n[hist]<<32, Σ cells
 //	(slot, value bits) per written counter, then total, then gauge, ascending slot
@@ -579,16 +554,14 @@ const (
 // winRec locates one flushed window's record.
 type winRec struct {
 	idx   int64  // window index
-	chunk uint32 // absolute chunk number (see windowLog.chunk0)
+	chunk uint32 // index in windowLog.chunks
 	off   uint32 // word offset in the chunk
 }
 
 type windowLog struct {
-	recs    []winRec
-	chunks  [][]uint64
-	chunk0  int   // absolute number of chunks[0]
-	fill    int   // words used in the last chunk
-	evicted int64 // records dropped so far: the sequence number of recs[0]
+	recs   []winRec
+	chunks [][]uint64
+	fill   int // words used in the last chunk
 }
 
 // alloc appends a record of n words for window idx and returns them.
@@ -602,24 +575,9 @@ func (l *windowLog) alloc(idx int64, n int) []uint64 {
 		l.chunks = append(l.chunks, make([]uint64, max(size, n)))
 		last, l.fill = last+1, 0
 	}
-	l.recs = append(l.recs, winRec{idx: idx, chunk: uint32(l.chunk0 + last), off: uint32(l.fill)})
+	l.recs = append(l.recs, winRec{idx: idx, chunk: uint32(last), off: uint32(l.fill)})
 	l.fill += n
 	return l.chunks[last][l.fill-n : l.fill]
-}
-
-// drop evicts the oldest n records and the chunks only they used.
-func (l *windowLog) drop(n int) {
-	l.evicted += int64(n)
-	l.recs = l.recs[:copy(l.recs, l.recs[n:])]
-	keep := len(l.chunks) - 1 // the chunk being filled always stays
-	if len(l.recs) > 0 {
-		keep = int(l.recs[0].chunk) - l.chunk0
-	}
-	if keep > 0 {
-		m := copy(l.chunks, l.chunks[keep:])
-		clear(l.chunks[m:])
-		l.chunks, l.chunk0 = l.chunks[:m], l.chunk0+keep
-	}
 }
 
 // appendLocked packs window idx's aggregation into a log record,
@@ -660,64 +618,46 @@ func (ts *TimeSeries) appendLocked(w *windowAgg, idx int64) {
 	}
 }
 
-// compactLocked drops the records beyond the retention cap once the log
-// holds more than limit. A flush passes twice the cap, so a long run
-// moves each retained record O(1) times amortised instead of copying the
-// whole retained set per flush; viewLocked hides the slack.
-func (ts *TimeSeries) compactLocked(limit int) {
-	if ts.retain > 0 && len(ts.log.recs) > max(limit, ts.retain) {
-		ts.log.drop(len(ts.log.recs) - ts.retain)
-	}
-}
-
-// logView is a range of retained records with the chunks and names
-// they need.
+// logView is a range of flushed records with the chunks and names they
+// need.
 type logView struct {
 	window time.Duration
 	recs   []winRec
 	chunks [][]uint64
-	chunk0 int
 	names  [nKinds][]string
 	keys   [nKinds][]string
 }
 
-// viewLocked aliases the retained records from sequence number seq on
-// (from the oldest retained one if seq precedes it) and returns the
-// sequence number of its first record.
-func (ts *TimeSeries) viewLocked(seq int64) (logView, int64) {
+// viewLocked aliases the records from the from-th flushed window on.
+func (ts *TimeSeries) viewLocked(from int) logView {
 	l := &ts.log
-	lo := 0
-	if ts.retain > 0 && len(l.recs) > ts.retain {
-		lo = len(l.recs) - ts.retain
-	}
-	if s := seq - l.evicted; s > int64(lo) {
-		lo = int(min(s, int64(len(l.recs))))
-	}
-	v := logView{window: ts.window, recs: l.recs[lo:], chunks: l.chunks, chunk0: l.chunk0}
+	v := logView{window: ts.window, recs: l.recs[min(from, len(l.recs)):], chunks: l.chunks}
 	for k := range ts.reg {
-		v.names[k], v.keys[k] = ts.reg[k].names, ts.reg[k].keys
+		r := &ts.reg[k]
+		for _, name := range r.names[len(r.keys):] {
+			key, _ := json.Marshal(name) // a string always marshals
+			r.keys = append(r.keys, string(key))
+		}
+		v.names[k], v.keys[k] = r.names, r.keys
 	}
-	return v, l.evicted + int64(lo)
+	return v
 }
 
-// view is viewLocked for a reader that decodes without the lock: it
-// copies the record range and the chunk list, which eviction compacts
-// in place.
-func (ts *TimeSeries) view(seq int64) (logView, int64) {
+// view is viewLocked for a reader that decodes without the lock. The
+// headers it copies stay valid: the log only appends, past their ends.
+func (ts *TimeSeries) view(from int) logView {
 	if ts == nil {
-		return logView{}, 0
+		return logView{}
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	v, first := ts.viewLocked(seq)
-	v.recs, v.chunks = slices.Clone(v.recs), slices.Clone(v.chunks)
-	return v, first
+	return ts.viewLocked(from)
 }
 
 // rec returns the words of record i and its per-kind entry counts.
 func (v *logView) rec(i int) ([]uint64, [nKinds]int) {
 	r := v.recs[i]
-	w := v.chunks[int(r.chunk)-v.chunk0][r.off:]
+	w := v.chunks[r.chunk][r.off:]
 	return w, [nKinds]int{int(uint32(w[0])), int(w[0] >> 32), int(uint32(w[1])), int(w[1] >> 32)}
 }
 
@@ -898,10 +838,10 @@ func (e *frameEncoder) float(prefix string, f float64) {
 	}
 }
 
-// Frames returns the retained flushed frames in window order, built
-// afresh on every call.
+// Frames returns the flushed frames in window order, built afresh on
+// every call.
 func (ts *TimeSeries) Frames() []*WindowFrame {
-	v, _ := ts.view(0)
+	v := ts.view(0)
 	if len(v.recs) == 0 {
 		return nil
 	}
@@ -924,7 +864,7 @@ func (ts *TimeSeries) Frames() []*WindowFrame {
 // in-memory export allocates its output once instead of doubling into
 // it.
 func (ts *TimeSeries) WriteNDJSON(w io.Writer) error {
-	v, _ := ts.view(0)
+	v := ts.view(0)
 	var e frameEncoder
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		if n, err := e.size(&v); err == nil {

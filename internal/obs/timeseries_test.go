@@ -3,21 +3,19 @@ package obs
 import (
 	"bytes"
 	"math"
-	"reflect"
-	"runtime"
 	"testing"
 	"time"
 )
 
 func TestTimeSeriesWindowing(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
-	ts.Inc(100*time.Millisecond, "reqs_total", 1)
-	ts.Inc(900*time.Millisecond, "reqs_total", 2)
-	ts.Add(500*time.Millisecond, "cost_usd_total", 0.25)
-	ts.Gauge(200*time.Millisecond, "queue_depth", 7)
-	ts.Gauge(800*time.Millisecond, "queue_depth", 3) // last write wins
-	ts.Observe(600*time.Millisecond, "latency_seconds", 0.5)
-	ts.Inc(1500*time.Millisecond, "reqs_total", 5) // next window
+	ts.CounterHandle("reqs_total").Inc(100*time.Millisecond, 1)
+	ts.CounterHandle("reqs_total").Inc(900*time.Millisecond, 2)
+	ts.TotalHandle("cost_usd_total").Add(500*time.Millisecond, 0.25)
+	ts.GaugeHandle("queue_depth").Set(200*time.Millisecond, 7)
+	ts.GaugeHandle("queue_depth").Set(800*time.Millisecond, 3) // last write wins
+	ts.HistHandle("latency_seconds").Observe(600*time.Millisecond, 0.5)
+	ts.CounterHandle("reqs_total").Inc(1500*time.Millisecond, 5) // next window
 
 	// Nothing flushed yet: the first window is still open.
 	ts.Advance(time.Second - 1)
@@ -61,8 +59,8 @@ func TestTimeSeriesWindowing(t *testing.T) {
 // windows 0 and 5 emits exactly two frames.
 func TestTimeSeriesSkipsEmptyWindows(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
-	ts.Inc(0, "a", 1)
-	ts.Inc(5*time.Second+time.Millisecond, "a", 1)
+	ts.CounterHandle("a").Inc(0, 1)
+	ts.CounterHandle("a").Inc(5*time.Second+time.Millisecond, 1)
 	ts.Close()
 	frames := ts.Frames()
 	if len(frames) != 2 || frames[0].Index != 0 || frames[1].Index != 5 {
@@ -75,83 +73,11 @@ func TestTimeSeriesSkipsEmptyWindows(t *testing.T) {
 func TestTimeSeriesLateRecordingClamped(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
 	ts.Advance(3 * time.Second) // windows 0-2 are gone
-	ts.Inc(500*time.Millisecond, "late_total", 1)
+	ts.CounterHandle("late_total").Inc(500*time.Millisecond, 1)
 	ts.Close()
 	frames := ts.Frames()
 	if len(frames) != 1 || frames[0].Index != 3 || frames[0].Counters["late_total"] != 1 {
 		t.Fatalf("late recording lost or misfiled: %+v", frames)
-	}
-}
-
-func TestTimeSeriesSubscribeAndRetention(t *testing.T) {
-	ts := NewTimeSeries(time.Second)
-	var seen []int64
-	ts.Subscribe(func(f *WindowFrame) { seen = append(seen, f.Index) })
-	ts.SetRetention(2)
-	for i := 0; i < 5; i++ {
-		ts.Inc(time.Duration(i)*time.Second, "n", 1)
-	}
-	ts.Close()
-	if len(seen) != 5 {
-		t.Fatalf("subscriber saw %d frames, want all 5", len(seen))
-	}
-	for i, idx := range seen {
-		if idx != int64(i) {
-			t.Fatalf("frames out of order: %v", seen)
-		}
-	}
-	frames := ts.Frames()
-	if len(frames) != 2 || frames[0].Index != 3 || frames[1].Index != 4 {
-		t.Fatalf("retention kept wrong frames: %+v", frames)
-	}
-}
-
-// Eviction is amortised: a long run under a retention cap must not copy
-// the retained set on every flush (10 000 flushes at retention 100 used
-// to allocate an extra 8 MB of pointer slices), and what it keeps is
-// exactly the tail of the same run without a cap.
-func TestTimeSeriesRetentionAmortised(t *testing.T) {
-	const flushes, retain = 10_000, 100
-	run := func(retention int) (*TimeSeries, uint64) {
-		ts := NewTimeSeries(time.Second)
-		ts.SetRetention(retention)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < flushes; i++ {
-			at := time.Duration(i) * time.Second
-			ts.Inc(at, "n", int64(i))
-			ts.Advance(at + time.Second)
-		}
-		runtime.ReadMemStats(&m1)
-		return ts, m1.TotalAlloc - m0.TotalAlloc
-	}
-	all, _ := run(0)
-	capped, allocated := run(retain)
-	// ~53 B per flushed window: its five-word record in the log's arena
-	// (chunks the evicted records alone used are dropped, not reused)
-	// and its slot in the record slice. A frame with a one-entry map
-	// was ~350 B, and copying the retained set per flush added 800 B.
-	if limit := uint64(1 << 20); allocated > limit {
-		t.Fatalf("%d flushes at retention %d allocated %d B, limit %d", flushes, retain, allocated, limit)
-	}
-	if got, want := capped.Frames(), all.Frames()[flushes-retain:]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("retained %d frames [%d..], want the uncapped run's last %d", len(got), got[0].Index, retain)
-	}
-	var a, b bytes.Buffer
-	if err := capped.WriteNDJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	all.SetRetention(retain)
-	if err := all.WriteNDJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) || bytes.Count(a.Bytes(), []byte("\n")) != retain {
-		t.Fatal("WriteNDJSON under retention is not the newest frames in window order")
-	}
-	// Loosening the cap must not bring evicted frames back.
-	capped.SetRetention(0)
-	if n := len(capped.Frames()); n != retain {
-		t.Fatalf("lifting retention resurfaced frames: %d, want %d", n, retain)
 	}
 }
 
@@ -162,10 +88,10 @@ func TestTimeSeriesNDJSONDeterministic(t *testing.T) {
 		ts := NewTimeSeries(250 * time.Millisecond)
 		for i := 0; i < 40; i++ {
 			at := time.Duration(i) * 70 * time.Millisecond
-			ts.Inc(at, "reqs_total", int64(i%3))
-			ts.Add(at, "cost", float64(i)*0.001)
-			ts.Observe(at, "lat", float64(i%7)*0.01)
-			ts.Gauge(at, "depth", float64(i%5))
+			ts.CounterHandle("reqs_total").Inc(at, int64(i%3))
+			ts.TotalHandle("cost").Add(at, float64(i)*0.001)
+			ts.HistHandle("lat").Observe(at, float64(i%7)*0.01)
+			ts.GaugeHandle("depth").Set(at, float64(i%5))
 		}
 		ts.Close()
 		return ts
@@ -184,14 +110,13 @@ func TestTimeSeriesNDJSONDeterministic(t *testing.T) {
 
 func TestTimeSeriesNilSafe(t *testing.T) {
 	var ts *TimeSeries
-	ts.Inc(0, "a", 1)
-	ts.Add(0, "b", 1)
-	ts.Gauge(0, "c", 1)
-	ts.Observe(0, "d", 1)
+	ts.CounterHandle("a").Inc(0, 1)
+	ts.TotalHandle("b").Add(0, 1)
+	ts.GaugeHandle("c").Set(0, 1)
+	ts.HistHandle("d").Observe(0, 1)
 	ts.Advance(time.Hour)
 	ts.Close()
 	ts.Subscribe(func(*WindowFrame) {})
-	ts.SetRetention(1)
 	if ts.Frames() != nil || ts.Window() != 0 {
 		t.Fatal("nil series not a no-op")
 	}
@@ -226,7 +151,7 @@ func TestHistFrameQuantiles(t *testing.T) {
 	// 100 observations 1..100 ms: p50 ≈ 50 ms, p99 ≈ 99 ms within the
 	// ~6% bucket width of the log-linear grid.
 	for i := 1; i <= 100; i++ {
-		ts.Observe(0, "lat", float64(i)*0.001)
+		ts.HistHandle("lat").Observe(0, float64(i)*0.001)
 	}
 	ts.Close()
 	h := ts.Frames()[0].Hists["lat"]
@@ -262,8 +187,8 @@ func TestHistFrameQuantiles(t *testing.T) {
 // stays usable for later recordings, unlike Close.
 func TestTimeSeriesFlushEmitsFinalPartialWindow(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
-	ts.Inc(200*time.Millisecond, "reqs_total", 1)
-	ts.Inc(2300*time.Millisecond, "reqs_total", 2) // final partial window [2s, 3s)
+	ts.CounterHandle("reqs_total").Inc(200*time.Millisecond, 1)
+	ts.CounterHandle("reqs_total").Inc(2300*time.Millisecond, 2) // final partial window [2s, 3s)
 
 	// The run ends at 2.3s: Advance flushes up to the window containing
 	// the makespan, silently dropping the last frame...
@@ -289,7 +214,7 @@ func TestTimeSeriesFlushEmitsFinalPartialWindow(t *testing.T) {
 
 	// The series is still open: later recordings land in their own
 	// windows and flush normally.
-	ts.Inc(5500*time.Millisecond, "reqs_total", 7)
+	ts.CounterHandle("reqs_total").Inc(5500*time.Millisecond, 7)
 	ts.Close()
 	frames = ts.Frames()
 	if len(frames) != 3 || frames[2].Index != 5 || frames[2].Counters["reqs_total"] != 7 {

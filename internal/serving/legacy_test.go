@@ -88,7 +88,7 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 		pl.AdvanceTo(p.readyAt)
 		now := pl.Now()
 		ts.Advance(now)
-		ts.Gauge(now, "serving_queue_depth", float64(len(queue)))
+		ts.GaugeHandle("serving_queue_depth").Set(now, float64(len(queue)))
 		elapsed := now - arrivals[p.idx]
 
 		if slo.Shed && (elapsed >= slo.Deadline ||
@@ -104,16 +104,16 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 			jr.ThrottleWait = p.wait
 			jr.Outcome = OutcomeShed
 			jr.Trace = requestSpan(jr, p.waits, nil)
-			mx.Inc("serving_shed_total", 1)
-			ts.Inc(now, "serving_shed_total", 1)
+			mx.CounterHandle("serving_shed_total").Inc(1)
+			ts.CounterHandle("serving_shed_total").Inc(now, 1)
 			continue
 		}
 
 		if pl.InFlightAt(now)+width > limit {
 			p.attempts++
 			rep.Throttles++
-			mx.Inc("serving_throttles_total", 1)
-			ts.Inc(now, "serving_throttles_total", 1)
+			mx.CounterHandle("serving_throttles_total").Inc(1)
+			ts.CounterHandle("serving_throttles_total").Inc(now, 1)
 			if p.attempts >= cfg.Throttle.attempts() {
 				if !slo.TolerateFailures {
 					return nil, fmt.Errorf("serving: request %d throttled %d times (limit %d, width %d)",
@@ -131,8 +131,8 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 				jr.Outcome = OutcomeThrottled
 				jr.Err = fmt.Sprintf("throttled %d times", p.attempts)
 				jr.Trace = requestSpan(jr, p.waits, nil)
-				mx.Inc("serving_admission_failures_total", 1)
-				ts.Inc(now, "serving_admission_failures_total", 1)
+				mx.CounterHandle("serving_admission_failures_total").Inc(1)
+				ts.CounterHandle("serving_admission_failures_total").Inc(now, 1)
 				continue
 			}
 			bo := backoff(cfg.Throttle, p.attempts, rng)
@@ -193,11 +193,11 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 			jr.Outcome = OutcomeFailed
 			if deadlined {
 				jr.Outcome = OutcomeDeadline
-				mx.Inc("serving_deadline_failures_total", 1)
-				ts.Inc(now, "serving_deadline_failures_total", 1)
+				mx.CounterHandle("serving_deadline_failures_total").Inc(1)
+				ts.CounterHandle("serving_deadline_failures_total").Inc(now, 1)
 			} else {
-				mx.Inc("serving_failures_total", 1)
-				ts.Inc(now, "serving_failures_total", 1)
+				mx.CounterHandle("serving_failures_total").Inc(1)
+				ts.CounterHandle("serving_failures_total").Inc(now, 1)
 			}
 			jr.Err = err.Error()
 			var failTrace *obs.Span
@@ -212,8 +212,8 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 			if jr.Done > rep.Makespan {
 				rep.Makespan = jr.Done
 			}
-			mx.Add("serving_cost_usd_total", jr.Cost)
-			ts.Add(jr.Done, "serving_cost_usd_total", jr.Cost)
+			mx.TotalHandle("serving_cost_usd_total").Add(jr.Cost)
+			ts.TotalHandle("serving_cost_usd_total").Add(jr.Done, jr.Cost)
 			continue
 		}
 
@@ -225,12 +225,12 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 		if jrep.Trace != nil {
 			jr.Trace = requestSpan(jr, p.waits, jrep.Trace)
 			if sampler != nil {
-				mx.Inc("serving_spans_sampled_total", 1)
-				ts.Inc(jr.Done, "serving_spans_sampled_total", 1)
+				mx.CounterHandle("serving_spans_sampled_total").Inc(1)
+				ts.CounterHandle("serving_spans_sampled_total").Inc(jr.Done, 1)
 			}
 		} else if sampler != nil {
-			mx.Inc("serving_spans_dropped_total", 1)
-			ts.Inc(jr.Done, "serving_spans_dropped_total", 1)
+			mx.CounterHandle("serving_spans_dropped_total").Inc(1)
+			ts.CounterHandle("serving_spans_dropped_total").Inc(jr.Done, 1)
 		}
 
 		if inFlight := pl.InFlightAt(now); inFlight > rep.PeakInFlight {
@@ -239,20 +239,20 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 		if jr.Done > rep.Makespan {
 			rep.Makespan = jr.Done
 		}
-		mx.Inc("serving_jobs_total", 1)
-		mx.Observe("serving_queue_seconds", obs.DurationBounds, jr.Queue.Seconds())
-		mx.Observe("serving_latency_seconds", obs.DurationBounds, jr.Latency.Seconds())
-		mx.Add("serving_cost_usd_total", jr.Cost)
-		ts.Inc(jr.Done, "serving_jobs_total", 1)
-		ts.Observe(now, "serving_queue_seconds", jr.Queue.Seconds())
-		ts.Observe(jr.Done, "serving_latency_seconds", jr.Latency.Seconds())
-		ts.Add(jr.Done, "serving_cost_usd_total", jr.Cost)
+		mx.CounterHandle("serving_jobs_total").Inc(1)
+		mx.HistHandle("serving_queue_seconds").Observe(jr.Queue.Seconds())
+		mx.HistHandle("serving_latency_seconds").Observe(jr.Latency.Seconds())
+		mx.TotalHandle("serving_cost_usd_total").Add(jr.Cost)
+		ts.CounterHandle("serving_jobs_total").Inc(jr.Done, 1)
+		ts.HistHandle("serving_queue_seconds").Observe(now, jr.Queue.Seconds())
+		ts.HistHandle("serving_latency_seconds").Observe(jr.Done, jr.Latency.Seconds())
+		ts.TotalHandle("serving_cost_usd_total").Add(jr.Done, jr.Cost)
 	}
 
 	summarize(rep)
 	cfg.Series.Advance(rep.Makespan)
 	cfg.Series.Flush()
-	mx.Gauge("serving_peak_in_flight", float64(rep.PeakInFlight))
+	mx.GaugeHandle("serving_peak_in_flight").Set(float64(rep.PeakInFlight))
 	return rep, nil
 }
 
@@ -370,18 +370,18 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 				if jrep.Trace != nil {
 					jr.Trace = requestSpan(jr, j.waits, jrep.Trace)
 					if sampler != nil {
-						mx.Inc("serving_spans_sampled_total", 1)
-						ts.Inc(done, "serving_spans_sampled_total", 1)
+						mx.CounterHandle("serving_spans_sampled_total").Inc(1)
+						ts.CounterHandle("serving_spans_sampled_total").Inc(done, 1)
 					}
 				} else if sampler != nil {
-					mx.Inc("serving_spans_dropped_total", 1)
-					ts.Inc(done, "serving_spans_dropped_total", 1)
+					mx.CounterHandle("serving_spans_dropped_total").Inc(1)
+					ts.CounterHandle("serving_spans_dropped_total").Inc(done, 1)
 				}
 			} else if jrep.Trace != nil {
 				jr.Trace = batchRideSpan(jr, j.waits, u.First, u.Size)
 			}
-			mx.Add("serving_cost_usd_total", jr.Cost)
-			ts.Add(done, "serving_cost_usd_total", jr.Cost)
+			mx.TotalHandle("serving_cost_usd_total").Add(jr.Cost)
+			ts.TotalHandle("serving_cost_usd_total").Add(done, jr.Cost)
 			if jr.Done > rep.Makespan {
 				rep.Makespan = jr.Done
 			}
@@ -409,11 +409,11 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 		fill(j, frep, done, outcome, err.Error())
 		for k := 0; k < j.unit.Size; k++ {
 			if deadlined {
-				mx.Inc("serving_deadline_failures_total", 1)
-				ts.Inc(done, "serving_deadline_failures_total", 1)
+				mx.CounterHandle("serving_deadline_failures_total").Inc(1)
+				ts.CounterHandle("serving_deadline_failures_total").Inc(done, 1)
 			} else {
-				mx.Inc("serving_failures_total", 1)
-				ts.Inc(done, "serving_failures_total", 1)
+				mx.CounterHandle("serving_failures_total").Inc(1)
+				ts.CounterHandle("serving_failures_total").Inc(done, 1)
 			}
 		}
 		return nil
@@ -482,14 +482,14 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			estN++
 			for k := 0; k < j.unit.Size; k++ {
 				idx := j.unit.First + k
-				mx.Inc("serving_jobs_total", 1)
-				mx.Observe("serving_queue_seconds", obs.DurationBounds, rep.Jobs[idx].Queue.Seconds())
-				mx.Observe("serving_latency_seconds", obs.DurationBounds, rep.Jobs[idx].Latency.Seconds())
-				ts.Inc(now, "serving_jobs_total", 1)
-				ts.Observe(now, "serving_queue_seconds", rep.Jobs[idx].Queue.Seconds())
-				ts.Observe(now, "serving_latency_seconds", rep.Jobs[idx].Latency.Seconds())
+				mx.CounterHandle("serving_jobs_total").Inc(1)
+				mx.HistHandle("serving_queue_seconds").Observe(rep.Jobs[idx].Queue.Seconds())
+				mx.HistHandle("serving_latency_seconds").Observe(rep.Jobs[idx].Latency.Seconds())
+				ts.CounterHandle("serving_jobs_total").Inc(now, 1)
+				ts.HistHandle("serving_queue_seconds").Observe(now, rep.Jobs[idx].Queue.Seconds())
+				ts.HistHandle("serving_latency_seconds").Observe(now, rep.Jobs[idx].Latency.Seconds())
 			}
-			ts.Gauge(now, "serving_pipeline_running", float64(running))
+			ts.GaugeHandle("serving_pipeline_running").Set(now, float64(running))
 
 		case evStage:
 			i := bestIdx
@@ -507,7 +507,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			freeAt[i] = now + svc
 			j.prevEnd = now + svc
 			j.next++
-			ts.Add(now, fmt.Sprintf("serving_stage_busy_seconds_total{stage=%q}", strconv.Itoa(i)), svc.Seconds())
+			ts.TotalHandle(fmt.Sprintf("serving_stage_busy_seconds_total{stage=%q}", strconv.Itoa(i))).Add(now, svc.Seconds())
 			if j.next == width {
 				finishQ = append(finishQ, j)
 			} else {
@@ -523,7 +523,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			u := p.unit
 			leader := u.First
 			elapsed := now - arrivals[leader]
-			ts.Gauge(now, "serving_queue_depth", float64(len(queue)))
+			ts.GaugeHandle("serving_queue_depth").Set(now, float64(len(queue)))
 
 			if slo.Shed && (elapsed >= slo.Deadline ||
 				(estN > 0 && elapsed+estSum/time.Duration(estN) > slo.Deadline)) {
@@ -534,8 +534,8 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			if pl.InFlightAt(now)+width > limit {
 				p.attempts++
 				rep.Throttles++
-				mx.Inc("serving_throttles_total", 1)
-				ts.Inc(now, "serving_throttles_total", 1)
+				mx.CounterHandle("serving_throttles_total").Inc(1)
+				ts.CounterHandle("serving_throttles_total").Inc(now, 1)
 				if p.attempts >= cfg.Throttle.attempts() {
 					if !slo.TolerateFailures {
 						return nil, fmt.Errorf("serving: request %d throttled %d times (limit %d, width %d)",
@@ -567,10 +567,10 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 					return nil, fmt.Errorf("serving: batching requests %d..%d: %w", leader, leader+u.Size-1, err)
 				}
 				in = stacked
-				mx.Inc("serving_batches_total", 1)
-				ts.Inc(now, "serving_batches_total", 1)
+				mx.CounterHandle("serving_batches_total").Inc(1)
+				ts.CounterHandle("serving_batches_total").Inc(now, 1)
 			}
-			ts.Observe(now, "serving_batch_size", float64(u.Size))
+			ts.HistHandle("serving_batch_size").Observe(now, float64(u.Size))
 			sj, err := dep.BeginStaged(in, coordinator.StagedOptions{
 				Deadline: jobDeadline,
 				Batch:    u.Size,
@@ -594,7 +594,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 	}
 
 	summarize(rep)
-	mx.Gauge("serving_peak_in_flight", float64(rep.PeakInFlight))
+	mx.GaugeHandle("serving_peak_in_flight").Set(float64(rep.PeakInFlight))
 	cfg.Series.Advance(rep.Makespan)
 	cfg.Series.Flush()
 	return rep, nil

@@ -370,7 +370,7 @@ func (s *scheduler) run() (*Report, error) {
 	}
 
 	s.out.finish()
-	s.cfg.Metrics.Gauge("serving_peak_in_flight", float64(s.rep.PeakInFlight))
+	s.h.peakInFlight.Set(float64(s.rep.PeakInFlight))
 	s.ts.Advance(s.rep.Makespan)
 	s.ts.Flush()
 	s.finishBrownout()
@@ -680,6 +680,6 @@ func (s *scheduler) finishBrownout() {
 	}
 	s.rep.BrownoutDeepest = s.ctl.deepest
 	s.rep.BrownoutTransitions = s.ctl.transitions
-	s.cfg.Metrics.Gauge("serving_brownout_level", float64(s.ctl.level))
+	s.h.brownoutLevel.Set(float64(s.ctl.level))
 	s.setHedgingDisabled(false)
 }

@@ -321,6 +321,7 @@ type serveHandles struct {
 	budgetExhausted, brownoutShed, fallback            obs.EventCounter
 	cost                                               obs.TotalHandle
 	queueSec, latencySec                               obs.HistHandle
+	peakInFlight, brownoutLevel                        obs.GaugeHandle
 	tsCost                                             obs.SeriesTotalHandle
 	tsQueueSec, tsLatencySec                           obs.SeriesHistHandle
 	tsQueueDepth, tsBrownoutLevel                      obs.SeriesGaugeHandle
@@ -340,8 +341,10 @@ func newServeHandles(mx *obs.Metrics, ts *obs.TimeSeries) serveHandles {
 		brownoutShed:    obs.NewEventCounter(mx, ts, "serving_brownout_shed_total"),
 		fallback:        obs.NewEventCounter(mx, ts, "serving_fallback_total"),
 		cost:            mx.TotalHandle("serving_cost_usd_total"),
-		queueSec:        mx.HistHandle("serving_queue_seconds", obs.DurationBounds),
-		latencySec:      mx.HistHandle("serving_latency_seconds", obs.DurationBounds),
+		queueSec:        mx.HistHandle("serving_queue_seconds"),
+		latencySec:      mx.HistHandle("serving_latency_seconds"),
+		peakInFlight:    mx.GaugeHandle("serving_peak_in_flight"),
+		brownoutLevel:   mx.GaugeHandle("serving_brownout_level"),
 		tsCost:          ts.TotalHandle("serving_cost_usd_total"),
 		tsQueueSec:      ts.HistHandle("serving_queue_seconds"),
 		tsLatencySec:    ts.HistHandle("serving_latency_seconds"),
