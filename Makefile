@@ -140,11 +140,13 @@ loc:
 # Short fuzz pass over the two wire-format decoders — FuzzDecodeWeights
 # reads both weights container kinds, float32 and quantized packages —
 # the hedge-delay latency ring (against its copy-and-sort reference),
-# the planner's certified block selection (against a full kernel scan)
-# and the window log's NDJSON encoder (against json.Marshal).
+# the planner's certified block selection (against a full kernel scan),
+# the window log's NDJSON encoder (against json.Marshal) and the MIQP
+# branch-and-bound (against brute force, on up to 12 variables).
 fuzz:
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeTensor -fuzztime 15s
 	$(GO) test ./internal/modelfmt/ -fuzz FuzzDecodeWeights -fuzztime 15s
 	$(GO) test ./internal/coordinator/ -fuzz FuzzLatencyRing -fuzztime 10s
 	$(GO) test ./internal/optimizer/ -run '^$$' -fuzz FuzzSelectBlockCertified -fuzztime 15s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzWindowNDJSON -fuzztime 15s
+	$(GO) test ./internal/miqp/ -run '^$$' -fuzz FuzzSolve -fuzztime 15s

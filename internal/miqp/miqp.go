@@ -4,8 +4,8 @@
 // non-convex objective is first made convex with the QCR diagonal
 // perturbation μ(x_j² − x_j) — which vanishes on binary points, so the
 // reformulation is exact — and the convexified problem is solved by
-// branch-and-bound with box-relaxation lower bounds. A brute-force
-// solver cross-checks the search on small instances.
+// branch-and-bound that propagates the constraint rows and bounds nodes
+// by the box relaxation. A brute-force solver cross-checks the search.
 package miqp
 
 import (
@@ -112,12 +112,11 @@ func dot(a, x []float64) float64 {
 }
 
 // nonZeroSpans returns, for each row of Q, the half-open column range
-// [lo, hi) outside which the row is zero. The iterative kernels (power
-// iteration, projected gradient) walk that range instead of the whole
-// row: a skipped term is ±0, and adding it could change nothing in the
-// sum but the sign of an exact zero. The planner's one-hot problems have
-// a diagonal Q, so a row's range is a single column; a dense Q keeps the
-// full-row loop.
+// [lo, hi) outside which the row is zero. The relaxation's gradient
+// walks that range instead of the whole row: a skipped term is ±0, and
+// adding it could change nothing in the sum but the sign of an exact
+// zero. The planner's one-hot problems have a diagonal Q, so a row's
+// range is a single column; a dense Q keeps the full-row loop.
 func nonZeroSpans(Q [][]float64) [][2]int {
 	spans := make([][2]int, len(Q))
 	for i, row := range Q {
@@ -133,28 +132,36 @@ func nonZeroSpans(Q [][]float64) [][2]int {
 	return spans
 }
 
+// gershgorin returns Gershgorin's bounds on the spectrum of symmetric Q:
+// every eigenvalue lies in [min_i(Q_ii − r_i), max_i(Q_ii + r_i)] with
+// r_i = Σ_{j≠i} |Q_ij|. For a diagonal Q both are exact.
+func gershgorin(Q [][]float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for i, row := range Q {
+		r := 0.0
+		for j, q := range row {
+			if i != j {
+				r += math.Abs(q)
+			}
+		}
+		lo = math.Min(lo, row[i]-r)
+		hi = math.Max(hi, row[i]+r)
+	}
+	return lo, hi
+}
+
 // MinEigenvalue estimates the smallest eigenvalue of symmetric Q by
 // shifted power iteration: λmin(Q) = σ − λmax(σI − Q) with σ a
-// Gershgorin upper bound. The estimate errs on the small side by at most
-// the iteration tolerance, which keeps the QCR shift valid.
+// Gershgorin upper bound. A Rayleigh quotient never exceeds λmax, so
+// the estimate errs on the large side — by up to ~4e-3 when the two
+// lowest eigenvalues nearly coincide — and is not by itself a valid
+// QCR shift; Convexify certifies the shift it derives from it.
 func MinEigenvalue(Q [][]float64) float64 {
 	n := len(Q)
 	if n == 0 {
 		return 0
 	}
-	// Gershgorin upper bound for λmax(Q).
-	sigma := math.Inf(-1)
-	for i := range Q {
-		r := 0.0
-		for j := range Q[i] {
-			if i != j {
-				r += math.Abs(Q[i][j])
-			}
-		}
-		if v := Q[i][i] + r; v > sigma {
-			sigma = v
-		}
-	}
+	_, sigma := gershgorin(Q)
 	// Power iteration on M = σI − Q (PSD-ish, λmax(M) = σ − λmin(Q)).
 	// Deterministic non-degenerate start: varying components avoid being
 	// orthogonal to the dominant eigenvector for structured matrices.
@@ -169,15 +176,12 @@ func MinEigenvalue(Q [][]float64) float64 {
 		v[i] /= norm0
 	}
 	mv := make([]float64, n)
-	spans := nonZeroSpans(Q)
 	lambda := 0.0
 	for it := 0; it < 500; it++ {
 		for i := range mv {
 			s := sigma * v[i]
-			lo, hi := spans[i][0], spans[i][1]
-			vs := v[lo:hi]
-			for j, q := range Q[i][lo:hi] {
-				s -= q * vs[j]
+			for j, q := range Q[i] {
+				s -= q * v[j]
 			}
 			mv[i] = s
 		}
@@ -204,19 +208,34 @@ func MinEigenvalue(Q [][]float64) float64 {
 }
 
 // Convexify applies the QCR diagonal perturbation: it returns a problem
-// with Q' = Q + μI and P' = P − μ·1, where μ = max(0, −λmin(Q)) + ε.
-// Since x_j² = x_j on binary points, the perturbed objective equals the
-// original on every feasible solution while being convex, enabling the
-// branch-and-bound relaxation bounds. The chosen μ is also returned.
+// with Q' = Q + μI and P' = P − μ·1. Since x_j² = x_j on binary points,
+// the perturbed objective equals the original on every feasible solution
+// while being convex, enabling the branch-and-bound relaxation bounds.
+// μ = 0 when Gershgorin's lower bound shows Q is already PSD (exactly
+// so for a diagonal Q), without any power iteration. Otherwise μ starts
+// at −λmin's estimate and is raised by 1e-9, 4e-9, 1.6e-8, … until
+// Q + μI has a Cholesky factorisation, but never past −min_i(Q_ii − r_i),
+// at which Q + μI is diagonally dominant and so PSD. The chosen μ is
+// also returned.
 func Convexify(pr *Problem) (*Problem, float64) {
 	if pr.Q == nil {
 		return pr, 0
 	}
-	lmin := MinEigenvalue(pr.Q)
-	if lmin >= 0 {
+	glo, _ := gershgorin(pr.Q)
+	if glo >= 0 {
 		return pr, 0
 	}
-	mu := -lmin + 1e-9
+	est := math.Max(0, -MinEigenvalue(pr.Q))
+	mu := est
+	for gap := 1e-9; !positiveDefinite(pr.Q, mu); gap *= 4 {
+		if mu = est + gap; mu >= -glo {
+			mu = -glo
+			break
+		}
+	}
+	if mu == 0 {
+		return pr, 0
+	}
 	n := pr.N
 	q := make([][]float64, n)
 	for i := range q {
@@ -228,4 +247,31 @@ func Convexify(pr *Problem) (*Problem, float64) {
 		p[i] -= mu
 	}
 	return &Problem{N: n, Q: q, P: p, Ineq: pr.Ineq, Eq: pr.Eq}, mu
+}
+
+// positiveDefinite reports whether Q + μI has a Cholesky factorisation
+// with every pivot positive.
+func positiveDefinite(Q [][]float64, mu float64) bool {
+	n := len(Q)
+	l := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		lj := l[j*n : j*n+j]
+		d := Q[j][j] + mu
+		for _, v := range lj {
+			d -= v * v
+		}
+		if !(d > 0) {
+			return false
+		}
+		d = math.Sqrt(d)
+		for i := j + 1; i < n; i++ {
+			li := l[i*n : i*n+j]
+			v := Q[i][j]
+			for k, w := range li {
+				v -= w * lj[k]
+			}
+			l[i*n+j] = v / d
+		}
+	}
+	return true
 }

@@ -46,11 +46,15 @@ type Options struct {
 const feasTol = 1e-6
 
 // Solve minimizes the 0-1 quadratic program by QCR convexification and
-// depth-first branch-and-bound. Lower bounds come from minimizing the
-// convexified objective over the [0,1] box with fixed variables honored
-// (dropping the linear constraints — a relaxation, hence a valid bound);
-// partial assignments are pruned by interval feasibility of each
-// constraint.
+// depth-first branch-and-bound. Each row's minimum and maximum activity
+// over the completions of the fixed variables is kept up to date as
+// variables are fixed and restored on backtrack. At every node the rows
+// are propagated to a fixpoint: a free variable whose other value would
+// push an activity past its bound is fixed, and a row no completion can
+// meet closes the node. A node propagation completes is scored directly;
+// any other is bounded by the box relaxation of the convexified
+// objective (the rows dropped, so a relaxation) and branched on its most
+// fractional variable.
 func Solve(pr *Problem, opts Options) (*Solution, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
@@ -60,53 +64,73 @@ func Solve(pr *Problem, opts Options) (*Solution, error) {
 	}
 	conv, _ := Convexify(pr)
 
+	n := pr.N
 	s := &solver{orig: pr, conv: conv, maxNodes: opts.MaxNodes}
 	s.best = math.Inf(1)
-	s.relax = make([]float64, pr.N)
-	s.grad = make([]float64, pr.N)
-	s.xtmp = make([]float64, pr.N)
-	// The projected-gradient step 1/(2·λmax bound) depends only on the
-	// convexified Q, which never changes during the search — compute it
-	// once instead of per node.
+	// One block holds the per-node vectors, the rows' activities and
+	// their snapshots, of which at most n are taken at once.
+	m := len(pr.Ineq) + len(pr.Eq)
+	buf := make([]float64, 3*n+2*m*(n+1))
+	s.relax, s.grad, s.xtmp = buf[:n], buf[n:2*n], buf[2*n:3*n]
+	s.act, s.saved = buf[3*n:3*n:3*n+2*m], buf[3*n+2*m:3*n+2*m]
+	ints := make([]int, 2*n)
+	s.trail, s.idx = ints[:0:n], ints[n:n]
+	s.fixed = make([]int8, n) // -1 free, 0, 1
+	for i := range s.fixed {
+		s.fixed[i] = -1
+	}
+	s.rows = make([]row, 0, m)
+	for k, cs := range [2][]LinConstraint{pr.Ineq, pr.Eq} {
+		for _, c := range cs {
+			r := row{a: c.A, b: c.B, eq: k == 1}
+			lo, hi, sum := 0.0, 0.0, math.Abs(c.B)
+			for _, a := range c.A {
+				lo += math.Min(a, 0)
+				hi += math.Max(a, 0)
+				sum += math.Abs(a)
+			}
+			r.tol = feasTol + 4*float64(len(c.A)+1)*0x1p-52*sum
+			s.rows = append(s.rows, r)
+			s.act = append(s.act, lo, hi)
+		}
+	}
+	// The projected-gradient step is 1/L for L = 2·max_i Σ_j |Q_ij|, a
+	// Lipschitz constant of the gradient: Q is PSD once convexified, so
+	// its diagonal is non-negative and Gershgorin's upper bound is that
+	// row sum. Q never changes during the search, so neither does L.
 	s.step = 1.0
 	if conv.Q != nil {
 		s.spans = nonZeroSpans(conv.Q)
-		lip := 0.0
-		for i := range conv.Q {
-			r := 0.0
-			for j := range conv.Q[i] {
-				r += math.Abs(conv.Q[i][j])
-			}
-			if v := 2 * r; v > lip {
-				lip = v
-			}
-		}
-		if lip > 0 {
-			s.step = 1 / lip
+		if _, hi := gershgorin(conv.Q); hi > 0 {
+			// Finite even when hi is subnormal, or Inf·0 would be NaN.
+			s.step = math.Min(1/(2*hi), math.MaxFloat64)
 		}
 	}
-	fixed := make([]int8, pr.N) // -1 free, 0, 1
-	for i := range fixed {
-		fixed[i] = -1
-	}
-	s.branch(fixed)
+	s.branch()
 
-	sol := &Solution{Nodes: s.nodes}
+	sol := &Solution{X: s.bestX, Status: Optimal, Nodes: s.nodes}
+	if s.bestX != nil {
+		sol.Objective = s.best
+	}
 	switch {
-	case s.bestX == nil && s.nodes >= s.maxNodes:
+	case s.nodes >= s.maxNodes:
 		sol.Status = NodeLimit
 	case s.bestX == nil:
 		sol.Status = Infeasible
-	case s.nodes >= s.maxNodes:
-		sol.Status = NodeLimit
-		sol.X = s.bestX
-		sol.Objective = s.best
-	default:
-		sol.Status = Optimal
-		sol.X = s.bestX
-		sol.Objective = s.best
 	}
 	return sol, nil
+}
+
+// row is one constraint a·x ≤ b (or = b when eq). tol is feasTol plus
+// a bound on how far an activity summed along the search path (at most
+// 2n additions) and Feasible's fresh dot(a, x) (n more) can round apart,
+// each addition erring by at most 2⁻⁵³ of a partial sum no larger than
+// Σ|a_j| + |b|: propagation never cuts off a point Feasible accepts.
+type row struct {
+	a   []float64
+	b   float64
+	tol float64
+	eq  bool
 }
 
 type solver struct {
@@ -117,6 +141,16 @@ type solver struct {
 	maxNodes   int
 	step       float64  // projected-gradient step, 1/Lipschitz
 	spans      [][2]int // non-zero column range of each row of conv.Q
+	rows       []row    // Ineq, then Eq
+	// Search state: fixed[j] is -1 (free), 0 or 1; act[2r] and act[2r+1]
+	// are row r's minimum and maximum activity over completions of the
+	// fixed variables. trail lists the fixed variables in fixing order
+	// and saved the act snapshots of the open children, so a backtrack
+	// restores both exactly.
+	fixed []int8
+	act   []float64
+	trail []int
+	saved []float64
 	// Per-node scratch. relax is only read between a node's own
 	// lowerBound call and its first recursive branch, so one shared
 	// buffer serves the whole depth-first search; xtmp holds complete
@@ -124,128 +158,153 @@ type solver struct {
 	relax []float64
 	grad  []float64
 	xtmp  []float64
+	idx   []int // the free variables, listed by lowerBound
 }
 
-func (s *solver) branch(fixed []int8) {
+func (s *solver) branch() {
 	if s.nodes >= s.maxNodes {
 		return
 	}
 	s.nodes++
 
-	if !s.partialFeasible(fixed) {
+	if !s.propagate() {
 		return
 	}
-	bound, relax := s.lowerBound(fixed)
+	if len(s.trail) == len(s.fixed) {
+		s.score()
+		return
+	}
+	bound, relax := s.lowerBound()
 	if bound >= s.best-1e-12 {
 		return
 	}
 
 	// Pick the most fractional free variable from the relaxation.
 	branchVar, bestFrac := -1, -1.0
-	complete := true
-	for j, f := range fixed {
-		if f >= 0 {
-			continue
-		}
-		complete = false
+	for _, j := range s.idx {
 		frac := 0.5 - math.Abs(relax[j]-0.5)
 		if frac > bestFrac {
 			bestFrac, branchVar = frac, j
 		}
 	}
-	if complete {
-		x := s.xtmp
-		for j, f := range fixed {
-			x[j] = float64(f)
-		}
-		if !s.orig.Feasible(x, feasTol) {
-			return
-		}
-		obj := s.orig.Objective(x)
-		if obj < s.best {
-			s.best = obj
-			s.bestX = append(s.bestX[:0], x...)
-		}
-		return
-	}
 
 	// Dive toward the relaxation's preference first.
-	first, second := int8(1), int8(0)
+	first := int8(1)
 	if relax[branchVar] < 0.5 {
-		first, second = 0, 1
+		first = 0
 	}
-	fixed[branchVar] = first
-	s.branch(fixed)
-	fixed[branchVar] = second
-	s.branch(fixed)
-	fixed[branchVar] = -1
+	for _, v := range [2]int8{first, 1 - first} {
+		mark, saved := len(s.trail), len(s.saved)
+		s.saved = append(s.saved, s.act...)
+		s.fix(branchVar, v)
+		s.branch()
+		for _, j := range s.trail[mark:] {
+			s.fixed[j] = -1
+		}
+		s.trail = s.trail[:mark]
+		copy(s.act, s.saved[saved:])
+		s.saved = s.saved[:saved]
+	}
 }
 
-// partialFeasible checks whether any completion of fixed can satisfy the
-// linear constraints, using interval bounds of each row.
-func (s *solver) partialFeasible(fixed []int8) bool {
-	for _, c := range s.orig.Ineq {
-		lo := rowRangeLo(c.A, fixed)
-		if lo > c.B+feasTol {
-			return false
+// fix sets free variable j to v and narrows every row's activity range:
+// the row moves by d = a (v = 1) or −a (v = 0), a positive d raising the
+// minimum and a negative one lowering the maximum.
+func (s *solver) fix(j int, v int8) {
+	s.fixed[j] = v
+	s.trail = append(s.trail, j)
+	for r := range s.rows {
+		a := s.rows[r].a[j]
+		if v == 0 {
+			a = -a
+		}
+		if a > 0 {
+			s.act[2*r] += a
+		} else {
+			s.act[2*r+1] += a
 		}
 	}
-	for _, c := range s.orig.Eq {
-		lo := rowRangeLo(c.A, fixed)
-		hi := rowRangeHi(c.A, fixed)
-		if lo > c.B+feasTol || hi < c.B-feasTol {
-			return false
+}
+
+// propagate fixes every free variable whose other value would push a
+// row's activity past its bound, until no row forces another. It
+// returns false when some row cannot be met by any completion.
+func (s *solver) propagate() bool {
+	for changed := true; changed; {
+		changed = false
+		for r := range s.rows {
+			c := &s.rows[r]
+			// Room above the minimum activity, and for an equality below
+			// the maximum.
+			up := c.b + c.tol - s.act[2*r]
+			down := math.Inf(1)
+			if c.eq {
+				down = s.act[2*r+1] - (c.b - c.tol)
+			}
+			if up < 0 || down < 0 {
+				return false
+			}
+			for j, a := range c.a {
+				if s.fixed[j] >= 0 {
+					continue
+				}
+				// x = 1 raises the minimum by a > 0 or lowers the
+				// maximum by −a > 0; x = 0 does the opposite.
+				switch {
+				case a > up || -a > down:
+					s.fix(j, 0)
+				case -a > up || a > down:
+					s.fix(j, 1)
+				default:
+					continue
+				}
+				changed = true
+			}
 		}
 	}
 	return true
 }
 
-func rowRangeLo(a []float64, fixed []int8) float64 {
-	v := 0.0
-	for j, aj := range a {
-		switch {
-		case fixed[j] >= 0:
-			v += aj * float64(fixed[j])
-		case aj < 0:
-			v += aj
-		}
+// score checks a complete assignment against the rows and makes it the
+// incumbent if it improves on it.
+func (s *solver) score() {
+	x := s.xtmp
+	for j, f := range s.fixed {
+		x[j] = float64(f)
 	}
-	return v
+	if !s.orig.Feasible(x, feasTol) {
+		return
+	}
+	if obj := s.orig.Objective(x); obj < s.best {
+		s.best = obj
+		s.bestX = append(s.bestX[:0], x...)
+	}
 }
 
-func rowRangeHi(a []float64, fixed []int8) float64 {
-	v := 0.0
-	for j, aj := range a {
-		switch {
-		case fixed[j] >= 0:
-			v += aj * float64(fixed[j])
-		case aj > 0:
-			v += aj
-		}
-	}
-	return v
-}
-
-// lowerBound minimizes the convexified objective over the box with fixed
-// variables pinned, by projected gradient descent. The box relaxation
-// drops the linear constraints, so the value is a valid lower bound for
-// every completion of fixed. It also returns the relaxation point for
-// branching guidance.
-func (s *solver) lowerBound(fixed []int8) (float64, []float64) {
+// lowerBound minimizes the convexified objective f over the box with
+// fixed variables pinned, by projected gradient descent, and returns a
+// lower bound on f over that box together with the last iterate for
+// branching guidance. The bound is Frank–Wolfe's: for convex f and any
+// iterate x with gradient g, f(y) ≥ f(x) + g·(y − x) for every y in the
+// box, and the right side is smallest at a corner, so
+// f(x) + Σ_free min(−g_j·x_j, g_j·(1 − x_j)) holds however far the
+// iteration got. The box drops the rows, so the bound holds for every
+// completion of the fixed variables.
+func (s *solver) lowerBound() (float64, []float64) {
 	x := s.relax
-	for j := range x {
-		if fixed[j] >= 0 {
-			x[j] = float64(fixed[j])
+	free := s.idx[:0]
+	for j, f := range s.fixed {
+		if f >= 0 {
+			x[j] = float64(f)
 		} else {
 			x[j] = 0.5
+			free = append(free, j)
 		}
 	}
+	s.idx = free
 	if s.conv.Q == nil {
 		// Linear objective: minimized at the box corner per sign.
-		for j := range x {
-			if fixed[j] >= 0 {
-				continue
-			}
+		for _, j := range free {
 			if s.conv.P[j] >= 0 {
 				x[j] = 0
 			} else {
@@ -254,24 +313,12 @@ func (s *solver) lowerBound(fixed []int8) (float64, []float64) {
 		}
 		return s.conv.Objective(x), x
 	}
-	step := s.step
 	grad := s.grad
 	for it := 0; it < 300; it++ {
+		s.gradient(x)
 		moved := 0.0
-		for i := range grad {
-			g := s.conv.P[i]
-			lo, hi := s.spans[i][0], s.spans[i][1]
-			xs := x[lo:hi]
-			for j, q := range s.conv.Q[i][lo:hi] {
-				g += 2 * q * xs[j]
-			}
-			grad[i] = g
-		}
-		for j := range x {
-			if fixed[j] >= 0 {
-				continue
-			}
-			nx := x[j] - step*grad[j]
+		for _, j := range free {
+			nx := x[j] - s.step*grad[j]
 			if nx < 0 {
 				nx = 0
 			} else if nx > 1 {
@@ -284,9 +331,27 @@ func (s *solver) lowerBound(fixed []int8) (float64, []float64) {
 			break
 		}
 	}
-	// Guard the bound against residual optimization error.
+	s.gradient(x)
 	val := s.conv.Objective(x)
+	for _, j := range free {
+		val += math.Min(-grad[j]*x[j], grad[j]*(1-x[j]))
+	}
+	// Guard the bound against rounding.
 	return val - 1e-9*(1+math.Abs(val)), x
+}
+
+// gradient stores the free coordinates of ∇f(x) = P + 2Qx, f the
+// convexified objective, in grad.
+func (s *solver) gradient(x []float64) {
+	for _, i := range s.idx {
+		g := s.conv.P[i]
+		lo, hi := s.spans[i][0], s.spans[i][1]
+		xs := x[lo:hi]
+		for j, q := range s.conv.Q[i][lo:hi] {
+			g += 2 * q * xs[j]
+		}
+		s.grad[i] = g
+	}
 }
 
 // BruteForce enumerates all 2^N binary points (N ≤ 26) and returns the

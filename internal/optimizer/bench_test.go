@@ -3,6 +3,8 @@ package optimizer
 import (
 	"testing"
 	"time"
+
+	"ampsinf/internal/miqp"
 )
 
 // The paper reports the optimizer overhead as "within a few seconds on a
@@ -155,6 +157,38 @@ func BenchmarkOptimizeBnBCostOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := o.OptimizeCostOnly(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBnBBuildSolves times miqp.Solve on tinycnn's 45 table-build
+// span problems (λ = 0, one-hot over the allowed blocks), the solves
+// that dominate a BnB-mode New.
+func BenchmarkBnBBuildSolves(b *testing.B) {
+	req := request("tinycnn")
+	req.UseBnB = true
+	o, err := New(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var probs []*miqp.Problem
+	for _, row := range o.table {
+		for _, sc := range row {
+			if idx, q, pvec, ones := bnbProblemRef(sc, 0); len(idx) > 0 {
+				probs = append(probs, &miqp.Problem{
+					N: len(idx), Q: q, P: pvec,
+					Eq: []miqp.LinConstraint{{A: ones, B: 1}},
+				})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pr := range probs {
+			if _, err := miqp.Solve(pr, miqp.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

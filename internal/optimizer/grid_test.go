@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/miqp"
 	"ampsinf/internal/perf"
 )
 
@@ -272,8 +273,8 @@ func TestNewAllocationBudget(t *testing.T) {
 }
 
 func TestBnBCostOnlyReusesBuildSolves(t *testing.T) {
-	// Every miqp.Solve allocates at least six slices, so a λ = 0 plan
-	// that re-solved even one span could not stay inside this budget.
+	// OptimizeCostOnly makes 4 allocations and every miqp.Solve 7, so a
+	// λ = 0 plan that re-solved its spans could not stay inside this budget.
 	req := request("tinycnn")
 	req.UseBnB = true
 	o, err := New(req)
@@ -287,5 +288,48 @@ func TestBnBCostOnlyReusesBuildSolves(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Fatalf("OptimizeCostOnly after New allocates %.0f objects in BnB mode, want ≤ 16", allocs)
+	}
+}
+
+// The table build's BnB solves are one-hot QPs over a diagonal of
+// non-negative execution costs: already convex (Gershgorin settles μ = 0)
+// and closed by row propagation in at most 2n − 1 nodes each, so
+// tinycnn's 45 solves visit at most 4,500 nodes between them, where
+// relaxation bounds alone visited 56,203.
+func TestBnBBuildSolveNodes(t *testing.T) {
+	req := request("tinycnn")
+	req.UseBnB = true
+	o, err := New(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves, nodes := 0, 0
+	for _, row := range o.table {
+		for _, sc := range row {
+			idx, q, pvec, ones := bnbProblemRef(sc, 0)
+			if len(idx) == 0 {
+				continue
+			}
+			pr := &miqp.Problem{
+				N: len(idx), Q: q, P: pvec,
+				Eq: []miqp.LinConstraint{{A: ones, B: 1}},
+			}
+			if _, mu := miqp.Convexify(pr); mu != 0 {
+				t.Errorf("%d blocks: QCR shift %v on a diagonal of execution costs", len(idx), mu)
+			}
+			sol, err := miqp.Solve(pr, miqp.Options{})
+			if err != nil || sol.Status != miqp.Optimal {
+				t.Fatalf("span solve: %v, %+v", err, sol)
+			}
+			if sol.Nodes > 2*len(idx) {
+				t.Errorf("%d blocks took %d nodes, want ≤ %d", len(idx), sol.Nodes, 2*len(idx))
+			}
+			solves++
+			nodes += sol.Nodes
+		}
+	}
+	t.Logf("%d build solves, %d nodes", solves, nodes)
+	if solves != 45 || nodes > 4500 {
+		t.Fatalf("%d build solves took %d nodes, want 45 solves in ≤ 4,500", solves, nodes)
 	}
 }

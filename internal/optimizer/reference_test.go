@@ -120,19 +120,26 @@ func (o *Optimizer) selectBlockRef(sc spanChoice, lambda float64) (int, float64)
 		}
 		return miqp.SolveOneHot(nil, obj, sc.allow)
 	}
-	var idx []int
+	idx, q, pvec, ones := bnbProblemRef(sc, lambda)
+	if len(idx) == 0 {
+		return -1, math.Inf(1)
+	}
+	return solveOneHotQP(idx, q, pvec, ones)
+}
+
+// bnbProblemRef builds the explicit binary QP over sc's allowed blocks
+// in freshly allocated slices: the blocks' indices, the diagonal Q, the
+// linear term and the one-hot row.
+func bnbProblemRef(sc spanChoice, lambda float64) (idx []int, q [][]float64, pvec, ones []float64) {
 	for j, ok := range sc.allow {
 		if ok {
 			idx = append(idx, j)
 		}
 	}
-	if len(idx) == 0 {
-		return -1, math.Inf(1)
-	}
 	n := len(idx)
-	q := make([][]float64, n)
-	pvec := make([]float64, n)
-	ones := make([]float64, n)
+	q = make([][]float64, n)
+	pvec = make([]float64, n)
+	ones = make([]float64, n)
 	for r, j := range idx {
 		q[r] = make([]float64, n)
 		execCost := sc.costs[j] - pricing.LambdaInvocation - pricing.S3GetRequest - pricing.S3PutRequest
@@ -141,7 +148,7 @@ func (o *Optimizer) selectBlockRef(sc spanChoice, lambda float64) (int, float64)
 			pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
 		ones[r] = 1
 	}
-	return solveOneHotQP(idx, q, pvec, ones)
+	return idx, q, pvec, ones
 }
 
 // solveForLambdaRef is the original solveForLambda: freshly allocated
