@@ -143,7 +143,7 @@ func (q Quota) SearchBlocks(strideMB int) []int {
 	if strideMB == 0 {
 		strideMB = q.MemoryStepMB
 	}
-	var blocks []int
+	blocks := make([]int, 0, (q.MaxMemoryMB-q.MinMemoryMB)/strideMB+2)
 	for mb := q.MinMemoryMB; mb <= q.MaxMemoryMB; mb += strideMB {
 		blocks = append(blocks, mb)
 	}

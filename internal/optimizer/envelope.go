@@ -6,9 +6,9 @@ package optimizer
 // for every λ the bisection visits (the pre-overhaul planner's dominant
 // cost on the 10k-block 2021 grid), each span precomputes the lower
 // envelope of its lines and answers any λ ≥ 0 by binary search. It is
-// built from the smallest allowed block upward only as far as a
-// certificate needs (Optimizer.reach): a span stores the envelope of a
-// prefix of its blocks, the full construction stopped early and resumable.
+// built only over the window of blocks a certificate needs
+// (Optimizer.begin, Optimizer.reach): the full construction started late
+// and stopped early, resumable upward.
 //
 // Byte-identity with the exact scan is preserved by construction:
 //

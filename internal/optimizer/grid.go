@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -98,9 +99,9 @@ func blockCost(gb, billedSec float64) float64 {
 }
 
 // eval writes the time and cost of blocks lo … lo+len(ts)−1 into ts and
-// costs and returns the billed seconds of the last one. It does not
-// apply the timeout: callers compare ts against the quota's.
-func (g *blockGrid) eval(w *spanWork, lo int, ts []time.Duration, costs []float64) float64 {
+// costs. It does not apply the timeout: callers compare ts against the
+// quota's.
+func (g *blockGrid) eval(w *spanWork, lo int, ts []time.Duration, costs []float64) {
 	n := len(ts)
 	costs = costs[:n]
 	memF, share, gb := g.memF[lo:lo+n], g.share[lo:lo+n], g.gb[lo:lo+n]
@@ -129,5 +130,75 @@ func (g *blockGrid) eval(w *spanWork, lo int, ts []time.Duration, costs []float6
 		ts[i] = t
 		costs[i] = blockCost(gb[i], billedSec)
 	}
-	return billedSec
+}
+
+// floorMargin is the floor's relative slack: it covers the kernel's
+// roundings, the floor's own and the tangent's error from a derivative
+// that cancels, a few hundred units of roundoff in all (DESIGN.md §10).
+const floorMargin = 1e-12
+
+// floorModel is the closed form of a span's cost + λ·sec over a real
+// memory size m: with x the fixed seconds less the kernel's three 1 ns
+// truncations, W the full-share work seconds, a = α·ws and S =
+// SaturationMB, y(m) = W·S·(1 + a/m)/m below S and W·(1 + a/m) from S up,
+// and f(m) = (price·m/1024 + λ)·(x + y(m)) + fees, convex in m.
+// (1 − floorMargin)·f(m) lies under every block's cost + λ·sec as the
+// kernel and lineAt compute them.
+type floorModel struct {
+	x, w, a, s, lambda float64
+}
+
+// model returns the span's floor model at λ, or false when there is no
+// floor: fixed seconds (less 3 ns) that are not positive, or an input
+// that is negative or not finite.
+func (g *blockGrid) model(w *spanWork, lambda float64) (floorModel, bool) {
+	f := floorModel{
+		x: (w.fixed - 3).Seconds(), w: w.deps + w.load + w.comp, a: w.aws,
+		s: float64(g.perf.SaturationMB), lambda: lambda,
+	}
+	sum := f.x + f.w + f.a + f.lambda
+	return f, f.x > 0 && min(f.w, f.a, f.lambda) >= 0 && !math.IsInf(sum, 0) && !math.IsNaN(sum)
+}
+
+// at returns f(m) and f′(m).
+func (f *floorModel) at(m float64) (v, dv float64) {
+	y, dy := f.w*(1+f.a/m), -f.w*f.a/(m*m)
+	if m < f.s {
+		// W·S·(1 + a/m)/m and its derivative −(W·S/m²)·(1 + 2a/m).
+		r := f.s / m
+		y, dy = y*r, -f.w*r/m*(1+2*f.a/m)
+	}
+	k := pricing.LambdaGBSecond / 1024
+	return (k*m+f.lambda)*(f.x+y) + pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest,
+		k*(f.x+y) + (k*m+f.lambda)*dy
+}
+
+// floorAt is the pointwise floor at a block of m MB.
+func (f *floorModel) floorAt(m float64) float64 {
+	v, _ := f.at(m)
+	return v * (1 - floorMargin)
+}
+
+// lowest bounds f from below over [lo, hi] by bisection on f′, then by
+// the tangent at the last midpoint m₀ — f(m) ≥ f(m₀) + f′(m₀)·(m − m₀)
+// for convex f, whichever side of the minimiser m₀ fell — and returns
+// the floor and m₀, the minimiser to bisection accuracy.
+func (f *floorModel) lowest(lo, hi float64) (float64, float64) {
+	if _, d := f.at(lo); d >= 0 {
+		return f.floorAt(lo), lo
+	}
+	if _, d := f.at(hi); d <= 0 {
+		return f.floorAt(hi), hi
+	}
+	l, h := lo, hi
+	for range 40 {
+		if _, d := f.at((l + h) / 2); d < 0 {
+			l = (l + h) / 2
+		} else {
+			h = (l + h) / 2
+		}
+	}
+	m0 := (l + h) / 2
+	v, d := f.at(m0)
+	return (v + min(d*(lo-m0), d*(hi-m0))) * (1 - floorMargin), m0
 }

@@ -25,8 +25,8 @@
 // evaluating each span's (time, cost) per memory block (grid.go), a
 // parallel span-table build over the independent (a, b) cells, and a
 // per-span lower envelope of the (time, cost) block frontier answering
-// any λ in O(log L) instead of an O(L) rescan, built over the prefix of
-// blocks a certificate needs and extended on demand. The original scans
+// any λ in O(log L) instead of an O(L) rescan, built over the window of
+// blocks a closed-form floor certifies and extended on demand. The original scans
 // live on in reference_test.go and back the equivalence property tests.
 package optimizer
 
@@ -178,14 +178,15 @@ type spanChoice struct {
 	minMem int
 	work   spanWork
 	// env is the lower envelope of (time, cost) over the allowed blocks
-	// below next, the first block the span's chain has not evaluated
-	// (len(blocks) once complete, as the dense tables always are); reach
-	// extends this prefix when a multiplier needs more (scan mode). secL
-	// and bsL, the last block's seconds and billed seconds, floor every
-	// block's.
-	env       []envPoint
-	next      int
-	secL, bsL float64
+	// of the window [start, next): next is the first block the span's
+	// chain has not evaluated (len(blocks) once complete, as the dense
+	// tables always are), and every block below start loses to the λ = 0
+	// argmin at every λ (begin). reach extends the window upward when a
+	// multiplier needs more (scan mode); cert is the largest multiplier
+	// the floor has certified it for (−1 before the build's λ = 0).
+	env         []envPoint
+	start, next int
+	cert        float64
 	// Dense per-block tables, retained by BnB mode (the branch-and-bound
 	// oracle consumes the explicit block set); times and costs are
 	// meaningful where allow is set.
@@ -197,7 +198,7 @@ type spanChoice struct {
 // Optimizer precomputes span tables for one model and answers Optimize
 // calls. Create with New. An Optimizer reuses internal scratch buffers
 // across bisection steps, and a query at a new multiplier may extend the
-// queried spans' envelope prefixes in the table, so a single instance
+// queried spans' envelope windows in the table, so a single instance
 // must not be used from multiple goroutines concurrently (constructing
 // one Optimizer per Optimize call, as the package-level Optimize does, is
 // always safe).
@@ -209,7 +210,7 @@ type Optimizer struct {
 	grid     *blockGrid
 	// table[a][b] is the per-lambda data for the span [a, b).
 	table [][]spanChoice
-	// open lists the feasible spans whose prefix is incomplete; reached
+	// open lists the feasible spans whose window is incomplete; reached
 	// is the largest multiplier certify has extended them for.
 	open    []*spanChoice
 	reached float64
@@ -236,6 +237,10 @@ func New(req Request) (*Optimizer, error) {
 func newOptimizer(req Request) (*Optimizer, error) {
 	if req.Model == nil {
 		return nil, fmt.Errorf("optimizer: nil model")
+	}
+	// (NaN passes fillDefaults' ≤ 0 tests, and int64(w·±Inf) overflows.)
+	if math.IsNaN(req.BandwidthMBps) || math.IsNaN(req.WeightScale) || math.IsInf(req.WeightScale, 0) {
+		return nil, fmt.Errorf("optimizer: BandwidthMBps = %v, WeightScale = %v", req.BandwidthMBps, req.WeightScale)
 	}
 	req.fillDefaults()
 	if err := req.Quota.Validate(); err != nil {
@@ -274,9 +279,11 @@ func newOptimizer(req Request) (*Optimizer, error) {
 // Segments exposes the model's atomic segments.
 func (o *Optimizer) Segments() []nn.Segment { return o.segs }
 
-// blockRun is how many blocks a chain evaluates between two looks at its
-// certificate. A grid no larger (the 2020 quota's 46 blocks, the 2021
-// quota's 159 at its automatic stride) completes every span in the build.
+// blockRun is the most blocks a chain evaluates at once; the floor's
+// hints (reach) usually stop a run sooner. A chain with no more than one
+// run left finishes without a look at the floor: a grid that small (the
+// 2020 quota's 46 blocks, the 2021 quota's 159 at its automatic stride)
+// completes every span in the build.
 const blockRun = 256
 
 // spanScratch is one worker's reusable buffers: the kernel's outputs for
@@ -337,9 +344,9 @@ func (o *Optimizer) buildTable() {
 	}
 }
 
-// certify extends every open span's prefix until it answers λ, on the
+// certify extends every open span's window until it answers λ, on the
 // worker pool, ahead of the serial DP's queries — when λ exceeds every
-// multiplier asked before, the steps that move prefixes far (an
+// multiplier asked before, the steps that move windows far (an
 // unattainable SLO completes every span this way); below that the DP's
 // own queries extend the few spans that need it. reach is a function of
 // the span's own state, so the table afterwards does not depend on the
@@ -356,7 +363,7 @@ func (o *Optimizer) certify(lambda float64) {
 // solveSpan evaluates a candidate partition covering segments [a, b):
 // feasibility (Eqs. 4–7), per-block T_i and S_i through the block-grid
 // kernel, and the cost-minimal block (the λ=0 subproblem). Scan mode
-// builds the envelope prefix that certifies λ = 0 (reach); BnB mode keeps
+// builds the envelope window that certifies λ = 0 (begin); BnB mode keeps
 // the dense tables the branch-and-bound oracle consumes.
 func (o *Optimizer) solveSpan(a, b int, scr *spanScratch) spanChoice {
 	prof := o.profiler.Profile(a, b)
@@ -450,7 +457,7 @@ func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64
 // constructs the explicit 0-1 quadratic program (quadratic term v·u·x²
 // from price×compute, linear term from transfers and λ) and runs it
 // through QCR + branch-and-bound; otherwise the span's lower envelope
-// answers in O(log L), its prefix extended first if need be (reach). λ = 0
+// answers in O(log L), its window extended first if need be (reach). λ = 0
 // returns, in either mode, the solution recorded at build time — for the
 // scan its argmin, where exact cost ties resolve by block index.
 func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
@@ -466,48 +473,83 @@ func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
 	return o.reach(sc, lambda, &o.scr[0])
 }
 
-// begin runs a scan-mode span's chain from block lo, its working-set
-// floor, until the prefix certifies the λ = 0 argmin. No block undercuts
-// the last one's time and billed seconds: memF and share are
-// non-decreasing in the block index, so for non-negative work and
-// pressure (perf.Params.Validate) every quotient, product and truncation
-// of the kernel is non-increasing in it. With the last block over the
-// timeout, then, no block is allowed. A span one run completes is never
-// asked for a certificate and keeps the trivial floors, zero.
+// begin starts a scan-mode span's window and runs its chain until it
+// certifies the λ = 0 argmin. It evaluates the block nearest the floor
+// model's continuous λ = 0 minimiser and, if that block runs within the
+// timeout, starts the window at the first block whose pointwise floor
+// does not exceed its cost c. Every block below costs more than c — its
+// floor does, or, the floor being convex, the floor of the block the
+// search rejected last — so it costs strictly more than the λ = 0
+// argmin and, having less memory, is no faster: it loses at every λ ≥ 0.
+// Time never rises with memory (memF and share are non-decreasing in
+// the block index, and for non-negative work and pressure —
+// perf.Params.Validate — every quotient, product and truncation of the
+// kernel is non-increasing in it), so a nearest block over the timeout
+// makes every smaller one so and starts the window itself. Without a
+// floor model, or with no more than one run of blocks from lo up, the
+// window starts at lo.
 func (o *Optimizer) begin(sc *spanChoice, lo int, scr *spanScratch) {
-	if L := len(o.blocks); L-lo > blockRun {
-		sc.bsL = o.grid.eval(&sc.work, L-1, scr.ts[:1], scr.costs[:1])
-		if scr.ts[0] > o.req.Quota.Timeout {
-			return
+	L := len(o.blocks)
+	sc.start, sc.next, sc.cert = lo, lo, -1
+	if f, ok := o.grid.model(&sc.work, 0); ok && L-lo > blockRun {
+		m := math.Sqrt(f.w * max(f.s, 0) * f.a / f.x)
+		m = max(min(m, f.s, o.grid.memF[L-1]), o.grid.memF[lo])
+		j := min(sort.SearchInts(o.blocks, int(m)), L-1)
+		if j > lo && m-o.grid.memF[j-1] < o.grid.memF[j]-m {
+			j--
 		}
-		sc.secL = scr.ts[0].Seconds()
+		o.grid.eval(&sc.work, j, scr.ts[:1], scr.costs[:1])
+		sc.start = j
+		if c := scr.costs[0]; scr.ts[0] <= o.req.Quota.Timeout {
+			sc.start = lo + sort.Search(j-lo, func(i int) bool { return f.floorAt(o.grid.memF[lo+i]) <= c })
+		}
+		sc.next = sc.start
 	}
-	sc.next = lo
 	o.reach(sc, 0, scr)
 }
 
 // reach answers min_j cost_j + λ·sec_j for a scan-mode span from its
-// envelope prefix, first continuing the span's chain — kernel, then
-// envBuild — over further runs of blocks while the prefix cannot certify
-// the answer: value ≤ blockCost(gb[next], bsL) + λ·secL. Time is
-// non-increasing and gb increasing in the block index (begin)
-// and every float operation involved rounds monotonically, so the
-// right-hand side is a floor on each later block's own cost + λ·sec as
-// the scan computes it; on equality the scan's lowest-index tie-break
-// keeps the prefix's block (DESIGN.md §10). At λ = 0 the value is the
-// argmin the chain has tracked: that is how the build ends a prefix.
+// envelope, first continuing the span's chain — kernel, then envBuild —
+// over runs of blocks while the window cannot certify the answer: value
+// ≤ the floor over every block from next up (floorModel.lowest). The
+// floor lies under each later block's own cost + λ·sec as the scan
+// computes it; on equality the scan's lowest-index tie-break keeps the
+// window's block (DESIGN.md §10). At λ = 0 the value is the argmin the
+// chain has tracked: that is how the build ends a window. Between looks
+// at the floor the chain runs through the block at the model's minimiser
+// and, once past it, to where the pointwise floor reaches the value. A
+// certificate at λ₁ holds at every λ ≤ λ₁ — the window's answer at λ₁
+// undercuts each later line by the floor's margin, and a later line is
+// no steeper — so queries at or below cert skip the floor.
 //
 // reach mutates the span — the Optimizer's single-goroutine contract
 // covers it; certify hands each span to one worker.
 func (o *Optimizer) reach(sc *spanChoice, lambda float64, scr *spanScratch) (int, float64) {
 	L := len(o.blocks)
 	env, grown := sc.env, false
+	until := 0
 	for {
 		j, val := sc.memIdx, sc.zeroObj
 		if lambda > 0 && len(env) > 0 {
 			j, val = envQuery(env, lambda)
 		}
-		if sc.next == L || val <= lineAt(blockCost(o.grid.gb[sc.next], sc.bsL), sc.secL, lambda) {
+		certified := sc.next == L || lambda <= sc.cert
+		if !certified && sc.next >= until {
+			until = sc.next
+			if L-sc.next <= blockRun {
+				// One run finishes the chain for about what a look costs.
+				until = L
+			} else if f, ok := o.grid.model(&sc.work, lambda); ok {
+				floor, m0 := f.lowest(o.grid.memF[sc.next], o.grid.memF[L-1])
+				certified = val <= floor
+				if k := sort.SearchFloat64s(o.grid.memF, m0); k > sc.next {
+					until = k + 1
+				} else if !math.IsInf(val, 1) {
+					until = sc.next + sort.Search(L-sc.next, func(i int) bool { return f.floorAt(o.grid.memF[sc.next+i]) >= val })
+				}
+			}
+		}
+		if certified {
 			if grown {
 				// (make + copy into a local is the form the compiler
 				// turns into one allocation without zeroing.)
@@ -515,12 +557,18 @@ func (o *Optimizer) reach(sc *spanChoice, lambda float64, scr *spanScratch) (int
 				copy(exact, env)
 				sc.env, scr.env = exact, env[:0]
 			}
+			if lambda > sc.cert {
+				sc.cert = lambda
+			}
 			return j, val
 		}
 		if !grown {
 			env, grown = append(scr.env[:0], sc.env...), true
 		}
 		n := min(blockRun, L-sc.next)
+		if until > sc.next {
+			n = min(n, until-sc.next)
+		}
 		ts, costs := scr.ts[:n], scr.costs[:n]
 		o.grid.eval(&sc.work, sc.next, ts, costs)
 		env, sc.memIdx, sc.zeroObj = envBuild(env, sc.memIdx, sc.zeroObj, sc.next, ts, costs, o.req.Quota.Timeout)

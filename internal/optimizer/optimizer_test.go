@@ -294,6 +294,10 @@ func TestNewRejectsInvalidQuotaAndPerf(t *testing.T) {
 		// certificate's precondition.
 		{"negative memory pressure", nil, func() perf.Params { p := perf.Default(); p.MemPressureAlpha = -0.2; return p }()},
 		{"NaN load rate", nil, func() perf.Params { p := perf.Default(); p.WeightsLoadSecPerMB = math.NaN(); return p }()},
+		// Each of these planned one 128 MB lambda with a negative EstTime
+		// (−2562047h43m30.57s for the infinite scale) that met any SLO.
+		{"negative cold start", nil, func() perf.Params { p := perf.Default(); p.ColdStartBase = -10 * time.Second; return p }()},
+		{"negative invoke overhead", nil, func() perf.Params { p := perf.Default(); p.InvokeOverhead = -time.Second; return p }()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -306,6 +310,17 @@ func TestNewRejectsInvalidQuotaAndPerf(t *testing.T) {
 				}
 			}
 		})
+	}
+	for name, mut := range map[string]func(*Request){
+		"NaN weight scale":      func(r *Request) { r.WeightScale = math.NaN() },
+		"infinite weight scale": func(r *Request) { r.WeightScale = math.Inf(1) },
+		"NaN bandwidth":         func(r *Request) { r.BandwidthMBps = math.NaN() },
+	} {
+		req := request("resnet50")
+		mut(&req)
+		if plan, err := Optimize(req); err == nil {
+			t.Errorf("%s: Optimize accepted the request and planned %+v", name, plan)
+		}
 	}
 	// The shipped quotas and parameters stay valid.
 	for _, q := range []pricing.Quota{pricing.Quota2020(), pricing.Quota2021()} {

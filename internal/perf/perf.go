@@ -71,13 +71,17 @@ func Default() Params {
 
 // Validate rejects parameters the time model cannot evaluate: a compute
 // rate that is not a positive finite number makes every compute time
-// +Inf or NaN, whose conversion to a time.Duration is undefined; and a
+// +Inf or NaN, whose conversion to a time.Duration is undefined; a
+// negative start or invocation latency makes times negative; and a
 // negative (or NaN) pressure coefficient, size or per-MB rate, without
 // which time never rises with memory — what the planner's envelopes and
 // their certificate are built on.
 func (p Params) Validate() error {
 	if !(p.PeakGFLOPS > 0) || math.IsInf(p.PeakGFLOPS, 1) {
 		return fmt.Errorf("perf: PeakGFLOPS = %v, want a positive finite rate", p.PeakGFLOPS)
+	}
+	if p.ColdStartBase < 0 || p.InvokeOverhead < 0 {
+		return fmt.Errorf("perf: ColdStartBase = %v, InvokeOverhead = %v, want non-negative latencies", p.ColdStartBase, p.InvokeOverhead)
 	}
 	if !(min(p.MemPressureAlpha, p.DepsMB, p.HandlerMB, p.RuntimeOverheadMB, p.DepsInitSecPerMB, p.WeightsLoadSecPerMB) >= 0) {
 		return fmt.Errorf("perf: a negative or NaN pressure coefficient, size or per-MB rate in %+v", p)
