@@ -537,7 +537,7 @@ func cmdServe(args []string) error {
 		if err := writeFile(*streamOut, series.WriteNDJSON); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d metrics windows to %s\n", len(series.Frames()), *streamOut)
+		fmt.Printf("wrote %d metrics windows to %s\n", series.FlushedWindows(), *streamOut)
 	}
 	if state != nil {
 		state.SetSpans(func() []*obs.Span { return roots })

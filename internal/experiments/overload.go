@@ -193,9 +193,8 @@ func RunOverload() (*OverloadResult, error) {
 				FailureRate: 0.8, MinSamples: 8,
 				Window: 10 * time.Second, OpenFor: 2 * time.Second,
 			}
-			// The brownout controller watches 2 s windows of the run's own
-			// series; the coordinator shares it so breaker-state gauges
-			// reach the controller's health triggers.
+			// The brownout controller judges 2 s windows of the run's own
+			// series.
 			series = obs.NewTimeSeries(2 * time.Second)
 			dcfg.Series = series
 			scfg.SLO = serving.SLOPolicy{Deadline: deadline, Shed: true, TolerateFailures: true}

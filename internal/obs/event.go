@@ -26,3 +26,6 @@ func (w MetricsWriter) IncEvent(e EventCounter, n int64) { w.Inc(e.mx, n) }
 
 // IncEvent is the series half of e.Inc inside a write section.
 func (w SeriesWriter) IncEvent(e EventCounter, at time.Duration, n int64) { w.Inc(e.ts, at, n) }
+
+// InWindow returns the series half's count in flushed window i.
+func (e EventCounter) InWindow(i int) int64 { return e.ts.InWindow(i) }

@@ -54,7 +54,7 @@ type TimeSeries struct {
 
 	aggFree  []*windowAgg // recycled window aggregations
 	histFree []*logHist   // recycled per-window histograms
-	scratch  logHist      // decodes records into subscriber frames
+	scratch  logHist      // decodes records for subscribers and typed reads
 }
 
 // The metric kinds, indexing the series' slot registries.
@@ -654,18 +654,63 @@ func (ts *TimeSeries) view(from int) logView {
 	return ts.viewLocked(from)
 }
 
-// rec returns the words of record i and its per-kind entry counts.
-func (v *logView) rec(i int) ([]uint64, [nKinds]int) {
-	r := v.recs[i]
-	w := v.chunks[r.chunk][r.off:]
+// words returns the record's words and its per-kind entry counts.
+func (r winRec) words(chunks [][]uint64) ([]uint64, [nKinds]int) {
+	w := chunks[r.chunk][r.off:]
 	return w, [nKinds]int{int(uint32(w[0])), int(w[0] >> 32), int(uint32(w[1])), int(w[1] >> 32)}
+}
+
+// --- typed reads of flushed windows ---
+//
+// Window i < FlushedWindows is Frames()[i], read through the handle that
+// wrote it with no frame built: every value is that frame's, bit for bit.
+
+// FlushedWindows returns how many windows have been flushed.
+func (ts *TimeSeries) FlushedWindows() int {
+	if ts == nil {
+		return 0
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return len(ts.log.recs)
+}
+
+// InWindow returns the counter's value in flushed window i, 0 when the
+// window holds no write to it.
+func (h SeriesCounterHandle) InWindow(i int) int64 {
+	h.ts.mu.Lock()
+	defer h.ts.mu.Unlock()
+	rec, n := h.ts.log.recs[i].words(h.ts.log.chunks)
+	for p := 3; p < 3+2*n[kCounter]; p += 2 {
+		if rec[p] == uint64(h.slot) {
+			return int64(rec[p+1])
+		}
+	}
+	return 0
+}
+
+// InWindow returns the histogram's observation count and p99 in flushed
+// window i, both 0 when the window holds no observation of it.
+func (h SeriesHistHandle) InWindow(i int) (count int64, p99 float64) {
+	h.ts.mu.Lock()
+	defer h.ts.mu.Unlock()
+	rec, n := h.ts.log.recs[i].words(h.ts.log.chunks)
+	p := 3 + 2*(n[kCounter]+n[kTotal]+n[kGauge])
+	for range n[kHist] {
+		if uint32(rec[p]) == uint32(h.slot) {
+			h.ts.scratch.unpack(rec, p)
+			return h.ts.scratch.count, h.ts.scratch.quantile(0.99)
+		}
+		p += 5 + 2*int(rec[p]>>32)
+	}
+	return 0, 0
 }
 
 // frame builds record i's WindowFrame into f, decoding its histograms
 // through h. Each map is made at its final size, and the frame's
 // histograms and their buckets share one allocation each.
 func (v *logView) frame(i int, h *logHist, f *WindowFrame) {
-	rec, n := v.rec(i)
+	rec, n := v.recs[i].words(v.chunks)
 	idx := v.recs[i].idx
 	*f = WindowFrame{Index: idx, Start: (time.Duration(idx) * v.window).Seconds(), End: (time.Duration(idx+1) * v.window).Seconds()}
 	var p int
@@ -745,7 +790,7 @@ func (e *frameEncoder) size(v *logView) (n int, err error) {
 // line encodes record i of v as one newline-terminated line; the
 // returned slice is reused by the next call.
 func (e *frameEncoder) line(v *logView, i int) ([]byte, error) {
-	rec, n := v.rec(i)
+	rec, n := v.recs[i].words(v.chunks)
 	idx := v.recs[i].idx
 	e.b, e.err = strconv.AppendInt(append(e.b[:0], `{"window":`...), idx, 10), nil
 	e.float(`,"start_s":`, (time.Duration(idx) * v.window).Seconds())

@@ -225,3 +225,85 @@ func TestTimeSeriesFlushEmitsFinalPartialWindow(t *testing.T) {
 	var nilTS *TimeSeries
 	nilTS.Flush()
 }
+
+// A handle reads a flushed window as Frames shows it: a counter its
+// value (0 when the window did not write it), a histogram its count and
+// p99 bit for bit (0, 0 when absent), past windows with scalars and
+// several histograms ahead of the one read. A nil series has no
+// flushed window.
+func TestHandleWindowReads(t *testing.T) {
+	ts := NewTimeSeries(time.Second)
+	a, b := ts.CounterHandle("a_total"), ts.CounterHandle("b_total")
+	ts.TotalHandle("cost_total").Add(0, 0.5)
+	ts.GaugeHandle("depth").Set(0, 3)
+	early, lat := ts.HistHandle("early_seconds"), ts.HistHandle("latency_seconds")
+	for w := 0; w < 5; w++ {
+		at := time.Duration(w) * time.Second
+		a.Inc(at, int64(w+1))
+		if w%2 == 0 {
+			b.Inc(at, 7)
+			early.Observe(at, 1)
+		}
+		for k := 0; k <= 3*w; k++ {
+			lat.Observe(at, 0.01*float64(k*k+1))
+		}
+	}
+	ts.Close()
+	frames := ts.Frames()
+	if n := ts.FlushedWindows(); n != 5 || len(frames) != 5 {
+		t.Fatalf("%d flushed windows, %d frames; want 5", n, len(frames))
+	}
+	for i, f := range frames {
+		if got := a.InWindow(i); got != f.Counters["a_total"] {
+			t.Errorf("window %d: a_total reads %d, frame %d", i, got, f.Counters["a_total"])
+		}
+		if got := b.InWindow(i); got != f.Counters["b_total"] {
+			t.Errorf("window %d: b_total reads %d, frame %d", i, got, f.Counters["b_total"])
+		}
+		for _, h := range []struct {
+			name string
+			h    SeriesHistHandle
+		}{{"early_seconds", early}, {"latency_seconds", lat}} {
+			var wantN int64
+			var wantP99 float64
+			if hf := f.Hists[h.name]; hf != nil {
+				wantN, wantP99 = hf.Count, hf.P99
+			}
+			if n, p99 := h.h.InWindow(i); n != wantN || math.Float64bits(p99) != math.Float64bits(wantP99) {
+				t.Errorf("window %d: %s reads (%d, %v), frame (%d, %v)", i, h.name, n, p99, wantN, wantP99)
+			}
+		}
+	}
+	if n := (*TimeSeries)(nil).FlushedWindows(); n != 0 {
+		t.Fatalf("a nil series has %d flushed windows", n)
+	}
+}
+
+// Typed reads are safe while another goroutine records and flushes:
+// every window a reader sees flushed reads its final values.
+func TestHandleWindowReadsConcurrentWithFlush(t *testing.T) {
+	ts := NewTimeSeries(time.Second)
+	c, h := ts.CounterHandle("n_total"), ts.HistHandle("v_seconds")
+	const windows = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for w := 0; w < windows; w++ {
+			at := time.Duration(w) * time.Second
+			c.Inc(at, int64(w+1))
+			h.Observe(at, float64(w+1))
+			ts.Advance(at + time.Second)
+		}
+	}()
+	for seen := 0; seen < windows; {
+		for n := ts.FlushedWindows(); seen < n; seen++ {
+			if got := c.InWindow(seen); got != int64(seen+1) {
+				t.Fatalf("window %d: counter reads %d, want %d", seen, got, seen+1)
+			}
+			if n, p99 := h.InWindow(seen); n != 1 || p99 != float64(seen+1) {
+				t.Fatalf("window %d: histogram reads (%d, %v), want (1, %d)", seen, n, p99, seen+1)
+			}
+		}
+	}
+	<-done
+}

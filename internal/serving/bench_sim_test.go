@@ -252,8 +252,8 @@ func BenchmarkServeStreamChaos(b *testing.B) {
 }
 
 // BenchmarkServeStreamChaosBrownout is the chaos storm with the
-// brownout controller on. The controller subscribes to the series, so
-// every flushed window is also handed over as a frame.
+// brownout controller on: every flushed window is judged through the
+// serving handles' typed reads, and no frame is built for it.
 func BenchmarkServeStreamChaosBrownout(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -282,11 +282,36 @@ func TestServeStreamChaosAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation defeats escape analysis; alloc counts are only meaningful in production builds")
 	}
 	cfg, m := chaosStorm(t)
+	chaosAllocBudget(t, cfg, m, 925, 4.75)
+}
+
+// TestServeStreamChaosBrownoutAllocBudget is a ceiling on the same
+// storm with the brownout ladder on: 2.0 KB and 12.6 mallocs per
+// request while the controller subscribed to the series and every
+// flushed window was built into a frame for it; since it reads windows
+// through its handles, ~0.8 KB and 4.1, as without the ladder. The
+// budget, 950 B and 6, fails the frame-per-window controller by 2×.
+func TestServeStreamChaosBrownoutAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves a 20k-request storm")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation defeats escape analysis; alloc counts are only meaningful in production builds")
+	}
+	cfg, m := chaosStorm(t)
+	cfg.Brownout = BrownoutPolicy{Enabled: true, P99: 30 * time.Second}
+	chaosAllocBudget(t, cfg, m, 950, 6)
+}
+
+// chaosAllocBudget serves the chaos storm once and fails if it
+// allocated more than maxB bytes or maxN objects per request.
+func chaosAllocBudget(t *testing.T, cfg Config, m *nn.Model, maxB, maxN float64) {
+	t.Helper()
 	bytes, mallocs := serveChaosStorm(t, cfg, m)
 	perReqB, perReqN := float64(bytes)/chaosStormRequests, float64(mallocs)/chaosStormRequests
 	t.Logf("%.0f B and %.1f mallocs per request", perReqB, perReqN)
-	if perReqB > 925 || perReqN > 4.75 {
-		t.Fatalf("chaos storm allocates %.0f B and %.1f mallocs per request; budget is 925 B and 4.75", perReqB, perReqN)
+	if perReqB > maxB || perReqN > maxN {
+		t.Fatalf("chaos storm allocates %.0f B and %.1f mallocs per request; budget is %.0f B and %.2f", perReqB, perReqN, maxB, maxN)
 	}
 }
 

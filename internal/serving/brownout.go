@@ -1,8 +1,8 @@
 package serving
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
 	"time"
 
 	"ampsinf/internal/obs"
@@ -40,15 +40,15 @@ func BrownoutLevelName(level int) string {
 	return brownoutLevelNames[level]
 }
 
-// BrownoutPolicy closes the loop between the obs.TimeSeries window
-// stream and the serving schedulers: each flushed window is judged
-// healthy or unhealthy against the thresholds below, and runs of
-// consecutive unhealthy (healthy) windows step the degradation ladder
-// down (up) one rung at a time. Everything runs on the simulated clock
-// inside the single-threaded event loop — the controller observes
-// windows in flush order and the loop applies the level before each
-// admission — so same-seed runs brown out and recover byte-identically.
-// The zero value disables the controller.
+// BrownoutPolicy closes the loop between the run's obs.TimeSeries and
+// the serving schedulers: each flushed window is judged healthy or
+// unhealthy against the thresholds below, and runs of consecutive
+// unhealthy (healthy) windows step the degradation ladder down (up) one
+// rung at a time. Everything runs on the simulated clock inside the
+// single-threaded event loop — the controller judges windows in flush
+// order and the loop applies the level before each admission — so
+// same-seed runs brown out and recover byte-identically. The zero value
+// disables the controller.
 type BrownoutPolicy struct {
 	// Enabled turns the controller on.
 	Enabled bool
@@ -88,43 +88,6 @@ const (
 	brownoutBatchWindowFactor = 4
 )
 
-func (p BrownoutPolicy) enabled() bool { return p.Enabled }
-
-func (p BrownoutPolicy) badFraction() float64 {
-	if p.BadFraction > 0 {
-		return p.BadFraction
-	}
-	return 0.2
-}
-
-func (p BrownoutPolicy) minJobs() int64 {
-	if p.MinJobs > 0 {
-		return int64(p.MinJobs)
-	}
-	return 4
-}
-
-func (p BrownoutPolicy) stepUpAfter() int {
-	if p.StepUpAfter > 0 {
-		return p.StepUpAfter
-	}
-	return 2
-}
-
-func (p BrownoutPolicy) stepDownAfter() int {
-	if p.StepDownAfter > 0 {
-		return p.StepDownAfter
-	}
-	return 4
-}
-
-func (p BrownoutPolicy) maxLevel() int {
-	if p.MaxLevel > 0 {
-		return p.MaxLevel
-	}
-	return BrownoutShed
-}
-
 // Validate rejects nonsensical brownout policies before a run starts.
 func (p BrownoutPolicy) Validate() error {
 	if !p.Enabled {
@@ -151,23 +114,17 @@ func (p BrownoutPolicy) Validate() error {
 	return nil
 }
 
-// brownoutCtl is the run-scoped controller state. Its observe method is
-// subscribed to the run's TimeSeries and fires — under the series lock,
-// in window order, on the event loop's goroutine — for every flushed
-// window; it only touches the controller's own fields. The loop reads
-// level between events and applies it, so an observe-driven change
-// takes effect at the first admission after the window flushes.
+// brownoutCtl is the run-scoped controller state. The scheduler calls
+// judge after every ts.Advance and after the final Flush, so each window
+// is judged once, in flush order, on the event loop; the loop enacts the
+// level it asks for before the next admission.
 type brownoutCtl struct {
-	pol BrownoutPolicy
+	pol    BrownoutPolicy // defaults resolved
+	judged int            // flushed windows judged so far
 
 	level        int
 	unhealthyRun int
 	healthyRun   int
-
-	// breakerOpen latches the last seen breaker-state gauge: the gauge
-	// is only written on transitions, so its absence from a window means
-	// "unchanged", not "closed".
-	breakerOpen bool
 
 	// applied is the level the serving loop last enacted; transitions
 	// counts ladder moves for the run report.
@@ -176,80 +133,67 @@ type brownoutCtl struct {
 	deepest     int
 }
 
-func newBrownoutCtl(pol BrownoutPolicy) *brownoutCtl {
-	return &brownoutCtl{pol: pol}
+// newBrownoutCtl resolves a validated pol's defaults (it has no negative
+// field, so zero is unset); the controller judges the windows ts
+// flushes from now on.
+func newBrownoutCtl(pol BrownoutPolicy, ts *obs.TimeSeries) *brownoutCtl {
+	pol.BadFraction = cmp.Or(pol.BadFraction, 0.2)
+	pol.MinJobs = cmp.Or(pol.MinJobs, 4)
+	pol.StepUpAfter = cmp.Or(pol.StepUpAfter, 2)
+	pol.StepDownAfter = cmp.Or(pol.StepDownAfter, 4)
+	pol.MaxLevel = cmp.Or(pol.MaxLevel, BrownoutShed)
+	return &brownoutCtl{pol: pol, judged: ts.FlushedWindows()}
 }
 
-// observe judges one flushed window and steps the ladder with
-// hysteresis. It must not call back into the TimeSeries (it runs under
-// the series lock).
-func (c *brownoutCtl) observe(f *obs.WindowFrame) {
-	if c.unhealthyWindow(f) {
+// judge steps the ladder once for every window ts flushed since the
+// last call, reading each through the handles the run wrote it with.
+func (c *brownoutCtl) judge(ts *obs.TimeSeries, h *serveHandles) {
+	if c == nil {
+		return
+	}
+	for n := ts.FlushedWindows(); c.judged < n; c.judged++ {
+		c.step(c.unhealthyWindow(h, c.judged))
+	}
+}
+
+// step moves the ladder with hysteresis after one judged window.
+func (c *brownoutCtl) step(unhealthy bool) {
+	if unhealthy {
 		c.unhealthyRun++
 		c.healthyRun = 0
-		if c.unhealthyRun >= c.pol.stepUpAfter() && c.level < c.pol.maxLevel() {
+		if c.unhealthyRun >= c.pol.StepUpAfter && c.level < c.pol.MaxLevel {
 			c.level++
 			c.unhealthyRun = 0
 			c.transitions++
-			if c.level > c.deepest {
-				c.deepest = c.level
-			}
+			c.deepest = max(c.deepest, c.level)
 		}
 		return
 	}
 	c.healthyRun++
 	c.unhealthyRun = 0
-	if c.healthyRun >= c.pol.stepDownAfter() && c.level > BrownoutHealthy {
+	if c.healthyRun >= c.pol.StepDownAfter && c.level > BrownoutHealthy {
 		c.level--
 		c.healthyRun = 0
 		c.transitions++
 	}
 }
 
-// unhealthyWindow applies the policy's triggers to one window frame.
-func (c *brownoutCtl) unhealthyWindow(f *obs.WindowFrame) bool {
-	// Breaker-state gauges appear only in transition windows; latch the
-	// most recent write. A frame's map iteration order is undefined, so
-	// fold all writes into "any function's breaker not closed".
-	sawBreaker := false
-	anyOpen := false
-	for name, v := range f.Gauges {
-		if strings.HasPrefix(name, "coordinator_breaker_state{") {
-			sawBreaker = true
-			if v != 0 {
-				anyOpen = true
-			}
-		}
-	}
-	if sawBreaker {
-		c.breakerOpen = anyOpen
-	}
-	if c.breakerOpen {
-		return true
-	}
-	min := c.pol.minJobs()
+// unhealthyWindow applies the policy's triggers to flushed window i. A
+// breaker acts through the outcomes it causes: a short-circuited
+// attempt ends as a failure or a deadline miss.
+func (c *brownoutCtl) unhealthyWindow(h *serveHandles, i int) bool {
+	min := int64(c.pol.MinJobs)
 	if p99 := c.pol.P99; p99 > 0 {
-		if lat := f.Hists["serving_latency_seconds"]; lat != nil && lat.Count >= min &&
-			lat.P99 > p99.Seconds() {
+		if n, lat := h.tsLatencySec.InWindow(i); n >= min && lat > p99.Seconds() {
 			return true
 		}
 	}
-	jobs := f.Counters["serving_jobs_total"]
-	bad := f.Counters["serving_shed_total"] +
-		f.Counters["serving_deadline_failures_total"] +
-		f.Counters["serving_failures_total"] +
-		f.Counters["serving_admission_failures_total"] +
-		f.Counters["serving_budget_exhausted_total"]
-	if settled := jobs + bad; settled >= min &&
-		float64(bad)/float64(settled) > c.pol.badFraction() {
-		return true
-	}
-	throttles := f.Counters["serving_throttles_total"]
-	if attempts := jobs + throttles; attempts >= min &&
-		float64(throttles)/float64(attempts) > brownoutThrottleFraction {
-		return true
-	}
-	return false
+	jobs, throttles := h.jobs.InWindow(i), h.throttles.InWindow(i)
+	bad := h.shed.InWindow(i) + h.deadline.InWindow(i) + h.failures.InWindow(i) +
+		h.admFail.InWindow(i) + h.budgetExhausted.InWindow(i)
+	settled, attempts := jobs+bad, jobs+throttles
+	return settled >= min && float64(bad)/float64(settled) > c.pol.BadFraction ||
+		attempts >= min && float64(throttles)/float64(attempts) > brownoutThrottleFraction
 }
 
 // Level is the ladder rung the controller currently asks for.

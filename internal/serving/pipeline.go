@@ -249,6 +249,7 @@ func (s *scheduler) stageEvent() error {
 	u := s.units.Get(e.ID)
 	now := s.advance(e.At)
 	s.ts.Advance(now)
+	s.ctl.judge(s.ts, &s.h)
 	s.applyBrownout(now)
 
 	if e.Class == evFinish {

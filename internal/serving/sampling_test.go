@@ -12,7 +12,7 @@ import (
 	"ampsinf/internal/workload"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the serving stream golden file")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the serving golden files")
 
 // sampleServe runs one fixed workload on a fresh environment and
 // returns the report, the meter total and the metrics registry.

@@ -158,9 +158,9 @@ type scheduler struct {
 	depthDedup gaugeDedup
 	advanced   int64 // window index of the last ts.Advance call
 	sampler    *obs.Sampler
-	// ctl is the brownout controller (nil when disabled): subscribed to
-	// the series, it judges each flushed window inside ts.Advance; the
-	// loop enacts the level it asks for before the next admission.
+	// ctl is the brownout controller (nil when disabled): it judges the
+	// windows each ts.Advance flushes; the loop enacts the level it asks
+	// for before the next admission.
 	ctl *brownoutCtl
 	rng *rand.Rand // throttle backoff jitter
 	rep *Report
@@ -224,9 +224,8 @@ func newScheduler(cfg Config, src sim.Source, input func(int) *tensor.Tensor, re
 		rep:     rep, out: results{rep: rep, retain: retain},
 		depth: max(cfg.Pipeline.Depth, 1),
 	}
-	if cfg.Brownout.enabled() {
-		s.ctl = newBrownoutCtl(cfg.Brownout)
-		s.ts.Subscribe(s.ctl.observe)
+	if cfg.Brownout.Enabled {
+		s.ctl = newBrownoutCtl(cfg.Brownout, cfg.Series)
 	}
 	var brng *rand.Rand
 	if cfg.Batch.enabled() {
@@ -373,6 +372,7 @@ func (s *scheduler) run() (*Report, error) {
 	s.h.peakInFlight.Set(float64(s.rep.PeakInFlight))
 	s.ts.Advance(s.rep.Makespan)
 	s.ts.Flush()
+	s.ctl.judge(s.ts, &s.h)
 	s.finishBrownout()
 	return s.rep, nil
 }
@@ -390,6 +390,7 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 		if w > s.advanced {
 			s.advanced = w
 			s.ts.Advance(now)
+			s.ctl.judge(s.ts, &s.h)
 		}
 		// Queue depth after this unit leaves the queue (see
 		// newScheduler for what a precoalesced run counts).

@@ -393,7 +393,7 @@ func validate(cfg Config, requests int) error {
 			return fmt.Errorf("serving: %w", err)
 		}
 	}
-	if cfg.Brownout.enabled() && cfg.Series == nil {
+	if cfg.Brownout.Enabled && cfg.Series == nil {
 		return fmt.Errorf("serving: brownout needs a time series to observe")
 	}
 	if fb := cfg.Fallback; fb != nil {
