@@ -156,6 +156,13 @@ func cmdPlan(args []string) error {
 	fmt.Printf("plan computed in %v (paper: \"a few seconds on a laptop\")\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("partitions: %d   est. response %.2fs   est. cost $%.6f   SLO met: %v\n",
 		len(plan.Lambdas), plan.EstTime.Seconds(), plan.EstCost, plan.MeetsSLO)
+	switch {
+	case *slo > 0 && !plan.MeetsSLO:
+		fmt.Println("no plan meets the SLO: this is the fastest (λ = +Inf)")
+	case *slo > 0:
+		fmt.Printf("λ = %.3g $ per s of SLO   cost ≤ %.2f%% above the cheapest plan meeting it\n",
+			plan.LagrangeMultiplier, 100*plan.Gap)
+	}
 	for i, l := range plan.Lambdas {
 		fmt.Printf("  λ%d: layers [%d, %d)  %4d MB  weights %.1f MB  T=%.2fs  $%.6f\n",
 			i, l.LayerLo, l.LayerHi, l.MemoryMB,

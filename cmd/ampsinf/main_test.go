@@ -10,7 +10,8 @@ import (
 // TestServeInferCounts drives the subcommands that run jobs. serve and
 // infer size a workload from a flag: a count below one must come back as
 // an error, not reach the image generator, and a tiny valid run must
-// succeed. sweep must print its table, serve one measured job per
+// succeed. plan must plan under a binding SLO and under one that no
+// plan meets. sweep must print its table, serve one measured job per
 // feasible block when asked for a trace or metrics (and write both
 // files), and decline to measure a model that does not fit one lambda.
 func TestServeInferCounts(t *testing.T) {
@@ -42,6 +43,8 @@ func TestServeInferCounts(t *testing.T) {
 		{"serve 3-bit fallback", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fallback-bits", "3"}, "width 3"},
 		{"infer one real", cmdInfer, []string{"-model", "tinycnn", "-real"}, ""},
 		{"infer two", cmdInfer, []string{"-model", "tinycnn", "-images", "2"}, ""},
+		{"plan binding slo", cmdPlan, []string{"-model", "resnet50", "-slo", "30s"}, ""},
+		{"plan unattainable slo", cmdPlan, []string{"-model", "tinycnn", "-slo", "1ms"}, ""},
 		{"sweep estimates", cmdSweep, []string{"-model", "tinycnn"}, ""},
 		{"sweep measured", cmdSweep, []string{"-model", "tinycnn", "-trace", trace, "-metrics", metrics}, ""},
 		{"sweep too big for one lambda", cmdSweep, []string{"-model", "resnet50", "-trace", filepath.Join(tmp, "none.json")}, ""},

@@ -55,10 +55,10 @@ func BenchmarkOptimizeWithBindingSLO(b *testing.B) {
 // BenchmarkOptimizeQuota2021Stride1 plans ResNet50 on the fine-grained
 // December-2020 quota grid (10,240 MB in 1 MB steps → ~10k memory
 // blocks) with a binding SLO, the worst case the ROADMAP's Figure-10
-// sweep extension hits: every λ-bisection step re-solves the per-span
-// block selection over the full grid.
+// sweep extension hits: every λ step of the search re-solves the
+// per-span block selection over the full grid.
 func BenchmarkOptimizeQuota2021Stride1(b *testing.B) {
-	// 12% under the cost-optimal time, so Optimize has to bisect λ.
+	// 12% under the cost-optimal time, so Optimize has to search λ.
 	req := stride1Request(b, "resnet50", 0.88)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,11 +72,10 @@ func BenchmarkOptimizeQuota2021Stride1(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeUnattainableSLOStride1 is the certified prefixes'
-// worst case: an SLO at half the cost-optimal time, which no plan meets,
-// drives λ up to 1.5e48, so every span's chain is run to completion — in
-// installments between the DP's λ steps, not in one pass of the table
-// build.
+// BenchmarkOptimizeUnattainableSLOStride1 plans for an SLO at half the
+// cost-optimal time, which no plan meets. Optimize learns that from the
+// fastest plan, without moving a window; the λ bisection it replaced
+// drove λ up to 1.5e48 and so ran every span's chain to completion.
 func BenchmarkOptimizeUnattainableSLOStride1(b *testing.B) {
 	for _, model := range []string{"mobilenet", "resnet50"} {
 		req := stride1Request(b, model, 0.5)

@@ -440,7 +440,10 @@ func TestChainBlockCounts(t *testing.T) {
 	// over the 2021 grid at stride 1 (36.1 M blocks at or above their
 	// working-set floors). Certified prefixes starting at the floor
 	// evaluated 5,511,936 of them in New and 5,844,736 by the end of an
-	// Optimize at 0.985 × the cost-optimal time.
+	// Optimize at 0.985 × the cost-optimal time. At 0.5 × no plan meets
+	// the SLO, and Optimize learns that from the fastest plan, which reads
+	// one block per span outside the windows: no chain moves (the λ
+	// bisection ran every chain to its last block).
 	req := stride1(request("mobilenet"))
 	o, err := New(req)
 	if err != nil {
@@ -464,6 +467,22 @@ func TestChainBlockCounts(t *testing.T) {
 	if built > 1_000_000 || solved > 2_000_000 {
 		t.Fatalf("New evaluates %d blocks (budget 1.0 M), New + Optimize %d (budget 2.0 M)", built, solved)
 	}
+
+	req.SLO = base.EstTime / 2
+	o, err = New(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	plan, err := o.Optimize()
+	if err != nil || plan.MeetsSLO {
+		t.Fatalf("plan %+v, err %v: want a plan that misses the SLO", plan, err)
+	}
+	elapsed := time.Since(start)
+	if missed := chainBlocks(o); missed > built {
+		t.Fatalf("an SLO no plan meets: chains evaluate %d blocks, %d in New", missed, built)
+	}
+	t.Logf("an SLO no plan meets: no chain moves; Optimize took %v", elapsed)
 }
 
 func TestCostOnlyObjectiveFallsWithFinerGrids(t *testing.T) {
@@ -498,7 +517,7 @@ func TestCostOnlyObjectiveFallsWithFinerGrids(t *testing.T) {
 				}
 				continue
 			}
-			plan := o.assemble(res, 0)
+			plan := o.assemble(res, 0).plan
 			if res.objective > prevObj {
 				t.Errorf("%s: the λ = 0 objective rises from %v on the %s grid to %v on the %s grid", name, prevObj, prevGrid, res.objective, g.name)
 			}

@@ -48,7 +48,7 @@ func (o *Optimizer) PlanForConfig(segBounds []int, memories []int) (*Plan, error
 		}
 		res.memIdx = append(res.memIdx, j)
 	}
-	return o.assemble(res, 0), nil
+	return o.assemble(res, 0).plan, nil
 }
 
 // span returns the table cell of segments [a, b), or nil when the range

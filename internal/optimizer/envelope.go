@@ -3,7 +3,7 @@ package optimizer
 // The per-lambda subproblem min_j cost_j + λ·time_j over the allowed
 // memory blocks is a minimization of linear functions of λ: block j is
 // the line f_j(λ) = cost_j + sec_j·λ. Instead of rescanning all L blocks
-// for every λ the bisection visits (the pre-overhaul planner's dominant
+// for every λ the SLO search visits (the pre-overhaul planner's dominant
 // cost on the 10k-block 2021 grid), each span precomputes the lower
 // envelope of its lines and answers any λ ≥ 0 by binary search. It is
 // built only over the window of blocks a certificate needs

@@ -18,7 +18,10 @@ import (
 // claims byte-identical plans, not approximately equal ones. These tests
 // drive the fast path against the retained reference implementation
 // across models, quotas, SLO tightness and solver modes, demanding
-// reflect.DeepEqual — any float that drifts by one ulp fails.
+// reflect.DeepEqual — any float that drifts by one ulp fails. The fields
+// the reference's λ bisection cannot reproduce are left out: the hull
+// walk reports the multiplier of its final edge, which checkMultiplier
+// holds to its definition, and the gap its edge certifies.
 
 func equivRequest(t *testing.T, model string, quota2021 bool, useBnB bool) Request {
 	t.Helper()
@@ -71,17 +74,47 @@ func comparePlans(t *testing.T, base Request, fractions []float64, tag string) {
 		if err1 != nil {
 			continue
 		}
-		if !reflect.DeepEqual(fast, slow) {
+		f, s := *fast, *slow
+		f.LagrangeMultiplier, f.Gap, s.LagrangeMultiplier = 0, 0, 0
+		if !reflect.DeepEqual(f, s) {
 			t.Errorf("%s frac=%.2f: plans differ\nfast: %+v\nref:  %+v", tag, frac, fast, slow)
 		}
+		checkMultiplier(t, fastO, fast, fmt.Sprintf("%s frac=%.2f", tag, frac))
+	}
+}
+
+// checkMultiplier asserts that the plan is optimal for the DP at its
+// multiplier λ: the DP's objective there equals the plan's storage-free
+// cost + λ·Σ seconds to chordTol, relative. A plan that misses the SLO
+// carries λ = +Inf.
+func checkMultiplier(t *testing.T, o *Optimizer, plan *Plan, tag string) {
+	t.Helper()
+	lambda := plan.LagrangeMultiplier
+	if !plan.MeetsSLO {
+		if !math.IsInf(lambda, 1) {
+			t.Errorf("%s: a plan that misses the SLO has λ = %g, want +Inf", tag, lambda)
+		}
+		return
+	}
+	var cost, sec float64
+	for _, l := range plan.Lambdas {
+		ti, ci, err := o.SpanEstimate(l.SegLo, l.SegHi, l.MemoryMB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, sec = cost+ci, sec+ti.Seconds()
+	}
+	res, ok := o.solveForLambda(lambda)
+	if want := cost + lambda*sec; !ok || math.Abs(res.objective-want) > chordTol*want {
+		t.Errorf("%s: at λ = %g the DP's objective is %v, the plan's %v", tag, lambda, res.objective, want)
 	}
 }
 
 func TestFastMatchesReferencePlans(t *testing.T) {
 	models := []string{"tinycnn", "linearnet", "tinytransformer", "vgg16", "resnet50"}
 	// SLO as a fraction of the cost-optimal plan's time: 0 disables the
-	// SLO, mid-range fractions force the bisection, and a near-zero
-	// fraction drives the unattainable branch (MeetsSLO = false).
+	// SLO, mid-range fractions bind it, and a near-zero fraction drives
+	// the unattainable branch (MeetsSLO = false).
 	fractions := []float64{0, 0.95, 0.7, 0.45, 0.01}
 	for _, model := range models {
 		for _, quota2021 := range []bool{false, true} {
@@ -89,8 +122,15 @@ func TestFastMatchesReferencePlans(t *testing.T) {
 			comparePlans(t, base, fractions, fmt.Sprintf("%s quota2021=%v", model, quota2021))
 		}
 	}
+	// Without memory pressure time stops falling at CPU saturation, so no
+	// hull vertex lies past it.
+	for _, model := range []string{"tinycnn", "resnet50"} {
+		base := equivRequest(t, model, false, false)
+		base.Perf.MemPressureAlpha = 0
+		comparePlans(t, base, []float64{0.7}, model+" α=0")
+	}
 	for _, base := range stride1Requests(t) {
-		comparePlans(t, base, []float64{0, 0.7}, base.Model.Name+" quota2021 stride 1")
+		comparePlans(t, base, []float64{0, 0.7, 0.01}, base.Model.Name+" quota2021 stride 1")
 	}
 }
 
@@ -114,7 +154,7 @@ func TestFastMatchesReferencePlansBnB(t *testing.T) {
 	// The branch-and-bound oracle costs a full QCR solve per (span, λ)
 	// pair on both paths, so the BnB matrix stays small: tiny models on
 	// a coarsened 2020 grid (the equivalence argument is independent of
-	// block count), one SLO that exercises the bisection.
+	// block count), one SLO that binds.
 	for _, model := range []string{"tinycnn", "linearnet"} {
 		base := equivRequest(t, model, false, true)
 		base.SearchStrideMB = 256

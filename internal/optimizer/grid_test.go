@@ -165,8 +165,8 @@ func mutantTime(p *perf.Params, mem int, flops, weights int64) time.Duration {
 func TestSpanTableIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	// One worker and the fan-out must store the same cells — in the
 	// table build, and in the passes that extend envelope prefixes while
-	// Optimize bisects a binding SLO: how far each span was extended must
-	// not depend on the worker count either.
+	// Optimize walks a binding SLO's hull: how far each span was extended
+	// must not depend on the worker count either.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	extended := 0
 	for _, req := range []Request{stride1(request("tinycnn")), stride1(request("xception")), equivRequest(t, "vgg16", false, false), equivRequest(t, "tinycnn", false, true)} {

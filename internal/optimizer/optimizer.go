@@ -16,8 +16,10 @@
 // test asserts). The SLO couples lambdas across a cut; as in the paper's
 // Lagrangian treatment, it is dualized with a multiplier λ on total time,
 // making the objective additive per partition so the optimal cut for each
-// λ is found exactly by dynamic programming over segment boundaries. An
-// outer bisection drives λ to the smallest feasible plan cost.
+// λ is found exactly by dynamic programming over segment boundaries. The
+// plans the DP returns are the vertices of the lower convex hull of the
+// plans' (time, cost) points; Optimize walks that hull to the edge that
+// straddles the SLO and bounds the gap it leaves (Plan.Gap).
 //
 // The hot path is engineered around precomputations whose outputs are
 // byte-identical to the direct formulation (DESIGN.md §10): O(1)
@@ -128,11 +130,15 @@ type Plan struct {
 	EstTime time.Duration
 	// EstCost is the total Σ S_i.
 	EstCost float64
-	// LagrangeMultiplier is the final λ dualizing the SLO (0 when the
-	// cost-optimal plan already meets it).
+	// LagrangeMultiplier is the λ dualizing the SLO, in $ per second of
+	// response time, at which the DP (storage term excluded) finds the plan
+	// optimal: 0 if the cost-optimal plan meets the SLO, +Inf if no plan does.
 	LagrangeMultiplier float64
 	// MeetsSLO reports whether EstTime ≤ SLO (always true when SLO = 0).
 	MeetsSLO bool
+	// Gap bounds how much cheaper a plan meeting the SLO can be: none costs
+	// less than EstCost·(1 − Gap); 0 certifies the plan, +Inf that none exists.
+	Gap float64
 }
 
 // Bounds returns the plan's layer boundaries: [b0, b1, …, bk] with
@@ -197,7 +203,7 @@ type spanChoice struct {
 
 // Optimizer precomputes span tables for one model and answers Optimize
 // calls. Create with New. An Optimizer reuses internal scratch buffers
-// across bisection steps, and a query at a new multiplier may extend the
+// across DP solves, and a query at a new multiplier may extend the
 // queried spans' envelope windows in the table, so a single instance
 // must not be used from multiple goroutines concurrently (constructing
 // one Optimizer per Optimize call, as the package-level Optimize does, is
@@ -216,10 +222,11 @@ type Optimizer struct {
 	reached float64
 	// One scratch per pool worker; the serial paths use the first.
 	scr []spanScratch
-	// DP scratch reused across solveForLambda calls.
+	// DP scratch reused across solves, and the number of solves run.
 	dpBest   [][]float64
 	dpPrev   [][]int
 	dpChoice [][]int
+	dpSolves int
 }
 
 // New profiles the model and precomputes the per-span decision tables.
@@ -345,12 +352,10 @@ func (o *Optimizer) buildTable() {
 }
 
 // certify extends every open span's window until it answers λ, on the
-// worker pool, ahead of the serial DP's queries — when λ exceeds every
-// multiplier asked before, the steps that move windows far (an
-// unattainable SLO completes every span this way); below that the DP's
-// own queries extend the few spans that need it. reach is a function of
-// the span's own state, so the table afterwards does not depend on the
-// worker count. Free once every span is complete.
+// worker pool, ahead of the serial DP's queries, when λ exceeds every
+// multiplier asked before; below that the windows already answer. reach
+// is a function of the span's own state, so the table afterwards does
+// not depend on the worker count. Free once every span is complete.
 func (o *Optimizer) certify(lambda float64) {
 	if len(o.open) == 0 || lambda <= o.reached {
 		return
@@ -577,7 +582,7 @@ func (o *Optimizer) reach(sc *spanChoice, lambda float64, scr *spanScratch) (int
 }
 
 // bnbScratch holds the reusable buffers for the explicit binary-QP
-// construction, so the bisection's λ steps stop allocating a fresh
+// construction, so the hull walk's λ steps stop allocating a fresh
 // problem per span per step.
 type bnbScratch struct {
 	idx  []int
@@ -658,10 +663,20 @@ type dpResult struct {
 	memIdx    []int
 }
 
-// solveForLambda runs the boundary DP: best[b][k] = cheapest relaxed
-// objective covering segments [0, b) with k partitions. The DP tables
-// are Optimizer-owned scratch reused across the bisection's λ steps.
+// solveForLambda runs the boundary DP at multiplier λ, each span
+// answering with its block minimizing cost + λ·sec.
 func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
+	if lambda > 0 {
+		o.certify(lambda)
+	}
+	return o.solveDP(func(sc *spanChoice) (int, float64) { return o.selectBlock(sc, lambda) })
+}
+
+// solveDP runs the boundary DP: best[b][k] = least sum of the values
+// choose gives the spans of a cut of segments [0, b) into k partitions.
+// The DP tables are Optimizer-owned scratch reused across solves.
+func (o *Optimizer) solveDP(choose func(sc *spanChoice) (int, float64)) (dpResult, bool) {
+	o.dpSolves++
 	S := len(o.segs)
 	K := o.req.MaxLambdas
 	if K > S {
@@ -676,9 +691,6 @@ func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
 		}
 	}
 	best[0][0] = 0
-	if lambda > 0 {
-		o.certify(lambda)
-	}
 	// Push order: every span [a', a) ending at a has been relaxed before a
 	// becomes a source, so best[a] is final here, and each (b, k) still
 	// sees its candidates in ascending a — the pull order's tie-break —
@@ -690,7 +702,7 @@ func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
 			if !sc.feasible {
 				continue
 			}
-			j, val := o.selectBlock(sc, lambda)
+			j, val := choose(sc)
 			if j < 0 {
 				continue
 			}
@@ -728,73 +740,97 @@ func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
 	return dpResult{objective: bestObj, bounds: bounds, memIdx: mems}, true
 }
 
-// Optimize computes the plan. With no SLO it returns the exact
-// cost-minimal configuration. With an SLO it first checks whether the
-// cost-optimal plan already complies, and otherwise bisects the
-// Lagrangian multiplier, keeping the cheapest SLO-feasible plan found.
+// fastest returns the plan of least Σ T_i. Time never rises with memory
+// (begin), so a feasible span allows its largest block, its fastest: one
+// kernel evaluation per span feeds a DP over Σ T_i. Each partition then
+// takes the smallest block that fast, as a λ that swamps every cost does.
+func (o *Optimizer) fastest() dpResult {
+	last := len(o.blocks) - 1
+	res, _ := o.solveDP(func(sc *spanChoice) (int, float64) {
+		t, _, _ := o.blockTimeCost(sc, last)
+		return last, float64(t) // whole ns: the sums are exact
+	})
+	for i := range res.memIdx {
+		sc := &o.table[res.bounds[i]][res.bounds[i+1]]
+		tmin, _, _ := o.blockTimeCost(sc, last)
+		res.memIdx[i] = sort.Search(last, func(j int) bool {
+			t, _, ok := o.blockTimeCost(sc, j)
+			return ok && t <= tmin
+		})
+	}
+	return res
+}
+
+// chordTol is how far, relatively, a DP value must fall below the chord
+// to be a new hull vertex: far above the sums' roundings.
+const chordTol = 1e-12
+
+// Optimize computes the plan: the cost-minimal one if it meets the SLO,
+// the fastest, flagged, if no plan does, and else the cheapest met on a
+// walk of the plans' lower (time, cost) hull (DESIGN.md §10): λ ×8 from a
+// start scaled to the λ = 0 plan brackets the SLO between vertices L and
+// R, then the DP at the chord's slope replaces one or proves L–R an edge.
 func (o *Optimizer) Optimize() (*Plan, error) {
 	res, ok := o.solveForLambda(0)
 	if !ok {
 		return nil, fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
 	}
-	plan := o.assemble(res, 0)
-	if o.req.SLO <= 0 || plan.EstTime <= o.req.SLO {
-		plan.MeetsSLO = true
-		return plan, nil
+	l := o.assemble(res, 0)
+	if o.req.SLO <= 0 || l.plan.EstTime <= o.req.SLO {
+		l.plan.MeetsSLO, l.plan.Gap = true, gap(l.plan.EstCost, l.cost)
+		return l.plan, nil
 	}
-
-	// Find an upper multiplier that yields a feasible (fast enough) plan.
-	lo, hi := 0.0, 1e-6
-	var feasiblePlan *Plan
-	for iter := 0; iter < 60; iter++ {
-		r, ok := o.solveForLambda(hi)
-		if !ok {
-			break
-		}
-		p := o.assemble(r, hi)
-		if p.EstTime <= o.req.SLO {
-			feasiblePlan = p
-			break
-		}
-		lo = hi
-		hi *= 8
+	if fast := o.assemble(o.fastest(), math.Inf(1)).plan; fast.EstTime > o.req.SLO {
+		fast.Gap = math.Inf(1)
+		return fast, nil
 	}
-	if feasiblePlan == nil {
-		// Even the time-greediest plans miss the SLO: return the fastest
-		// plan found, flagged infeasible.
-		r, ok := o.solveForLambda(hi)
-		if !ok {
-			r = res
-		}
-		p := o.assemble(r, hi)
-		p.MeetsSLO = false
-		return p, nil
-	}
-	// Bisect λ to shave cost while staying feasible.
-	for iter := 0; iter < 40; iter++ {
-		mid := (lo + hi) / 2
-		r, ok := o.solveForLambda(mid)
-		if !ok {
-			break
-		}
-		p := o.assemble(r, mid)
-		if p.EstTime <= o.req.SLO {
-			hi = mid
-			if p.EstCost < feasiblePlan.EstCost {
-				feasiblePlan = p
-			}
+	var r vertex
+	for lambda := l.cost / l.sec / 1024; r.plan == nil; lambda *= 8 {
+		res, _ := o.solveForLambda(lambda)
+		if v := o.assemble(res, lambda); v.plan.EstTime > o.req.SLO {
+			l = v
 		} else {
-			lo = mid
+			r = v
 		}
 	}
-	feasiblePlan.MeetsSLO = true
-	return feasiblePlan, nil
+	best := r.plan
+	for {
+		lambda := (r.cost - l.cost) / (l.sec - r.sec)
+		res, _ := o.solveForLambda(lambda)
+		if res.objective >= (l.cost+lambda*l.sec)*(1-chordTol) {
+			// L–R is a hull edge (L and R lie on the chord). Its chord at
+			// T = SLO bounds every plan meeting the SLO: storage is ≥ 0.
+			r.plan.LagrangeMultiplier = lambda
+			best.MeetsSLO, best.Gap = true, gap(best.EstCost, l.cost+lambda*(l.sec-o.req.SLO.Seconds()))
+			return best, nil
+		}
+		v := o.assemble(res, lambda)
+		if v.plan.EstTime > o.req.SLO {
+			l = v
+			continue
+		}
+		r = v
+		if v.plan.EstCost < best.EstCost {
+			best = v.plan
+		}
+	}
+}
+
+// gap is the relative distance from cost down to a lower bound on it.
+func gap(cost, bound float64) float64 { return max(0, (cost-bound)/cost) }
+
+// vertex is an assembled plan with the point (sec, cost) the DP saw:
+// Σ T_i in seconds and the storage-free Σ S_i, summed as the DP sums.
+type vertex struct {
+	plan      *Plan
+	sec, cost float64
 }
 
 // assemble converts a DP result into a full Plan, adding the exact
 // position-dependent S3 storage term (q_i·T_i·H of Eq. 3).
-func (o *Optimizer) assemble(res dpResult, lambda float64) *Plan {
-	plan := &Plan{LagrangeMultiplier: lambda}
+func (o *Optimizer) assemble(res dpResult, lambda float64) vertex {
+	v := vertex{plan: &Plan{LagrangeMultiplier: lambda}}
+	plan := v.plan
 	var qBytes int64 // Σ outputs of previous partitions held in S3
 	for i := 0; i+1 < len(res.bounds); i++ {
 		a, b := res.bounds[i], res.bounds[i+1]
@@ -812,9 +848,11 @@ func (o *Optimizer) assemble(res dpResult, lambda float64) *Plan {
 		})
 		plan.EstTime += t
 		plan.EstCost += cost
+		v.sec += t.Seconds()
+		v.cost += base
 		qBytes += prof.OutBytes
 	}
-	return plan
+	return v
 }
 
 // OptimizeCostOnly ignores any SLO and returns the exact cost-minimal
@@ -824,8 +862,9 @@ func (o *Optimizer) OptimizeCostOnly() (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
 	}
-	p := o.assemble(res, 0)
-	p.MeetsSLO = o.req.SLO <= 0 || p.EstTime <= o.req.SLO
+	v := o.assemble(res, 0)
+	p := v.plan
+	p.MeetsSLO, p.Gap = o.req.SLO <= 0 || p.EstTime <= o.req.SLO, gap(p.EstCost, v.cost)
 	return p, nil
 }
 

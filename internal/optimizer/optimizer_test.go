@@ -332,3 +332,98 @@ func TestNewRejectsInvalidQuotaAndPerf(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestOptimizeDPSolves(t *testing.T) {
+	// The hull walk's cost in DP solves across the zoo, on the 2020 grid
+	// and the 2021 grid at its automatic stride: at most 20 when the SLO
+	// can be met (the λ = 0 plan, the fastest, the bracket and the walk),
+	// and 2 when it cannot (the λ = 0 plan and the fastest). The λ
+	// bisection took 42–47 and 62.
+	most, cases := [2]int{}, [2]int{}
+	for _, name := range zoo.Names() {
+		for _, quota2021 := range []bool{false, true} {
+			req := equivRequest(t, name, quota2021, false)
+			o, err := New(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := o.OptimizeCostOnly()
+			if err != nil {
+				continue // vgg16: no partitioning fits the 2020 quota
+			}
+			for _, frac := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99} {
+				req.SLO = time.Duration(frac * float64(base.EstTime))
+				o, err := New(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := o.Optimize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				meets, limit := 0, 20
+				if !plan.MeetsSLO {
+					meets, limit = 1, 2
+				}
+				cases[meets]++
+				most[meets] = max(most[meets], o.dpSolves)
+				if o.dpSolves > limit {
+					t.Errorf("%s quota2021=%v at %.2f×: %d DP solves (MeetsSLO %v), limit %d", name, quota2021, frac, o.dpSolves, plan.MeetsSLO, limit)
+				}
+			}
+		}
+	}
+	t.Logf("SLO met: %d cases, at most %d solves; SLO missed: %d cases, at most %d", cases[0], most[0], cases[1], most[1])
+}
+
+func TestFastestPlanOnTimePlateau(t *testing.T) {
+	// Without memory pressure a span's time stops falling at CPU
+	// saturation. A plan for an SLO no plan meets is a fastest plan, each
+	// partition on the smallest block that runs that fast: the block
+	// below it is slower or not allowed, and some partition sits below
+	// the grid's largest block.
+	for _, req := range []Request{request("resnet50"), stride1(request("tinycnn"))} {
+		req.Perf.MemPressureAlpha = 0
+		ref, err := newReference(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := ref.OptimizeCostOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.SLO = base.EstTime / 100
+		if ref, err = newReference(req); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Optimize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := o.Optimize()
+		if err != nil || plan.MeetsSLO || !math.IsInf(plan.LagrangeMultiplier, 1) || !math.IsInf(plan.Gap, 1) {
+			t.Fatalf("%s: plan %+v, err %v: want one that misses the SLO, λ and Gap +Inf", req.Model.Name, plan, err)
+		}
+		if plan.EstTime != want.EstTime {
+			t.Errorf("%s: fastest plan takes %v, the bisection's %v", req.Model.Name, plan.EstTime, want.EstTime)
+		}
+		plateau := false
+		for _, l := range plan.Lambdas {
+			j := indexOfBlock(o.blocks, l.MemoryMB)
+			plateau = plateau || j < len(o.blocks)-1
+			if j == 0 {
+				continue
+			}
+			if ti, _, err := o.SpanEstimate(l.SegLo, l.SegHi, o.blocks[j-1]); err == nil && ti <= l.EstTime {
+				t.Errorf("%s: partition [%d, %d) at %d MB; %d MB is as fast", req.Model.Name, l.SegLo, l.SegHi, l.MemoryMB, o.blocks[j-1])
+			}
+		}
+		if !plateau {
+			t.Errorf("%s: every partition at the largest block; no plateau exercised", req.Model.Name)
+		}
+	}
+}
