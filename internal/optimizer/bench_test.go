@@ -112,6 +112,23 @@ func stride1Request(b *testing.B, model string, frac float64) Request {
 	return req
 }
 
+// BenchmarkPlanMobileNetStride1 is New + Optimize on mobilenet over the
+// 2021 grid at stride 1 with the SLO at 0.985 × the cost-optimal time:
+// the slowest case of the repo benchmark's plan_zoo round.
+func BenchmarkPlanMobileNetStride1(b *testing.B) {
+	req := stride1Request(b, "mobilenet", 0.985)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		o, err := New(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := o.Optimize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewMobileNetQuota2021Stride1 builds the largest span table
 // the zoo produces: MobileNet's 3,570 spans over the 10,113-block 2021
 // grid (≈36 M block evaluations), the dominant case of the repo
@@ -160,9 +177,9 @@ func BenchmarkOptimizeBnBCostOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkBnBBuildSolves times miqp.Solve on tinycnn's 45 table-build
-// span problems (λ = 0, one-hot over the allowed blocks), the solves
-// that dominate a BnB-mode New.
+// BenchmarkBnBBuildSolves times miqp.Solve on tinycnn's 45 span problems
+// at λ = 0 (one-hot over the allowed blocks), which a BnB-mode New solved
+// before spans were solved only when live.
 func BenchmarkBnBBuildSolves(b *testing.B) {
 	req := request("tinycnn")
 	req.UseBnB = true
@@ -170,6 +187,7 @@ func BenchmarkBnBBuildSolves(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	solveAll(o)
 	var probs []*miqp.Problem
 	for _, row := range o.table {
 		for _, sc := range row {

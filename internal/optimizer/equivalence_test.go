@@ -229,6 +229,7 @@ func TestEnvelopeMatchesExactScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		solveAll(fastO)
 		// The reference solves one span at a time: its dense tables for
 		// all of mobilenet's spans at stride 1 would hold 600 MB.
 		refO, err := newOptimizer(req)
@@ -251,7 +252,7 @@ func TestEnvelopeMatchesExactScan(t *testing.T) {
 					if (i+a+b)%every != 0 {
 						continue
 					}
-					gj, gv := fastO.selectBlock(fsc, lambda)
+					gj, gv := fastO.selectBlock(fsc, lambda, &fastO.scr[0])
 					wj, wv := refO.selectBlockRef(rsc, lambda)
 					if gj != wj || gv != wv {
 						t.Fatalf("%s span [%d,%d) λ=%g: envelope (%d, %v) vs scan (%d, %v)",

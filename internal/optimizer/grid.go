@@ -160,45 +160,70 @@ func (g *blockGrid) model(w *spanWork, lambda float64) (floorModel, bool) {
 	return f, f.x > 0 && min(f.w, f.a, f.lambda) >= 0 && !math.IsInf(sum, 0) && !math.IsNaN(sum)
 }
 
-// at returns f(m) and f′(m).
-func (f *floorModel) at(m float64) (v, dv float64) {
+// at returns f(m) and its left and right derivatives, which differ only
+// at the saturation kink m = S.
+func (f *floorModel) at(m float64) (v, dl, dr float64) {
 	y, dy := f.w*(1+f.a/m), -f.w*f.a/(m*m)
-	if m < f.s {
+	dyl := dy
+	if m <= f.s {
 		// W·S·(1 + a/m)/m and its derivative −(W·S/m²)·(1 + 2a/m).
 		r := f.s / m
-		y, dy = y*r, -f.w*r/m*(1+2*f.a/m)
+		y, dyl = y*r, -f.w*r/m*(1+2*f.a/m)
+		if m < f.s {
+			dy = dyl
+		}
 	}
-	k := pricing.LambdaGBSecond / 1024
-	return (k*m+f.lambda)*(f.x+y) + pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest,
-		k*(f.x+y) + (k*m+f.lambda)*dy
+	const k = pricing.LambdaGBSecond / 1024
+	c := k*m + f.lambda
+	return c*(f.x+y) + pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest,
+		k*(f.x+y) + c*dyl, k*(f.x+y) + c*dy
 }
 
 // floorAt is the pointwise floor at a block of m MB.
 func (f *floorModel) floorAt(m float64) float64 {
-	v, _ := f.at(m)
+	v, _, _ := f.at(m)
 	return v * (1 - floorMargin)
 }
 
-// lowest bounds f from below over [lo, hi] by bisection on f′, then by
-// the tangent at the last midpoint m₀ — f(m) ≥ f(m₀) + f′(m₀)·(m − m₀)
-// for convex f, whichever side of the minimiser m₀ fell — and returns
-// the floor and m₀, the minimiser to bisection accuracy.
+// lowest bounds f from below over [lo, hi] and returns the floor and m₀,
+// f's minimiser clamped to [lo, hi]. With k = price/1024 the minimiser
+// has a closed form on each side of the kink S (c, S clamped to [lo,
+// hi]): c itself when f′(c−) ≤ 0 ≤ f′(c+); above, where f′ = k(x+W) −
+// λWa/m², √(λWa/(k(x+W))); below, where m³·f′ = k·x·m³ − W·S·(k·a+λ)·m −
+// 2λ·W·S·a, that cubic's one positive root. The floor is the tangent at
+// m₀ taken at the worse end, with the one-sided slopes at the kink: for
+// convex f a floor on all of [lo, hi] wherever m₀ fell, so the closed
+// forms' roundings cost tightness, never validity.
 func (f *floorModel) lowest(lo, hi float64) (float64, float64) {
-	if _, d := f.at(lo); d >= 0 {
-		return f.floorAt(lo), lo
+	const k = pricing.LambdaGBSecond / 1024
+	c := min(max(f.s, lo), hi)
+	m := c
+	if _, dl, dr := f.at(c); dr < 0 && c < hi {
+		m = math.Sqrt(f.lambda * f.w * f.a / (k * (f.x + f.w)))
+	} else if dl > 0 && c > lo {
+		m = cubicRoot(f.w*f.s*(k*f.a+f.lambda)/(k*f.x), 2*f.lambda*f.w*f.s*f.a/(k*f.x))
 	}
-	if _, d := f.at(hi); d <= 0 {
-		return f.floorAt(hi), hi
+	m0 := hi // (and on a NaN root)
+	if m < hi {
+		m0 = max(m, lo)
 	}
-	l, h := lo, hi
-	for range 40 {
-		if _, d := f.at((l + h) / 2); d < 0 {
-			l = (l + h) / 2
-		} else {
-			h = (l + h) / 2
+	v, dl, dr := f.at(m0)
+	return (v + min(0, dl*(lo-m0), dr*(hi-m0))) * (1 - floorMargin), m0
+}
+
+// cubicRoot returns the positive root of m³ − p·m − q for p, q ≥ 0 (0
+// when both are 0).
+func cubicRoot(p, q float64) float64 {
+	if d := q*q/4 - p*p*p/27; d >= 0 {
+		// One real root (Cardano). Its second cube root is p/(3u), which
+		// avoids the cancellation in q/2 − √d.
+		u := math.Cbrt(q/2 + math.Sqrt(d))
+		if u == 0 {
+			return 0
 		}
+		return u + p/(3*u)
 	}
-	m0 := (l + h) / 2
-	v, d := f.at(m0)
-	return (v + min(d*(lo-m0), d*(hi-m0))) * (1 - floorMargin), m0
+	// Three real roots; the largest.
+	r := math.Sqrt(p / 3)
+	return 2 * r * math.Cos(math.Acos(q/(2*r*r*r))/3)
 }

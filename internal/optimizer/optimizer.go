@@ -24,19 +24,19 @@
 // The hot path is engineered around precomputations whose outputs are
 // byte-identical to the direct formulation (DESIGN.md §10): O(1)
 // prefix-sum span profiling (perf.SpanProfiler), a block-grid kernel
-// evaluating each span's (time, cost) per memory block (grid.go), a
-// parallel span-table build over the independent (a, b) cells, and a
-// per-span lower envelope of the (time, cost) block frontier answering
-// any λ in O(log L) instead of an O(L) rescan, built over the window of
-// blocks a closed-form floor certifies and extended on demand. The original scans
-// live on in reference_test.go and back the equivalence property tests.
+// evaluating each span's (time, cost) per memory block (grid.go), spans
+// solved only when a DP finds them live — on a cut whose closed-form
+// floor sum stays within an achievable value — and a per-span lower
+// envelope of the (time, cost) block frontier answering any λ in
+// O(log L) instead of an O(L) rescan, built over the window of blocks
+// the floor certifies and extended on demand. The original scans live
+// on in reference_test.go and back the equivalence property tests.
 package optimizer
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,32 +164,38 @@ func (p *Plan) Memories() []int {
 	return ms
 }
 
-// spanChoice is the solved per-lambda subproblem for one candidate span.
+// spanChoice is one candidate span's per-lambda subproblem: the
+// λ-independent record New keeps for every span, and the solve a DP runs
+// the first time it finds the span live (solve).
 type spanChoice struct {
 	// capsOK reports that the span passes the λ-independent constraints
 	// (4)–(6): deployment size, temporary storage and the layer cap.
 	capsOK bool
-	// feasible additionally requires at least one allowed memory block.
+	// feasible additionally requires an allowed memory block (record).
 	feasible bool
-	memIdx   int // λ=0 optimal index into blocks, or -1
-	time     time.Duration
-	cost     float64 // S_i without the position-dependent storage term
+	// solved reports that the λ = 0 subproblem below has been solved.
+	solved bool
+	memIdx int // λ=0 optimal index into blocks, or -1
 	// zeroObj is the λ=0 subproblem's objective as its solver reported it
-	// at build time (the scan's minimal cost, or the branch-and-bound
-	// objective), so λ=0 queries never re-solve.
+	// (the scan's minimal cost, or the branch-and-bound objective), so λ=0
+	// queries never re-solve.
 	zeroObj float64
-	// Span invariants for on-demand per-block evaluation: the working-set
-	// floor (Eq. 7) and the kernel's inputs for the WeightScale-adjusted
-	// profile.
-	minMem int
-	work   spanWork
+	// Span invariants for on-demand per-block evaluation: the first block
+	// at or above the working-set floor (Eq. 7) and the kernel's inputs for
+	// the WeightScale-adjusted profile.
+	lo   int
+	work spanWork
+	// The bound's inputs: the floor's least cost from lo up (−Inf without
+	// a floor model) and the least time, the largest block's (begin).
+	lb0  float64
+	fast time.Duration
 	// env is the lower envelope of (time, cost) over the allowed blocks
 	// of the window [start, next): next is the first block the span's
 	// chain has not evaluated (len(blocks) once complete, as the dense
 	// tables always are), and every block below start loses to the λ = 0
 	// argmin at every λ (begin). reach extends the window upward when a
 	// multiplier needs more (scan mode); cert is the largest multiplier
-	// the floor has certified it for (−1 before the build's λ = 0).
+	// the floor has certified it for.
 	env         []envPoint
 	start, next int
 	cert        float64
@@ -201,13 +207,18 @@ type spanChoice struct {
 	allow []bool
 }
 
-// Optimizer precomputes span tables for one model and answers Optimize
-// calls. Create with New. An Optimizer reuses internal scratch buffers
-// across DP solves, and a query at a new multiplier may extend the
-// queried spans' envelope windows in the table, so a single instance
-// must not be used from multiple goroutines concurrently (constructing
-// one Optimizer per Optimize call, as the package-level Optimize does, is
-// always safe).
+// span is a feasible span [a, b) and its state in the current DP solve:
+// its floor lb and its answer (j, val), j < 0 until the solve answers it.
+type span struct {
+	a, b, j int
+	lb, val float64
+}
+
+// Optimizer records every span of one model and answers Optimize calls.
+// Create with New. A DP solve solves the spans it finds live and reuses
+// internal scratch buffers, so a single instance must not be used from
+// multiple goroutines concurrently (constructing one Optimizer per
+// Optimize call, as the package-level Optimize does, is always safe).
 type Optimizer struct {
 	req      Request
 	segs     []nn.Segment
@@ -216,20 +227,26 @@ type Optimizer struct {
 	grid     *blockGrid
 	// table[a][b] is the per-lambda data for the span [a, b).
 	table [][]spanChoice
-	// open lists the feasible spans whose window is incomplete; reached
-	// is the largest multiplier certify has extended them for.
-	open    []*spanChoice
-	reached float64
+	// spans lists the feasible spans in row-major order (a, then b,
+	// ascending), the order the DP relaxes them in; todo, those a solve
+	// has yet to answer.
+	spans []span
+	todo  []int
 	// One scratch per pool worker; the serial paths use the first.
 	scr []spanScratch
-	// DP scratch reused across solves, and the number of solves run.
-	dpBest   [][]float64
-	dpPrev   [][]int
-	dpChoice [][]int
-	dpSolves int
+	// pre[b] and suf[a] are the least floor sums over cuts of [0, b) and
+	// of [a, S); cut[b] is the last span of pre's cut of [0, b).
+	pre, suf []float64
+	cut      []int
+	// DP scratch reused across solves; the number of solves run and of
+	// spans solved.
+	dpBest                [][]float64
+	dpPrev                [][]int
+	dpChoice              [][]int
+	dpSolves, spansSolved int
 }
 
-// New profiles the model and precomputes the per-span decision tables.
+// New profiles the model and records every span's λ-independent data.
 func New(req Request) (*Optimizer, error) {
 	o, err := newOptimizer(req)
 	if err != nil {
@@ -268,10 +285,8 @@ func newOptimizer(req Request) (*Optimizer, error) {
 	o.grid = newBlockGrid(&o.req.Perf, o.req.Quota, o.blocks)
 	o.scr = make([]spanScratch, runtime.GOMAXPROCS(0))
 	S := len(segs)
-	K := req.MaxLambdas
-	if K > S {
-		K = S
-	}
+	K := min(req.MaxLambdas, S)
+	o.pre, o.suf, o.cut = make([]float64, S+1), make([]float64, S+1), make([]int, S+1)
 	o.dpBest = make([][]float64, S+1)
 	o.dpPrev = make([][]int, S+1)
 	o.dpChoice = make([][]int, S+1)
@@ -290,7 +305,7 @@ func (o *Optimizer) Segments() []nn.Segment { return o.segs }
 // hints (reach) usually stop a run sooner. A chain with no more than one
 // run left finishes without a look at the floor: a grid that small (the
 // 2020 quota's 46 blocks, the 2021 quota's 159 at its automatic stride)
-// completes every span in the build.
+// completes every span it solves.
 const blockRun = 256
 
 // spanScratch is one worker's reusable buffers: the kernel's outputs for
@@ -321,65 +336,45 @@ func (o *Optimizer) parallel(n int, fn func(i int, scr *spanScratch)) {
 	wg.Wait()
 }
 
-// buildTable solves every candidate span. The cells are mutually
-// independent — solveSpan reads only immutable state (request, blocks,
-// profiler, grid) plus its worker's scratch, and each result is written
-// to its own fixed index — so the build fans out over the worker pool
-// and the table is identical to a serial build regardless of
-// scheduling.
+// buildTable records every candidate span. The cells are mutually
+// independent — record reads only immutable state (request, blocks,
+// profiler, grid) and each result is written to its own fixed index — so
+// the rows fan out over the worker pool and the table is identical to a
+// serial build regardless of scheduling.
 func (o *Optimizer) buildTable() {
 	S := len(o.segs)
 	o.table = make([][]spanChoice, S)
-	for a := 0; a < S; a++ {
+	o.parallel(S, func(a int, _ *spanScratch) {
 		o.table[a] = make([]spanChoice, S+1)
-	}
-	type cell struct{ a, b int }
-	cells := make([]cell, 0, S*(S+1)/2)
-	for a := 0; a < S; a++ {
 		for b := a + 1; b <= S; b++ {
-			cells = append(cells, cell{a, b})
+			o.record(&o.table[a][b], a, b)
 		}
-	}
-	o.parallel(len(cells), func(i int, scr *spanScratch) {
-		c := cells[i]
-		o.table[c.a][c.b] = o.solveSpan(c.a, c.b, scr)
 	})
-	for _, c := range cells {
-		if sc := &o.table[c.a][c.b]; sc.feasible && sc.next < len(o.blocks) {
-			o.open = append(o.open, sc)
+	o.spans = make([]span, 0, S*(S+1)/2)
+	for a, row := range o.table {
+		for b := a + 1; b <= S; b++ {
+			if row[b].feasible {
+				o.spans = append(o.spans, span{a: a, b: b})
+			}
 		}
 	}
 }
 
-// certify extends every open span's window until it answers λ, on the
-// worker pool, ahead of the serial DP's queries, when λ exceeds every
-// multiplier asked before; below that the windows already answer. reach
-// is a function of the span's own state, so the table afterwards does
-// not depend on the worker count. Free once every span is complete.
-func (o *Optimizer) certify(lambda float64) {
-	if len(o.open) == 0 || lambda <= o.reached {
-		return
-	}
-	o.reached = lambda
-	o.parallel(len(o.open), func(i int, scr *spanScratch) { o.reach(o.open[i], lambda, scr) })
-	o.open = slices.DeleteFunc(o.open, func(sc *spanChoice) bool { return sc.next == len(o.blocks) })
-}
-
-// solveSpan evaluates a candidate partition covering segments [a, b):
-// feasibility (Eqs. 4–7), per-block T_i and S_i through the block-grid
-// kernel, and the cost-minimal block (the λ=0 subproblem). Scan mode
-// builds the envelope window that certifies λ = 0 (begin); BnB mode keeps
-// the dense tables the branch-and-bound oracle consumes.
-func (o *Optimizer) solveSpan(a, b int, scr *spanScratch) spanChoice {
+// record evaluates what a candidate partition covering segments [a, b)
+// needs before any λ: the constraints (4)–(7), the kernel's inputs and
+// the bound's. Time never rises with memory, so one kernel evaluation,
+// of the largest block, decides whether any block runs within the
+// timeout and gives the span's least time.
+func (o *Optimizer) record(sc *spanChoice, a, b int) {
 	prof := o.profiler.Profile(a, b)
 	// Quantization shrinks the shipped and loaded weight bytes; compute
 	// is unchanged (weights are dequantized on load).
 	prof.WeightsBytes = int64(float64(prof.WeightsBytes) * o.req.WeightScale)
-	sc := spanChoice{memIdx: -1, zeroObj: math.Inf(1)}
+	*sc = spanChoice{memIdx: -1, zeroObj: math.Inf(1), lb0: math.Inf(-1), cert: -1}
 
 	// Constraint (6): per-partition layer cap.
 	if cap := o.req.MaxLayersPerPartition; cap > 0 && prof.Layers > cap {
-		return sc
+		return
 	}
 	// Constraint (4): unzipped deployment = partition package + the
 	// dependency layer D + handler F must fit the platform limit.
@@ -387,46 +382,46 @@ func (o *Optimizer) solveSpan(a, b int, scr *spanScratch) spanChoice {
 	q := o.req.Quota
 	deploy := prof.DeployBytes(o.req.DescBytes) + int64(p.DepsMB*(1<<20))
 	if deploy > int64(q.DeployLimitMB)<<20 {
-		return sc
+		return
 	}
 	// Constraint (5): temporary storage during execution.
 	if prof.TmpBytes() > int64(q.TmpLimitMB)<<20 {
-		return sc
+		return
 	}
 	sc.capsOK = true
 
 	// Constraint (7): prune memory blocks below the working-set floor —
 	// a prefix of the ascending block grid, skipped without evaluation.
-	sc.minMem = p.MinFeasibleMemoryMB(prof.WeightsBytes, q.MinMemoryMB, q.MemoryStepMB)
+	sc.lo = sort.SearchInts(o.blocks, p.MinFeasibleMemoryMB(prof.WeightsBytes, q.MinMemoryMB, q.MemoryStepMB))
 	transfer := o.transferTime(prof.InBytes) + o.transferTime(prof.OutBytes)
 	sc.work = o.grid.work(prof.FLOPs, prof.WeightsBytes, transfer)
+	last := len(o.blocks) - 1
+	sc.fast, _, sc.feasible = o.blockTimeCost(sc, last)
+	if f, ok := o.grid.model(&sc.work, 0); ok && sc.feasible {
+		sc.lb0, _ = f.lowest(o.grid.memF[sc.lo], o.grid.memF[last])
+	}
+}
 
+// solve runs the span's λ = 0 subproblem. Scan mode builds the envelope
+// window that certifies λ = 0 (begin); BnB mode fills the dense tables
+// the branch-and-bound oracle consumes and selects the λ = 0 block
+// through the full solver, exactly as every later λ step will.
+func (o *Optimizer) solve(sc *spanChoice, scr *spanScratch) {
+	sc.solved = true
+	if !o.req.UseBnB {
+		o.begin(sc, scr)
+		return
+	}
 	L := len(o.blocks)
-	lo := sort.SearchInts(o.blocks, sc.minMem)
-	if o.req.UseBnB {
-		sc.times = make([]time.Duration, L)
-		sc.costs = make([]float64, L)
-		sc.allow = make([]bool, L)
-		sc.next = L
-		o.grid.eval(&sc.work, lo, sc.times[lo:], sc.costs[lo:])
-		for j := lo; j < L; j++ {
-			sc.allow[j] = sc.times[j] <= q.Timeout
-		}
-		// BnB selects the λ=0 block through the full solver, exactly as
-		// every later λ step will.
-		sc.memIdx, sc.zeroObj = o.selectBlockBnB(&sc, 0, &scr.bnb)
-	} else {
-		o.begin(&sc, lo, scr)
+	sc.times = make([]time.Duration, L)
+	sc.costs = make([]float64, L)
+	sc.allow = make([]bool, L)
+	sc.next = L
+	o.grid.eval(&sc.work, sc.lo, sc.times[sc.lo:], sc.costs[sc.lo:])
+	for j := sc.lo; j < L; j++ {
+		sc.allow[j] = sc.times[j] <= o.req.Quota.Timeout
 	}
-	sc.feasible = sc.memIdx >= 0
-	if sc.feasible {
-		var ok bool
-		sc.time, sc.cost, ok = o.blockTimeCost(&sc, sc.memIdx)
-		if !ok {
-			sc.feasible, sc.memIdx = false, -1
-		}
-	}
-	return sc
+	sc.memIdx, sc.zeroObj = o.selectBlockBnB(sc, 0, &scr.bnb)
 }
 
 func (o *Optimizer) transferTime(bytes int64) time.Duration {
@@ -434,9 +429,9 @@ func (o *Optimizer) transferTime(bytes int64) time.Duration {
 	return o.req.RequestLatency + time.Duration(sec*float64(time.Second))
 }
 
-// blockTimeCost returns (T_i, S_i) for block index j of a solved span,
+// blockTimeCost returns (T_i, S_i) for block index j of a span,
 // serving dense tables when the span retains them and otherwise running
-// the kernel on that one block — the table build's own formula, hence
+// the kernel on that one block — the chains' own formula, hence
 // the same bits.
 func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64, bool) {
 	if sc.times != nil {
@@ -445,7 +440,7 @@ func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64
 		}
 		return sc.times[j], sc.costs[j], true
 	}
-	if !sc.capsOK || j < 0 || j >= len(o.blocks) || o.blocks[j] < sc.minMem {
+	if !sc.capsOK || j < sc.lo || j >= len(o.blocks) {
 		return 0, 0, false
 	}
 	var t [1]time.Duration
@@ -458,24 +453,28 @@ func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64
 }
 
 // selectBlock solves the per-lambda subproblem min_j cost_j + λ·time_j
-// over the allowed one-hot x — the paper's Eq. (12)–(14). With UseBnB it
+// over the allowed one-hot x — the paper's Eq. (12)–(14) — solving the
+// span's λ = 0 subproblem first if no query has (solve). With UseBnB it
 // constructs the explicit 0-1 quadratic program (quadratic term v·u·x²
 // from price×compute, linear term from transfers and λ) and runs it
 // through QCR + branch-and-bound; otherwise the span's lower envelope
 // answers in O(log L), its window extended first if need be (reach). λ = 0
-// returns, in either mode, the solution recorded at build time — for the
-// scan its argmin, where exact cost ties resolve by block index.
-func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
+// returns, in either mode, the solution solve recorded — for the scan its
+// argmin, where exact cost ties resolve by block index.
+func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64, scr *spanScratch) (int, float64) {
 	if !sc.feasible {
 		return -1, math.Inf(1)
+	}
+	if !sc.solved {
+		o.solve(sc, scr)
 	}
 	if lambda == 0 {
 		return sc.memIdx, sc.zeroObj
 	}
 	if o.req.UseBnB {
-		return o.selectBlockBnB(sc, lambda, &o.scr[0].bnb)
+		return o.selectBlockBnB(sc, lambda, &scr.bnb)
 	}
-	return o.reach(sc, lambda, &o.scr[0])
+	return o.reach(sc, lambda, scr)
 }
 
 // begin starts a scan-mode span's window and runs its chain until it
@@ -493,8 +492,8 @@ func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
 // makes every smaller one so and starts the window itself. Without a
 // floor model, or with no more than one run of blocks from lo up, the
 // window starts at lo.
-func (o *Optimizer) begin(sc *spanChoice, lo int, scr *spanScratch) {
-	L := len(o.blocks)
+func (o *Optimizer) begin(sc *spanChoice, scr *spanScratch) {
+	L, lo := len(o.blocks), sc.lo
 	sc.start, sc.next, sc.cert = lo, lo, -1
 	if f, ok := o.grid.model(&sc.work, 0); ok && L-lo > blockRun {
 		m := math.Sqrt(f.w * max(f.s, 0) * f.a / f.x)
@@ -528,7 +527,7 @@ func (o *Optimizer) begin(sc *spanChoice, lo int, scr *spanScratch) {
 // no steeper — so queries at or below cert skip the floor.
 //
 // reach mutates the span — the Optimizer's single-goroutine contract
-// covers it; certify hands each span to one worker.
+// covers it; answer hands each span to one worker.
 func (o *Optimizer) reach(sc *spanChoice, lambda float64, scr *spanScratch) (int, float64) {
 	L := len(o.blocks)
 	env, grown := sc.env, false
@@ -593,9 +592,8 @@ type bnbScratch struct {
 }
 
 // selectBlockBnB builds the explicit binary QP over the allowed blocks
-// and solves it with QCR + branch-and-bound. The scratch belongs to the
-// caller: the Optimizer's for λ steps, a worker's during the parallel
-// table build.
+// and solves it with QCR + branch-and-bound. The scratch is the
+// caller's: a worker's, or the first worker's on the serial paths.
 func (o *Optimizer) selectBlockBnB(sc *spanChoice, lambda float64, scr *bnbScratch) (int, float64) {
 	idx := scr.idx[:0]
 	for j, ok := range sc.allow {
@@ -663,25 +661,135 @@ type dpResult struct {
 	memIdx    []int
 }
 
-// solveForLambda runs the boundary DP at multiplier λ, each span
-// answering with its block minimizing cost + λ·sec.
+// liveTol is the relative slack of the live-span test, far above the
+// roundings of the sums it compares (DESIGN.md §10). Under an achievable
+// value ub a live span's floor sum is at most min(ub·(1 + liveTol),
+// MaxFloat64): any finite sum when ub is +Inf.
+const liveTol = 1e-9
+
+// solveForLambda runs the boundary DP at multiplier λ over the live
+// spans: those whose floor, with the least floor sums before and after
+// it (pre, suf), stays within an achievable value (bound). Each answers
+// with its block minimizing cost + λ·sec. A cut that ties or beats the
+// DP's plan has a floor sum no higher, so leaving out the rest changes
+// neither the plan nor any tie-break.
 func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
-	if lambda > 0 {
-		o.certify(lambda)
+	o.dpSolves++
+	limit := o.bound(lambda)
+	live := o.todo[:0]
+	for k, s := range o.spans {
+		if o.pre[s.a]+s.lb+o.suf[s.b] <= limit {
+			live = append(live, k)
+		}
 	}
-	return o.solveDP(func(sc *spanChoice) (int, float64) { return o.selectBlock(sc, lambda) })
+	o.answer(live, lambda)
+	return o.solveDP(func(s *span) (int, float64) { return s.j, s.val })
+}
+
+// bound clears every feasible span's answer, prices it at λ with a floor,
+// runs the shortest paths over the floors (upper) and returns the largest
+// floor sum a live span may have. A span's floor is first the constant
+// lb0 + λ·fast: no block costs less than lb0 or runs faster than fast.
+// At λ > 0, where that does not already rule the span out, the floor
+// model's minimum at λ replaces it if higher, on the worker pool, and
+// the paths run again.
+func (o *Optimizer) bound(lambda float64) float64 {
+	for k := range o.spans {
+		s := &o.spans[k]
+		sc := &o.table[s.a][s.b]
+		s.lb, s.j = sc.lb0+lambda*sc.fast.Seconds(), -1
+	}
+	ub := o.upper(lambda)
+	if lambda > 0 {
+		const chunk = 256 // spans a worker prices at a time
+		limit, n, hi := min(ub*(1+liveTol), math.MaxFloat64), len(o.spans), o.grid.memF[len(o.blocks)-1]
+		o.parallel((n+chunk-1)/chunk, func(c int, _ *spanScratch) {
+			for k := c * chunk; k < min(n, (c+1)*chunk); k++ {
+				s := &o.spans[k]
+				if o.pre[s.a]+s.lb+o.suf[s.b] > limit {
+					continue
+				}
+				sc := &o.table[s.a][s.b]
+				if f, ok := o.grid.model(&sc.work, lambda); ok {
+					if lb, _ := f.lowest(o.grid.memF[sc.lo], hi); lb > s.lb {
+						s.lb = lb
+					}
+				}
+			}
+		})
+		ub = min(ub, o.upper(lambda))
+	}
+	return min(ub*(1+liveTol), math.MaxFloat64)
+}
+
+// upper runs the shortest paths over the floors — pre[b] over the cuts of
+// [0, b), suf[a] over those of [a, S), uncapped — then answers the spans
+// of pre's cut of [0, S) and returns that cut's value at λ: +Inf if it
+// has more than K spans, or if there is none.
+func (o *Optimizer) upper(lambda float64) float64 {
+	S, inf := len(o.segs), math.Inf(1)
+	pre, suf, cut := o.pre, o.suf, o.cut
+	for i := range pre {
+		pre[i], suf[i] = inf, inf
+	}
+	pre[0], suf[S] = 0, 0
+	for k, s := range o.spans {
+		if v := pre[s.a] + s.lb; v < pre[s.b] {
+			pre[s.b], cut[s.b] = v, k
+		}
+	}
+	for k := len(o.spans) - 1; k >= 0; k-- {
+		if s := &o.spans[k]; s.lb+suf[s.b] < suf[s.a] {
+			suf[s.a] = s.lb + suf[s.b]
+		}
+	}
+	if pre[S] == inf {
+		return inf
+	}
+	list := o.todo[:0]
+	for b := S; b > 0; b = o.spans[cut[b]].a {
+		list = append(list, cut[b])
+	}
+	if len(list) > o.req.MaxLambdas {
+		return inf
+	}
+	o.answer(list, lambda)
+	ub := 0.0
+	for b := S; b > 0; b = o.spans[cut[b]].a {
+		s := &o.spans[cut[b]]
+		if s.j < 0 {
+			return inf
+		}
+		ub += s.val
+	}
+	return ub
+}
+
+// answer answers the listed spans this solve has not, on the worker
+// pool; selectBlock touches only its span and its worker's scratch.
+func (o *Optimizer) answer(list []int, lambda float64) {
+	todo := list[:0]
+	for _, k := range list {
+		if s := &o.spans[k]; s.j < 0 {
+			if !o.table[s.a][s.b].solved {
+				o.spansSolved++
+			}
+			todo = append(todo, k)
+		}
+	}
+	o.parallel(len(todo), func(i int, scr *spanScratch) {
+		s := &o.spans[todo[i]]
+		s.j, s.val = o.selectBlock(&o.table[s.a][s.b], lambda, scr)
+	})
+	o.todo = todo
 }
 
 // solveDP runs the boundary DP: best[b][k] = least sum of the values
-// choose gives the spans of a cut of segments [0, b) into k partitions.
-// The DP tables are Optimizer-owned scratch reused across solves.
-func (o *Optimizer) solveDP(choose func(sc *spanChoice) (int, float64)) (dpResult, bool) {
-	o.dpSolves++
-	S := len(o.segs)
-	K := o.req.MaxLambdas
-	if K > S {
-		K = S
-	}
+// choose gives the spans of a cut of segments [0, b) into k partitions
+// (j < 0 leaves a span out). The DP tables are Optimizer-owned scratch
+// reused across solves.
+func (o *Optimizer) solveDP(choose func(s *span) (int, float64)) (dpResult, bool) {
+	S, K := len(o.segs), len(o.dpBest[0])-1
 	const inf = math.MaxFloat64
 	best, prev, choice := o.dpBest, o.dpPrev, o.dpChoice
 	for b := 0; b <= S; b++ {
@@ -694,26 +802,20 @@ func (o *Optimizer) solveDP(choose func(sc *spanChoice) (int, float64)) (dpResul
 	// Push order: every span [a', a) ending at a has been relaxed before a
 	// becomes a source, so best[a] is final here, and each (b, k) still
 	// sees its candidates in ascending a — the pull order's tie-break —
-	// while the table is walked row by row.
-	for a := 0; a < S; a++ {
-		from, row := best[a], o.table[a]
-		for b := a + 1; b <= S; b++ {
-			sc := &row[b]
-			if !sc.feasible {
+	// while the spans are walked row by row.
+	for i := range o.spans {
+		s := &o.spans[i]
+		j, val := choose(s)
+		if j < 0 {
+			continue
+		}
+		from, to, toPrev, toChoice := best[s.a], best[s.b], prev[s.b], choice[s.b]
+		for k := 1; k <= K; k++ {
+			if from[k-1] == inf {
 				continue
 			}
-			j, val := choose(sc)
-			if j < 0 {
-				continue
-			}
-			to, toPrev, toChoice := best[b], prev[b], choice[b]
-			for k := 1; k <= K; k++ {
-				if from[k-1] == inf {
-					continue
-				}
-				if cand := from[k-1] + val; cand < to[k] {
-					to[k], toPrev[k], toChoice[k] = cand, a, j
-				}
+			if cand := from[k-1] + val; cand < to[k] {
+				to[k], toPrev[k], toChoice[k] = cand, s.a, j
 			}
 		}
 	}
@@ -740,22 +842,19 @@ func (o *Optimizer) solveDP(choose func(sc *spanChoice) (int, float64)) (dpResul
 	return dpResult{objective: bestObj, bounds: bounds, memIdx: mems}, true
 }
 
-// fastest returns the plan of least Σ T_i. Time never rises with memory
-// (begin), so a feasible span allows its largest block, its fastest: one
-// kernel evaluation per span feeds a DP over Σ T_i. Each partition then
-// takes the smallest block that fast, as a λ that swamps every cost does.
+// fastest returns the plan of least Σ T_i: a DP over every feasible
+// span's least time, its largest block's (record), in whole ns, so the
+// sums are exact. Each partition then takes the smallest block that
+// fast, as a λ that swamps every cost does.
 func (o *Optimizer) fastest() dpResult {
+	o.dpSolves++
 	last := len(o.blocks) - 1
-	res, _ := o.solveDP(func(sc *spanChoice) (int, float64) {
-		t, _, _ := o.blockTimeCost(sc, last)
-		return last, float64(t) // whole ns: the sums are exact
-	})
+	res, _ := o.solveDP(func(s *span) (int, float64) { return last, float64(o.table[s.a][s.b].fast) })
 	for i := range res.memIdx {
 		sc := &o.table[res.bounds[i]][res.bounds[i+1]]
-		tmin, _, _ := o.blockTimeCost(sc, last)
 		res.memIdx[i] = sort.Search(last, func(j int) bool {
 			t, _, ok := o.blockTimeCost(sc, j)
-			return ok && t <= tmin
+			return ok && t <= sc.fast
 		})
 	}
 	return res
@@ -770,8 +869,11 @@ const chordTol = 1e-12
 // walk of the plans' lower (time, cost) hull (DESIGN.md §10): λ ×8 from a
 // start scaled to the λ = 0 plan brackets the SLO between vertices L and
 // R, then the DP at the chord's slope replaces one or proves L–R an edge.
-func (o *Optimizer) Optimize() (*Plan, error) {
-	res, ok := o.solveForLambda(0)
+func (o *Optimizer) Optimize() (*Plan, error) { return o.optimize(o.solveForLambda) }
+
+// optimize is Optimize over the DP solve given.
+func (o *Optimizer) optimize(solve func(lambda float64) (dpResult, bool)) (*Plan, error) {
+	res, ok := solve(0)
 	if !ok {
 		return nil, fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
 	}
@@ -786,7 +888,7 @@ func (o *Optimizer) Optimize() (*Plan, error) {
 	}
 	var r vertex
 	for lambda := l.cost / l.sec / 1024; r.plan == nil; lambda *= 8 {
-		res, _ := o.solveForLambda(lambda)
+		res, _ := solve(lambda)
 		if v := o.assemble(res, lambda); v.plan.EstTime > o.req.SLO {
 			l = v
 		} else {
@@ -796,7 +898,7 @@ func (o *Optimizer) Optimize() (*Plan, error) {
 	best := r.plan
 	for {
 		lambda := (r.cost - l.cost) / (l.sec - r.sec)
-		res, _ := o.solveForLambda(lambda)
+		res, _ := solve(lambda)
 		if res.objective >= (l.cost+lambda*l.sec)*(1-chordTol) {
 			// L–R is a hull edge (L and R lie on the chord). Its chord at
 			// T = SLO bounds every plan meeting the SLO: storage is ≥ 0.
@@ -875,42 +977,4 @@ func Optimize(req Request) (*Plan, error) {
 		return nil, err
 	}
 	return o.Optimize()
-}
-
-// ExhaustiveMinCost enumerates every cut (all 2^(S-1) compositions,
-// S ≤ 22) with the cost-optimal block per partition — the paper's
-// Baseline 3 oracle — and returns the minimal total cost. Used to verify
-// that the DP is exact.
-func (o *Optimizer) ExhaustiveMinCost() (float64, bool) {
-	S := len(o.segs)
-	if S > 22 {
-		return 0, false
-	}
-	best := math.Inf(1)
-	found := false
-	// Each bitmask over S-1 boundaries defines a cut.
-	for mask := 0; mask < 1<<(S-1); mask++ {
-		total := 0.0
-		feasible := true
-		a := 0
-		parts := 0
-		for b := 1; b <= S; b++ {
-			if b < S && mask&(1<<(b-1)) == 0 {
-				continue
-			}
-			sc := &o.table[a][b]
-			if !sc.feasible {
-				feasible = false
-				break
-			}
-			total += sc.cost
-			parts++
-			a = b
-		}
-		if feasible && parts <= o.req.MaxLambdas && total < best {
-			best = total
-			found = true
-		}
-	}
-	return best, found
 }

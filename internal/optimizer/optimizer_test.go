@@ -91,7 +91,7 @@ func TestDPMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, ok := o.ExhaustiveMinCost()
+		want, ok := exhaustiveMinCost(o)
 		if !ok {
 			t.Fatalf("%s: exhaustive enumeration unavailable (%d segments)", name, len(o.Segments()))
 		}
@@ -426,4 +426,43 @@ func TestFastestPlanOnTimePlateau(t *testing.T) {
 			t.Errorf("%s: every partition at the largest block; no plateau exercised", req.Model.Name)
 		}
 	}
+}
+
+// exhaustiveMinCost enumerates every cut (all 2^(S-1) compositions,
+// S ≤ 22) with the cost-optimal block per partition — the paper's
+// Baseline 3 oracle — and returns the minimal total cost.
+func exhaustiveMinCost(o *Optimizer) (float64, bool) {
+	S := len(o.segs)
+	if S > 22 {
+		return 0, false
+	}
+	best := math.Inf(1)
+	found := false
+	// Each bitmask over S-1 boundaries defines a cut.
+	for mask := 0; mask < 1<<(S-1); mask++ {
+		total := 0.0
+		feasible := true
+		a := 0
+		parts := 0
+		for b := 1; b <= S; b++ {
+			if b < S && mask&(1<<(b-1)) == 0 {
+				continue
+			}
+			sc := &o.table[a][b]
+			j, _ := o.selectBlock(sc, 0, &o.scr[0])
+			if j < 0 {
+				feasible = false
+				break
+			}
+			_, cost, _ := o.blockTimeCost(sc, j)
+			total += cost
+			parts++
+			a = b
+		}
+		if feasible && parts <= o.req.MaxLambdas && total < best {
+			best = total
+			found = true
+		}
+	}
+	return best, found
 }

@@ -14,6 +14,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"ampsinf/internal/cloud/pricing"
@@ -53,7 +54,7 @@ func (o *Optimizer) buildTableRef() {
 }
 
 // solveSpanRef is the original solveSpan: dense per-block tables filled
-// by a direct scan. It additionally records capsOK and minMem, which the
+// by a direct scan. It additionally records capsOK and lo, which the
 // shared config helpers read; those do not influence the solve.
 func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 	prof := perf.ProfilePartition(o.req.Model, o.segs, a, b)
@@ -75,7 +76,7 @@ func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 	sc.capsOK = true
 
 	minMem := p.MinFeasibleMemoryMB(prof.WeightsBytes, q.MinMemoryMB, q.MemoryStepMB)
-	sc.minMem = minMem
+	sc.lo = sort.SearchInts(o.blocks, minMem)
 
 	L := len(o.blocks)
 	sc.times = make([]time.Duration, L)
@@ -100,10 +101,6 @@ func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 
 	sc.memIdx, _ = o.selectBlockRef(sc, 0)
 	sc.feasible = sc.memIdx >= 0
-	if sc.feasible {
-		sc.time = sc.times[sc.memIdx]
-		sc.cost = sc.costs[sc.memIdx]
-	}
 	return sc
 }
 
