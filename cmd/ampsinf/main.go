@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -111,6 +112,21 @@ func profileFlags(fs *flag.FlagSet) func() (func(), error) {
 	}
 }
 
+// finiteFloats rejects a NaN or infinite value given to any float flag
+// of fs. flag.Float64 parses both, and NaN fails every comparison the
+// policies and the "> 0" switches below gate on.
+func finiteFloats(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if g, ok := f.Value.(flag.Getter); ok && err == nil {
+			if x, ok := g.Get().(float64); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
+				err = fmt.Errorf("-%s %v: not a finite number", f.Name, x)
+			}
+		}
+	})
+	return err
+}
+
 func cmdSummary(args []string) error {
 	fs := flag.NewFlagSet("summary", flag.ExitOnError)
 	model := fs.String("model", "mobilenet", "zoo model name")
@@ -187,6 +203,9 @@ func cmdInfer(args []string) error {
 	metricsOut := fs.String("metrics", "", "write a metrics snapshot JSON to this file")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
+	if err := finiteFloats(fs); err != nil {
+		return err
+	}
 	if *images < 1 {
 		return fmt.Errorf("-images %d: need at least one image", *images)
 	}
@@ -363,6 +382,9 @@ func cmdServe(args []string) error {
 	metricsOut := fs.String("metrics", "", "write a metrics snapshot JSON to this file")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
+	if err := finiteFloats(fs); err != nil {
+		return err
+	}
 	if *requests < 1 {
 		return fmt.Errorf("-requests %d: need at least one request", *requests)
 	}

@@ -10,10 +10,12 @@ import (
 // TestServeInferCounts drives the subcommands that run jobs. serve and
 // infer size a workload from a flag: a count below one must come back as
 // an error, not reach the image generator, and a tiny valid run must
-// succeed. plan must plan under a binding SLO and under one that no
-// plan meets. sweep must print its table, serve one measured job per
-// feasible block when asked for a trace or metrics (and write both
-// files), and decline to measure a model that does not fit one lambda.
+// succeed; a NaN or infinite float flag must come back as an error too.
+// plan must plan under a binding SLO and under one that no plan meets.
+// sweep must print its table, serve one measured job per feasible block
+// when asked for a trace or metrics (and write both files), and decline
+// to measure a model that does not fit one lambda. summary must describe
+// a zoo model and name an unknown one.
 func TestServeInferCounts(t *testing.T) {
 	tmp := t.TempDir()
 	trace, metrics := filepath.Join(tmp, "trace.json"), filepath.Join(tmp, "metrics.json")
@@ -41,6 +43,11 @@ func TestServeInferCounts(t *testing.T) {
 		{"serve fallback brownout", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fallback-bits", "4", "-brownout"}, ""},
 		{"serve negative fallback", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fallback-bits", "-4"}, "width -4"},
 		{"serve 3-bit fallback", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fallback-bits", "3"}, "width 3"},
+		{"serve NaN budget", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-budget", "NaN"}, "-budget NaN"},
+		{"serve NaN hedge percentile", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-hedge-pct", "NaN"}, "-hedge-pct NaN"},
+		{"serve NaN fault rate", cmdServe, []string{"-model", "tinycnn", "-requests", "3", "-fault-rate", "NaN"}, "-fault-rate NaN"},
+		{"infer NaN fault rate", cmdInfer, []string{"-model", "tinycnn", "-fault-rate", "NaN"}, "-fault-rate NaN"},
+		{"infer infinite fault rate", cmdInfer, []string{"-model", "tinycnn", "-fault-rate", "+Inf"}, "-fault-rate +Inf"},
 		{"infer one real", cmdInfer, []string{"-model", "tinycnn", "-real"}, ""},
 		{"infer two", cmdInfer, []string{"-model", "tinycnn", "-images", "2"}, ""},
 		{"plan binding slo", cmdPlan, []string{"-model", "resnet50", "-slo", "30s"}, ""},
@@ -49,6 +56,8 @@ func TestServeInferCounts(t *testing.T) {
 		{"sweep measured", cmdSweep, []string{"-model", "tinycnn", "-trace", trace, "-metrics", metrics}, ""},
 		{"sweep too big for one lambda", cmdSweep, []string{"-model", "resnet50", "-trace", filepath.Join(tmp, "none.json")}, ""},
 		{"sweep unknown model", cmdSweep, []string{"-model", "nosuchnet"}, "nosuchnet"},
+		{"summary", cmdSummary, []string{"-model", "tinycnn"}, ""},
+		{"summary unknown model", cmdSummary, []string{"-model", "nosuchnet"}, "nosuchnet"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cmd(tc.args)

@@ -87,14 +87,18 @@ func New(cfg Config, meter *billing.Meter) *Store {
 }
 
 // TransferTime returns the simulated time to move n bytes in either
-// direction, including request latency.
-func (s *Store) TransferTime(n int64) time.Duration {
+// direction, including request latency — the paper's r_i^g, which the
+// planner prices on DefaultConfig.
+func (c Config) TransferTime(n int64) time.Duration {
 	if n < 0 {
 		n = 0
 	}
-	sec := float64(n) / (s.cfg.BandwidthMBps * 1024 * 1024)
-	return s.cfg.RequestLatency + time.Duration(sec*float64(time.Second))
+	sec := float64(n) / (c.BandwidthMBps * 1024 * 1024)
+	return c.RequestLatency + time.Duration(sec*float64(time.Second))
 }
+
+// TransferTime is the store's Config.TransferTime.
+func (s *Store) TransferTime(n int64) time.Duration { return s.cfg.TransferTime(n) }
 
 // SetFailing toggles a hard outage: all subsequent operations error
 // until cleared. Used by outage tests.

@@ -24,9 +24,13 @@ import (
 func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 	const earnPerSuccess = 0.5
 	_, d, m, _ := deployTinyResilient(t, 0, 0, func(cfg *Config) {
-		cfg.Budget = BudgetPolicy{MaxTokens: 1000, InitialTokens: 50, EarnPerSuccess: earnPerSuccess}
+		cfg.Budget = BudgetPolicy{MaxTokens: 1000, EarnPerSuccess: earnPerSuccess}
 		cfg.Breaker = BreakerPolicy{ConsecutiveFailures: 2, OpenFor: time.Second}
 	})
+	// Start well below the cap, so earns are not lost to saturation.
+	d.retryMu.Lock()
+	d.budgetTokens = 50
+	d.retryMu.Unlock()
 
 	// Calibrate the per-job earn with the breaker closed: one token per
 	// first-attempt success (puts and invokes alike).
@@ -78,10 +82,11 @@ func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 // stays open — no probe sneaks through on credit.
 func TestBreakerShortCircuitDeniedByEmptyBudget(t *testing.T) {
 	_, d, m, _ := deployTinyResilient(t, 0, 0, func(cfg *Config) {
-		cfg.Budget = BudgetPolicy{MaxTokens: 10, InitialTokens: 0.5, EarnPerSuccess: 1e-6}
+		cfg.Budget = BudgetPolicy{MaxTokens: 10, EarnPerSuccess: 1e-6}
 		cfg.Breaker = BreakerPolicy{ConsecutiveFailures: 2, OpenFor: time.Hour}
 	})
 	d.retryMu.Lock()
+	d.budgetTokens = 0.5 // less than the one token a retry costs
 	d.parts[0].brk.trip(d.cfg.Platform.Now())
 	d.retryMu.Unlock()
 

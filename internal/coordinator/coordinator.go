@@ -8,8 +8,6 @@
 package coordinator
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -150,72 +148,23 @@ type partition struct {
 	h partHandles
 }
 
-type invokePayload struct {
-	Job      string `json:"job"`
-	InputKey string `json:"input_key"`
-}
-
-// payloadMid is the field separator of the coordinator's own canonical
-// payload encoding, used by scanPayload.
-var payloadMid = []byte(`","input_key":"`)
-
 // emptyWeights is the shared placeholder cached on a partition whose
 // cold start skipped weight decoding (SkipCompute): non-nil so warm
 // invocations skip the cold branch, never written by anyone.
 var emptyWeights = nn.Weights{}
 
-// scanPayload decodes the coordinator's own canonical encoding
-// {"job":"…","input_key":"…"} without the JSON machinery. Any payload
-// whose segments contain quoting, escapes or control bytes reports
-// false, and the caller falls back to the full decoder.
-func scanPayload(p []byte) (invokePayload, bool) {
-	const pre = `{"job":"`
-	const suf = `"}`
-	if len(p) < len(pre)+len(payloadMid)+len(suf) ||
-		string(p[:len(pre)]) != pre || string(p[len(p)-len(suf):]) != suf {
-		return invokePayload{}, false
-	}
-	body := p[len(pre) : len(p)-len(suf)]
-	i := bytes.Index(body, payloadMid)
-	if i < 0 {
-		return invokePayload{}, false
-	}
-	job, in := body[:i], body[i+len(payloadMid):]
-	if !plainJSONString(job) || !plainJSONString(in) {
-		return invokePayload{}, false
-	}
-	return invokePayload{Job: string(job), InputKey: string(in)}, true
-}
-
-func plainJSONString(s []byte) bool {
-	for _, c := range s {
-		if c == '"' || c == '\\' || c < 0x20 {
-			return false
-		}
-	}
-	return true
-}
-
-// parsePayload accepts either the coordinator's JSON payload or — for
-// Step-Functions-driven workflows that chain each state's response into
-// the next state's payload — a bare S3 key, whose job id is its prefix.
-func parsePayload(payload []byte) (invokePayload, error) {
-	if len(payload) > 0 && payload[0] == '{' {
-		if req, ok := scanPayload(payload); ok {
-			return req, nil
-		}
-		var req invokePayload
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return req, err
-		}
-		return req, nil
-	}
+// parsePayload reads an invocation payload: the S3 key of the
+// partition's input, whose prefix is the job id. The coordinator sends
+// it, and so do Step-Functions-driven workflows, which chain each
+// state's response — the key a partition staged its output under — into
+// the next state's payload.
+func parsePayload(payload []byte) (job, inputKey string, err error) {
 	key := string(payload)
 	i := strings.LastIndexByte(key, '/')
 	if i <= 0 {
-		return invokePayload{}, fmt.Errorf("payload %q is neither JSON nor an S3 key", key)
+		return "", "", fmt.Errorf("payload %q is not an S3 key", key)
 	}
-	return invokePayload{Job: key[:i], InputKey: key}, nil
+	return key[:i], key, nil
 }
 
 // Deploy splits model+weights per plan, builds the deployment packages
@@ -259,7 +208,7 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 
 	d := &Deployment{cfg: cfg, model: model, plan: plan}
 	d.initRetryRng()
-	d.budgetTokens = cfg.Budget.initialTokens()
+	d.budgetTokens = cfg.Budget.MaxTokens
 	d.resolveJobHandles()
 	d.stablePut, _ = cfg.Store.(stage.StablePutter)
 	perfp := cfg.Platform.Perf()
@@ -314,14 +263,11 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 // the final prediction.
 func (d *Deployment) handler(p *partition) lambda.Handler {
 	return func(ctx *lambda.Context, payload []byte) ([]byte, error) {
-		var req invokePayload
 		rt, lean := d.leanRouteFor(p, payload)
-		if lean {
-			req = rt.req
-		} else {
+		var jobID, inKey string
+		if !lean {
 			var err error
-			req, err = parsePayload(payload)
-			if err != nil {
+			if jobID, inKey, err = parsePayload(payload); err != nil {
 				return nil, fmt.Errorf("partition %d: bad payload: %w", p.index, err)
 			}
 		}
@@ -355,7 +301,7 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 			// read, so the store traffic is size-only and the output is the
 			// job's cached zero-tensor encoding. Charges, fault draws, /tmp
 			// accounting and phase spans are identical to the path below.
-			n, err := ctx.GetObjectSize(d.cfg.Store, req.InputKey)
+			n, err := ctx.GetObjectSize(d.cfg.Store, rt.j.inputKey(p.index))
 			if err != nil {
 				return nil, &lazyError{"partition %d: reading input: %v", p.index, err}
 			}
@@ -368,10 +314,10 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 			if err := ctx.PutObjectStable(d.cfg.Store, rt.j.outKeys[p.index], outBytes); err != nil {
 				return nil, &lazyError{"partition %d: staging output: %v", p.index, err}
 			}
-			return rt.j.outKeyB[p.index], nil
+			return rt.j.payloads[p.index+1], nil
 		}
 
-		inBytes, err := ctx.GetObject(d.cfg.Store, req.InputKey)
+		inBytes, err := ctx.GetObject(d.cfg.Store, inKey)
 		if err != nil {
 			return nil, fmt.Errorf("partition %d: reading input: %w", p.index, err)
 		}
@@ -398,7 +344,7 @@ func (d *Deployment) handler(p *partition) lambda.Handler {
 		if last {
 			return outBytes, nil
 		}
-		outKey := fmt.Sprintf("%s/out%d", req.Job, p.index)
+		outKey := fmt.Sprintf("%s/out%d", jobID, p.index)
 		if err := ctx.PutObject(d.cfg.Store, outKey, outBytes); err != nil {
 			return nil, fmt.Errorf("partition %d: staging output: %w", p.index, err)
 		}

@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -27,9 +26,8 @@ type job struct {
 	id       string
 	inKey    string
 	outKeys  []string // outKeys[i] = id + "/out" + i (last one: cleanup only)
-	payloads [][]byte // payloads[i] = JSON invokePayload for partition i
+	payloads [][]byte // payloads[i] = partition i's input key, inputKey(i)
 	pooled   bool
-	outKeyB  [][]byte // pooled: outKeys pre-converted for handler returns
 	// tr receives the job's cost attribution: the deployment's tracer,
 	// or nil for a pooled job, whose Cost is its meter delta and which
 	// builds no tree for per-operation charges to land on. Every
@@ -102,18 +100,19 @@ func (d *Deployment) newJob(id string) *job {
 	}
 	for i := 0; i < n; i++ {
 		j.outKeys[i] = fmt.Sprintf("%s/out%d", id, i)
-		j.payloads[i], _ = json.Marshal(j.request(i))
+		j.payloads[i] = []byte(j.inputKey(i))
 	}
 	return j
 }
 
-// request is partition i's invocation request: the job and the key its
-// input sits under — the job input, or the previous partition's output.
-func (j *job) request(i int) invokePayload {
+// inputKey is the key partition i's input sits under — the job input,
+// or the previous partition's output. It is the partition's invocation
+// payload.
+func (j *job) inputKey(i int) string {
 	if i == 0 {
-		return invokePayload{Job: j.id, InputKey: j.inKey}
+		return j.inKey
 	}
-	return invokePayload{Job: j.id, InputKey: j.outKeys[i-1]}
+	return j.outKeys[i-1]
 }
 
 // begin opens a job in the given mode ("sequential", "eager" or
@@ -362,8 +361,7 @@ func (d *Deployment) acquirePooled(input *tensor.Tensor) *job {
 			d.leanRoutes = make(map[string]leanRoute)
 		}
 		for i, payload := range j.payloads {
-			d.leanRoutes[string(payload)] = leanRoute{req: j.request(i), j: j, part: i}
-			j.outKeyB = append(j.outKeyB, []byte(j.outKeys[i]))
+			d.leanRoutes[string(payload)] = leanRoute{j: j, part: i}
 		}
 	}
 	if d.cfg.SkipCompute {

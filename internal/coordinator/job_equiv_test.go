@@ -104,10 +104,10 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 		cfg.Tracer = obs.NewTracer()
 		e.meter.SetObserver(cfg.Tracer.RecordCost)
 	}
-	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Multiplier: 2, JitterSeed: seed + 1}
+	cfg.Retry = RetryPolicy{MaxAttempts: 3, JitterSeed: seed + 1}
 	cfg.Hedge = HedgePolicy{Delay: time.Millisecond, MaxRate: 1, JitterSeed: 9}
 	cfg.Breaker = BreakerPolicy{ConsecutiveFailures: 3, OpenFor: 2 * time.Second}
-	cfg.Budget = BudgetPolicy{MaxTokens: 12, InitialTokens: 8, EarnPerSuccess: 0.5, HedgeCost: 0.25}
+	cfg.Budget = BudgetPolicy{MaxTokens: 12, EarnPerSuccess: 0.5}
 	d, err := Deploy(cfg, m, nn.InitWeights(m, 42), plan)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 // tensor contents, and an encoding's bytes depend only on its shape,
 // so recycled encodings are indistinguishable from per-job ones. The
 // cached encodings also unlock the handler fast path, which routes a
-// recognized pooled payload past JSON parsing, tensor decode/encode and
+// recognized pooled payload past parsePayload, tensor decode/encode and
 // store copies (GetObjectSize/PutObjectStable).
 
 // leanEncoding caches the encoded zero tensors for one batch size.
@@ -32,10 +32,9 @@ type leanEncoding struct {
 	parts [][]byte // per partition: EncodeTensor of its zero output
 }
 
-// leanRoute maps one pooled job's payload to its pre-parsed request, so
+// leanRoute maps one pooled job's payload to its job and partition, so
 // the handler fast path skips parsePayload and key formatting.
 type leanRoute struct {
-	req  invokePayload
 	j    *job
 	part int
 }

@@ -8,31 +8,18 @@ import (
 	"ampsinf/internal/nn/zoo"
 )
 
-func TestParsePayloadJSON(t *testing.T) {
-	req, err := parsePayload([]byte(`{"job":"a/b","input_key":"a/b/input"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Job != "a/b" || req.InputKey != "a/b/input" {
-		t.Fatalf("parsed %+v", req)
-	}
-	if _, err := parsePayload([]byte(`{bad json`)); err == nil {
-		t.Fatal("bad json accepted")
-	}
-}
-
 func TestParsePayloadBareKey(t *testing.T) {
-	req, err := parsePayload([]byte("serfer/jobs/1/out0"))
+	job, key, err := parsePayload([]byte("serfer/jobs/1/out0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Job != "serfer/jobs/1" || req.InputKey != "serfer/jobs/1/out0" {
-		t.Fatalf("parsed %+v", req)
+	if job != "serfer/jobs/1" || key != "serfer/jobs/1/out0" {
+		t.Fatalf("parsed job %q, key %q", job, key)
 	}
-	if _, err := parsePayload([]byte("noslash")); err == nil {
+	if _, _, err := parsePayload([]byte("noslash")); err == nil {
 		t.Fatal("keyless payload accepted")
 	}
-	if _, err := parsePayload(nil); err == nil {
+	if _, _, err := parsePayload(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 }

@@ -92,26 +92,16 @@ func IsBudgetExhausted(err error) bool { return errors.Is(err, ErrBudgetExhauste
 // retry rate is bounded by the success rate, by construction. The zero
 // value disables the budget.
 type BudgetPolicy struct {
-	// MaxTokens caps the bucket (0 disables the budget).
+	// MaxTokens caps the bucket, which starts full (0 disables the
+	// budget).
 	MaxTokens float64
-	// InitialTokens seeds the bucket at deploy time (default MaxTokens).
-	InitialTokens float64
 	// EarnPerSuccess is the tokens earned per first-attempt success
 	// (default 0.1, i.e. one retry allowed per ten clean operations once
 	// the initial stake is spent).
 	EarnPerSuccess float64
-	// HedgeCost is the tokens one hedged duplicate spends (default 1).
-	HedgeCost float64
 }
 
 func (p BudgetPolicy) enabled() bool { return p.MaxTokens > 0 }
-
-func (p BudgetPolicy) initialTokens() float64 {
-	if p.InitialTokens > 0 {
-		return math.Min(p.InitialTokens, p.MaxTokens)
-	}
-	return p.MaxTokens
-}
 
 func (p BudgetPolicy) earn() float64 {
 	if p.EarnPerSuccess > 0 {
@@ -120,50 +110,37 @@ func (p BudgetPolicy) earn() float64 {
 	return 0.1
 }
 
-func (p BudgetPolicy) hedgeCost() float64 {
-	if p.HedgeCost > 0 {
-		return p.HedgeCost
-	}
-	return 1
-}
-
-// Validate rejects nonsensical budget policies at deployment time.
+// Validate rejects nonsensical budget policies at deployment time. (Each
+// float check is written to fail on NaN, which every comparison fails.)
 func (p BudgetPolicy) Validate() error {
-	if p.MaxTokens < 0 {
-		return fmt.Errorf("budget policy: MaxTokens %v is negative", p.MaxTokens)
+	if !(p.MaxTokens >= 0) {
+		return fmt.Errorf("budget policy: MaxTokens %v is not ≥ 0", p.MaxTokens)
 	}
-	if p.InitialTokens < 0 {
-		return fmt.Errorf("budget policy: InitialTokens %v is negative", p.InitialTokens)
-	}
-	if p.EarnPerSuccess < 0 {
-		return fmt.Errorf("budget policy: EarnPerSuccess %v is negative", p.EarnPerSuccess)
-	}
-	if p.HedgeCost < 0 {
-		return fmt.Errorf("budget policy: HedgeCost %v is negative", p.HedgeCost)
+	if !(p.EarnPerSuccess >= 0) {
+		return fmt.Errorf("budget policy: EarnPerSuccess %v is not ≥ 0", p.EarnPerSuccess)
 	}
 	return nil
 }
 
-// spendBudgetLocked takes cost tokens from the shared bucket, reporting
-// whether they were available. Callers hold retryMu; a disabled budget
-// always grants.
-func (d *Deployment) spendBudgetLocked(cost float64) bool {
+// spendBudgetLocked takes one token — one retry or one hedge — from the
+// shared bucket, reporting whether it was available. Callers hold
+// retryMu; a disabled budget always grants.
+func (d *Deployment) spendBudgetLocked() bool {
 	if !d.cfg.Budget.enabled() {
 		return true
 	}
-	if d.budgetTokens < cost {
+	if d.budgetTokens < 1 {
 		return false
 	}
-	d.budgetTokens -= cost
+	d.budgetTokens--
 	return true
 }
 
-// spendRetryToken claims one retry — one token — from the
-// deployment-wide budget.
+// spendRetryToken claims one retry from the deployment-wide budget.
 func (d *Deployment) spendRetryToken() bool {
 	d.retryMu.Lock()
 	defer d.retryMu.Unlock()
-	return d.spendBudgetLocked(1)
+	return d.spendBudgetLocked()
 }
 
 // earnBudgetToken credits the bucket for one first-attempt success,
@@ -196,24 +173,10 @@ func (d *Deployment) SetHedgingDisabled(off bool) {
 	d.retryMu.Unlock()
 }
 
-// Validate rejects nonsensical retry policies at deployment time, so a
-// mistake like Multiplier 0.5 surfaces as a clear error instead of being
-// silently replaced with the default inside backoff().
+// Validate rejects nonsensical retry policies at deployment time.
 func (p RetryPolicy) Validate() error {
 	if p.MaxAttempts < 0 {
 		return fmt.Errorf("retry policy: MaxAttempts %d is negative", p.MaxAttempts)
-	}
-	if p.BaseBackoff < 0 {
-		return fmt.Errorf("retry policy: BaseBackoff %v is negative", p.BaseBackoff)
-	}
-	if p.MaxBackoff < 0 {
-		return fmt.Errorf("retry policy: MaxBackoff %v is negative", p.MaxBackoff)
-	}
-	if p.Multiplier != 0 && p.Multiplier < 1 {
-		return fmt.Errorf("retry policy: Multiplier %v < 1 would shrink backoffs", p.Multiplier)
-	}
-	if p.BaseBackoff > 0 && p.MaxBackoff > 0 && p.MaxBackoff < p.BaseBackoff {
-		return fmt.Errorf("retry policy: MaxBackoff %v < BaseBackoff %v", p.MaxBackoff, p.BaseBackoff)
 	}
 	return nil
 }
@@ -260,7 +223,7 @@ func (p HedgePolicy) maxRate() float64 {
 
 // Validate rejects nonsensical hedge policies at deployment time.
 func (p HedgePolicy) Validate() error {
-	if p.Percentile < 0 || p.Percentile > 100 {
+	if !(p.Percentile >= 0 && p.Percentile <= 100) {
 		return fmt.Errorf("hedge policy: Percentile %v outside [0, 100]", p.Percentile)
 	}
 	if p.Delay < 0 {
@@ -274,7 +237,7 @@ func (p HedgePolicy) Validate() error {
 		// off for the life of the deployment.
 		return fmt.Errorf("hedge policy: MinSamples %d exceeds the %d-sample latency history", p.MinSamples, latencyHistorySize)
 	}
-	if p.MaxRate < 0 || p.MaxRate > 1 {
+	if !(p.MaxRate >= 0 && p.MaxRate <= 1) {
 		return fmt.Errorf("hedge policy: MaxRate %v outside [0, 1]", p.MaxRate)
 	}
 	return nil
@@ -350,7 +313,7 @@ func (r *latencyRing) percentile(p float64) time.Duration {
 // BreakerPolicy configures the per-partition-function circuit breaker:
 // closed → open on consecutive failures or a failure rate over a
 // sliding simulated-time window, open → half-open after a cool-down,
-// half-open → closed after successful probes. While open, invocations
+// half-open → closed after one successful probe. While open, invocations
 // of the function are short-circuited without touching the platform.
 // The zero value disables breakers.
 type BreakerPolicy struct {
@@ -370,9 +333,6 @@ type BreakerPolicy struct {
 	// OpenFor is how long an open breaker short-circuits before probing
 	// (default 5 s).
 	OpenFor time.Duration
-	// HalfOpenProbes is how many consecutive successful probes close a
-	// half-open breaker (default 1).
-	HalfOpenProbes int
 }
 
 func (p BreakerPolicy) enabled() bool { return p.ConsecutiveFailures > 0 || p.FailureRate > 0 }
@@ -398,19 +358,12 @@ func (p BreakerPolicy) openFor() time.Duration {
 	return 5 * time.Second
 }
 
-func (p BreakerPolicy) probes() int {
-	if p.HalfOpenProbes > 0 {
-		return p.HalfOpenProbes
-	}
-	return 1
-}
-
 // Validate rejects nonsensical breaker policies at deployment time.
 func (p BreakerPolicy) Validate() error {
 	if p.ConsecutiveFailures < 0 {
 		return fmt.Errorf("breaker policy: ConsecutiveFailures %d is negative", p.ConsecutiveFailures)
 	}
-	if p.FailureRate < 0 || p.FailureRate > 1 {
+	if !(p.FailureRate >= 0 && p.FailureRate <= 1) {
 		return fmt.Errorf("breaker policy: FailureRate %v outside [0, 1]", p.FailureRate)
 	}
 	if p.MinSamples < 0 {
@@ -421,9 +374,6 @@ func (p BreakerPolicy) Validate() error {
 	}
 	if p.OpenFor < 0 {
 		return fmt.Errorf("breaker policy: OpenFor %v is negative", p.OpenFor)
-	}
-	if p.HalfOpenProbes < 0 {
-		return fmt.Errorf("breaker policy: HalfOpenProbes %d is negative", p.HalfOpenProbes)
 	}
 	return nil
 }
@@ -458,7 +408,6 @@ type breaker struct {
 	state       breakerState
 	consecFails int
 	openedAt    time.Duration
-	probesLeft  int
 	trips       int
 
 	// Sliding window of recent outcomes for the rate trigger.
@@ -497,16 +446,12 @@ func (b *breaker) allow(now time.Duration) (ok bool, until time.Duration) {
 		if now < until {
 			return false, until
 		}
+		// The invocation being allowed right now is the one probe.
 		b.state = breakerHalfOpen
-		// The invocation being allowed right now is the first probe.
-		b.probesLeft = b.pol.probes() - 1
 		return true, 0
 	case breakerHalfOpen:
-		if b.probesLeft <= 0 {
-			return false, b.openedAt + b.pol.openFor()
-		}
-		b.probesLeft--
-		return true, 0
+		// Nothing else passes until the probe's outcome is recorded.
+		return false, b.openedAt + b.pol.openFor()
 	}
 	return true, 0
 }
@@ -518,11 +463,8 @@ func (b *breaker) record(now time.Duration, succeeded bool) {
 	if succeeded {
 		b.consecFails = 0
 		if b.state == breakerHalfOpen {
-			// Probe succeeded; the half-open budget drains via allow(), so
-			// reaching here with no probes left means every probe passed.
-			if b.probesLeft == 0 {
-				b.state = breakerClosed
-			}
+			// The probe succeeded.
+			b.state = breakerClosed
 		}
 		return
 	}

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -66,16 +67,16 @@ func TestDeployRejectsInvalidPolicies(t *testing.T) {
 		name   string
 		mutate func(cfg *Config)
 	}{
-		{"retry multiplier < 1", func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 3, Multiplier: 0.5} }},
-		{"retry max < base", func(cfg *Config) {
-			cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, MaxBackoff: time.Millisecond}
-		}},
-		{"retry negative backoff", func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: -time.Second} }},
 		{"retry negative attempts", func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: -1} }},
 		{"hedge percentile > 100", func(cfg *Config) { cfg.Hedge = HedgePolicy{Percentile: 150} }},
+		{"hedge NaN percentile", func(cfg *Config) { cfg.Hedge = HedgePolicy{Percentile: math.NaN()} }},
 		{"hedge negative delay", func(cfg *Config) { cfg.Hedge = HedgePolicy{Delay: -time.Second} }},
 		{"hedge rate > 1", func(cfg *Config) { cfg.Hedge = HedgePolicy{Delay: time.Second, MaxRate: 1.5} }},
+		{"hedge NaN rate", func(cfg *Config) { cfg.Hedge = HedgePolicy{Delay: time.Second, MaxRate: math.NaN()} }},
 		{"breaker rate > 1", func(cfg *Config) { cfg.Breaker = BreakerPolicy{FailureRate: 2} }},
+		{"breaker NaN rate", func(cfg *Config) { cfg.Breaker = BreakerPolicy{FailureRate: math.NaN()} }},
+		{"budget NaN max tokens", func(cfg *Config) { cfg.Budget = BudgetPolicy{MaxTokens: math.NaN()} }},
+		{"budget NaN earn", func(cfg *Config) { cfg.Budget = BudgetPolicy{MaxTokens: 1, EarnPerSuccess: math.NaN()} }},
 		{"breaker negative window", func(cfg *Config) { cfg.Breaker = BreakerPolicy{ConsecutiveFailures: 3, Window: -time.Second} }},
 		{"negative deadline", func(cfg *Config) { cfg.Deadline = -time.Second }},
 	}
@@ -309,10 +310,10 @@ func TestHedgeSpansOnShadowTrack(t *testing.T) {
 }
 
 // Unit-level breaker state machine: closed → open on consecutive
-// failures, short-circuit while open, probe on half-open, close on
-// successful probes, re-trip on a failed probe.
+// failures, short-circuit while open, one probe on half-open, close on
+// its success, re-trip on a failed probe.
 func TestBreakerStateMachine(t *testing.T) {
-	b := &breaker{pol: BreakerPolicy{ConsecutiveFailures: 3, OpenFor: 5 * time.Second, HalfOpenProbes: 2}}
+	b := &breaker{pol: BreakerPolicy{ConsecutiveFailures: 3, OpenFor: 5 * time.Second}}
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
 
 	if ok, _ := b.allow(at(0)); !ok {
@@ -333,16 +334,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.state != breakerHalfOpen {
 		t.Fatalf("state %v after cool-down, want half-open", b.state)
 	}
+	if ok, until := b.allow(at(8)); ok || until != at(2)+5*time.Second {
+		t.Fatalf("a second invoke passed while the probe was in flight (until %v)", until)
+	}
 	b.record(at(8), true)
-	if b.state != breakerHalfOpen {
-		t.Fatal("one of two probes closed the breaker early")
-	}
-	if ok, _ := b.allow(at(9)); !ok {
-		t.Fatal("second probe not allowed")
-	}
-	b.record(at(9), true)
 	if b.state != breakerClosed {
-		t.Fatalf("all probes passed but state is %v", b.state)
+		t.Fatalf("the probe passed but state is %v", b.state)
 	}
 
 	// Re-trip, then fail the probe: straight back to open.
@@ -465,24 +462,19 @@ func TestFailureTraceReproducesCharges(t *testing.T) {
 
 // Property (satellite): across seeds and attempt numbers, every drawn
 // backoff lies in the equal-jitter window [w/2, w] for the attempt's
-// exponential window w, and never exceeds MaxBackoff.
+// exponential window w, and never exceeds the 10 s cap.
 func TestPropertyBackoffWithinWindowAcrossSeeds(t *testing.T) {
-	policy := RetryPolicy{
-		MaxAttempts: 12,
-		BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff:  2 * time.Second,
-		Multiplier:  2,
-	}
+	policy := RetryPolicy{MaxAttempts: 12}
 	for seed := int64(1); seed <= 25; seed++ {
 		policy.JitterSeed = seed
 		d := &Deployment{cfg: Config{Retry: policy}}
 		d.initRetryRng()
 		for n := 1; n <= 12; n++ {
-			w := float64(policy.BaseBackoff)
+			w := float64(retryBaseBackoff)
 			for i := 1; i < n; i++ {
-				w *= policy.Multiplier
-				if w >= float64(policy.MaxBackoff) {
-					w = float64(policy.MaxBackoff)
+				w *= 2
+				if w >= float64(retryMaxBackoff) {
+					w = float64(retryMaxBackoff)
 					break
 				}
 			}
@@ -490,8 +482,8 @@ func TestPropertyBackoffWithinWindowAcrossSeeds(t *testing.T) {
 			if got < time.Duration(w/2) || got > time.Duration(w) {
 				t.Fatalf("seed %d attempt %d: backoff %v outside [%v, %v]", seed, n, got, time.Duration(w/2), time.Duration(w))
 			}
-			if got > policy.MaxBackoff {
-				t.Fatalf("seed %d attempt %d: backoff %v exceeds MaxBackoff", seed, n, got)
+			if got > retryMaxBackoff {
+				t.Fatalf("seed %d attempt %d: backoff %v exceeds the cap", seed, n, got)
 			}
 		}
 	}

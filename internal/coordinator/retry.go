@@ -23,18 +23,13 @@ func faultOf(err error) *faults.Error {
 // RetryPolicy makes job runs resilient to transient platform faults
 // (see internal/cloud/faults): failed partition invocations and input
 // uploads are retried with exponential backoff and deterministic
-// jitter. The zero value disables retries — the coordinator aborts on
-// the first error, its pre-fault-layer behaviour.
+// jitter: 200 ms doubling to a 10 s cap (EqualJitter). The zero value
+// disables retries — the coordinator aborts on the first error, its
+// pre-fault-layer behaviour.
 type RetryPolicy struct {
 	// MaxAttempts caps attempts per operation (per partition
 	// invocation or input upload). Values ≤ 1 disable retries.
 	MaxAttempts int
-	// BaseBackoff is the wait before the first retry (default 200 ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 10 s).
-	MaxBackoff time.Duration
-	// Multiplier grows the backoff per retry (default 2).
-	Multiplier float64
 	// JitterSeed seeds the deterministic equal-jitter stream, so a
 	// deployment replays identical backoff waits run over run (0
 	// behaves as seed 1).
@@ -44,46 +39,39 @@ type RetryPolicy struct {
 // DefaultRetryPolicy is a sensible production-style policy: up to 4
 // attempts per operation, 200 ms → 10 s equal-jitter backoff.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: 200 * time.Millisecond,
-		MaxBackoff:  10 * time.Second,
-		Multiplier:  2,
-		JitterSeed:  1,
-	}
+	return RetryPolicy{MaxAttempts: 4, JitterSeed: 1}
 }
 
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
-// backoff returns the wait before retry number n (1-based), using
-// equal jitter: half the exponential window is deterministic, the
-// other half is drawn from the deployment's seeded stream.
-func (d *Deployment) backoff(n int) time.Duration {
-	p := d.cfg.Retry
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 10 * time.Second
-	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
+const (
+	retryBaseBackoff = 200 * time.Millisecond
+	retryMaxBackoff  = 10 * time.Second
+)
+
+// EqualJitter is the equal-jitter wait before retry number n (1-based):
+// the window w = base·2^(n−1), capped at max, waits w/2 plus u·w/2 for a
+// uniform draw u in [0, 1). The coordinator's retries and the serving
+// scheduler's admission retries both back off through it.
+func EqualJitter(base, max time.Duration, n int, u float64) time.Duration {
 	w := float64(base)
 	for i := 1; i < n; i++ {
-		w *= mult
+		w *= 2
 		if w >= float64(max) {
 			w = float64(max)
 			break
 		}
 	}
+	return time.Duration(w/2 + u*w/2)
+}
+
+// backoff returns the wait before retry number n (1-based), its jitter
+// drawn from the deployment's seeded stream.
+func (d *Deployment) backoff(n int) time.Duration {
 	d.retryMu.Lock()
 	u := d.retryRng.Float64()
 	d.retryMu.Unlock()
-	return time.Duration(w/2 + u*w/2)
+	return EqualJitter(retryBaseBackoff, retryMaxBackoff, n, u)
 }
 
 // retryStep records one failed attempt: what executed (nil when the
@@ -525,7 +513,7 @@ func (d *Deployment) takeHedgeSlot() bool {
 		d.retryMu.Unlock()
 		return false
 	}
-	if !d.spendBudgetLocked(d.cfg.Budget.hedgeCost()) {
+	if !d.spendBudgetLocked() {
 		d.retryMu.Unlock()
 		d.noteBudgetDenied(d.jh.deniedHedge)
 		return false

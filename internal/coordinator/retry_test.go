@@ -178,27 +178,23 @@ func TestFaultsInflateCost(t *testing.T) {
 }
 
 // backoff implements equal jitter: retry n waits within
-// [w/2, w] for w = base·mult^(n-1), capped at MaxBackoff.
+// [w/2, w] for w = 200 ms·2^(n-1), capped at 10 s.
 func TestBackoffWindows(t *testing.T) {
-	policy := RetryPolicy{
-		MaxAttempts: 8,
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  time.Second,
-		Multiplier:  2,
-		JitterSeed:  3,
-	}
+	policy := RetryPolicy{MaxAttempts: 8, JitterSeed: 3}
 	d := &Deployment{cfg: Config{Retry: policy}}
 	d.initRetryRng()
 	cases := []struct {
 		n    int
 		want time.Duration // full window before jitter
 	}{
-		{1, 100 * time.Millisecond},
-		{2, 200 * time.Millisecond},
-		{3, 400 * time.Millisecond},
-		{4, 800 * time.Millisecond},
-		{5, time.Second}, // capped
-		{9, time.Second}, // stays capped
+		{1, 200 * time.Millisecond},
+		{2, 400 * time.Millisecond},
+		{3, 800 * time.Millisecond},
+		{4, 1600 * time.Millisecond},
+		{5, 3200 * time.Millisecond},
+		{6, 6400 * time.Millisecond},
+		{7, 10 * time.Second}, // capped
+		{9, 10 * time.Second}, // stays capped
 	}
 	for _, c := range cases {
 		got := d.backoff(c.n)

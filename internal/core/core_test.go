@@ -7,6 +7,7 @@ import (
 
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
+	"ampsinf/internal/optimizer"
 	"ampsinf/internal/tensor"
 )
 
@@ -48,6 +49,40 @@ func TestSubmitAndInfer(t *testing.T) {
 	}
 	if svc.PlanningTime <= 0 {
 		t.Fatal("planning time not recorded")
+	}
+}
+
+// The planner prices a partition's S3 transfers on the model of the
+// store the framework stages through: every span's estimate is its
+// compute time plus the store's TransferTime of its input and output.
+func TestPlannerTransferMatchesStore(t *testing.T) {
+	fw := NewFramework(Options{})
+	o, err := optimizer.New(optimizer.Request{Model: zoo.MobileNet(0), Perf: fw.perf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for a := range o.Segments() {
+		for b := a + 1; b <= len(o.Segments()); b++ {
+			mem, err := o.MinFeasibleBlock(a, b)
+			if err != nil {
+				continue
+			}
+			got, _, err := o.SpanEstimate(a, b, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof := o.ProfileSpan(a, b)
+			want := fw.perf.EndToEndTime(mem, prof.FLOPs, prof.WeightsBytes) +
+				fw.Store().TransferTime(prof.InBytes) + fw.Store().TransferTime(prof.OutBytes)
+			if got != want {
+				t.Fatalf("span [%d, %d) at %d MB: planner estimates %v, store model gives %v", a, b, mem, got, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no feasible span checked")
 	}
 }
 

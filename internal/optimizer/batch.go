@@ -96,7 +96,7 @@ func (o *Optimizer) CoPlanBatch(plan *Plan, maxBatch int) (*BatchPlan, error) {
 				break
 			}
 			t := p.EndToEndTime(l.MemoryMB, p.BatchFLOPs(prof.FLOPs, B), prof.WeightsBytes) +
-				o.transferTime(in) + o.transferTime(out)
+				transferTime(in) + transferTime(out)
 			if t > q.Timeout {
 				feasible = false
 				break

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/miqp"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/perf"
@@ -59,12 +60,6 @@ type Request struct {
 	MaxLambdas int
 	// MaxLayersPerPartition is the paper's constraint (6); 0 disables it.
 	MaxLayersPerPartition int
-	// BandwidthMBps is B, the lambda↔S3 bandwidth (default 60).
-	BandwidthMBps float64
-	// RequestLatency is the fixed S3 round-trip latency (default 25 ms).
-	RequestLatency time.Duration
-	// DescBytes is the per-partition model-description size (default 256 KiB).
-	DescBytes int64
 	// UseBnB routes every per-lambda subproblem through the generic
 	// QCR+branch-and-bound MIQP solver instead of the exact one-hot scan.
 	UseBnB bool
@@ -95,15 +90,6 @@ func (r *Request) fillDefaults() {
 		if r.SearchStrideMB < 64 {
 			r.SearchStrideMB = 64
 		}
-	}
-	if r.BandwidthMBps <= 0 {
-		r.BandwidthMBps = 60
-	}
-	if r.RequestLatency <= 0 {
-		r.RequestLatency = 25 * time.Millisecond
-	}
-	if r.DescBytes <= 0 {
-		r.DescBytes = 256 << 10
 	}
 	if r.WeightScale <= 0 {
 		r.WeightScale = 1
@@ -262,9 +248,9 @@ func newOptimizer(req Request) (*Optimizer, error) {
 	if req.Model == nil {
 		return nil, fmt.Errorf("optimizer: nil model")
 	}
-	// (NaN passes fillDefaults' ≤ 0 tests, and int64(w·±Inf) overflows.)
-	if math.IsNaN(req.BandwidthMBps) || math.IsNaN(req.WeightScale) || math.IsInf(req.WeightScale, 0) {
-		return nil, fmt.Errorf("optimizer: BandwidthMBps = %v, WeightScale = %v", req.BandwidthMBps, req.WeightScale)
+	// (NaN passes fillDefaults' ≤ 0 test, and int64(w·±Inf) overflows.)
+	if math.IsNaN(req.WeightScale) || math.IsInf(req.WeightScale, 0) {
+		return nil, fmt.Errorf("optimizer: WeightScale = %v", req.WeightScale)
 	}
 	req.fillDefaults()
 	if err := req.Quota.Validate(); err != nil {
@@ -380,7 +366,7 @@ func (o *Optimizer) record(sc *spanChoice, a, b int) {
 	// dependency layer D + handler F must fit the platform limit.
 	p := &o.req.Perf
 	q := o.req.Quota
-	deploy := prof.DeployBytes(o.req.DescBytes) + int64(p.DepsMB*(1<<20))
+	deploy := prof.DeployBytes(descBytes) + int64(p.DepsMB*(1<<20))
 	if deploy > int64(q.DeployLimitMB)<<20 {
 		return
 	}
@@ -393,7 +379,7 @@ func (o *Optimizer) record(sc *spanChoice, a, b int) {
 	// Constraint (7): prune memory blocks below the working-set floor —
 	// a prefix of the ascending block grid, skipped without evaluation.
 	sc.lo = sort.SearchInts(o.blocks, p.MinFeasibleMemoryMB(prof.WeightsBytes, q.MinMemoryMB, q.MemoryStepMB))
-	transfer := o.transferTime(prof.InBytes) + o.transferTime(prof.OutBytes)
+	transfer := transferTime(prof.InBytes) + transferTime(prof.OutBytes)
 	sc.work = o.grid.work(prof.FLOPs, prof.WeightsBytes, transfer)
 	last := len(o.blocks) - 1
 	sc.fast, _, sc.feasible = o.blockTimeCost(sc, last)
@@ -424,10 +410,13 @@ func (o *Optimizer) solve(sc *spanChoice, scr *spanScratch) {
 	sc.memIdx, sc.zeroObj = o.selectBlockBnB(sc, 0, &scr.bnb)
 }
 
-func (o *Optimizer) transferTime(bytes int64) time.Duration {
-	sec := float64(bytes) / (o.req.BandwidthMBps * 1024 * 1024)
-	return o.req.RequestLatency + time.Duration(sec*float64(time.Second))
-}
+// descBytes is the per-partition model-description size the
+// deployment-size constraint (4) charges.
+const descBytes = 256 << 10
+
+// transferTime is one S3 transfer of the given size (the paper's r_i^g)
+// on the store's own model, so planner and store cannot drift.
+func transferTime(bytes int64) time.Duration { return s3.DefaultConfig().TransferTime(bytes) }
 
 // blockTimeCost returns (T_i, S_i) for block index j of a span,
 // serving dense tables when the span retains them and otherwise running

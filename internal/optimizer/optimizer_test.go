@@ -314,7 +314,6 @@ func TestNewRejectsInvalidQuotaAndPerf(t *testing.T) {
 	for name, mut := range map[string]func(*Request){
 		"NaN weight scale":      func(r *Request) { r.WeightScale = math.NaN() },
 		"infinite weight scale": func(r *Request) { r.WeightScale = math.Inf(1) },
-		"NaN bandwidth":         func(r *Request) { r.BandwidthMBps = math.NaN() },
 	} {
 		req := request("resnet50")
 		mut(&req)

@@ -66,7 +66,7 @@ func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 	}
 	p := o.req.Perf
 	q := o.req.Quota
-	deploy := prof.DeployBytes(o.req.DescBytes) + int64(p.DepsMB*(1<<20))
+	deploy := prof.DeployBytes(descBytes) + int64(p.DepsMB*(1<<20))
 	if deploy > int64(q.DeployLimitMB)<<20 {
 		return sc
 	}
@@ -83,7 +83,7 @@ func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 	sc.costs = make([]float64, L)
 	sc.allow = make([]bool, L)
 
-	transfer := o.transferTime(prof.InBytes) + o.transferTime(prof.OutBytes)
+	transfer := transferTime(prof.InBytes) + transferTime(prof.OutBytes)
 	for j, mem := range o.blocks {
 		if mem < minMem {
 			continue

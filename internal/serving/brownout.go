@@ -96,7 +96,7 @@ func (p BrownoutPolicy) Validate() error {
 	if p.P99 < 0 {
 		return fmt.Errorf("brownout policy: P99 %v is negative", p.P99)
 	}
-	if p.BadFraction < 0 || p.BadFraction > 1 {
+	if !(p.BadFraction >= 0 && p.BadFraction <= 1) {
 		return fmt.Errorf("brownout policy: BadFraction %v outside [0, 1]", p.BadFraction)
 	}
 	if p.MinJobs < 0 {

@@ -75,7 +75,7 @@ func deployOverloadPair(t testing.TB, fcfg faults.Config, mutate func(cfg *coord
 // identity (SumCostsAll ≡ meter total) survives the new outcome.
 func TestServeBudgetExhaustedCostIdentity(t *testing.T) {
 	e := deployResilient(t, 0.5, 431, func(cfg *coordinator.Config) {
-		cfg.Budget = coordinator.BudgetPolicy{MaxTokens: 1, InitialTokens: 1, EarnPerSuccess: 0.01}
+		cfg.Budget = coordinator.BudgetPolicy{MaxTokens: 1, EarnPerSuccess: 0.01}
 	})
 	e.pl.SetAccountConcurrency(4 * e.dep.Partitions())
 	n := 16

@@ -94,7 +94,7 @@ func (p SamplePolicy) enabled() bool { return p.Rate > 0 && p.Rate < 1 }
 // Validate rejects nonsensical sample policies before a serving run
 // starts.
 func (p SamplePolicy) Validate() error {
-	if p.Rate < 0 || p.Rate > 1 {
+	if !(p.Rate >= 0 && p.Rate <= 1) {
 		return fmt.Errorf("sample policy: Rate %v outside [0, 1]", p.Rate)
 	}
 	return nil

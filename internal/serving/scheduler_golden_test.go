@@ -80,7 +80,7 @@ func goldenScenarios() []goldenScenario {
 			name:   "budget-storm",
 			faults: faults.Uniform(0.5, 431),
 			mutate: func(c *coordinator.Config) {
-				c.Budget = coordinator.BudgetPolicy{MaxTokens: 1, InitialTokens: 1, EarnPerSuccess: 0.01}
+				c.Budget = coordinator.BudgetPolicy{MaxTokens: 1, EarnPerSuccess: 0.01}
 			},
 			cfg: Config{Throttle: throttle, SLO: tolerate},
 			n:   48, rate: 6, lanes: 4,

@@ -35,10 +35,8 @@ type ThrottlePolicy struct {
 	// BaseBackoff is the wait before the first re-admission attempt
 	// (default 100 ms).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 10 s).
+	// MaxBackoff caps the doubling (default 10 s).
 	MaxBackoff time.Duration
-	// Multiplier grows the backoff per retry (default 2).
-	Multiplier float64
 	// JitterSeed seeds the deterministic equal-jitter stream (0 behaves
 	// as seed 1).
 	JitterSeed int64
@@ -52,7 +50,7 @@ func (p ThrottlePolicy) attempts() int {
 }
 
 // Validate rejects nonsensical throttle policies before a serving run
-// starts, mirroring coordinator.RetryPolicy.Validate.
+// starts.
 func (p ThrottlePolicy) Validate() error {
 	if p.MaxAttempts < 0 {
 		return fmt.Errorf("throttle policy: MaxAttempts %d is negative", p.MaxAttempts)
@@ -62,9 +60,6 @@ func (p ThrottlePolicy) Validate() error {
 	}
 	if p.MaxBackoff < 0 {
 		return fmt.Errorf("throttle policy: MaxBackoff %v is negative", p.MaxBackoff)
-	}
-	if p.Multiplier != 0 && p.Multiplier < 1 {
-		return fmt.Errorf("throttle policy: Multiplier %v < 1 would shrink backoffs", p.Multiplier)
 	}
 	if p.BaseBackoff > 0 && p.MaxBackoff > 0 && p.MaxBackoff < p.BaseBackoff {
 		return fmt.Errorf("throttle policy: MaxBackoff %v < BaseBackoff %v", p.MaxBackoff, p.BaseBackoff)
@@ -409,8 +404,7 @@ func validate(cfg Config, requests int) error {
 }
 
 // backoff draws the equal-jitter wait before re-admission attempt n
-// (1-based): half the exponential window deterministic, half from the
-// seeded stream.
+// (1-based), its jitter from the run's seeded stream.
 func backoff(p ThrottlePolicy, n int, rng *rand.Rand) time.Duration {
 	base := p.BaseBackoff
 	if base <= 0 {
@@ -420,19 +414,7 @@ func backoff(p ThrottlePolicy, n int, rng *rand.Rand) time.Duration {
 	if max <= 0 {
 		max = 10 * time.Second
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	w := float64(base)
-	for i := 1; i < n; i++ {
-		w *= mult
-		if w >= float64(max) {
-			w = float64(max)
-			break
-		}
-	}
-	return time.Duration(w/2 + rng.Float64()*w/2)
+	return coordinator.EqualJitter(base, max, n, rng.Float64())
 }
 
 // requestSpan wraps one job's coordinator trace in a request-level span

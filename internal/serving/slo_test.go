@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -75,19 +76,28 @@ func cleanCompletion(t *testing.T) time.Duration {
 	return rep.Completion
 }
 
-// Serve must reject invalid throttle and SLO policies up front.
+// Serve must reject invalid policies up front.
 func TestServeRejectsInvalidPolicies(t *testing.T) {
 	e := deployResilient(t, 0, 0, nil)
 	in := inputs(e.model, 1)
 	arr := []time.Duration{0}
-	if _, err := Serve(Config{Deployment: e.dep, Throttle: ThrottlePolicy{Multiplier: 0.5}}, in, arr); err == nil {
-		t.Fatal("Serve accepted Multiplier < 1")
-	}
-	if _, err := Serve(Config{Deployment: e.dep, SLO: SLOPolicy{Shed: true}}, in, arr); err == nil {
-		t.Fatal("Serve accepted Shed without a deadline")
-	}
-	if _, err := Serve(Config{Deployment: e.dep, SLO: SLOPolicy{Deadline: -time.Second}}, in, arr); err == nil {
-		t.Fatal("Serve accepted a negative deadline")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"throttle max < base", Config{Throttle: ThrottlePolicy{BaseBackoff: time.Second, MaxBackoff: time.Millisecond}}},
+		{"shed without a deadline", Config{SLO: SLOPolicy{Shed: true}}},
+		{"negative deadline", Config{SLO: SLOPolicy{Deadline: -time.Second}}},
+		{"NaN sample rate", Config{Sample: SamplePolicy{Rate: math.NaN()}}},
+		{"NaN bad fraction", Config{
+			Brownout: BrownoutPolicy{Enabled: true, BadFraction: math.NaN()},
+			Series:   obs.NewTimeSeries(time.Second),
+		}},
+	} {
+		c.cfg.Deployment = e.dep
+		if _, err := Serve(c.cfg, in, arr); err == nil {
+			t.Errorf("Serve accepted %s", c.name)
+		}
 	}
 }
 
@@ -307,17 +317,13 @@ func TestServeThousandRequestsDeterministic(t *testing.T) {
 // equal-jitter window [w/2, w] across seeds and attempts, capped at
 // MaxBackoff — the same contract as the coordinator's backoff.
 func TestPropertyAdmissionBackoffWithinWindow(t *testing.T) {
-	p := ThrottlePolicy{
-		BaseBackoff: 80 * time.Millisecond,
-		MaxBackoff:  3 * time.Second,
-		Multiplier:  2,
-	}
+	p := ThrottlePolicy{BaseBackoff: 80 * time.Millisecond, MaxBackoff: 3 * time.Second}
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for n := 1; n <= 12; n++ {
 			w := float64(p.BaseBackoff)
 			for i := 1; i < n; i++ {
-				w *= p.Multiplier
+				w *= 2
 				if w >= float64(p.MaxBackoff) {
 					w = float64(p.MaxBackoff)
 					break

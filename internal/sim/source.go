@@ -20,7 +20,8 @@ type Source interface {
 }
 
 // maxOffset caps arrival offsets so float accumulation can never
-// overflow the time.Duration range (mirrors workload.maxOffset).
+// overflow the time.Duration range (keeping every trace non-negative and
+// sorted even at degenerate rates like 5e-324 requests/second).
 const maxOffset = time.Duration(1) << 62
 
 // SliceSource adapts an already-materialized arrival trace.
@@ -49,8 +50,7 @@ func (s *SliceSource) Remaining() int { return len(s.arrivals) - s.i }
 
 // PoissonSource streams n arrival offsets with exponentially
 // distributed inter-arrival gaps at ratePerSec requests per second,
-// deterministic in seed — bit-compatible with
-// workload.PoissonArrivals(n, ratePerSec, seed).
+// deterministic in seed. workload.PoissonArrivals materializes it.
 type PoissonSource struct {
 	rng  *rand.Rand
 	rate float64
@@ -59,8 +59,7 @@ type PoissonSource struct {
 }
 
 // NewPoisson creates a streaming Poisson arrival source. Non-positive
-// (or NaN) rates fall back to one request per second, as in
-// workload.PoissonArrivals.
+// (or NaN) rates fall back to one request per second.
 func NewPoisson(n int, ratePerSec float64, seed int64) *PoissonSource {
 	if n < 0 {
 		n = 0

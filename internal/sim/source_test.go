@@ -3,8 +3,6 @@ package sim
 import (
 	"testing"
 	"time"
-
-	"ampsinf/internal/workload"
 )
 
 // drain materializes a source, checking Remaining counts down exactly.
@@ -39,27 +37,6 @@ func equalTraces(t *testing.T, name string, got, want []time.Duration) {
 		if got[i] != want[i] {
 			t.Fatalf("%s: arrival %d = %v, want %v (bit-compatibility broken)", name, i, got[i], want[i])
 		}
-	}
-}
-
-// TestPoissonSourceMatchesWorkload pins the streaming Poisson source
-// bit-identical to the slice generator for every (n, rate, seed) probed
-// — including the NaN/zero-rate fallback and the overflow clamp.
-func TestPoissonSourceMatchesWorkload(t *testing.T) {
-	cases := []struct {
-		n    int
-		rate float64
-		seed int64
-	}{
-		{1, 1, 1}, {100, 0.5, 7}, {1000, 250, 42}, {17, 1e9, 3},
-		{50, 0, 9},          // fallback rate
-		{10, 5e-324, 11},    // overflow clamp territory
-		{256, 12.25, -1234}, // negative seed
-	}
-	for _, c := range cases {
-		want := workload.PoissonArrivals(c.n, c.rate, c.seed)
-		got := drain(t, NewPoisson(c.n, c.rate, c.seed), c.n)
-		equalTraces(t, "poisson", got, want)
 	}
 }
 

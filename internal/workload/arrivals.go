@@ -2,38 +2,29 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"time"
+
+	"ampsinf/internal/sim"
 )
 
-// maxOffset caps arrival offsets so float accumulation can never
-// overflow the time.Duration range (keeping every trace non-negative
-// and sorted even at degenerate rates like 5e-324 requests/second).
+// maxOffset caps burst offsets so gap·bursts can never overflow the
+// time.Duration range — the cap sim.PoissonSource puts on its offsets.
 const maxOffset = time.Duration(1) << 62
 
-// PoissonArrivals generates n arrival offsets from time zero with
-// exponentially distributed inter-arrival gaps at the given rate
-// (requests per second), deterministic in seed. Offsets are returned in
-// non-decreasing order. Non-positive (or NaN) rates fall back to one
-// request per second.
+// PoissonArrivals materializes sim.NewPoisson(n, ratePerSec, seed): n
+// arrival offsets from time zero with exponentially distributed
+// inter-arrival gaps at the given rate (requests per second),
+// deterministic in seed and non-decreasing. Non-positive (or NaN) rates
+// fall back to one request per second.
 func PoissonArrivals(n int, ratePerSec float64, seed int64) []time.Duration {
 	if n <= 0 {
 		return nil
 	}
-	if !(ratePerSec > 0) { // also catches NaN
-		ratePerSec = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
+	src := sim.NewPoisson(n, ratePerSec, seed)
 	out := make([]time.Duration, n)
-	t := 0.0
 	for i := range out {
-		t += rng.ExpFloat64() / ratePerSec
-		if ns := t * float64(time.Second); ns < float64(maxOffset) {
-			out[i] = time.Duration(ns)
-		} else {
-			out[i] = maxOffset
-		}
+		out[i], _ = src.Next()
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -94,6 +96,20 @@ func TestPoissonArrivals(t *testing.T) {
 	}
 	if PoissonArrivals(0, 2, 1) != nil {
 		t.Fatal("n=0 should return nil")
+	}
+	// A non-positive or NaN rate falls back to one request per second.
+	// (FuzzArrivals holds degenerate rates like 5e-324 to sorted,
+	// non-negative offsets.)
+	want := PoissonArrivals(50, 1, 9)
+	for _, c := range []struct {
+		name string
+		rate float64
+	}{{"zero rate", 0}, {"negative rate", -2}, {"NaN rate", math.NaN()}} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := PoissonArrivals(50, c.rate, 9); !slices.Equal(got, want) {
+				t.Fatalf("rate %v: arrivals differ from rate 1", c.rate)
+			}
+		})
 	}
 }
 
