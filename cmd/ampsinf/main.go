@@ -7,7 +7,7 @@
 //	ampsinf models
 //	ampsinf summary -model resnet50
 //	ampsinf plan    -model resnet50 [-slo 30s] [-max-lambdas 16]
-//	ampsinf infer   -model mobilenet [-slo 12s] [-images 3] [-sequential] [-real]
+//	ampsinf infer   -model mobilenet [-slo 12s] [-images 3 | -sequential -timeline] [-real]
 //	                [-trace trace.json] [-metrics metrics.json] [-spans spans.json]
 //	ampsinf sweep   -model mobilenet [-trace trace.json] [-metrics metrics.json]
 //	ampsinf serve   -model mobilenet [-requests 100] [-pattern poisson|uniform|burst]
@@ -192,9 +192,9 @@ func cmdInfer(args []string) error {
 	model := fs.String("model", "mobilenet", "zoo model name")
 	slo := fs.Duration("slo", 0, "response-time SLO")
 	images := fs.Int("images", 1, "number of images")
-	sequential := fs.Bool("sequential", false, "strictly sequential invocations")
+	sequential := fs.Bool("sequential", false, "strictly sequential invocations (one image only)")
 	real := fs.Bool("real", false, "run real forward passes (slow for big models)")
-	timeline := fs.Bool("timeline", false, "render an ASCII timeline of the job")
+	timeline := fs.Bool("timeline", false, "render an ASCII timeline of the job (one image only)")
 	faultRate := fs.Float64("fault-rate", 0, "inject platform faults at this overall rate (0..1)")
 	faultSeed := fs.Int64("fault-seed", 1, "fault-injection and retry-jitter seed")
 	retries := fs.Int("retries", 0, "max attempts per operation under faults (0 = default policy when faults are on)")
@@ -208,6 +208,14 @@ func cmdInfer(args []string) error {
 	}
 	if *images < 1 {
 		return fmt.Errorf("-images %d: need at least one image", *images)
+	}
+	// Several images run as concurrent pipelines: there is no sequential
+	// schedule and no single job to draw.
+	if *images > 1 && *sequential {
+		return fmt.Errorf("-sequential serves one image, not -images %d", *images)
+	}
+	if *images > 1 && *timeline {
+		return fmt.Errorf("-timeline draws one image's job, not -images %d", *images)
 	}
 	stopProf, err := startProf()
 	if err != nil {
@@ -419,11 +427,6 @@ func cmdServe(args []string) error {
 	if *budget > 0 {
 		subOpts.Budget = coordinator.BudgetPolicy{MaxTokens: *budget, EarnPerSuccess: *budgetEarn}
 	}
-	if *brownout {
-		subOpts.Brownout = serving.BrownoutPolicy{
-			Enabled: true, P99: *brownoutP99, BadFraction: *brownoutBad,
-		}
-	}
 	if *hedge > 0 || *hedgePct > 0 {
 		subOpts.Hedge = coordinator.HedgePolicy{
 			Percentile: *hedgePct, Delay: *hedge,
@@ -511,9 +514,12 @@ func cmdServe(args []string) error {
 		},
 		Pipeline: serving.PipelinePolicy{Depth: *pipeline},
 		Batch:    serving.BatchPolicy{MaxBatch: *batch, Window: *batchWindow, JitterSeed: *seed},
-		Sample:   serving.SamplePolicy{Rate: *sampleRate, Seed: *seed},
-		Metrics:  mx,
-		Series:   series,
+		Brownout: serving.BrownoutPolicy{
+			Enabled: *brownout, P99: *brownoutP99, BadFraction: *brownoutBad,
+		},
+		Sample:  serving.SamplePolicy{Rate: *sampleRate, Seed: *seed},
+		Metrics: mx,
+		Series:  series,
 	})
 	if err != nil {
 		return err

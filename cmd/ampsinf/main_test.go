@@ -50,6 +50,8 @@ func TestServeInferCounts(t *testing.T) {
 		{"infer infinite fault rate", cmdInfer, []string{"-model", "tinycnn", "-fault-rate", "+Inf"}, "-fault-rate +Inf"},
 		{"infer one real", cmdInfer, []string{"-model", "tinycnn", "-real"}, ""},
 		{"infer two", cmdInfer, []string{"-model", "tinycnn", "-images", "2"}, ""},
+		{"infer two sequential", cmdInfer, []string{"-model", "tinycnn", "-images", "2", "-sequential"}, "-sequential"},
+		{"infer two timeline", cmdInfer, []string{"-model", "tinycnn", "-images", "2", "-timeline"}, "-timeline"},
 		{"plan binding slo", cmdPlan, []string{"-model", "resnet50", "-slo", "30s"}, ""},
 		{"plan unattainable slo", cmdPlan, []string{"-model", "tinycnn", "-slo", "1ms"}, ""},
 		{"sweep estimates", cmdSweep, []string{"-model", "tinycnn"}, ""},

@@ -45,11 +45,7 @@ func TestEffectiveReportsDefaults(t *testing.T) {
 	if eff := nilIn.Effective(); eff != (Config{}) {
 		t.Fatalf("nil injector Effective = %+v", eff)
 	}
-	eff := New(Config{Seed: 3}).Effective()
-	if eff.SlowFactor != 4 || eff.TimeoutHangFactor != 1 {
-		t.Fatalf("defaults not reflected: %+v", eff)
-	}
-	eff = New(Config{Seed: 3, BurstEvery: 40 * time.Second}).Effective()
+	eff := New(Config{Seed: 3, BurstEvery: 40 * time.Second}).Effective()
 	if eff.BurstLength != 10*time.Second || eff.BurstFactor != 10 {
 		t.Fatalf("burst defaults not reflected: %+v", eff)
 	}

@@ -40,9 +40,8 @@ const (
 	// does not bill 5xx requests, but the failed attempt's lambda time
 	// is already spent.
 	Unavailable
-	// Slow stretches an S3 transfer by the configured factor. The
-	// request succeeds and bills normally; the extra transfer time is
-	// billed lambda time.
+	// Slow stretches an S3 transfer by SlowFactor. The request succeeds
+	// and bills normally; the extra transfer time is billed lambda time.
 	Slow
 	// DomainOutage fails an invocation because its container's failure
 	// domain is down: the platform reaps every container in the domain
@@ -84,6 +83,15 @@ func (e *Error) Error() string {
 // so callers do not hard-code that assumption.
 func (e *Error) Transient() bool { return true }
 
+const (
+	// SlowFactor multiplies the transfer time of a Slow fault.
+	SlowFactor = 4.0
+	// TimeoutHangFactor scales the extra hang an injected Timeout adds
+	// on top of the handler's own runtime: the invocation bills up to 2×
+	// its work before the platform gives up.
+	TimeoutHangFactor = 1.0
+)
+
 // Config sets per-operation fault probabilities in [0, 1]. The zero
 // value injects nothing.
 type Config struct {
@@ -103,14 +111,6 @@ type Config struct {
 	GetSlow float64
 	PutFail float64
 	PutSlow float64
-
-	// SlowFactor multiplies the transfer time of a Slow fault
-	// (default 4×).
-	SlowFactor float64
-	// TimeoutHangFactor scales the extra hang an injected Timeout adds
-	// on top of the handler's own runtime (default 1.0: the invocation
-	// bills up to 2× its work before the platform gives up).
-	TimeoutHangFactor float64
 
 	// Correlated burst mode. When BurstEvery > 0 the injector overlays
 	// seeded fault storms on the simulated clock: storm windows of
@@ -240,12 +240,6 @@ func normalizeRates(cfg *Config) {
 // caller asked for.
 func New(cfg Config) *Injector {
 	normalizeRates(&cfg)
-	if cfg.SlowFactor <= 1 {
-		cfg.SlowFactor = 4
-	}
-	if cfg.TimeoutHangFactor <= 0 {
-		cfg.TimeoutHangFactor = 1
-	}
 	if cfg.BurstEvery < 0 {
 		cfg.BurstEvery = 0
 	}
@@ -529,7 +523,7 @@ func (in *Injector) InvokeFaultAt(target string, now time.Duration) (k Kind, han
 		k = Crash
 	case u < c.InvokeThrottle+c.InvokeCrash+c.InvokeTimeout:
 		k = Timeout
-		hang = c.TimeoutHangFactor
+		hang = TimeoutHangFactor
 	default:
 		return None, 0
 	}
@@ -570,7 +564,7 @@ func (in *Injector) StoreFaultAt(op, key string, now time.Duration) (k Kind, fac
 		k = Unavailable
 	case u < fail+slow:
 		k = Slow
-		factor = c.SlowFactor
+		factor = SlowFactor
 	default:
 		return None, 1
 	}

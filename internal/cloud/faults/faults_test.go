@@ -109,16 +109,9 @@ func TestNewClampsAndDefaults(t *testing.T) {
 		InvokeThrottle: 1.5,
 		InvokeCrash:    -0.5,
 		GetFail:        2,
-		SlowFactor:     0.5, // below 1 → default
 	})
 	if in.cfg.InvokeThrottle != 1 || in.cfg.InvokeCrash != 0 || in.cfg.GetFail != 1 {
 		t.Fatalf("rates not clamped: %+v", in.cfg)
-	}
-	if in.cfg.SlowFactor != 4 {
-		t.Fatalf("SlowFactor default %v, want 4", in.cfg.SlowFactor)
-	}
-	if in.cfg.TimeoutHangFactor != 1 {
-		t.Fatalf("TimeoutHangFactor default %v, want 1", in.cfg.TimeoutHangFactor)
 	}
 	// Rate 1 throttle: every invocation must throttle.
 	if k, _ := in.InvokeFault("f"); k != Throttle {
@@ -126,6 +119,14 @@ func TestNewClampsAndDefaults(t *testing.T) {
 	}
 	if k, factor := in.StoreFault("get", "k"); k != Unavailable || factor != 0 {
 		t.Fatalf("rate-1 GetFail drew %v (factor %v)", k, factor)
+	}
+	// Rate-1 timeouts and slowdowns carry the package's fixed factors.
+	in = New(Config{InvokeTimeout: 1, GetSlow: 1})
+	if k, hang := in.InvokeFault("f"); k != Timeout || hang != TimeoutHangFactor {
+		t.Fatalf("rate-1 timeout drew %v (hang %v)", k, hang)
+	}
+	if k, factor := in.StoreFault("get", "k"); k != Slow || factor != SlowFactor {
+		t.Fatalf("rate-1 GetSlow drew %v (factor %v)", k, factor)
 	}
 }
 

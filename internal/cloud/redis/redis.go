@@ -15,38 +15,19 @@ import (
 	"ampsinf/internal/cloud/stage"
 )
 
-// Config sets the transfer and pricing model. Zero fields take defaults.
-type Config struct {
-	// BandwidthMBps is the lambda↔cache throughput.
-	BandwidthMBps float64
-	// RequestLatency is the per-command round trip.
-	RequestLatency time.Duration
-	// HourlyUSD is the cache instance's on-demand price
+// The transfer and pricing model of a same-AZ ElastiCache node.
+const (
+	// bandwidthMBps is the lambda↔cache throughput.
+	bandwidthMBps = 120
+	// requestLatency is the per-command round trip.
+	requestLatency = time.Millisecond
+	// hourlyUSD is the cache instance's on-demand price
 	// (cache.t3.medium ≈ $0.068/h in 2020).
-	HourlyUSD float64
-}
-
-// DefaultConfig mirrors a same-AZ ElastiCache node.
-func DefaultConfig() Config {
-	return Config{BandwidthMBps: 120, RequestLatency: time.Millisecond, HourlyUSD: 0.068}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.BandwidthMBps <= 0 {
-		c.BandwidthMBps = d.BandwidthMBps
-	}
-	if c.RequestLatency <= 0 {
-		c.RequestLatency = d.RequestLatency
-	}
-	if c.HourlyUSD <= 0 {
-		c.HourlyUSD = d.HourlyUSD
-	}
-}
+	hourlyUSD = 0.068
+)
 
 // Store is a simulated cache node.
 type Store struct {
-	cfg   Config
 	meter *billing.Meter
 
 	mu      sync.RWMutex
@@ -56,9 +37,8 @@ type Store struct {
 var _ stage.Store = (*Store)(nil)
 
 // New creates a store charging into meter.
-func New(cfg Config, meter *billing.Meter) *Store {
-	cfg.fillDefaults()
-	return &Store{cfg: cfg, meter: meter, objects: make(map[string][]byte)}
+func New(meter *billing.Meter) *Store {
+	return &Store{meter: meter, objects: make(map[string][]byte)}
 }
 
 // TransferTime returns the simulated time to move n bytes.
@@ -66,8 +46,8 @@ func (s *Store) TransferTime(n int64) time.Duration {
 	if n < 0 {
 		n = 0
 	}
-	sec := float64(n) / (s.cfg.BandwidthMBps * 1024 * 1024)
-	return s.cfg.RequestLatency + time.Duration(sec*float64(time.Second))
+	sec := float64(n) / (bandwidthMBps * 1024 * 1024)
+	return requestLatency + time.Duration(sec*float64(time.Second))
 }
 
 // Put stores data (no per-request fee: cache commands are free once the
@@ -116,5 +96,5 @@ func (s *Store) ChargeStorage(bytes int64, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s.meter.Add("redis:instance", s.cfg.HourlyUSD*d.Hours())
+	s.meter.Add("redis:instance", hourlyUSD*d.Hours())
 }

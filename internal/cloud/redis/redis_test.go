@@ -11,7 +11,7 @@ import (
 
 func newStore() (*Store, *billing.Meter) {
 	m := &billing.Meter{}
-	return New(Config{}, m), m
+	return New(m), m
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -44,13 +44,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 // The whole point: a cache round-trip is far faster than S3's.
 func TestFasterThanS3(t *testing.T) {
 	meter := &billing.Meter{}
-	r := New(Config{}, meter)
+	r := New(meter)
 	obj := s3.New(s3.DefaultConfig(), meter)
 	const n = 8 << 20
 	if r.TransferTime(n) >= obj.TransferTime(n) {
 		t.Fatalf("redis transfer %v not faster than s3 %v", r.TransferTime(n), obj.TransferTime(n))
 	}
-	if r.TransferTime(-1) != DefaultConfig().RequestLatency {
+	if r.TransferTime(-1) != requestLatency {
 		t.Fatal("negative size not clamped")
 	}
 }
@@ -59,7 +59,7 @@ func TestFasterThanS3(t *testing.T) {
 func TestInstanceBilling(t *testing.T) {
 	s, meter := newStore()
 	s.ChargeStorage(0, time.Hour) // instance runs even while empty
-	want := DefaultConfig().HourlyUSD
+	want := hourlyUSD
 	got := meter.Category("redis:instance")
 	if got < want*0.999 || got > want*1.001 {
 		t.Fatalf("hour of cache = $%v, want $%v", got, want)

@@ -48,14 +48,13 @@ func TestInjectedSlowdownStretchesTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const factor = 3
-	s.SetInjector(faults.New(faults.Config{Seed: 1, GetSlow: 1, PutSlow: 1, SlowFactor: factor}))
+	s.SetInjector(faults.New(faults.Config{Seed: 1, GetSlow: 1, PutSlow: 1}))
 	slow, err := s.Put("k2", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slow != time.Duration(float64(clean)*factor) {
-		t.Fatalf("slow PUT %v, want %v × %d", slow, clean, factor)
+	if slow != time.Duration(float64(clean)*faults.SlowFactor) {
+		t.Fatalf("slow PUT %v, want %v × %v", slow, clean, faults.SlowFactor)
 	}
 	got, d, err := s.Get("k")
 	if err != nil {

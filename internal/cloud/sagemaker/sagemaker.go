@@ -48,75 +48,35 @@ var (
 	}
 )
 
-// Config sets platform-level latencies. Zero fields take defaults.
-type Config struct {
-	// NotebookSessionOverhead is notebook time billed around the job
+// Platform-level latencies, calibrated against Tables 3 and 4.
+const (
+	// notebookSessionOverhead is notebook time billed around the job
 	// itself (instance start, environment setup, user interaction).
-	NotebookSessionOverhead time.Duration
-	// RearrangeBase/RearrangeSecPerMB model converting the uploaded
+	notebookSessionOverhead = 1080 * time.Second
+	// rearrangeBase and rearrangeSecPerMB model converting the uploaded
 	// JSON+H5 model into the served format (model.pb, assets, variables).
-	RearrangeBase     time.Duration
-	RearrangeSecPerMB float64
-	// EndpointCreateTime is Sage 2's endpoint creation + hosting launch.
-	EndpointCreateTime time.Duration
-	// S3StageSecPerMB is Sage 2's model staging through S3 (write by the
+	rearrangeBase     = 10 * time.Second
+	rearrangeSecPerMB = 0.015
+	// endpointCreateTime is Sage 2's endpoint creation + hosting launch.
+	endpointCreateTime = 390 * time.Second
+	// s3StageSecPerMB is Sage 2's model staging through S3 (write by the
 	// notebook + read by the hosting instance).
-	S3StageSecPerMB float64
-	// HostingBilledPad is extra hosting-instance time billed beyond the
+	s3StageSecPerMB = 0.30
+	// hostingBilledPad is extra hosting-instance time billed beyond the
 	// serving itself (warm-down before the endpoint is deleted).
-	HostingBilledPad time.Duration
-	// SubmitOverhead is Sage 2's notebook-side submission time.
-	SubmitOverhead time.Duration
-}
-
-// DefaultConfig returns the Table 3/4-calibrated constants.
-func DefaultConfig() Config {
-	return Config{
-		NotebookSessionOverhead: 1080 * time.Second,
-		RearrangeBase:           10 * time.Second,
-		RearrangeSecPerMB:       0.015,
-		EndpointCreateTime:      390 * time.Second,
-		S3StageSecPerMB:         0.30,
-		HostingBilledPad:        120 * time.Second,
-		SubmitOverhead:          30 * time.Second,
-	}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.NotebookSessionOverhead <= 0 {
-		c.NotebookSessionOverhead = d.NotebookSessionOverhead
-	}
-	if c.RearrangeBase <= 0 {
-		c.RearrangeBase = d.RearrangeBase
-	}
-	if c.RearrangeSecPerMB <= 0 {
-		c.RearrangeSecPerMB = d.RearrangeSecPerMB
-	}
-	if c.EndpointCreateTime <= 0 {
-		c.EndpointCreateTime = d.EndpointCreateTime
-	}
-	if c.S3StageSecPerMB <= 0 {
-		c.S3StageSecPerMB = d.S3StageSecPerMB
-	}
-	if c.HostingBilledPad <= 0 {
-		c.HostingBilledPad = d.HostingBilledPad
-	}
-	if c.SubmitOverhead <= 0 {
-		c.SubmitOverhead = d.SubmitOverhead
-	}
-}
+	hostingBilledPad = 120 * time.Second
+	// submitOverhead is Sage 2's notebook-side submission time.
+	submitOverhead = 30 * time.Second
+)
 
 // Platform executes SageMaker jobs and charges the meter.
 type Platform struct {
-	cfg   Config
 	meter *billing.Meter
 }
 
 // New creates a platform charging into meter.
-func New(cfg Config, meter *billing.Meter) *Platform {
-	cfg.fillDefaults()
-	return &Platform{cfg: cfg, meter: meter}
+func New(meter *billing.Meter) *Platform {
+	return &Platform{meter: meter}
 }
 
 // Job describes one inference job.
@@ -169,12 +129,12 @@ func batchFLOPs(flops int64, n int) int64 {
 func (p *Platform) ServeNotebook(j Job) *Report {
 	inst := T2Medium
 	r := &Report{Setting: "sage1"}
-	r.Rearrange = p.cfg.RearrangeBase + seconds(j.weightsMB()*p.cfg.RearrangeSecPerMB)
+	r.Rearrange = rearrangeBase + seconds(j.weightsMB()*rearrangeSecPerMB)
 	r.Load = seconds(j.weightsMB() * inst.LoadSecPerMB)
 	r.Predict = seconds(float64(batchFLOPs(j.FLOPs, j.images())) / (inst.GFLOPS * 1e9))
 	r.Completion = r.Rearrange + r.Load + r.Predict
 
-	session := p.cfg.NotebookSessionOverhead + r.Completion
+	session := notebookSessionOverhead + r.Completion
 	instCost := pricing.InstanceHourlyCost(inst.HourlyUSD, session)
 	p.meter.Add("sagemaker:notebook", instCost)
 	storage := float64(j.WeightsBytes) / (1 << 30) * pricing.SageStorageGBMonth / (30 * 24) * session.Hours()
@@ -192,18 +152,18 @@ func (p *Platform) ServeHosted(j Job) *Report {
 	r := &Report{Setting: "sage2"}
 	// Loading in Sage 2 includes fetching the staged model from S3 — the
 	// reason the paper's Fig 5 shows it slowest.
-	r.Deploy = p.cfg.EndpointCreateTime
-	r.Load = seconds(j.weightsMB() * (p.cfg.S3StageSecPerMB + host.LoadSecPerMB))
+	r.Deploy = endpointCreateTime
+	r.Load = seconds(j.weightsMB() * (s3StageSecPerMB + host.LoadSecPerMB))
 	r.Predict = seconds(float64(batchFLOPs(j.FLOPs, j.images())) / (host.GFLOPS * 1e9))
-	r.Completion = p.cfg.SubmitOverhead + r.Deploy + r.Load + r.Predict
+	r.Completion = submitOverhead + r.Deploy + r.Load + r.Predict
 
 	// The notebook only submits the job; it does not stay busy while the
 	// hosting instance deploys and serves.
-	nbSession := p.cfg.NotebookSessionOverhead + p.cfg.SubmitOverhead
+	nbSession := notebookSessionOverhead + submitOverhead
 	nbCost := pricing.InstanceHourlyCost(nb.HourlyUSD, nbSession)
 	p.meter.Add("sagemaker:notebook", nbCost)
 
-	hostTime := r.Deploy + r.Load + r.Predict + p.cfg.HostingBilledPad
+	hostTime := r.Deploy + r.Load + r.Predict + hostingBilledPad
 	hostCost := pricing.InstanceHourlyCost(host.HourlyUSD, hostTime)
 	p.meter.Add("sagemaker:hosting", hostCost)
 

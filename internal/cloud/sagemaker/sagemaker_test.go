@@ -19,7 +19,7 @@ func mobilenetJob(images int) Job {
 
 func newPlatform() (*Platform, *billing.Meter) {
 	meter := &billing.Meter{}
-	return New(Config{}, meter), meter
+	return New(meter), meter
 }
 
 // Table 3 calibration: ResNet50 on Sage 1 ≈ 33 s / $0.014 and on Sage 2
@@ -81,7 +81,7 @@ func TestSage2LoadSlowerThanSage1PathIsNetworkBound(t *testing.T) {
 	r2 := p.ServeHosted(job)
 	// The paper's Fig 5: Sage 2 loading (via S3) exceeds Sage 1's
 	// self-loading. Our Sage2 load+stage spans must exceed Sage1 load.
-	sage2LoadPath := r2.Load + (r2.Deploy - DefaultConfig().EndpointCreateTime)
+	sage2LoadPath := r2.Load + (r2.Deploy - endpointCreateTime)
 	if sage2LoadPath <= r1.Load {
 		t.Errorf("Sage2 load path %v not slower than Sage1 %v", sage2LoadPath, r1.Load)
 	}

@@ -24,7 +24,7 @@ func implementations() map[string]struct {
 		meter *billing.Meter
 	}{
 		"s3":    {s3.New(s3.DefaultConfig(), s3m), s3m},
-		"redis": {redis.New(redis.DefaultConfig(), rdm), rdm},
+		"redis": {redis.New(rdm), rdm},
 	}
 }
 

@@ -27,6 +27,8 @@ func appendHandler(tag string) lambda.Handler {
 
 func TestRunChainsStates(t *testing.T) {
 	eng, pl, meter := setup()
+	mx := obs.NewMetrics()
+	eng.Metrics = mx
 	for _, name := range []string{"a", "b", "c"} {
 		if err := pl.CreateFunction(lambda.FunctionConfig{Name: name, MemoryMB: 512, Handler: appendHandler(name)}); err != nil {
 			t.Fatal(err)
@@ -56,6 +58,9 @@ func TestRunChainsStates(t *testing.T) {
 	}
 	if meter.Category("stepfn:transitions") != 4*pricing.StepFnTransition {
 		t.Fatal("transition fees not metered")
+	}
+	if got := mx.Snapshot().Counters["stepfn_transitions_total"]; got != 4 {
+		t.Fatalf("stepfn_transitions_total = %d, want 4", got)
 	}
 }
 
@@ -96,62 +101,5 @@ func TestRunPropagatesStateFailure(t *testing.T) {
 	_, err := eng.Run(m, nil)
 	if err == nil || !strings.Contains(err.Error(), "s2") {
 		t.Fatalf("missing function not surfaced: %v", err)
-	}
-}
-
-// A traced execution must produce a well-formed span tree whose summed
-// per-span costs reproduce Execution.Cost within float tolerance (the
-// engine accumulates Cost as transition-fee + res.Cost additions, so
-// the fold orders differ by at most rounding).
-func TestRunTraceCostAttribution(t *testing.T) {
-	eng, pl, meter := setup()
-	tr := obs.NewTracer()
-	meter.SetObserver(tr.RecordCost)
-	eng.Tracer = tr
-	mx := obs.NewMetrics()
-	eng.Metrics = mx
-	for _, name := range []string{"a", "b"} {
-		if err := pl.CreateFunction(lambda.FunctionConfig{Name: name, MemoryMB: 512, Handler: appendHandler(name)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := Machine{Name: "wf", States: []State{
-		{Name: "s1", FunctionName: "a"},
-		{Name: "s2", FunctionName: "b"},
-	}}
-	exec, err := eng.Run(m, []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Trace == nil {
-		t.Fatal("traced execution has nil Trace")
-	}
-	if err := obs.ValidateTree(exec.Trace); err != nil {
-		t.Fatalf("span tree invalid: %v", err)
-	}
-	if exec.Trace.Duration != exec.Duration {
-		t.Fatalf("root span %v != execution duration %v", exec.Trace.Duration, exec.Duration)
-	}
-	sum := obs.SumCosts(exec.Trace)
-	if diff := sum - exec.Cost; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("span costs %.18f differ from execution cost %.18f", sum, exec.Cost)
-	}
-	states, transitions := 0, 0
-	exec.Trace.Walk(func(s *obs.Span) {
-		switch s.Kind {
-		case obs.KindState:
-			states++
-		case obs.KindTransition:
-			transitions++
-		}
-	})
-	if states != 2 || transitions != 3 {
-		t.Fatalf("trace has %d states / %d transitions, want 2 / 3", states, transitions)
-	}
-	if got := len(tr.Jobs()); got != 1 {
-		t.Fatalf("tracer collected %d jobs, want 1", got)
-	}
-	if got := mx.Snapshot().Counters["stepfn_transitions_total"]; got != 3 {
-		t.Fatalf("stepfn_transitions_total = %d, want 3", got)
 	}
 }

@@ -78,16 +78,16 @@ func TestMalformedInputRejectedBeforeBilling(t *testing.T) {
 	}
 }
 
-// A negative per-job deadline is rejected like Deploy and
-// SLOPolicy.Validate reject theirs. It used to read as "no deadline" and
-// so switched the deployment's own Config.Deadline off for that job.
+// A negative per-job deadline is rejected like SLOPolicy.Validate
+// rejects its own, not read as "no deadline"; a positive one gates the
+// job.
 func TestNegativeJobDeadlineRejected(t *testing.T) {
 	for _, lean := range []bool{false, true} {
-		e, d, m, _ := deployTinyResilient(t, 0, 0, func(cfg *Config) { cfg.Deadline = time.Nanosecond })
+		e, d, m, _ := deployTinyResilient(t, 0, 0, nil)
 		in := randomInput(m, 1)
-		rep, err := d.Run(in, RunOptions{Lean: lean})
+		rep, err := d.Run(in, RunOptions{Lean: lean, Deadline: time.Nanosecond})
 		if !IsDeadlineExceeded(err) {
-			t.Fatalf("lean=%v: a 1 ns Config.Deadline did not fail the job on its deadline: %v", lean, err)
+			t.Fatalf("lean=%v: a 1 ns deadline did not fail the job on its deadline: %v", lean, err)
 		}
 		d.ReleaseReport(rep)
 		before := e.meter.Total()

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/stage"
@@ -49,11 +48,6 @@ type Config struct {
 	// exponential backoff. The zero value disables retries: the job
 	// aborts on the first error.
 	Retry RetryPolicy
-	// Deadline is the default per-job completion budget: once a job's
-	// committed simulated time cannot cover another attempt, operations
-	// fail fast with a DeadlineError instead of retrying blind. 0
-	// disables the gate; RunOptions.Deadline overrides per job.
-	Deadline time.Duration
 	// Hedge launches speculative duplicate invocations of slow
 	// partitions and takes the first success (see HedgePolicy). The
 	// zero value disables hedging.
@@ -197,9 +191,6 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 	}
 	if err := cfg.Budget.Validate(); err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
-	}
-	if cfg.Deadline < 0 {
-		return nil, fmt.Errorf("coordinator: negative deadline %v", cfg.Deadline)
 	}
 	blobs, sizes, err := packageWeights(model, weights, plan.Bounds(), cfg.QuantizeBits, cfg.SkipCompute)
 	if err != nil {

@@ -137,14 +137,10 @@ func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions
 		j = d.newJob(d.nextJobID())
 		j.tr = d.cfg.Tracer
 	}
-	deadline := opts.Deadline
-	if deadline == 0 {
-		deadline = d.cfg.Deadline
-	}
 	j.jobRun = jobRun{
 		eager: mode == "eager", anchored: mode == "pipelined",
 		noTrace: opts.NoTrace, batch: opts.Batch,
-		deadline: deadline,
+		deadline: opts.Deadline,
 	}
 	j.rep = Report{Mode: mode, PerLambda: j.perLambda[:0], job: j}
 	var data []byte

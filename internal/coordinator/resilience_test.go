@@ -78,7 +78,6 @@ func TestDeployRejectsInvalidPolicies(t *testing.T) {
 		{"budget NaN max tokens", func(cfg *Config) { cfg.Budget = BudgetPolicy{MaxTokens: math.NaN()} }},
 		{"budget NaN earn", func(cfg *Config) { cfg.Budget = BudgetPolicy{MaxTokens: 1, EarnPerSuccess: math.NaN()} }},
 		{"breaker negative window", func(cfg *Config) { cfg.Breaker = BreakerPolicy{ConsecutiveFailures: 3, Window: -time.Second} }},
-		{"negative deadline", func(cfg *Config) { cfg.Deadline = -time.Second }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

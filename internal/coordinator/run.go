@@ -101,10 +101,10 @@ type RunOptions struct {
 	// Sequential serves with the strictly sequential schedule instead
 	// of the default overlapped (eager) one.
 	Sequential bool
-	// Deadline overrides the deployment's Config.Deadline for this job
-	// (0 = use the config default; negative is rejected). Once the job's
-	// committed simulated time cannot cover another attempt, operations
-	// fail fast with a DeadlineError.
+	// Deadline is the job's completion budget (0 = none; negative is
+	// rejected). Once the job's committed simulated time cannot cover
+	// another attempt, operations fail fast with a DeadlineError instead
+	// of retrying blind.
 	Deadline time.Duration
 	// NoTrace skips materializing the success span tree (Report.Trace
 	// stays nil), the head-sampling hook internal/serving uses to stop

@@ -9,10 +9,9 @@ import (
 
 // StagedOptions configures one staged job.
 type StagedOptions struct {
-	// Deadline is the job's completion budget from its start (0 = the
-	// deployment default; negative is rejected). Stage starts count
-	// against it, so a request that queued too long behind earlier
-	// pipeline stages fails fast.
+	// Deadline is the job's completion budget from its start (0 = none;
+	// negative is rejected). Stage starts count against it, so a request
+	// that queued too long behind earlier pipeline stages fails fast.
 	Deadline time.Duration
 	// Batch is the number of member requests stacked into the job's
 	// input (≥ 1). Purely descriptive: it lands on the trace so batched

@@ -121,30 +121,20 @@ func (f *Framework) Store() *s3.Store { return f.store }
 type SubmitOptions struct {
 	// SLO is the response-time objective (0 = cost-optimal, no deadline).
 	SLO time.Duration
-	// MaxLambdas caps partitions (K; default 16).
-	MaxLambdas int
 	// MaxLayersPerPartition is the paper's search-space cap (Eq. 6).
 	MaxLayersPerPartition int
 	// NamePrefix namespaces the deployed functions.
 	NamePrefix string
-	// UseBnB routes memory selection through the full QCR+BnB MIQP path.
-	UseBnB bool
 	// SkipCompute deploys in timing-only mode (see coordinator.Config).
 	SkipCompute bool
 	// QuantizeBits ships 8- or 4-bit quantized weights (0 = float32),
 	// shrinking deployment packages 4-8× — the paper's future-work path
 	// for models whose layers outgrow the platform size limit.
 	QuantizeBits int
-	// SearchStrideMB coarsens the optimizer's memory grid under
-	// fine-grained quotas (0 = automatic).
-	SearchStrideMB int
 	// Retry makes serving resilient to transient platform faults (see
 	// internal/cloud/faults); the zero value aborts jobs on the first
 	// error.
 	Retry coordinator.RetryPolicy
-	// Deadline is the default per-job completion budget (0 = none);
-	// jobs that exhaust it fail fast with coordinator.DeadlineError.
-	Deadline time.Duration
 	// Hedge launches speculative duplicate invocations of slow
 	// partitions (zero value disables hedging).
 	Hedge coordinator.HedgePolicy
@@ -155,21 +145,14 @@ type SubmitOptions struct {
 	// hedge the deployment attempts (zero value leaves retries
 	// unbudgeted).
 	Budget coordinator.BudgetPolicy
-	// Brownout is the default adaptive-degradation policy for
-	// Service.Serve (zero value disables the controller).
-	Brownout serving.BrownoutPolicy
 	// FallbackBits, when non-zero, additionally deploys a quantized
 	// fallback copy of the plan (8 or 4 bits) for brownout's plan-swap
 	// rung; Service.Serve wires it in automatically.
 	FallbackBits int
-	// Pipeline is the default pipelined-serving policy for Service.Serve
-	// (zero value keeps the sequential admission scheduler).
-	Pipeline serving.PipelinePolicy
-	// Batch is the default admission-batching policy for Service.Serve
-	// (zero value keeps one request per invocation). Its MaxBatch also
-	// widens the optimizer's batch co-plan.
-	Batch serving.BatchPolicy
 }
+
+// coPlanProbe is the largest batch size Submit's co-plan evaluates.
+const coPlanProbe = 8
 
 // Service is a deployed, ready-to-serve model.
 type Service struct {
@@ -181,14 +164,10 @@ type Service struct {
 	// submission asked for FallbackBits; brownout swaps admissions onto
 	// it at its plan-swap rung.
 	fallback *coordinator.Deployment
-	brownout serving.BrownoutPolicy
 	// BatchPlan is the optimizer's batch-size co-plan for the deployed
 	// partitioning: per-size time/cost evaluations against the chosen
 	// memory blocks and the SLO, and the recommended size (Chosen).
 	BatchPlan *optimizer.BatchPlan
-	// pipeline and batch are the Serve-time defaults from SubmitOptions.
-	pipeline serving.PipelinePolicy
-	batch    serving.BatchPolicy
 	// PlanningTime is the optimizer's wall-clock overhead (the paper
 	// reports a few seconds on a laptop).
 	PlanningTime time.Duration
@@ -215,11 +194,8 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 		Model:                 model,
 		Perf:                  f.perf,
 		SLO:                   opts.SLO,
-		MaxLambdas:            opts.MaxLambdas,
 		MaxLayersPerPartition: opts.MaxLayersPerPartition,
-		UseBnB:                opts.UseBnB,
 		Quota:                 &quota,
-		SearchStrideMB:        opts.SearchStrideMB,
 		WeightScale:           modelfmt.CompressionScale(opts.QuantizeBits),
 	})
 	if err != nil {
@@ -230,13 +206,8 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 		return nil, fmt.Errorf("core: optimizing %q: %w", model.Name, err)
 	}
 	// Co-plan the invocation batch size against the plan's memory blocks
-	// and the SLO: probe at least up to 8 so the co-plan is informative
-	// even when the submission did not ask for batching.
-	probe := opts.Batch.MaxBatch
-	if probe < 8 {
-		probe = 8
-	}
-	batchPlan, err := opt.CoPlanBatch(plan, probe)
+	// and the SLO, probing sizes up to coPlanProbe.
+	batchPlan, err := opt.CoPlanBatch(plan, coPlanProbe)
 	if err != nil {
 		return nil, fmt.Errorf("core: co-planning batch for %q: %w", model.Name, err)
 	}
@@ -249,7 +220,7 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	cfg := coordinator.Config{
 		Platform: f.platform, Store: f.store, NamePrefix: prefix,
 		SkipCompute: opts.SkipCompute, QuantizeBits: opts.QuantizeBits,
-		Retry: opts.Retry, Deadline: opts.Deadline, Hedge: opts.Hedge,
+		Retry: opts.Retry, Hedge: opts.Hedge,
 		Breaker: opts.Breaker, Budget: opts.Budget, Tracer: f.tracer,
 		Metrics: f.metrics, Series: f.series,
 	}
@@ -272,7 +243,6 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	}
 	return &Service{
 		framework: f, model: model, Plan: plan, BatchPlan: batchPlan,
-		pipeline: opts.Pipeline, batch: opts.Batch, brownout: opts.Brownout,
 		deployment: dep, fallback: fb, PlanningTime: planning,
 	}, nil
 }
@@ -306,12 +276,13 @@ func (s *Service) InferBatched(inputs []*tensor.Tensor) (*coordinator.Report, er
 }
 
 // Serve runs the open-loop serving scheduler (internal/serving) on this
-// service's deployment. The config's Deployment is filled in, Metrics
-// defaults to the framework registry, and the Pipeline and Batch
-// policies default to the ones the model was submitted with. A batching
-// policy's MaxBatch is clamped into the optimizer co-plan's feasible
-// range, so serving never stacks a batch the planned memory blocks
-// cannot hold. MaxBatch < 0 asks for the co-plan's recommended size.
+// service's deployment. The config's Deployment is filled in, Metrics,
+// Series and Fallback default to the framework's registry, series and
+// the submission's fallback deployment; every serving policy (pipeline,
+// batch, brownout, SLO, ...) is the config's own. A batching policy's
+// MaxBatch is clamped into the optimizer co-plan's feasible range, so
+// serving never stacks a batch the planned memory blocks cannot hold.
+// MaxBatch < 0 asks for the co-plan's recommended size.
 func (s *Service) Serve(inputs []*tensor.Tensor, arrivals []time.Duration, cfg serving.Config) (*serving.Report, error) {
 	cfg.Deployment = s.deployment
 	if cfg.Metrics == nil {
@@ -325,19 +296,10 @@ func (s *Service) Serve(inputs []*tensor.Tensor, arrivals []time.Duration, cfg s
 		// the batch sizes the admission window actually chooses.
 		cfg.Series.GaugeHandle("serving_batch_coplanned").Set(0, float64(s.BatchPlan.Chosen))
 	}
-	if cfg.Pipeline == (serving.PipelinePolicy{}) {
-		cfg.Pipeline = s.pipeline
-	}
-	if cfg.Batch == (serving.BatchPolicy{}) {
-		cfg.Batch = s.batch
-	}
 	if cfg.Batch.MaxBatch < 0 {
 		cfg.Batch.MaxBatch = s.BatchPlan.Chosen
 	} else if cfg.Batch.MaxBatch > 1 {
 		cfg.Batch.MaxBatch = s.BatchPlan.Clamp(cfg.Batch.MaxBatch)
-	}
-	if !cfg.Brownout.Enabled {
-		cfg.Brownout = s.brownout
 	}
 	if cfg.Fallback == nil {
 		cfg.Fallback = s.fallback

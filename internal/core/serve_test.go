@@ -36,11 +36,7 @@ func TestSubmitCoPlansBatch(t *testing.T) {
 func TestServiceServeDefaultsAndClamps(t *testing.T) {
 	fw := NewFramework(Options{Trace: obs.NewTracer()})
 	m := zoo.TinyCNN(0)
-	svc, err := fw.Submit(m, nn.InitWeights(m, 3), SubmitOptions{
-		SkipCompute: true,
-		Pipeline:    serving.PipelinePolicy{Depth: 3},
-		Batch:       serving.BatchPolicy{MaxBatch: 4, Window: 2 * time.Second, JitterSeed: 5},
-	})
+	svc, err := fw.Submit(m, nn.InitWeights(m, 3), SubmitOptions{SkipCompute: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +48,15 @@ func TestServiceServeDefaultsAndClamps(t *testing.T) {
 		ins[i] = randomInput(m, int64(i+1))
 	}
 	arrivals := workload.PoissonArrivals(n, 2, 7)
-	rep, err := svc.Serve(ins, arrivals, serving.Config{})
+	rep, err := svc.Serve(ins, arrivals, serving.Config{
+		Pipeline: serving.PipelinePolicy{Depth: 3},
+		Batch:    serving.BatchPolicy{MaxBatch: 4, Window: 2 * time.Second, JitterSeed: 5},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Mode != "pipelined+batched" {
-		t.Fatalf("submission defaults not applied: mode %q", rep.Mode)
+		t.Fatalf("serve policies not applied: mode %q", rep.Mode)
 	}
 	if rep.Completed != n {
 		t.Fatalf("completed %d of %d", rep.Completed, n)

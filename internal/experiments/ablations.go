@@ -285,7 +285,7 @@ func AblationStorage() (*AblationStorageResult, error) {
 		env := NewEnv()
 		var store stage.Store = env.Store
 		if backend == "redis" {
-			store = redis.New(redis.Config{}, env.Meter)
+			store = redis.New(env.Meter)
 		}
 		dep, err := coordinator.Deploy(coordinator.Config{
 			Platform: env.Platform, Store: store, NamePrefix: "abl-" + backend, SkipCompute: true,

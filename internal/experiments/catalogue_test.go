@@ -121,18 +121,12 @@ func catalogueStorm(t *testing.T, staged bool) emitted {
 	fw := core.NewFramework(core.Options{Faults: faults.New(fcfg), Metrics: mx, Series: ts, Trace: obs.NewTracer()})
 	retry := coordinator.DefaultRetryPolicy()
 	retry.JitterSeed = ResilienceSeed
-	opts := core.SubmitOptions{
+	svc, err := fw.Submit(m, nn.InitWeights(m, 42), core.SubmitOptions{
 		SkipCompute: true, MaxLayersPerPartition: 4, FallbackBits: 4, Retry: retry,
-		Hedge:    coordinator.HedgePolicy{Percentile: 90, MinSamples: 8, MaxRate: 0.5, JitterSeed: ResilienceSeed},
-		Breaker:  coordinator.BreakerPolicy{ConsecutiveFailures: 3, OpenFor: 2 * time.Second},
-		Budget:   coordinator.BudgetPolicy{MaxTokens: 20, EarnPerSuccess: 0.1},
-		Brownout: serving.BrownoutPolicy{Enabled: true, BadFraction: 0.3, StepUpAfter: 2, StepDownAfter: 3},
-	}
-	if staged {
-		opts.Pipeline = serving.PipelinePolicy{Depth: 3}
-		opts.Batch = serving.BatchPolicy{MaxBatch: 4, Window: 100 * time.Millisecond, JitterSeed: 5}
-	}
-	svc, err := fw.Submit(m, nn.InitWeights(m, 42), opts)
+		Hedge:   coordinator.HedgePolicy{Percentile: 90, MinSamples: 8, MaxRate: 0.5, JitterSeed: ResilienceSeed},
+		Breaker: coordinator.BreakerPolicy{ConsecutiveFailures: 3, OpenFor: 2 * time.Second},
+		Budget:  coordinator.BudgetPolicy{MaxTokens: 20, EarnPerSuccess: 0.1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +137,17 @@ func catalogueStorm(t *testing.T, staged bool) emitted {
 	for i := range inputs {
 		inputs[i] = in
 	}
-	rep, err := svc.Serve(inputs, workload.PoissonArrivals(n, rate, 7), serving.Config{
+	scfg := serving.Config{
 		Throttle: serving.ThrottlePolicy{MaxAttempts: 3, JitterSeed: 3},
 		SLO:      serving.SLOPolicy{Deadline: time.Minute, Shed: true, TolerateFailures: true},
+		Brownout: serving.BrownoutPolicy{Enabled: true, BadFraction: 0.3, StepUpAfter: 2, StepDownAfter: 3},
 		Sample:   serving.SamplePolicy{Rate: 0.5, Seed: 9},
-	})
+	}
+	if staged {
+		scfg.Pipeline = serving.PipelinePolicy{Depth: 3}
+		scfg.Batch = serving.BatchPolicy{MaxBatch: 4, Window: 100 * time.Millisecond, JitterSeed: 5}
+	}
+	rep, err := svc.Serve(inputs, workload.PoissonArrivals(n, rate, 7), scfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func NewEnv() *Env {
 		Meter:    meter,
 		Platform: platform,
 		Store:    store,
-		Sage:     sagemaker.New(sagemaker.Config{}, meter),
+		Sage:     sagemaker.New(meter),
 		StepFn:   engine,
 		FW: core.NewFramework(core.Options{
 			Platform: platform, Store: store, Meter: meter, Metrics: mx,

@@ -23,17 +23,15 @@ import (
 // Span kinds. Exporters and the waterfall renderer key their styling on
 // these; anything else is rendered generically.
 const (
-	KindJob        = "job"
-	KindUpload     = "upload"
-	KindInvoke     = "invoke"
-	KindAttempt    = "attempt"
-	KindPhase      = "phase"
-	KindWait       = "wait"
-	KindBackoff    = "backoff"
-	KindDispatch   = "dispatch"
-	KindTransition = "transition"
-	KindState      = "state"
-	KindBatch      = "batch"
+	KindJob      = "job"
+	KindUpload   = "upload"
+	KindInvoke   = "invoke"
+	KindAttempt  = "attempt"
+	KindPhase    = "phase"
+	KindWait     = "wait"
+	KindBackoff  = "backoff"
+	KindDispatch = "dispatch"
+	KindBatch    = "batch"
 )
 
 // Span is one named interval of simulated time. Start is absolute

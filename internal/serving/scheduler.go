@@ -521,9 +521,8 @@ func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, err err
 	if err != nil {
 		deadlined := coordinator.IsDeadlineExceeded(err)
 		// Failures abort the run unless tolerated. A deadline failure is
-		// part of the SLO contract, but a coordinator-config deadline
-		// with no serving SLO keeps the fail-the-run contract too.
-		if slo := s.cfg.SLO; !slo.TolerateFailures && (!deadlined || slo.Deadline == 0) {
+		// part of the SLO contract: only SLO.Deadline gives a job one.
+		if !s.cfg.SLO.TolerateFailures && !deadlined {
 			return fmt.Errorf("serving: request %d: %w", u.First, err)
 		}
 		switch {
