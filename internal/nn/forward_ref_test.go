@@ -64,15 +64,15 @@ func refEval(l *Layer, ws []*tensor.Tensor, ins []*tensor.Tensor) *tensor.Tensor
 	}
 	switch l.Activation {
 	case ActReLU:
-		t = tensor.ReLU(t)
+		t = tensor.ReLUTo(tensor.New(t.Shape()...), t)
 	case ActReLU6:
-		t = tensor.ReLU6(t)
+		t = tensor.ReLU6To(tensor.New(t.Shape()...), t)
 	case ActSigmoid:
-		t = tensor.Sigmoid(t)
+		t = tensor.SigmoidTo(tensor.New(t.Shape()...), t)
 	case ActTanh:
-		t = tensor.Tanh(t)
+		t = tensor.TanhTo(tensor.New(t.Shape()...), t)
 	case ActSoftmax:
-		t = tensor.Softmax(t)
+		t = tensor.SoftmaxTo(tensor.New(t.Shape()...), t)
 	}
 	return t
 }

@@ -5,11 +5,8 @@ import (
 	"math"
 )
 
-// GELU applies the Gaussian error linear unit (tanh approximation, as in
-// BERT) elementwise.
-func GELU(t *Tensor) *Tensor { return GELUTo(New(t.shape...), t) }
-
-// GELUTo is GELU into dst.
+// GELUTo applies the Gaussian error linear unit (tanh approximation, as
+// in BERT) elementwise into dst.
 func GELUTo(dst, t *Tensor) *Tensor {
 	const c = 0.7978845608028654 // sqrt(2/π)
 	return elementwise("gelu", dst, t, func(out, in []float32) {

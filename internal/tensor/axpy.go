@@ -82,7 +82,7 @@ func relu6Go(out, in []float32) {
 
 // addBias adds bias to every len(bias)-wide row of data, in place; a nil
 // bias adds nothing. 1*b is exact for every float32 b, so axpy(1, bias,
-// row) performs the same single rounded add per element as BiasAdd.
+// row) performs the same single rounded add per element as x + b.
 func addBias(data, bias []float32) {
 	c := len(bias)
 	if c == 0 {

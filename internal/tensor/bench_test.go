@@ -76,9 +76,10 @@ func BenchmarkMatMul(b *testing.B) {
 func BenchmarkSoftmax(b *testing.B) {
 	x := benchTensor(32, 1000)
 	b.SetBytes(int64(x.Elems()) * 4)
+	dst := New(x.Shape()...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Softmax(x)
+		SoftmaxTo(dst, x)
 	}
 }
 

@@ -229,7 +229,7 @@ func TestMatMulMatchesReference(t *testing.T) {
 	requireSplits(t, 70, 32*refCout)
 	atWorkerCounts(t, func(t *testing.T) {
 		requireIdentical(t, MatMul(a, b), refMatMul(a, b))
-		requireIdentical(t, Dense(a, b, bias), BiasAdd(refMatMul(a, b), bias))
+		requireIdentical(t, Dense(a, b, bias), refBiasAdd(refMatMul(a, b), bias))
 		requireIdentical(t, Dense(a, b, nil), refMatMul(a, b))
 	})
 }
@@ -344,8 +344,8 @@ func TestReLUMatchesDefinition(t *testing.T) {
 }
 
 // Every elementwise kernel writing over its own input must leave the
-// bits the allocating form returns — including +0 from ReLU for -0 and
-// NaN, which the allocating form used to get from a zero-filled output.
+// bits it writes into a fresh tensor — including +0 from ReLU for -0
+// and NaN, which a fresh output used to get from its zero fill.
 func TestInPlaceKernelsMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fresh := func() *Tensor {
@@ -358,17 +358,20 @@ func TestInPlaceKernelsMatchAllocating(t *testing.T) {
 	for i := range v.data {
 		v.data[i] = v.data[i]*v.data[i] + 0.1
 	}
+	alloc := func(to func(dst, t *Tensor) *Tensor) func(*Tensor) *Tensor {
+		return func(x *Tensor) *Tensor { return to(New(x.shape...), x) }
+	}
 	cases := []struct {
 		name    string
 		alloc   func(x *Tensor) *Tensor
 		inPlace func(x *Tensor) *Tensor
 	}{
-		{"relu", ReLU, func(x *Tensor) *Tensor { return ReLUTo(x, x) }},
-		{"relu6", ReLU6, func(x *Tensor) *Tensor { return ReLU6To(x, x) }},
-		{"sigmoid", Sigmoid, func(x *Tensor) *Tensor { return SigmoidTo(x, x) }},
-		{"tanh", Tanh, func(x *Tensor) *Tensor { return TanhTo(x, x) }},
-		{"softmax", Softmax, func(x *Tensor) *Tensor { return SoftmaxTo(x, x) }},
-		{"gelu", GELU, func(x *Tensor) *Tensor { return GELUTo(x, x) }},
+		{"relu", alloc(ReLUTo), func(x *Tensor) *Tensor { return ReLUTo(x, x) }},
+		{"relu6", alloc(ReLU6To), func(x *Tensor) *Tensor { return ReLU6To(x, x) }},
+		{"sigmoid", alloc(SigmoidTo), func(x *Tensor) *Tensor { return SigmoidTo(x, x) }},
+		{"tanh", alloc(TanhTo), func(x *Tensor) *Tensor { return TanhTo(x, x) }},
+		{"softmax", alloc(SoftmaxTo), func(x *Tensor) *Tensor { return SoftmaxTo(x, x) }},
+		{"gelu", alloc(GELUTo), func(x *Tensor) *Tensor { return GELUTo(x, x) }},
 		{"add into a", func(x *Tensor) *Tensor { return Add(x, other) }, func(x *Tensor) *Tensor { return AddTo(x, x, other) }},
 		{"add into b", func(x *Tensor) *Tensor { return Add(other, x) }, func(x *Tensor) *Tensor { return AddTo(x, other, x) }},
 		{"batchnorm", func(x *Tensor) *Tensor { return BatchNorm(x, g, b, mu, v, 1e-3) }, func(x *Tensor) *Tensor { return BatchNormTo(x, x, g, b, mu, v, 1e-3) }},
@@ -385,7 +388,7 @@ func TestInPlaceKernelsMatchAllocating(t *testing.T) {
 			}
 		}
 	}
-	if r := ReLU(fresh()); math.Float32bits(r.data[0]) != 0 || math.Float32bits(r.data[1]) != 0 {
+	if r := alloc(ReLUTo)(fresh()); math.Float32bits(r.data[0]) != 0 || math.Float32bits(r.data[1]) != 0 {
 		t.Errorf("ReLU(-0), ReLU(NaN) = %x, %x, want +0", math.Float32bits(r.data[0]), math.Float32bits(r.data[1]))
 	}
 	defer func() {

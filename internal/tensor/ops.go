@@ -5,9 +5,8 @@ import (
 	"math"
 )
 
-// The elementwise kernels come in pairs: xTo(dst, t) writes into dst,
-// which may be t itself, and x(t) is xTo into a new tensor — the same
-// arithmetic, so the same bits.
+// The elementwise kernels xTo(dst, t) write into dst, which may be t
+// itself; a caller that wants a fresh result passes New(t.Shape()...).
 
 // mustFit panics unless dst has the shape of op's operand t.
 func mustFit(op string, dst, t *Tensor) {
@@ -23,22 +22,15 @@ func elementwise(op string, dst, t *Tensor, f func(out, in []float32)) *Tensor {
 	return dst
 }
 
-// ReLU applies max(0, x) elementwise, returning a new tensor.
-func ReLU(t *Tensor) *Tensor { return ReLUTo(New(t.shape...), t) }
-
-// ReLUTo stores everything not above zero — negatives, -0, NaN — as +0.
+// ReLUTo applies max(0, x) elementwise into dst, storing everything not
+// above zero — negatives, -0, NaN — as +0.
 func ReLUTo(dst, t *Tensor) *Tensor { return elementwise("relu", dst, t, relu) }
 
-// ReLU6 applies min(max(0, x), 6) elementwise (MobileNet's activation).
-func ReLU6(t *Tensor) *Tensor { return ReLU6To(New(t.shape...), t) }
-
-// ReLU6To is ReLU6 into dst; NaN and -0 pass through.
+// ReLU6To applies min(max(0, x), 6) elementwise (MobileNet's activation)
+// into dst; NaN and -0 pass through.
 func ReLU6To(dst, t *Tensor) *Tensor { return elementwise("relu6", dst, t, relu6) }
 
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(t *Tensor) *Tensor { return SigmoidTo(New(t.shape...), t) }
-
-// SigmoidTo is Sigmoid into dst.
+// SigmoidTo applies the logistic function elementwise into dst.
 func SigmoidTo(dst, t *Tensor) *Tensor {
 	return elementwise("sigmoid", dst, t, func(out, in []float32) {
 		for i, v := range in {
@@ -47,10 +39,7 @@ func SigmoidTo(dst, t *Tensor) *Tensor {
 	})
 }
 
-// Tanh applies the hyperbolic tangent elementwise.
-func Tanh(t *Tensor) *Tensor { return TanhTo(New(t.shape...), t) }
-
-// TanhTo is Tanh into dst.
+// TanhTo applies the hyperbolic tangent elementwise into dst.
 func TanhTo(dst, t *Tensor) *Tensor {
 	return elementwise("tanh", dst, t, func(out, in []float32) {
 		for i, v := range in {
@@ -59,12 +48,10 @@ func TanhTo(dst, t *Tensor) *Tensor {
 	})
 }
 
-// Softmax normalizes the innermost dimension to a probability
-// distribution, numerically stabilized by max subtraction.
-func Softmax(t *Tensor) *Tensor { return SoftmaxTo(New(t.shape...), t) }
-
-// SoftmaxTo is Softmax into dst: a row's maximum is taken before any of
-// the row is written, and each element is read before it is stored.
+// SoftmaxTo normalizes the innermost dimension to a probability
+// distribution into dst, numerically stabilized by max subtraction: a
+// row's maximum is taken before any of the row is written, and each
+// element is read before it is stored.
 func SoftmaxTo(dst, t *Tensor) *Tensor {
 	if t.Rank() == 0 {
 		panic("tensor: softmax on rank-0 tensor")
@@ -116,17 +103,6 @@ func AddTo(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// Scale multiplies every element by s, returning a new tensor.
-func Scale(t *Tensor, s float32) *Tensor {
-	out := New(t.shape...)
-	parallelFor(len(t.data), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = t.data[i] * s
-		}
-	})
-	return out
-}
-
 // ConcatChannels concatenates NHWC tensors along the channel axis
 // (Inception-style filter concatenation). All inputs must agree on the
 // leading dimensions.
@@ -168,23 +144,6 @@ func Flatten(t *Tensor) *Tensor {
 	}
 	batch := t.shape[0]
 	return t.Reshape(batch, t.Elems()/batch)
-}
-
-// BiasAdd adds a per-channel bias to the innermost dimension.
-func BiasAdd(t *Tensor, bias *Tensor) *Tensor {
-	c := t.shape[len(t.shape)-1]
-	bd := biasData(bias, c)
-	out := New(t.shape...)
-	rows := len(t.data) / c
-	parallelFor(rows, c, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r * c
-			for i := 0; i < c; i++ {
-				out.data[base+i] = t.data[base+i] + bd[i]
-			}
-		}
-	})
-	return out
 }
 
 // biasData returns bias's elements after checking there is one per

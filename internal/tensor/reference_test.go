@@ -49,7 +49,7 @@ func refConv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tensor {
 		}
 	}
 	if bias != nil {
-		return BiasAdd(out, bias)
+		return refBiasAdd(out, bias)
 	}
 	return out
 }
@@ -90,7 +90,7 @@ func refDepthwiseConv2D(in, kernel, bias *Tensor, stride int, pad Padding) *Tens
 		}
 	}
 	if bias != nil {
-		return BiasAdd(out, bias)
+		return refBiasAdd(out, bias)
 	}
 	return out
 }
@@ -111,6 +111,17 @@ func refMatMul(a, b *Tensor) *Tensor {
 				dst[j] += float32(av * brow[j])
 			}
 		}
+	}
+	return out
+}
+
+// refBiasAdd adds a per-channel bias to the innermost dimension into a
+// fresh tensor.
+func refBiasAdd(t, bias *Tensor) *Tensor {
+	c := t.shape[len(t.shape)-1]
+	out := New(t.shape...)
+	for i, v := range t.data {
+		out.data[i] = v + bias.data[i%c]
 	}
 	return out
 }
