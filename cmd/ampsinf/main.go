@@ -562,6 +562,9 @@ func sweep(f *cli.Set) func() error {
 		if !o.SpanFeasible(0, S) {
 			fmt.Println(strings.Repeat("-", 24))
 			fmt.Printf("%s does not fit a single lambda; use `ampsinf plan` for a partitioning\n", m.Name)
+			if *out.trace != "" || *out.metrics != "" {
+				return fmt.Errorf("sweep: -trace and -metrics serve the whole model on one lambda, and %s does not fit one", m.Name)
+			}
 			return nil
 		}
 		if *out.trace == "" && *out.metrics == "" {

@@ -103,7 +103,7 @@ func TestServeInferCounts(t *testing.T) {
 		{"plan unattainable slo", []string{"plan", "-model", "tinycnn", "-slo", "1ms"}, ""},
 		{"sweep estimates", []string{"sweep", "-model", "tinycnn"}, ""},
 		{"sweep measured", []string{"sweep", "-model", "tinycnn", "-trace", trace, "-metrics", metrics}, ""},
-		{"sweep too big for one lambda", []string{"sweep", "-model", "resnet50", "-trace", filepath.Join(tmp, "none.json")}, ""},
+		{"sweep too big for one lambda", []string{"sweep", "-model", "resnet50", "-trace", filepath.Join(tmp, "none.json")}, "does not fit one"},
 		{"sweep unknown model", []string{"sweep", "-model", "nosuchnet"}, "nosuchnet"},
 		{"summary", []string{"summary", "-model", "tinycnn"}, ""},
 		{"summary unknown model", []string{"summary", "-model", "nosuchnet"}, "nosuchnet"},

@@ -6,6 +6,7 @@ import (
 
 	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/lambda"
+	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/cloud/stepfn"
 	"ampsinf/internal/coordinator"
@@ -63,8 +64,8 @@ func TestGreedyPlanUsesMaxMemoryAndFewPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range plan.Lambdas {
-		if l.MemoryMB != optimizer.MaxMemoryBlock() {
-			t.Fatalf("Baseline 2 memory %d, want max %d", l.MemoryMB, optimizer.MaxMemoryBlock())
+		if l.MemoryMB != pricing.LambdaMaxMemoryMB {
+			t.Fatalf("Baseline 2 memory %d, want max %d", l.MemoryMB, pricing.LambdaMaxMemoryMB)
 		}
 	}
 	// Greedy packing should produce close to the minimum partition count.

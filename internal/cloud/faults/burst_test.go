@@ -17,7 +17,7 @@ func TestNewNormalizesCumulativeRates(t *testing.T) {
 		PutFail:        0.2,
 		PutSlow:        0.3, // sum 0.5 → untouched
 	})
-	eff := in.Effective()
+	eff := in.cfg
 	approx := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
 	if !approx(eff.InvokeThrottle, 0.45) || !approx(eff.InvokeCrash, 0.3) || !approx(eff.InvokeTimeout, 0.25) {
 		t.Fatalf("invoke rates not proportionally normalized: %+v", eff)
@@ -42,10 +42,13 @@ func TestNewNormalizesCumulativeRates(t *testing.T) {
 
 func TestEffectiveReportsDefaults(t *testing.T) {
 	var nilIn *Injector
-	if eff := nilIn.Effective(); eff != (Config{}) {
-		t.Fatalf("nil injector Effective = %+v", eff)
+	if k, _ := nilIn.InvokeFaultAt("f", 0); k != None {
+		t.Fatalf("nil injector drew invoke fault %v", k)
 	}
-	eff := New(Config{Seed: 3, BurstEvery: 40 * time.Second}).Effective()
+	if k, f := nilIn.StoreFault("get", "k"); k != None || f != 1 {
+		t.Fatalf("nil injector drew store fault %v ×%v", k, f)
+	}
+	eff := New(Config{Seed: 3, BurstEvery: 40 * time.Second}).cfg
 	if eff.BurstLength != 10*time.Second || eff.BurstFactor != 10 {
 		t.Fatalf("burst defaults not reflected: %+v", eff)
 	}
@@ -143,13 +146,13 @@ func TestBurstBoostRenormalizes(t *testing.T) {
 }
 
 func TestClocklessDrawsUseOffsetZero(t *testing.T) {
-	// Without SetClock, burst-mode InvokeFault draws at t=0, which is
+	// Without SetClock, burst-mode StoreFault draws at t=0, which is
 	// always before the first storm (gaps have a positive floor).
-	cfg := Config{Seed: 13, InvokeCrash: 0.01, BurstEvery: time.Minute, BurstFactor: 50}
-	a, b := New(cfg), New(Config{Seed: 13, InvokeCrash: 0.01})
+	cfg := Config{Seed: 13, GetFail: 0.01, BurstEvery: time.Minute, BurstFactor: 50}
+	a, b := New(cfg), New(Config{Seed: 13, GetFail: 0.01})
 	for i := 0; i < 3000; i++ {
-		ka, _ := a.InvokeFault("f")
-		kb, _ := b.InvokeFault("f")
+		ka, _ := a.StoreFault("get", "k")
+		kb, _ := b.StoreFault("get", "k")
 		if ka != kb {
 			t.Fatalf("draw %d: burst-at-zero %v != calm %v", i, ka, kb)
 		}
@@ -157,7 +160,7 @@ func TestClocklessDrawsUseOffsetZero(t *testing.T) {
 }
 
 func TestSetClockDrivesBurst(t *testing.T) {
-	cfg := Config{Seed: 17, InvokeCrash: 0.02, BurstEvery: 30 * time.Second, BurstLength: 5 * time.Second, BurstFactor: 40}
+	cfg := Config{Seed: 17, GetFail: 0.02, BurstEvery: 30 * time.Second, BurstLength: 5 * time.Second, BurstFactor: 40}
 	in := New(cfg)
 	// Find one storm instant, then pin the clock there.
 	var stormAt time.Duration = -1
@@ -175,7 +178,7 @@ func TestSetClockDrivesBurst(t *testing.T) {
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if k, _ := in.InvokeFault("f"); k != None {
+		if k, _ := in.StoreFault("get", "k"); k != None {
 			hits++
 		}
 	}

@@ -118,7 +118,7 @@ type Config struct {
 	// BurstEvery, and while a storm is active every rate above is
 	// multiplied by BurstFactor (then renormalized). Operations carry
 	// their simulated time into the draw via InvokeFaultAt/StoreFaultAt
-	// or the injector clock (SetClock); time-less draws use offset 0.
+	// or the injector clock (SetClock); time-less store draws use offset 0.
 	BurstEvery  time.Duration
 	BurstLength time.Duration // default BurstEvery/4
 	BurstFactor float64       // default 10
@@ -289,23 +289,11 @@ func New(cfg Config) *Injector {
 	return in
 }
 
-// Effective returns the configuration the injector actually draws from
-// outside storm windows: rates clamped and proportionally normalized,
-// defaults filled in. A nil injector returns the zero Config.
-func (in *Injector) Effective() Config {
-	if in == nil {
-		return Config{}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.cfg
-}
-
 // SetClock installs a simulated-time source consulted by the time-less
-// InvokeFault/StoreFault paths when burst mode is active. The callback
-// must not call back into the component invoking the fault draw while
-// that component holds its own lock (pass explicit times via
-// InvokeFaultAt/StoreFaultAt in that case).
+// StoreFault path when burst mode is active. The callback must not call
+// back into the component invoking the fault draw while that component
+// holds its own lock (pass explicit times via InvokeFaultAt/StoreFaultAt
+// in that case).
 func (in *Injector) SetClock(now func() time.Duration) {
 	if in == nil {
 		return
@@ -490,21 +478,11 @@ func (in *Injector) clockNow() time.Duration {
 	return clock()
 }
 
-// InvokeFault decides the fate of one invocation of target. When it
-// returns Timeout, hang is the extra lifetime factor to add on top of
-// the handler's runtime. In burst mode it consults the injector clock
-// (SetClock) for the current simulated time; callers that already know
-// the time should use InvokeFaultAt.
-func (in *Injector) InvokeFault(target string) (k Kind, hang float64) {
-	if in == nil {
-		return None, 0
-	}
-	return in.InvokeFaultAt(target, in.clockNow())
-}
-
-// InvokeFaultAt is InvokeFault with an explicit simulated time, for
-// callers that hold their own locks while drawing (the lambda platform
-// passes its clocked-mode offset directly).
+// InvokeFaultAt decides the fate of one invocation of target at
+// simulated time now. When it returns Timeout, hang is the extra
+// lifetime factor to add on top of the handler's runtime. The caller
+// passes the time because it holds its own locks while drawing (the
+// lambda platform passes its clocked-mode offset directly).
 func (in *Injector) InvokeFaultAt(target string, now time.Duration) (k Kind, hang float64) {
 	if in == nil {
 		return None, 0

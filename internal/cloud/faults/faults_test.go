@@ -10,7 +10,7 @@ import (
 
 func TestNilInjectorIsNeutral(t *testing.T) {
 	var in *Injector
-	if k, _ := in.InvokeFault("f"); k != None {
+	if k, _ := in.InvokeFaultAt("f", 0); k != None {
 		t.Fatalf("nil injector injected %v", k)
 	}
 	if k, factor := in.StoreFault("get", "k"); k != None || factor != 1 {
@@ -24,7 +24,7 @@ func TestNilInjectorIsNeutral(t *testing.T) {
 func TestZeroConfigInjectsNothing(t *testing.T) {
 	in := New(Config{Seed: 7})
 	for i := 0; i < 10000; i++ {
-		if k, _ := in.InvokeFault("f"); k != None {
+		if k, _ := in.InvokeFaultAt("f", 0); k != None {
 			t.Fatalf("zero-rate injector injected %v", k)
 		}
 		if k, _ := in.StoreFault("get", "k"); k != None {
@@ -43,8 +43,8 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 	cfg := Uniform(0.25, 42)
 	a, b := New(cfg), New(cfg)
 	for i := 0; i < 5000; i++ {
-		ka, ha := a.InvokeFault("f")
-		kb, hb := b.InvokeFault("f")
+		ka, ha := a.InvokeFaultAt("f", 0)
+		kb, hb := b.InvokeFaultAt("f", 0)
 		if ka != kb || ha != hb {
 			t.Fatalf("draw %d diverged: %v/%v vs %v/%v", i, ka, ha, kb, hb)
 		}
@@ -71,8 +71,8 @@ func TestSeedsProduceDifferentStreams(t *testing.T) {
 	same := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		ka, _ := a.InvokeFault("f")
-		kb, _ := b.InvokeFault("f")
+		ka, _ := a.InvokeFaultAt("f", 0)
+		kb, _ := b.InvokeFaultAt("f", 0)
 		if ka == kb {
 			same++
 		}
@@ -87,7 +87,7 @@ func TestRatesAreRoughlyHonored(t *testing.T) {
 	in := New(Uniform(rate, 11))
 	hits := 0
 	for i := 0; i < n; i++ {
-		if k, _ := in.InvokeFault("f"); k != None {
+		if k, _ := in.InvokeFaultAt("f", 0); k != None {
 			hits++
 		}
 	}
@@ -114,7 +114,7 @@ func TestNewClampsAndDefaults(t *testing.T) {
 		t.Fatalf("rates not clamped: %+v", in.cfg)
 	}
 	// Rate 1 throttle: every invocation must throttle.
-	if k, _ := in.InvokeFault("f"); k != Throttle {
+	if k, _ := in.InvokeFaultAt("f", 0); k != Throttle {
 		t.Fatalf("rate-1 throttle drew %v", k)
 	}
 	if k, factor := in.StoreFault("get", "k"); k != Unavailable || factor != 0 {
@@ -122,7 +122,7 @@ func TestNewClampsAndDefaults(t *testing.T) {
 	}
 	// Rate-1 timeouts and slowdowns carry the package's fixed factors.
 	in = New(Config{InvokeTimeout: 1, GetSlow: 1})
-	if k, hang := in.InvokeFault("f"); k != Timeout || hang != TimeoutHangFactor {
+	if k, hang := in.InvokeFaultAt("f", 0); k != Timeout || hang != TimeoutHangFactor {
 		t.Fatalf("rate-1 timeout drew %v (hang %v)", k, hang)
 	}
 	if k, factor := in.StoreFault("get", "k"); k != Slow || factor != SlowFactor {
@@ -213,7 +213,7 @@ func TestConcurrentDraws(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				in.InvokeFault("f")
+				in.InvokeFaultAt("f", 0)
 				in.StoreFault("get", "k")
 				in.StoreFault("put", "k")
 			}

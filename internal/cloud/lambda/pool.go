@@ -168,17 +168,6 @@ func (pl *Platform) inFlightLocked(t time.Duration) int {
 	return n
 }
 
-// PoolSize reports how many containers (idle or busy) the named function
-// currently keeps.
-func (pl *Platform) PoolSize(name string) int {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if fn, ok := pl.fns[name]; ok {
-		return len(fn.pool)
-	}
-	return 0
-}
-
 // registerLocked assigns a fresh container its registry slot. Callers
 // hold pl.mu.
 func (pl *Platform) registerLocked(c *container) {

@@ -8,6 +8,17 @@ import (
 	"ampsinf/internal/cloud/faults"
 )
 
+// poolSize is how many containers (idle or busy) the named function
+// keeps.
+func poolSize(pl *Platform, name string) int {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if fn, ok := pl.fns[name]; ok {
+		return len(fn.pool)
+	}
+	return 0
+}
+
 // clockedPlatform returns a platform in clocked serving mode with one
 // 512 MB echo function deployed.
 func clockedPlatform(t *testing.T) *Platform {
@@ -41,8 +52,8 @@ func TestClockedOverlapSpawnsContainers(t *testing.T) {
 	if !res2.ColdStart || res2.ContainerID != 1 {
 		t.Fatalf("overlapping invoke: cold=%v id=%d, want cold on container 1", res2.ColdStart, res2.ContainerID)
 	}
-	if pl.PoolSize("f") != 2 {
-		t.Fatalf("pool size %d, want 2", pl.PoolSize("f"))
+	if poolSize(pl, "f") != 2 {
+		t.Fatalf("pool size %d, want 2", poolSize(pl, "f"))
 	}
 	if got := pl.InFlightAt(0); got != 2 {
 		t.Fatalf("in-flight at t=0: %d, want 2", got)
@@ -61,8 +72,8 @@ func TestClockedOverlapSpawnsContainers(t *testing.T) {
 	if res3.ColdStart || res3.ContainerID != 0 {
 		t.Fatalf("post-drain invoke: cold=%v id=%d, want warm on container 0", res3.ColdStart, res3.ContainerID)
 	}
-	if pl.PoolSize("f") != 2 {
-		t.Fatalf("pool grew to %d on warm reuse", pl.PoolSize("f"))
+	if poolSize(pl, "f") != 2 {
+		t.Fatalf("pool grew to %d on warm reuse", poolSize(pl, "f"))
 	}
 }
 
@@ -93,8 +104,8 @@ func TestAccountConcurrencyThrottles(t *testing.T) {
 	if pl.Meter().Total() != invFeeBefore {
 		t.Fatal("throttled invocation billed something")
 	}
-	if pl.PoolSize("f") != 2 {
-		t.Fatalf("throttle changed pool size to %d", pl.PoolSize("f"))
+	if poolSize(pl, "f") != 2 {
+		t.Fatalf("throttle changed pool size to %d", poolSize(pl, "f"))
 	}
 
 	// After the busy windows pass, capacity frees up again.
@@ -142,8 +153,8 @@ func TestUnclockedReusesSingleContainer(t *testing.T) {
 			t.Fatalf("invoke %d cold=%v", i, res.ColdStart)
 		}
 	}
-	if pl.PoolSize("f") != 1 {
-		t.Fatalf("pool size %d, want 1", pl.PoolSize("f"))
+	if poolSize(pl, "f") != 1 {
+		t.Fatalf("pool size %d, want 1", poolSize(pl, "f"))
 	}
 }
 
@@ -186,13 +197,13 @@ func TestResetWarmKeepsExecutingContainers(t *testing.T) {
 	// Container 0 is busy until res.Duration and the clock is still at
 	// 0: a warm reset must not reap the mid-flight sandbox.
 	pl.ResetWarm("f")
-	if pl.PoolSize("f") != 1 {
-		t.Fatalf("ResetWarm reaped a busy container (pool %d)", pl.PoolSize("f"))
+	if poolSize(pl, "f") != 1 {
+		t.Fatalf("ResetWarm reaped a busy container (pool %d)", poolSize(pl, "f"))
 	}
 	pl.AdvanceTo(res.Duration)
 	pl.ResetWarm("f")
-	if pl.PoolSize("f") != 0 {
-		t.Fatalf("ResetWarm kept an idle container (pool %d)", pl.PoolSize("f"))
+	if poolSize(pl, "f") != 0 {
+		t.Fatalf("ResetWarm kept an idle container (pool %d)", poolSize(pl, "f"))
 	}
 	res2, err := pl.Invoke("f", nil, InvokeOptions{})
 	if err != nil {
@@ -226,8 +237,8 @@ func TestCrashDiscardsOnlyFaultedContainer(t *testing.T) {
 	if res3.ContainerID != 2 {
 		t.Fatalf("crash landed on container %d, want the fresh container 2", res3.ContainerID)
 	}
-	if pl.PoolSize("f") != 2 {
-		t.Fatalf("pool size %d after crash, want the 2 healthy containers", pl.PoolSize("f"))
+	if poolSize(pl, "f") != 2 {
+		t.Fatalf("pool size %d after crash, want the 2 healthy containers", poolSize(pl, "f"))
 	}
 	pl.SetInjector(nil)
 

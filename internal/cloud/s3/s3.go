@@ -46,7 +46,6 @@ type Store struct {
 
 	mu      sync.Mutex
 	objects map[string][]byte
-	failing bool
 	inj     *faults.Injector
 	mx      *obs.Metrics
 
@@ -100,14 +99,6 @@ func (c Config) TransferTime(n int64) time.Duration {
 // TransferTime is the store's Config.TransferTime.
 func (s *Store) TransferTime(n int64) time.Duration { return s.cfg.TransferTime(n) }
 
-// SetFailing toggles a hard outage: all subsequent operations error
-// until cleared. Used by outage tests.
-func (s *Store) SetFailing(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failing = v
-}
-
 // SetInjector installs (or, with nil, removes) the store's fault
 // injector. GETs and PUTs consult it for 503s and slowdowns; a nil or
 // zero-rate injector leaves every operation untouched.
@@ -146,9 +137,6 @@ func (s *Store) PutStable(key string, data []byte) (time.Duration, error) {
 func (s *Store) put(key string, data []byte, copied bool) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failing {
-		return 0, &faults.Error{Kind: faults.Unavailable, Op: "put", Target: key}
-	}
 	fault, factor := s.inj.StoreFault("put", key)
 	if fault == faults.Unavailable {
 		s.h.faultUnavailable.Inc(1)
@@ -195,9 +183,6 @@ func (s *Store) GetSize(key string) (int64, time.Duration, error) {
 func (s *Store) get(key string, copied bool) ([]byte, int64, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failing {
-		return nil, 0, 0, &faults.Error{Kind: faults.Unavailable, Op: "get", Target: key}
-	}
 	fault, factor := s.inj.StoreFault("get", key)
 	if fault == faults.Unavailable {
 		s.h.faultUnavailable.Inc(1)

@@ -2,12 +2,14 @@ package s3
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"ampsinf/internal/cloud/billing"
+	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/cloud/pricing"
 )
 
@@ -100,14 +102,15 @@ func TestChargeStorage(t *testing.T) {
 func TestFailureInjection(t *testing.T) {
 	s, _ := newStore()
 	s.Put("k", []byte("x"))
-	s.SetFailing(true)
-	if _, err := s.Put("k2", nil); err == nil {
-		t.Fatal("PUT succeeded during outage")
+	s.SetInjector(faults.New(faults.Config{GetFail: 1, PutFail: 1}))
+	var fe *faults.Error
+	if _, err := s.Put("k2", nil); !errors.As(err, &fe) || fe.Kind != faults.Unavailable {
+		t.Fatalf("PUT during outage: %v, want an Unavailable fault", err)
 	}
-	if _, _, err := s.Get("k"); err == nil {
-		t.Fatal("GET succeeded during outage")
+	if _, _, err := s.Get("k"); !errors.As(err, &fe) || fe.Kind != faults.Unavailable {
+		t.Fatalf("GET during outage: %v, want an Unavailable fault", err)
 	}
-	s.SetFailing(false)
+	s.SetInjector(nil)
 	if _, _, err := s.Get("k"); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}

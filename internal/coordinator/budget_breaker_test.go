@@ -34,11 +34,11 @@ func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 
 	// Calibrate the per-job earn with the breaker closed: one token per
 	// first-attempt success (puts and invokes alike).
-	before := d.BudgetTokens()
+	before := d.budgetTokens
 	if _, err := d.RunEager(randomInput(m, 1)); err != nil {
 		t.Fatal(err)
 	}
-	cleanEarn := d.BudgetTokens() - before
+	cleanEarn := d.budgetTokens - before
 	if cleanEarn <= 0 {
 		t.Fatalf("clean job earned %v tokens, want > 0", cleanEarn)
 	}
@@ -52,7 +52,7 @@ func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 	d.parts[0].brk.trip(d.cfg.Platform.Now())
 	d.retryMu.Unlock()
 
-	before = d.BudgetTokens()
+	before = d.budgetTokens
 	rep, err := d.RunEager(randomInput(m, 2))
 	if err != nil {
 		t.Fatalf("probe job failed: %v", err)
@@ -61,7 +61,7 @@ func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 		t.Fatal("tripped breaker never short-circuited an attempt")
 	}
 	want := before + cleanEarn - earnPerSuccess - float64(rep.ShortCircuits)
-	if got := d.BudgetTokens(); math.Abs(got-want) > 1e-9 {
+	if got := d.budgetTokens; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("budget after probe cycle = %v, want %v (%v clean earns - 1 forfeited earn - %d short-circuit tokens); the probe itself must spend nothing",
 			got, want, cleanEarn, rep.ShortCircuits)
 	}

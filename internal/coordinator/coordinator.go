@@ -1,6 +1,6 @@
 // Package coordinator implements the paper's Coordinator component: it
 // turns an optimizer Plan into deployed lambda functions — splitting the
-// model description and weights at the partition boundaries, attaching
+// model and its weights at the partition boundaries, attaching
 // the dependency layer, and validating every platform limit — and then
 // drives coordinated model serving with intermediate activations staged
 // through S3. Partition handlers execute real forward passes, so a
@@ -19,6 +19,7 @@ import (
 	"ampsinf/internal/nn"
 	"ampsinf/internal/obs"
 	"ampsinf/internal/optimizer"
+	"ampsinf/internal/perf"
 	"ampsinf/internal/tensor"
 )
 
@@ -210,10 +211,6 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 		if err != nil {
 			return nil, fmt.Errorf("coordinator: partition %d: %w", i, err)
 		}
-		desc, err := modelfmt.EncodeModel(part)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: partition %d description: %w", i, err)
-		}
 		p := &partition{
 			index:    i,
 			fnName:   fmt.Sprintf("%s-%s-p%d", cfg.NamePrefix, model.Name, i),
@@ -227,11 +224,10 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 		if cfg.Breaker.enabled() {
 			p.brk = &breaker{pol: cfg.Breaker}
 		}
-		pkgBytes := sizes[i] + int64(len(desc)) + int64(1<<20) // weights + description + handler
 		err = cfg.Platform.CreateFunction(lambda.FunctionConfig{
 			Name:         p.fnName,
 			MemoryMB:     lp.MemoryMB,
-			PackageBytes: pkgBytes,
+			PackageBytes: sizes[i] + perf.PackageOverheadBytes,
 			Layers:       []lambda.LayerRef{depsLayer},
 			Handler:      d.handler(p),
 		})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ampsinf/internal/cloud/billing"
+	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/nn"
@@ -249,11 +250,11 @@ func TestRunBatchedStacksImages(t *testing.T) {
 
 func TestS3OutageSurfaces(t *testing.T) {
 	e, d, m, _ := deployTinySplit(t)
-	e.store.SetFailing(true)
+	e.store.SetInjector(faults.New(faults.Config{GetFail: 1, PutFail: 1}))
 	if _, err := d.RunSequential(randomInput(m, 40)); err == nil {
 		t.Fatal("job succeeded during S3 outage")
 	}
-	e.store.SetFailing(false)
+	e.store.SetInjector(nil)
 	if _, err := d.RunSequential(randomInput(m, 41)); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}

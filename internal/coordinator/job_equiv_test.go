@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -52,7 +53,7 @@ func errClass(err error) string {
 		return "deadline"
 	case IsBudgetExhausted(err):
 		return "budget"
-	case IsBreakerOpen(err):
+	case errors.As(err, new(*BreakerOpenError)):
 		return "breaker"
 	}
 	if fe := faultOf(err); fe != nil {
@@ -139,7 +140,7 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 			sj, rerr = d.BeginStaged(in, StagedOptions{Deadline: deadline, Batch: in.Shape()[0], Lean: lean})
 			rep = sj.Rep()
 			at := sj.InputReady()
-			for rerr == nil && sj.NextStage() < sj.Stages() {
+			for rerr == nil && sj.next < len(d.parts) {
 				e.platform.AdvanceTo(clock + at)
 				var svc time.Duration
 				svc, rerr = sj.RunStage(at)
@@ -170,7 +171,7 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 	tv.breakdown = e.meter.Breakdown()
 	tv.leftover = e.store.TotalBytes()
 	tv.denied = d.BudgetDenied()
-	tv.tokens = d.BudgetTokens()
+	tv.tokens = d.budgetTokens
 	var buf bytes.Buffer
 	if err := cfg.Metrics.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

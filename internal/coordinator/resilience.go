@@ -154,15 +154,6 @@ func (d *Deployment) earnBudgetToken() {
 	d.retryMu.Unlock()
 }
 
-// BudgetTokens reports the current shared retry-budget balance (the
-// configured maximum when the budget is disabled — callers read it as
-// "headroom", and a disabled budget never denies).
-func (d *Deployment) BudgetTokens() float64 {
-	d.retryMu.Lock()
-	defer d.retryMu.Unlock()
-	return d.budgetTokens
-}
-
 // SetHedgingDisabled turns speculative duplicate invocations off (or
 // back on) at runtime without redeploying — the brownout controller's
 // first degradation rung. Safe on the serving hot path: one atomic-free
@@ -389,13 +380,6 @@ type BreakerOpenError struct {
 
 func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("coordinator: breaker open for %q until %v", e.Function, e.Until)
-}
-
-// IsBreakerOpen reports whether err (anywhere in its chain) is a
-// breaker short-circuit.
-func IsBreakerOpen(err error) bool {
-	var be *BreakerOpenError
-	return errors.As(err, &be)
 }
 
 // breaker state machine. Callers hold the deployment's retryMu; time is

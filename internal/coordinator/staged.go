@@ -68,12 +68,6 @@ func (sj *StagedJob) Rep() *Report { return &sj.rep }
 // input is available in the store — the earliest stage-0 start.
 func (sj *StagedJob) InputReady() time.Duration { return sj.upDur }
 
-// Stages is the number of partition stages the job runs through.
-func (sj *StagedJob) Stages() int { return len(sj.d.parts) }
-
-// NextStage is the index of the next stage RunStage would execute.
-func (sj *StagedJob) NextStage() int { return sj.next }
-
 // RunStage invokes the job's next partition. start is the stage's
 // offset from the job start on the scheduler's clock; the caller must
 // have advanced the platform clock to the matching absolute instant

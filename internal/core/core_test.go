@@ -8,6 +8,7 @@ import (
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/optimizer"
+	"ampsinf/internal/perf"
 	"ampsinf/internal/tensor"
 )
 
@@ -61,18 +62,20 @@ func TestPlannerTransferMatchesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := perf.NewSpanProfiler(o.Model(), o.Segments())
 	checked := 0
 	for a := range o.Segments() {
 		for b := a + 1; b <= len(o.Segments()); b++ {
-			mem, err := o.MinFeasibleBlock(a, b)
-			if err != nil {
+			ms := o.FeasibleMemories(a, b)
+			if len(ms) == 0 {
 				continue
 			}
+			mem := ms[0]
 			got, _, err := o.SpanEstimate(a, b, mem)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prof := o.ProfileSpan(a, b)
+			prof := sp.Profile(a, b)
 			want := fw.perf.EndToEndTime(mem, prof.FLOPs, prof.WeightsBytes) +
 				fw.Store().TransferTime(prof.InBytes) + fw.Store().TransferTime(prof.OutBytes)
 			if got != want {

@@ -2,6 +2,7 @@ package modelfmt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,61 +14,32 @@ import (
 
 func testModel() *nn.Model { return zoo.TinyCNN(0) }
 
-func TestModelRoundTrip(t *testing.T) {
-	m := testModel()
-	data, err := EncodeModel(m)
-	if err != nil {
-		t.Fatal(err)
+// mergeWeights reassembles full-model weights from per-partition blobs
+// produced by SplitWeights (or encoded, of either kind, per partition)
+// with the same bounds. Like DecodeWeights'
+// result, the merged weights are read-only and may be views of blobs.
+func mergeWeights(m *nn.Model, blobs [][]byte, bounds []int) (nn.Weights, error) {
+	if len(blobs) != len(bounds)-1 {
+		return nil, fmt.Errorf("modelfmt: %d blobs for %d partitions", len(blobs), len(bounds)-1)
 	}
-	m2, err := DecodeModel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Name != m.Name || m2.NumLayers() != m.NumLayers() {
-		t.Fatalf("decoded %s/%d layers, want %s/%d", m2.Name, m2.NumLayers(), m.Name, m.NumLayers())
-	}
-	for i, l := range m.Layers {
-		l2 := m2.Layers[i]
-		if l.Name != l2.Name || l.Kind != l2.Kind || !l.OutShape.Equal(l2.OutShape) ||
-			l.ParamCount != l2.ParamCount || l.FLOPs != l2.FLOPs {
-			t.Errorf("layer %d mismatch: %+v vs %+v", i, l, l2)
-		}
-	}
-}
-
-func TestModelRoundTripAllZooModels(t *testing.T) {
-	for _, name := range zoo.Names() {
-		m, err := zoo.Build(name, 0)
+	w := make(nn.Weights)
+	for p, blob := range blobs {
+		part, err := m.Partition(bounds[p], bounds[p+1])
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		data, err := EncodeModel(m)
+		pw, err := DecodeWeights(part, blob)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			return nil, fmt.Errorf("modelfmt: partition %d: %w", p, err)
 		}
-		m2, err := DecodeModel(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m2.TotalParams() != m.TotalParams() {
-			t.Errorf("%s: params %d → %d after round trip", name, m.TotalParams(), m2.TotalParams())
-		}
-		if m2.TotalFLOPs() != m.TotalFLOPs() {
-			t.Errorf("%s: flops changed after round trip", name)
+		for name, ts := range pw {
+			w[name] = ts
 		}
 	}
-}
-
-func TestDecodeModelRejectsGarbage(t *testing.T) {
-	if _, err := DecodeModel([]byte("not json")); err == nil {
-		t.Fatal("garbage accepted")
+	if err := nn.CheckWeights(m, w); err != nil {
+		return nil, fmt.Errorf("modelfmt: merged weights invalid: %w", err)
 	}
-	if _, err := DecodeModel([]byte(`{"format":"other"}`)); err == nil {
-		t.Fatal("wrong format accepted")
-	}
-	if _, err := DecodeModel([]byte(`{"format":"ampsinf-model-v1","name":"x","layers":[]}`)); err == nil {
-		t.Fatal("missing input shape accepted")
-	}
+	return w, nil
 }
 
 func TestWeightsRoundTrip(t *testing.T) {
@@ -134,7 +106,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 	if len(blobs) != 3 {
 		t.Fatalf("%d blobs, want 3", len(blobs))
 	}
-	merged, err := MergeWeights(m, blobs, bounds)
+	merged, err := mergeWeights(m, blobs, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +150,7 @@ func TestSplitMergeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		merged, err := MergeWeights(m, blobs, bounds)
+		merged, err := mergeWeights(m, blobs, bounds)
 		if err != nil {
 			return false
 		}

@@ -256,7 +256,7 @@ func TestMergeWeightsAcceptsQuantized(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		merged, err := MergeWeights(m, blobs, bounds)
+		merged, err := mergeWeights(m, blobs, bounds)
 		if err != nil {
 			t.Fatalf("%d bits: %v", bits, err)
 		}

@@ -1,3 +1,7 @@
+// Package modelfmt serializes weights in the role the paper's HDF5
+// weight files play: a binary weights container with per-chunk
+// integrity checksums that can be split by layer range, so each
+// partition's deployment package carries its own blob.
 package modelfmt
 
 import (
@@ -319,32 +323,4 @@ func SplitWeights(m *nn.Model, w nn.Weights, bounds []int) ([][]byte, error) {
 		blobs = append(blobs, blob)
 	}
 	return blobs, nil
-}
-
-// MergeWeights reassembles full-model weights from per-partition blobs
-// produced by SplitWeights (or encoded, of either kind, per partition)
-// with the same bounds. Like DecodeWeights'
-// result, the merged weights are read-only and may be views of blobs.
-func MergeWeights(m *nn.Model, blobs [][]byte, bounds []int) (nn.Weights, error) {
-	if len(blobs) != len(bounds)-1 {
-		return nil, fmt.Errorf("modelfmt: %d blobs for %d partitions", len(blobs), len(bounds)-1)
-	}
-	w := make(nn.Weights)
-	for p, blob := range blobs {
-		part, err := m.Partition(bounds[p], bounds[p+1])
-		if err != nil {
-			return nil, err
-		}
-		pw, err := DecodeWeights(part, blob)
-		if err != nil {
-			return nil, fmt.Errorf("modelfmt: partition %d: %w", p, err)
-		}
-		for name, ts := range pw {
-			w[name] = ts
-		}
-	}
-	if err := nn.CheckWeights(m, w); err != nil {
-		return nil, fmt.Errorf("modelfmt: merged weights invalid: %w", err)
-	}
-	return w, nil
 }

@@ -174,7 +174,7 @@ func TestDecodeWeightsExactSize(t *testing.T) {
 		}
 	}
 
-	// The same through MergeWeights: a padded partition blob is refused.
+	// The same through mergeWeights: a padded partition blob is refused.
 	lm := zoo.LinearNet(0)
 	lw := nn.InitWeights(lm, 1)
 	bounds := []int{1, 3, len(lm.Layers)}
@@ -182,12 +182,12 @@ func TestDecodeWeightsExactSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeWeights(lm, blobs, bounds); err != nil {
+	if _, err := mergeWeights(lm, blobs, bounds); err != nil {
 		t.Fatalf("intact split rejected: %v", err)
 	}
 	blobs[1] = append(blobs[1], 0)
-	if _, err := MergeWeights(lm, blobs, bounds); err == nil || !strings.Contains(err.Error(), "partition 1") {
-		t.Errorf("MergeWeights of a padded blob: got %v, want partition 1's size error", err)
+	if _, err := mergeWeights(lm, blobs, bounds); err == nil || !strings.Contains(err.Error(), "partition 1") {
+		t.Errorf("mergeWeights of a padded blob: got %v, want partition 1's size error", err)
 	}
 }
 

@@ -136,14 +136,6 @@ func (m *Model) Layer(name string) *Layer {
 	return nil
 }
 
-// LayerIndex returns the topological position of the named layer, or -1.
-func (m *Model) LayerIndex(name string) int {
-	if i, ok := m.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Output returns the final layer (the model's prediction output).
 func (m *Model) Output() *Layer { return m.Layers[len(m.Layers)-1] }
 

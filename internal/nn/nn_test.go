@@ -123,8 +123,8 @@ func TestCutPointsSkipResidualBlock(t *testing.T) {
 	cuts := m.CutPoints()
 	// Inside the residual block (between stem and merge) the stem output
 	// is still live, so no cut is valid there.
-	stem := m.LayerIndex("stem")
-	merge := m.LayerIndex("merge")
+	stem := m.index["stem"]
+	merge := m.index["merge"]
 	for _, c := range cuts {
 		if c > stem+1 && c <= merge {
 			t.Errorf("cut %d falls inside residual block (%d, %d]", c, stem+1, merge)
@@ -268,7 +268,7 @@ func TestForwardSoftmaxOutputIsDistribution(t *testing.T) {
 func TestForwardRangeRejectsInvalidCut(t *testing.T) {
 	m := residualNet()
 	w := InitWeights(m, 7)
-	stem := m.LayerIndex("stem")
+	stem := m.index["stem"]
 	// Start inside the residual block: branch layers need the stem output.
 	in := tensor.New(1, 8, 8, 8)
 	if _, err := m.ForwardRange(w, stem+2, len(m.Layers), in); err == nil {

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"ampsinf/internal/tensor"
-)
+import "fmt"
 
 // Partition extracts layers [lo, hi) into a standalone model whose input
 // layer stands in for the output of layer lo-1 — exactly what the
@@ -50,38 +46,4 @@ func (m *Model) Partition(lo, hi int) (*Model, error) {
 		return nil, fmt.Errorf("nn: partition [%d, %d) invalid: %w", lo, hi, err)
 	}
 	return p, nil
-}
-
-// PartitionBySegments extracts the consecutive segment span [sLo, sHi) as
-// a standalone model.
-func (m *Model) PartitionBySegments(segs []Segment, sLo, sHi int) (*Model, error) {
-	lo, hi, err := SegmentRange(segs, sLo, sHi)
-	if err != nil {
-		return nil, err
-	}
-	return m.Partition(lo, hi)
-}
-
-// NewChainModel assembles a model directly from pre-built layers (used by
-// the modelfmt decoder). Layers must already be in topological order with
-// computed shapes; the input layer is synthesized from inputShape.
-func NewChainModel(name string, inputShape tensor.Shape, layers []*Layer) (*Model, error) {
-	in := &Layer{Name: "input", Kind: KindInput, OutShape: inputShape.Clone()}
-	m := &Model{
-		Name:       name,
-		InputShape: inputShape.Clone(),
-		Layers:     append([]*Layer{in}, layers...),
-		index:      map[string]int{"input": 0},
-	}
-	for i := 1; i < len(m.Layers); i++ {
-		l := m.Layers[i]
-		if _, dup := m.index[l.Name]; dup {
-			return nil, fmt.Errorf("nn: duplicate layer name %q", l.Name)
-		}
-		m.index[l.Name] = i
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -45,7 +45,7 @@ func TestPartitionExtractsStandaloneModel(t *testing.T) {
 
 func TestPartitionRejectsInvalidCut(t *testing.T) {
 	m := residualNet()
-	stem := m.LayerIndex("stem")
+	stem := m.index["stem"]
 	// Cutting inside the residual block must fail: the branch layers
 	// consume the stem output, which would be outside the partition.
 	if _, err := m.Partition(stem+2, len(m.Layers)); err == nil {
@@ -76,28 +76,33 @@ func TestPartitionNamePreservesLineage(t *testing.T) {
 func TestPartitionBySegments(t *testing.T) {
 	m := residualNet()
 	segs := m.Segments()
-	part, err := m.PartitionBySegments(segs, 0, len(segs))
+	lo, hi, err := SegmentRange(segs, 0, len(segs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := m.Partition(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if part.NumLayers() != m.NumLayers() {
 		t.Fatalf("whole-model partition has %d layers, want %d", part.NumLayers(), m.NumLayers())
 	}
-	if _, err := m.PartitionBySegments(segs, 1, 1); err == nil {
+	if _, _, err := SegmentRange(segs, 1, 1); err == nil {
 		t.Fatal("empty segment span accepted")
 	}
 }
 
-func TestNewChainModelValidation(t *testing.T) {
+func TestValidateRejectsDuplicateAndDanglingNames(t *testing.T) {
+	in := &Layer{Name: "input", Kind: KindInput, OutShape: tensor.Shape{1, 2, 2, 3}}
 	// Duplicate names must be rejected.
 	l1 := &Layer{Name: "a", Kind: KindFlatten, Inputs: []string{"input"}, OutShape: tensor.Shape{1, 12}}
 	l2 := &Layer{Name: "a", Kind: KindFlatten, Inputs: []string{"a"}, OutShape: tensor.Shape{1, 12}}
-	if _, err := NewChainModel("dup", tensor.Shape{1, 2, 2, 3}, []*Layer{l1, l2}); err == nil {
+	if err := (&Model{Name: "dup", Layers: []*Layer{in, l1, l2}}).Validate(); err == nil {
 		t.Fatal("duplicate layer names accepted")
 	}
 	// Dangling references must be rejected.
 	l3 := &Layer{Name: "b", Kind: KindFlatten, Inputs: []string{"ghost"}, OutShape: tensor.Shape{1, 12}}
-	if _, err := NewChainModel("dangling", tensor.Shape{1, 2, 2, 3}, []*Layer{l3}); err == nil {
+	if err := (&Model{Name: "dangling", Layers: []*Layer{in, l3}}).Validate(); err == nil {
 		t.Fatal("dangling reference accepted")
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/nn"
-	"ampsinf/internal/perf"
 )
 
 // PlanForConfig builds a Plan from an explicit configuration — segment
@@ -100,26 +98,6 @@ func (o *Optimizer) SpanEstimate(a, b, memMB int) (time.Duration, float64, error
 		}
 	}
 	return 0, 0, fmt.Errorf("optimizer: invalid block %d MB", memMB)
-}
-
-// MinFeasibleBlock returns the smallest allowed block for the span.
-func (o *Optimizer) MinFeasibleBlock(a, b int) (int, error) {
-	if sc := o.span(a, b); sc != nil && sc.feasible {
-		for j, block := range o.blocks {
-			if _, _, ok := o.blockTimeCost(sc, j); ok {
-				return block, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("optimizer: span [%d, %d) infeasible", a, b)
-}
-
-// MaxMemoryBlock returns the largest platform block (3008 MB in 2020).
-func MaxMemoryBlock() int { return pricing.LambdaMaxMemoryMB }
-
-// ProfileSpan exposes the span profile used by the tables (for reporting).
-func (o *Optimizer) ProfileSpan(a, b int) perf.SegmentProfile {
-	return perf.ProfilePartition(o.req.Model, o.segs, a, b)
 }
 
 // Model returns the optimizer's model.

@@ -43,18 +43,14 @@ func TestFeasibleMemoriesSortedAndValid(t *testing.T) {
 func TestMinFeasibleBlock(t *testing.T) {
 	o := newOpt(t, "mobilenet")
 	S := len(o.Segments())
-	mb, err := o.MinFeasibleBlock(0, S)
-	if err != nil || mb != 256 {
-		t.Fatalf("min feasible = %d, %v", mb, err)
+	if ms := o.FeasibleMemories(0, S); len(ms) == 0 || ms[0] != 256 {
+		t.Fatalf("min feasible = %v", ms)
 	}
-	// It is the first of FeasibleMemories on every span, an error exactly
-	// where there are none.
+	// A span has a smallest feasible block exactly where it is feasible.
 	for a := 0; a < S; a++ {
 		for b := a + 1; b <= S; b++ {
-			ms := o.FeasibleMemories(a, b)
-			mb, err := o.MinFeasibleBlock(a, b)
-			if (err != nil) != (len(ms) == 0) || (err == nil && mb != ms[0]) {
-				t.Fatalf("span [%d, %d): MinFeasibleBlock = (%d, %v), FeasibleMemories = %v", a, b, mb, err, ms)
+			if ms := o.FeasibleMemories(a, b); o.SpanFeasible(a, b) != (len(ms) > 0) {
+				t.Fatalf("span [%d, %d): SpanFeasible = %v, FeasibleMemories = %v", a, b, o.SpanFeasible(a, b), ms)
 			}
 		}
 	}
@@ -106,9 +102,6 @@ func TestSpanFeasibleBounds(t *testing.T) {
 			}
 			if d, cost, err := o.SpanEstimate(c.a, c.b, 1024); err == nil {
 				t.Errorf("SpanEstimate = (%v, %v), want an error", d, cost)
-			}
-			if mb, err := o.MinFeasibleBlock(c.a, c.b); err == nil {
-				t.Errorf("MinFeasibleBlock = %d, want an error", mb)
 			}
 		})
 	}
@@ -197,12 +190,12 @@ func TestPlanForConfigMatchesSpanEstimates(t *testing.T) {
 func TestProfileSpanAndModelAccessors(t *testing.T) {
 	o := newOpt(t, "tinycnn")
 	S := len(o.Segments())
-	prof := o.ProfileSpan(0, S)
+	prof := o.profiler.Profile(0, S)
 	if prof.FLOPs != o.Model().TotalFLOPs() {
 		t.Fatal("whole-span profile flops mismatch")
 	}
-	if MaxMemoryBlock() != 3008 {
-		t.Fatalf("max block %d", MaxMemoryBlock())
+	if top := o.blocks[len(o.blocks)-1]; top != 3008 {
+		t.Fatalf("max block %d", top)
 	}
 }
 

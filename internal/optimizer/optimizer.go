@@ -366,7 +366,7 @@ func (o *Optimizer) record(sc *spanChoice, a, b int) {
 	// dependency layer D + handler F must fit the platform limit.
 	p := &o.req.Perf
 	q := o.req.Quota
-	deploy := prof.DeployBytes(descBytes) + int64(p.DepsMB*(1<<20))
+	deploy := prof.DeployBytes() + int64(p.DepsMB*(1<<20))
 	if deploy > int64(q.DeployLimitMB)<<20 {
 		return
 	}
@@ -409,10 +409,6 @@ func (o *Optimizer) solve(sc *spanChoice, scr *spanScratch) {
 	}
 	sc.memIdx, sc.zeroObj = o.selectBlockBnB(sc, 0, &scr.bnb)
 }
-
-// descBytes is the per-partition model-description size the
-// deployment-size constraint (4) charges.
-const descBytes = 256 << 10
 
 // transferTime is one S3 transfer of the given size (the paper's r_i^g)
 // on the store's own model, so planner and store cannot drift.

@@ -58,7 +58,7 @@ func TestOptimizeResNet50MustPartition(t *testing.T) {
 	// Every partition respects the deployment limit.
 	p := perf.Default()
 	for i, l := range plan.Lambdas {
-		deploy := l.Profile.DeployBytes(256<<10) + int64(p.DepsMB*(1<<20))
+		deploy := l.Profile.DeployBytes() + int64(p.DepsMB*(1<<20))
 		if deploy > int64(pricing.LambdaDeployLimitMB)<<20 {
 			t.Errorf("partition %d deployment %d MB over limit", i, deploy>>20)
 		}

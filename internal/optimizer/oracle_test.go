@@ -64,7 +64,7 @@ func exactFrontier(t *testing.T, o *Optimizer, limit time.Duration) []label {
 				all = append(all, next...)
 				continue
 			}
-			walk(b, parts+1, q+o.ProfileSpan(a, b).OutBytes, next)
+			walk(b, parts+1, q+o.profiler.Profile(a, b).OutBytes, next)
 		}
 	}
 	walk(0, 0, 0, []label{{}})

@@ -1,15 +1,17 @@
 package optimizer
 
 // This file retains the pre-overhaul planner implementation verbatim:
-// serial table build, O(span) profiling through perf.ProfilePartition,
-// per-block perf.EndToEndTime + Quota.ExecutionCost, and a full
-// per-block rescan (fresh objective slice or fresh BnB problem) on every
-// λ step. It is test-only — newReference routes all solves through it
-// so the equivalence property tests can assert that the overhauled hot
-// path (prefix-sum profiling, block-grid kernel, parallel build,
-// lower-envelope selection, scratch reuse) produces byte-identical
-// Plans. Keep any behavioral change here in lockstep with a matching
-// change to the fast path, or the equivalence tests will say so.
+// serial table build, per-block perf.EndToEndTime +
+// Quota.ExecutionCost, and a full per-block rescan (fresh objective
+// slice or fresh BnB problem) on every λ step. Only its O(span)
+// profiling went: spans are profiled by the span profiler, which perf's
+// tests hold bit-identical to that walk. It is test-only — newReference
+// routes all solves through it so the equivalence property tests can
+// assert that the overhauled hot path (prefix-sum profiling, block-grid
+// kernel, parallel build, lower-envelope selection, scratch reuse)
+// produces byte-identical Plans. Keep any behavioral change here in
+// lockstep with a matching change to the fast path, or the equivalence
+// tests will say so.
 
 import (
 	"fmt"
@@ -20,7 +22,6 @@ import (
 	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/miqp"
 	"ampsinf/internal/nn"
-	"ampsinf/internal/perf"
 )
 
 // refOptimizer is an Optimizer whose table holds the reference's dense
@@ -57,7 +58,7 @@ func (o *Optimizer) buildTableRef() {
 // by a direct scan. It additionally records capsOK and lo, which the
 // shared config helpers read; those do not influence the solve.
 func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
-	prof := perf.ProfilePartition(o.req.Model, o.segs, a, b)
+	prof := o.profiler.Profile(a, b)
 	prof.WeightsBytes = int64(float64(prof.WeightsBytes) * o.req.WeightScale)
 	sc := spanChoice{memIdx: -1}
 
@@ -66,7 +67,7 @@ func (o *Optimizer) solveSpanRef(a, b int) spanChoice {
 	}
 	p := o.req.Perf
 	q := o.req.Quota
-	deploy := prof.DeployBytes(descBytes) + int64(p.DepsMB*(1<<20))
+	deploy := prof.DeployBytes() + int64(p.DepsMB*(1<<20))
 	if deploy > int64(q.DeployLimitMB)<<20 {
 		return sc
 	}
@@ -290,7 +291,7 @@ func (o *Optimizer) assembleRef(res dpResult, lambda float64) *Plan {
 		a, b := res.bounds[i], res.bounds[i+1]
 		sc := &o.table[a][b]
 		j := res.memIdx[i]
-		prof := perf.ProfilePartition(o.req.Model, o.segs, a, b)
+		prof := o.profiler.Profile(a, b)
 		lo, hi, _ := nn.SegmentRange(o.segs, a, b)
 		t, base := sc.times[j], sc.costs[j]
 		cost := base +

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"ampsinf/internal/nn"
 )
 
 // Params defines the performance model.
@@ -190,12 +188,17 @@ type SegmentProfile struct {
 	PeakActBytes int64 // largest intermediate activation (drives z_i)
 }
 
+// PackageOverheadBytes is what a partition's deployment package
+// carries beside its weights: a 256 KiB model-description allowance and
+// the 1 MB handler. The planner's constraint (4) and the deployed
+// function's package size both read it.
+const PackageOverheadBytes = 256<<10 + 1<<20
+
 // DeployBytes returns the unzipped deployment footprint of the partition:
-// weights + model description + handler (the paper's y·e + F; the
-// dependency layer D is accounted separately since it ships as a
-// function layer).
-func (s SegmentProfile) DeployBytes(descBytes int64) int64 {
-	return s.WeightsBytes + descBytes + int64(1<<20) // 1 MB handler
+// weights + description + handler (the paper's y·e + F; the dependency
+// layer D is accounted separately since it ships as a function layer).
+func (s SegmentProfile) DeployBytes() int64 {
+	return s.WeightsBytes + PackageOverheadBytes
 }
 
 // TmpBytes returns the partition's temporary-storage footprint during
@@ -203,26 +206,4 @@ func (s SegmentProfile) DeployBytes(descBytes int64) int64 {
 // input activation, and the largest intermediate.
 func (s SegmentProfile) TmpBytes() int64 {
 	return s.WeightsBytes + s.InBytes + s.PeakActBytes
-}
-
-// ProfilePartition aggregates a consecutive segment span [sLo, sHi) of a
-// model into a SegmentProfile.
-func ProfilePartition(m *nn.Model, segs []nn.Segment, sLo, sHi int) SegmentProfile {
-	var p SegmentProfile
-	for i := sLo; i < sHi; i++ {
-		s := segs[i]
-		p.Layers += s.Layers
-		p.FLOPs += s.FLOPs
-		p.WeightsBytes += s.WeightBytes()
-		if s.PeakActBytes > p.PeakActBytes {
-			p.PeakActBytes = s.PeakActBytes
-		}
-	}
-	if sLo == 0 {
-		p.InBytes = int64(m.InputShape.Elems()) * 4
-	} else {
-		p.InBytes = segs[sLo-1].OutBytes
-	}
-	p.OutBytes = segs[sHi-1].OutBytes
-	return p
 }

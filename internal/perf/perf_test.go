@@ -108,7 +108,8 @@ func TestMinFeasibleMemory(t *testing.T) {
 func TestProfilePartitionConservation(t *testing.T) {
 	m := zoo.TinyCNN(0)
 	segs := m.Segments()
-	whole := ProfilePartition(m, segs, 0, len(segs))
+	sp := NewSpanProfiler(m, segs)
+	whole := sp.Profile(0, len(segs))
 	if whole.FLOPs != m.TotalFLOPs() {
 		t.Errorf("whole-model profile flops %d != %d", whole.FLOPs, m.TotalFLOPs())
 	}
@@ -120,8 +121,8 @@ func TestProfilePartitionConservation(t *testing.T) {
 	}
 	// Split in two: flops and weights must sum; boundary sizes must chain.
 	mid := len(segs) / 2
-	a := ProfilePartition(m, segs, 0, mid)
-	b := ProfilePartition(m, segs, mid, len(segs))
+	a := sp.Profile(0, mid)
+	b := sp.Profile(mid, len(segs))
 	if a.FLOPs+b.FLOPs != whole.FLOPs {
 		t.Error("split flops do not sum")
 	}
@@ -138,7 +139,7 @@ func TestProfilePartitionConservation(t *testing.T) {
 
 func TestDeployAndTmpBytes(t *testing.T) {
 	s := SegmentProfile{WeightsBytes: 50 << 20, InBytes: 2 << 20, PeakActBytes: 8 << 20}
-	if got := s.DeployBytes(1 << 20); got != 52<<20 {
+	if got := s.DeployBytes(); got != 51<<20+256<<10 {
 		t.Fatalf("deploy bytes = %d", got)
 	}
 	if got := s.TmpBytes(); got != 60<<20 {

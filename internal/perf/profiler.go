@@ -2,12 +2,13 @@ package perf
 
 import "ampsinf/internal/nn"
 
-// SpanProfiler answers ProfilePartition queries in O(1) by precomputing
-// prefix sums (layers, FLOPs, weights) and a range-max table (peak
-// activation) over the segment list. All aggregation is integer
-// arithmetic, so every profile is bit-identical to the O(span) loop in
-// ProfilePartition — a property the tests assert. The profiler is
-// immutable after construction and safe for concurrent readers.
+// SpanProfiler profiles a consecutive segment span in O(1) by
+// precomputing prefix sums (layers, FLOPs, weights) and a range-max
+// table (peak activation) over the segment list. All aggregation is
+// integer arithmetic, so every profile is bit-identical to summing the
+// span's segments one by one — a property the tests assert. The
+// profiler is immutable after construction and safe for concurrent
+// readers.
 type SpanProfiler struct {
 	segs     []nn.Segment
 	prefix   *nn.SegmentPrefix
@@ -23,8 +24,7 @@ func NewSpanProfiler(m *nn.Model, segs []nn.Segment) *SpanProfiler {
 	}
 }
 
-// Profile aggregates the segment span [sLo, sHi) — the O(1) equivalent
-// of ProfilePartition.
+// Profile aggregates the segment span [sLo, sHi) into a SegmentProfile.
 func (sp *SpanProfiler) Profile(sLo, sHi int) SegmentProfile {
 	p := SegmentProfile{
 		Layers:       sp.prefix.Layers(sLo, sHi),

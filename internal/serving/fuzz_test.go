@@ -27,15 +27,12 @@ func FuzzSplitCost(f *testing.F) {
 		if n > 1<<16 {
 			n %= 1 << 16 // bound the allocation, not the property
 		}
-		shares := SplitCost(total, n)
 		if n <= 0 {
-			if shares != nil {
-				t.Fatalf("SplitCost(%v, %d) = %v, want nil", total, n, shares)
-			}
-			return
+			return // a batch has at least one member
 		}
+		shares := splitCostInto(make([]float64, n), total)
 		if len(shares) != n {
-			t.Fatalf("SplitCost(%v, %d) returned %d shares", total, n, len(shares))
+			t.Fatalf("splitCostInto(%v, %d) returned %d shares", total, n, len(shares))
 		}
 		if math.IsNaN(total) || math.IsInf(total, 0) {
 			return // nothing to reconstruct from a non-finite invoice
@@ -43,12 +40,12 @@ func FuzzSplitCost(f *testing.F) {
 		var acc float64
 		for i, s := range shares {
 			if math.IsNaN(s) || math.IsInf(s, 0) {
-				t.Fatalf("share %d of SplitCost(%v, %d) is %v", i, total, n, s)
+				t.Fatalf("share %d of splitCostInto(%v, %d) is %v", i, total, n, s)
 			}
 			acc += s
 		}
 		if acc != total {
-			t.Fatalf("SplitCost(%v, %d): shares fold to %v (diff %g)", total, n, acc, acc-total)
+			t.Fatalf("splitCostInto(%v, %d): shares fold to %v (diff %g)", total, n, acc, acc-total)
 		}
 	})
 }

@@ -340,7 +340,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 
 	fill := func(j *legacyStageJob, jrep *coordinator.Report, done time.Duration, outcome, errText string) {
 		u := j.unit
-		shares := SplitCost(jrep.Cost, u.Size)
+		shares := splitCostInto(make([]float64, u.Size), jrep.Cost)
 		for k := 0; k < u.Size; k++ {
 			idx := u.First + k
 			jr := &rep.Jobs[idx]
@@ -523,7 +523,12 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			u := p.unit
 			leader := u.First
 			elapsed := now - arrivals[leader]
-			ts.GaugeHandle("serving_queue_depth").Set(now, float64(len(queue)))
+			// Queue depth counts the member requests of the queued units.
+			queued := 0
+			for _, q := range queue {
+				queued += q.unit.Size
+			}
+			ts.GaugeHandle("serving_queue_depth").Set(now, float64(queued))
 
 			if slo.Shed && (elapsed >= slo.Deadline ||
 				(estN > 0 && elapsed+estSum/time.Duration(estN) > slo.Deadline)) {

@@ -67,7 +67,7 @@ func deployOverloadPair(t testing.TB, fcfg faults.Config, mutate func(cfg *coord
 		t.Fatal(err)
 	}
 	t.Cleanup(fb.Teardown)
-	return &testEnv{meter: meter, pl: pl, tracer: cfg.Tracer, dep: dep, model: m}, fb
+	return &testEnv{meter: meter, pl: pl, tracer: cfg.Tracer, dep: dep, model: m, store: store}, fb
 }
 
 // An exhausted global retry budget surfaces as a typed, tolerated

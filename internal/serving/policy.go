@@ -37,7 +37,7 @@ func (p PipelinePolicy) Validate() error {
 // BatchPolicy enables admission-side request batching: queued requests
 // arriving within a seeded, bounded window are stacked on the tensor
 // batch dimension and submitted as one batched invocation, whose shared
-// cost is split across the member requests (SplitCost) so the serving
+// cost is split across the member requests (splitCostInto) so the serving
 // report's per-request charges still reconstruct the meter total
 // exactly. Batched units always run on the staged executor, pipelined
 // or not. The zero value (and MaxBatch 1) keeps one request per
@@ -217,21 +217,14 @@ func coalesce(arrivals []time.Duration, pol BatchPolicy, rng *rand.Rand) []batch
 	return units
 }
 
-// SplitCost splits one batched invocation's total charge into n member
-// shares whose left-to-right sum reconstructs total exactly in IEEE
-// arithmetic: the first n−1 shares are total/n, the last is total minus
-// their running sum. The running sum acc lies within [total/2, 2·total],
-// so total−acc is exact by the Sterbenz lemma and acc+(total−acc)
-// rounds back to total bit for bit.
-func SplitCost(total float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	return splitCostInto(make([]float64, n), total)
-}
-
-// splitCostInto is SplitCost into caller-owned storage: it fills and
-// returns shares (len ≥ 1), so a hot path can reuse one scratch slice.
+// splitCostInto splits one batched invocation's total charge into
+// len(shares) ≥ 1 member shares, in caller-owned storage so a hot path
+// can reuse one scratch slice, and returns shares. Their left-to-right
+// sum reconstructs total exactly in IEEE arithmetic: the first n−1
+// shares are total/n, the last is total minus their running sum. The
+// running sum acc lies within [total/2, 2·total], so total−acc is exact
+// by the Sterbenz lemma and acc+(total−acc) rounds back to total bit
+// for bit.
 func splitCostInto(shares []float64, total float64) []float64 {
 	n := len(shares)
 	if n == 1 {

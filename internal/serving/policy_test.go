@@ -55,20 +55,17 @@ func TestSplitCostExact(t *testing.T) {
 		{123456.789, 10},
 	}
 	for _, c := range cases {
-		shares := SplitCost(c.total, c.n)
+		shares := splitCostInto(make([]float64, c.n), c.total)
 		if len(shares) != c.n {
-			t.Fatalf("SplitCost(%v, %d) returned %d shares", c.total, c.n, len(shares))
+			t.Fatalf("splitCostInto(%v, %d) returned %d shares", c.total, c.n, len(shares))
 		}
 		var acc float64
 		for _, s := range shares {
 			acc += s
 		}
 		if acc != c.total {
-			t.Fatalf("SplitCost(%v, %d) folds to %v", c.total, c.n, acc)
+			t.Fatalf("splitCostInto(%v, %d) folds to %v", c.total, c.n, acc)
 		}
-	}
-	if SplitCost(1, 0) != nil || SplitCost(1, -2) != nil {
-		t.Fatal("non-positive member counts must return nil")
 	}
 }
 

@@ -166,18 +166,16 @@ type scheduler struct {
 	rep *Report
 	out results
 
-	// Admission front end. With precoalesced set the whole trace was
-	// coalesced and queued before the first event; otherwise look is the
-	// one coalesced unit beyond the admission frontier. backlog counts
+	// Admission front end. look is the one coalesced unit beyond the
+	// admission frontier; admitQ holds backed-off units. backlog counts
 	// member requests in not-yet-admitted units (heap + lookahead).
-	coal         *unitCoalescer
-	units        sim.Slab[unit]
-	admitQ       sim.Heap
-	precoalesced bool
-	lookID       int32
-	haveLook     bool
-	backlog      int
-	arrsBuf      []time.Duration
+	coal     *unitCoalescer
+	units    sim.Slab[unit]
+	admitQ   sim.Heap
+	lookID   int32
+	haveLook bool
+	backlog  int
+	arrsBuf  []time.Duration
 
 	// Running mean of completed service times — the SLO shedding
 	// completion predictor. Deterministic: it only folds in completed
@@ -185,7 +183,7 @@ type scheduler struct {
 	estSum time.Duration
 	estN   int
 
-	shares []float64 // SplitCost scratch
+	shares []float64 // splitCost scratch
 
 	// evs orders the staged executor's stage starts and finishes by
 	// (time, class, admission sequence); running counts the units in the
@@ -237,32 +235,16 @@ func newScheduler(cfg Config, src sim.Source, input func(int) *tensor.Tensor, re
 	}
 	if retain {
 		rep.Jobs = make([]JobResult, n)
-		// Retained staged runs coalesce the whole trace up front, before
-		// any window has flushed: their batch windows never see brownout
-		// widening, and serving_queue_depth counts the not-yet-admitted
-		// units of the materialized trace where every other mode counts
-		// the request backlog it can actually see.
-		s.precoalesced = s.st != nil
 	} else {
 		// The latency reservoir is the one per-request cost a folding run
 		// keeps; sized once, it never regrows (as summarize sizes it for
 		// retained runs).
 		s.out.acc.lats = make([]time.Duration, 0, n)
 	}
+	s.coal.ctl = s.ctl
 	var err error
-	if !s.precoalesced {
-		s.coal.ctl = s.ctl
-		s.lookID, s.haveLook, err = s.nextUnit()
-		return s, err
-	}
-	for {
-		id, ok, err := s.nextUnit()
-		if err != nil || !ok {
-			return s, err
-		}
-		u := s.units.Get(id)
-		s.admitQ.Push(sim.Event{At: u.readyAt, Class: evAdmit, Seq: uint64(u.First), ID: id})
-	}
+	s.lookID, s.haveLook, err = s.nextUnit()
+	return s, err
 }
 
 // mode names the executor the config selects, for Report.Mode.
@@ -392,12 +374,8 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 			s.ts.Advance(now)
 			s.ctl.judge(s.ts, &s.h)
 		}
-		// Queue depth after this unit leaves the queue (see
-		// newScheduler for what a precoalesced run counts).
-		d := s.admitQ.Len()
-		if !s.precoalesced {
-			d = s.backlog + s.coal.unread()
-		}
+		// Queue depth after this unit leaves the queue, in requests.
+		d := s.backlog + s.coal.unread()
 		if s.depthDedup.changed(w, d) {
 			s.h.tsQueueDepth.Set(now, float64(d))
 		}
@@ -645,7 +623,7 @@ func (s *scheduler) fillLeader(jr *JobResult, u *unit, jrep *coordinator.Report,
 	}
 }
 
-// splitCost is SplitCost into the scheduler's reused scratch slice.
+// splitCost runs splitCostInto on the scheduler's reused scratch slice.
 func (s *scheduler) splitCost(total float64, n int) []float64 {
 	if cap(s.shares) < n {
 		s.shares = make([]float64, n)

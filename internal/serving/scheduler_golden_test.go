@@ -47,6 +47,15 @@ type goldenScenario struct {
 	// lanes is the account concurrency limit in whole jobs.
 	lanes   int
 	reached func(*Report) bool
+	// noInjector removes the fault injector from the platform and the
+	// store after deployment.
+	noInjector bool
+}
+
+// outcomes is a run's per-request outcome counts.
+type outcomes struct {
+	Completed, Good, Shed, Deadline, Throttled, Failed int
+	BudgetExhausted, BrownoutShed, FallbackServed      int
 }
 
 func goldenScenarios() []goldenScenario {
@@ -103,9 +112,13 @@ func goldenScenarios() []goldenScenario {
 
 // goldenRun serves one scenario on a fresh deployment pair and hashes
 // everything observable.
-func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) schedulerGolden {
+func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) (schedulerGolden, outcomes) {
 	t.Helper()
 	e, fb := deployOverloadPair(t, sc.faults, sc.mutate)
+	if sc.noInjector {
+		e.pl.SetInjector(nil)
+		e.store.SetInjector(nil)
+	}
 	e.pl.SetAccountConcurrency(sc.lanes * e.dep.Partitions())
 	mx := obs.NewMetrics()
 	series := obs.NewTimeSeries(250 * time.Millisecond)
@@ -158,19 +171,25 @@ func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) schedulerGo
 		t.Fatal(err)
 	}
 	return schedulerGolden{
-		Render:  sha([]byte(rep.Render())),
-		Traces:  sha(traces),
-		Metrics: sha(mb.Bytes()),
-		Series:  sha(sb.Bytes()),
-		Meter:   strconv.FormatFloat(e.meter.Total(), 'g', -1, 64),
-	}
+			Render:  sha([]byte(rep.Render())),
+			Traces:  sha(traces),
+			Metrics: sha(mb.Bytes()),
+			Series:  sha(sb.Bytes()),
+			Meter:   strconv.FormatFloat(e.meter.Total(), 'g', -1, 64),
+		}, outcomes{
+			Completed: rep.Completed, Good: rep.Good, Shed: rep.Shed, Deadline: rep.Deadline,
+			Throttled: rep.Throttled, Failed: rep.Failed, BudgetExhausted: rep.BudgetExhausted,
+			BrownoutShed: rep.BrownoutShed, FallbackServed: rep.FallbackServed,
+		}
 }
 
 // TestSchedulerGolden pins the scheduler's output under the policies
 // the legacy battery predates — brownout, fallback routing, the retry
 // budget, deadline fail-fast with shedding — for both executors and
-// both entry points. Regenerate deliberately with
-// `go test ./internal/serving -run TestSchedulerGolden -update-golden`.
+// both entry points. Serve and ServeStream differ only in what they
+// retain, so each scenario's two runs on one executor must bill the
+// same meter total and count the same outcomes. Regenerate deliberately
+// with `go test ./internal/serving -run TestSchedulerGolden -update-golden`.
 func TestSchedulerGolden(t *testing.T) {
 	path := filepath.Join("testdata", "scheduler_golden.json")
 	got := map[string]schedulerGolden{}
@@ -179,14 +198,20 @@ func TestSchedulerGolden(t *testing.T) {
 			name   string
 			staged bool
 		}{{"whole-job", false}, {"pipelined+batched", true}} {
-			for _, entry := range []struct {
+			var outs [2]outcomes
+			for i, entry := range []struct {
 				name   string
 				stream bool
 			}{{"Serve", false}, {"ServeStream", true}} {
 				name := sc.name + "/" + ex.name + "/" + entry.name
 				t.Run(name, func(t *testing.T) {
-					got[name] = goldenRun(t, sc, ex.staged, entry.stream)
+					got[name], outs[i] = goldenRun(t, sc, ex.staged, entry.stream)
 				})
+			}
+			serve, stream := sc.name+"/"+ex.name+"/Serve", sc.name+"/"+ex.name+"/ServeStream"
+			if got[serve].Meter != got[stream].Meter || outs[0] != outs[1] {
+				t.Errorf("%s/%s: Serve billed $%s with %+v, ServeStream $%s with %+v",
+					sc.name, ex.name, got[serve].Meter, outs[0], got[stream].Meter, outs[1])
 			}
 		}
 	}
@@ -213,6 +238,27 @@ func TestSchedulerGolden(t *testing.T) {
 	for name, g := range got {
 		if w := want[name]; g != w {
 			t.Errorf("%s drifted from %s:\n got %+v\nwant %+v", name, path, g, w)
+		}
+	}
+}
+
+// A zero-rate injector is no injector: one golden recipe served with
+// faults.Uniform(0, seed) installed and with no injector at all must
+// agree byte for byte — render, spans, metrics, window stream and
+// meter total — through both executors and both entry points.
+func TestZeroRateInjectorIsNoInjector(t *testing.T) {
+	sc := goldenScenarios()[3] // slo-storm on a two-job account limit
+	sc.faults = faults.Uniform(0, 59)
+	sc.reached = func(r *Report) bool { return r.Completed > 0 && r.Throttles+r.Shed > 0 }
+	bare := sc
+	bare.noInjector = true
+	for _, staged := range []bool{false, true} {
+		for _, stream := range []bool{false, true} {
+			zero, _ := goldenRun(t, sc, staged, stream)
+			none, _ := goldenRun(t, bare, staged, stream)
+			if zero != none {
+				t.Errorf("staged=%v stream=%v: zero-rate injector %+v, no injector %+v", staged, stream, zero, none)
+			}
 		}
 	}
 }

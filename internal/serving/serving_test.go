@@ -27,6 +27,7 @@ type testEnv struct {
 	tracer *obs.Tracer
 	dep    *coordinator.Deployment
 	model  *nn.Model
+	store  *s3.Store // set by deployOverloadPair only
 }
 
 // deployTiny builds a fresh multi-partition TinyCNN deployment.

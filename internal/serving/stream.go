@@ -19,15 +19,11 @@ import (
 // (batch units are coalesced incrementally, one unit of lookahead beyond
 // the admission frontier).
 //
-// Two things differ from Serve by construction. Per-job costs are the
+// One thing differs from Serve by construction: per-job costs are the
 // lean path's meter deltas, which agree with Serve's span replays to
-// 1e-9 (the shared meter total is exact). And a staged Serve coalesces
-// its whole trace before the first event, so under batching its
-// serving_queue_depth counts units and its batch windows never see
-// brownout widening; a stream counts the request backlog and widens
-// live. Span sampling is
-// rejected — it exists to retain trees, which contradicts the
-// no-retention contract.
+// 1e-9 (the shared meter total is exact). Span sampling is rejected —
+// it exists to retain trees, which contradicts the no-retention
+// contract.
 func ServeStream(cfg Config, src sim.Source, input func(int) *tensor.Tensor) (*Report, error) {
 	requests := 0
 	if src != nil {

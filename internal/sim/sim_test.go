@@ -194,8 +194,8 @@ func TestSlabReuse(t *testing.T) {
 	if a == b {
 		t.Fatalf("distinct allocs share handle %d", a)
 	}
-	if s.Live() != 2 {
-		t.Fatalf("live = %d, want 2", s.Live())
+	if live := int(s.len) - len(s.free); live != 2 {
+		t.Fatalf("live = %d, want 2", live)
 	}
 	s.Free(a)
 	c, pc := s.Alloc()

@@ -51,6 +51,3 @@ func (s *Slab[T]) Get(id int32) *T {
 // Free recycles a handle. The caller must not use the handle (or the
 // pointer obtained from it) afterwards until Alloc hands it out again.
 func (s *Slab[T]) Free(id int32) { s.free = append(s.free, id) }
-
-// Live returns the number of allocated (not freed) slots.
-func (s *Slab[T]) Live() int { return int(s.len) - len(s.free) }
