@@ -87,16 +87,6 @@ func (m *Meter) Total() float64 {
 	return t
 }
 
-// Category returns the amount charged to one category.
-func (m *Meter) Category(category string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if i := m.slotLocked(category); i >= 0 {
-		return m.amounts[i]
-	}
-	return 0
-}
-
 // Breakdown returns a copy of all category totals.
 func (m *Meter) Breakdown() map[string]float64 {
 	m.mu.Lock()
@@ -106,13 +96,6 @@ func (m *Meter) Breakdown() map[string]float64 {
 		out[n] = m.amounts[i]
 	}
 	return out
-}
-
-// Reset clears all charges.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.names, m.amounts = nil, nil
 }
 
 // String renders the breakdown sorted by category name.

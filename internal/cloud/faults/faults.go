@@ -14,6 +14,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -211,12 +212,12 @@ func normalizeGroup(ps ...*float64) {
 	}
 }
 
-// normalizeRates clamps every rate to [0, 1] and proportionally
-// renormalizes each cumulative group (invoke triple, get pair, put
-// pair) whose sum exceeds 1.
+// normalizeRates clamps every rate to [0, 1] (NaN to 0) and
+// proportionally renormalizes each cumulative group (invoke triple, get
+// pair, put pair) whose sum exceeds 1.
 func normalizeRates(cfg *Config) {
 	clamp := func(p *float64) {
-		if *p < 0 {
+		if !(*p >= 0) {
 			*p = 0
 		}
 		if *p > 1 {
@@ -234,10 +235,11 @@ func normalizeRates(cfg *Config) {
 	normalizeGroup(&cfg.PutFail, &cfg.PutSlow)
 }
 
-// New builds an injector. Rates are clamped to [0, 1] and each
-// cumulative group is proportionally renormalized when its sum exceeds
-// 1, so the drawn distribution always matches the relative weights the
-// caller asked for.
+// New builds an injector. Rates are clamped to [0, 1] (NaN to 0), a
+// BurstFactor that is not a finite number above 1 takes its default,
+// and each cumulative group is proportionally renormalized when its sum
+// exceeds 1, so the drawn distribution always matches the relative
+// weights the caller asked for.
 func New(cfg Config) *Injector {
 	normalizeRates(&cfg)
 	if cfg.BurstEvery < 0 {
@@ -247,7 +249,7 @@ func New(cfg Config) *Injector {
 		if cfg.BurstLength <= 0 {
 			cfg.BurstLength = cfg.BurstEvery / 4
 		}
-		if cfg.BurstFactor <= 1 {
+		if !(cfg.BurstFactor > 1 && cfg.BurstFactor <= math.MaxFloat64) {
 			cfg.BurstFactor = 10
 		}
 	}
@@ -548,23 +550,6 @@ func (in *Injector) StoreFaultAt(op, key string, now time.Duration) (k Kind, fac
 	}
 	in.counts[k]++
 	return k, factor
-}
-
-// Counts returns how many faults of each kind have been injected so
-// far, keyed by Kind name. A nil injector returns nil.
-func (in *Injector) Counts() map[string]int64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int64)
-	for k, n := range in.counts {
-		if n > 0 {
-			out[Kind(k).String()] = n
-		}
-	}
-	return out
 }
 
 // Total returns the total number of injected faults.

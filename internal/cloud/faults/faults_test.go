@@ -3,9 +3,10 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilInjectorIsNeutral(t *testing.T) {
@@ -16,7 +17,7 @@ func TestNilInjectorIsNeutral(t *testing.T) {
 	if k, factor := in.StoreFault("get", "k"); k != None || factor != 1 {
 		t.Fatalf("nil injector injected %v (factor %v)", k, factor)
 	}
-	if in.Counts() != nil || in.Total() != 0 {
+	if in.Total() != 0 {
 		t.Fatal("nil injector reported counts")
 	}
 }
@@ -58,8 +59,8 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 			t.Fatalf("store draw %d diverged: %v/%v vs %v/%v", i, sa, fa, sb, fb)
 		}
 	}
-	if !reflect.DeepEqual(a.Counts(), b.Counts()) {
-		t.Fatalf("counts diverged: %v vs %v", a.Counts(), b.Counts())
+	if a.counts != b.counts {
+		t.Fatalf("counts diverged: %v vs %v", a.counts, b.counts)
 	}
 	if a.Total() == 0 {
 		t.Fatal("25% rate over 10000 draws injected nothing")
@@ -95,10 +96,9 @@ func TestRatesAreRoughlyHonored(t *testing.T) {
 	if got < rate-0.03 || got > rate+0.03 {
 		t.Fatalf("invoke fault rate %.3f, want ≈%.2f", got, rate)
 	}
-	counts := in.Counts()
 	for _, k := range []Kind{Throttle, Crash, Timeout} {
-		if counts[k.String()] == 0 {
-			t.Fatalf("kind %v never drawn at rate %.2f over %d draws: %v", k, rate, n, counts)
+		if in.counts[k] == 0 {
+			t.Fatalf("kind %v never drawn at rate %.2f over %d draws: %v", k, rate, n, in.counts)
 		}
 	}
 }
@@ -221,10 +221,53 @@ func TestConcurrentDraws(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	for _, n := range in.Counts() {
+	for _, n := range in.counts {
 		total += n
 	}
 	if total != in.Total() {
-		t.Fatalf("Counts sum %d != Total %d", total, in.Total())
+		t.Fatalf("counts sum %d != Total %d", total, in.Total())
+	}
+}
+
+// A NaN rate clamps to 0 like any rate outside [0, 1]: it must not
+// silence the other rates of its cumulative group, and a NaN
+// BurstFactor must not silence the storms.
+func TestNaNRatesClampToZero(t *testing.T) {
+	const n = 10000
+	nan := math.NaN()
+	inv := New(Config{Seed: 3, InvokeThrottle: nan, InvokeCrash: 0.3})
+	crashes := 0
+	for i := 0; i < n; i++ {
+		if k, _ := inv.InvokeFaultAt("f", 0); k == Crash {
+			crashes++
+		} else if k != None {
+			t.Fatalf("a NaN throttle rate drew %v", k)
+		}
+	}
+	if crashes < n/4 || crashes > n*7/20 {
+		t.Fatalf("crash rate 0.3 beside a NaN throttle rate fired %d of %d", crashes, n)
+	}
+	get := New(Config{Seed: 3, GetFail: nan, GetSlow: 0.3})
+	slow := 0
+	for i := 0; i < n; i++ {
+		if k, _ := get.StoreFault("get", "k"); k == Slow {
+			slow++
+		} else if k != None {
+			t.Fatalf("a NaN GET failure rate drew %v", k)
+		}
+	}
+	if slow < n/4 || slow > n*7/20 {
+		t.Fatalf("GET slow rate 0.3 beside a NaN failure rate fired %d of %d", slow, n)
+	}
+	burst := New(Config{Seed: 3, InvokeCrash: 0.01, BurstEvery: time.Second, BurstFactor: nan})
+	stormy := 0
+	for i := 0; i < n; i++ {
+		now := time.Duration(i) * time.Millisecond
+		if k, _ := burst.InvokeFaultAt("f", now); k != None && burst.InStorm(now) {
+			stormy++
+		}
+	}
+	if stormy == 0 {
+		t.Fatal("a NaN BurstFactor silenced every storm")
 	}
 }

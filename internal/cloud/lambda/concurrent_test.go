@@ -40,7 +40,7 @@ func TestConcurrentInvokesFirstSightPhases(t *testing.T) {
 		}
 		mu.Unlock()
 		for _, n := range names {
-			ctx.Advance(n, time.Millisecond)
+			ctx.advance(n, time.Millisecond)
 		}
 		return nil, nil
 	}

@@ -26,28 +26,17 @@ type Context struct {
 	elapsed  time.Duration
 	timedOut bool
 	tmpUsed  int64
-	tmpPeak  int64
 	phases   []Phase
 }
-
-// MemoryMB returns the function's memory allocation.
-func (c *Context) MemoryMB() int { return c.memoryMB }
 
 // Cold reports whether this invocation started a fresh container.
 func (c *Context) Cold() bool { return c.cold }
 
-// Elapsed returns the simulated time consumed so far.
-func (c *Context) Elapsed() time.Duration { return c.elapsed }
-
 // Perf returns the platform performance model.
 func (c *Context) Perf() perf.Params { return c.platform.perf }
 
-// Advance adds simulated time under the given phase label. It aborts the
+// advance adds simulated time under the given phase label. It aborts the
 // handler (via panic, recovered by Invoke) when the timeout is exceeded.
-func (c *Context) Advance(phase string, d time.Duration) {
-	c.advance(phase, d)
-}
-
 func (c *Context) advance(phase string, d time.Duration) {
 	c.advanceBytes(phase, d, 0)
 }
@@ -78,9 +67,6 @@ func (c *Context) TmpAlloc(n int64) error {
 			c.tmpUsed, n, c.platform.quota.TmpLimitMB)
 	}
 	c.tmpUsed += n
-	if c.tmpUsed > c.tmpPeak {
-		c.tmpPeak = c.tmpUsed
-	}
 	return nil
 }
 

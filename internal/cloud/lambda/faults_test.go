@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/perf"
@@ -29,7 +30,7 @@ func TestInjectedThrottleBillsNothing(t *testing.T) {
 	pl, meter := newPlatform()
 	pl.CreateFunction(FunctionConfig{Name: "f", MemoryMB: 512, Handler: echoHandler})
 	pl.Invoke("f", nil, InvokeOptions{}) // warm the container first
-	meter.Reset()
+	*meter = billing.Meter{}
 
 	pl.SetInjector(injectorFor(faults.Throttle))
 	res, err := pl.Invoke("f", nil, InvokeOptions{})
@@ -79,10 +80,10 @@ func TestInjectedCrashBillsWorkAndDiscardsContainer(t *testing.T) {
 	if res.Duration != want {
 		t.Fatalf("crash billed %v, want %v", res.Duration, want)
 	}
-	if meter.Category("lambda:invocations") != pricing.LambdaInvocation {
+	if meter.Breakdown()["lambda:invocations"] != pricing.LambdaInvocation {
 		t.Fatal("crash skipped the invocation fee")
 	}
-	if meter.Category("lambda:execution") == 0 {
+	if meter.Breakdown()["lambda:execution"] == 0 {
 		t.Fatal("crash billed no execution: faults must cost money")
 	}
 
@@ -164,7 +165,7 @@ func TestHandlerErrorPreemptsInjectedFault(t *testing.T) {
 	pl.CreateFunction(FunctionConfig{
 		Name: "bug", MemoryMB: 512,
 		Handler: func(ctx *Context, _ []byte) ([]byte, error) {
-			ctx.Advance("work", 50*time.Millisecond)
+			ctx.advance("work", 50*time.Millisecond)
 			return nil, errors.New("deterministic handler bug")
 		},
 	})

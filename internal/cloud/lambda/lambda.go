@@ -32,7 +32,6 @@ type Handler func(ctx *Context, payload []byte) ([]byte, error)
 // LayerRef is a function layer attached to a function (the paper pulls
 // the 169 MB dependency bundle and model files in through layers).
 type LayerRef struct {
-	Name      string
 	SizeBytes int64
 }
 
@@ -209,11 +208,6 @@ func (pl *Platform) ResetWarm(name string) {
 	fn.pool, fn.busyUntil, fn.live = fn.pool[:kept], fn.busyUntil[:kept], kept
 }
 
-// ValidMemory reports whether memMB is an allocatable 2020 memory block.
-func ValidMemory(memMB int) bool {
-	return pricing.Quota2020().ValidMemory(memMB)
-}
-
 // CreateFunction validates cfg against the platform quotas and registers
 // the function. It fails if a function with the same name exists.
 func (pl *Platform) CreateFunction(cfg FunctionConfig) error {
@@ -291,7 +285,6 @@ type Result struct {
 	// Cost is what this invocation charged (0 execution if deferred).
 	Cost      float64
 	ColdStart bool
-	TmpPeak   int64
 	Phases    []Phase
 	MemoryMB  int
 	// ContainerID identifies the pool container that served the
@@ -415,7 +408,6 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 		Response:    resp,
 		Duration:    ctx.elapsed,
 		ColdStart:   cold,
-		TmpPeak:     ctx.tmpPeak,
 		Phases:      ctx.phases,
 		MemoryMB:    cfg.MemoryMB,
 		ContainerID: c.id,

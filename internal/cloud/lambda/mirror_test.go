@@ -50,7 +50,7 @@ func checkMirror(t *testing.T, pl *Platform, rng *rand.Rand, step int, op string
 // checking the mirror after every step.
 func TestBusyMirrorMatchesPointerScan(t *testing.T) {
 	handler := func(ctx *Context, payload []byte) ([]byte, error) {
-		ctx.Advance("work", time.Duration(payload[0])*20*time.Millisecond)
+		ctx.advance("work", time.Duration(payload[0])*20*time.Millisecond)
 		return nil, nil
 	}
 	for _, clocked := range []bool{true, false} {

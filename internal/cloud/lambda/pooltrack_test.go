@@ -122,7 +122,7 @@ func TestDeleteFunctionReleasesInFlight(t *testing.T) {
 	pl, _ := newPlatform()
 	pl.EnableClock()
 	slow := func(ctx *Context, _ []byte) ([]byte, error) {
-		ctx.Advance("work", 10*time.Second)
+		ctx.advance("work", 10*time.Second)
 		return nil, nil
 	}
 	if err := pl.CreateFunction(FunctionConfig{Name: "f", MemoryMB: 512, Handler: slow}); err != nil {

@@ -60,12 +60,12 @@ func TestInstanceBilling(t *testing.T) {
 	s, meter := newStore()
 	s.ChargeStorage(0, time.Hour) // instance runs even while empty
 	want := hourlyUSD
-	got := meter.Category("redis:instance")
+	got := meter.Breakdown()["redis:instance"]
 	if got < want*0.999 || got > want*1.001 {
 		t.Fatalf("hour of cache = $%v, want $%v", got, want)
 	}
 	s.ChargeStorage(1<<30, -time.Second) // no refunds
-	if meter.Category("redis:instance") != got {
+	if meter.Breakdown()["redis:instance"] != got {
 		t.Fatal("negative duration charged")
 	}
 	// Requests themselves are free (no s3-style fees).

@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/faults"
 )
 
 func TestInjected503NotBilled(t *testing.T) {
 	s, meter := newStore()
 	s.Put("k", []byte("data"))
-	meter.Reset()
+	*meter = billing.Meter{}
 
 	s.SetInjector(faults.New(faults.Config{Seed: 1, GetFail: 1, PutFail: 1}))
 	if _, _, err := s.Get("k"); err == nil || !faults.IsTransient(err) {
@@ -67,7 +68,7 @@ func TestInjectedSlowdownStretchesTransfer(t *testing.T) {
 		t.Fatalf("slow GET %v not stretched", d)
 	}
 	// Slow requests still succeed, so they bill normally.
-	if meter.Category("s3:put") == 0 || meter.Category("s3:get") == 0 {
+	if meter.Breakdown()["s3:put"] == 0 || meter.Breakdown()["s3:get"] == 0 {
 		t.Fatal("slow requests not billed")
 	}
 }

@@ -31,10 +31,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("got %q", got)
 	}
-	if meter.Category("s3:put") != pricing.S3PutRequest {
+	if meter.Breakdown()["s3:put"] != pricing.S3PutRequest {
 		t.Fatal("PUT not charged")
 	}
-	if meter.Category("s3:get") != pricing.S3GetRequest {
+	if meter.Breakdown()["s3:get"] != pricing.S3GetRequest {
 		t.Fatal("GET not charged")
 	}
 }
@@ -91,7 +91,7 @@ func TestChargeStorage(t *testing.T) {
 	s, meter := newStore()
 	s.ChargeStorage(1<<30, time.Hour)
 	want := 1.0 * 3600 * pricing.S3StoragePerGBSecond
-	got := meter.Category("s3:storage")
+	got := meter.Breakdown()["s3:storage"]
 	if got < want*0.999 || got > want*1.001 {
 		t.Fatalf("storage charge %v, want %v", got, want)
 	}

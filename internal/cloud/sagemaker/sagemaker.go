@@ -24,7 +24,6 @@ import (
 
 // InstanceType models a SageMaker instance's price and speed.
 type InstanceType struct {
-	Name      string
 	HourlyUSD float64
 	// GFLOPS is the effective inference rate of the ML framework on this
 	// instance.
@@ -39,12 +38,12 @@ var (
 	// sits below a full-share lambda's (the paper's Fig 6 shows AMPS-Inf
 	// predicting faster than Sage 1).
 	T2Medium = InstanceType{
-		Name: "ml.t2.medium", HourlyUSD: pricing.SageNotebookT2MediumHourly,
-		GFLOPS: 0.45, LoadSecPerMB: 0.12,
+		HourlyUSD: pricing.SageNotebookT2MediumHourly,
+		GFLOPS:    0.45, LoadSecPerMB: 0.12,
 	}
 	M4XLarge = InstanceType{
-		Name: "ml.m4.xlarge", HourlyUSD: pricing.SageHostingM4XLargeHourly,
-		GFLOPS: 1.6, LoadSecPerMB: 0.08,
+		HourlyUSD: pricing.SageHostingM4XLargeHourly,
+		GFLOPS:    1.6, LoadSecPerMB: 0.08,
 	}
 )
 
@@ -81,7 +80,6 @@ func New(meter *billing.Meter) *Platform {
 
 // Job describes one inference job.
 type Job struct {
-	ModelName    string
 	WeightsBytes int64
 	// FLOPs is the compute for one example.
 	FLOPs int64
@@ -91,7 +89,6 @@ type Job struct {
 
 // Report describes one job's simulated execution.
 type Report struct {
-	Setting string
 	// Phase durations.
 	Rearrange time.Duration // Sage 1: repackaging on the notebook
 	Deploy    time.Duration // Sage 2: endpoint creation + model staging
@@ -128,7 +125,7 @@ func batchFLOPs(flops int64, n int) int64 {
 // plus the job itself; weights storage is billed at ML-storage rates.
 func (p *Platform) ServeNotebook(j Job) *Report {
 	inst := T2Medium
-	r := &Report{Setting: "sage1"}
+	r := &Report{}
 	r.Rearrange = rearrangeBase + seconds(j.weightsMB()*rearrangeSecPerMB)
 	r.Load = seconds(j.weightsMB() * inst.LoadSecPerMB)
 	r.Predict = seconds(float64(batchFLOPs(j.FLOPs, j.images())) / (inst.GFLOPS * 1e9))
@@ -149,7 +146,7 @@ func (p *Platform) ServeNotebook(j Job) *Report {
 // instances are billed.
 func (p *Platform) ServeHosted(j Job) *Report {
 	nb, host := T2Medium, M4XLarge
-	r := &Report{Setting: "sage2"}
+	r := &Report{}
 	// Loading in Sage 2 includes fetching the staged model from S3 — the
 	// reason the paper's Fig 5 shows it slowest.
 	r.Deploy = endpointCreateTime

@@ -9,12 +9,12 @@ import (
 
 func resnetJob(images int) Job {
 	m := zoo.ResNet50(0)
-	return Job{ModelName: "resnet50", WeightsBytes: m.WeightBytes(), FLOPs: m.TotalFLOPs(), Images: images}
+	return Job{WeightsBytes: m.WeightBytes(), FLOPs: m.TotalFLOPs(), Images: images}
 }
 
 func mobilenetJob(images int) Job {
 	m := zoo.MobileNet(0)
-	return Job{ModelName: "mobilenet", WeightsBytes: m.WeightBytes(), FLOPs: m.TotalFLOPs(), Images: images}
+	return Job{WeightsBytes: m.WeightBytes(), FLOPs: m.TotalFLOPs(), Images: images}
 }
 
 func newPlatform() (*Platform, *billing.Meter) {
@@ -52,7 +52,7 @@ func TestSage2DeployPlusPredictTable4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := p.ServeHosted(Job{ModelName: name, WeightsBytes: m.WeightBytes(), FLOPs: m.TotalFLOPs(), Images: 1})
+		r := p.ServeHosted(Job{WeightsBytes: m.WeightBytes(), FLOPs: m.TotalFLOPs(), Images: 1})
 		dp := (r.Deploy + r.Predict + r.Load).Seconds()
 		if dp < 380 || dp > 520 {
 			t.Errorf("%s Sage2 deploy+predict %.1fs, paper ≈400-465s", name, dp)
@@ -62,14 +62,14 @@ func TestSage2DeployPlusPredictTable4(t *testing.T) {
 
 func TestSage2SlowerAndCostlierThanSage1(t *testing.T) {
 	p, _ := newPlatform()
-	for _, job := range []Job{resnetJob(1), mobilenetJob(1)} {
+	for name, job := range map[string]Job{"resnet50": resnetJob(1), "mobilenet": mobilenetJob(1)} {
 		r1 := p.ServeNotebook(job)
 		r2 := p.ServeHosted(job)
 		if r2.Completion <= r1.Completion {
-			t.Errorf("%s: Sage2 (%v) not slower than Sage1 (%v)", job.ModelName, r2.Completion, r1.Completion)
+			t.Errorf("%s: Sage2 (%v) not slower than Sage1 (%v)", name, r2.Completion, r1.Completion)
 		}
 		if r2.Cost <= r1.Cost {
-			t.Errorf("%s: Sage2 ($%.4f) not costlier than Sage1 ($%.4f)", job.ModelName, r2.Cost, r1.Cost)
+			t.Errorf("%s: Sage2 ($%.4f) not costlier than Sage1 ($%.4f)", name, r2.Cost, r1.Cost)
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestMeterCategories(t *testing.T) {
 	p, meter := newPlatform()
 	p.ServeHosted(resnetJob(1))
 	for _, cat := range []string{"sagemaker:notebook", "sagemaker:hosting", "sagemaker:data"} {
-		if meter.Category(cat) <= 0 {
+		if meter.Breakdown()[cat] <= 0 {
 			t.Errorf("category %s not charged", cat)
 		}
 	}

@@ -54,9 +54,7 @@ type Execution struct {
 	// Transitions is the number of billed state transitions (start +
 	// one per state).
 	Transitions int
-	// Cost sums transition fees and invocation costs.
-	Cost   float64
-	Output []byte
+	Output      []byte
 }
 
 // Run executes the machine on input. Each state transition adds the
@@ -78,7 +76,6 @@ func (e *Engine) Run(m Machine, input []byte) (*Execution, error) {
 			return exec, fmt.Errorf("stepfn: state %q: %w", st.Name, err)
 		}
 		exec.Duration += res.Duration
-		exec.Cost += res.Cost
 		payload = res.Response
 	}
 	// Final transition to the terminal state.
@@ -93,6 +90,5 @@ func (e *Engine) transition(exec *Execution, count obs.CounterHandle) {
 	exec.TransitionTime += pricing.StepFnTransitionDelay
 	exec.Duration += pricing.StepFnTransitionDelay
 	e.meter.Add("stepfn:transitions", pricing.StepFnTransition)
-	exec.Cost += pricing.StepFnTransition
 	count.Inc(1)
 }

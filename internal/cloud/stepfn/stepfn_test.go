@@ -3,7 +3,6 @@ package stepfn
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/lambda"
@@ -20,7 +19,7 @@ func setup() (*Engine, *lambda.Platform, *billing.Meter) {
 
 func appendHandler(tag string) lambda.Handler {
 	return func(ctx *lambda.Context, payload []byte) ([]byte, error) {
-		ctx.Advance("work", 100*time.Millisecond)
+		ctx.Compute(1e9, 0)
 		return append(payload, []byte(tag)...), nil
 	}
 }
@@ -56,7 +55,7 @@ func TestRunChainsStates(t *testing.T) {
 	if exec.Duration <= exec.TransitionTime {
 		t.Fatal("duration must include invocations")
 	}
-	if meter.Category("stepfn:transitions") != 4*pricing.StepFnTransition {
+	if meter.Breakdown()["stepfn:transitions"] != 4*pricing.StepFnTransition {
 		t.Fatal("transition fees not metered")
 	}
 	if got := mx.Snapshot().Counters["stepfn_transitions_total"]; got != 4 {

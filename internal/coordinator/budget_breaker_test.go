@@ -65,7 +65,7 @@ func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 		t.Fatalf("budget after probe cycle = %v, want %v (%v clean earns - 1 forfeited earn - %d short-circuit tokens); the probe itself must spend nothing",
 			got, want, cleanEarn, rep.ShortCircuits)
 	}
-	if denied := d.BudgetDenied(); denied != 0 {
+	if denied := rep.BudgetDenied; denied != 0 {
 		t.Fatalf("a funded budget denied %d attempts", denied)
 	}
 	d.retryMu.Lock()
@@ -100,7 +100,7 @@ func TestBreakerShortCircuitDeniedByEmptyBudget(t *testing.T) {
 	if rep == nil || rep.ShortCircuits != 1 {
 		t.Fatalf("want exactly one short circuit before the denial, got %+v", rep)
 	}
-	if denied := d.BudgetDenied(); denied != 1 {
+	if denied := rep.BudgetDenied; denied != 1 {
 		t.Fatalf("BudgetDenied = %d, want 1", denied)
 	}
 	d.retryMu.Lock()

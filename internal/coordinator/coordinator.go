@@ -97,8 +97,6 @@ type Deployment struct {
 	// controller's runtime hedge override, both under retryMu.
 	budgetTokens float64
 	hedgeOff     bool
-	// budgetDenied counts retries/hedges skipped by an empty bucket.
-	budgetDenied int64
 
 	// Pooled-job state (see job.go, lean.go): the free list of job
 	// records and their sequence, the payload→job routing table the
@@ -204,7 +202,7 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 	d.resolveJobHandles()
 	d.stablePut, _ = cfg.Store.(stage.StablePutter)
 	perfp := cfg.Platform.Perf()
-	depsLayer := lambda.LayerRef{Name: "keras-deps", SizeBytes: int64(perfp.DepsMB * (1 << 20))}
+	depsLayer := lambda.LayerRef{SizeBytes: int64(perfp.DepsMB * (1 << 20))}
 
 	for i, lp := range plan.Lambdas {
 		part, err := model.Partition(lp.LayerLo, lp.LayerHi)

@@ -220,7 +220,7 @@ func (j *job) invoke() (*lambda.Result, *retryInfo, error) {
 // phase split filled in.
 func (j *job) settlePart(i int, lr LambdaRun, hold, billed time.Duration) {
 	d := j.d
-	res, info := j.results[i], &j.infos[i]
+	res := j.results[i]
 	b := j.tr.NewBucket()
 	j.partBuckets = append(j.partBuckets, b)
 	prev := j.tr.SetSink(b)
@@ -229,15 +229,7 @@ func (j *job) settlePart(i int, lr LambdaRun, hold, billed time.Duration) {
 	}
 	d.cfg.Store.ChargeStorage(j.storedBefore[i], hold)
 	j.tr.SetSink(prev)
-	lr.FunctionName = d.parts[i].fnName
-	lr.MemoryMB = res.MemoryMB
 	lr.Cold = res.ColdStart
-	lr.Active = res.Duration
-	lr.Billed = billed
-	lr.Attempts = info.attempts
-	lr.InjectedFaults = info.faults
-	lr.BackoffWait = info.backoff
-	lr.Wasted = info.wasted
 	j.rep.PerLambda = append(j.rep.PerLambda, lr)
 }
 

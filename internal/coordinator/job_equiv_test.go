@@ -38,7 +38,6 @@ type trialView struct {
 	jobs      []jobView
 	breakdown map[string]float64
 	leftover  int64
-	denied    int64
 	tokens    float64
 	metrics   string
 }
@@ -70,9 +69,6 @@ func viewOf(rep *Report, err error) jobView {
 		Hedges: rep.Hedges, HedgeWins: rep.HedgeWins,
 		ShortCircuits: rep.ShortCircuits, Denied: rep.BudgetDenied,
 		WastedSpend: rep.WastedSpend, ErrClass: errClass(err), Output: rep.Output,
-	}
-	for i := range v.PerLambda {
-		v.PerLambda[i].InjectedFaults = append([]string(nil), v.PerLambda[i].InjectedFaults...)
 	}
 	return v
 }
@@ -170,7 +166,6 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 	}
 	tv.breakdown = e.meter.Breakdown()
 	tv.leftover = e.store.TotalBytes()
-	tv.denied = d.BudgetDenied()
 	tv.tokens = d.budgetTokens
 	var buf bytes.Buffer
 	if err := cfg.Metrics.WriteJSON(&buf); err != nil {
@@ -266,9 +261,9 @@ func comparePooledTraced(t *testing.T, side string, want, got trialView, replaye
 	if !reflect.DeepEqual(want.breakdown, got.breakdown) {
 		t.Fatalf("%s: meter breakdown %v, pooled %v", side, got.breakdown, want.breakdown)
 	}
-	if got.leftover != want.leftover || got.denied != want.denied || got.tokens != want.tokens {
-		t.Fatalf("%s: leftover/denied/tokens %d/%d/%v, pooled %d/%d/%v", side,
-			got.leftover, got.denied, got.tokens, want.leftover, want.denied, want.tokens)
+	if got.leftover != want.leftover || got.tokens != want.tokens {
+		t.Fatalf("%s: leftover/tokens %d/%v, pooled %d/%v", side,
+			got.leftover, got.tokens, want.leftover, want.tokens)
 	}
 	// The job-cost total folds each job's Cost, so it inherits the replay's ulps.
 	if !replayed && got.metrics != want.metrics {

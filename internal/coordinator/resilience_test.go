@@ -398,7 +398,6 @@ func TestBreakerShortCircuitsUnderStorm(t *testing.T) {
 		cfg.Breaker = BreakerPolicy{ConsecutiveFailures: 2}
 	})
 	shortCircuits, breakerErrs := 0, 0
-	sawLabel := false
 	for j := 0; j < 12; j++ {
 		rep, err := d.RunEager(randomInput(m, int64(j)))
 		var rj *Report
@@ -411,20 +410,10 @@ func TestBreakerShortCircuitsUnderStorm(t *testing.T) {
 		}
 		if rj != nil {
 			shortCircuits += rj.ShortCircuits
-			for _, lr := range rj.PerLambda {
-				for _, f := range lr.InjectedFaults {
-					if f == "breaker-open" {
-						sawLabel = true
-					}
-				}
-			}
 		}
 	}
 	if shortCircuits == 0 {
 		t.Fatal("90% fault rate with a 2-failure breaker never short-circuited")
-	}
-	if !sawLabel {
-		t.Log("breaker-open label only on failed jobs' records")
 	}
 	if breakerErrs == 0 {
 		t.Fatal("no job ended on a *BreakerOpenError in its error chain")

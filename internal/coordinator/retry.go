@@ -109,7 +109,7 @@ type hedgeRec struct {
 // retryInfo accumulates what one operation's retries cost.
 type retryInfo struct {
 	attempts int
-	faults   []string
+	faults   int // failed attempts that carried a fault
 	backoff  time.Duration
 	// wasted is the simulated time failed attempts spent executing.
 	wasted time.Duration
@@ -246,7 +246,7 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 			if !allowed {
 				ri.attempts++
 				ri.shortCircuits++
-				ri.faults = append(ri.faults, "breaker-open")
+				ri.faults++
 				step := retryStep{fault: "breaker-open"}
 				err := &BreakerOpenError{Function: fnName, Until: until}
 				stop, ferr := j.retryGate(&ri, &step, err, "invoke ", fnName, true, ri.delay(), invokeDispatchLatency)
@@ -341,7 +341,6 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 		}
 
 		step := retryStep{res: res, bucket: bucket}
-		nfaults := len(ri.faults)
 		if res != nil {
 			// The attempt executed before failing: its time is spent and,
 			// under deferred billing, must still be settled.
@@ -352,16 +351,15 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 					ri.wastedCost += d.cfg.Platform.SettleExecution(res.MemoryMB, res.Duration)
 				})
 			}
-			if res.InjectedFault != "" {
-				ri.faults = append(ri.faults, res.InjectedFault)
-			} else {
-				ri.faults = append(ri.faults, "error")
+			step.fault = res.InjectedFault
+			if step.fault == "" {
+				step.fault = "error"
 			}
 		} else if fe := faultOf(err); fe != nil {
-			ri.faults = append(ri.faults, fe.Kind.String())
+			step.fault = fe.Kind.String()
 		}
-		if len(ri.faults) > nfaults {
-			step.fault = ri.faults[len(ri.faults)-1]
+		if step.fault != "" {
+			ri.faults++
 		}
 		d.recordOutcome(p, j.breakerNow(&ri), false)
 		stop, ferr := j.retryGate(&ri, &step, err, "invoke ", fnName, faults.IsTransient(err), ri.delay(), invokeDispatchLatency)
@@ -406,7 +404,7 @@ func (d *Deployment) resolveHedge(ri *retryInfo, res *lambda.Result, err error, 
 			if hedgeFinish <= primFinish {
 				// The hedge genuinely failed before cancellation; that
 				// outcome is real signal for the breaker.
-				ri.faults = append(ri.faults, hedgeFault)
+				ri.faults++
 			}
 		}
 		ri.finalHedge = rec
@@ -427,7 +425,7 @@ func (d *Deployment) resolveHedge(ri *retryInfo, res *lambda.Result, err error, 
 		}
 		if !primOK {
 			rec.fault = primFault
-			ri.faults = append(ri.faults, primFault)
+			ri.faults++
 		}
 		ri.hedgeWins++
 		ri.hedgeWon = true
@@ -454,10 +452,10 @@ func (d *Deployment) resolveHedge(ri *retryInfo, res *lambda.Result, err error, 
 		})
 	}
 	if primFault != "" {
-		ri.faults = append(ri.faults, primFault)
+		ri.faults++
 	}
 	if hedgeFault != "" {
-		ri.faults = append(ri.faults, hedgeFault)
+		ri.faults++
 	}
 	step := &retryStep{res: res, fault: primFault, bucket: bucket, hedge: hrec}
 	return nil, err, step
@@ -527,20 +525,11 @@ func (d *Deployment) takeHedgeSlot() bool {
 // what was denied, plus a window-stream gauge of the remaining balance.
 func (d *Deployment) noteBudgetDenied(kind obs.EventCounter) {
 	d.retryMu.Lock()
-	d.budgetDenied++
 	tokens := d.budgetTokens
 	d.retryMu.Unlock()
 	at := d.cfg.Platform.Now()
 	kind.Inc(at, 1)
 	d.jh.tsBudgetTokens.Set(at, tokens)
-}
-
-// BudgetDenied reports how many retries/hedges the deployment-wide
-// budget has skipped so far.
-func (d *Deployment) BudgetDenied() int64 {
-	d.retryMu.Lock()
-	defer d.retryMu.Unlock()
-	return d.budgetDenied
 }
 
 // recordOutcome feeds one real invocation outcome to the partition's
@@ -612,7 +601,7 @@ func (j *job) putWithRetry(data []byte) (time.Duration, error) {
 		}
 		step := retryStep{bucket: bucket}
 		if fe := faultOf(err); fe != nil {
-			ri.faults = append(ri.faults, fe.Kind.String())
+			ri.faults++
 			step.fault = fe.Kind.String()
 		}
 		stop, ferr := j.retryGate(ri, &step, err, "put ", j.inKey, faults.IsTransient(err), ri.backoff, 0)

@@ -67,17 +67,8 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 		if rep.FaultsInjected > 0 && rep.Retries == 0 {
 			t.Fatalf("job %d absorbed %d faults with 0 recorded retries", j, rep.FaultsInjected)
 		}
-		if rep.Retries > 0 {
-			// Some fault needed a backoff wait or wasted execution.
-			var sawRecord bool
-			for _, lr := range rep.PerLambda {
-				if lr.Attempts > 1 {
-					sawRecord = len(lr.InjectedFaults) > 0
-				}
-			}
-			if !sawRecord && rep.BackoffWait == 0 {
-				t.Fatalf("job %d: retries recorded nowhere", j)
-			}
+		if rep.Retries > 0 && rep.FaultsInjected == 0 && rep.BackoffWait == 0 {
+			t.Fatalf("job %d: retries recorded nowhere", j)
 		}
 	}
 	if totalFaults == 0 {

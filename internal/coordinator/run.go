@@ -15,26 +15,14 @@ const invokeDispatchLatency = 30 * time.Millisecond
 
 // LambdaRun reports one partition invocation within a job.
 type LambdaRun struct {
-	FunctionName string
-	MemoryMB     int
-	Cold         bool
-	// Active is the handler's own simulated time.
-	Active time.Duration
-	// Billed is the settled billed lifetime (= Active in sequential mode;
-	// includes input-polling wait in eager mode).
-	Billed time.Duration
-	// Phase decomposition of Active (the paper's Fig 5/6 quantities):
+	Cold bool
+	// Phase decomposition of the handler's simulated time (the paper's
+	// Fig 5/6 quantities):
 	Init    time.Duration // platform start + runtime overhead + deps init
 	Load    time.Duration // model/weights deserialization
 	Read    time.Duration // input transfer from S3
 	Compute time.Duration // forward pass
 	Write   time.Duration // output transfer to S3
-
-	// Fault-recovery record (zero on a clean run):
-	Attempts       int           // invocation attempts (1 = no retries)
-	InjectedFaults []string      // fault kind per failed attempt
-	BackoffWait    time.Duration // total backoff before success
-	Wasted         time.Duration // simulated time failed attempts burned
 }
 
 // phaseSplit classifies an invocation's phases into the LambdaRun fields.
@@ -255,7 +243,7 @@ func (d *Deployment) recordJobMetrics(rep *Report) {
 // recordRetries folds one operation's retry record into the job report.
 func (d *Deployment) recordRetries(rep *Report, ri *retryInfo) {
 	rep.Retries += ri.retries()
-	rep.FaultsInjected += len(ri.faults)
+	rep.FaultsInjected += ri.faults
 	rep.BackoffWait += ri.backoff
 	rep.Hedges += ri.hedges
 	rep.HedgeWins += ri.hedgeWins
@@ -297,7 +285,6 @@ func (j *job) settleEager() {
 
 // BatchReport aggregates a multi-image batch job.
 type BatchReport struct {
-	Mode       string
 	Completion time.Duration
 	Cost       float64
 	Jobs       []*Report
@@ -307,7 +294,7 @@ type BatchReport struct {
 // warm pipeline (the paper's AMPS-Inf-Seq of Fig 13): completion is the
 // sum of per-image completions.
 func (d *Deployment) RunBatchSequential(inputs []*tensor.Tensor) (*BatchReport, error) {
-	br := &BatchReport{Mode: "batch-sequential"}
+	br := &BatchReport{}
 	for i, in := range inputs {
 		rep, err := d.RunEager(in)
 		if err != nil {
@@ -327,7 +314,7 @@ func (d *Deployment) RunBatchSequential(inputs []*tensor.Tensor) (*BatchReport, 
 // on a clocked platform a mid-flight sandbox keeps executing; here the
 // jobs are replayed one at a time, so each starts from a cold pool.
 func (d *Deployment) RunBatchParallel(inputs []*tensor.Tensor) (*BatchReport, error) {
-	br := &BatchReport{Mode: "batch-parallel"}
+	br := &BatchReport{}
 	for i, in := range inputs {
 		for _, p := range d.parts {
 			d.cfg.Platform.ResetWarm(p.fnName)

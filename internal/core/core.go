@@ -114,9 +114,6 @@ func (f *Framework) Meter() *billing.Meter { return f.meter }
 // Platform returns the underlying serverless platform.
 func (f *Framework) Platform() *lambda.Platform { return f.platform }
 
-// Store returns the staging object store.
-func (f *Framework) Store() *s3.Store { return f.store }
-
 // SubmitOptions tunes one submission.
 type SubmitOptions struct {
 	// SLO is the response-time objective (0 = cost-optimal, no deadline).
@@ -157,7 +154,6 @@ const coPlanProbe = 8
 // Service is a deployed, ready-to-serve model.
 type Service struct {
 	framework  *Framework
-	model      *nn.Model
 	Plan       *optimizer.Plan
 	deployment *coordinator.Deployment
 	// fallback is the quantized copy of the same plan deployed when the
@@ -242,7 +238,7 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 		}
 	}
 	return &Service{
-		framework: f, model: model, Plan: plan, BatchPlan: batchPlan,
+		framework: f, Plan: plan, BatchPlan: batchPlan,
 		deployment: dep, fallback: fb, PlanningTime: planning,
 	}, nil
 }
@@ -315,11 +311,6 @@ func (s *Service) ColdStart() {
 	}
 }
 
-// Deployment exposes the underlying coordinator deployment, so
-// concurrent serving schedulers (internal/serving) can drive it on the
-// shared platform directly.
-func (s *Service) Deployment() *coordinator.Deployment { return s.deployment }
-
 // Close tears the deployment (and any fallback) down.
 func (s *Service) Close() {
 	s.deployment.Teardown()
@@ -328,15 +319,8 @@ func (s *Service) Close() {
 	}
 }
 
-// Fallback exposes the quantized fallback deployment, if the submission
-// requested one via FallbackBits (nil otherwise).
-func (s *Service) Fallback() *coordinator.Deployment { return s.fallback }
-
 // Partitions reports how many lambdas serve the model.
 func (s *Service) Partitions() int { return s.deployment.Partitions() }
-
-// Model returns the served model.
-func (s *Service) Model() *nn.Model { return s.model }
 
 // Breakdown splits one job report into the paper's Fig 5/6 quantities:
 // the summed model+weights loading time across the job's lambdas, and

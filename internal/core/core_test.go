@@ -77,7 +77,7 @@ func TestPlannerTransferMatchesStore(t *testing.T) {
 			}
 			prof := sp.Profile(a, b)
 			want := fw.perf.EndToEndTime(mem, prof.FLOPs, prof.WeightsBytes) +
-				fw.Store().TransferTime(prof.InBytes) + fw.Store().TransferTime(prof.OutBytes)
+				fw.store.TransferTime(prof.InBytes) + fw.store.TransferTime(prof.OutBytes)
 			if got != want {
 				t.Fatalf("span [%d, %d) at %d MB: planner estimates %v, store model gives %v", a, b, mem, got, want)
 			}
@@ -133,7 +133,7 @@ func TestBreakdown(t *testing.T) {
 	// Load + predict must be bounded by the summed active time.
 	var active time.Duration
 	for _, lr := range rep.PerLambda {
-		active += lr.Active
+		active += lr.Init + lr.Load + lr.Read + lr.Compute + lr.Write
 	}
 	if load+predict > active {
 		t.Fatalf("breakdown %v exceeds active %v", load+predict, active)

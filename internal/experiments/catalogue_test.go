@@ -10,13 +10,17 @@ import (
 	"time"
 
 	"ampsinf/internal/baselines"
+	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/faults"
+	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/cloud/stepfn"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/obs"
+	"ampsinf/internal/optimizer"
+	"ampsinf/internal/perf"
 	"ampsinf/internal/serving"
 	"ampsinf/internal/tensor"
 	"ampsinf/internal/workload"
@@ -180,15 +184,22 @@ func TestMetricCatalogue(t *testing.T) {
 	// Step Functions run only the Serfer baseline.
 	m := zoo.LinearNet(8)
 	mx, ts := obs.NewMetrics(), obs.NewTimeSeries(time.Second)
-	fw := core.NewFramework(core.Options{Metrics: mx, Series: ts})
-	serfer, err := fw.Submit(m, nn.InitWeights(m, 42), core.SubmitOptions{})
+	meter := &billing.Meter{}
+	store := s3.New(s3.DefaultConfig(), meter)
+	fw := core.NewFramework(core.Options{Meter: meter, Store: store, Metrics: mx, Series: ts})
+	plan, err := optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer serfer.Close()
-	eng := stepfn.NewEngine(fw.Platform(), fw.Meter())
+	dep, err := coordinator.Deploy(coordinator.Config{Platform: fw.Platform(), Store: store, Metrics: mx, Series: ts},
+		m, nn.InitWeights(m, 42), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Teardown()
+	eng := stepfn.NewEngine(fw.Platform(), meter)
 	eng.Metrics = mx
-	if _, err := baselines.RunSerfer(eng, serfer.Deployment(), fw.Store(), workload.Images(m, 1, 7)[0]); err != nil {
+	if _, err := baselines.RunSerfer(eng, dep, store, workload.Images(m, 1, 7)[0]); err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()

@@ -13,9 +13,9 @@ import (
 // through the same violent regime — 60% base fault rate with 8×
 // correlated storms — under a tight account limit, so staged execution,
 // batch coalescing, retry chains and stage failures all interleave on
-// one clock. The assertions pin accounting sanity: every request gets
-// exactly one outcome, and the span-replay cost identity (SumCostsAll ≡
-// meter total) survives batched failure traces.
+// one clock. The assertions pin accounting sanity; the span-replay cost
+// identity under such a storm is internal/serving's
+// TestChaosBatchedTracesReplayMeter.
 func TestChaosPipelineBatch(t *testing.T) {
 	r, err := runPipelineBatch("mobilenet", 24, 1.0, ResilienceSeed, 0, 0.60)
 	if err != nil {
@@ -25,17 +25,11 @@ func TestChaosPipelineBatch(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(r.Rows), len(PipelineLadder))
 	}
 	for _, row := range r.Rows {
-		if row.Completed > r.Jobs || row.Completed < 0 {
-			t.Errorf("cell %s: completed %d of %d", row.Cell.Name, row.Completed, r.Jobs)
-		}
-		if row.Good > row.Completed {
-			t.Errorf("cell %s: good %d exceeds completed %d", row.Cell.Name, row.Good, row.Completed)
+		if row.Good > r.Jobs || row.Good < 0 {
+			t.Errorf("cell %s: good %d of %d", row.Cell.Name, row.Good, r.Jobs)
 		}
 		if row.Cost < 0 {
 			t.Errorf("cell %s: negative cost %v", row.Cell.Name, row.Cost)
-		}
-		if row.TraceCost != row.MeterCost {
-			t.Errorf("cell %s: trace cost %v != meter %v under the storm", row.Cell.Name, row.TraceCost, row.MeterCost)
 		}
 	}
 }

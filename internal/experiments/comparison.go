@@ -37,12 +37,27 @@ type BaselineRow struct {
 	B1    SettingRun
 	B2    SettingRun
 	B3    SettingRun
-	// Plan-level estimates for the cost-optimality check.
-	AMPSPlanCost, B3PlanCost float64
+}
+
+// sloPlans plans name twice: Baseline 3's exhaustive cost-optimal plan,
+// and AMPS-Inf's under an SLO of SLOFactor × that plan's time.
+func sloPlans(name string) (amps, b3 *optimizer.Plan, err error) {
+	o, err := optimizerFor(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	b3, err = baselines.OptimalPlan(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, _ := Model(name)
+	amps, err = optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default(),
+		SLO: time.Duration(float64(b3.EstTime) * SLOFactor)})
+	return amps, b3, err
 }
 
 // deployAndRun deploys a plan (timing-only) and serves one cold image.
-func deployAndRun(env *Env, name, prefix string, o *optimizer.Optimizer, plan *optimizer.Plan) (SettingRun, error) {
+func deployAndRun(env *Env, name, prefix string, plan *optimizer.Plan) (SettingRun, error) {
 	m, w := Model(name)
 	dep, err := coordinator.Deploy(coordinator.Config{
 		Platform: env.Platform, Store: env.Store, NamePrefix: prefix, SkipCompute: true,
@@ -55,7 +70,6 @@ func deployAndRun(env *Env, name, prefix string, o *optimizer.Optimizer, plan *o
 	if err != nil {
 		return SettingRun{}, err
 	}
-	_ = o
 	return SettingRun{Setting: prefix, Completion: rep.Completion, Cost: rep.Cost}, nil
 }
 
@@ -63,18 +77,11 @@ func deployAndRun(env *Env, name, prefix string, o *optimizer.Optimizer, plan *o
 func RunBaselineComparison() (*BaselineComparison, error) {
 	res := &BaselineComparison{}
 	for _, name := range bigModels {
+		ampsPlan, b3Plan, err := sloPlans(name)
+		if err != nil {
+			return nil, err
+		}
 		o, err := optimizerFor(name)
-		if err != nil {
-			return nil, err
-		}
-		b3Plan, err := baselines.OptimalPlan(o)
-		if err != nil {
-			return nil, err
-		}
-		m, _ := Model(name)
-		sloReq := optimizer.Request{Model: m, Perf: perf.Default(),
-			SLO: time.Duration(float64(b3Plan.EstTime) * SLOFactor)}
-		ampsPlan, err := optimizer.Optimize(sloReq)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +94,7 @@ func RunBaselineComparison() (*BaselineComparison, error) {
 			return nil, err
 		}
 
-		row := BaselineRow{Model: name, AMPSPlanCost: ampsPlan.EstCost, B3PlanCost: b3Plan.EstCost}
+		row := BaselineRow{Model: name}
 		type entry struct {
 			label string
 			plan  *optimizer.Plan
@@ -100,7 +107,7 @@ func RunBaselineComparison() (*BaselineComparison, error) {
 			{"Baseline 3", b3Plan, &row.B3},
 		} {
 			env := NewEnv()
-			run, err := deployAndRun(env, name, fmt.Sprintf("%s-%s", name, sanitize(e.label)), o, e.plan)
+			run, err := deployAndRun(env, name, fmt.Sprintf("%s-%s", name, sanitize(e.label)), e.plan)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %s: %w", name, e.label, err)
 			}
@@ -164,16 +171,7 @@ func Figure11() (*Figure11Result, error) {
 	name := "resnet50"
 	m, w := Model(name)
 	env := NewEnv()
-	o, err := optimizerFor(name)
-	if err != nil {
-		return nil, err
-	}
-	b3Plan, err := baselines.OptimalPlan(o)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default(),
-		SLO: time.Duration(float64(b3Plan.EstTime) * SLOFactor)})
+	plan, _, err := sloPlans(name)
 	if err != nil {
 		return nil, err
 	}

@@ -80,6 +80,7 @@ func TestChaosDomainStorm(t *testing.T) {
 	pl.SetAccountConcurrency(256)
 	in := workload.Images(m, 1, 7)[0]
 	mx := obs.NewMetrics()
+	pl.SetMetrics(mx)
 	series := obs.NewTimeSeries(time.Second)
 	defer series.Close()
 
@@ -109,7 +110,7 @@ func TestChaosDomainStorm(t *testing.T) {
 	if rep.Completed == 0 {
 		t.Fatal("the storm drowned every request; the stack should degrade, not die")
 	}
-	if got := inj.Counts()[faults.DomainOutage.String()]; got == 0 {
+	if got := mx.Snapshot().Counters[`lambda_faults_total{kind="domain-outage"}`]; got == 0 {
 		t.Error("no domain-outage faults fired; widen the storm windows")
 	}
 	if rep.TotalCost <= 0 || meter.Total() < rep.TotalCost {

@@ -162,7 +162,6 @@ func submitAMPSWithFactor(env *Env, name string, factor float64) (*core.Service,
 func sageJob(name string, images int) sagemaker.Job {
 	m, _ := Model(name)
 	return sagemaker.Job{
-		ModelName:    name,
 		WeightsBytes: m.WeightBytes(),
 		FLOPs:        m.TotalFLOPs(),
 		Images:       images,

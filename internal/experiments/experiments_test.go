@@ -234,12 +234,16 @@ func TestFigure9And10BaselineOrdering(t *testing.T) {
 	r := baselineComparison(t)
 	for _, row := range r.Rows {
 		// Plan-level: B3 is cost-optimal, AMPS within ~20% of it (paper ≈9-14%).
-		if row.B3PlanCost > row.AMPSPlanCost+1e-12 {
-			t.Errorf("%s: B3 plan cost above AMPS (%.6f vs %.6f)", row.Model, row.B3PlanCost, row.AMPSPlanCost)
+		amps, b3, err := sloPlans(row.Model)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if row.AMPSPlanCost > row.B3PlanCost*1.25 {
+		if b3.EstCost > amps.EstCost+1e-12 {
+			t.Errorf("%s: B3 plan cost above AMPS (%.6f vs %.6f)", row.Model, b3.EstCost, amps.EstCost)
+		}
+		if amps.EstCost > b3.EstCost*1.25 {
 			t.Errorf("%s: AMPS %.1f%% over B3, paper ≈9-14%%", row.Model,
-				(row.AMPSPlanCost/row.B3PlanCost-1)*100)
+				(amps.EstCost/b3.EstCost-1)*100)
 		}
 		// Measured: AMPS faster than the cost-optimal B3 (it bought speed).
 		if row.AMPS.Completion >= row.B3.Completion {

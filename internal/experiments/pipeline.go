@@ -35,16 +35,11 @@ type PipelineRow struct {
 	Throughput    float64
 	AvgLatency    time.Duration
 	P99Latency    time.Duration
-	Completed     int
 	Good          int // completed within the common deadline
 	ColdStarts    int
 	Cost          float64
 	CostPerJob    float64
 	GoodPerDollar float64
-	// TraceCost and MeterCost pin the cost-attribution identity for the
-	// chaos test: the span-tree replay must reproduce the meter total.
-	TraceCost float64
-	MeterCost float64
 }
 
 // PipelineBatchResult reports what pipelined partition execution and
@@ -59,7 +54,6 @@ type PipelineBatchResult struct {
 	Rate      float64
 	Seed      int64
 	Limit     int
-	FaultRate float64
 	Deadline  time.Duration
 	Rows      []PipelineRow
 }
@@ -118,7 +112,7 @@ func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, limit 
 	inputs := workload.Images(m, jobs, seed)
 	res := &PipelineBatchResult{
 		ModelName: name, Jobs: jobs, Rate: rate, Seed: seed,
-		Limit: limit, FaultRate: faultRate, Deadline: deadline,
+		Limit: limit, Deadline: deadline,
 	}
 	for _, cell := range PipelineLadder {
 		env := NewEnv()
@@ -161,13 +155,10 @@ func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, limit 
 			Throughput: rep.Throughput,
 			AvgLatency: rep.AvgLatency,
 			P99Latency: rep.P99Latency,
-			Completed:  rep.Completed,
 			Good:       rep.Good,
 			ColdStarts: rep.ColdStarts,
 			Cost:       rep.TotalCost,
 			CostPerJob: rep.CostPerJob,
-			TraceCost:  obs.SumCostsAll(rep.Traces()),
-			MeterCost:  env.Meter.Total(),
 		}
 		if rep.TotalCost > 0 {
 			row.GoodPerDollar = float64(rep.Good) / rep.TotalCost

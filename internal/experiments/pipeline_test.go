@@ -7,9 +7,8 @@ import (
 // TestPipelineBatchLadder pins the acceptance property of the
 // pipelining/batching tentpole on the serving-scaling trace: the
 // combined scheduler must improve cost-per-request or p99 latency over
-// the sequential baseline, every cell must complete its requests
-// fault-free, and the span-replay cost identity must hold in every
-// cell.
+// the sequential baseline, and every cell must complete its requests
+// fault-free within the common deadline.
 func TestPipelineBatchLadder(t *testing.T) {
 	r, err := runPipelineBatchCap("tinycnn", 16, 0.5, ServingSeed, 0, 0, 4)
 	if err != nil {
@@ -21,11 +20,8 @@ func TestPipelineBatchLadder(t *testing.T) {
 	byName := map[string]PipelineRow{}
 	for _, row := range r.Rows {
 		byName[row.Cell.Name] = row
-		if row.Completed != r.Jobs {
-			t.Errorf("cell %s completed %d of %d fault-free requests", row.Cell.Name, row.Completed, r.Jobs)
-		}
-		if row.TraceCost != row.MeterCost {
-			t.Errorf("cell %s: trace cost %v != meter %v", row.Cell.Name, row.TraceCost, row.MeterCost)
+		if row.Good != r.Jobs {
+			t.Errorf("cell %s completed %d of %d fault-free requests within the deadline", row.Cell.Name, row.Good, r.Jobs)
 		}
 	}
 	seq, both := byName["sequential"], byName["pipelined+batched"]

@@ -39,7 +39,7 @@ func refEval(l *Layer, ws []*tensor.Tensor, ins []*tensor.Tensor) *tensor.Tensor
 	case KindDense:
 		t = tensor.Dense(x, ws[0], ws[1])
 	case KindBatchNorm:
-		t = tensor.BatchNorm(x, ws[0], ws[1], ws[2], ws[3], l.Eps)
+		t = tensor.BatchNormTo(tensor.New(x.Shape()...), x, ws[0], ws[1], ws[2], ws[3], l.Eps)
 	case KindActivation, KindDropout:
 		t = x
 	case KindMaxPool:
@@ -53,7 +53,7 @@ func refEval(l *Layer, ws []*tensor.Tensor, ins []*tensor.Tensor) *tensor.Tensor
 	case KindAdd:
 		t = x
 		for _, o := range ins[1:] {
-			t = tensor.Add(t, o)
+			t = tensor.AddTo(tensor.New(t.Shape()...), t, o)
 		}
 	case KindConcat:
 		t = tensor.ConcatChannels(ins...)

@@ -369,7 +369,7 @@ func TestBatchedForward(t *testing.T) {
 		t.Fatalf("batched output shape %v", out.Shape())
 	}
 	for c := 0; c < 10; c++ {
-		if out.At(0, c) != out.At(1, c) || out.At(1, c) != out.At(2, c) {
+		if d := out.Data(); d[c] != d[10+c] || d[10+c] != d[20+c] {
 			t.Fatalf("batch rows differ at class %d", c)
 		}
 	}

@@ -62,9 +62,6 @@ func NewSegmentPrefix(segs []Segment) *SegmentPrefix {
 	return p
 }
 
-// Len returns the number of segments covered.
-func (p *SegmentPrefix) Len() int { return len(p.layers) - 1 }
-
 // Layers returns Σ segs[a:b].Layers.
 func (p *SegmentPrefix) Layers(a, b int) int { return p.layers[b] - p.layers[a] }
 

@@ -50,7 +50,6 @@ func (m *Model) CutPoints() []int {
 // Partitions are unions of consecutive segments, so every partition
 // boundary is a valid cut.
 type Segment struct {
-	Index    int   // position among segments
 	Lo, Hi   int   // layer positions [Lo, Hi)
 	Layers   int   // number of layers in the segment (Hi - Lo)
 	Params   int64 // trainable parameters in the segment
@@ -76,7 +75,7 @@ func (m *Model) Segments() []Segment {
 		if hi <= lo {
 			continue
 		}
-		seg := Segment{Index: len(segs), Lo: lo, Hi: hi, Layers: hi - lo}
+		seg := Segment{Lo: lo, Hi: hi, Layers: hi - lo}
 		for i := lo; i < hi; i++ {
 			l := m.Layers[i]
 			seg.Params += l.ParamCount

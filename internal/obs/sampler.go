@@ -18,14 +18,6 @@ func NewSampler(seed int64, rate float64) *Sampler {
 	return &Sampler{seed: uint64(seed), rate: rate}
 }
 
-// Rate returns the configured sampling rate (1 from a nil sampler).
-func (s *Sampler) Rate() float64 {
-	if s == nil {
-		return 1
-	}
-	return s.rate
-}
-
 // Keep reports whether the item with the given stable index (request
 // sequence number, batch-leader index) is sampled. The decision hashes
 // the index through splitmix64 and compares the top 53 bits against the

@@ -27,15 +27,6 @@ func (b *CostBucket) Events() []CostEvent {
 	return b.events
 }
 
-// Total is the chronological sum of the bucket's charges.
-func (b *CostBucket) Total() float64 {
-	var t float64
-	for _, e := range b.Events() {
-		t += e.Amount
-	}
-	return t
-}
-
 // Tracer collects job span trees and attributes billing charges to the
 // current cost sink. Install it on a meter with
 // meter.SetObserver(tracer.RecordCost); the coordinator then switches

@@ -156,22 +156,3 @@ func (bp *BatchPlan) Clamp(b int) int {
 	}
 	return best
 }
-
-// CoPlanBatch is the one-shot convenience mirroring Optimize: it builds
-// the optimizer, computes the plan and co-plans the batch size in one
-// call, returning both.
-func CoPlanBatch(req Request, maxBatch int) (*Plan, *BatchPlan, error) {
-	o, err := New(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := o.Optimize()
-	if err != nil {
-		return nil, nil, err
-	}
-	bp, err := o.CoPlanBatch(plan, maxBatch)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, bp, nil
-}

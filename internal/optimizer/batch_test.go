@@ -196,16 +196,3 @@ func TestBatchPlanClamp(t *testing.T) {
 		t.Fatalf("empty Clamp = %d, want 1", got)
 	}
 }
-
-func TestCoPlanBatchOneShot(t *testing.T) {
-	plan, bp, err := CoPlanBatch(Request{Model: zoo.TinyCNN(0), Perf: perf.Default(), MaxLayersPerPartition: 4}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan == nil || len(plan.Lambdas) == 0 {
-		t.Fatal("one-shot returned no plan")
-	}
-	if bp == nil || bp.Chosen < 1 || bp.Chosen > 4 {
-		t.Fatalf("one-shot co-plan = %+v", bp)
-	}
-}

@@ -98,7 +98,8 @@ func checkMultiplier(t *testing.T, o *Optimizer, plan *Plan, tag string) {
 	}
 	var cost, sec float64
 	for _, l := range plan.Lambdas {
-		ti, ci, err := o.SpanEstimate(l.SegLo, l.SegHi, l.MemoryMB)
+		a, b := segSpan(o, l)
+		ti, ci, err := o.SpanEstimate(a, b, l.MemoryMB)
 		if err != nil {
 			t.Fatal(err)
 		}

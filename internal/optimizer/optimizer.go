@@ -98,8 +98,7 @@ func (r *Request) fillDefaults() {
 
 // LambdaPlan is one partition's provisioning decision.
 type LambdaPlan struct {
-	// Segment span [SegLo, SegHi) and the layer range it covers.
-	SegLo, SegHi     int
+	// The layer range [LayerLo, LayerHi) the partition covers.
 	LayerLo, LayerHi int
 	MemoryMB         int
 	Profile          perf.SegmentProfile
@@ -929,7 +928,7 @@ func (o *Optimizer) assemble(res dpResult, lambda float64) vertex {
 		cost := base +
 			float64(qBytes)/(1<<30)*t.Seconds()*pricing.S3StoragePerGBSecond
 		plan.Lambdas = append(plan.Lambdas, LambdaPlan{
-			SegLo: a, SegHi: b, LayerLo: lo, LayerHi: hi,
+			LayerLo: lo, LayerHi: hi,
 			MemoryMB: o.blocks[j], Profile: prof,
 			EstTime: t, EstCost: cost,
 		})

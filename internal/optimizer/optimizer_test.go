@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,7 +103,8 @@ func TestDPMatchesExhaustive(t *testing.T) {
 		// Compare without the tiny storage term the DP defers.
 		var got float64
 		for _, l := range plan.Lambdas {
-			_, cost, err := o.SpanEstimate(l.SegLo, l.SegHi, l.MemoryMB)
+			a, b := segSpan(o, l)
+			_, cost, err := o.SpanEstimate(a, b, l.MemoryMB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,6 +114,19 @@ func TestDPMatchesExhaustive(t *testing.T) {
 			t.Errorf("%s: DP cost %.9f vs exhaustive %.9f", name, got, want)
 		}
 	}
+}
+
+// segSpan is the segment span [a, b) partition l covers.
+func segSpan(o *Optimizer, l LambdaPlan) (a, b int) {
+	for i, s := range o.segs {
+		if s.Lo == l.LayerLo {
+			a = i
+		}
+		if s.Hi == l.LayerHi {
+			b = i + 1
+		}
+	}
+	return a, b
 }
 
 func indexOfBlock(blocks []int, mem int) int {
@@ -179,15 +194,33 @@ func TestImpossibleSLOFlagged(t *testing.T) {
 	}
 }
 
+// TestMaxLambdasRespected checks the partition cap K where it binds. On
+// the stock zoo at perf.Default it never does: K only turns a plan
+// infeasible (DESIGN §5). Under heavy memory pressure and little fixed
+// time, with at most 70 of xception's 134 layers a partition, the
+// cheapest plan has three partitions; K = 2 must give a different plan
+// of at most two that costs no less.
 func TestMaxLambdasRespected(t *testing.T) {
-	req := request("resnet50")
-	req.MaxLambdas = 2
-	plan, err := Optimize(req)
-	if err != nil {
-		t.Fatal(err)
+	plan := func(k int) *Plan {
+		req := request("xception")
+		req.Perf.MemPressureAlpha, req.Perf.ColdStartBase, req.Perf.InvokeOverhead = 20, time.Millisecond, 0
+		req.MaxLambdas, req.MaxLayersPerPartition = k, 70
+		p, err := Optimize(req)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		t.Logf("K=%d: bounds %v, $%.6f", k, p.Bounds(), p.EstCost)
+		return p
 	}
-	if len(plan.Lambdas) > 2 {
-		t.Fatalf("plan uses %d lambdas, cap 2", len(plan.Lambdas))
+	capped, free := plan(2), plan(16)
+	if !capped.MeetsSLO || len(capped.Lambdas) == 0 || len(capped.Lambdas) > 2 {
+		t.Fatalf("K=2 plan: %d lambdas, meets SLO %v", len(capped.Lambdas), capped.MeetsSLO)
+	}
+	if slices.Equal(capped.Bounds(), free.Bounds()) {
+		t.Fatalf("K=2 and K=16 both plan %v: the cap never bound", free.Bounds())
+	}
+	if capped.EstCost < free.EstCost {
+		t.Fatalf("K=2 plan $%.6f cheaper than the K=16 plan $%.6f", capped.EstCost, free.EstCost)
 	}
 }
 
@@ -417,8 +450,9 @@ func TestFastestPlanOnTimePlateau(t *testing.T) {
 			if j == 0 {
 				continue
 			}
-			if ti, _, err := o.SpanEstimate(l.SegLo, l.SegHi, o.blocks[j-1]); err == nil && ti <= l.EstTime {
-				t.Errorf("%s: partition [%d, %d) at %d MB; %d MB is as fast", req.Model.Name, l.SegLo, l.SegHi, l.MemoryMB, o.blocks[j-1])
+			a, b := segSpan(o, l)
+			if ti, _, err := o.SpanEstimate(a, b, o.blocks[j-1]); err == nil && ti <= l.EstTime {
+				t.Errorf("%s: partition [%d, %d) at %d MB; %d MB is as fast", req.Model.Name, a, b, l.MemoryMB, o.blocks[j-1])
 			}
 		}
 		if !plateau {

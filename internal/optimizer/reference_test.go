@@ -297,7 +297,7 @@ func (o *Optimizer) assembleRef(res dpResult, lambda float64) *Plan {
 		cost := base +
 			float64(qBytes)/(1<<30)*t.Seconds()*pricing.S3StoragePerGBSecond
 		plan.Lambdas = append(plan.Lambdas, LambdaPlan{
-			SegLo: a, SegHi: b, LayerLo: lo, LayerHi: hi,
+			LayerLo: lo, LayerHi: hi,
 			MemoryMB: o.blocks[j], Profile: prof,
 			EstTime: t, EstCost: cost,
 		})

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -19,12 +18,11 @@ type pendingUnit struct {
 	readyAt  time.Duration
 	attempts int
 	arrs     []time.Duration
-	wait     time.Duration
 	waits    []time.Duration
 }
 
 func (p *pendingUnit) rejected() *unit {
-	return &unit{batchUnit: p.unit, arrs: p.arrs, attempts: p.attempts, wait: p.wait, waits: p.waits}
+	return &unit{batchUnit: p.unit, arrs: p.arrs, attempts: p.attempts, waits: p.waits}
 }
 
 func shedUnit(rep *Report, _ *JobResult, _ *summaryAcc, p *pendingUnit, now time.Duration, h serveHandles, stream, brown bool) {
@@ -34,10 +32,10 @@ func shedUnit(rep *Report, _ *JobResult, _ *summaryAcc, p *pendingUnit, now time
 		rep.BrownoutShed += p.unit.Size
 		ev = h.brownoutShed
 	}
-	out.reject(p.rejected(), now, OutcomeShed, "", ev)
+	out.reject(p.rejected(), now, OutcomeShed, ev)
 }
 
 func throttleOutUnit(rep *Report, _ *JobResult, _ *summaryAcc, p *pendingUnit, now time.Duration, h serveHandles, stream bool) {
 	out := results{rep: rep, retain: !stream}
-	out.reject(p.rejected(), now, OutcomeThrottled, fmt.Sprintf("throttled %d times", p.attempts), h.admFail)
+	out.reject(p.rejected(), now, OutcomeThrottled, h.admFail)
 }

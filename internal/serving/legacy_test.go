@@ -25,7 +25,6 @@ type legacyPending struct {
 	idx      int
 	readyAt  time.Duration
 	attempts int
-	wait     time.Duration
 	waits    []time.Duration
 }
 
@@ -101,7 +100,6 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 			jr.Queue = elapsed
 			jr.Latency = elapsed
 			jr.Throttles = p.attempts
-			jr.ThrottleWait = p.wait
 			jr.Outcome = OutcomeShed
 			jr.Trace = requestSpan(jr, p.waits, nil)
 			mx.CounterHandle("serving_shed_total").Inc(1)
@@ -127,16 +125,13 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 				jr.Queue = elapsed
 				jr.Latency = elapsed
 				jr.Throttles = p.attempts
-				jr.ThrottleWait = p.wait
 				jr.Outcome = OutcomeThrottled
-				jr.Err = fmt.Sprintf("throttled %d times", p.attempts)
 				jr.Trace = requestSpan(jr, p.waits, nil)
 				mx.CounterHandle("serving_admission_failures_total").Inc(1)
 				ts.CounterHandle("serving_admission_failures_total").Inc(now, 1)
 				continue
 			}
 			bo := backoff(cfg.Throttle, p.attempts, rng)
-			p.wait += bo
 			p.waits = append(p.waits, bo)
 			p.readyAt = now + bo
 			queue = append(queue, p)
@@ -165,7 +160,6 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 		jr.Queue = elapsed
 		jr.Cost = pl.Meter().Total() - before
 		jr.Throttles = p.attempts
-		jr.ThrottleWait = p.wait
 		if jrep != nil {
 			jr.Retries = jrep.Retries
 			jr.Faults = jrep.FaultsInjected
@@ -199,7 +193,6 @@ func serveSequentialLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.
 				mx.CounterHandle("serving_failures_total").Inc(1)
 				ts.CounterHandle("serving_failures_total").Inc(now, 1)
 			}
-			jr.Err = err.Error()
 			var failTrace *obs.Span
 			var failDur time.Duration
 			if jrep != nil && jrep.Trace != nil {
@@ -266,7 +259,6 @@ type legacyStageJob struct {
 	prevEnd   time.Duration
 	next      int
 	throttles int
-	wait      time.Duration
 	waits     []time.Duration
 }
 
@@ -274,7 +266,6 @@ type legacyPendingUnit struct {
 	unit     batchUnit
 	readyAt  time.Duration
 	attempts int
-	wait     time.Duration
 	waits    []time.Duration
 }
 
@@ -352,9 +343,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			jr.Latency = done - arrivals[idx]
 			jr.Cost = shares[k]
 			jr.Throttles = j.throttles
-			jr.ThrottleWait = j.wait
 			jr.Outcome = outcome
-			jr.Err = errText
 			if k == 0 {
 				jr.Retries = jrep.Retries
 				jr.Faults = jrep.FaultsInjected
@@ -532,7 +521,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 
 			if slo.Shed && (elapsed >= slo.Deadline ||
 				(estN > 0 && elapsed+estSum/time.Duration(estN) > slo.Deadline)) {
-				shedUnit(rep, &hScratch, &hAcc, &pendingUnit{unit: p.unit, readyAt: p.readyAt, attempts: p.attempts, arrs: arrivals[p.unit.First : p.unit.First+p.unit.Size], wait: p.wait, waits: p.waits}, now, h, false, false)
+				shedUnit(rep, &hScratch, &hAcc, &pendingUnit{unit: p.unit, readyAt: p.readyAt, attempts: p.attempts, arrs: arrivals[p.unit.First : p.unit.First+p.unit.Size], waits: p.waits}, now, h, false, false)
 				continue
 			}
 
@@ -546,11 +535,10 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 						return nil, fmt.Errorf("serving: request %d throttled %d times (limit %d, width %d)",
 							leader, p.attempts, limit, width)
 					}
-					throttleOutUnit(rep, &hScratch, &hAcc, &pendingUnit{unit: p.unit, readyAt: p.readyAt, attempts: p.attempts, arrs: arrivals[p.unit.First : p.unit.First+p.unit.Size], wait: p.wait, waits: p.waits}, now, h, false)
+					throttleOutUnit(rep, &hScratch, &hAcc, &pendingUnit{unit: p.unit, readyAt: p.readyAt, attempts: p.attempts, arrs: arrivals[p.unit.First : p.unit.First+p.unit.Size], waits: p.waits}, now, h, false)
 					continue
 				}
 				bo := backoff(cfg.Throttle, p.attempts, rng)
-				p.wait += bo
 				p.waits = append(p.waits, bo)
 				p.readyAt = now + bo
 				queue = append(queue, p)
@@ -583,7 +571,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			})
 			j := &legacyStageJob{
 				seq: seqCounter, unit: u, sj: sj, start: now,
-				throttles: p.attempts, wait: p.wait, waits: p.waits,
+				throttles: p.attempts, waits: p.waits,
 			}
 			seqCounter++
 			if err != nil {

@@ -101,9 +101,6 @@ func TestServeBudgetExhaustedCostIdentity(t *testing.T) {
 		jr := &rep.Jobs[i]
 		if jr.Outcome == OutcomeBudgetExhausted {
 			saw = true
-			if jr.Err == "" || !strings.Contains(jr.Err, "budget") {
-				t.Fatalf("budget-exhausted job %d lost its error: %+v", i, jr)
-			}
 		}
 		if err := obs.ValidateTree(jr.Trace); err != nil {
 			t.Fatalf("request %d: %v", i, err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ampsinf/internal/coordinator"
+	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/obs"
 	"ampsinf/internal/workload"
 )
@@ -84,7 +85,7 @@ func TestServePipelinedBasic(t *testing.T) {
 	for i := range rep.Jobs {
 		jr := &rep.Jobs[i]
 		if jr.Outcome != OutcomeOK {
-			t.Fatalf("request %d outcome %s: %s", i, jr.Outcome, jr.Err)
+			t.Fatalf("request %d outcome %s", i, jr.Outcome)
 		}
 		if jr.Done <= jr.Start || jr.Start < jr.Arrival {
 			t.Fatalf("request %d inconsistent timeline %+v", i, jr)
@@ -393,5 +394,31 @@ func benchServePipelined(b *testing.B, sample SamplePolicy) {
 	b.ReportMetric(float64(total)/float64(b.N), "requests/op")
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(total)/s, "req/s")
+	}
+}
+
+// TestChaosBatchedTracesReplayMeter: under a 60% fault storm, staged
+// and batched, with failures tolerated, the span forest of a retained,
+// unsampled run still replays the meter total bit for bit — failed
+// batches, retries and stage failures included.
+func TestChaosBatchedTracesReplayMeter(t *testing.T) {
+	const n = 40
+	e := deployModel(t, zoo.TinyCNN, 0.6, 131)
+	e.pl.SetAccountConcurrency(3 * e.dep.Partitions())
+	rep, err := Serve(Config{
+		Deployment: e.dep,
+		Pipeline:   PipelinePolicy{Depth: 3},
+		Batch:      BatchPolicy{MaxBatch: 4, Window: time.Second, JitterSeed: 5},
+		Throttle:   ThrottlePolicy{MaxAttempts: 3, JitterSeed: 3},
+		SLO:        SLOPolicy{TolerateFailures: true},
+	}, inputs(e.model, n), workload.PoissonArrivals(n, 2, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Faults == 0 || rep.Completed == n {
+		t.Fatalf("the storm did not bite: %d faults, %d of %d completed", rep.Faults, rep.Completed, n)
+	}
+	if got, want := obs.SumCostsAll(rep.Traces()), e.meter.Total(); got != want {
+		t.Fatalf("span-replayed cost %v != meter total %v", got, want)
 	}
 }

@@ -25,11 +25,10 @@ type unit struct {
 	arrs []time.Duration
 	one  [1]time.Duration
 	// Admission state: the next admission instant, how many times the
-	// concurrency limit has turned the unit away, and the backoff it has
-	// waited (itemized in waits for span building, retained runs only).
+	// concurrency limit has turned the unit away, and the backoffs it has
+	// waited (for span building, retained runs only).
 	readyAt  time.Duration
 	attempts int
-	wait     time.Duration
 	waits    []time.Duration
 	// dep is the deployment the unit was admitted onto — the primary, or
 	// the quantized fallback while brownout holds the fallback rung — so
@@ -77,7 +76,7 @@ func (r *results) commit(jr *JobResult) {
 
 // reject settles every member of a unit turned away at admission; ev
 // counts the rejection.
-func (r *results) reject(u *unit, now time.Duration, outcome, errText string, ev obs.EventCounter) {
+func (r *results) reject(u *unit, now time.Duration, outcome string, ev obs.EventCounter) {
 	for k := 0; k < u.Size; k++ {
 		jr := r.slot(u.First + k)
 		jr.Index = u.First + k
@@ -87,9 +86,7 @@ func (r *results) reject(u *unit, now time.Duration, outcome, errText string, ev
 		jr.Queue = now - u.arrs[k]
 		jr.Latency = jr.Queue
 		jr.Throttles = u.attempts
-		jr.ThrottleWait = u.wait
 		jr.Outcome = outcome
-		jr.Err = errText
 		if r.retain {
 			jr.Trace = requestSpan(jr, u.waits, nil)
 		}
@@ -278,7 +275,6 @@ func (s *scheduler) nextUnit() (id int32, ok bool, err error) {
 	u.arrs = append(u.arrs[:0], arrs...)
 	u.readyAt = bu.DispatchAt
 	u.attempts = 0
-	u.wait = 0
 	u.waits = u.waits[:0]
 	s.backlog += bu.Size
 	return id, true, nil
@@ -390,7 +386,7 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 	// post-shed windows as healthy and probe back up the ladder.
 	if s.ctl.Level() >= BrownoutShed {
 		s.rep.BrownoutShed += u.Size
-		s.out.reject(u, now, OutcomeShed, "", s.h.brownoutShed)
+		s.out.reject(u, now, OutcomeShed, s.h.brownoutShed)
 		s.units.Free(uid)
 		return nil
 	}
@@ -399,7 +395,7 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 	// service-time estimate predicts it will.
 	if slo.Shed && (elapsed >= slo.Deadline ||
 		(s.estN > 0 && elapsed+s.estSum/time.Duration(s.estN) > slo.Deadline)) {
-		s.out.reject(u, now, OutcomeShed, "", s.h.shed)
+		s.out.reject(u, now, OutcomeShed, s.h.shed)
 		s.units.Free(uid)
 		return nil
 	}
@@ -414,15 +410,13 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 				return fmt.Errorf("serving: request %d throttled %d times (limit %d, width %d)",
 					u.First, u.attempts, s.limit, s.width)
 			}
-			s.out.reject(u, now, OutcomeThrottled, fmt.Sprintf("throttled %d times", u.attempts), s.h.admFail)
+			s.out.reject(u, now, OutcomeThrottled, s.h.admFail)
 			s.units.Free(uid)
 			return nil
 		}
 		bo := backoff(s.cfg.Throttle, u.attempts, s.rng)
-		u.wait += bo
 		if s.out.retain {
-			// Individual waits feed span building only; folding runs keep
-			// just the scalar total.
+			// Individual waits feed span building only.
 			u.waits = append(u.waits, bo)
 		}
 		u.readyAt = now + bo
@@ -493,7 +487,7 @@ func (s *scheduler) samplePeak(now time.Duration) {
 // delay and failure counters are stamped at admission, while jobs,
 // latency and cost land in the window that contains done.
 func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, err error) error {
-	outcome, errText := OutcomeOK, ""
+	outcome := OutcomeOK
 	done := u.start + jrep.Completion
 	var failed obs.EventCounter
 	if err != nil {
@@ -510,12 +504,6 @@ func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, err err
 			outcome, failed = OutcomeBudgetExhausted, s.h.budgetExhausted
 		default:
 			outcome, failed = OutcomeFailed, s.h.failures
-		}
-		if s.out.retain {
-			// Only a retained JobResult shows the text; a folded one is
-			// never read, and formatting a deadline error costs two
-			// Sprintfs.
-			errText = err.Error()
 		}
 		// The failed job still consumed simulated time before giving up.
 		done = u.start + jrep.Elapsed
@@ -539,9 +527,7 @@ func (s *scheduler) settle(uid int32, u *unit, jrep *coordinator.Report, err err
 		jr.Latency = done - u.arrs[k]
 		jr.Cost = shares[k]
 		jr.Throttles = u.attempts
-		jr.ThrottleWait = u.wait
 		jr.Outcome = outcome
-		jr.Err = errText
 		if k == 0 {
 			// Staged failures count toward the sampling counters; a
 			// whole-job failure keeps its forced tree without counting.

@@ -184,17 +184,14 @@ type JobResult struct {
 	// Cost is the request's marginal charge on the shared meter.
 	Cost float64
 	// Throttles counts admissions rejected by the concurrency limit
-	// before this request got in; ThrottleWait is the backoff it waited.
-	Throttles    int
-	ThrottleWait time.Duration
-	ColdStarts   int
-	Retries      int
-	Faults       int
+	// before this request got in.
+	Throttles  int
+	ColdStarts int
+	Retries    int
+	Faults     int
 	// Outcome classifies the request: OutcomeOK, OutcomeShed,
 	// OutcomeDeadline, OutcomeThrottled or OutcomeFailed.
 	Outcome string
-	// Err is the terminal error text for non-OK, non-shed outcomes.
-	Err string
 	// Resilience record from the coordinator (zero unless enabled):
 	Hedges        int
 	HedgeWins     int

@@ -221,9 +221,8 @@ func TestServeThrottleAndRetry(t *testing.T) {
 			continue
 		}
 		throttled++
-		if jr.ThrottleWait <= 0 || jr.Queue < jr.ThrottleWait {
-			t.Fatalf("request %d throttled %d times but waited %v (queue %v)",
-				i, jr.Throttles, jr.ThrottleWait, jr.Queue)
+		if jr.Queue <= 0 {
+			t.Fatalf("request %d throttled %d times but queued %v", i, jr.Throttles, jr.Queue)
 		}
 		found := false
 		jr.Trace.Walk(func(s *obs.Span) {

@@ -205,9 +205,6 @@ func TestServeDeadlineFailuresAndCostIdentity(t *testing.T) {
 		jr := &rep.Jobs[i]
 		if jr.Outcome == OutcomeDeadline {
 			sawDeadline = true
-			if jr.Err == "" || !strings.Contains(jr.Err, "deadline") {
-				t.Fatalf("deadline failure %d lost its error: %+v", i, jr)
-			}
 		}
 		if err := obs.ValidateTree(jr.Trace); err != nil {
 			t.Fatalf("request %d: %v", i, err)

@@ -10,14 +10,14 @@ import (
 func TestGELUKnownValues(t *testing.T) {
 	x := FromSlice([]float32{0, 100, -100}, 3)
 	y := GELUTo(New(x.Shape()...), x)
-	if y.At(0) != 0 {
-		t.Fatalf("gelu(0) = %v", y.At(0))
+	if y.at(0) != 0 {
+		t.Fatalf("gelu(0) = %v", y.at(0))
 	}
-	if math.Abs(float64(y.At(1))-100) > 1e-3 {
-		t.Fatalf("gelu(100) = %v, want ≈100", y.At(1))
+	if math.Abs(float64(y.at(1))-100) > 1e-3 {
+		t.Fatalf("gelu(100) = %v, want ≈100", y.at(1))
 	}
-	if math.Abs(float64(y.At(2))) > 1e-3 {
-		t.Fatalf("gelu(-100) = %v, want ≈0", y.At(2))
+	if math.Abs(float64(y.at(2))) > 1e-3 {
+		t.Fatalf("gelu(-100) = %v, want ≈0", y.at(2))
 	}
 }
 
@@ -48,7 +48,7 @@ func TestLayerNormAffine(t *testing.T) {
 	beta := FromSlice([]float32{10, 10}, 2)
 	y := LayerNorm(x, gamma, beta, 0)
 	// Normalized row is (-1, 1); affine gives (8, 12).
-	if math.Abs(float64(y.At(0, 0))-8) > 1e-4 || math.Abs(float64(y.At(0, 1))-12) > 1e-4 {
+	if math.Abs(float64(y.at(0, 0))-8) > 1e-4 || math.Abs(float64(y.at(0, 1))-12) > 1e-4 {
 		t.Fatalf("layernorm affine = %v", y.Data())
 	}
 }
@@ -74,7 +74,7 @@ func TestSelfAttentionUniformWhenKeysZero(t *testing.T) {
 	zeroB := New(d)
 	idW := New(d, d)
 	for i := 0; i < d; i++ {
-		idW.Set(1, i, i)
+		idW.set(1, i, i)
 	}
 	// Q = K = 0 → uniform scores; V = x (identity); Wo = identity.
 	out := SelfAttention(x, zeroW, zeroB, zeroW, zeroB, idW, zeroB, idW, zeroB, heads)
@@ -85,12 +85,12 @@ func TestSelfAttentionUniformWhenKeysZero(t *testing.T) {
 	for e := 0; e < d; e++ {
 		var mean float32
 		for i := 0; i < tl; i++ {
-			mean += x.At(0, i, e)
+			mean += x.at(0, i, e)
 		}
 		mean /= tl
 		for i := 0; i < tl; i++ {
-			if math.Abs(float64(out.At(0, i, e)-mean)) > 1e-5 {
-				t.Fatalf("pos %d dim %d = %v, want %v", i, e, out.At(0, i, e), mean)
+			if math.Abs(float64(out.at(0, i, e)-mean)) > 1e-5 {
+				t.Fatalf("pos %d dim %d = %v, want %v", i, e, out.at(0, i, e), mean)
 			}
 		}
 	}

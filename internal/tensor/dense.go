@@ -41,17 +41,13 @@ func Dense(in, w, bias *Tensor) *Tensor {
 	return out
 }
 
-// BatchNorm applies per-channel affine normalization over the innermost
-// dimension using precomputed inference-time statistics:
+// BatchNormTo applies per-channel affine normalization over the
+// innermost dimension using precomputed inference-time statistics, into
+// dst, which may be in:
 //
 //	out = gamma * (x - mean) / sqrt(variance + eps) + beta
 //
 // gamma, beta, mean, variance all have length C (the innermost dim).
-func BatchNorm(in, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
-	return BatchNormTo(New(in.shape...), in, gamma, beta, mean, variance, eps)
-}
-
-// BatchNormTo is BatchNorm into dst, which may be in.
 func BatchNormTo(dst, in, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
 	mustFit("batchnorm", dst, in)
 	c := in.shape[len(in.shape)-1]

@@ -372,9 +372,9 @@ func TestInPlaceKernelsMatchAllocating(t *testing.T) {
 		{"tanh", alloc(TanhTo), func(x *Tensor) *Tensor { return TanhTo(x, x) }},
 		{"softmax", alloc(SoftmaxTo), func(x *Tensor) *Tensor { return SoftmaxTo(x, x) }},
 		{"gelu", alloc(GELUTo), func(x *Tensor) *Tensor { return GELUTo(x, x) }},
-		{"add into a", func(x *Tensor) *Tensor { return Add(x, other) }, func(x *Tensor) *Tensor { return AddTo(x, x, other) }},
-		{"add into b", func(x *Tensor) *Tensor { return Add(other, x) }, func(x *Tensor) *Tensor { return AddTo(x, other, x) }},
-		{"batchnorm", func(x *Tensor) *Tensor { return BatchNorm(x, g, b, mu, v, 1e-3) }, func(x *Tensor) *Tensor { return BatchNormTo(x, x, g, b, mu, v, 1e-3) }},
+		{"add into a", func(x *Tensor) *Tensor { return add(x, other) }, func(x *Tensor) *Tensor { return AddTo(x, x, other) }},
+		{"add into b", func(x *Tensor) *Tensor { return add(other, x) }, func(x *Tensor) *Tensor { return AddTo(x, other, x) }},
+		{"batchnorm", func(x *Tensor) *Tensor { return batchNorm(x, g, b, mu, v, 1e-3) }, func(x *Tensor) *Tensor { return BatchNormTo(x, x, g, b, mu, v, 1e-3) }},
 	}
 	for _, c := range cases {
 		want, x := c.alloc(fresh()), fresh()

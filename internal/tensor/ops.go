@@ -84,11 +84,8 @@ func SoftmaxTo(dst, t *Tensor) *Tensor {
 	return dst
 }
 
-// Add returns the elementwise sum of two same-shaped tensors (residual
-// connections).
-func Add(a, b *Tensor) *Tensor { return AddTo(New(a.shape...), a, b) }
-
-// AddTo is Add into dst, which may be a or b.
+// AddTo writes the elementwise sum of two same-shaped tensors (residual
+// connections) into dst, which may be a or b.
 func AddTo(dst, a, b *Tensor) *Tensor {
 	if !a.shape.Equal(b.shape) {
 		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", a.shape, b.shape))

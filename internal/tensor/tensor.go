@@ -89,13 +89,6 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 // Elems returns the number of elements.
 func (t *Tensor) Elems() int { return len(t.data) }
 
-// Clone returns a deep copy of the tensor.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.data, t.data)
-	return c
-}
-
 // Reshape returns a view of the same data with a new shape of equal size.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	s := Shape(shape).Clone()
@@ -103,30 +96,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, s))
 	}
 	return &Tensor{shape: s, data: t.data}
-}
-
-// At returns the element at the given indices (rank must match).
-func (t *Tensor) At(idx ...int) float32 {
-	return t.data[t.offset(idx)]
-}
-
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %d out of range for dim %d (size %d)", x, i, t.shape[i]))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
 }
 
 // Fill sets every element to v.

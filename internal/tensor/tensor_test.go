@@ -65,11 +65,11 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 
 func TestAtSetRoundTrip(t *testing.T) {
 	x := New(2, 3, 4)
-	x.Set(7.5, 1, 2, 3)
-	if got := x.At(1, 2, 3); got != 7.5 {
+	x.set(7.5, 1, 2, 3)
+	if got := x.at(1, 2, 3); got != 7.5 {
 		t.Fatalf("At = %v, want 7.5", got)
 	}
-	if got := x.At(0, 0, 0); got != 0 {
+	if got := x.at(0, 0, 0); got != 0 {
 		t.Fatalf("unrelated element modified: %v", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 			t.Fatal("out-of-range At did not panic")
 		}
 	}()
-	x.At(2, 0)
+	x.at(2, 0)
 }
 
 func TestFromSliceValidatesLength(t *testing.T) {
@@ -96,17 +96,17 @@ func TestFromSliceValidatesLength(t *testing.T) {
 func TestReshapeSharesData(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	y := x.Reshape(4)
-	y.Set(9, 0)
-	if x.At(0, 0) != 9 {
+	y.set(9, 0)
+	if x.at(0, 0) != 9 {
 		t.Fatal("reshape does not alias data")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
 	x := FromSlice([]float32{1, 2}, 2)
-	y := x.Clone()
-	y.Set(5, 0)
-	if x.At(0) != 1 {
+	y := x.clone()
+	y.set(5, 0)
+	if x.at(0) != 1 {
 		t.Fatal("clone aliases data")
 	}
 }
@@ -143,7 +143,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		var sum float64
 		for c := 0; c < 10; c++ {
-			v := y.At(r, c)
+			v := y.at(r, c)
 			if v < 0 {
 				t.Fatalf("negative probability %v", v)
 			}
@@ -171,8 +171,8 @@ func TestSoftmaxStableForLargeInputs(t *testing.T) {
 func TestAdd(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	b := FromSlice([]float32{10, 20}, 2)
-	s := Add(a, b)
-	if s.At(0) != 11 || s.At(1) != 22 {
+	s := add(a, b)
+	if s.at(0) != 11 || s.at(1) != 22 {
 		t.Fatalf("Add = %v", s.Data())
 	}
 }
@@ -183,7 +183,7 @@ func TestAddShapeMismatchPanics(t *testing.T) {
 			t.Fatal("Add with mismatched shapes did not panic")
 		}
 	}()
-	Add(New(2), New(3))
+	add(New(2), New(3))
 }
 
 func TestConcatChannels(t *testing.T) {
@@ -218,7 +218,7 @@ func TestDenseWithBias(t *testing.T) {
 	w := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	bias := FromSlice([]float32{10, 20}, 2)
 	out := Dense(in, w, bias)
-	if out.At(0, 0) != 14 || out.At(0, 1) != 26 {
+	if out.at(0, 0) != 14 || out.at(0, 1) != 26 {
 		t.Fatalf("dense = %v", out.Data())
 	}
 }
@@ -229,7 +229,7 @@ func TestBatchNormIdentity(t *testing.T) {
 	beta := FromSlice([]float32{0, 0}, 2)
 	mean := FromSlice([]float32{0, 0}, 2)
 	variance := FromSlice([]float32{1, 1}, 2)
-	out := BatchNorm(in, gamma, beta, mean, variance, 0)
+	out := batchNorm(in, gamma, beta, mean, variance, 0)
 	if !AllClose(in, out, 1e-6) {
 		t.Fatalf("identity batchnorm changed data: %v", out.Data())
 	}
@@ -241,10 +241,10 @@ func TestBatchNormNormalizes(t *testing.T) {
 	beta := FromSlice([]float32{1}, 1)
 	mean := FromSlice([]float32{4}, 1)
 	variance := FromSlice([]float32{9}, 1)
-	out := BatchNorm(in, gamma, beta, mean, variance, 0)
+	out := batchNorm(in, gamma, beta, mean, variance, 0)
 	// 2*(10-4)/3 + 1 = 5
-	if math.Abs(float64(out.At(0, 0))-5) > 1e-5 {
-		t.Fatalf("batchnorm = %v, want 5", out.At(0, 0))
+	if math.Abs(float64(out.at(0, 0))-5) > 1e-5 {
+		t.Fatalf("batchnorm = %v, want 5", out.at(0, 0))
 	}
 }
 
@@ -266,8 +266,8 @@ func TestConv2DKnownValues(t *testing.T) {
 	if !out.Shape().Equal(Shape{1, 1, 1, 1}) {
 		t.Fatalf("shape %v", out.Shape())
 	}
-	if out.At(0, 0, 0, 0) != 45 {
-		t.Fatalf("conv = %v, want 45", out.At(0, 0, 0, 0))
+	if out.at(0, 0, 0, 0) != 45 {
+		t.Fatalf("conv = %v, want 45", out.at(0, 0, 0, 0))
 	}
 }
 
@@ -298,8 +298,8 @@ func TestDepthwiseConvPerChannel(t *testing.T) {
 	// Two channels, kernel doubles ch0 and zeroes ch1.
 	in := FromSlice([]float32{1, 10, 2, 20, 3, 30, 4, 40}, 1, 2, 2, 2)
 	k := New(1, 1, 2, 1)
-	k.Set(2, 0, 0, 0, 0)
-	k.Set(0, 0, 0, 1, 0)
+	k.set(2, 0, 0, 0, 0)
+	k.set(0, 0, 0, 1, 0)
 	out := DepthwiseConv2D(in, k, nil, 1, Same)
 	want := []float32{2, 0, 4, 0, 6, 0, 8, 0}
 	for i, v := range out.Data() {
@@ -324,8 +324,8 @@ func TestSeparableEqualsDepthwiseThenPointwise(t *testing.T) {
 func TestMaxPoolKnown(t *testing.T) {
 	in := FromSlice([]float32{1, 3, 2, 4}, 1, 2, 2, 1)
 	out := MaxPool2D(in, 2, 2, Valid)
-	if out.At(0, 0, 0, 0) != 4 {
-		t.Fatalf("maxpool = %v, want 4", out.At(0, 0, 0, 0))
+	if out.at(0, 0, 0, 0) != 4 {
+		t.Fatalf("maxpool = %v, want 4", out.at(0, 0, 0, 0))
 	}
 }
 
@@ -333,8 +333,8 @@ func TestAvgPoolExcludesPadding(t *testing.T) {
 	in := FromSlice([]float32{4}, 1, 1, 1, 1)
 	out := AvgPool2D(in, 3, 1, Same)
 	// Window covers only the single real cell; average must be 4, not 4/9.
-	if out.At(0, 0, 0, 0) != 4 {
-		t.Fatalf("avgpool with padding = %v, want 4", out.At(0, 0, 0, 0))
+	if out.at(0, 0, 0, 0) != 4 {
+		t.Fatalf("avgpool with padding = %v, want 4", out.at(0, 0, 0, 0))
 	}
 }
 
@@ -344,7 +344,7 @@ func TestGlobalAvgPool(t *testing.T) {
 	if !out.Shape().Equal(Shape{1, 2}) {
 		t.Fatalf("shape %v", out.Shape())
 	}
-	if out.At(0, 0) != 2 || out.At(0, 1) != 20 {
+	if out.at(0, 0) != 2 || out.at(0, 1) != 20 {
 		t.Fatalf("global avg = %v", out.Data())
 	}
 }
@@ -355,10 +355,10 @@ func TestZeroPad2D(t *testing.T) {
 	if !out.Shape().Equal(Shape{1, 3, 3, 1}) {
 		t.Fatalf("shape %v", out.Shape())
 	}
-	if out.At(0, 1, 1, 0) != 5 {
+	if out.at(0, 1, 1, 0) != 5 {
 		t.Fatal("padded value misplaced")
 	}
-	if out.At(0, 0, 0, 0) != 0 {
+	if out.at(0, 0, 0, 0) != 0 {
 		t.Fatal("padding not zero")
 	}
 }
@@ -420,7 +420,7 @@ func TestConvDeltaIdentityProperty(t *testing.T) {
 		in := randTensor(rng, 1, h, w, c)
 		k := New(1, 1, c, c)
 		for i := 0; i < c; i++ {
-			k.Set(1, 0, 0, i, i)
+			k.set(1, 0, 0, i, i)
 		}
 		out := Conv2D(in, k, nil, 1, Same)
 		return AllClose(in, out, 1e-6)
@@ -457,11 +457,11 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 func TestSigmoidTanhRange(t *testing.T) {
 	x := FromSlice([]float32{-10, 0, 10}, 3)
 	s := SigmoidTo(New(x.Shape()...), x)
-	if s.At(0) > 0.001 || math.Abs(float64(s.At(1))-0.5) > 1e-6 || s.At(2) < 0.999 {
+	if s.at(0) > 0.001 || math.Abs(float64(s.at(1))-0.5) > 1e-6 || s.at(2) < 0.999 {
 		t.Fatalf("sigmoid = %v", s.Data())
 	}
 	th := TanhTo(New(x.Shape()...), x)
-	if th.At(0) > -0.999 || th.At(1) != 0 || th.At(2) < 0.999 {
+	if th.at(0) > -0.999 || th.at(1) != 0 || th.at(2) < 0.999 {
 		t.Fatalf("tanh = %v", th.Data())
 	}
 }
@@ -512,4 +512,39 @@ func TestArgMaxEmpty(t *testing.T) {
 	if ArgMax(&Tensor{shape: Shape{}, data: nil}) != -1 {
 		t.Fatal("empty argmax")
 	}
+}
+
+// at returns the element at the given indices (rank must match).
+func (t *Tensor) at(idx ...int) float32 { return t.data[t.offset(idx)] }
+
+// set stores v at the given indices.
+func (t *Tensor) set(v float32, idx ...int) { t.data[t.offset(idx)] = v }
+
+func (t *Tensor) offset(idx []int) int {
+	if len(idx) != len(t.shape) {
+		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.shape)))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.shape[i] {
+			panic(fmt.Sprintf("tensor: index %d out of range for dim %d (size %d)", x, i, t.shape[i]))
+		}
+		off = off*t.shape[i] + x
+	}
+	return off
+}
+
+// clone returns a deep copy of the tensor.
+func (t *Tensor) clone() *Tensor {
+	c := New(t.shape...)
+	copy(c.data, t.data)
+	return c
+}
+
+// add is AddTo into a fresh tensor.
+func add(a, b *Tensor) *Tensor { return AddTo(New(a.shape...), a, b) }
+
+// batchNorm is BatchNormTo into a fresh tensor.
+func batchNorm(in, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
+	return BatchNormTo(New(in.shape...), in, gamma, beta, mean, variance, eps)
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"ampsinf/internal/sim"
@@ -72,16 +71,9 @@ func BurstArrivals(n, burstSize int, gap time.Duration) []time.Duration {
 	return out
 }
 
-// Percentile returns the p-th percentile (0 < p ≤ 100) of durations,
-// using nearest-rank on a sorted copy.
-func Percentile(ds []time.Duration, p float64) time.Duration {
-	sorted := slices.Clone(ds)
-	slices.Sort(sorted)
-	return SortedPercentile(sorted, p)
-}
-
-// SortedPercentile is Percentile of durations already sorted ascending,
-// so several percentiles of one set cost one sort.
+// SortedPercentile returns the p-th percentile (0 < p ≤ 100) of
+// durations already sorted ascending, by nearest rank, so several
+// percentiles of one set cost one sort.
 func SortedPercentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

@@ -129,13 +129,13 @@ func TestUniformAndBurstArrivals(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	ds := []time.Duration{4, 1, 3, 2, 5}
-	if got := Percentile(ds, 50); got != 3 {
+	if got := percentile(ds, 50); got != 3 {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := Percentile(ds, 100); got != 5 {
+	if got := percentile(ds, 100); got != 5 {
 		t.Fatalf("p100 = %v", got)
 	}
-	if got := Percentile(nil, 95); got != 0 {
+	if got := percentile(nil, 95); got != 0 {
 		t.Fatalf("empty percentile = %v", got)
 	}
 	// Input must not be reordered.

@@ -1,27 +1,39 @@
 package ampsinf
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"testing/fstest"
 )
 
+// surfaceModules are the module directories whose packages are type
+// checked; bench/ is its own module but calls into internal/ like any
+// other caller.
+var surfaceModules = []string{".", "bench"}
+
 // surfaceRoots are the trees whose non-test files count as callers.
-// bench/ is its own module but calls into internal/ like any other
-// caller.
 var surfaceRoots = []string{"internal", "cmd", "examples", "bench"}
 
 // testOnlyAllowed names the exported declarations under internal/ that
 // only _test.go files use and stay anyway, each with the reason. A key
-// is the declaring directory, then the receiver type for a method, then
-// the name.
+// is the declaring directory, then the type for a method or a field,
+// then the name.
 var testOnlyAllowed = map[string]string{
 	"internal/obs.ValidateTree":                  "span-tree specification shared by obs, coordinator and serving tests",
 	"internal/cloud/pricing.LambdaExecutionCost": "closed-form reference for the billing meter, shared by billing, lambda and experiments tests",
@@ -31,15 +43,23 @@ var testOnlyAllowed = map[string]string{
 	"internal/cloud/s3.Store.TotalBytes":         "storage-conservation check shared by s3, coordinator and serving tests",
 	"internal/cloud/lambda.Platform.Functions":   "leak check (no function left after teardown) shared by lambda, coordinator and core tests",
 	"internal/cloud/faults.Injector.InStorm":     "storm-window specification shared by faults and experiments tests",
+	"internal/cli.Set.Rule":                      "TestFlagRules in cmd/ampsinf walks every registered flag's range and parent; cli's own tests read the same rules",
+	"internal/miqp.Solution.Nodes":               "node-count pins in miqp and optimizer tests (TestSolveOneHotNodeCount, TestBnBBuildSolveNodes)",
+	"internal/baselines.SerferReport.Output":     "the Serfer test checks the step-function chain returns the model's prediction; production decodes it to validate the run either way",
 }
 
 // TestExportedNamesHaveProductionCallers fails on an exported func,
 // method, type, var or const declared in a non-test file under
-// internal/ whose name no non-test file uses outside its own
-// declaration — code only tests reach — unless testOnlyAllowed names it.
-// It fails on a stale allowlist entry too.
+// internal/ that no non-test file refers to, and on an exported struct
+// field there that no non-test file reads — code and data only tests
+// reach — unless testOnlyAllowed names it. It fails on a stale
+// allowlist entry too.
 func TestExportedNamesHaveProductionCallers(t *testing.T) {
-	unused, err := testOnlyExports(os.DirFS("."), surfaceRoots)
+	pkgs, err := listPackages(surfaceModules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, err := testOnlySurface(os.DirFS("."), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +96,26 @@ func TestSurfaceCheckerFixture(t *testing.T) {
 	fsys := fstest.MapFS{
 		"internal/a/a.go": {Data: []byte(`package a
 
-type T struct{ next *T }
+type T struct {
+	Read    int
+	Keyed   int
+	Set     int
+	Summed  int
+	Counted int
+	Tagged  int ` + "`json:\"tagged\"`" + `
+	Inner   struct{ Deep, Kept int }
+	Stats   struct{ N int }
+	next    *T
+}
 
-func (t *T) Used() int      { return 1 }
+func (t *T) Used() int      { return t.Read + t.Inner.Kept }
 func (t *T) OnlyTests() int { return 0 }
 func (t *T) Recur() int     { return t.Recur() }
+func (t *T) Add()           {}
+func (t *T) Via() int       { return 1 }
+func (t *T) String() string { return "t" }
+
+type Viaer interface{ Via() int }
 
 func Helper() {}
 
@@ -101,13 +136,33 @@ func lower() {}
 
 func use() { _ = new(T).OnlyTests(); Helper(); _ = Dropped; _ = Unshared }
 `)},
-		"internal/a/testdata/x.go": {Data: []byte(`package x
+		"internal/m/m.go": {Data: []byte(`package m
 
-func F() { a.Helper() }
+type Acc struct{ n int }
+
+func (a *Acc) Add() { a.n++ }
 `)},
 		"cmd/c/main.go": {Data: []byte(`package main
 
-func main() { var t a.T; _ = t.Used(); _ = a.Kept; _ = a.Shared; _ = unexported{} }
+import (
+	"ampsinf/internal/a"
+	"ampsinf/internal/m"
+)
+
+func main() {
+	t := a.T{Keyed: 1}
+	t.Set = 2
+	t.Summed += 3
+	t.Counted++
+	t.Inner.Deep = 4
+	t.Stats.N++
+	var v a.Viaer = &t
+	_ = v.Via()
+	_ = t.Used()
+	_ = a.Kept
+	_ = a.Shared
+	new(m.Acc).Add()
+}
 `)},
 		"bench/b.go": {Data: []byte(`package b
 
@@ -117,18 +172,36 @@ func (Other) Exported() {}
 func (Other) Recur() int { return 0 }
 `)},
 	}
-	got, err := testOnlyExports(fsys, []string{"internal", "cmd", "bench"})
+	pkgs := []listedPackage{
+		{ImportPath: "ampsinf/internal/a", Dir: "internal/a", GoFiles: []string{"a.go"}},
+		{ImportPath: "ampsinf/internal/m", Dir: "internal/m", GoFiles: []string{"m.go"}},
+		{ImportPath: "ampsinf/cmd/c", Dir: "cmd/c", GoFiles: []string{"main.go"}},
+		{ImportPath: "ampsinf/bench", Dir: "bench", GoFiles: []string{"b.go"}},
+	}
+	got, err := testOnlySurface(fsys, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// T is used by its own methods' receivers; Exported's two
-	// declarations do not count as uses of each other; Recur calls only
-	// itself; the testdata file is no caller.
+	// declarations, like T.Add and m.Acc.Add, are different objects and
+	// do not keep each other; Recur calls only itself; Via is called
+	// only through Viaer and String implements fmt.Stringer; a field set
+	// by a composite-literal key, =, += or ++ is only written, Inner.Deep
+	// too, and Stats with its N, as writing N writes the Stats held by
+	// value; Tagged is read by the JSON encoder.
 	want := []string{
 		"internal/a.Dropped",
 		"internal/a.Helper",
+		"internal/a.T.Add",
+		"internal/a.T.Counted",
+		"internal/a.T.Inner.Deep",
+		"internal/a.T.Keyed",
 		"internal/a.T.OnlyTests",
 		"internal/a.T.Recur",
+		"internal/a.T.Set",
+		"internal/a.T.Stats",
+		"internal/a.T.Stats.N",
+		"internal/a.T.Summed",
 		"internal/a.Unshared",
 		"internal/a.unexported.Exported",
 	}
@@ -147,141 +220,384 @@ func (Other) Recur() int { return 0 }
 		"allowlist entry internal/a.Gone is stale: production uses it or it no longer exists",
 		"allowlist entry internal/a.Helper has no reason",
 		"allowlist entry internal/a.T.Used is stale: production uses it or it no longer exists",
-		"internal/a.T.Recur: exported, but only tests use it; delete it, move it into its one test package, or allowlist it with a reason",
-		"internal/a.Unshared: exported, but only tests use it; delete it, move it into its one test package, or allowlist it with a reason",
-		"internal/a.unexported.Exported: exported, but only tests use it; delete it, move it into its one test package, or allowlist it with a reason",
 	}
+	for _, key := range want {
+		if _, ok := allowed[key]; !ok {
+			wantProblems = append(wantProblems, key+": exported, but only tests use it; delete it, move it into its one test package, or allowlist it with a reason")
+		}
+	}
+	sort.Strings(wantProblems)
 	if problems := surfaceProblems(got, allowed); strings.Join(problems, "\n") != strings.Join(wantProblems, "\n") {
 		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(wantProblems, "\n"))
 	}
 
-	bad := fstest.MapFS{"internal/a/a.go": {Data: []byte("package a\nfunc {")}}
-	if _, err := testOnlyExports(bad, []string{"internal"}); err == nil {
-		t.Error("a file that does not parse: no error")
+	one := []listedPackage{{ImportPath: "ampsinf/internal/a", Dir: "internal/a", GoFiles: []string{"a.go"}}}
+	for _, src := range []string{"package a\nfunc {", "package a\nfunc F() int { return \"\" }"} {
+		bad := fstest.MapFS{"internal/a/a.go": {Data: []byte(src)}}
+		if _, err := testOnlySurface(bad, one); err == nil {
+			t.Errorf("%q: no error", src)
+		}
 	}
 }
 
-// testOnlyExports parses every non-test .go file under roots (testdata
-// directories skipped) and returns, sorted, the keys of the exported
-// declarations under internal/ whose name no identifier outside that
-// declaration uses. A declaring name is never a use, so two unused
-// declarations of one name do not keep each other.
-func testOnlyExports(fsys fs.FS, roots []string) ([]string, error) {
-	type decl struct {
-		key, name string
-		node      ast.Node
+// listedPackage is one package as `go list -json` prints it, with Dir
+// relative to the repository root.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+}
+
+// listPackages lists the packages of each module directory and their
+// dependencies, each once; a standard-library package comes with its
+// compiled export data.
+func listPackages(modules []string) ([]listedPackage, error) {
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var decls []decl
-	for _, root := range roots {
-		err := fs.WalkDir(fsys, root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
+	var pkgs []listedPackage
+	seen := map[string]bool{}
+	for _, m := range modules {
+		cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
+		cmd.Dir = m
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list in %s: %w", m, err)
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+			var p listedPackage
+			if err := dec.Decode(&p); err != nil {
+				return nil, err
 			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return fs.SkipDir
+			if seen[p.ImportPath] {
+				continue
+			}
+			seen[p.ImportPath] = true
+			if !p.Standard {
+				rel, err := filepath.Rel(root, p.Dir)
+				if err != nil {
+					return nil, err
 				}
-				return nil
+				p.Dir = filepath.ToSlash(rel)
 			}
-			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return nil
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs, nil
+}
+
+// implicitMethods are the methods the standard library calls on values
+// production hands it as any — fmt's Stringer and error, errors'
+// Unwrap, encoding/json's Marshaler and net/http's Handler — by name
+// and parameter and result types.
+var implicitMethods = map[string]string{
+	"String":      "() (string)",
+	"Error":       "() (string)",
+	"Unwrap":      "() (error)",
+	"MarshalJSON": "() ([]byte, error)",
+	"ServeHTTP":   "(net/http.ResponseWriter, *net/http.Request) ()",
+}
+
+// testOnlySurface type-checks the non-test files of pkgs (a standard
+// package is read from its export data) and returns, sorted, the keys of
+// the exported declarations under internal/ that no non-test file under
+// surfaceRoots uses:
+//   - a func, method, type, var or const no identifier outside its own
+//     declaration refers to, where a method also counts as used when it
+//     implements an interface method such a file refers to, or one of
+//     implicitMethods;
+//   - a struct field no such file reads. A composite-literal key, the
+//     left side of = or an op-assign, and ++ or -- write a field; a
+//     json-tagged field is read by the encoder.
+func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
+	fset := token.NewFileSet()
+	byPath := map[string]*listedPackage{}
+	for i := range pkgs {
+		byPath[pkgs[i].ImportPath] = &pkgs[i]
+	}
+	std := importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
+		if lp := byPath[p]; lp != nil && lp.Export != "" {
+			return os.Open(lp.Export)
+		}
+		return nil, fmt.Errorf("no export data for %q", p)
+	})
+	type checked struct {
+		lp    *listedPackage
+		files []*ast.File
+		info  *types.Info
+		pkg   *types.Package
+	}
+	var order []*checked
+	done := map[string]*checked{}
+	var imp importerFunc
+	check := func(lp *listedPackage) (*types.Package, error) {
+		if c := done[lp.ImportPath]; c != nil {
+			if c.pkg == nil {
+				return nil, fmt.Errorf("import cycle through %s", lp.ImportPath)
 			}
+			return c.pkg, nil
+		}
+		c := &checked{lp: lp, info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+		}}
+		done[lp.ImportPath] = c
+		for _, name := range lp.GoFiles {
+			p := path.Join(lp.Dir, name)
 			src, err := fs.ReadFile(fsys, p)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			files = append(files, f)
-			if root != "internal" {
-				return nil
+			c.files = append(c.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(lp.ImportPath, fset, c.files, c.info)
+		if err != nil {
+			return nil, err
+		}
+		c.pkg = pkg
+		order = append(order, c)
+		return pkg, nil
+	}
+	imp = func(p string) (*types.Package, error) {
+		if p == "unsafe" {
+			return types.Unsafe, nil
+		}
+		if lp := byPath[p]; lp != nil && !lp.Standard {
+			return check(lp)
+		}
+		return std.Import(p)
+	}
+	for i := range pkgs {
+		if !pkgs[i].Standard {
+			if _, err := check(&pkgs[i]); err != nil {
+				return nil, err
 			}
-			dir := path.Dir(p)
+		}
+	}
+
+	// The declarations under internal/, keyed by their object.
+	type decl struct {
+		key  string
+		node ast.Node
+	}
+	decls := map[types.Object]decl{}
+	var fields func(key string, st *ast.StructType, info *types.Info)
+	fields = func(key string, st *ast.StructType, info *types.Info) {
+		for _, f := range st.Fields.List {
+			for _, n := range f.Names {
+				if inner, ok := f.Type.(*ast.StructType); ok {
+					fields(key+"."+n.Name, inner, info)
+				}
+				if !n.IsExported() {
+					continue
+				}
+				if f.Tag != nil {
+					if tag, ok := reflect.StructTag(strings.Trim(f.Tag.Value, "`")).Lookup("json"); ok && tag != "-" {
+						continue
+					}
+				}
+				decls[info.Defs[n]] = decl{key + "." + n.Name, n}
+			}
+		}
+	}
+	for _, c := range order {
+		if !underRoot(c.lp.Dir, "internal") {
+			continue
+		}
+		for _, f := range c.files {
 			for _, dd := range f.Decls {
 				switch dd := dd.(type) {
 				case *ast.FuncDecl:
 					if !dd.Name.IsExported() {
 						continue
 					}
-					key := dir + "."
+					key := c.lp.Dir + "."
 					if dd.Recv != nil {
 						key += receiverName(dd.Recv.List[0].Type) + "."
 					}
-					decls = append(decls, decl{key + dd.Name.Name, dd.Name.Name, dd})
+					decls[c.info.Defs[dd.Name]] = decl{key + dd.Name.Name, dd}
 				case *ast.GenDecl:
 					for _, spec := range dd.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
+							if st, ok := s.Type.(*ast.StructType); ok {
+								fields(c.lp.Dir+"."+s.Name.Name, st, c.info)
+							}
 							if s.Name.IsExported() {
-								decls = append(decls, decl{dir + "." + s.Name.Name, s.Name.Name, s})
+								decls[c.info.Defs[s.Name]] = decl{c.lp.Dir + "." + s.Name.Name, s}
 							}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
 								if n.IsExported() {
-									decls = append(decls, decl{dir + "." + n.Name, n.Name, s})
+									decls[c.info.Defs[n]] = decl{c.lp.Dir + "." + n.Name, s}
 								}
 							}
 						}
 					}
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 
-	declaring := map[token.Pos]bool{}
-	for _, f := range files {
-		for _, dd := range f.Decls {
-			switch dd := dd.(type) {
-			case *ast.FuncDecl:
-				declaring[dd.Name.Pos()] = true
-			case *ast.GenDecl:
-				for _, spec := range dd.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						declaring[s.Name.Pos()] = true
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							declaring[n.Pos()] = true
-						}
-					}
+	// Every use in a non-test file under the roots, but a field only
+	// where it is read, and an interface method also for what it calls.
+	used := map[types.Object]bool{}
+	var called []*types.Func
+	for _, c := range order {
+		caller := false
+		for _, r := range surfaceRoots {
+			caller = caller || underRoot(c.lp.Dir, r)
+		}
+		if !caller {
+			continue
+		}
+		written := writtenFields(c.files, c.info)
+		for id, obj := range c.info.Uses {
+			if written[id] {
+				continue
+			}
+			switch o := obj.(type) {
+			case *types.Var:
+				obj = o.Origin()
+			case *types.Func:
+				obj = o.Origin()
+				if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					called = append(called, o)
 				}
 			}
-		}
-	}
-	uses := map[string][]token.Pos{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && ast.IsExported(id.Name) && !declaring[id.Pos()] {
-				uses[id.Name] = append(uses[id.Name], id.Pos())
+			if d, ok := decls[obj]; ok && (id.Pos() < d.node.Pos() || id.Pos() >= d.node.End()) {
+				used[obj] = true
 			}
-			return true
-		})
+		}
 	}
 
 	var unused []string
-	for _, d := range decls {
-		used := false
-		for _, p := range uses[d.name] {
-			if p < d.node.Pos() || p >= d.node.End() {
-				used = true
-				break
-			}
+	for obj, d := range decls {
+		if used[obj] {
+			continue
 		}
-		if !used {
-			unused = append(unused, d.key)
+		if fn, ok := obj.(*types.Func); ok && implements(fn, called) {
+			continue
 		}
+		unused = append(unused, d.key)
 	}
 	sort.Strings(unused)
 	return unused, nil
 }
+
+// implements reports whether method fn is one of implicitMethods or
+// implements one of the interface methods called.
+func implements(fn *types.Func, called []*types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return false
+	}
+	if want, ok := implicitMethods[fn.Name()]; ok && signatureShape(sig) == want {
+		return true
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, m := range called {
+		if m.Name() != fn.Name() {
+			continue
+		}
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// signatureShape prints a signature's parameter and result types, without
+// names: "(int, string) (error)".
+func signatureShape(sig *types.Signature) string {
+	var b strings.Builder
+	for i, t := range []*types.Tuple{sig.Params(), sig.Results()} {
+		if i > 0 {
+			b.WriteString(" ")
+		}
+		b.WriteString("(")
+		for j := 0; j < t.Len(); j++ {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(types.TypeString(t.At(j).Type(), nil))
+		}
+		b.WriteString(")")
+	}
+	return b.String()
+}
+
+// writtenFields returns the field identifiers files only write: the keys of
+// struct composite literals, and the selected field on the left of an
+// assignment (:= aside) or an inc/dec statement — and, where that
+// field's struct is itself a field held by value, that field too.
+func writtenFields(files []*ast.File, info *types.Info) map[*ast.Ident]bool {
+	written := map[*ast.Ident]bool{}
+	var lhs func(e ast.Expr)
+	lhs = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				written[e.Sel] = true
+				if _, ptr := info.TypeOf(e.X).Underlying().(*types.Pointer); !ptr {
+					lhs(e.X)
+				}
+			}
+		case *ast.IndexExpr:
+			if _, ok := info.TypeOf(e.X).Underlying().(*types.Array); ok {
+				lhs(e.X)
+			}
+		}
+	}
+	visit := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, e := range n.Lhs {
+					lhs(e)
+				}
+			}
+		case *ast.IncDecStmt:
+			lhs(n.X)
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+					written[id] = true
+				}
+			}
+		}
+		return true
+	}
+	for _, f := range files {
+		ast.Inspect(f, visit)
+	}
+	return written
+}
+
+// underRoot reports whether dir is root or lies beneath it.
+func underRoot(dir, root string) bool {
+	return dir == root || strings.HasPrefix(dir, root+"/")
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // receiverName is the base type name of a method receiver: T for T,
 // *T, T[P] and *T[P].
