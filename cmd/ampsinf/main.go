@@ -25,9 +25,7 @@ import (
 	"ampsinf/internal/cli"
 	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/faults"
-	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/pricing"
-	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
@@ -218,12 +216,7 @@ func infer(f *cli.Set) func() error {
 
 		imgs := workload.Images(m, *images, 7)
 		if *images == 1 {
-			var rep *coordinator.Report
-			if *sequential {
-				rep, err = svc.InferSequential(imgs[0])
-			} else {
-				rep, err = svc.Infer(imgs[0])
-			}
+			rep, err := svc.Deployment().Run(imgs[0], coordinator.RunOptions{Sequential: *sequential})
 			if err != nil {
 				return err
 			}
@@ -240,12 +233,22 @@ func infer(f *cli.Set) func() error {
 				fmt.Print(coordinator.Timeline(rep, 64))
 			}
 		} else {
-			r, err := svc.InferBatchParallel(imgs)
-			if err != nil {
-				return err
+			// Concurrent pipelines cannot share a warm container: each
+			// image starts on fresh ones, and the batch completes with
+			// its slowest image.
+			var completion time.Duration
+			var cost float64
+			for i, img := range imgs {
+				svc.ColdStart()
+				rep, err := svc.Infer(img)
+				if err != nil {
+					return fmt.Errorf("image %d: %w", i, err)
+				}
+				completion = max(completion, rep.Completion)
+				cost += rep.Cost
 			}
 			fmt.Printf("served %d images in parallel: completion %.2fs, total cost $%.6f\n",
-				*images, r.Completion.Seconds(), r.Cost)
+				*images, completion.Seconds(), cost)
 		}
 		printBilling(fw.Meter())
 		return out.write("jobs", tracer.Jobs(), mx)
@@ -594,24 +597,16 @@ func sweepMeasured(m *nn.Model, o *optimizer.Optimizer, segments int, out export
 		if err != nil {
 			continue
 		}
-
-		meter := &billing.Meter{}
-		if tracer != nil {
-			meter.SetObserver(tracer.RecordCost)
-		}
-		platform := lambda.New(meter, perf.Default())
-		platform.SetMetrics(mx)
-		store := s3.New(s3.DefaultConfig(), meter)
-		store.SetMetrics(mx)
+		fw := core.NewFramework(opts)
 		dep, err := coordinator.Deploy(coordinator.Config{
-			Platform: platform, Store: store,
+			Platform: fw.Platform(), Store: fw.Store(),
 			NamePrefix:  fmt.Sprintf("sweep-%d", mem),
 			SkipCompute: true, Tracer: tracer, Metrics: mx,
 		}, m, w, plan)
 		if err != nil {
 			return err
 		}
-		rep, err := dep.RunEager(img)
+		rep, err := dep.Run(img, coordinator.RunOptions{})
 		dep.Teardown()
 		if err != nil {
 			return err

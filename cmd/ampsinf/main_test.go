@@ -17,7 +17,7 @@ import (
 	"ampsinf/internal/cli"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/help.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files")
 
 // lookup returns the subcommand called name.
 func lookup(t *testing.T, name string) command {
@@ -139,9 +139,35 @@ func TestHelpGolden(t *testing.T) {
 			t.Fatalf("%s -h: %v, want flag.ErrHelp", c.name, err)
 		}
 	}
-	golden := filepath.Join("testdata", "help.golden")
+	checkGolden(t, "help.golden", got.String())
+}
+
+// TestInferGolden pins what infer prints for a parallel batch and for
+// one sequential job with its timeline, wall-clock lines blanked. Run
+// with -update to rewrite the goldens.
+func TestInferGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"infer_images3.golden", []string{"infer", "-model", "tinycnn", "-images", "3"}},
+		{"infer_sequential_timeline.golden", []string{"infer", "-model", "tinycnn", "-sequential", "-timeline"}},
+	} {
+		got, err := capture(t, tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		checkGolden(t, tc.golden, got)
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,8 +175,8 @@ func TestHelpGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("-h output differs from %s (go test -run TestHelpGolden -update rewrites it):\n%s", golden, got.String())
+	if got != string(want) {
+		t.Errorf("output differs from %s (-update rewrites it):\n%s", golden, got)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Batch serving: the paper's Sec. 5.4 scenario. Serve many images through
-// an AMPS-Inf deployment in the three supported modes — one batched
-// pipeline pass, sequential per-image jobs on warm containers, and
-// parallel per-image pipelines — and compare with the BATCH baseline
+// an AMPS-Inf deployment in three ways, each built from Service.Infer —
+// one batched pass over the tensor.Stack of the images, sequential
+// per-image jobs on warm containers, and parallel per-image pipelines
+// (ColdStart before each job) — and compare with the BATCH baseline
 // (single lambda, buffered batches, no model splitting). A final section
 // moves batching from the tensor layer into the serving layer: the same
 // Poisson request stream served request-at-a-time and then through the
@@ -18,9 +19,6 @@ import (
 	"time"
 
 	"ampsinf/internal/baselines"
-	"ampsinf/internal/cloud/billing"
-	"ampsinf/internal/cloud/lambda"
-	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
@@ -28,6 +26,7 @@ import (
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/perf"
 	"ampsinf/internal/serving"
+	"ampsinf/internal/tensor"
 	"ampsinf/internal/workload"
 )
 
@@ -57,34 +56,54 @@ func run(w io.Writer) error {
 	defer svc.Close()
 	fmt.Fprintf(w, "AMPS-Inf: %d partition(s), memories %v MB\n\n", svc.Partitions(), svc.Plan.Memories())
 
-	batched, err := svc.InferBatched(images)
+	// One batched pass: the images stacked into one tensor, one job.
+	stacked, err := tensor.Stack(images)
+	if err != nil {
+		return err
+	}
+	batched, err := svc.Infer(stacked)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%-22s completion %7.2fs   cost $%.6f\n", "one batched pass:", batched.Completion.Seconds(), batched.Cost)
 
-	seq, err := svc.InferBatchSequential(images)
-	if err != nil {
-		return err
+	// One job per image: sequentially on warm containers (completion is
+	// the sum), then as parallel pipelines, each on fresh containers since
+	// concurrent jobs cannot share one (completion is the slowest job).
+	for _, parallel := range []bool{false, true} {
+		var completion time.Duration
+		var cost float64
+		for _, img := range images {
+			if parallel {
+				svc.ColdStart()
+			}
+			rep, err := svc.Infer(img)
+			if err != nil {
+				return err
+			}
+			if parallel {
+				completion = max(completion, rep.Completion)
+			} else {
+				completion += rep.Completion
+			}
+			cost += rep.Cost
+		}
+		label := "sequential jobs:"
+		if parallel {
+			label = "parallel pipelines:"
+		}
+		fmt.Fprintf(w, "%-22s completion %7.2fs   cost $%.6f\n", label, completion.Seconds(), cost)
 	}
-	fmt.Fprintf(w, "%-22s completion %7.2fs   cost $%.6f\n", "sequential jobs:", seq.Completion.Seconds(), seq.Cost)
-
-	par, err := svc.InferBatchParallel(images)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-22s completion %7.2fs   cost $%.6f\n\n", "parallel pipelines:", par.Completion.Seconds(), par.Cost)
+	fmt.Fprintln(w)
 
 	// The BATCH baseline: one 2048 MB lambda, batches of 5, no splitting.
-	meter := &billing.Meter{}
-	platform := lambda.New(meter, perf.Default())
-	store := s3.New(s3.DefaultConfig(), meter)
 	o, err := optimizer.New(optimizer.Request{Model: model, Perf: perf.Default()})
 	if err != nil {
 		return err
 	}
+	bfw := core.NewFramework(core.Options{})
 	sys, err := baselines.NewBATCH(coordinator.Config{
-		Platform: platform, Store: store, SkipCompute: true,
+		Platform: bfw.Platform(), Store: bfw.Store(), SkipCompute: true,
 	}, o, weights, 2048, 5)
 	if err != nil {
 		return err

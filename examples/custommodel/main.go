@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
@@ -40,11 +42,17 @@ func buildClassifier() *nn.Model {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	model := buildClassifier()
-	fmt.Print(model.Summary())
+	fmt.Fprint(w, model.Summary())
 
 	segs := model.Segments()
-	fmt.Printf("\nvalid partition segments: %d (the residual block is atomic)\n\n", len(segs))
+	fmt.Fprintf(w, "\nvalid partition segments: %d (the residual block is atomic)\n\n", len(segs))
 
 	weights := nn.InitWeights(model, 11)
 	fw := core.NewFramework(core.Options{})
@@ -52,25 +60,26 @@ func main() {
 	// though this model is tiny.
 	svc, err := fw.Submit(model, weights, core.SubmitOptions{MaxLayersPerPartition: 5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer svc.Close()
-	fmt.Printf("deployed on %d lambdas with memories %v MB\n", svc.Partitions(), svc.Plan.Memories())
+	fmt.Fprintf(w, "deployed on %d lambdas with memories %v MB\n", svc.Partitions(), svc.Plan.Memories())
 
 	image := workload.Image(model, 99)
 	rep, err := svc.Infer(image)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	direct, err := model.Forward(weights, image)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("serverless prediction class %d, direct class %d, bit-identical: %v\n",
+	fmt.Fprintf(w, "serverless prediction class %d, direct class %d, bit-identical: %v\n",
 		tensor.ArgMax(rep.Output), tensor.ArgMax(direct), tensor.AllClose(rep.Output, direct, 0))
-	fmt.Printf("completion %.2fs (simulated), cost $%.6f\n", rep.Completion.Seconds(), rep.Cost)
+	fmt.Fprintf(w, "completion %.2fs (simulated), cost $%.6f\n", rep.Completion.Seconds(), rep.Cost)
 
 	// The zoo models use the same builder; e.g. compare segment structure.
 	tiny := zoo.TinyCNN(0)
-	fmt.Printf("\nfor reference, zoo tinycnn has %d segments\n", len(tiny.Segments()))
+	fmt.Fprintf(w, "\nfor reference, zoo tinycnn has %d segments\n", len(tiny.Segments()))
+	return nil
 }

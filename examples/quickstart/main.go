@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ampsinf/internal/core"
@@ -21,11 +23,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A pre-trained Keras model stands in as a zoo build with
 	// deterministic weights (the paper never relies on accuracy).
 	model, err := zoo.Build("mobilenet", 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	weights := nn.InitWeights(model, 42)
 
@@ -34,28 +42,29 @@ func main() {
 		SLO: 12 * time.Second, // response-time objective
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer svc.Close()
 
-	fmt.Printf("deployed %q on %d lambda(s) with memories %v MB\n",
+	fmt.Fprintf(w, "deployed %q on %d lambda(s) with memories %v MB\n",
 		model.Name, svc.Partitions(), svc.Plan.Memories())
-	fmt.Printf("plan: est. response %.2fs, est. cost $%.6f (computed in %v)\n",
+	fmt.Fprintf(w, "plan: est. response %.2fs, est. cost $%.6f (computed in %v)\n",
 		svc.Plan.EstTime.Seconds(), svc.Plan.EstCost, svc.PlanningTime.Round(time.Millisecond))
 
 	image := workload.Image(model, 7)
 	rep, err := svc.Infer(image)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("served one image: completion %.2fs (simulated), cost $%.6f, class %d\n",
+	fmt.Fprintf(w, "served one image: completion %.2fs (simulated), cost $%.6f, class %d\n",
 		rep.Completion.Seconds(), rep.Cost, tensor.ArgMax(rep.Output))
 
 	// The prediction is bit-identical to running the un-partitioned model.
 	direct, err := model.Forward(weights, image)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("matches direct forward pass: %v\n", tensor.AllClose(direct, rep.Output, 0))
-	fmt.Printf("total metered spend:\n%s\n", fw.Meter())
+	fmt.Fprintf(w, "matches direct forward pass: %v\n", tensor.AllClose(direct, rep.Output, 0))
+	fmt.Fprintf(w, "total metered spend:\n%s\n", fw.Meter())
+	return nil
 }

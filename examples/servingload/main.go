@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ampsinf/internal/core"
@@ -20,21 +22,27 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const (
 		requests = 30
 		ratePerS = 0.08 // one request every ~12.5 s
 	)
 	model, err := zoo.Build("mobilenet", 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	weights := nn.InitWeights(model, 42)
 	inputs := workload.Images(model, requests, 17)
 	arrivals := workload.PoissonArrivals(requests, ratePerS, 99)
 
-	fmt.Printf("trace: %d requests over %.0fs (Poisson, %.2f req/s)\n\n",
+	fmt.Fprintf(w, "trace: %d requests over %.0fs (Poisson, %.2f req/s)\n\n",
 		requests, arrivals[len(arrivals)-1].Seconds(), ratePerS)
-	fmt.Println("deployment        mems(MB)   avg lat    p95 lat    makespan   cost($)")
+	fmt.Fprintln(w, "deployment        mems(MB)   avg lat    p95 lat    makespan   cost($)")
 
 	for _, cfg := range []struct {
 		label string
@@ -48,19 +56,20 @@ func main() {
 			SLO: cfg.slo, SkipCompute: true, NamePrefix: "load-" + cfg.label,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rep, err := svc.Serve(inputs, arrivals, serving.Config{})
+		svc.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-16s  %-9s  %7.2fs   %7.2fs   %7.2fs   %.5f\n",
+		fmt.Fprintf(w, "%-16s  %-9s  %7.2fs   %7.2fs   %7.2fs   %.5f\n",
 			cfg.label, fmt.Sprint(svc.Plan.Memories()),
 			rep.AvgLatency.Seconds(), rep.P95Latency.Seconds(),
 			rep.Makespan.Seconds(), rep.TotalCost)
-		svc.Close()
 	}
-	fmt.Println("\nA tighter SLO buys shorter service times, so fewer requests overlap")
-	fmt.Println("and cold-start a second container — lower tail latency at a higher")
-	fmt.Println("per-request cost.")
+	fmt.Fprintln(w, "\nA tighter SLO buys shorter service times, so fewer requests overlap")
+	fmt.Fprintln(w, "and cold-start a second container — lower tail latency at a higher")
+	fmt.Fprintln(w, "per-request cost.")
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ampsinf/internal/nn/zoo"
@@ -18,35 +20,42 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	model, err := zoo.Build("resnet50", 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	o, err := optimizer.New(optimizer.Request{Model: model, Perf: perf.Default()})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	base, err := o.OptimizeCostOnly()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("cost-optimal (no SLO): %d lambdas %v MB, %.2fs, $%.6f\n\n",
+	fmt.Fprintf(w, "cost-optimal (no SLO): %d lambdas %v MB, %.2fs, $%.6f\n\n",
 		len(base.Lambdas), base.Memories(), base.EstTime.Seconds(), base.EstCost)
 
-	fmt.Println("SLO(s)   met  lambdas  memories(MB)        time(s)  cost($)    λ")
+	fmt.Fprintln(w, "SLO(s)   met  lambdas  memories(MB)        time(s)  cost($)    λ")
 	for factor := 1.0; factor >= 0.70; factor -= 0.05 {
 		slo := time.Duration(float64(base.EstTime) * factor)
 		plan, err := optimizer.Optimize(optimizer.Request{
 			Model: model, Perf: perf.Default(), SLO: slo,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%6.2f   %-5v %-8d %-18s  %6.2f   %.6f   %.2g\n",
+		fmt.Fprintf(w, "%6.2f   %-5v %-8d %-18s  %6.2f   %.6f   %.2g\n",
 			slo.Seconds(), plan.MeetsSLO, len(plan.Lambdas), fmt.Sprint(plan.Memories()),
 			plan.EstTime.Seconds(), plan.EstCost, plan.LagrangeMultiplier)
 	}
-	fmt.Println("\nTighter SLOs buy speed with larger memory blocks at higher cost —")
-	fmt.Println("the gap between AMPS-Inf and the cost-optimal Baseline 3 in Figs 9-10.")
+	fmt.Fprintln(w, "\nTighter SLOs buy speed with larger memory blocks at higher cost —")
+	fmt.Fprintln(w, "the gap between AMPS-Inf and the cost-optimal Baseline 3 in Figs 9-10.")
+	return nil
 }

@@ -150,7 +150,7 @@ func TestSerferSlowerThanDirectPipeline(t *testing.T) {
 	defer dep.Teardown()
 
 	in := randomInput(m, 11)
-	direct, err := dep.RunSequential(in)
+	direct, err := dep.Run(in, coordinator.RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}

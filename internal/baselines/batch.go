@@ -73,7 +73,11 @@ func (b *BATCHSystem) Serve(images []*tensor.Tensor) (*BATCHReport, error) {
 		if hi > len(images) {
 			hi = len(images)
 		}
-		r, err := b.dep.RunBatched(images[lo:hi])
+		stacked, err := tensor.Stack(images[lo:hi])
+		if err != nil {
+			return nil, fmt.Errorf("baselines: BATCH batch %d: %w", rep.Batches, err)
+		}
+		r, err := b.dep.Run(stacked, coordinator.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("baselines: BATCH batch %d: %w", rep.Batches, err)
 		}

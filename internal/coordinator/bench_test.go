@@ -31,7 +31,7 @@ func BenchmarkPipelineJob(b *testing.B) {
 	in := randomInput(m, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.RunEager(in); err != nil {
+		if _, err := d.Run(in, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

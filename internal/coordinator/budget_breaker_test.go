@@ -35,7 +35,7 @@ func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 	// Calibrate the per-job earn with the breaker closed: one token per
 	// first-attempt success (puts and invokes alike).
 	before := d.budgetTokens
-	if _, err := d.RunEager(randomInput(m, 1)); err != nil {
+	if _, err := d.Run(randomInput(m, 1), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cleanEarn := d.budgetTokens - before
@@ -53,7 +53,7 @@ func TestHalfOpenProbeSpendsBudgetOnce(t *testing.T) {
 	d.retryMu.Unlock()
 
 	before = d.budgetTokens
-	rep, err := d.RunEager(randomInput(m, 2))
+	rep, err := d.Run(randomInput(m, 2), RunOptions{})
 	if err != nil {
 		t.Fatalf("probe job failed: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestBreakerShortCircuitDeniedByEmptyBudget(t *testing.T) {
 	d.parts[0].brk.trip(d.cfg.Platform.Now())
 	d.retryMu.Unlock()
 
-	rep, err := d.RunEager(randomInput(m, 3))
+	rep, err := d.Run(randomInput(m, 3), RunOptions{})
 	if err == nil {
 		t.Fatal("job served through an open breaker on an empty budget")
 	}
@@ -141,7 +141,7 @@ func TestQuantizedFallbackAccuracyBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(d.Teardown)
-		rep, err := d.RunEager(in)
+		rep, err := d.Run(in, RunOptions{})
 		if err != nil {
 			t.Fatalf("%d-bit fallback run: %v", bits, err)
 		}

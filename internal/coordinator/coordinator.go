@@ -79,7 +79,6 @@ type Config struct {
 type Deployment struct {
 	cfg    Config
 	model  *nn.Model
-	plan   *optimizer.Plan
 	parts  []*partition
 	mu     sync.Mutex
 	jobSeq int
@@ -119,7 +118,6 @@ type partition struct {
 	index    int
 	fnName   string
 	model    *nn.Model
-	memoryMB int
 	flops    int64
 	weightsB int64
 
@@ -196,7 +194,7 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 		return nil, fmt.Errorf("coordinator: splitting weights: %w", err)
 	}
 
-	d := &Deployment{cfg: cfg, model: model, plan: plan}
+	d := &Deployment{cfg: cfg, model: model}
 	d.initRetryRng()
 	d.budgetTokens = cfg.Budget.MaxTokens
 	d.resolveJobHandles()
@@ -213,7 +211,6 @@ func Deploy(cfg Config, model *nn.Model, weights nn.Weights, plan *optimizer.Pla
 			index:    i,
 			fnName:   fmt.Sprintf("%s-%s-p%d", cfg.NamePrefix, model.Name, i),
 			model:    part,
-			memoryMB: lp.MemoryMB,
 			flops:    lp.Profile.FLOPs,
 			weightsB: sizes[i], // what is shipped and loaded
 			blob:     blobs[i],

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/faults"
@@ -117,14 +118,14 @@ func TestPipelineMatchesWholeModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := d.RunSequential(in)
+	seq, err := d.Run(in, RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.AllClose(want, seq.Output, 0) {
 		t.Fatalf("sequential output differs by %v", tensor.MaxAbsDiff(want, seq.Output))
 	}
-	eager, err := d.RunEager(in)
+	eager, err := d.Run(in, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPipelineMatchesWholeModel(t *testing.T) {
 func TestEagerFasterButComparableCost(t *testing.T) {
 	_, d, m, _ := deployTinySplit(t)
 	in := randomInput(m, 8)
-	seq, err := d.RunSequential(in)
+	seq, err := d.Run(in, RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestEagerFasterButComparableCost(t *testing.T) {
 	for _, name := range d.FunctionNames() {
 		d.cfg.Platform.ResetWarm(name)
 	}
-	eager, err := d.RunEager(in)
+	eager, err := d.Run(in, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +160,11 @@ func TestEagerFasterButComparableCost(t *testing.T) {
 func TestWarmSecondJobFaster(t *testing.T) {
 	_, d, m, _ := deployTinySplit(t)
 	in := randomInput(m, 9)
-	first, err := d.RunSequential(in)
+	first, err := d.Run(in, RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := d.RunSequential(in)
+	second, err := d.Run(in, RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestWarmSecondJobFaster(t *testing.T) {
 
 func TestPerLambdaReports(t *testing.T) {
 	_, d, m, _ := deployTinySplit(t)
-	rep, err := d.RunEager(randomInput(m, 10))
+	rep, err := d.Run(randomInput(m, 10), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,63 +197,101 @@ func TestPerLambdaReports(t *testing.T) {
 	}
 }
 
+// runBatch serves each input as its own job: sequentially on warm
+// containers (completion is the sum), or as the paper's parallel
+// pipelines, each starting on fresh containers (completion is the
+// maximum). The jobs run one at a time either way.
+func runBatch(d *Deployment, inputs []*tensor.Tensor, parallel bool) (time.Duration, []*Report, error) {
+	var completion time.Duration
+	var reps []*Report
+	for _, in := range inputs {
+		if parallel {
+			for _, fn := range d.FunctionNames() {
+				d.Platform().ResetWarm(fn)
+			}
+		}
+		rep, err := d.Run(in, RunOptions{})
+		if err != nil {
+			return 0, nil, err
+		}
+		reps = append(reps, rep)
+		if !parallel {
+			completion += rep.Completion
+		} else if rep.Completion > completion {
+			completion = rep.Completion
+		}
+	}
+	return completion, reps, nil
+}
+
 func TestBatchSequentialVsParallel(t *testing.T) {
 	_, d, m, w := deployTinySplit(t)
 	var inputs []*tensor.Tensor
 	for i := 0; i < 4; i++ {
 		inputs = append(inputs, randomInput(m, int64(20+i)))
 	}
-	seq, err := d.RunBatchSequential(inputs)
+	seq, seqReps, err := runBatch(d, inputs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := d.RunBatchParallel(inputs)
+	par, parReps, err := runBatch(d, inputs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Completion >= seq.Completion {
-		t.Fatalf("parallel batch %v not faster than sequential %v", par.Completion, seq.Completion)
+	if par >= seq {
+		t.Fatalf("parallel batch %v not faster than sequential %v", par, seq)
 	}
 	// Outputs of both modes must match the direct forward pass.
 	for i, in := range inputs {
 		want, _ := m.Forward(w, in)
-		if !tensor.AllClose(want, seq.Jobs[i].Output, 0) {
+		if !tensor.AllClose(want, seqReps[i].Output, 0) {
 			t.Fatalf("sequential batch image %d wrong", i)
 		}
-		if !tensor.AllClose(want, par.Jobs[i].Output, 0) {
+		if !tensor.AllClose(want, parReps[i].Output, 0) {
 			t.Fatalf("parallel batch image %d wrong", i)
 		}
 	}
 }
 
-func TestRunBatchedStacksImages(t *testing.T) {
+// TestBatchedPassStacksImages serves a tensor.Stack of images as one job:
+// one pass through the pipeline, the same output as a direct forward
+// pass. An empty batch stacks to nothing and a nil input is refused.
+func TestBatchedPassStacksImages(t *testing.T) {
 	_, d, m, w := deployTinySplit(t)
 	inputs := []*tensor.Tensor{randomInput(m, 30), randomInput(m, 31)}
-	rep, err := d.RunBatched(inputs)
+	stacked, err := tensor.Stack(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d.Run(stacked, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Output.Shape()[0] != 2 {
 		t.Fatalf("batched output shape %v", rep.Output.Shape())
 	}
-	stacked, _ := tensor.Stack(inputs)
 	want, _ := m.Forward(w, stacked)
 	if !tensor.AllClose(want, rep.Output, 0) {
 		t.Fatal("batched pipeline output differs from direct forward")
 	}
-	if _, err := d.RunBatched(nil); err == nil {
-		t.Fatal("empty batch accepted")
+	for _, empty := range [][]*tensor.Tensor{nil, {}} {
+		if _, err := tensor.Stack(empty); err == nil {
+			t.Fatalf("empty batch %#v stacked", empty)
+		}
+	}
+	if _, err := d.Run(nil, RunOptions{}); err == nil {
+		t.Fatal("nil input accepted")
 	}
 }
 
 func TestS3OutageSurfaces(t *testing.T) {
 	e, d, m, _ := deployTinySplit(t)
 	e.store.SetInjector(faults.New(faults.Config{GetFail: 1, PutFail: 1}))
-	if _, err := d.RunSequential(randomInput(m, 40)); err == nil {
+	if _, err := d.Run(randomInput(m, 40), RunOptions{Sequential: true}); err == nil {
 		t.Fatal("job succeeded during S3 outage")
 	}
 	e.store.SetInjector(nil)
-	if _, err := d.RunSequential(randomInput(m, 41)); err != nil {
+	if _, err := d.Run(randomInput(m, 41), RunOptions{Sequential: true}); err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
 }
@@ -263,7 +302,7 @@ func TestCorruptedDeploymentDetected(t *testing.T) {
 	d.parts[0].blob[len(d.parts[0].blob)/2] ^= 0xFF
 	d.parts[0].weights = nil
 	d.cfg.Platform.ResetWarm(d.parts[0].fnName)
-	_, err := d.RunSequential(randomInput(m, 50))
+	_, err := d.Run(randomInput(m, 50), RunOptions{Sequential: true})
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
@@ -288,7 +327,7 @@ func TestDeployValidation(t *testing.T) {
 
 func TestJobCleanupRemovesIntermediates(t *testing.T) {
 	e, d, m, _ := deployTinySplit(t)
-	if _, err := d.RunSequential(randomInput(m, 60)); err != nil {
+	if _, err := d.Run(randomInput(m, 60), RunOptions{Sequential: true}); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.store.TotalBytes(); n != 0 {
@@ -302,7 +341,7 @@ func TestSingleLambdaDeployment(t *testing.T) {
 		t.Fatalf("tinycnn deployed on %d lambdas", d.Partitions())
 	}
 	in := randomInput(m, 70)
-	rep, err := d.RunEager(in)
+	rep, err := d.Run(in, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

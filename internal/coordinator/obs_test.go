@@ -97,9 +97,9 @@ func TestTraceCostAndTimingProperty(t *testing.T) {
 					var rep *Report
 					var err error
 					if eager {
-						rep, err = d.RunEager(in)
+						rep, err = d.Run(in, RunOptions{})
 					} else {
-						rep, err = d.RunSequential(in)
+						rep, err = d.Run(in, RunOptions{Sequential: true})
 					}
 					if err != nil {
 						t.Fatalf("job %d: %v", j, err)
@@ -122,7 +122,7 @@ func TestTraceCostAndTimingProperty(t *testing.T) {
 // execution phase of each success attempt.
 func TestTraceCoversAllPhases(t *testing.T) {
 	_, d, m, _ := deployTinyTraced(t, 0, 0)
-	rep, err := d.RunEager(randomInput(m, 7))
+	rep, err := d.Run(randomInput(m, 7), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTraceRendersRetries(t *testing.T) {
 	_, d, m, _ := deployTinyTraced(t, 0.4, 4242)
 	var rep *Report
 	for j := 0; j < 12; j++ {
-		r, err := d.RunEager(randomInput(m, int64(j)))
+		r, err := d.Run(randomInput(m, int64(j)), RunOptions{})
 		if err != nil {
 			t.Fatalf("job %d: %v", j, err)
 		}
@@ -202,7 +202,7 @@ func TestTraceRendersRetries(t *testing.T) {
 // but no cost events, and SumCosts degrades to zero rather than lying.
 func TestUntracedRunsStillBuildTrace(t *testing.T) {
 	_, d, m, _ := deployTinySplit(t)
-	rep, err := d.RunEager(randomInput(m, 3))
+	rep, err := d.Run(randomInput(m, 3), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

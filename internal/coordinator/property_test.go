@@ -15,14 +15,14 @@ func TestPropertyEagerNeverSlower(t *testing.T) {
 		for _, name := range d.FunctionNames() {
 			d.cfg.Platform.ResetWarm(name)
 		}
-		seq, err := d.RunSequential(in)
+		seq, err := d.Run(in, RunOptions{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range d.FunctionNames() {
 			d.cfg.Platform.ResetWarm(name)
 		}
-		eager, err := d.RunEager(in)
+		eager, err := d.Run(in, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,9 +44,9 @@ func TestPropertyCostStrictlyPositive(t *testing.T) {
 				err error
 			)
 			if mode == "sequential" {
-				rep, err = d.RunSequential(in)
+				rep, err = d.Run(in, RunOptions{Sequential: true})
 			} else {
-				rep, err = d.RunEager(in)
+				rep, err = d.Run(in, RunOptions{})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -71,9 +71,9 @@ func TestPropertyCostMatchesMeterDeltas(t *testing.T) {
 			err error
 		)
 		if seed%2 == 0 {
-			rep, err = d.RunEager(randomInput(m, 300+seed))
+			rep, err = d.Run(randomInput(m, 300+seed), RunOptions{})
 		} else {
-			rep, err = d.RunSequential(randomInput(m, 300+seed))
+			rep, err = d.Run(randomInput(m, 300+seed), RunOptions{Sequential: true})
 		}
 		if err != nil {
 			t.Fatal(err)

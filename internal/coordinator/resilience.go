@@ -392,7 +392,6 @@ type breaker struct {
 	state       breakerState
 	consecFails int
 	openedAt    time.Duration
-	trips       int
 
 	// Sliding window of recent outcomes for the rate trigger.
 	events []breakerEvent
@@ -481,7 +480,6 @@ func (b *breaker) record(now time.Duration, succeeded bool) {
 func (b *breaker) trip(now time.Duration) {
 	b.state = breakerOpen
 	b.openedAt = now
-	b.trips++
 	b.events = b.events[:0]
 }
 

@@ -140,7 +140,7 @@ func TestDeadlineFailsFastTyped(t *testing.T) {
 // preserved as the DeadlineError's cause — instead of retrying blind.
 func TestDeadlineBoundsRetries(t *testing.T) {
 	_, dc, m, _ := deployTinyResilient(t, 0, 0, nil)
-	clean, err := dc.RunSequential(randomInput(m, 1))
+	clean, err := dc.Run(randomInput(m, 1), RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +213,9 @@ func TestHedgingDeterministicAndCostExact(t *testing.T) {
 					var rep *Report
 					var err error
 					if mode == "eager" {
-						rep, err = d.RunEager(randomInput(m, int64(j)))
+						rep, err = d.Run(randomInput(m, int64(j)), RunOptions{})
 					} else {
-						rep, err = d.RunSequential(randomInput(m, int64(j)))
+						rep, err = d.Run(randomInput(m, int64(j)), RunOptions{Sequential: true})
 					}
 					if err != nil {
 						t.Fatalf("job %d: %v", j, err)
@@ -260,7 +260,7 @@ func TestHedgeRateCap(t *testing.T) {
 		cfg.Hedge = HedgePolicy{Delay: time.Nanosecond, MaxRate: 0.25, JitterSeed: 3}
 	})
 	for j := 0; j < 12; j++ {
-		if _, err := d.RunEager(randomInput(m, int64(j))); err != nil {
+		if _, err := d.Run(randomInput(m, int64(j)), RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestHedgeSpansOnShadowTrack(t *testing.T) {
 	_, d, m, _ := deployTinyResilient(t, 0, 0, func(cfg *Config) {
 		cfg.Hedge = HedgePolicy{Delay: time.Nanosecond, MaxRate: 1, JitterSeed: 5}
 	})
-	rep, err := d.RunEager(randomInput(m, 2))
+	rep, err := d.Run(randomInput(m, 2), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +352,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.state != breakerOpen {
 		t.Fatalf("failed probe left state %v, want open", b.state)
 	}
-	if b.trips != 3 {
-		t.Fatalf("trips = %d, want 3", b.trips)
+	if b.openedAt != at(30) {
+		t.Fatalf("opened at %v, want the failed probe's %v", b.openedAt, at(30))
 	}
 }
 
@@ -399,7 +399,7 @@ func TestBreakerShortCircuitsUnderStorm(t *testing.T) {
 	})
 	shortCircuits, breakerErrs := 0, 0
 	for j := 0; j < 12; j++ {
-		rep, err := d.RunEager(randomInput(m, int64(j)))
+		rep, err := d.Run(randomInput(m, int64(j)), RunOptions{})
 		var rj *Report
 		if rep != nil {
 			rj = rep
@@ -429,7 +429,7 @@ func TestFailureTraceReproducesCharges(t *testing.T) {
 	sawFailure := false
 	for j := 0; j < 15; j++ {
 		before := e.meter.Total()
-		rep, err := d.RunEager(randomInput(m, int64(j)))
+		rep, err := d.Run(randomInput(m, int64(j)), RunOptions{})
 		delta := e.meter.Total() - before
 		if err == nil {
 			continue

@@ -92,9 +92,6 @@ type retryStep struct {
 // win: either the speculative duplicate (cancelled or failed), or —
 // when the hedge won — the cancelled primary.
 type hedgeRec struct {
-	// res is the shadow invocation's platform result (nil when it was
-	// rejected at dispatch, e.g. an injected throttle).
-	res *lambda.Result
 	// delay is the offset from the attempt's dispatch to the shadow's
 	// dispatch: the jittered hedge delay for a speculative duplicate, 0
 	// for a cancelled primary.
@@ -391,7 +388,7 @@ func (d *Deployment) resolveHedge(ri *retryInfo, res *lambda.Result, err error, 
 		// Primary wins (ties go to the primary). Cancel the hedge at the
 		// primary's finish: it bills only the time it actually ran before
 		// cancellation.
-		rec := &hedgeRec{res: hres, delay: hdelay, fault: "cancelled", bucket: hbucket}
+		rec := &hedgeRec{delay: hdelay, fault: "cancelled", bucket: hbucket}
 		if hres != nil {
 			rec.billed = clampDur(primFinish-hedgeStart, 0, hres.Duration)
 			ri.wastedCost += hres.Cost
@@ -415,7 +412,7 @@ func (d *Deployment) resolveHedge(ri *retryInfo, res *lambda.Result, err error, 
 		// billed only up to it. The winner's work effectively started
 		// hedgeStart after the attempt's dispatch — serial time the
 		// schedule (and billing settlement) must account for.
-		rec := &hedgeRec{res: res, delay: 0, fault: "cancelled", bucket: bucket}
+		rec := &hedgeRec{delay: 0, fault: "cancelled", bucket: bucket}
 		if res != nil {
 			rec.billed = clampDur(hedgeFinish, 0, res.Duration)
 			ri.wastedCost += res.Cost
@@ -443,7 +440,7 @@ func (d *Deployment) resolveHedge(ri *retryInfo, res *lambda.Result, err error, 
 			ri.wastedCost += d.cfg.Platform.SettleExecution(res.MemoryMB, res.Duration)
 		})
 	}
-	hrec := &hedgeRec{res: hres, delay: hdelay, fault: hedgeFault, bucket: hbucket}
+	hrec := &hedgeRec{delay: hdelay, fault: hedgeFault, bucket: hbucket}
 	if hres != nil {
 		hrec.billed = hres.Duration
 		ri.wastedCost += hres.Cost

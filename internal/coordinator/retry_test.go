@@ -55,7 +55,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 	totalFaults := 0
 	for j := 0; j < 10; j++ {
 		in := randomInput(m, int64(j))
-		rep, err := d.RunEager(in)
+		rep, err := d.Run(in, RunOptions{})
 		if err != nil {
 			t.Fatalf("job %d not absorbed: %v", j, err)
 		}
@@ -90,7 +90,7 @@ func TestRetryRunsDeterministic(t *testing.T) {
 		_, d, m, _ := deployTinyFaulty(t, 0.25, 777, resilientPolicy(777))
 		var out []jobSummary
 		for j := 0; j < 6; j++ {
-			rep, err := d.RunEager(randomInput(m, int64(j)))
+			rep, err := d.Run(randomInput(m, int64(j)), RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestZeroPolicyFailsFast(t *testing.T) {
 	_, d, m, _ := deployTinyFaulty(t, 0.5, 99, RetryPolicy{})
 	var failed bool
 	for j := 0; j < 20 && !failed; j++ {
-		if _, err := d.RunEager(randomInput(m, int64(j))); err != nil {
+		if _, err := d.Run(randomInput(m, int64(j)), RunOptions{}); err != nil {
 			failed = true
 			if !faults.IsTransient(err) {
 				t.Fatalf("aborting error lost its fault classification: %v", err)
@@ -134,7 +134,7 @@ func TestNonTransientNotRetried(t *testing.T) {
 	d.parts[0].blob[len(d.parts[0].blob)/2] ^= 0xFF
 	d.parts[0].weights = nil
 	d.cfg.Platform.ResetWarm(d.parts[0].fnName)
-	_, err := d.RunSequential(randomInput(m, 50))
+	_, err := d.Run(randomInput(m, 50), RunOptions{Sequential: true})
 	if err == nil {
 		t.Fatal("corruption not detected")
 	}
@@ -154,7 +154,7 @@ func TestFaultsInflateCost(t *testing.T) {
 		_, d, m, _ := deployTinyFaulty(t, rate, 4242, resilientPolicy(4242))
 		var cost float64
 		for j := 0; j < 8; j++ {
-			rep, err := d.RunEager(randomInput(m, int64(j)))
+			rep, err := d.Run(randomInput(m, int64(j)), RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

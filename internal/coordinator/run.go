@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"fmt"
 	"time"
 
 	"ampsinf/internal/cloud/lambda"
@@ -86,8 +85,14 @@ type Report struct {
 
 // RunOptions tunes one job run.
 type RunOptions struct {
-	// Sequential serves with the strictly sequential schedule instead
-	// of the default overlapped (eager) one.
+	// Sequential invokes partition i+1 only after partition i returns —
+	// the execution model behind the paper's formulation, where the
+	// response time is the sum of per-lambda times (Eq. 2). The default
+	// eager schedule invokes every partition at job start, so dependency
+	// initialization and weight loading overlap upstream execution and
+	// each function waits (billed) for its input to appear in S3: how
+	// the deployed system reaches the completion times of the paper's
+	// Tables 3 and 5.
 	Sequential bool
 	// Deadline is the job's completion budget (0 = none; negative is
 	// rejected). Once the job's committed simulated time cannot cover
@@ -110,9 +115,12 @@ type RunOptions struct {
 	Lean bool
 }
 
-// Run serves one input under opts. On failure the returned report,
-// when non-nil, carries a partial trace holding the exact charges the
-// failed job billed, so serving-level cost attribution stays exact.
+// Run is the one whole-job entry point: it serves one input — an image,
+// or a tensor.Stack of images as one batched pass — under opts. (A
+// parallel batch is Platform().ResetWarm on every function before each
+// image's Run.) On failure the returned report, when non-nil, carries
+// a partial trace holding the exact charges the failed job billed, so
+// serving-level cost attribution stays exact.
 func (d *Deployment) Run(input *tensor.Tensor, opts RunOptions) (*Report, error) {
 	mode := "eager"
 	if opts.Sequential {
@@ -121,22 +129,10 @@ func (d *Deployment) Run(input *tensor.Tensor, opts RunOptions) (*Report, error)
 	return d.run(input, mode, StagedOptions{Deadline: opts.Deadline, NoTrace: opts.NoTrace, Lean: opts.Lean})
 }
 
-// RunSequential serves one input with strictly sequential invocations:
-// partition i+1 is invoked after partition i returns — the execution
-// model behind the paper's formulation, where the response time is the
-// sum of per-lambda times (Eq. 2).
-func (d *Deployment) RunSequential(input *tensor.Tensor) (*Report, error) {
-	return d.run(input, "sequential", StagedOptions{})
-}
-
-// RunEager serves one input with the measurement-matching schedule: all
-// partition functions are invoked at job start so that dependency
-// initialization and weight loading overlap with upstream execution; each
-// function waits (billed) until its input appears in S3. This is how the
-// deployed system achieves the completion times of the paper's Tables 3
-// and 5.
+// RunEager is Run with the default options: the eager schedule. (The
+// benchmark in bench/ calls it.)
 func (d *Deployment) RunEager(input *tensor.Tensor) (*Report, error) {
-	return d.run(input, "eager", StagedOptions{})
+	return d.Run(input, RunOptions{})
 }
 
 // run is the whole-job driver: it walks the whole chain in one call and
@@ -182,21 +178,16 @@ func (d *Deployment) run(input *tensor.Tensor, mode string, opts StagedOptions) 
 }
 
 // recordJobMetrics folds one finished job into the metrics registry
-// through the handles resolved at Deploy; only a mode outside the
-// coordinator's own three falls back to formatting a label.
+// through the handles resolved at Deploy.
 func (d *Deployment) recordJobMetrics(rep *Report) {
 	jh := &d.jh
 	mx, ts := d.cfg.Metrics, d.cfg.Series
 	jobs, tsJobs := jh.jobsSeq, jh.tsJobsSeq
 	switch rep.Mode {
-	case "sequential":
 	case "eager":
 		jobs, tsJobs = jh.jobsEager, jh.tsJobsEager
 	case "pipelined":
 		jobs, tsJobs = jh.jobsPipe, jh.tsJobsPipe
-	default: // resolved outside the write sections: resolving takes the registry's lock
-		name := fmt.Sprintf("coordinator_jobs_total{mode=%q}", rep.Mode)
-		jobs, tsJobs = mx.CounterHandle(name), ts.CounterHandle(name)
 	}
 	completion := rep.Completion.Seconds()
 	w := mx.Begin()
@@ -281,69 +272,6 @@ func (j *job) settleEager() {
 		avail = exit
 	}
 	j.rep.Completion = avail
-}
-
-// BatchReport aggregates a multi-image batch job.
-type BatchReport struct {
-	Completion time.Duration
-	Cost       float64
-	Jobs       []*Report
-}
-
-// RunBatchSequential serves the inputs one after another through the same
-// warm pipeline (the paper's AMPS-Inf-Seq of Fig 13): completion is the
-// sum of per-image completions.
-func (d *Deployment) RunBatchSequential(inputs []*tensor.Tensor) (*BatchReport, error) {
-	br := &BatchReport{}
-	for i, in := range inputs {
-		rep, err := d.RunEager(in)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: batch image %d: %w", i, err)
-		}
-		br.Jobs = append(br.Jobs, rep)
-		br.Completion += rep.Completion
-		br.Cost += rep.Cost
-	}
-	return br, nil
-}
-
-// RunBatchParallel serves each input in its own concurrently-running
-// pipeline (fresh containers per job, as parallel invocations cannot
-// share a warm container): completion is the maximum per-image
-// completion, cost the sum. ResetWarm discards only idle containers —
-// on a clocked platform a mid-flight sandbox keeps executing; here the
-// jobs are replayed one at a time, so each starts from a cold pool.
-func (d *Deployment) RunBatchParallel(inputs []*tensor.Tensor) (*BatchReport, error) {
-	br := &BatchReport{}
-	for i, in := range inputs {
-		for _, p := range d.parts {
-			d.cfg.Platform.ResetWarm(p.fnName)
-		}
-		rep, err := d.RunEager(in)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: batch image %d: %w", i, err)
-		}
-		br.Jobs = append(br.Jobs, rep)
-		if rep.Completion > br.Completion {
-			br.Completion = rep.Completion
-		}
-		br.Cost += rep.Cost
-	}
-	return br, nil
-}
-
-// RunBatched stacks the inputs into one batch tensor and serves it in a
-// single pipeline pass (one invocation per partition, compute scaled by
-// the batch size).
-func (d *Deployment) RunBatched(inputs []*tensor.Tensor) (*Report, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("coordinator: empty batch")
-	}
-	stacked, err := tensor.Stack(inputs)
-	if err != nil {
-		return nil, fmt.Errorf("coordinator: %w", err)
-	}
-	return d.RunEager(stacked)
 }
 
 func (d *Deployment) meterTotal() float64 {

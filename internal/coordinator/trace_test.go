@@ -25,7 +25,7 @@ func TestConcurrentJobsSafe(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		go func(i int) {
 			in := randomInput(m, int64(100+i))
-			rep, err := d.RunEager(in)
+			rep, err := d.Run(in, RunOptions{})
 			if err != nil {
 				results <- result{i, err, false}
 				return
@@ -51,7 +51,7 @@ func TestConcurrentJobsSafe(t *testing.T) {
 
 func TestTimelineRendersPhases(t *testing.T) {
 	_, d, m, _ := deployTinySplit(t)
-	rep, err := d.RunEager(randomInput(m, 77))
+	rep, err := d.Run(randomInput(m, 77), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTimelineRendersPhases(t *testing.T) {
 	if Timeline(nil, 60) != "(empty report)\n" {
 		t.Fatal("nil report not handled")
 	}
-	seq, err := d.RunSequential(randomInput(m, 78))
+	seq, err := d.Run(randomInput(m, 78), RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +101,9 @@ func TestConcurrentBatchesOnlyReadSharedWeights(t *testing.T) {
 	errs := make(chan error, batches)
 	for b := 0; b < batches; b++ {
 		go func() {
-			br, err := d.RunBatchParallel(inputs)
+			_, reps, err := runBatch(d, inputs, true)
 			for i := 0; err == nil && i < len(inputs); i++ {
-				if !tensorAllClose(want[i], br.Jobs[i].Output) {
+				if !tensorAllClose(want[i], reps[i].Output) {
 					err = fmt.Errorf("image %d: wrong prediction", i)
 				}
 			}

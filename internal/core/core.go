@@ -11,6 +11,13 @@
 //	svc, err := fw.Submit(model, weights, core.SubmitOptions{SLO: 30 * time.Second})
 //	rep, err := svc.Infer(image)
 //	fmt.Println(rep.Completion, rep.Cost, tensor.ArgMax(rep.Output))
+//
+// A Service runs jobs two ways: Infer serves one input (an image, or a
+// tensor.Stack of images as one batched pass) and Serve drives a request
+// trace through the serving scheduler. Any other job shape — the
+// sequential schedule, a deadline — is a coordinator.RunOptions on
+// Service.Deployment().Run; parallel per-image pipelines are ColdStart
+// before each Infer.
 package core
 
 import (
@@ -31,15 +38,11 @@ import (
 	"ampsinf/internal/tensor"
 )
 
-// Options configures a Framework. Zero values create a self-contained
-// simulated environment with the calibrated defaults.
+// Options configures a Framework. The zero value is a fault-free,
+// unobserved simulated cloud with the calibrated defaults.
 type Options struct {
-	Platform *lambda.Platform
-	Store    *s3.Store
-	Meter    *billing.Meter
-	Perf     *perf.Params
-	// Faults installs a fault injector on the platform and S3 store the
-	// framework ends up with (nil = fault-free).
+	// Faults installs a fault injector on the framework's platform and S3
+	// store (nil = fault-free).
 	Faults *faults.Injector
 	// Trace installs the tracer as the meter's charge observer and
 	// threads it through deployments, so every job's span tree (with
@@ -54,37 +57,25 @@ type Options struct {
 	Series *obs.TimeSeries
 }
 
-// Framework owns the platform bindings and runs the Optimizer +
-// Coordinator pipeline for submitted models.
+// Framework owns one simulated cloud — billing meter, lambda platform
+// and S3 store — and runs the Optimizer + Coordinator pipeline for
+// submitted models.
 type Framework struct {
 	platform *lambda.Platform
 	store    *s3.Store
 	meter    *billing.Meter
-	perf     perf.Params
 	tracer   *obs.Tracer
 	metrics  *obs.Metrics
 	series   *obs.TimeSeries
 }
 
-// NewFramework builds a framework, creating any environment pieces not
-// supplied.
+// NewFramework builds a framework on a fresh simulated cloud with the
+// calibrated defaults, wired to the injector, tracer, registry and
+// series opts names. It is the one place that cloud is put together.
 func NewFramework(opts Options) *Framework {
-	meter := opts.Meter
-	if meter == nil {
-		meter = &billing.Meter{}
-	}
-	p := perf.Default()
-	if opts.Perf != nil {
-		p = *opts.Perf
-	}
-	platform := opts.Platform
-	if platform == nil {
-		platform = lambda.New(meter, p)
-	}
-	store := opts.Store
-	if store == nil {
-		store = s3.New(s3.DefaultConfig(), meter)
-	}
+	meter := &billing.Meter{}
+	platform := lambda.New(meter, perf.Default())
+	store := s3.New(s3.DefaultConfig(), meter)
 	if opts.Faults != nil {
 		platform.SetInjector(opts.Faults)
 		store.SetInjector(opts.Faults)
@@ -103,7 +94,7 @@ func NewFramework(opts Options) *Framework {
 		platform.SetSeries(opts.Series)
 	}
 	return &Framework{
-		platform: platform, store: store, meter: meter, perf: p,
+		platform: platform, store: store, meter: meter,
 		tracer: opts.Trace, metrics: opts.Metrics, series: opts.Series,
 	}
 }
@@ -113,6 +104,9 @@ func (f *Framework) Meter() *billing.Meter { return f.meter }
 
 // Platform returns the underlying serverless platform.
 func (f *Framework) Platform() *lambda.Platform { return f.platform }
+
+// Store returns the S3 store that stages intermediate activations.
+func (f *Framework) Store() *s3.Store { return f.store }
 
 // SubmitOptions tunes one submission.
 type SubmitOptions struct {
@@ -188,7 +182,7 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	start := time.Now()
 	opt, err := optimizer.New(optimizer.Request{
 		Model:                 model,
-		Perf:                  f.perf,
+		Perf:                  f.platform.Perf(),
 		SLO:                   opts.SLO,
 		MaxLayersPerPartition: opts.MaxLayersPerPartition,
 		Quota:                 &quota,
@@ -243,33 +237,15 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	}, nil
 }
 
-// Infer serves one input with the default (eager, overlapped) schedule.
+// Infer serves one input — one image, or a tensor.Stack of images as a
+// single batched pass — with the default (eager, overlapped) schedule.
 func (s *Service) Infer(input *tensor.Tensor) (*coordinator.Report, error) {
-	return s.deployment.RunEager(input)
+	return s.deployment.Run(input, coordinator.RunOptions{})
 }
 
-// InferSequential serves one input with strictly sequential invocations
-// (the formulation's execution model).
-func (s *Service) InferSequential(input *tensor.Tensor) (*coordinator.Report, error) {
-	return s.deployment.RunSequential(input)
-}
-
-// InferBatchParallel serves the inputs in concurrently-running pipelines.
-func (s *Service) InferBatchParallel(inputs []*tensor.Tensor) (*coordinator.BatchReport, error) {
-	return s.deployment.RunBatchParallel(inputs)
-}
-
-// InferBatchSequential serves the inputs one after another on warm
-// functions.
-func (s *Service) InferBatchSequential(inputs []*tensor.Tensor) (*coordinator.BatchReport, error) {
-	return s.deployment.RunBatchSequential(inputs)
-}
-
-// InferBatched stacks the inputs into one tensor and serves them in a
-// single pipeline pass.
-func (s *Service) InferBatched(inputs []*tensor.Tensor) (*coordinator.Report, error) {
-	return s.deployment.RunBatched(inputs)
-}
+// Deployment returns the deployed partition functions, for jobs Infer
+// does not shape: the sequential schedule, a deadline, a lean run.
+func (s *Service) Deployment() *coordinator.Deployment { return s.deployment }
 
 // Serve runs the open-loop serving scheduler (internal/serving) on this
 // service's deployment. The config's Deployment is filled in, Metrics,
@@ -304,7 +280,10 @@ func (s *Service) Serve(inputs []*tensor.Tensor, arrivals []time.Duration, cfg s
 }
 
 // ColdStart resets every partition container, so the next job measures a
-// cold end-to-end serving time (used by the experiment harness).
+// cold end-to-end serving time — how a parallel batch is served, since
+// its concurrent pipelines cannot share a warm container. The platform
+// discards only idle containers, so the batch's jobs are replayed one at
+// a time, each from a cold pool.
 func (s *Service) ColdStart() {
 	for _, name := range s.deployment.FunctionNames() {
 		s.framework.platform.ResetWarm(name)

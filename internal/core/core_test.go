@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ampsinf/internal/coordinator"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/optimizer"
@@ -58,7 +59,7 @@ func TestSubmitAndInfer(t *testing.T) {
 // compute time plus the store's TransferTime of its input and output.
 func TestPlannerTransferMatchesStore(t *testing.T) {
 	fw := NewFramework(Options{})
-	o, err := optimizer.New(optimizer.Request{Model: zoo.MobileNet(0), Perf: fw.perf})
+	o, err := optimizer.New(optimizer.Request{Model: zoo.MobileNet(0), Perf: fw.platform.Perf()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestPlannerTransferMatchesStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			prof := sp.Profile(a, b)
-			want := fw.perf.EndToEndTime(mem, prof.FLOPs, prof.WeightsBytes) +
+			want := fw.platform.Perf().EndToEndTime(mem, prof.FLOPs, prof.WeightsBytes) +
 				fw.store.TransferTime(prof.InBytes) + fw.store.TransferTime(prof.OutBytes)
 			if got != want {
 				t.Fatalf("span [%d, %d) at %d MB: planner estimates %v, store model gives %v", a, b, mem, got, want)
@@ -155,26 +156,51 @@ func TestColdStartResetsContainers(t *testing.T) {
 	}
 }
 
+// TestBatchAPIs serves a batch the paper's three ways: per-image jobs on
+// warm containers (completion is the sum), per-image jobs each on fresh
+// containers (parallel pipelines: completion is the slowest), and one
+// batched pass over the stacked images; and one image on the sequential
+// schedule through the deployment.
 func TestBatchAPIs(t *testing.T) {
 	_, svc, m, _ := submitTiny(t, SubmitOptions{})
 	inputs := []*tensor.Tensor{randomInput(m, 7), randomInput(m, 8)}
-	seq, err := svc.InferBatchSequential(inputs)
-	if err != nil {
-		t.Fatal(err)
+	var seq, par time.Duration
+	for _, parallel := range []bool{false, true} {
+		for _, in := range inputs {
+			if parallel {
+				svc.ColdStart()
+			}
+			rep, err := svc.Infer(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parallel {
+				par = max(par, rep.Completion)
+			} else {
+				seq += rep.Completion
+			}
+		}
 	}
-	par, err := svc.InferBatchParallel(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Completion >= seq.Completion {
+	if par >= seq {
 		t.Fatal("parallel batch not faster than sequential")
 	}
-	one, err := svc.InferBatched(inputs)
+	stacked, err := tensor.Stack(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := svc.Infer(stacked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one.Output.Shape()[0] != 2 {
 		t.Fatalf("batched output shape %v", one.Output.Shape())
+	}
+	rep, err := svc.Deployment().Run(inputs[0], coordinator.RunOptions{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mode != "sequential" {
+		t.Fatalf("mode %q, want sequential", rep.Mode)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
@@ -133,8 +134,9 @@ func TestQuota2021Extension(t *testing.T) {
 		t.Fatal("2020 quota accepted 5001 MB")
 	}
 
-	// End-to-end through the framework: the 2021 platform still serves.
-	fw := NewFramework(Options{Platform: pl2021, Meter: meter})
+	// End-to-end through the framework, wired by hand onto the 2021
+	// platform (NewFramework builds the paper's 2020 one): it still serves.
+	fw := &Framework{platform: pl2021, store: s3.New(s3.DefaultConfig(), meter), meter: meter}
 	m := zoo.TinyCNN(0)
 	svc, err := fw.Submit(m, nn.InitWeights(m, 1), SubmitOptions{SkipCompute: true})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/cloud/redis"
-	"ampsinf/internal/cloud/stage"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
 	"ampsinf/internal/modelfmt"
@@ -29,7 +28,6 @@ type AblationSchedulingResult struct {
 // AblationScheduling runs both modes cold on ResNet50.
 func AblationScheduling() (*AblationSchedulingResult, error) {
 	name := "resnet50"
-	m, w := Model(name)
 	o, err := optimizerFor(name)
 	if err != nil {
 		return nil, err
@@ -38,39 +36,18 @@ func AblationScheduling() (*AblationSchedulingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(eager bool) (SettingRun, error) {
-		env := NewEnv()
-		dep, err := coordinator.Deploy(coordinator.Config{
-			Platform: env.Platform, Store: env.Store, NamePrefix: "abl-sched", SkipCompute: true,
-		}, m, w, plan)
+	var runs [2]SettingRun
+	for i, mode := range []string{"sequential", "eager"} {
+		rep, err := runOne(NewEnv(nil).timingOnly("abl-sched"), name, plan,
+			coordinator.RunOptions{Sequential: mode == "sequential"})
 		if err != nil {
-			return SettingRun{}, err
+			return nil, err
 		}
-		defer dep.Teardown()
-		img := workload.Image(m, 1)
-		var rep *coordinator.Report
-		if eager {
-			rep, err = dep.RunEager(img)
-		} else {
-			rep, err = dep.RunSequential(img)
-		}
-		if err != nil {
-			return SettingRun{}, err
-		}
-		return SettingRun{Completion: rep.Completion, Cost: rep.Cost}, nil
+		runs[i] = SettingRun{Setting: mode, Completion: rep.Completion, Cost: rep.Cost}
 	}
-	seq, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	eag, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	seq.Setting, eag.Setting = "sequential", "eager"
 	return &AblationSchedulingResult{
-		Sequential: seq, Eager: eag,
-		InitOverlap: seq.Completion - eag.Completion,
+		Sequential: runs[0], Eager: runs[1],
+		InitOverlap: runs[0].Completion - runs[1].Completion,
 	}, nil
 }
 
@@ -271,7 +248,6 @@ type AblationStorageResult struct {
 // AblationStorage serves one cold ResNet50 image with each backend.
 func AblationStorage() (*AblationStorageResult, error) {
 	name := "resnet50"
-	m, w := Model(name)
 	o, err := optimizerFor(name)
 	if err != nil {
 		return nil, err
@@ -282,19 +258,12 @@ func AblationStorage() (*AblationStorageResult, error) {
 	}
 	res := &AblationStorageResult{}
 	for _, backend := range []string{"s3", "redis"} {
-		env := NewEnv()
-		var store stage.Store = env.Store
+		env := NewEnv(nil)
+		cfg := env.timingOnly("abl-" + backend)
 		if backend == "redis" {
-			store = redis.New(env.Meter)
+			cfg.Store = redis.New(env.Meter)
 		}
-		dep, err := coordinator.Deploy(coordinator.Config{
-			Platform: env.Platform, Store: store, NamePrefix: "abl-" + backend, SkipCompute: true,
-		}, m, w, plan)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := dep.RunEager(workload.Image(m, 1))
-		dep.Teardown()
+		rep, err := runOne(cfg, name, plan, coordinator.RunOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"time"
-
 	"ampsinf/internal/baselines"
-	"ampsinf/internal/coordinator"
+	"ampsinf/internal/tensor"
 	"ampsinf/internal/workload"
 )
 
@@ -18,7 +16,7 @@ type Figure12Result struct {
 
 // Figure12 runs the small-model comparison.
 func Figure12() (*Figure12Result, error) {
-	env := NewEnv()
+	env := NewEnv(nil)
 	amps, err := runAMPSOnce(env, "mobilenet")
 	if err != nil {
 		return nil, err
@@ -63,15 +61,19 @@ type Table5Row struct {
 func Table5() (*Table5Result, error) {
 	res := &Table5Result{}
 	for _, name := range bigModels {
-		env := NewEnv()
+		m, _ := Model(name)
+		// The ten images arrive together (the paper loads them as one
+		// .pkl) and flow through the pipeline as a single batched pass.
+		stacked, err := tensor.Stack(workload.Images(m, 10, 5))
+		if err != nil {
+			return nil, err
+		}
+		env := NewEnv(nil)
 		svc, err := submitAMPS(env, name)
 		if err != nil {
 			return nil, err
 		}
-		m, _ := Model(name)
-		// The ten images arrive together (the paper loads them as one
-		// .pkl) and flow through the pipeline as a single batched pass.
-		batch, err := svc.InferBatched(workload.Images(m, 10, 5))
+		batch, err := svc.Infer(stacked)
 		svc.Close()
 		if err != nil {
 			return nil, err
@@ -124,14 +126,11 @@ func Figure13() (*Figure13Result, error) {
 	m, w := Model(name)
 
 	// BATCH: one 2048 MB lambda, one invocation per batch, sequential.
-	batchEnv := NewEnv()
 	oB, err := optimizerFor(name)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := baselines.NewBATCH(coordinator.Config{
-		Platform: batchEnv.Platform, Store: batchEnv.Store, SkipCompute: true,
-	}, oB, w, 2048, batchSize)
+	sys, err := baselines.NewBATCH(NewEnv(nil).timingOnly("batch"), oB, w, 2048, batchSize)
 	if err != nil {
 		return nil, err
 	}
@@ -147,33 +146,36 @@ func Figure13() (*Figure13Result, error) {
 	// drives the optimizer to larger memory blocks (the paper's AMPS-Inf
 	// chose 2048+2176 MB for this workload).
 	runAmps := func(parallel bool) (SettingRun, error) {
-		env := NewEnv()
+		env := NewEnv(nil)
 		svc, err := submitAMPSWithFactor(env, name, 0.60)
 		if err != nil {
 			return SettingRun{}, err
 		}
 		defer svc.Close()
-		batches := workload.Batches(m, nImages, batchSize, 9)
-		var completion, maxCompletion time.Duration
-		var cost float64
-		for _, imgs := range batches {
-			if parallel {
-				svc.ColdStart() // concurrent batches land on fresh containers
-			}
-			rep, err := svc.InferBatched(imgs)
+		run := SettingRun{Setting: "AMPS-Inf-Seq"}
+		if parallel {
+			run.Setting = "AMPS-Inf"
+		}
+		for _, imgs := range workload.Batches(m, nImages, batchSize, 9) {
+			stacked, err := tensor.Stack(imgs)
 			if err != nil {
 				return SettingRun{}, err
 			}
-			completion += rep.Completion
-			if rep.Completion > maxCompletion {
-				maxCompletion = rep.Completion
+			if parallel {
+				svc.ColdStart() // concurrent batches land on fresh containers
 			}
-			cost += rep.Cost
+			rep, err := svc.Infer(stacked)
+			if err != nil {
+				return SettingRun{}, err
+			}
+			if parallel {
+				run.Completion = max(run.Completion, rep.Completion)
+			} else {
+				run.Completion += rep.Completion
+			}
+			run.Cost += rep.Cost
 		}
-		if parallel {
-			return SettingRun{"AMPS-Inf", maxCompletion, cost}, nil
-		}
-		return SettingRun{"AMPS-Inf-Seq", completion, cost}, nil
+		return run, nil
 	}
 	seq, err := runAmps(false)
 	if err != nil {

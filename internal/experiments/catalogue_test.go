@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"ampsinf/internal/baselines"
-	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/faults"
-	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/cloud/stepfn"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
@@ -184,22 +182,20 @@ func TestMetricCatalogue(t *testing.T) {
 	// Step Functions run only the Serfer baseline.
 	m := zoo.LinearNet(8)
 	mx, ts := obs.NewMetrics(), obs.NewTimeSeries(time.Second)
-	meter := &billing.Meter{}
-	store := s3.New(s3.DefaultConfig(), meter)
-	fw := core.NewFramework(core.Options{Meter: meter, Store: store, Metrics: mx, Series: ts})
+	fw := core.NewFramework(core.Options{Metrics: mx, Series: ts})
 	plan, err := optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := coordinator.Deploy(coordinator.Config{Platform: fw.Platform(), Store: store, Metrics: mx, Series: ts},
+	dep, err := coordinator.Deploy(coordinator.Config{Platform: fw.Platform(), Store: fw.Store(), Metrics: mx, Series: ts},
 		m, nn.InitWeights(m, 42), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Teardown()
-	eng := stepfn.NewEngine(fw.Platform(), meter)
+	eng := stepfn.NewEngine(fw.Platform(), fw.Meter())
 	eng.Metrics = mx
-	if _, err := baselines.RunSerfer(eng, dep, store, workload.Images(m, 1, 7)[0]); err != nil {
+	if _, err := baselines.RunSerfer(eng, dep, fw.Store(), workload.Images(m, 1, 7)[0]); err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()

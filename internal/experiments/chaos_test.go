@@ -17,7 +17,7 @@ import (
 // identity under such a storm is internal/serving's
 // TestChaosBatchedTracesReplayMeter.
 func TestChaosPipelineBatch(t *testing.T) {
-	r, err := runPipelineBatch("mobilenet", 24, 1.0, ResilienceSeed, 0, 0.60)
+	r, err := runPipelineBatch("mobilenet", 24, 1.0, ResilienceSeed, 0.60)
 	if err != nil {
 		t.Fatal(err)
 	}

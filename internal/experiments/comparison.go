@@ -56,23 +56,6 @@ func sloPlans(name string) (amps, b3 *optimizer.Plan, err error) {
 	return amps, b3, err
 }
 
-// deployAndRun deploys a plan (timing-only) and serves one cold image.
-func deployAndRun(env *Env, name, prefix string, plan *optimizer.Plan) (SettingRun, error) {
-	m, w := Model(name)
-	dep, err := coordinator.Deploy(coordinator.Config{
-		Platform: env.Platform, Store: env.Store, NamePrefix: prefix, SkipCompute: true,
-	}, m, w, plan)
-	if err != nil {
-		return SettingRun{}, err
-	}
-	defer dep.Teardown()
-	rep, err := dep.RunEager(workload.Image(m, 1))
-	if err != nil {
-		return SettingRun{}, err
-	}
-	return SettingRun{Setting: prefix, Completion: rep.Completion, Cost: rep.Cost}, nil
-}
-
 // RunBaselineComparison executes Figures 9/10 for the three big models.
 func RunBaselineComparison() (*BaselineComparison, error) {
 	res := &BaselineComparison{}
@@ -106,13 +89,12 @@ func RunBaselineComparison() (*BaselineComparison, error) {
 			{"Baseline 2", b2Plan, &row.B2},
 			{"Baseline 3", b3Plan, &row.B3},
 		} {
-			env := NewEnv()
-			run, err := deployAndRun(env, name, fmt.Sprintf("%s-%s", name, sanitize(e.label)), e.plan)
+			cfg := NewEnv(nil).timingOnly(fmt.Sprintf("%s-%s", name, sanitize(e.label)))
+			rep, err := runOne(cfg, name, e.plan, coordinator.RunOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %s: %w", name, e.label, err)
 			}
-			run.Setting = e.label
-			*e.dst = run
+			*e.dst = SettingRun{Setting: e.label, Completion: rep.Completion, Cost: rep.Cost}
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -170,14 +152,12 @@ type Figure11Result struct {
 func Figure11() (*Figure11Result, error) {
 	name := "resnet50"
 	m, w := Model(name)
-	env := NewEnv()
+	env := NewEnv(nil)
 	plan, _, err := sloPlans(name)
 	if err != nil {
 		return nil, err
 	}
-	dep, err := coordinator.Deploy(coordinator.Config{
-		Platform: env.Platform, Store: env.Store, NamePrefix: "fig11", SkipCompute: true,
-	}, m, w, plan)
+	dep, err := coordinator.Deploy(env.timingOnly("fig11"), m, w, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +167,7 @@ func Figure11() (*Figure11Result, error) {
 	// Fig 11 is the Step Functions overhead under identical orchestration
 	// semantics, partitioning and configuration.
 	img := workload.Image(m, 1)
-	ampsRep, err := dep.RunSequential(img)
+	ampsRep, err := dep.Run(img, coordinator.RunOptions{Sequential: true})
 	if err != nil {
 		return nil, err
 	}

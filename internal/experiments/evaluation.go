@@ -75,7 +75,7 @@ type MainRow struct {
 func RunMainComparison() (*MainComparison, error) {
 	res := &MainComparison{}
 	for _, name := range bigModels {
-		env := NewEnv()
+		env := NewEnv(nil)
 		amps, err := runAMPSOnce(env, name)
 		if err != nil {
 			return nil, err

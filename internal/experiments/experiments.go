@@ -17,11 +17,13 @@ import (
 	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/cloud/sagemaker"
 	"ampsinf/internal/cloud/stepfn"
+	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/obs"
-	"ampsinf/internal/perf"
+	"ampsinf/internal/optimizer"
+	"ampsinf/internal/workload"
 )
 
 // Package-level metrics registry: when set, every subsequently built
@@ -74,33 +76,39 @@ type Env struct {
 	FW       *core.Framework
 }
 
-// NewEnv builds a fresh environment with the calibrated defaults.
-func NewEnv() *Env {
+// NewEnv builds a fresh environment with the calibrated defaults, its
+// platform and store injecting inj's faults (nil = fault-free).
+func NewEnv(inj *faults.Injector) *Env {
 	mx := currentMetrics()
-	meter := &billing.Meter{}
-	platform := lambda.New(meter, perf.Default())
-	store := s3.New(s3.DefaultConfig(), meter)
-	engine := stepfn.NewEngine(platform, meter)
+	fw := core.NewFramework(core.Options{Faults: inj, Metrics: mx, Series: currentSeries()})
+	engine := stepfn.NewEngine(fw.Platform(), fw.Meter())
 	engine.Metrics = mx
 	return &Env{
-		Meter:    meter,
-		Platform: platform,
-		Store:    store,
-		Sage:     sagemaker.New(meter),
+		Meter:    fw.Meter(),
+		Platform: fw.Platform(),
+		Store:    fw.Store(),
+		Sage:     sagemaker.New(fw.Meter()),
 		StepFn:   engine,
-		FW: core.NewFramework(core.Options{
-			Platform: platform, Store: store, Meter: meter, Metrics: mx,
-			Series: currentSeries(),
-		}),
+		FW:       fw,
 	}
 }
 
-// InstallFaults threads one fault injector through the environment's
-// lambda platform and S3 store (nil removes injection).
-func (e *Env) InstallFaults(inj *faults.Injector) {
-	e.Platform.SetInjector(inj)
-	e.Store.SetInjector(inj)
-	inj.SetClock(e.Platform.Now)
+// timingOnly is the configuration of a timing-only deployment on e's
+// platform and store, its functions named under prefix.
+func (e *Env) timingOnly(prefix string) coordinator.Config {
+	return coordinator.Config{Platform: e.Platform, Store: e.Store, NamePrefix: prefix, SkipCompute: true}
+}
+
+// runOne deploys plan for model name under cfg, serves one image with
+// opts and tears the deployment down.
+func runOne(cfg coordinator.Config, name string, plan *optimizer.Plan, opts coordinator.RunOptions) (*coordinator.Report, error) {
+	m, w := Model(name)
+	dep, err := coordinator.Deploy(cfg, m, w, plan)
+	if err != nil {
+		return nil, err
+	}
+	defer dep.Teardown()
+	return dep.Run(workload.Image(m, 1), opts)
 }
 
 // SLOFactor is the standard response-time objective the harness submits

@@ -10,7 +10,6 @@ import (
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/perf"
-	"ampsinf/internal/workload"
 )
 
 // Table1Result reproduces Table 1: model and deployment sizes.
@@ -103,7 +102,6 @@ func optimizerFor(name string) (*optimizer.Optimizer, error) {
 // singleLambdaRun deploys a model on one lambda at memMB and serves one
 // image cold, returning completion and the job's marginal cost.
 func singleLambdaRun(env *Env, name string, memMB int) (MemorySweepPoint, error) {
-	m, w := Model(name)
 	o, err := optimizerFor(name)
 	if err != nil {
 		return MemorySweepPoint{}, err
@@ -113,15 +111,7 @@ func singleLambdaRun(env *Env, name string, memMB int) (MemorySweepPoint, error)
 	if err != nil {
 		return MemorySweepPoint{}, err
 	}
-	dep, err := coordinator.Deploy(coordinator.Config{
-		Platform: env.Platform, Store: env.Store,
-		NamePrefix: fmt.Sprintf("sweep-%s-%d", name, memMB), SkipCompute: true,
-	}, m, w, plan)
-	if err != nil {
-		return MemorySweepPoint{}, err
-	}
-	defer dep.Teardown()
-	rep, err := dep.RunEager(workload.Image(m, 1))
+	rep, err := runOne(env.timingOnly(fmt.Sprintf("sweep-%s-%d", name, memMB)), name, plan, coordinator.RunOptions{})
 	if err != nil {
 		return MemorySweepPoint{}, err
 	}
@@ -130,7 +120,7 @@ func singleLambdaRun(env *Env, name string, memMB int) (MemorySweepPoint, error)
 
 // Figure1 sweeps MobileNet across all feasible 2020 memory blocks.
 func Figure1() (*Figure1Result, error) {
-	env := NewEnv()
+	env := NewEnv(nil)
 	res := &Figure1Result{}
 	bestCost := 0.0
 	for _, memMB := range pricing.MemoryBlocks() {
@@ -173,7 +163,7 @@ type Table2Result struct {
 
 // Table2 serves MobileNet at the paper's five memory settings.
 func Table2() (*Table2Result, error) {
-	env := NewEnv()
+	env := NewEnv(nil)
 	res := &Table2Result{}
 	for _, memMB := range []int{512, 1024, 1536, 2048, 3008} {
 		pt, err := singleLambdaRun(env, "mobilenet", memMB)
@@ -214,7 +204,7 @@ type Figure2Result struct {
 
 // Figure2 compares single-lambda serving with SageMaker.
 func Figure2() (*Figure2Result, error) {
-	env := NewEnv()
+	env := NewEnv(nil)
 	res := &Figure2Result{}
 	pt, err := singleLambdaRun(env, "mobilenet", 512)
 	if err != nil {
@@ -270,14 +260,13 @@ func tenWaySplit(o *optimizer.Optimizer, k int) []int {
 
 // Table3 measures the motivating ResNet50 comparison.
 func Table3() (*Table3Result, error) {
-	env := NewEnv()
+	env := NewEnv(nil)
 	res := &Table3Result{}
 	s1 := env.Sage.ServeNotebook(sageJob("resnet50", 1))
 	res.Runs = append(res.Runs, SettingRun{"Sage 1", s1.Completion, s1.Cost})
 	s2 := env.Sage.ServeHosted(sageJob("resnet50", 1))
 	res.Runs = append(res.Runs, SettingRun{"Sage 2", s2.Completion, s2.Cost})
 
-	m, w := Model("resnet50")
 	o, err := optimizerFor("resnet50")
 	if err != nil {
 		return nil, err
@@ -292,15 +281,7 @@ func Table3() (*Table3Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table 3 split at %d MB: %w", memMB, err)
 		}
-		dep, err := coordinator.Deploy(coordinator.Config{
-			Platform: env.Platform, Store: env.Store,
-			NamePrefix: fmt.Sprintf("t3-%d", memMB), SkipCompute: true,
-		}, m, w, plan)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := dep.RunEager(workload.Image(m, 1))
-		dep.Teardown()
+		rep, err := runOne(env.timingOnly(fmt.Sprintf("t3-%d", memMB)), "resnet50", plan, coordinator.RunOptions{})
 		if err != nil {
 			return nil, err
 		}

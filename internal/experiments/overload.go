@@ -95,20 +95,10 @@ func RunOverload() (*OverloadResult, error) {
 
 	// Calibrate the common deadline from one clean warm completion, as
 	// the resilience sweep does.
-	probeEnv := NewEnv()
-	probeDep, err := coordinator.Deploy(coordinator.Config{
-		Platform: probeEnv.Platform, Store: probeEnv.Store,
-		NamePrefix: "overload", SkipCompute: true,
-	}, m, w, plan)
+	probe, err := runOne(NewEnv(nil).timingOnly("overload"), name, plan, coordinator.RunOptions{})
 	if err != nil {
-		return nil, err
-	}
-	probe, err := probeDep.RunEager(workload.Image(m, 0))
-	if err != nil {
-		probeDep.Teardown()
 		return nil, fmt.Errorf("deadline probe: %w", err)
 	}
-	probeDep.Teardown()
 	deadline := 2 * probe.Completion
 
 	base := workload.PoissonArrivals(jobs, rate, seed)
@@ -154,18 +144,14 @@ func RunOverload() (*OverloadResult, error) {
 	}
 
 	for _, pol := range []OverloadPolicy{{Name: "naive-retry"}, {Name: "budget+brownout", Full: true}} {
-		env := NewEnv()
-		env.InstallFaults(faults.New(faultCfg))
+		env := NewEnv(faults.New(faultCfg))
 		env.Platform.SetAccountConcurrency(7)
 
-		retry := coordinator.DefaultRetryPolicy()
-		retry.MaxAttempts = 8
-		retry.JitterSeed = seed
-		dcfg := coordinator.Config{
-			Platform: env.Platform, Store: env.Store,
-			NamePrefix: "overload", SkipCompute: true,
-			Retry: retry, Metrics: currentMetrics(),
-		}
+		dcfg := env.timingOnly("overload")
+		dcfg.Retry = coordinator.DefaultRetryPolicy()
+		dcfg.Retry.MaxAttempts = 8
+		dcfg.Retry.JitterSeed = seed
+		dcfg.Metrics = currentMetrics()
 		// The naive cell retries admission patiently — the posture that
 		// turns a storm into a persistent backlog. The full stack keeps
 		// the default (bounded) admission retries and shelters behind the

@@ -6,7 +6,6 @@ import (
 
 	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/coordinator"
-	"ampsinf/internal/obs"
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/perf"
 	"ampsinf/internal/serving"
@@ -64,18 +63,20 @@ type PipelineBatchResult struct {
 // caps partitions at 12 layers so the deployment has real stages to
 // pipeline across, and derives the account limit from the plan width.
 func RunPipelineBatch() (*PipelineBatchResult, error) {
-	return runPipelineBatch("mobilenet", 40, 0.5, ServingSeed, 0, 0)
+	return runPipelineBatch("mobilenet", 40, 0.5, ServingSeed, 0)
 }
 
-// runPipelineBatch runs the ladder; limit 0 derives the account limit
-// as 2× the plan's partition width (admission reserves a job's full
-// width, so the limit holds concurrent whole-job fan-outs to two while
-// staged jobs, occupying one container each, can go depth-wide).
-func runPipelineBatch(name string, jobs int, rate float64, seed int64, limit int, faultRate float64) (*PipelineBatchResult, error) {
-	return runPipelineBatchCap(name, jobs, rate, seed, limit, faultRate, 12)
+// runPipelineBatch runs the ladder with partitions capped at 12 layers.
+func runPipelineBatch(name string, jobs int, rate float64, seed int64, faultRate float64) (*PipelineBatchResult, error) {
+	return runPipelineBatchCap(name, jobs, rate, seed, faultRate, 12)
 }
 
-func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, limit int, faultRate float64, layerCap int) (*PipelineBatchResult, error) {
+// runPipelineBatchCap runs the ladder with partitions capped at layerCap
+// layers. The account limit is 2× the plan's partition width: admission
+// reserves a job's full width, so the limit holds concurrent whole-job
+// fan-outs to two while staged jobs, occupying one container each, can
+// go depth-wide.
+func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, faultRate float64, layerCap int) (*PipelineBatchResult, error) {
 	m, w := Model(name)
 	plan, err := optimizer.Optimize(optimizer.Request{
 		Model: m, Perf: perf.Default(), MaxLayersPerPartition: layerCap,
@@ -83,29 +84,17 @@ func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, limit 
 	if err != nil {
 		return nil, err
 	}
-	if limit <= 0 {
-		limit = 2 * len(plan.Lambdas)
-	}
+	limit := 2 * len(plan.Lambdas)
 
 	// Calibrate the common goodput deadline from one clean sequential
 	// completion. Staged jobs run their partition chain serially (the
 	// overlap is across requests, not within one), so the sequential
 	// chain — not the intra-job-overlapped eager one — is the right
 	// yardstick; 3× covers cold starts, batch-window waits and queueing.
-	probeEnv := NewEnv()
-	probeDep, err := coordinator.Deploy(coordinator.Config{
-		Platform: probeEnv.Platform, Store: probeEnv.Store,
-		NamePrefix: "pipeline", SkipCompute: true,
-	}, m, w, plan)
+	probe, err := runOne(NewEnv(nil).timingOnly("pipeline"), name, plan, coordinator.RunOptions{Sequential: true})
 	if err != nil {
-		return nil, err
-	}
-	probe, err := probeDep.RunSequential(workload.Image(m, 0))
-	if err != nil {
-		probeDep.Teardown()
 		return nil, fmt.Errorf("deadline probe: %w", err)
 	}
-	probeDep.Teardown()
 	deadline := 3 * probe.Completion
 
 	arrivals := workload.PoissonArrivals(jobs, rate, seed)
@@ -115,23 +104,19 @@ func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, limit 
 		Limit: limit, Deadline: deadline,
 	}
 	for _, cell := range PipelineLadder {
-		env := NewEnv()
-		tracer := obs.NewTracer()
-		env.Meter.SetObserver(tracer.RecordCost)
-		dcfg := coordinator.Config{
-			Platform: env.Platform, Store: env.Store,
-			NamePrefix: "pipeline", SkipCompute: true,
-			Tracer: tracer,
-		}
+		var inj *faults.Injector
 		if faultRate > 0 {
 			fcfg := faults.Uniform(faultRate, seed)
 			fcfg.BurstEvery = 20 * time.Second
 			fcfg.BurstFactor = 8
-			env.InstallFaults(faults.New(fcfg))
-			retry := coordinator.DefaultRetryPolicy()
-			retry.MaxAttempts = 8
-			retry.JitterSeed = seed
-			dcfg.Retry = retry
+			inj = faults.New(fcfg)
+		}
+		env := NewEnv(inj)
+		dcfg := env.timingOnly("pipeline")
+		if inj != nil {
+			dcfg.Retry = coordinator.DefaultRetryPolicy()
+			dcfg.Retry.MaxAttempts = 8
+			dcfg.Retry.JitterSeed = seed
 		}
 		env.Platform.SetAccountConcurrency(limit)
 		dep, err := coordinator.Deploy(dcfg, m, w, plan)

@@ -10,7 +10,7 @@ import (
 // the sequential baseline, and every cell must complete its requests
 // fault-free within the common deadline.
 func TestPipelineBatchLadder(t *testing.T) {
-	r, err := runPipelineBatchCap("tinycnn", 16, 0.5, ServingSeed, 0, 0, 4)
+	r, err := runPipelineBatchCap("tinycnn", 16, 0.5, ServingSeed, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestPipelineBatchLadder(t *testing.T) {
 // same table byte for byte.
 func TestPipelineBatchDeterministic(t *testing.T) {
 	render := func() string {
-		r, err := runPipelineBatchCap("tinycnn", 12, 0.5, ServingSeed, 0, 0, 4)
+		r, err := runPipelineBatchCap("tinycnn", 12, 0.5, ServingSeed, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

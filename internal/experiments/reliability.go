@@ -59,22 +59,17 @@ func runReliability(name string, jobs int, seed int64, rates []float64) (*Reliab
 	}
 	res := &ReliabilityResult{ModelName: name, Jobs: jobs, Seed: seed}
 	for _, rate := range rates {
-		env := NewEnv()
-		env.InstallFaults(faults.New(faults.Uniform(rate, seed)))
-		retry := coordinator.DefaultRetryPolicy()
-		retry.MaxAttempts = 8 // survive bursts at the top of the sweep
-		retry.JitterSeed = seed
-		dep, err := coordinator.Deploy(coordinator.Config{
-			Platform: env.Platform, Store: env.Store,
-			NamePrefix: "reliability", SkipCompute: true,
-			Retry: retry,
-		}, m, w, plan)
+		dcfg := NewEnv(faults.New(faults.Uniform(rate, seed))).timingOnly("reliability")
+		dcfg.Retry = coordinator.DefaultRetryPolicy()
+		dcfg.Retry.MaxAttempts = 8 // survive bursts at the top of the sweep
+		dcfg.Retry.JitterSeed = seed
+		dep, err := coordinator.Deploy(dcfg, m, w, plan)
 		if err != nil {
 			return nil, err
 		}
 		row := ReliabilityRow{Rate: rate}
 		for j := 0; j < jobs; j++ {
-			rep, err := dep.RunEager(workload.Image(m, int64(j)))
+			rep, err := dep.Run(workload.Image(m, int64(j)), coordinator.RunOptions{})
 			if err != nil {
 				dep.Teardown()
 				return nil, fmt.Errorf("rate %.2f job %d: %w", rate, j, err)

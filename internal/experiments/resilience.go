@@ -86,20 +86,10 @@ func runResilience(name string, jobs int, rate float64, seed int64, faultRates [
 	// generous enough that fault-free requests always make it (first
 	// cold request included), tight enough that storm-tossed retry
 	// chains blow through it.
-	probeEnv := NewEnv()
-	probeDep, err := coordinator.Deploy(coordinator.Config{
-		Platform: probeEnv.Platform, Store: probeEnv.Store,
-		NamePrefix: "resilience", SkipCompute: true,
-	}, m, w, plan)
+	probe, err := runOne(NewEnv(nil).timingOnly("resilience"), name, plan, coordinator.RunOptions{})
 	if err != nil {
-		return nil, err
-	}
-	probe, err := probeDep.RunEager(workload.Image(m, 0))
-	if err != nil {
-		probeDep.Teardown()
 		return nil, fmt.Errorf("deadline probe: %w", err)
 	}
-	probeDep.Teardown()
 	deadline := 3 * probe.Completion
 
 	arrivals := workload.PoissonArrivals(jobs, rate, seed)
@@ -109,25 +99,20 @@ func runResilience(name string, jobs int, rate float64, seed int64, faultRates [
 	}
 	for _, fr := range faultRates {
 		for _, pol := range ResiliencePolicies {
-			env := NewEnv()
 			fcfg := faults.Uniform(fr, seed)
 			fcfg.BurstEvery = 20 * time.Second
 			fcfg.BurstFactor = 8
-			env.InstallFaults(faults.New(fcfg))
+			env := NewEnv(faults.New(fcfg))
 			// A tight account limit is what makes storms dangerous:
 			// timeout-hung containers pin concurrency slots, queues
 			// build, and late requests are the expensive failure mode
 			// the shedding/deadline machinery exists to prevent.
 			env.Platform.SetAccountConcurrency(8)
 
-			retry := coordinator.DefaultRetryPolicy()
-			retry.MaxAttempts = 8
-			retry.JitterSeed = seed
-			dcfg := coordinator.Config{
-				Platform: env.Platform, Store: env.Store,
-				NamePrefix: "resilience", SkipCompute: true,
-				Retry: retry,
-			}
+			dcfg := env.timingOnly("resilience")
+			dcfg.Retry = coordinator.DefaultRetryPolicy()
+			dcfg.Retry.MaxAttempts = 8
+			dcfg.Retry.JitterSeed = seed
 			if pol.Hedge {
 				// The fallback delay sits just above a cold attempt, so
 				// until the percentile history warms up only genuinely

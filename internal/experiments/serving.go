@@ -65,11 +65,8 @@ func runServingScaling(name string, jobs int, rate float64, seed int64, limits [
 	inputs := workload.Images(m, jobs, seed)
 	res := &ServingResult{ModelName: name, Jobs: jobs, Rate: rate, Seed: seed}
 	for _, limit := range limits {
-		env := NewEnv()
-		dep, err := coordinator.Deploy(coordinator.Config{
-			Platform: env.Platform, Store: env.Store,
-			NamePrefix: "serving", SkipCompute: true,
-		}, m, w, plan)
+		env := NewEnv(nil)
+		dep, err := coordinator.Deploy(env.timingOnly("serving"), m, w, plan)
 		if err != nil {
 			return nil, err
 		}

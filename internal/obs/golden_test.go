@@ -65,7 +65,7 @@ func traceTinyJob(t *testing.T, faultRate float64, faultSeed int64) []byte {
 	for i := range in.Data() {
 		in.Data()[i] = float32(rng.Float64())
 	}
-	if _, err := d.RunEager(in); err != nil {
+	if _, err := d.Run(in, coordinator.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

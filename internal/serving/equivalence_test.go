@@ -168,7 +168,7 @@ func TestDepthOneBatchOneEquivalence(t *testing.T) {
 // within one meter replay.
 func TestPipelinedSingleRequestMatchesSequential(t *testing.T) {
 	e1 := deployTiny(t, false)
-	want, err := e1.dep.RunSequential(randomInput(e1.model, 1))
+	want, err := e1.dep.Run(randomInput(e1.model, 1), coordinator.RunOptions{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,12 +91,12 @@ func (g *gaugeDedup) changed(win int64, val int) bool {
 }
 
 // unitCoalescer groups a lazy arrival source into batch units
-// incrementally, draw-for-draw identical to coalesce(): the leader of
-// each batch is the earliest uncoalesced arrival, one jittered window
-// is drawn per batch in leader order, and followers join while the
-// batch has room and arrive inside the window. Only the one-arrival
-// lookahead is ever materialized, so a million-request trace coalesces
-// in O(1) memory.
+// incrementally, draw-for-draw identical to the one-pass reference
+// coalesce in policy_test.go: the leader of each batch is the earliest
+// uncoalesced arrival, one jittered window is drawn per batch in leader
+// order, and followers join while the batch has room and arrive inside
+// the window. Only the one-arrival lookahead is ever materialized, so a
+// million-request trace coalesces in O(1) memory.
 type unitCoalescer struct {
 	src      sim.Source
 	pol      BatchPolicy

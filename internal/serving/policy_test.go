@@ -142,3 +142,39 @@ func TestCoalesceShapes(t *testing.T) {
 		t.Fatalf("capped burst formed %+v", units)
 	}
 }
+
+// coalesce groups an arrival trace into batch units in one pass — the
+// reference the scheduler's incremental coalescer (pipeline.go) matches
+// draw for draw. The leader of each
+// batch is the earliest uncoalesced request; followers join while the
+// batch has room and they arrive inside the leader's jittered window.
+// Batches are contiguous in arrival order, so every request lands in
+// exactly one unit and units dispatch in leader order. With batching
+// disabled every request is its own unit at its own arrival.
+func coalesce(arrivals []time.Duration, pol BatchPolicy, rng *rand.Rand) []batchUnit {
+	units := make([]batchUnit, 0, len(arrivals))
+	if !pol.enabled() {
+		for i, a := range arrivals {
+			units = append(units, batchUnit{First: i, Size: 1, DispatchAt: a})
+		}
+		return units
+	}
+	for i := 0; i < len(arrivals); {
+		win := batchWindow(pol, rng)
+		deadline := satAdd(arrivals[i], win)
+		j := i + 1
+		for j < len(arrivals) && j-i < pol.MaxBatch && arrivals[j] <= deadline {
+			j++
+		}
+		u := batchUnit{First: i, Size: j - i}
+		if u.Size == pol.MaxBatch {
+			// Full batch dispatches the moment its last member arrives.
+			u.DispatchAt = arrivals[j-1]
+		} else {
+			u.DispatchAt = deadline
+		}
+		units = append(units, u)
+		i = j
+	}
+	return units
+}

@@ -94,9 +94,9 @@ func TestServeSingleJobMatchesCoordinator(t *testing.T) {
 		var want *coordinator.Report
 		var err error
 		if seq {
-			want, err = e1.dep.RunSequential(in)
+			want, err = e1.dep.Run(in, coordinator.RunOptions{Sequential: true})
 		} else {
-			want, err = e1.dep.RunEager(in)
+			want, err = e1.dep.Run(in, coordinator.RunOptions{})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -273,10 +273,10 @@ func TestServeDeterministic1000(t *testing.T) {
 	// Calibrate the arrival rate off a warm probe job so the trace keeps
 	// ~20 jobs in service on average.
 	probe := deployTiny(t, false)
-	if _, err := probe.dep.RunEager(randomInput(probe.model, 1)); err != nil {
+	if _, err := probe.dep.Run(randomInput(probe.model, 1), coordinator.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := probe.dep.RunEager(randomInput(probe.model, 1))
+	prep, err := probe.dep.Run(randomInput(probe.model, 1), coordinator.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

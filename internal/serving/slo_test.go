@@ -69,7 +69,7 @@ func deployResilient(t testing.TB, rate float64, seed int64, mutate func(cfg *co
 func cleanCompletion(t *testing.T) time.Duration {
 	t.Helper()
 	e := deployResilient(t, 0, 0, nil)
-	rep, err := e.dep.RunEager(randomInput(e.model, 1))
+	rep, err := e.dep.Run(randomInput(e.model, 1), coordinator.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

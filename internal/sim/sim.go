@@ -125,18 +125,6 @@ func (h *Heap) Pop() (Event, bool) {
 	return top, true
 }
 
-// invariantOK reports whether every parent fires no later than its
-// children — the heap property under the (At, Class, Seq) order. Test
-// hook; O(n).
-func (h *Heap) invariantOK() bool {
-	for i := 1; i < len(h.ev); i++ {
-		if h.ev[i].Before(h.ev[(i-1)/2]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Clock is the monotonic simulated clock the event loops share: it
 // only moves forward, and only when a popped event says so. The zero
 // value reads time zero.

@@ -225,3 +225,15 @@ func TestClockMonotonic(t *testing.T) {
 		t.Fatalf("now = %v, want 5s", c.Now())
 	}
 }
+
+// invariantOK reports whether every parent fires no later than its
+// children — the heap property under the (At, Class, Seq) order.
+// O(n).
+func (h *Heap) invariantOK() bool {
+	for i := 1; i < len(h.ev); i++ {
+		if h.ev[i].Before(h.ev[(i-1)/2]) {
+			return false
+		}
+	}
+	return true
+}

@@ -30,8 +30,8 @@ var surfaceModules = []string{".", "bench"}
 // surfaceRoots are the trees whose non-test files count as callers.
 var surfaceRoots = []string{"internal", "cmd", "examples", "bench"}
 
-// testOnlyAllowed names the exported declarations under internal/ that
-// only _test.go files use and stay anyway, each with the reason. A key
+// testOnlyAllowed names the declarations under internal/ that only
+// _test.go files use and stay anyway, each with the reason. A key
 // is the declaring directory, then the type for a method or a field,
 // then the name.
 var testOnlyAllowed = map[string]string{
@@ -46,15 +46,16 @@ var testOnlyAllowed = map[string]string{
 	"internal/cli.Set.Rule":                      "TestFlagRules in cmd/ampsinf walks every registered flag's range and parent; cli's own tests read the same rules",
 	"internal/miqp.Solution.Nodes":               "node-count pins in miqp and optimizer tests (TestSolveOneHotNodeCount, TestBnBBuildSolveNodes)",
 	"internal/baselines.SerferReport.Output":     "the Serfer test checks the step-function chain returns the model's prediction; production decodes it to validate the run either way",
+	"internal/optimizer.Optimizer.dpSolves":      "DP-solve count TestOptimizeDPSolves pins (at most 20 per plan, 2 when the SLO cannot be met)",
+	"internal/optimizer.Optimizer.spansSolved":   "live-span count TestLiveSpanCounts and TestBnBBuildSolveNodes pin (New solves no span)",
 }
 
-// TestExportedNamesHaveProductionCallers fails on an exported func,
-// method, type, var or const declared in a non-test file under
-// internal/ that no non-test file refers to, and on an exported struct
-// field there that no non-test file reads — code and data only tests
-// reach — unless testOnlyAllowed names it. It fails on a stale
-// allowlist entry too.
-func TestExportedNamesHaveProductionCallers(t *testing.T) {
+// TestDeclarationsHaveProductionCallers fails on a func, method, type,
+// var or const declared in a non-test file under internal/ that no
+// non-test file refers to, and on a struct field there that no non-test
+// file reads — code and data only tests reach — exported or not, unless
+// testOnlyAllowed names it. It fails on a stale allowlist entry too.
+func TestDeclarationsHaveProductionCallers(t *testing.T) {
 	pkgs, err := listPackages(surfaceModules)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func surfaceProblems(unused []string, allowed map[string]string) []string {
 	for _, key := range unused {
 		listed[key] = true
 		if _, ok := allowed[key]; !ok {
-			problems = append(problems, key+": exported, but only tests use it; delete it, move it into its one test package, or allowlist it with a reason")
+			problems = append(problems, key+": only tests use it; delete it, move it into its one test package, or allowlist it with a reason")
 		}
 	}
 	for key, reason := range allowed {
@@ -108,7 +109,7 @@ type T struct {
 	next    *T
 }
 
-func (t *T) Used() int      { return t.Read + t.Inner.Kept }
+func (t *T) Used() int      { return t.Read + t.Inner.Kept + t.next.Read + helper() }
 func (t *T) OnlyTests() int { return 0 }
 func (t *T) Recur() int     { return t.Recur() }
 func (t *T) Add()           {}
@@ -130,11 +131,17 @@ type unexported struct{}
 
 func (unexported) Exported() {}
 
-func lower() {}
+var _ Viaer = (*T)(nil)
+
+func init() {}
+
+func helper() int { return 1 }
+func lower()      {}
+func testedOnly() {}
 `)},
 		"internal/a/a_test.go": {Data: []byte(`package a
 
-func use() { _ = new(T).OnlyTests(); Helper(); _ = Dropped; _ = Unshared }
+func use() { _ = new(T).OnlyTests(); Helper(); _ = Dropped; _ = Unshared; testedOnly() }
 `)},
 		"internal/m/m.go": {Data: []byte(`package m
 
@@ -188,7 +195,10 @@ func (Other) Recur() int { return 0 }
 	// only through Viaer and String implements fmt.Stringer; a field set
 	// by a composite-literal key, =, += or ++ is only written, Inner.Deep
 	// too, and Stats with its N, as writing N writes the Stats held by
-	// value; Tagged is read by the JSON encoder.
+	// value, and m.Acc.n, which only its own package writes; Tagged is
+	// read by the JSON encoder. Unexported names are judged alike: helper
+	// and next are kept by Used, lower is never called and testedOnly
+	// only by a test; init and the blank var are not judged.
 	want := []string{
 		"internal/a.Dropped",
 		"internal/a.Helper",
@@ -203,7 +213,10 @@ func (Other) Recur() int { return 0 }
 		"internal/a.T.Stats.N",
 		"internal/a.T.Summed",
 		"internal/a.Unshared",
+		"internal/a.lower",
+		"internal/a.testedOnly",
 		"internal/a.unexported.Exported",
+		"internal/m.Acc.n",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("checker listed %q\nwant %q", got, want)
@@ -223,7 +236,7 @@ func (Other) Recur() int { return 0 }
 	}
 	for _, key := range want {
 		if _, ok := allowed[key]; !ok {
-			wantProblems = append(wantProblems, key+": exported, but only tests use it; delete it, move it into its one test package, or allowlist it with a reason")
+			wantProblems = append(wantProblems, key+": only tests use it; delete it, move it into its one test package, or allowlist it with a reason")
 		}
 	}
 	sort.Strings(wantProblems)
@@ -399,9 +412,6 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 				if inner, ok := f.Type.(*ast.StructType); ok {
 					fields(key+"."+n.Name, inner, info)
 				}
-				if !n.IsExported() {
-					continue
-				}
 				if f.Tag != nil {
 					if tag, ok := reflect.StructTag(strings.Trim(f.Tag.Value, "`")).Lookup("json"); ok && tag != "-" {
 						continue
@@ -419,7 +429,7 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 			for _, dd := range f.Decls {
 				switch dd := dd.(type) {
 				case *ast.FuncDecl:
-					if !dd.Name.IsExported() {
+					if dd.Recv == nil && dd.Name.Name == "init" {
 						continue
 					}
 					key := c.lp.Dir + "."
@@ -434,12 +444,10 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 							if st, ok := s.Type.(*ast.StructType); ok {
 								fields(c.lp.Dir+"."+s.Name.Name, st, c.info)
 							}
-							if s.Name.IsExported() {
-								decls[c.info.Defs[s.Name]] = decl{c.lp.Dir + "." + s.Name.Name, s}
-							}
+							decls[c.info.Defs[s.Name]] = decl{c.lp.Dir + "." + s.Name.Name, s}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
-								if n.IsExported() {
+								if n.Name != "_" {
 									decls[c.info.Defs[n]] = decl{c.lp.Dir + "." + n.Name, s}
 								}
 							}
