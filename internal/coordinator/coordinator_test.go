@@ -253,10 +253,10 @@ func TestBatchSequentialVsParallel(t *testing.T) {
 	}
 }
 
-// TestBatchedPassStacksImages serves a tensor.Stack of images as one job:
-// one pass through the pipeline, the same output as a direct forward
-// pass. An empty batch stacks to nothing and a nil input is refused.
-func TestBatchedPassStacksImages(t *testing.T) {
+// TestRunBatchedStacksImages serves a batched pass, a tensor.Stack of
+// images run as one job: one pass through the pipeline, the same output
+// as a direct forward pass.
+func TestRunBatchedStacksImages(t *testing.T) {
 	_, d, m, w := deployTinySplit(t)
 	inputs := []*tensor.Tensor{randomInput(m, 30), randomInput(m, 31)}
 	stacked, err := tensor.Stack(inputs)
@@ -274,6 +274,13 @@ func TestBatchedPassStacksImages(t *testing.T) {
 	if !tensor.AllClose(want, rep.Output, 0) {
 		t.Fatal("batched pipeline output differs from direct forward")
 	}
+}
+
+// TestRunBatchedEmptySlice checks that a batched pass over no images is
+// refused: an empty or nil batch does not stack, and a nil input does not
+// run.
+func TestRunBatchedEmptySlice(t *testing.T) {
+	_, d, _, _ := deployTinySplit(t)
 	for _, empty := range [][]*tensor.Tensor{nil, {}} {
 		if _, err := tensor.Stack(empty); err == nil {
 			t.Fatalf("empty batch %#v stacked", empty)
