@@ -200,9 +200,9 @@ func infer(f *cli.Set) func() error {
 			return err
 		}
 		opts := core.Options{}
-		subOpts := core.SubmitOptions{SLO: *slo, SkipCompute: !*real}
+		subOpts := core.SubmitOptions{SLO: *slo, Deploy: coordinator.Config{SkipCompute: !*real}}
 		if *faultRate > 0 {
-			retryFaults(&opts, &subOpts, faults.Uniform(*faultRate, *faultSeed), *retries)
+			retryFaults(&opts, &subOpts.Deploy, faults.Uniform(*faultRate, *faultSeed), *retries)
 		}
 		tracer, mx := observe(&opts, out)
 		fw := core.NewFramework(opts)
@@ -246,6 +246,9 @@ func infer(f *cli.Set) func() error {
 				}
 				completion = max(completion, rep.Completion)
 				cost += rep.Cost
+				if *real {
+					fmt.Printf("image %d: predicted class %d\n", i, tensor.ArgMax(rep.Output))
+				}
 			}
 			fmt.Printf("served %d images in parallel: completion %.2fs, total cost $%.6f\n",
 				*images, completion.Seconds(), cost)
@@ -258,12 +261,12 @@ func infer(f *cli.Set) func() error {
 // retryFaults injects faults per cfg and retries them under the default
 // policy, its jitter seeded like the faults and its attempts capped at
 // retries when that is set.
-func retryFaults(opts *core.Options, sub *core.SubmitOptions, cfg faults.Config, retries int) {
+func retryFaults(opts *core.Options, dep *coordinator.Config, cfg faults.Config, retries int) {
 	opts.Faults = faults.New(cfg)
-	sub.Retry = coordinator.DefaultRetryPolicy()
-	sub.Retry.JitterSeed = cfg.Seed
+	dep.Retry = coordinator.DefaultRetryPolicy()
+	dep.Retry.JitterSeed = cfg.Seed
 	if retries > 0 {
-		sub.Retry.MaxAttempts = retries
+		dep.Retry.MaxAttempts = retries
 	}
 }
 
@@ -401,18 +404,21 @@ func serve(f *cli.Set) func() error {
 		}
 		opts := core.Options{}
 		subOpts := core.SubmitOptions{
-			SLO: *slo, SkipCompute: !*real, FallbackBits: *fallbackBits,
-			Hedge: coordinator.HedgePolicy{
-				Percentile: *hedgePct, Delay: *hedge, MaxRate: *hedgeRate, JitterSeed: *seed,
+			SLO: *slo, FallbackBits: *fallbackBits,
+			Deploy: coordinator.Config{
+				SkipCompute: !*real,
+				Hedge: coordinator.HedgePolicy{
+					Percentile: *hedgePct, Delay: *hedge, MaxRate: *hedgeRate, JitterSeed: *seed,
+				},
+				Breaker: coordinator.BreakerPolicy{ConsecutiveFailures: *breakerN},
+				Budget:  coordinator.BudgetPolicy{MaxTokens: *budget, EarnPerSuccess: *budgetEarn},
 			},
-			Breaker: coordinator.BreakerPolicy{ConsecutiveFailures: *breakerN},
-			Budget:  coordinator.BudgetPolicy{MaxTokens: *budget, EarnPerSuccess: *budgetEarn},
 		}
 		if *faultRate > 0 || *domains > 1 {
 			fcfg := faults.Uniform(*faultRate, *seed)
 			fcfg.BurstEvery, fcfg.BurstLength, fcfg.BurstFactor = *burstEvery, *burstLength, *burstFactor
 			fcfg.Domains, fcfg.DomainOutageEvery, fcfg.DomainOutageLength = *domains, *outageEvery, *outageLength
-			retryFaults(&opts, &subOpts, fcfg, *retries)
+			retryFaults(&opts, &subOpts.Deploy, fcfg, *retries)
 		}
 		_, mx := observe(&opts, out)
 		if mx == nil && *httpAddr != "" {
@@ -597,17 +603,14 @@ func sweepMeasured(m *nn.Model, o *optimizer.Optimizer, segments int, out export
 		if err != nil {
 			continue
 		}
-		fw := core.NewFramework(opts)
-		dep, err := coordinator.Deploy(coordinator.Config{
-			Platform: fw.Platform(), Store: fw.Store(),
-			NamePrefix:  fmt.Sprintf("sweep-%d", mem),
-			SkipCompute: true, Tracer: tracer, Metrics: mx,
-		}, m, w, plan)
+		svc, err := core.NewFramework(opts).Deploy(m, w, plan, coordinator.Config{
+			NamePrefix: fmt.Sprintf("sweep-%d", mem), SkipCompute: true,
+		})
 		if err != nil {
 			return err
 		}
-		rep, err := dep.Run(img, coordinator.RunOptions{})
-		dep.Teardown()
+		rep, err := svc.Infer(img)
+		svc.Close()
 		if err != nil {
 			return err
 		}

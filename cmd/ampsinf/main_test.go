@@ -299,6 +299,7 @@ func TestEveryFlagActs(t *testing.T) {
 		{"infer", []string{"-images", "2"}, tiny},
 		{"infer", []string{"-sequential"}, tiny},
 		{"infer", []string{"-real"}, tiny},
+		{"infer", []string{"-real"}, with(tiny, "-images", "2")},
 		{"infer", []string{"-timeline"}, tiny},
 		{"infer", []string{"-fault-rate", "0.9"}, tiny},
 		{"infer", []string{"-fault-seed", "2"}, with(tiny, "-fault-rate", "0.3")},

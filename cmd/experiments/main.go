@@ -2,9 +2,13 @@
 // evaluation on the simulated platform and prints them to stdout.
 //
 // Without -only, everything runs in paper order. With -metrics, a
-// sorted-key JSON snapshot of every simulator and coordinator metric
-// accumulated across the run is written after the tables; with -stream,
-// the windowed NDJSON metrics stream. `experiments -h` lists the flags.
+// sorted-key JSON snapshot of every simulator, coordinator and serving
+// metric accumulated across the run is written after the tables; with
+// -stream, the windowed NDJSON metrics stream. Each experiment's
+// environment deploys and serves on a framework wired to both, so they
+// carry its coordinator and serving activity; overload's brownout cell
+// keeps its serving windows in a series of its own, the 2 s windows its
+// ladder judges. `experiments -h` lists the flags.
 package main
 
 import (
@@ -84,7 +88,7 @@ func main() {
 	f, run := flags()
 	err := f.Parse(os.Args[1:])
 	if err == nil {
-		err = run()
+		err = run(os.Stdout)
 	}
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -93,8 +97,8 @@ func main() {
 }
 
 // flags registers the command's flags and returns the run to start once
-// they are parsed.
-func flags() (*cli.Set, func() error) {
+// they are parsed, writing the tables (and a "-" export) to w.
+func flags() (*cli.Set, func(w io.Writer) error) {
 	f := cli.New("experiments")
 	only := f.String("only", "", "run a single experiment (e.g. table1, figure9)")
 	metricsOut := f.String("metrics", "", `write a metrics snapshot JSON to this file ("-" = stdout)`)
@@ -103,7 +107,7 @@ func flags() (*cli.Set, func() error) {
 		cli.With("-stream", func() bool { return *streamOut != "" }))
 	cpuProfile := f.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := f.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	return f, func() error {
+	return f, func(w io.Writer) error {
 		stopProf, err := prof.Start(*cpuProfile, *memProfile)
 		if err != nil {
 			return err
@@ -128,20 +132,20 @@ func flags() (*cli.Set, func() error) {
 			if err != nil {
 				return fmt.Errorf("%s: %w", j.id, err)
 			}
-			fmt.Println(t.Render())
+			fmt.Fprintln(w, t.Render())
 			ran++
 		}
 		if ran == 0 {
 			return fmt.Errorf("unknown experiment %q", *only)
 		}
 		if mx != nil {
-			if err := writeOut(mx.WriteJSON, *metricsOut); err != nil {
+			if err := writeOut(w, mx.WriteJSON, *metricsOut); err != nil {
 				return fmt.Errorf("metrics: %w", err)
 			}
 		}
 		if series != nil {
 			series.Close()
-			if err := writeOut(series.WriteNDJSON, *streamOut); err != nil {
+			if err := writeOut(w, series.WriteNDJSON, *streamOut); err != nil {
 				return fmt.Errorf("stream: %w", err)
 			}
 		}
@@ -149,9 +153,10 @@ func flags() (*cli.Set, func() error) {
 	}
 }
 
-func writeOut(write func(io.Writer) error, path string) error {
+// writeOut writes an export to path, or to w when path is "-".
+func writeOut(w io.Writer, write func(io.Writer) error, path string) error {
 	if path == "-" {
-		return write(os.Stdout)
+		return write(w)
 	}
 	f, err := os.Create(path)
 	if err != nil {

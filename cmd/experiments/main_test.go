@@ -10,9 +10,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"ampsinf/internal/experiments"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/help.golden")
+var update = flag.Bool("update", false, "rewrite testdata/help.golden and experiments_output.txt")
 
 // parse registers the command's flags on a fresh set and parses args
 // into it, printing nothing; no experiment runs.
@@ -93,5 +95,48 @@ func TestDocCommandLinesParse(t *testing.T) {
 	}
 	if n < 5 {
 		t.Errorf("found %d experiments command lines in the docs, want at least 5", n)
+	}
+}
+
+// TestOutputGolden runs every experiment with -metrics and -stream
+// exports and compares the tables with the checked-in
+// experiments_output.txt byte for byte: the file is the command's
+// current output, and telemetry does not perturb a table. Run with
+// -update to rewrite the file.
+func TestOutputGolden(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the full run is serial simulation; under the race detector it only multiplies time and memory")
+	}
+	tmp := t.TempDir()
+	f, run := flags()
+	if err := f.Parse([]string{"-metrics", filepath.Join(tmp, "metrics.json"), "-stream", filepath.Join(tmp, "stream.ndjson")}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		experiments.SetMetrics(nil)
+		experiments.SetSeries(nil)
+	})
+	var got bytes.Buffer
+	if err := run(&got); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("..", "..", "experiments_output.txt")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("output differs from %s at line %d (go test -run TestOutputGolden -update rewrites it):\ngot  %s\nwant %s", golden, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output differs from %s in length: %d lines, want %d", golden, len(gl), len(wl))
 	}
 }

@@ -48,7 +48,7 @@ func run(w io.Writer) error {
 	// AMPS-Inf deployment with a tight SLO (larger memory, faster serving).
 	fw := core.NewFramework(core.Options{})
 	svc, err := fw.Submit(model, weights, core.SubmitOptions{
-		SLO: 8 * time.Second, SkipCompute: true,
+		SLO: 8 * time.Second, Deploy: coordinator.Config{SkipCompute: true},
 	})
 	if err != nil {
 		return err
@@ -101,10 +101,8 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bfw := core.NewFramework(core.Options{})
-	sys, err := baselines.NewBATCH(coordinator.Config{
-		Platform: bfw.Platform(), Store: bfw.Store(), SkipCompute: true,
-	}, o, weights, 2048, 5)
+	sys, err := baselines.NewBATCH(core.NewFramework(core.Options{}),
+		coordinator.Config{SkipCompute: true}, o, weights, 2048, 5)
 	if err != nil {
 		return err
 	}
@@ -130,7 +128,7 @@ func run(w io.Writer) error {
 	serveStream := func(batch serving.BatchPolicy) (*serving.Report, error) {
 		sfw := core.NewFramework(core.Options{})
 		ssvc, err := sfw.Submit(model, weights, core.SubmitOptions{
-			SLO: 8 * time.Second, SkipCompute: true,
+			SLO: 8 * time.Second, Deploy: coordinator.Config{SkipCompute: true},
 		})
 		if err != nil {
 			return nil, err

@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
@@ -53,7 +54,8 @@ func run(w io.Writer) error {
 	} {
 		fw := core.NewFramework(core.Options{})
 		svc, err := fw.Submit(model, weights, core.SubmitOptions{
-			SLO: cfg.slo, SkipCompute: true, NamePrefix: "load-" + cfg.label,
+			SLO:    cfg.slo,
+			Deploy: coordinator.Config{SkipCompute: true, NamePrefix: "load-" + cfg.label},
 		})
 		if err != nil {
 			return err

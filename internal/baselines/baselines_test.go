@@ -10,6 +10,7 @@ import (
 	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/cloud/stepfn"
 	"ampsinf/internal/coordinator"
+	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/optimizer"
@@ -183,8 +184,7 @@ func TestBATCHServesBuffered(t *testing.T) {
 	o := newOptimizer(t, "tinycnn", 0)
 	m := o.Model()
 	w := nn.InitWeights(m, 6)
-	e := newEnv()
-	sys, err := NewBATCH(coordinator.Config{Platform: e.platform, Store: e.store}, o, w, 2048, 2)
+	sys, err := NewBATCH(core.NewFramework(core.Options{}), coordinator.Config{}, o, w, 2048, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +213,8 @@ func TestBATCHServesBuffered(t *testing.T) {
 
 func TestBATCHRejectsOversizedModel(t *testing.T) {
 	o := newOptimizer(t, "resnet50", 0)
-	e := newEnv()
 	m := o.Model()
-	_, err := NewBATCH(coordinator.Config{Platform: e.platform, Store: e.store}, o, nn.InitWeights(m, 1), 3008, 10)
+	_, err := NewBATCH(core.NewFramework(core.Options{}), coordinator.Config{}, o, nn.InitWeights(m, 1), 3008, 10)
 	if err == nil {
 		t.Fatal("BATCH accepted a model that cannot fit one lambda")
 	}

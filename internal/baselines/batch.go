@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ampsinf/internal/coordinator"
+	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/tensor"
@@ -15,7 +16,7 @@ import (
 // model splitting) with requests buffered into fixed-size batches, one
 // sequential lambda invocation per batch.
 type BATCHSystem struct {
-	dep       *coordinator.Deployment
+	svc       *core.Service
 	BatchSize int
 	// BufferWait is the time each batch spends accumulating in BATCH's
 	// request buffer before dispatch (its adaptive-batching design waits
@@ -24,10 +25,11 @@ type BATCHSystem struct {
 	BufferWait time.Duration
 }
 
-// NewBATCH deploys the whole model on one lambda with the given memory
-// block. It fails when the model does not fit a single function — BATCH
-// has no answer for such models, which is the gap AMPS-Inf fills.
-func NewBATCH(cfg coordinator.Config, o *optimizer.Optimizer, weights nn.Weights, memMB, batchSize int) (*BATCHSystem, error) {
+// NewBATCH deploys the whole model on one lambda of fw's cloud with the
+// given memory block, under cfg's deployment policy. It fails when the
+// model does not fit a single function — BATCH has no answer for such
+// models, which is the gap AMPS-Inf fills.
+func NewBATCH(fw *core.Framework, cfg coordinator.Config, o *optimizer.Optimizer, weights nn.Weights, memMB, batchSize int) (*BATCHSystem, error) {
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("baselines: batch size %d", batchSize)
 	}
@@ -42,15 +44,15 @@ func NewBATCH(cfg coordinator.Config, o *optimizer.Optimizer, weights nn.Weights
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "batch"
 	}
-	dep, err := coordinator.Deploy(cfg, o.Model(), weights, plan)
+	svc, err := fw.Deploy(o.Model(), weights, plan, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &BATCHSystem{dep: dep, BatchSize: batchSize, BufferWait: 2 * time.Second}, nil
+	return &BATCHSystem{svc: svc, BatchSize: batchSize, BufferWait: 2 * time.Second}, nil
 }
 
 // Close tears down the deployment.
-func (b *BATCHSystem) Close() { b.dep.Teardown() }
+func (b *BATCHSystem) Close() { b.svc.Close() }
 
 // BATCHReport describes one buffered serving run.
 type BATCHReport struct {
@@ -77,7 +79,7 @@ func (b *BATCHSystem) Serve(images []*tensor.Tensor) (*BATCHReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baselines: BATCH batch %d: %w", rep.Batches, err)
 		}
-		r, err := b.dep.Run(stacked, coordinator.RunOptions{})
+		r, err := b.svc.Infer(stacked)
 		if err != nil {
 			return nil, fmt.Errorf("baselines: BATCH batch %d: %w", rep.Batches, err)
 		}

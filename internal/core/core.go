@@ -12,6 +12,14 @@
 //	rep, err := svc.Infer(image)
 //	fmt.Println(rep.Completion, rep.Cost, tensor.ArgMax(rep.Output))
 //
+// Submit plans, co-plans the batch size and deploys. A plan chosen
+// elsewhere — a baseline's, a fixed memory block's — is deployed with
+// Framework.Deploy, whose coordinator.Config carries only the
+// deployment's policy: the framework wires every deployment to its
+// platform, store, tracer, registry and series, and is the one place
+// outside the benchmark that calls coordinator.Deploy, as Service.Serve
+// is for serving.Serve.
+//
 // A Service runs jobs two ways: Infer serves one input (an image, or a
 // tensor.Stack of images as one batched pass) and Serve drives a request
 // trace through the serving scheduler. Any other job shape — the
@@ -114,28 +122,12 @@ type SubmitOptions struct {
 	SLO time.Duration
 	// MaxLayersPerPartition is the paper's search-space cap (Eq. 6).
 	MaxLayersPerPartition int
-	// NamePrefix namespaces the deployed functions.
-	NamePrefix string
-	// SkipCompute deploys in timing-only mode (see coordinator.Config).
-	SkipCompute bool
-	// QuantizeBits ships 8- or 4-bit quantized weights (0 = float32),
-	// shrinking deployment packages 4-8× — the paper's future-work path
-	// for models whose layers outgrow the platform size limit.
-	QuantizeBits int
-	// Retry makes serving resilient to transient platform faults (see
-	// internal/cloud/faults); the zero value aborts jobs on the first
-	// error.
-	Retry coordinator.RetryPolicy
-	// Hedge launches speculative duplicate invocations of slow
-	// partitions (zero value disables hedging).
-	Hedge coordinator.HedgePolicy
-	// Breaker short-circuits invocations of persistently failing
-	// partition functions (zero value disables the breaker).
-	Breaker coordinator.BreakerPolicy
-	// Budget is the global retry budget shared across every retry and
-	// hedge the deployment attempts (zero value leaves retries
-	// unbudgeted).
-	Budget coordinator.BudgetPolicy
+	// Deploy is the deployment's policy, passed to Framework.Deploy.
+	// Its QuantizeBits also scales the weight bytes the planner packs
+	// into each partition: quantized packages (8 or 4 bits) shrink 4-8×,
+	// the paper's future-work path for models whose layers outgrow the
+	// platform size limit.
+	Deploy coordinator.Config
 	// FallbackBits, when non-zero, additionally deploys a quantized
 	// fallback copy of the plan (8 or 4 bits) for brownout's plan-swap
 	// rung; Service.Serve wires it in automatically.
@@ -156,15 +148,17 @@ type Service struct {
 	fallback *coordinator.Deployment
 	// BatchPlan is the optimizer's batch-size co-plan for the deployed
 	// partitioning: per-size time/cost evaluations against the chosen
-	// memory blocks and the SLO, and the recommended size (Chosen).
+	// memory blocks and the SLO, and the recommended size (Chosen). A
+	// Service made by Deploy has none.
 	BatchPlan *optimizer.BatchPlan
 	// PlanningTime is the optimizer's wall-clock overhead (the paper
 	// reports a few seconds on a laptop).
 	PlanningTime time.Duration
 }
 
-// Submit runs the full AMPS-Inf pipeline: profile, optimize, split,
-// package and deploy. The returned Service serves inference immediately.
+// Submit runs the full AMPS-Inf pipeline: profile, optimize, co-plan the
+// batch size, then Deploy the plan (and its quantized fallback, when
+// opts asks for one). The returned Service serves inference immediately.
 func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptions) (*Service, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: nil model")
@@ -172,7 +166,7 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := modelfmt.CheckQuantBits(opts.QuantizeBits); err != nil {
+	if err := modelfmt.CheckQuantBits(opts.Deploy.QuantizeBits); err != nil {
 		return nil, fmt.Errorf("core: QuantizeBits: %w", err)
 	}
 	if err := modelfmt.CheckQuantBits(opts.FallbackBits); err != nil {
@@ -186,7 +180,7 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 		SLO:                   opts.SLO,
 		MaxLayersPerPartition: opts.MaxLayersPerPartition,
 		Quota:                 &quota,
-		WeightScale:           modelfmt.CompressionScale(opts.QuantizeBits),
+		WeightScale:           modelfmt.CompressionScale(opts.Deploy.QuantizeBits),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: optimizing %q: %w", model.Name, err)
@@ -203,38 +197,54 @@ func (f *Framework) Submit(model *nn.Model, weights nn.Weights, opts SubmitOptio
 	}
 	planning := time.Since(start)
 
-	prefix := opts.NamePrefix
-	if prefix == "" {
-		prefix = "ampsinf"
+	cfg := opts.Deploy
+	if cfg.NamePrefix == "" {
+		cfg.NamePrefix = "ampsinf"
 	}
-	cfg := coordinator.Config{
-		Platform: f.platform, Store: f.store, NamePrefix: prefix,
-		SkipCompute: opts.SkipCompute, QuantizeBits: opts.QuantizeBits,
-		Retry: opts.Retry, Hedge: opts.Hedge,
-		Breaker: opts.Breaker, Budget: opts.Budget, Tracer: f.tracer,
-		Metrics: f.metrics, Series: f.series,
-	}
-	dep, err := coordinator.Deploy(cfg, model, weights, plan)
+	svc, err := f.Deploy(model, weights, plan, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: deploying %q: %w", model.Name, err)
+		return nil, err
 	}
-	var fb *coordinator.Deployment
 	if opts.FallbackBits != 0 {
 		// The fallback reuses the exact partition plan — same stage count,
 		// same functions-per-request shape — with quantized packages, so a
 		// mid-run swap never changes the pipeline's structure, only the
 		// bytes each stage loads.
-		cfg.NamePrefix, cfg.QuantizeBits = prefix+"-fallback", opts.FallbackBits
-		fb, err = coordinator.Deploy(cfg, model, weights, plan)
+		cfg.NamePrefix += "-fallback"
+		cfg.QuantizeBits = opts.FallbackBits
+		fb, err := f.Deploy(model, weights, plan, cfg)
 		if err != nil {
-			dep.Teardown()
-			return nil, fmt.Errorf("core: deploying %q fallback: %w", model.Name, err)
+			svc.Close()
+			return nil, fmt.Errorf("core: fallback: %w", err)
 		}
+		svc.fallback = fb.deployment
 	}
-	return &Service{
-		framework: f, Plan: plan, BatchPlan: batchPlan,
-		deployment: dep, fallback: fb, PlanningTime: planning,
-	}, nil
+	svc.BatchPlan, svc.PlanningTime = batchPlan, planning
+	return svc, nil
+}
+
+// Deploy deploys plan — from an optimizer run on model — as partition
+// functions on the framework's cloud. cfg carries only the deployment's
+// policy (names, timing-only mode, quantization, retries, hedges,
+// breakers, budget); the framework fills in its platform, tracer,
+// metrics and series, and its S3 store unless cfg.Store names another
+// stage.Store. A cfg that sets the platform or a telemetry sink is
+// refused: every deployment reports to the cloud it runs on. The
+// Service has no batch co-plan. Outside the benchmark, it is the one
+// place a plan is deployed.
+func (f *Framework) Deploy(model *nn.Model, weights nn.Weights, plan *optimizer.Plan, cfg coordinator.Config) (*Service, error) {
+	if cfg.Platform != nil || cfg.Tracer != nil || cfg.Metrics != nil || cfg.Series != nil {
+		return nil, fmt.Errorf("core: deploying %q: the platform, tracer, metrics and series are the framework's, not the config's", model.Name)
+	}
+	cfg.Platform, cfg.Tracer, cfg.Metrics, cfg.Series = f.platform, f.tracer, f.metrics, f.series
+	if cfg.Store == nil {
+		cfg.Store = f.store
+	}
+	dep, err := coordinator.Deploy(cfg, model, weights, plan)
+	if err != nil {
+		return nil, fmt.Errorf("core: deploying %q: %w", model.Name, err)
+	}
+	return &Service{framework: f, Plan: plan, deployment: dep}, nil
 }
 
 // Infer serves one input — one image, or a tensor.Stack of images as a
@@ -251,10 +261,12 @@ func (s *Service) Deployment() *coordinator.Deployment { return s.deployment }
 // service's deployment. The config's Deployment is filled in, Metrics,
 // Series and Fallback default to the framework's registry, series and
 // the submission's fallback deployment; every serving policy (pipeline,
-// batch, brownout, SLO, ...) is the config's own. A batching policy's
-// MaxBatch is clamped into the optimizer co-plan's feasible range, so
-// serving never stacks a batch the planned memory blocks cannot hold.
-// MaxBatch < 0 asks for the co-plan's recommended size.
+// batch, brownout, SLO, ...) is the config's own. On a submitted
+// service a batching policy's MaxBatch is clamped into the optimizer
+// co-plan's feasible range, so serving never stacks a batch the planned
+// memory blocks cannot hold, and MaxBatch < 0 asks for the co-plan's
+// recommended size. A service made by Deploy has no co-plan: MaxBatch
+// is used as given, and a negative one is refused.
 func (s *Service) Serve(inputs []*tensor.Tensor, arrivals []time.Duration, cfg serving.Config) (*serving.Report, error) {
 	cfg.Deployment = s.deployment
 	if cfg.Metrics == nil {
@@ -267,11 +279,11 @@ func (s *Service) Serve(inputs []*tensor.Tensor, arrivals []time.Duration, cfg s
 		// The optimizer's co-planned batch size, for comparison against
 		// the batch sizes the admission window actually chooses.
 		cfg.Series.GaugeHandle("serving_batch_coplanned").Set(0, float64(s.BatchPlan.Chosen))
-	}
-	if cfg.Batch.MaxBatch < 0 {
-		cfg.Batch.MaxBatch = s.BatchPlan.Chosen
-	} else if cfg.Batch.MaxBatch > 1 {
-		cfg.Batch.MaxBatch = s.BatchPlan.Clamp(cfg.Batch.MaxBatch)
+		if cfg.Batch.MaxBatch < 0 {
+			cfg.Batch.MaxBatch = s.BatchPlan.Chosen
+		} else if cfg.Batch.MaxBatch > 1 {
+			cfg.Batch.MaxBatch = s.BatchPlan.Clamp(cfg.Batch.MaxBatch)
+		}
 	}
 	if cfg.Fallback == nil {
 		cfg.Fallback = s.fallback

@@ -104,7 +104,7 @@ func TestSubmitRejectsNilAndInvalid(t *testing.T) {
 func TestServiceRespectsSLO(t *testing.T) {
 	// First learn the cost-optimal time, then demand a modestly faster
 	// deployment and verify the plan honors it.
-	_, base, _, _ := submitTiny(t, SubmitOptions{NamePrefix: "base"})
+	_, base, _, _ := submitTiny(t, SubmitOptions{Deploy: coordinator.Config{NamePrefix: "base"}})
 	slo := time.Duration(float64(base.Plan.EstTime) * 0.95)
 	fw := NewFramework(Options{})
 	m := zoo.TinyCNN(0)

@@ -9,6 +9,7 @@ import (
 	"ampsinf/internal/cloud/lambda"
 	"ampsinf/internal/cloud/pricing"
 	"ampsinf/internal/cloud/s3"
+	"ampsinf/internal/coordinator"
 	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
@@ -24,13 +25,13 @@ func TestVGG16ServableOnlyWithQuantization(t *testing.T) {
 	w := nn.InitWeights(m, 1)
 	fw := NewFramework(Options{})
 
-	if _, err := fw.Submit(m, w, SubmitOptions{SkipCompute: true}); err == nil {
+	if _, err := fw.Submit(m, w, SubmitOptions{Deploy: coordinator.Config{SkipCompute: true}}); err == nil {
 		t.Fatal("float32 VGG16 deployed under the 250 MB limit")
 	}
-	if _, err := fw.Submit(m, w, SubmitOptions{SkipCompute: true, QuantizeBits: 8}); err == nil {
+	if _, err := fw.Submit(m, w, SubmitOptions{Deploy: coordinator.Config{SkipCompute: true, QuantizeBits: 8}}); err == nil {
 		t.Fatal("8-bit VGG16 should still exceed the limit (fc1 ≈ 98 MB + 169 MB deps + overhead)")
 	}
-	svc, err := fw.Submit(m, w, SubmitOptions{SkipCompute: true, QuantizeBits: 4})
+	svc, err := fw.Submit(m, w, SubmitOptions{Deploy: coordinator.Config{SkipCompute: true, QuantizeBits: 4}})
 	if err != nil {
 		t.Fatalf("4-bit VGG16 not servable: %v", err)
 	}
@@ -52,7 +53,7 @@ func TestQuantizedPipelineCorrectness(t *testing.T) {
 	m := zoo.TinyCNN(0)
 	w := nn.InitWeights(m, 3)
 	fw := NewFramework(Options{})
-	svc, err := fw.Submit(m, w, SubmitOptions{QuantizeBits: 8, MaxLayersPerPartition: 4})
+	svc, err := fw.Submit(m, w, SubmitOptions{Deploy: coordinator.Config{QuantizeBits: 8}, MaxLayersPerPartition: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestQuantizationReducesLoadTime(t *testing.T) {
 
 	run := func(bits int) (load float64) {
 		fw := NewFramework(Options{})
-		svc, err := fw.Submit(m, w, SubmitOptions{SkipCompute: true, QuantizeBits: bits})
+		svc, err := fw.Submit(m, w, SubmitOptions{Deploy: coordinator.Config{SkipCompute: true, QuantizeBits: bits}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestQuota2021Extension(t *testing.T) {
 	// platform (NewFramework builds the paper's 2020 one): it still serves.
 	fw := &Framework{platform: pl2021, store: s3.New(s3.DefaultConfig(), meter), meter: meter}
 	m := zoo.TinyCNN(0)
-	svc, err := fw.Submit(m, nn.InitWeights(m, 1), SubmitOptions{SkipCompute: true})
+	svc, err := fw.Submit(m, nn.InitWeights(m, 1), SubmitOptions{Deploy: coordinator.Config{SkipCompute: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +157,15 @@ func TestQuota2021Extension(t *testing.T) {
 func TestSubmitRejectsBadQuantBits(t *testing.T) {
 	m := zoo.TinyCNN(0)
 	fw := NewFramework(Options{})
-	if _, err := fw.Submit(m, nn.InitWeights(m, 1), SubmitOptions{QuantizeBits: 3}); err == nil {
+	if _, err := fw.Submit(m, nn.InitWeights(m, 1), SubmitOptions{Deploy: coordinator.Config{QuantizeBits: 3}}); err == nil {
 		t.Fatal("3-bit quantization accepted")
 	}
 	// Either width is refused before planning; a negative fallback width
 	// is not read as "no fallback".
-	for _, opts := range []SubmitOptions{{QuantizeBits: -4}, {FallbackBits: -4}, {FallbackBits: 3}} {
+	for _, opts := range []SubmitOptions{{Deploy: coordinator.Config{QuantizeBits: -4}}, {FallbackBits: -4}, {FallbackBits: 3}} {
 		_, err := fw.Submit(m, nn.InitWeights(m, 1), opts)
 		if err == nil || !strings.HasPrefix(err.Error(), "core: ") || strings.Contains(err.Error(), "optimizing") ||
-			!strings.Contains(err.Error(), fmt.Sprintf("width %d", opts.QuantizeBits+opts.FallbackBits)) {
+			!strings.Contains(err.Error(), fmt.Sprintf("width %d", opts.Deploy.QuantizeBits+opts.FallbackBits)) {
 			t.Errorf("%+v: got %v, want core's width error before planning", opts, err)
 		}
 	}
@@ -183,7 +184,7 @@ func TestBERTBaseServedPartitioned(t *testing.T) {
 	}
 	w := nn.InitWeights(m, 1)
 	fw := NewFramework(Options{})
-	svc, err := fw.Submit(m, w, SubmitOptions{SkipCompute: true})
+	svc, err := fw.Submit(m, w, SubmitOptions{Deploy: coordinator.Config{SkipCompute: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

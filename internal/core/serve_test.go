@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ampsinf/internal/coordinator"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/obs"
@@ -13,7 +14,7 @@ import (
 )
 
 func TestSubmitCoPlansBatch(t *testing.T) {
-	_, svc, _, _ := submitTiny(t, SubmitOptions{SkipCompute: true})
+	_, svc, _, _ := submitTiny(t, SubmitOptions{Deploy: coordinator.Config{SkipCompute: true}})
 	if svc.BatchPlan == nil {
 		t.Fatal("submission produced no batch co-plan")
 	}
@@ -36,7 +37,7 @@ func TestSubmitCoPlansBatch(t *testing.T) {
 func TestServiceServeDefaultsAndClamps(t *testing.T) {
 	fw := NewFramework(Options{Trace: obs.NewTracer()})
 	m := zoo.TinyCNN(0)
-	svc, err := fw.Submit(m, nn.InitWeights(m, 3), SubmitOptions{SkipCompute: true})
+	svc, err := fw.Submit(m, nn.InitWeights(m, 3), SubmitOptions{Deploy: coordinator.Config{SkipCompute: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestServiceServeDefaultsAndClamps(t *testing.T) {
 }
 
 func TestServiceServeAutoBatch(t *testing.T) {
-	fw, svc, m, _ := submitTiny(t, SubmitOptions{SkipCompute: true})
+	fw, svc, m, _ := submitTiny(t, SubmitOptions{Deploy: coordinator.Config{SkipCompute: true}})
 	fw.Platform().SetAccountConcurrency(4 * svc.Partitions())
 	n := 4
 	ins := make([]*tensor.Tensor, n)

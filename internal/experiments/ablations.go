@@ -38,7 +38,7 @@ func AblationScheduling() (*AblationSchedulingResult, error) {
 	}
 	var runs [2]SettingRun
 	for i, mode := range []string{"sequential", "eager"} {
-		rep, err := runOne(NewEnv(nil).timingOnly("abl-sched"), name, plan,
+		rep, err := NewEnv(nil).runOne(timingOnly("abl-sched"), name, plan,
 			coordinator.RunOptions{Sequential: mode == "sequential"})
 		if err != nil {
 			return nil, err
@@ -138,7 +138,7 @@ func AblationQuantization() (*AblationQuantizationResult, error) {
 	res := &AblationQuantizationResult{}
 	for _, bits := range []int{0, 8, 4} {
 		fw := core.NewFramework(core.Options{})
-		svc, err := fw.Submit(m, w, core.SubmitOptions{SkipCompute: true, QuantizeBits: bits})
+		svc, err := fw.Submit(m, w, core.SubmitOptions{Deploy: coordinator.Config{SkipCompute: true, QuantizeBits: bits}})
 		if err != nil {
 			return nil, err
 		}
@@ -259,11 +259,11 @@ func AblationStorage() (*AblationStorageResult, error) {
 	res := &AblationStorageResult{}
 	for _, backend := range []string{"s3", "redis"} {
 		env := NewEnv(nil)
-		cfg := env.timingOnly("abl-" + backend)
+		cfg := timingOnly("abl-" + backend)
 		if backend == "redis" {
-			cfg.Store = redis.New(env.Meter)
+			cfg.Store = redis.New(env.Meter())
 		}
-		rep, err := runOne(cfg, name, plan, coordinator.RunOptions{})
+		rep, err := env.runOne(cfg, name, plan, coordinator.RunOptions{})
 		if err != nil {
 			return nil, err
 		}

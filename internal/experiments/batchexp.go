@@ -130,7 +130,7 @@ func Figure13() (*Figure13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := baselines.NewBATCH(NewEnv(nil).timingOnly("batch"), oB, w, 2048, batchSize)
+	sys, err := baselines.NewBATCH(NewEnv(nil).Framework, timingOnly("batch"), oB, w, 2048, batchSize)
 	if err != nil {
 		return nil, err
 	}

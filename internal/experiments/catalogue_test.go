@@ -124,10 +124,13 @@ func catalogueStorm(t *testing.T, staged bool) emitted {
 	retry := coordinator.DefaultRetryPolicy()
 	retry.JitterSeed = ResilienceSeed
 	svc, err := fw.Submit(m, nn.InitWeights(m, 42), core.SubmitOptions{
-		SkipCompute: true, MaxLayersPerPartition: 4, FallbackBits: 4, Retry: retry,
-		Hedge:   coordinator.HedgePolicy{Percentile: 90, MinSamples: 8, MaxRate: 0.5, JitterSeed: ResilienceSeed},
-		Breaker: coordinator.BreakerPolicy{ConsecutiveFailures: 2, OpenFor: 2 * time.Second},
-		Budget:  coordinator.BudgetPolicy{MaxTokens: 20, EarnPerSuccess: 0.1},
+		MaxLayersPerPartition: 4, FallbackBits: 4,
+		Deploy: coordinator.Config{
+			SkipCompute: true, Retry: retry,
+			Hedge:   coordinator.HedgePolicy{Percentile: 90, MinSamples: 8, MaxRate: 0.5, JitterSeed: ResilienceSeed},
+			Breaker: coordinator.BreakerPolicy{ConsecutiveFailures: 2, OpenFor: 2 * time.Second},
+			Budget:  coordinator.BudgetPolicy{MaxTokens: 20, EarnPerSuccess: 0.1},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

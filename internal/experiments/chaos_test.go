@@ -28,8 +28,8 @@ func TestChaosPipelineBatch(t *testing.T) {
 		if row.Good > r.Jobs || row.Good < 0 {
 			t.Errorf("cell %s: good %d of %d", row.Cell.Name, row.Good, r.Jobs)
 		}
-		if row.Cost < 0 {
-			t.Errorf("cell %s: negative cost %v", row.Cell.Name, row.Cost)
+		if row.TotalCost < 0 {
+			t.Errorf("cell %s: negative cost %v", row.Cell.Name, row.TotalCost)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ampsinf/internal/baselines"
+	"ampsinf/internal/cloud/stepfn"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/optimizer"
 	"ampsinf/internal/perf"
@@ -89,8 +90,8 @@ func RunBaselineComparison() (*BaselineComparison, error) {
 			{"Baseline 2", b2Plan, &row.B2},
 			{"Baseline 3", b3Plan, &row.B3},
 		} {
-			cfg := NewEnv(nil).timingOnly(fmt.Sprintf("%s-%s", name, sanitize(e.label)))
-			rep, err := runOne(cfg, name, e.plan, coordinator.RunOptions{})
+			cfg := timingOnly(fmt.Sprintf("%s-%s", name, sanitize(e.label)))
+			rep, err := NewEnv(nil).runOne(cfg, name, e.plan, coordinator.RunOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %s: %w", name, e.label, err)
 			}
@@ -157,11 +158,12 @@ func Figure11() (*Figure11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep, err := coordinator.Deploy(env.timingOnly("fig11"), m, w, plan)
+	svc, err := env.Deploy(m, w, plan, timingOnly("fig11"))
 	if err != nil {
 		return nil, err
 	}
-	defer dep.Teardown()
+	defer svc.Close()
+	dep := svc.Deployment()
 
 	// Both systems run the strictly sequential schedule here: the point of
 	// Fig 11 is the Step Functions overhead under identical orchestration
@@ -171,10 +173,10 @@ func Figure11() (*Figure11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, fn := range dep.FunctionNames() {
-		env.Platform.ResetWarm(fn)
-	}
-	serferRep, err := baselines.RunSerfer(env.StepFn, dep, env.Store, img)
+	svc.ColdStart()
+	engine := stepfn.NewEngine(env.Platform(), env.Meter())
+	engine.Metrics = currentMetrics()
+	serferRep, err := baselines.RunSerfer(engine, dep, env.Store(), img)
 	if err != nil {
 		return nil, err
 	}

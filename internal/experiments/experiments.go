@@ -11,12 +11,8 @@ import (
 	"sync"
 	"time"
 
-	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/faults"
-	"ampsinf/internal/cloud/lambda"
-	"ampsinf/internal/cloud/s3"
 	"ampsinf/internal/cloud/sagemaker"
-	"ampsinf/internal/cloud/stepfn"
 	"ampsinf/internal/coordinator"
 	"ampsinf/internal/core"
 	"ampsinf/internal/nn"
@@ -27,8 +23,9 @@ import (
 )
 
 // Package-level metrics registry: when set, every subsequently built
-// Env reports simulator and coordinator metrics into it, so a whole
-// experiment run can be snapshotted as one sorted-key JSON document.
+// Env reports simulator, coordinator and serving metrics into it, so a
+// whole experiment run can be snapshotted as one sorted-key JSON
+// document.
 var (
 	metricsMu sync.Mutex
 	metricsRe *obs.Metrics
@@ -66,49 +63,37 @@ func currentSeries() *obs.TimeSeries {
 	return seriesRe
 }
 
-// Env is one experiment's isolated simulated cloud.
+// Env is one experiment's isolated simulated cloud: a framework
+// reporting to the package's registry and series, and a SageMaker
+// platform billing into the same meter.
 type Env struct {
-	Meter    *billing.Meter
-	Platform *lambda.Platform
-	Store    *s3.Store
-	Sage     *sagemaker.Platform
-	StepFn   *stepfn.Engine
-	FW       *core.Framework
+	*core.Framework
+	Sage *sagemaker.Platform
 }
 
 // NewEnv builds a fresh environment with the calibrated defaults, its
 // platform and store injecting inj's faults (nil = fault-free).
 func NewEnv(inj *faults.Injector) *Env {
-	mx := currentMetrics()
-	fw := core.NewFramework(core.Options{Faults: inj, Metrics: mx, Series: currentSeries()})
-	engine := stepfn.NewEngine(fw.Platform(), fw.Meter())
-	engine.Metrics = mx
-	return &Env{
-		Meter:    fw.Meter(),
-		Platform: fw.Platform(),
-		Store:    fw.Store(),
-		Sage:     sagemaker.New(fw.Meter()),
-		StepFn:   engine,
-		FW:       fw,
-	}
+	fw := core.NewFramework(core.Options{Faults: inj, Metrics: currentMetrics(), Series: currentSeries()})
+	return &Env{Framework: fw, Sage: sagemaker.New(fw.Meter())}
 }
 
-// timingOnly is the configuration of a timing-only deployment on e's
-// platform and store, its functions named under prefix.
-func (e *Env) timingOnly(prefix string) coordinator.Config {
-	return coordinator.Config{Platform: e.Platform, Store: e.Store, NamePrefix: prefix, SkipCompute: true}
+// timingOnly is the policy of a timing-only deployment, its functions
+// named under prefix.
+func timingOnly(prefix string) coordinator.Config {
+	return coordinator.Config{NamePrefix: prefix, SkipCompute: true}
 }
 
-// runOne deploys plan for model name under cfg, serves one image with
-// opts and tears the deployment down.
-func runOne(cfg coordinator.Config, name string, plan *optimizer.Plan, opts coordinator.RunOptions) (*coordinator.Report, error) {
+// runOne deploys plan for model name on e under cfg, serves one image
+// with opts and tears the deployment down.
+func (e *Env) runOne(cfg coordinator.Config, name string, plan *optimizer.Plan, opts coordinator.RunOptions) (*coordinator.Report, error) {
 	m, w := Model(name)
-	dep, err := coordinator.Deploy(cfg, m, w, plan)
+	svc, err := e.Deploy(m, w, plan, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer dep.Teardown()
-	return dep.Run(workload.Image(m, 1), opts)
+	defer svc.Close()
+	return svc.Deployment().Run(workload.Image(m, 1), opts)
 }
 
 // SLOFactor is the standard response-time objective the harness submits
@@ -160,10 +145,9 @@ func submitAMPSWithFactor(env *Env, name string, factor float64) (*core.Service,
 	if err != nil {
 		return nil, err
 	}
-	return env.FW.Submit(m, w, core.SubmitOptions{
-		SLO:         time.Duration(float64(base.EstTime) * factor),
-		NamePrefix:  "amps-" + name,
-		SkipCompute: true,
+	return env.Submit(m, w, core.SubmitOptions{
+		SLO:    time.Duration(float64(base.EstTime) * factor),
+		Deploy: timingOnly("amps-" + name),
 	})
 }
 

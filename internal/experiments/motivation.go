@@ -111,7 +111,7 @@ func singleLambdaRun(env *Env, name string, memMB int) (MemorySweepPoint, error)
 	if err != nil {
 		return MemorySweepPoint{}, err
 	}
-	rep, err := runOne(env.timingOnly(fmt.Sprintf("sweep-%s-%d", name, memMB)), name, plan, coordinator.RunOptions{})
+	rep, err := env.runOne(timingOnly(fmt.Sprintf("sweep-%s-%d", name, memMB)), name, plan, coordinator.RunOptions{})
 	if err != nil {
 		return MemorySweepPoint{}, err
 	}
@@ -281,7 +281,7 @@ func Table3() (*Table3Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table 3 split at %d MB: %w", memMB, err)
 		}
-		rep, err := runOne(env.timingOnly(fmt.Sprintf("t3-%d", memMB)), "resnet50", plan, coordinator.RunOptions{})
+		rep, err := env.runOne(timingOnly(fmt.Sprintf("t3-%d", memMB)), "resnet50", plan, coordinator.RunOptions{})
 		if err != nil {
 			return nil, err
 		}

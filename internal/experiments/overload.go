@@ -7,6 +7,7 @@ import (
 
 	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/coordinator"
+	"ampsinf/internal/core"
 	"ampsinf/internal/obs"
 	"ampsinf/internal/serving"
 	"ampsinf/internal/workload"
@@ -95,7 +96,7 @@ func RunOverload() (*OverloadResult, error) {
 
 	// Calibrate the common deadline from one clean warm completion, as
 	// the resilience sweep does.
-	probe, err := runOne(NewEnv(nil).timingOnly("overload"), name, plan, coordinator.RunOptions{})
+	probe, err := NewEnv(nil).runOne(timingOnly("overload"), name, plan, coordinator.RunOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("deadline probe: %w", err)
 	}
@@ -145,13 +146,12 @@ func RunOverload() (*OverloadResult, error) {
 
 	for _, pol := range []OverloadPolicy{{Name: "naive-retry"}, {Name: "budget+brownout", Full: true}} {
 		env := NewEnv(faults.New(faultCfg))
-		env.Platform.SetAccountConcurrency(7)
+		env.Platform().SetAccountConcurrency(7)
 
-		dcfg := env.timingOnly("overload")
+		dcfg := timingOnly("overload")
 		dcfg.Retry = coordinator.DefaultRetryPolicy()
 		dcfg.Retry.MaxAttempts = 8
 		dcfg.Retry.JitterSeed = seed
-		dcfg.Metrics = currentMetrics()
 		// The naive cell retries admission patiently — the posture that
 		// turns a storm into a persistent backlog. The full stack keeps
 		// the default (bounded) admission retries and shelters behind the
@@ -166,7 +166,6 @@ func RunOverload() (*OverloadResult, error) {
 		scfg := serving.Config{
 			Throttle: throttle,
 			SLO:      serving.SLOPolicy{TolerateFailures: true},
-			Metrics:  currentMetrics(),
 		}
 		var series *obs.TimeSeries
 		if pol.Full {
@@ -182,7 +181,6 @@ func RunOverload() (*OverloadResult, error) {
 			// The brownout controller judges 2 s windows of the run's own
 			// series.
 			series = obs.NewTimeSeries(2 * time.Second)
-			dcfg.Series = series
 			scfg.SLO = serving.SLOPolicy{Deadline: deadline, Shed: true, TolerateFailures: true}
 			scfg.Series = series
 			scfg.Brownout = serving.BrownoutPolicy{
@@ -190,31 +188,27 @@ func RunOverload() (*OverloadResult, error) {
 				StepUpAfter: 2, StepDownAfter: 3,
 			}
 		}
-		dep, err := coordinator.Deploy(dcfg, m, w, plan)
+		svc, err := env.Deploy(m, w, plan, dcfg)
 		if err != nil {
 			return nil, err
 		}
-		var fb *coordinator.Deployment
+		var fb *core.Service
 		if pol.Full {
 			fcfg := dcfg
 			fcfg.NamePrefix = "overload-fallback"
 			fcfg.QuantizeBits = 4
-			fb, err = coordinator.Deploy(fcfg, m, w, plan)
-			if err != nil {
-				dep.Teardown()
+			if fb, err = env.Deploy(m, w, plan, fcfg); err != nil {
+				svc.Close()
 				return nil, err
 			}
-			scfg.Fallback = fb
+			scfg.Fallback = fb.Deployment()
 		}
-		scfg.Deployment = dep
-		rep, err := serving.Serve(scfg, inputs, arrivals)
-		if series != nil {
-			series.Close()
-		}
+		rep, err := svc.Serve(inputs, arrivals, scfg)
+		series.Close()
+		svc.Close()
 		if fb != nil {
-			defer fb.Teardown()
+			fb.Close()
 		}
-		defer dep.Teardown()
 		if err != nil {
 			return nil, fmt.Errorf("policy %s: %w", pol.Name, err)
 		}

@@ -28,16 +28,11 @@ var PipelineLadder = []PipelineCell{
 	{Name: "pipelined+batched", Depth: 4, Batch: 4},
 }
 
-// PipelineRow is one ladder cell's outcome.
+// PipelineRow is one ladder cell and the report of the trace it served;
+// the report's Good counts completions within the common deadline.
 type PipelineRow struct {
-	Cell          PipelineCell
-	Throughput    float64
-	AvgLatency    time.Duration
-	P99Latency    time.Duration
-	Good          int // completed within the common deadline
-	ColdStarts    int
-	Cost          float64
-	CostPerJob    float64
+	Cell PipelineCell
+	*serving.Report
 	GoodPerDollar float64
 }
 
@@ -91,7 +86,7 @@ func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, faultR
 	// overlap is across requests, not within one), so the sequential
 	// chain — not the intra-job-overlapped eager one — is the right
 	// yardstick; 3× covers cold starts, batch-window waits and queueing.
-	probe, err := runOne(NewEnv(nil).timingOnly("pipeline"), name, plan, coordinator.RunOptions{Sequential: true})
+	probe, err := NewEnv(nil).runOne(timingOnly("pipeline"), name, plan, coordinator.RunOptions{Sequential: true})
 	if err != nil {
 		return nil, fmt.Errorf("deadline probe: %w", err)
 	}
@@ -112,44 +107,32 @@ func runPipelineBatchCap(name string, jobs int, rate float64, seed int64, faultR
 			inj = faults.New(fcfg)
 		}
 		env := NewEnv(inj)
-		dcfg := env.timingOnly("pipeline")
+		dcfg := timingOnly("pipeline")
 		if inj != nil {
 			dcfg.Retry = coordinator.DefaultRetryPolicy()
 			dcfg.Retry.MaxAttempts = 8
 			dcfg.Retry.JitterSeed = seed
 		}
-		env.Platform.SetAccountConcurrency(limit)
-		dep, err := coordinator.Deploy(dcfg, m, w, plan)
+		env.Platform().SetAccountConcurrency(limit)
+		svc, err := env.Deploy(m, w, plan, dcfg)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := serving.Serve(serving.Config{
-			Deployment: dep,
-			Throttle:   serving.ThrottlePolicy{JitterSeed: seed},
-			SLO:        serving.SLOPolicy{Deadline: deadline, TolerateFailures: true},
-			Pipeline:   serving.PipelinePolicy{Depth: cell.Depth},
-			Batch:      serving.BatchPolicy{MaxBatch: cell.Batch, Window: 4 * time.Second, JitterSeed: seed},
-			Metrics:    currentMetrics(),
-		}, inputs, arrivals)
+		rep, err := svc.Serve(inputs, arrivals, serving.Config{
+			Throttle: serving.ThrottlePolicy{JitterSeed: seed},
+			SLO:      serving.SLOPolicy{Deadline: deadline, TolerateFailures: true},
+			Pipeline: serving.PipelinePolicy{Depth: cell.Depth},
+			Batch:    serving.BatchPolicy{MaxBatch: cell.Batch, Window: 4 * time.Second, JitterSeed: seed},
+		})
+		svc.Close()
 		if err != nil {
-			dep.Teardown()
 			return nil, fmt.Errorf("cell %s: %w", cell.Name, err)
 		}
-		row := PipelineRow{
-			Cell:       cell,
-			Throughput: rep.Throughput,
-			AvgLatency: rep.AvgLatency,
-			P99Latency: rep.P99Latency,
-			Good:       rep.Good,
-			ColdStarts: rep.ColdStarts,
-			Cost:       rep.TotalCost,
-			CostPerJob: rep.CostPerJob,
-		}
+		row := PipelineRow{Cell: cell, Report: rep}
 		if rep.TotalCost > 0 {
 			row.GoodPerDollar = float64(rep.Good) / rep.TotalCost
 		}
 		res.Rows = append(res.Rows, row)
-		dep.Teardown()
 	}
 	return res, nil
 }
@@ -170,7 +153,7 @@ func (r *PipelineBatchResult) Table() *Table {
 			secs(row.AvgLatency), secs(row.P99Latency),
 			fmt.Sprintf("%d/%d", row.Good, r.Jobs),
 			fmt.Sprintf("%d", row.ColdStarts),
-			usd(row.Cost), fmt.Sprintf("%.6f", row.CostPerJob),
+			usd(row.TotalCost), fmt.Sprintf("%.6f", row.CostPerJob),
 			fmt.Sprintf("%.0f", row.GoodPerDollar),
 		})
 	}

@@ -59,19 +59,19 @@ func runReliability(name string, jobs int, seed int64, rates []float64) (*Reliab
 	}
 	res := &ReliabilityResult{ModelName: name, Jobs: jobs, Seed: seed}
 	for _, rate := range rates {
-		dcfg := NewEnv(faults.New(faults.Uniform(rate, seed))).timingOnly("reliability")
+		dcfg := timingOnly("reliability")
 		dcfg.Retry = coordinator.DefaultRetryPolicy()
 		dcfg.Retry.MaxAttempts = 8 // survive bursts at the top of the sweep
 		dcfg.Retry.JitterSeed = seed
-		dep, err := coordinator.Deploy(dcfg, m, w, plan)
+		svc, err := NewEnv(faults.New(faults.Uniform(rate, seed))).Deploy(m, w, plan, dcfg)
 		if err != nil {
 			return nil, err
 		}
 		row := ReliabilityRow{Rate: rate}
 		for j := 0; j < jobs; j++ {
-			rep, err := dep.Run(workload.Image(m, int64(j)), coordinator.RunOptions{})
+			rep, err := svc.Infer(workload.Image(m, int64(j)))
 			if err != nil {
-				dep.Teardown()
+				svc.Close()
 				return nil, fmt.Errorf("rate %.2f job %d: %w", rate, j, err)
 			}
 			row.Completion += rep.Completion
@@ -80,7 +80,7 @@ func runReliability(name string, jobs int, seed int64, rates []float64) (*Reliab
 			row.Faults += rep.FaultsInjected
 			row.Backoff += rep.BackoffWait
 		}
-		dep.Teardown()
+		svc.Close()
 		res.Rows = append(res.Rows, row)
 	}
 	base := res.Rows[0]

@@ -86,7 +86,7 @@ func runResilience(name string, jobs int, rate float64, seed int64, faultRates [
 	// generous enough that fault-free requests always make it (first
 	// cold request included), tight enough that storm-tossed retry
 	// chains blow through it.
-	probe, err := runOne(NewEnv(nil).timingOnly("resilience"), name, plan, coordinator.RunOptions{})
+	probe, err := NewEnv(nil).runOne(timingOnly("resilience"), name, plan, coordinator.RunOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("deadline probe: %w", err)
 	}
@@ -107,9 +107,9 @@ func runResilience(name string, jobs int, rate float64, seed int64, faultRates [
 			// timeout-hung containers pin concurrency slots, queues
 			// build, and late requests are the expensive failure mode
 			// the shedding/deadline machinery exists to prevent.
-			env.Platform.SetAccountConcurrency(8)
+			env.Platform().SetAccountConcurrency(8)
 
-			dcfg := env.timingOnly("resilience")
+			dcfg := timingOnly("resilience")
 			dcfg.Retry = coordinator.DefaultRetryPolicy()
 			dcfg.Retry.MaxAttempts = 8
 			dcfg.Retry.JitterSeed = seed
@@ -130,7 +130,7 @@ func runResilience(name string, jobs int, rate float64, seed int64, faultRates [
 					Window: 10 * time.Second, OpenFor: 2 * time.Second,
 				}
 			}
-			dep, err := coordinator.Deploy(dcfg, m, w, plan)
+			svc, err := env.Deploy(m, w, plan, dcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -138,14 +138,12 @@ func runResilience(name string, jobs int, rate float64, seed int64, faultRates [
 			if pol.Deadline {
 				slo.Deadline = deadline
 			}
-			rep, err := serving.Serve(serving.Config{
-				Deployment: dep,
-				Throttle:   serving.ThrottlePolicy{JitterSeed: seed},
-				SLO:        slo,
-				Metrics:    currentMetrics(),
-			}, inputs, arrivals)
+			rep, err := svc.Serve(inputs, arrivals, serving.Config{
+				Throttle: serving.ThrottlePolicy{JitterSeed: seed},
+				SLO:      slo,
+			})
+			svc.Close()
 			if err != nil {
-				dep.Teardown()
 				return nil, fmt.Errorf("rate %.2f policy %s: %w", fr, pol.Name, err)
 			}
 			// Judge every policy against the same deadline, whether or
@@ -178,7 +176,6 @@ func runResilience(name string, jobs int, rate float64, seed int64, faultRates [
 				row.GoodPerDollar = float64(good) / rep.TotalCost
 			}
 			res.Rows = append(res.Rows, row)
-			dep.Teardown()
 		}
 	}
 	return res, nil

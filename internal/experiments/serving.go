@@ -2,25 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"ampsinf/internal/coordinator"
 	"ampsinf/internal/serving"
 	"ampsinf/internal/workload"
 )
 
-// ServingRow is one account-concurrency setting of the serving sweep.
+// ServingRow is one account-concurrency setting of the serving sweep
+// and the report of the trace served under it.
 type ServingRow struct {
-	Limit        int
-	Throughput   float64
-	AvgLatency   time.Duration
-	P99Latency   time.Duration
-	MaxQueue     time.Duration
-	Throttles    int
-	ColdStarts   int
-	PeakInFlight int
-	Cost         float64
-	CostPerJob   float64
+	Limit int
+	*serving.Report
 }
 
 // ServingResult reports the cold-start-vs-concurrency trade-off: the
@@ -66,33 +57,19 @@ func runServingScaling(name string, jobs int, rate float64, seed int64, limits [
 	res := &ServingResult{ModelName: name, Jobs: jobs, Rate: rate, Seed: seed}
 	for _, limit := range limits {
 		env := NewEnv(nil)
-		dep, err := coordinator.Deploy(env.timingOnly("serving"), m, w, plan)
+		svc, err := env.Deploy(m, w, plan, timingOnly("serving"))
 		if err != nil {
 			return nil, err
 		}
-		env.Platform.SetAccountConcurrency(limit)
-		rep, err := serving.Serve(serving.Config{
-			Deployment: dep,
-			Throttle:   serving.ThrottlePolicy{JitterSeed: seed},
-			Metrics:    currentMetrics(),
-		}, inputs, arrivals)
+		env.Platform().SetAccountConcurrency(limit)
+		rep, err := svc.Serve(inputs, arrivals, serving.Config{
+			Throttle: serving.ThrottlePolicy{JitterSeed: seed},
+		})
+		svc.Close()
 		if err != nil {
-			dep.Teardown()
 			return nil, fmt.Errorf("limit %d: %w", limit, err)
 		}
-		res.Rows = append(res.Rows, ServingRow{
-			Limit:        env.Platform.AccountConcurrency(),
-			Throughput:   rep.Throughput,
-			AvgLatency:   rep.AvgLatency,
-			P99Latency:   rep.P99Latency,
-			MaxQueue:     rep.MaxQueue,
-			Throttles:    rep.Throttles,
-			ColdStarts:   rep.ColdStarts,
-			PeakInFlight: rep.PeakInFlight,
-			Cost:         rep.TotalCost,
-			CostPerJob:   rep.CostPerJob,
-		})
-		dep.Teardown()
+		res.Rows = append(res.Rows, ServingRow{Limit: env.Platform().AccountConcurrency(), Report: rep})
 	}
 	return res, nil
 }
@@ -112,7 +89,7 @@ func (r *ServingResult) Table() *Table {
 			secs(row.AvgLatency), secs(row.P99Latency), secs(row.MaxQueue),
 			fmt.Sprintf("%d", row.Throttles), fmt.Sprintf("%d", row.ColdStarts),
 			fmt.Sprintf("%d", row.PeakInFlight),
-			usd(row.Cost), fmt.Sprintf("%.6f", row.CostPerJob),
+			usd(row.TotalCost), fmt.Sprintf("%.6f", row.CostPerJob),
 		})
 	}
 	t.Notes = append(t.Notes,

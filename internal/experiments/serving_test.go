@@ -39,8 +39,8 @@ func TestServingScalingTradeoff(t *testing.T) {
 	if tight.ColdStarts >= wide.ColdStarts {
 		t.Fatalf("tight limit did not reduce cold starts: %d vs %d", tight.ColdStarts, wide.ColdStarts)
 	}
-	if tight.Cost >= wide.Cost {
-		t.Fatalf("tight limit did not reduce cost: $%.9f vs $%.9f", tight.Cost, wide.Cost)
+	if tight.TotalCost >= wide.TotalCost {
+		t.Fatalf("tight limit did not reduce cost: $%.9f vs $%.9f", tight.TotalCost, wide.TotalCost)
 	}
 	if tight.AvgLatency <= wide.AvgLatency {
 		t.Fatalf("tight limit did not add latency: %v vs %v", tight.AvgLatency, wide.AvgLatency)

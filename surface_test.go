@@ -18,6 +18,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 )
@@ -56,18 +57,24 @@ var testOnlyAllowed = map[string]string{
 // file reads — code and data only tests reach — exported or not, unless
 // testOnlyAllowed names it. It fails on a stale allowlist entry too.
 func TestDeclarationsHaveProductionCallers(t *testing.T) {
-	pkgs, err := listPackages(surfaceModules)
+	tree, err := repoTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, err := testOnlySurface(os.DirFS("."), pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range surfaceProblems(unused, testOnlyAllowed) {
+	for _, p := range surfaceProblems(testOnlySurface(tree), testOnlyAllowed) {
 		t.Error(p)
 	}
 }
+
+// repoTree type-checks the repository's non-test files once per test
+// binary; the surface and layering tests share it.
+var repoTree = sync.OnceValues(func() (*checkedTree, error) {
+	pkgs, err := listPackages(surfaceModules)
+	if err != nil {
+		return nil, err
+	}
+	return typeCheck(os.DirFS("."), pkgs)
+})
 
 // surfaceProblems reports each listed name the allowlist does not
 // name, and each allowlist entry that is not listed or has no reason.
@@ -185,10 +192,11 @@ func (Other) Recur() int { return 0 }
 		{ImportPath: "ampsinf/cmd/c", Dir: "cmd/c", GoFiles: []string{"main.go"}},
 		{ImportPath: "ampsinf/bench", Dir: "bench", GoFiles: []string{"b.go"}},
 	}
-	got, err := testOnlySurface(fsys, pkgs)
+	tree, err := typeCheck(fsys, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := testOnlySurface(tree)
 	// T is used by its own methods' receivers; Exported's two
 	// declarations, like T.Add and m.Acc.Add, are different objects and
 	// do not keep each other; Recur calls only itself; Via is called
@@ -247,7 +255,7 @@ func (Other) Recur() int { return 0 }
 	one := []listedPackage{{ImportPath: "ampsinf/internal/a", Dir: "internal/a", GoFiles: []string{"a.go"}}}
 	for _, src := range []string{"package a\nfunc {", "package a\nfunc F() int { return \"\" }"} {
 		bad := fstest.MapFS{"internal/a/a.go": {Data: []byte(src)}}
-		if _, err := testOnlySurface(bad, one); err == nil {
+		if _, err := typeCheck(bad, one); err == nil {
 			t.Errorf("%q: no error", src)
 		}
 	}
@@ -315,18 +323,25 @@ var implicitMethods = map[string]string{
 	"ServeHTTP":   "(net/http.ResponseWriter, *net/http.Request) ()",
 }
 
-// testOnlySurface type-checks the non-test files of pkgs (a standard
-// package is read from its export data) and returns, sorted, the keys of
-// the exported declarations under internal/ that no non-test file under
-// surfaceRoots uses:
-//   - a func, method, type, var or const no identifier outside its own
-//     declaration refers to, where a method also counts as used when it
-//     implements an interface method such a file refers to, or one of
-//     implicitMethods;
-//   - a struct field no such file reads. A composite-literal key, the
-//     left side of = or an op-assign, and ++ or -- write a field; a
-//     json-tagged field is read by the encoder.
-func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
+// checkedPackage is one type-checked package: its non-test files and
+// what the checker resolved in them.
+type checkedPackage struct {
+	lp    *listedPackage
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// checkedTree is every non-standard package of a listing, type-checked,
+// dependencies first.
+type checkedTree struct {
+	fset *token.FileSet
+	pkgs []*checkedPackage
+}
+
+// typeCheck type-checks the non-test files of pkgs; a standard package
+// is read from its export data.
+func typeCheck(fsys fs.FS, pkgs []listedPackage) (*checkedTree, error) {
 	fset := token.NewFileSet()
 	byPath := map[string]*listedPackage{}
 	for i := range pkgs {
@@ -338,14 +353,8 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 		}
 		return nil, fmt.Errorf("no export data for %q", p)
 	})
-	type checked struct {
-		lp    *listedPackage
-		files []*ast.File
-		info  *types.Info
-		pkg   *types.Package
-	}
-	var order []*checked
-	done := map[string]*checked{}
+	var order []*checkedPackage
+	done := map[string]*checkedPackage{}
 	var imp importerFunc
 	check := func(lp *listedPackage) (*types.Package, error) {
 		if c := done[lp.ImportPath]; c != nil {
@@ -354,7 +363,7 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 			}
 			return c.pkg, nil
 		}
-		c := &checked{lp: lp, info: &types.Info{
+		c := &checkedPackage{lp: lp, info: &types.Info{
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
@@ -398,7 +407,19 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 			}
 		}
 	}
+	return &checkedTree{fset: fset, pkgs: order}, nil
+}
 
+// testOnlySurface returns, sorted, the keys of the declarations under
+// internal/ that no non-test file under surfaceRoots uses:
+//   - a func, method, type, var or const no identifier outside its own
+//     declaration refers to, where a method also counts as used when it
+//     implements an interface method such a file refers to, or one of
+//     implicitMethods;
+//   - a struct field no such file reads. A composite-literal key, the
+//     left side of = or an op-assign, and ++ or -- write a field; a
+//     json-tagged field is read by the encoder.
+func testOnlySurface(tree *checkedTree) []string {
 	// The declarations under internal/, keyed by their object.
 	type decl struct {
 		key  string
@@ -421,7 +442,7 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 			}
 		}
 	}
-	for _, c := range order {
+	for _, c := range tree.pkgs {
 		if !underRoot(c.lp.Dir, "internal") {
 			continue
 		}
@@ -462,7 +483,7 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 	// where it is read, and an interface method also for what it calls.
 	used := map[types.Object]bool{}
 	var called []*types.Func
-	for _, c := range order {
+	for _, c := range tree.pkgs {
 		caller := false
 		for _, r := range surfaceRoots {
 			caller = caller || underRoot(c.lp.Dir, r)
@@ -501,7 +522,7 @@ func testOnlySurface(fsys fs.FS, pkgs []listedPackage) ([]string, error) {
 		unused = append(unused, d.key)
 	}
 	sort.Strings(unused)
-	return unused, nil
+	return unused
 }
 
 // implements reports whether method fn is one of implicitMethods or
