@@ -142,20 +142,38 @@ func TestHelpGolden(t *testing.T) {
 	checkGolden(t, "help.golden", got.String())
 }
 
-// TestInferGolden pins what infer prints for a parallel batch and for
-// one sequential job with its timeline, wall-clock lines blanked. Run
-// with -update to rewrite the goldens.
+// TestInferGolden pins what infer prints for a parallel batch, for one
+// sequential job with its timeline and for one eager two-partition job
+// that absorbs faults (retries, backoffs, an input-poll wait), wall-clock
+// lines blanked, and that eager job's span dump: exact starts, durations
+// and cost events. Run with -update to rewrite the goldens.
 func TestInferGolden(t *testing.T) {
+	eagerFaults := []string{"infer", "-model", "resnet50", "-fault-rate", "0.3", "-fault-seed", "2", "-timeline"}
 	for _, tc := range []struct {
 		golden string
 		args   []string
+		spans  bool // the golden holds the run's -spans dump, not its stdout
 	}{
-		{"infer_images3.golden", []string{"infer", "-model", "tinycnn", "-images", "3"}},
-		{"infer_sequential_timeline.golden", []string{"infer", "-model", "tinycnn", "-sequential", "-timeline"}},
+		{"infer_images3.golden", []string{"infer", "-model", "tinycnn", "-images", "3"}, false},
+		{"infer_sequential_timeline.golden", []string{"infer", "-model", "tinycnn", "-sequential", "-timeline"}, false},
+		{"infer_eager_faults_timeline.golden", eagerFaults, false},
+		{"infer_eager_faults_spans.golden", eagerFaults, true},
 	} {
-		got, err := capture(t, tc.args...)
+		args := tc.args
+		dump := filepath.Join(t.TempDir(), "spans.json")
+		if tc.spans {
+			args = append(args[:len(args):len(args)], "-spans", dump)
+		}
+		got, err := capture(t, args...)
 		if err != nil {
-			t.Fatalf("%v: %v", tc.args, err)
+			t.Fatalf("%v: %v", args, err)
+		}
+		if tc.spans {
+			b, err := os.ReadFile(dump)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = string(b)
 		}
 		checkGolden(t, tc.golden, got)
 	}

@@ -279,9 +279,6 @@ type Result struct {
 	Response []byte
 	// Duration is the simulated handler run time (cold start included).
 	Duration time.Duration
-	// BilledDuration is Duration rounded up to the billing granularity
-	// plus any deferred wait settled later.
-	BilledDuration time.Duration
 	// Cost is what this invocation charged (0 execution if deferred).
 	Cost      float64
 	ColdStart bool
@@ -469,7 +466,6 @@ func (pl *Platform) Invoke(name string, payload []byte, opts InvokeOptions) (*Re
 		inFlight = pl.inFlightLocked(end)
 	}
 	pl.mu.Unlock()
-	res.BilledDuration = roundUp(res.Duration, pl.quota.BillingGranularity)
 	if !opts.DeferBilling {
 		ec := pl.quota.ExecutionCost(cfg.MemoryMB, res.Duration)
 		pl.meter.Add("lambda:execution", ec)
@@ -569,11 +565,4 @@ func runHandler(h Handler, ctx *Context, payload []byte) (resp []byte, err error
 		}
 	}()
 	return h(ctx, payload)
-}
-
-func roundUp(d, g time.Duration) time.Duration {
-	if d <= 0 {
-		return g
-	}
-	return (d + g - 1) / g * g
 }

@@ -108,10 +108,13 @@ func TestInvokeBilling(t *testing.T) {
 	if res.Duration != want {
 		t.Fatalf("duration %v, want %v", res.Duration, want)
 	}
-	if res.BilledDuration%pricing.LambdaBillingGranularity != 0 || res.BilledDuration < res.Duration {
-		t.Fatalf("billed duration %v not rounded up", res.BilledDuration)
+	// Execution bills the duration rounded up to the billing granularity.
+	g := pricing.LambdaBillingGranularity
+	billed := (res.Duration + g - 1) / g * g
+	if billed == res.Duration {
+		t.Fatalf("duration %v sits on the billing granularity: the rounding goes unchecked", res.Duration)
 	}
-	wantCost := pricing.LambdaExecutionCost(1024, res.Duration) + pricing.LambdaInvocation
+	wantCost := billed.Seconds()*pricing.LambdaGBSecond + pricing.LambdaInvocation
 	if diff := res.Cost - wantCost; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("cost %v, want %v", res.Cost, wantCost)
 	}

@@ -20,6 +20,7 @@ import (
 
 	"ampsinf/internal/cloud/billing"
 	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/perf"
 )
 
 // InstanceType models a SageMaker instance's price and speed.
@@ -111,14 +112,10 @@ func (j Job) images() int {
 
 func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// batchFLOPs mirrors perf.Params.BatchFLOPs: vectorized frameworks serve
-// each additional batched image at a fraction of the first image's cost.
-func batchFLOPs(flops int64, n int) int64 {
-	if n <= 1 {
-		return flops
-	}
-	return int64(float64(flops) * (1 + float64(n-1)*0.25))
-}
+// batchFLOPs is the effective compute of a job's batch: vectorized
+// frameworks serve each additional image at a fraction of the first
+// image's cost, by the same rule as a Lambda handler.
+func batchFLOPs(j Job) int64 { return perf.Default().BatchFLOPs(j.FLOPs, j.images()) }
 
 // ServeNotebook runs the Sage 1 setting: repackage, load and predict on
 // the notebook instance. The notebook is billed for the session overhead
@@ -128,7 +125,7 @@ func (p *Platform) ServeNotebook(j Job) *Report {
 	r := &Report{}
 	r.Rearrange = rearrangeBase + seconds(j.weightsMB()*rearrangeSecPerMB)
 	r.Load = seconds(j.weightsMB() * inst.LoadSecPerMB)
-	r.Predict = seconds(float64(batchFLOPs(j.FLOPs, j.images())) / (inst.GFLOPS * 1e9))
+	r.Predict = seconds(float64(batchFLOPs(j)) / (inst.GFLOPS * 1e9))
 	r.Completion = r.Rearrange + r.Load + r.Predict
 
 	session := notebookSessionOverhead + r.Completion
@@ -151,7 +148,7 @@ func (p *Platform) ServeHosted(j Job) *Report {
 	// reason the paper's Fig 5 shows it slowest.
 	r.Deploy = endpointCreateTime
 	r.Load = seconds(j.weightsMB() * (s3StageSecPerMB + host.LoadSecPerMB))
-	r.Predict = seconds(float64(batchFLOPs(j.FLOPs, j.images())) / (host.GFLOPS * 1e9))
+	r.Predict = seconds(float64(batchFLOPs(j)) / (host.GFLOPS * 1e9))
 	r.Completion = submitOverhead + r.Deploy + r.Load + r.Predict
 
 	// The notebook only submits the job; it does not stay busy while the

@@ -46,7 +46,7 @@ func TestMalformedInputRejectedBeforeBilling(t *testing.T) {
 							}()
 							if staged {
 								var sj *StagedJob
-								sj, err = d.BeginStaged(in, StagedOptions{Lean: lean})
+								sj, err = d.BeginStaged(in, RunOptions{Lean: lean})
 								rep = sj.Rep()
 							} else {
 								rep, err = d.Run(in, RunOptions{Lean: lean})
@@ -95,7 +95,7 @@ func TestNegativeJobDeadlineRejected(t *testing.T) {
 		if err == nil || IsDeadlineExceeded(err) || rep == nil || rep.Cost != 0 || e.meter.Total() != before {
 			t.Fatalf("lean=%v: Run with a negative deadline: report %+v, err %v, want a plain rejection", lean, rep, err)
 		}
-		sj, err := d.BeginStaged(in, StagedOptions{Lean: lean, Deadline: -time.Second})
+		sj, err := d.BeginStaged(in, RunOptions{Lean: lean, Deadline: -time.Second})
 		if err == nil || IsDeadlineExceeded(err) || sj.Rep().Cost != 0 || e.meter.Total() != before {
 			t.Fatalf("lean=%v: BeginStaged with a negative deadline: report %+v, err %v, want a plain rejection", lean, sj.Rep(), err)
 		}

@@ -12,13 +12,13 @@ import (
 
 // job is the coordinator's one per-job record: every job — whole-job or
 // staged, pooled or traced — is built by newJob, opened by begin, walks
-// the partition chain through invoke and settlePart, and ends in fail
-// or complete. Three decisions read the record instead of forking the
-// code: a pooled job (RunOptions.Lean) comes off the deployment's free
-// list and goes back in ReleaseReport, while any other job is garbage
-// with its Report; a pooled job's cost recorder tr is nil, so every
-// cost bracket is a no-op for it; and traces decides who builds a span
-// tree.
+// the partition chain through invoke, lays out and bills each
+// partition's turn in settlePart, and ends in fail or complete. Three
+// decisions read the record instead of forking the code: a pooled job
+// (RunOptions.Lean) comes off the deployment's free list and goes back
+// in ReleaseReport, while any other job is garbage with its Report; a
+// pooled job's cost recorder tr is nil, so every cost bracket is a no-op
+// for it; and traces decides who builds a span tree.
 type job struct {
 	d *Deployment
 
@@ -37,7 +37,7 @@ type job struct {
 	// Per-partition records, truncated by ReleaseReport.
 	results      []*lambda.Result
 	infos        []retryInfo
-	starts       []time.Duration   // staged: the scheduler's stage starts
+	turns        []turn            // partition i's place in the schedule
 	storedBefore []int64           // intermediate bytes in the store as partition i started
 	partBuckets  []*obs.CostBucket // partition i's settlement charges
 	perLambda    []LambdaRun       // backing array of rep.PerLambda
@@ -51,14 +51,9 @@ type job struct {
 
 // jobRun is the part of a job that begin resets for every run.
 type jobRun struct {
-	eager bool // settle on the overlapped schedule
-	// anchored marks a staged job, whose scheduler advances the platform
-	// clock to each stage's true start: the clock already covers the
-	// job's committed time, so breaker decisions must not add elapsed on
-	// top of it again.
-	anchored bool
-	noTrace  bool
-	batch    int
+	sched   schedule
+	noTrace bool
+	batch   int
 
 	// The job's resilience context. In eager mode elapsed is the
 	// sequential-chain sum, a conservative overestimate of the overlapped
@@ -83,6 +78,55 @@ type jobRun struct {
 
 func (j *job) deadlined() bool { return j.deadline > 0 }
 
+// schedule is how a job lays its partitions' turns out in time; its
+// String is the job's Report.Mode.
+type schedule uint8
+
+const (
+	// scheduleSequential dispatches each partition when the one before
+	// exits: the chain the paper prices (Eq. 2).
+	scheduleSequential schedule = iota
+	// scheduleEager dispatches every partition at job start; each
+	// initializes at once, then polls the store for its input, billed
+	// from dispatch to exit.
+	scheduleEager
+	// scheduleStaged takes each turn's start from an external scheduler
+	// (StagedJob), which advances the platform clock to that start: the
+	// clock already covers the job's committed time.
+	scheduleStaged
+)
+
+var scheduleModes = [...]string{"sequential", "eager", "pipelined"}
+
+func (s schedule) String() string { return scheduleModes[s] }
+
+// turn is one partition's place in its job's schedule, as offsets from
+// the job start: dispatched at start, its successful attempt's handler
+// phases run from run, its work phases (read, compute, write) from work,
+// and it exits at exit. settlePart lays each turn out once; billing,
+// storage holds, container occupancy, the job's completion and its span
+// tree all read it.
+type turn struct{ start, run, work, exit time.Duration }
+
+// lay places a partition's turn on schedule s: dispatched at start, its
+// input in the store at ready, lr its successful attempt's phases and ri
+// its retry record. A sequential or staged turn runs its handler once
+// the dispatch and the retries' delay are over, so its work follows its
+// initialization. An eager turn initializes right after its dispatch
+// (and any failed attempts; a winning hedge's lead joins the wait) and
+// starts work once both that and its input are ready, the retries'
+// delay later.
+func (s schedule) lay(start, ready time.Duration, lr *LambdaRun, ri *retryInfo) turn {
+	t := turn{start: start, run: start + invokeDispatchLatency + ri.delay()}
+	t.work = t.run + lr.Init + lr.Load
+	if s == scheduleEager {
+		t.run -= ri.hedgeExtra
+		t.work = max(start+invokeDispatchLatency+lr.Init+lr.Load, ready) + ri.delay()
+	}
+	t.exit = t.work + lr.Read + lr.Compute + lr.Write
+	return t
+}
+
 // newJob builds the record for job id: its keys, its invocation payloads
 // and one slot per partition in every per-partition slice.
 func (d *Deployment) newJob(id string) *job {
@@ -93,7 +137,7 @@ func (d *Deployment) newJob(id string) *job {
 		payloads:     make([][]byte, n),
 		results:      make([]*lambda.Result, 0, n),
 		infos:        make([]retryInfo, 0, n),
-		starts:       make([]time.Duration, 0, n),
+		turns:        make([]turn, 0, n),
 		storedBefore: make([]int64, 0, n),
 		partBuckets:  make([]*obs.CostBucket, 0, n),
 		perLambda:    make([]LambdaRun, 0, n),
@@ -115,20 +159,20 @@ func (j *job) inputKey(i int) string {
 	return j.outKeys[i-1]
 }
 
-// begin opens a job in the given mode ("sequential", "eager" or
-// "pipelined"): it takes a record — pooled scratch or a fresh one — and
-// uploads the input, retrying transient store faults. On error the
-// returned job is already finalized and its Report carries the exact
-// charges the upload billed. A request that cannot be served at all is
-// turned away before anything is taken, uploaded or billed: the job that
-// comes back is finished and its Report empty.
-func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions) (*job, error) {
+// begin opens a job on the given schedule: it takes a record — pooled
+// scratch or a fresh one — and uploads the input, retrying transient
+// store faults. On error the returned job is already finalized and its
+// Report carries the exact charges the upload billed. A request that
+// cannot be served at all is turned away before anything is taken,
+// uploaded or billed: the job that comes back is finished and its Report
+// empty.
+func (d *Deployment) begin(input *tensor.Tensor, sched schedule, opts RunOptions) (*job, error) {
 	err := d.checkInput(input)
 	if err == nil && opts.Deadline < 0 {
 		err = fmt.Errorf("coordinator: negative deadline %v", opts.Deadline)
 	}
 	if err != nil {
-		return &job{d: d, rep: Report{Mode: mode}, jobRun: jobRun{done: true}}, err
+		return &job{d: d, rep: Report{Mode: sched.String()}, jobRun: jobRun{done: true}}, err
 	}
 	var j *job
 	if opts.Lean {
@@ -137,19 +181,15 @@ func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions
 		j = d.newJob(d.nextJobID())
 		j.tr = d.cfg.Tracer
 	}
-	j.jobRun = jobRun{
-		eager: mode == "eager", anchored: mode == "pipelined",
-		noTrace: opts.NoTrace, batch: opts.Batch,
-		deadline: opts.Deadline,
-	}
-	j.rep = Report{Mode: mode, PerLambda: j.perLambda[:0], job: j}
+	j.jobRun = jobRun{sched: sched, noTrace: opts.NoTrace, batch: opts.Batch, deadline: opts.Deadline}
+	j.rep = Report{Mode: sched.String(), PerLambda: j.perLambda[:0], job: j}
 	var data []byte
 	if j.enc != nil {
 		data = j.enc.input
 	} else {
 		data = modelfmt.EncodeTensor(input)
 	}
-	if !j.anchored {
+	if sched != scheduleStaged {
 		// A whole-job run is one synchronous call: it holds the tracer's
 		// job lock from here to close, so concurrent traced jobs cannot
 		// cross-attribute charges. Staged jobs interleave on one scheduler
@@ -161,7 +201,7 @@ func (d *Deployment) begin(input *tensor.Tensor, mode string, opts StagedOptions
 	}
 	j.before = d.meterTotal()
 	dur, err := j.putWithRetry(data)
-	if j.anchored {
+	if sched == scheduleStaged {
 		j.spend = d.meterTotal() - j.before
 	}
 	d.recordRetries(&j.rep, &j.upInfo)
@@ -191,8 +231,9 @@ func (d *Deployment) checkInput(input *tensor.Tensor) error {
 }
 
 // invoke runs the job's next partition under the resilience policies,
-// folds its retry record into the report and advances the chain.
-func (j *job) invoke() (*lambda.Result, *retryInfo, error) {
+// folds its retry record into the report, advances the chain and adds
+// the partition's turn in the chain to the job's committed time.
+func (j *job) invoke() (*retryInfo, error) {
 	d := j.d
 	i := j.next
 	j.storedBefore = append(j.storedBefore, j.prevBytes)
@@ -201,8 +242,9 @@ func (j *job) invoke() (*lambda.Result, *retryInfo, error) {
 	info := &j.infos[i]
 	d.recordRetries(&j.rep, info)
 	if err != nil {
-		return nil, info, &lazyError{"coordinator: partition %d: %v", i, err}
+		return info, &lazyError{"coordinator: partition %d: %v", i, err}
 	}
+	j.elapsed += info.delay() + invokeDispatchLatency + res.Duration
 	j.results = append(j.results, res)
 	if i < len(d.parts)-1 {
 		if n, ok := d.cfg.Store.Head(j.outKeys[i]); ok {
@@ -210,26 +252,47 @@ func (j *job) invoke() (*lambda.Result, *retryInfo, error) {
 		}
 	}
 	j.next++
-	return res, info, nil
+	return info, nil
 }
 
-// settlePart closes partition i's turn once its schedule is known: it
-// bills — into the partition's own cost bucket — the execution an eager
-// job deferred and the storage its upstream intermediates occupied for
-// hold, then appends the partition's LambdaRun. lr arrives with the
-// phase split filled in.
-func (j *job) settlePart(i int, lr LambdaRun, hold, billed time.Duration) {
-	d := j.d
+// ready is when partition i's input sits in the store: the end of the
+// upload, or the exit of the turn before.
+func (j *job) ready(i int) time.Duration {
+	if i == 0 {
+		return j.upDur
+	}
+	return j.turns[i-1].exit
+}
+
+// settlePart closes partition i's turn, dispatched at start: it lays the
+// turn out, bills — into the partition's own cost bucket — the execution
+// an eager job deferred and the storage its upstream intermediates
+// occupied for the turn, holds its container until the turn's exit and
+// appends its LambdaRun.
+func (j *job) settlePart(i int, start time.Duration) {
+	d, pl := j.d, j.d.cfg.Platform
 	res := j.results[i]
+	lr := phaseSplit(res)
+	t := j.sched.lay(start, j.ready(i), &lr, &j.infos[i])
+	j.turns = append(j.turns, t)
 	b := j.tr.NewBucket()
 	j.partBuckets = append(j.partBuckets, b)
 	prev := j.tr.SetSink(b)
-	if j.eager {
-		d.cfg.Platform.SettleExecution(res.MemoryMB, billed)
+	hold := res.Duration
+	if j.sched == scheduleEager {
+		hold = t.exit - start - invokeDispatchLatency
+		pl.SettleExecution(res.MemoryMB, hold)
 	}
 	d.cfg.Store.ChargeStorage(j.storedBefore[i], hold)
 	j.tr.SetSink(prev)
-	lr.Cold = res.ColdStart
+	// The container is busy until the turn exits, the retries' delay and
+	// an eager turn's input poll included; a staged job's clock already
+	// stands at the turn's start.
+	origin := pl.Now()
+	if j.sched == scheduleStaged {
+		origin -= start
+	}
+	pl.OccupyUntil(d.parts[i].fnName, res.ContainerID, origin+t.exit)
 	j.rep.PerLambda = append(j.rep.PerLambda, lr)
 }
 
@@ -255,7 +318,7 @@ func (j *job) decodeOutput() error {
 // meter (the scheduler runs them one at a time), so the delta of a call
 // belongs entirely to its job, and a staged job sums its calls'.
 func (j *job) charged() float64 {
-	if j.anchored {
+	if j.sched == scheduleStaged {
 		return j.spend
 	}
 	return j.d.meterTotal() - j.before
@@ -281,7 +344,7 @@ func (j *job) fail() {
 	j.d.jh.jobsFailed.Inc(1)
 	if j.traces(true) {
 		rep.Trace = j.failureTrace()
-		if j.anchored {
+		if j.sched == scheduleStaged {
 			if j.tr == nil {
 				rep.Trace.Cost = j.spend
 			}
@@ -291,21 +354,23 @@ func (j *job) fail() {
 	j.close()
 }
 
-// complete publishes a job whose chain ran through. A dropped job skips
-// the whole tree build, the dominant per-job allocation. A staged job
-// under a tracer reports the replay sum of its tree's cost events, so
-// serving-level cost splitting reconstructs it exactly (an unsampled
-// replay could associate the same charges in a different order).
+// complete publishes a job whose chain ran through, at the exit of its
+// last turn. A dropped job skips the whole tree build, the dominant
+// per-job allocation. A staged job under a tracer reports the replay sum
+// of its tree's cost events, so serving-level cost splitting
+// reconstructs it exactly (an unsampled replay could associate the same
+// charges in a different order).
 func (j *job) complete() {
 	rep := &j.rep
+	rep.Completion = j.turns[len(j.turns)-1].exit
 	rep.Cost = j.charged()
 	if j.traces(false) {
 		rep.Trace = j.buildTrace()
-		if j.anchored && j.tr != nil {
+		if j.sched == scheduleStaged && j.tr != nil {
 			rep.Cost = obs.SumCosts(rep.Trace)
 		}
 	}
-	j.d.recordJobMetrics(rep)
+	j.d.recordJobMetrics(rep, j.sched)
 	j.close()
 }
 
@@ -322,7 +387,7 @@ func (j *job) close() {
 		j.d.cfg.Store.Delete(k)
 	}
 	j.d.cfg.Store.Delete(j.inKey)
-	if j.anchored {
+	if j.sched == scheduleStaged {
 		j.tr.BeginJob()
 	} else {
 		j.tr.SetSink(j.prevSink)
@@ -375,7 +440,7 @@ func (d *Deployment) ReleaseReport(rep *Report) {
 	}
 	j.results = j.results[:0]
 	j.infos = j.infos[:0]
-	j.starts = j.starts[:0]
+	j.turns = j.turns[:0]
 	j.storedBefore = j.storedBefore[:0]
 	j.partBuckets = j.partBuckets[:0]
 	rep.Output = nil

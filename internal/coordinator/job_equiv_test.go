@@ -133,7 +133,7 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 		var rerr error
 		if driver == "staged" {
 			var sj *StagedJob
-			sj, rerr = d.BeginStaged(in, StagedOptions{Deadline: deadline, Batch: in.Shape()[0], Lean: lean})
+			sj, rerr = d.BeginStaged(in, RunOptions{Deadline: deadline, Batch: in.Shape()[0], Lean: lean})
 			rep = sj.Rep()
 			at := sj.InputReady()
 			for rerr == nil && sj.next < len(d.parts) {
@@ -143,7 +143,10 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 				at += svc
 			}
 			if rerr == nil {
-				rep, rerr = sj.Finish(at)
+				rep, rerr = sj.Finish()
+				if rerr == nil && rep.Completion != at {
+					t.Fatalf("job %d: staged completion %v, want the last stage's end %v", n, rep.Completion, at)
+				}
 			}
 		} else {
 			rep, rerr = d.Run(in, RunOptions{Sequential: driver == "sequential", Deadline: deadline, Lean: lean})
@@ -175,7 +178,7 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 	return tv
 }
 
-// A pooled job (RunOptions.Lean / StagedOptions.Lean) and a traced job
+// A pooled job (RunOptions.Lean) and a traced job
 // are one job record driven the same way: everything a caller can
 // observe — timings, per-lambda records, retry/hedge/breaker/budget
 // aggregates, the error's classification, the meter's per-category

@@ -8,10 +8,10 @@ import (
 	"ampsinf/internal/tensor"
 )
 
-// A lean job (RunOptions.Lean, StagedOptions.Lean — internal/serving's
-// streaming schedulers) runs on a pooled job record (see job.go): job
-// id, S3 keys, invocation payloads, result and retry-record slices and
-// the Report itself are recycled through ReleaseReport. Every simulated
+// A lean job (RunOptions.Lean — internal/serving's streaming
+// schedulers) runs on a pooled job record (see job.go): job id, S3 keys,
+// invocation payloads, result and retry-record slices and the Report
+// itself are recycled through ReleaseReport. Every simulated
 // charge, fault draw and metric update is byte-identical to a traced
 // job's, because billing and timing depend only on payload sizes and
 // the injector's draw sequence — never on key contents or tensor data.
@@ -82,23 +82,23 @@ func (d *Deployment) leanRouteFor(p *partition, payload []byte) (leanRoute, bool
 // the deployment's registries, resolved once at Deploy (the
 // coordinator's registries are fixed for a deployment's lifetime).
 type jobHandles struct {
-	jobsSeq, jobsEager, jobsPipe obs.CounterHandle
-	jobsFailed                   obs.CounterHandle
-	completion                   obs.HistHandle
-	cost                         obs.TotalHandle
-	retries, faults              obs.CounterHandle
-	backoff                      obs.TotalHandle
-	hedges, hedgeWins            obs.CounterHandle
-	shortCircuits                obs.CounterHandle
-	wastedSpend                  obs.TotalHandle
-	phaseInit, phaseLoad         obs.TotalHandle
-	phaseRead, phaseCompute      obs.TotalHandle
-	phaseWrite                   obs.TotalHandle
+	jobs                    [len(scheduleModes)]obs.CounterHandle // by schedule
+	jobsFailed              obs.CounterHandle
+	completion              obs.HistHandle
+	cost                    obs.TotalHandle
+	retries, faults         obs.CounterHandle
+	backoff                 obs.TotalHandle
+	hedges, hedgeWins       obs.CounterHandle
+	shortCircuits           obs.CounterHandle
+	wastedSpend             obs.TotalHandle
+	phaseInit, phaseLoad    obs.TotalHandle
+	phaseRead, phaseCompute obs.TotalHandle
+	phaseWrite              obs.TotalHandle
 
-	tsJobsSeq, tsJobsEager, tsJobsPipe obs.SeriesCounterHandle
-	tsCompletion                       obs.SeriesHistHandle
-	tsCost                             obs.SeriesTotalHandle
-	tsRetries                          obs.SeriesCounterHandle
+	tsJobs       [len(scheduleModes)]obs.SeriesCounterHandle // by schedule
+	tsCompletion obs.SeriesHistHandle
+	tsCost       obs.SeriesTotalHandle
+	tsRetries    obs.SeriesCounterHandle
 
 	deniedRetry, deniedHedge obs.EventCounter // coordinator_budget_denied_total{kind=...}
 	tsBudgetTokens           obs.SeriesGaugeHandle
@@ -125,10 +125,15 @@ func (d *Deployment) resolvePartHandles(fn string) (h partHandles) {
 
 func (d *Deployment) resolveJobHandles() {
 	mx, ts := d.cfg.Metrics, d.cfg.Series
+	var jobs [len(scheduleModes)]obs.CounterHandle
+	var tsJobs [len(scheduleModes)]obs.SeriesCounterHandle
+	for s, mode := range scheduleModes {
+		name := fmt.Sprintf("coordinator_jobs_total{mode=%q}", mode)
+		jobs[s], tsJobs[s] = mx.CounterHandle(name), ts.CounterHandle(name)
+	}
 	d.jh = jobHandles{
-		jobsSeq:       mx.CounterHandle(`coordinator_jobs_total{mode="sequential"}`),
-		jobsEager:     mx.CounterHandle(`coordinator_jobs_total{mode="eager"}`),
-		jobsPipe:      mx.CounterHandle(`coordinator_jobs_total{mode="pipelined"}`),
+		jobs:          jobs,
+		tsJobs:        tsJobs,
 		jobsFailed:    mx.CounterHandle("coordinator_jobs_failed_total"),
 		completion:    mx.HistHandle("coordinator_job_completion_seconds"),
 		cost:          mx.TotalHandle("coordinator_job_cost_usd_total"),
@@ -145,9 +150,6 @@ func (d *Deployment) resolveJobHandles() {
 		phaseCompute:  mx.TotalHandle(`coordinator_phase_seconds_total{phase="compute"}`),
 		phaseWrite:    mx.TotalHandle(`coordinator_phase_seconds_total{phase="write"}`),
 
-		tsJobsSeq:    ts.CounterHandle(`coordinator_jobs_total{mode="sequential"}`),
-		tsJobsEager:  ts.CounterHandle(`coordinator_jobs_total{mode="eager"}`),
-		tsJobsPipe:   ts.CounterHandle(`coordinator_jobs_total{mode="pipelined"}`),
 		tsCompletion: ts.HistHandle("coordinator_job_completion_seconds"),
 		tsCost:       ts.TotalHandle("coordinator_job_cost_usd_total"),
 		tsRetries:    ts.CounterHandle("coordinator_retries_total"),

@@ -196,11 +196,11 @@ func (j *job) retryGate(ri *retryInfo, step *retryStep, err error, opKind, opNam
 
 // breakerNow estimates the current simulated instant for breaker
 // decisions: the platform clock (advancing in clocked serving mode)
-// plus the job's committed serial time. Anchored (staged) jobs have the
-// clock advanced to each stage's true start already — adding elapsed
-// again would double-count the committed time.
+// plus the job's committed serial time. A staged job has the clock
+// advanced to each stage's true start already — adding elapsed again
+// would double-count the committed time.
 func (j *job) breakerNow(ri *retryInfo) time.Duration {
-	if j.anchored {
+	if j.sched == scheduleStaged {
 		return j.d.cfg.Platform.Now() + ri.delay()
 	}
 	return j.d.cfg.Platform.Now() + j.elapsed + ri.delay()
@@ -221,7 +221,8 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 	d, tr := j.d, j.tr
 	fnName, payload := p.fnName, j.payloads[p.index]
 	hedging := d.cfg.Hedge.enabled()
-	deferred := j.eager || hedging
+	eager := j.sched == scheduleEager
+	deferred := eager || hedging
 	var ri retryInfo
 	if j.deadlined() && j.elapsed >= j.deadline {
 		return nil, ri, &DeadlineError{Op: "invoke " + fnName, Deadline: j.deadline, Elapsed: j.elapsed}
@@ -310,7 +311,7 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 		}
 
 		if err == nil {
-			if deferred && !j.eager {
+			if deferred && !eager {
 				// Sequential mode under hedging defers billing (the winner
 				// was unknowable at invoke time); settle the winner at its
 				// own duration now, into its attempt's charges.

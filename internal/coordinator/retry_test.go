@@ -221,7 +221,7 @@ func TestDeadlineFailFastRetriesNonNegative(t *testing.T) {
 		check(fmt.Sprintf("Run %+v", opts), rep, err)
 	}
 	for _, lean := range []bool{false, true} {
-		sj, err := d.BeginStaged(in, StagedOptions{Deadline: time.Nanosecond, Lean: lean})
+		sj, err := d.BeginStaged(in, RunOptions{Deadline: time.Nanosecond, Lean: lean})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,9 @@ type LambdaRun struct {
 	Write   time.Duration // output transfer to S3
 }
 
-// phaseSplit classifies an invocation's phases into the LambdaRun fields.
-func phaseSplit(res *lambda.Result) (lr LambdaRun) {
+// phaseSplit reports an invocation as a LambdaRun, its phases classified.
+func phaseSplit(res *lambda.Result) LambdaRun {
+	lr := LambdaRun{Cold: res.ColdStart}
 	for _, ph := range res.Phases {
 		switch ph.Name {
 		case "load-weights":
@@ -83,7 +84,7 @@ type Report struct {
 	job *job
 }
 
-// RunOptions tunes one job run.
+// RunOptions tunes one job run, whole (Run) or staged (BeginStaged).
 type RunOptions struct {
 	// Sequential invokes partition i+1 only after partition i returns —
 	// the execution model behind the paper's formulation, where the
@@ -92,13 +93,20 @@ type RunOptions struct {
 	// initialization and weight loading overlap upstream execution and
 	// each function waits (billed) for its input to appear in S3: how
 	// the deployed system reaches the completion times of the paper's
-	// Tables 3 and 5.
+	// Tables 3 and 5. A staged job's scheduler picks its stages' starts
+	// and ignores it.
 	Sequential bool
 	// Deadline is the job's completion budget (0 = none; negative is
 	// rejected). Once the job's committed simulated time cannot cover
 	// another attempt, operations fail fast with a DeadlineError instead
-	// of retrying blind.
+	// of retrying blind. A staged job's stage starts count against it,
+	// so a request that queued too long behind earlier pipeline stages
+	// fails fast.
 	Deadline time.Duration
+	// Batch is the number of member requests stacked into the job's
+	// input. Purely descriptive: above 1 it lands on the trace so batched
+	// jobs are recognizable in exports.
+	Batch int
 	// NoTrace skips materializing the success span tree (Report.Trace
 	// stays nil), the head-sampling hook internal/serving uses to stop
 	// allocating a tree per request. Cost stays exact — Report.Cost is
@@ -122,11 +130,11 @@ type RunOptions struct {
 // a partial trace holding the exact charges the failed job billed, so
 // serving-level cost attribution stays exact.
 func (d *Deployment) Run(input *tensor.Tensor, opts RunOptions) (*Report, error) {
-	mode := "eager"
+	sched := scheduleEager
 	if opts.Sequential {
-		mode = "sequential"
+		sched = scheduleSequential
 	}
-	return d.run(input, mode, StagedOptions{Deadline: opts.Deadline, NoTrace: opts.NoTrace, Lean: opts.Lean})
+	return d.run(input, sched, opts)
 }
 
 // RunEager is Run with the default options: the eager schedule. (The
@@ -138,57 +146,38 @@ func (d *Deployment) RunEager(input *tensor.Tensor) (*Report, error) {
 // run is the whole-job driver: it walks the whole chain in one call and
 // settles every partition once the chain succeeded — storage holds
 // included, so a run that fails midway has billed none of them.
-func (d *Deployment) run(input *tensor.Tensor, mode string, opts StagedOptions) (*Report, error) {
-	j, err := d.begin(input, mode, opts)
+func (d *Deployment) run(input *tensor.Tensor, sched schedule, opts RunOptions) (*Report, error) {
+	j, err := d.begin(input, sched, opts)
 	if err != nil {
 		return &j.rep, err
 	}
 	defer j.close()
 	for j.next < len(d.parts) {
-		res, info, err := j.invoke()
-		if err != nil {
+		if _, err := j.invoke(); err != nil {
 			j.fail()
 			return &j.rep, err
 		}
-		// The job's committed serial time grows by this partition's turn
-		// in the chain — the quantity every later deadline check gates
-		// on. (In eager mode this is a conservative overestimate of the
-		// overlapped schedule.)
-		j.elapsed += info.delay() + invokeDispatchLatency + res.Duration
 	}
 	if err := j.decodeOutput(); err != nil {
 		return &j.rep, err
 	}
-	if j.eager {
-		j.settleEager()
-	} else {
-		now := d.cfg.Platform.Now()
-		j.rep.Completion = j.upDur
-		for i, res := range j.results {
-			j.rep.Completion += j.infos[i].delay() + invokeDispatchLatency + res.Duration
-			// The container's real busy window ends when its turn in the
-			// sequential chain does, not when its own handler alone would
-			// (the platform settled it at job start + handler duration).
-			d.cfg.Platform.OccupyUntil(d.parts[i].fnName, res.ContainerID, now+j.rep.Completion)
-			j.settlePart(i, phaseSplit(res), res.Duration, res.BilledDuration)
+	for i := range j.results {
+		var start time.Duration // an eager job dispatches every partition at its start
+		if sched == scheduleSequential {
+			start = j.ready(i)
 		}
+		j.settlePart(i, start)
 	}
 	j.complete()
 	return &j.rep, nil
 }
 
-// recordJobMetrics folds one finished job into the metrics registry
-// through the handles resolved at Deploy.
-func (d *Deployment) recordJobMetrics(rep *Report) {
+// recordJobMetrics folds one finished job, run on schedule sched, into
+// the metrics registry through the handles resolved at Deploy.
+func (d *Deployment) recordJobMetrics(rep *Report, sched schedule) {
 	jh := &d.jh
 	mx, ts := d.cfg.Metrics, d.cfg.Series
-	jobs, tsJobs := jh.jobsSeq, jh.tsJobsSeq
-	switch rep.Mode {
-	case "eager":
-		jobs, tsJobs = jh.jobsEager, jh.tsJobsEager
-	case "pipelined":
-		jobs, tsJobs = jh.jobsPipe, jh.tsJobsPipe
-	}
+	jobs, tsJobs := jh.jobs[sched], jh.tsJobs[sched]
 	completion := rep.Completion.Seconds()
 	w := mx.Begin()
 	w.Inc(jobs, 1)
@@ -241,37 +230,6 @@ func (d *Deployment) recordRetries(rep *Report, ri *retryInfo) {
 	rep.ShortCircuits += ri.shortCircuits
 	rep.BudgetDenied += ri.budgetDenied
 	rep.WastedSpend += ri.wastedCost
-}
-
-// settleEager reconstructs the overlapped schedule from the per-phase
-// timings: every function starts at job time ~0 (one dispatch latency),
-// runs its initialization immediately, then blocks until its input is
-// available. Billed lifetime spans dispatch to exit, including the
-// wait. Retried partitions lose their head start: the failed attempts'
-// execution and backoff waits push the successful attempt's work back
-// (the failed attempts themselves were settled as they happened).
-func (j *job) settleEager() {
-	pl := j.d.cfg.Platform
-	avail := j.upDur // when partition 0's input is ready in S3
-	for i, res := range j.results {
-		lr := phaseSplit(res)
-		initDone := lr.Init + lr.Load
-		work := lr.Read + lr.Compute + lr.Write
-		start := invokeDispatchLatency + initDone
-		if avail > start {
-			start = avail
-		}
-		start += j.infos[i].delay()
-		exit := start + work
-		billed := exit - invokeDispatchLatency
-		j.settlePart(i, lr, billed, billed)
-		// The container's true lifetime spans dispatch to exit — the
-		// input-polling wait included — which is longer than the
-		// handler-active window the platform recorded at invoke time.
-		pl.OccupyUntil(j.d.parts[i].fnName, res.ContainerID, pl.Now()+exit)
-		avail = exit
-	}
-	j.rep.Completion = avail
 }
 
 func (d *Deployment) meterTotal() float64 {

@@ -9,10 +9,10 @@ import (
 	"ampsinf/internal/obs"
 )
 
-// buildTrace reconstructs the finished job's span tree from the same
-// per-invocation results and retry records the billing settlement used,
-// so exporters (Chrome trace, waterfall) never re-derive offsets. The
-// tree mirrors the job geometry exactly:
+// buildTrace reconstructs the finished job's span tree from the turns,
+// results and retry records the billing settlement used, so exporters
+// (Chrome trace, waterfall) never re-derive offsets. The tree mirrors
+// the job geometry exactly:
 //
 //	job (track "coordinator")
 //	├─ upload-input (track "input"): failed PUTs, backoffs, final PUT
@@ -21,22 +21,18 @@ import (
 //	   └─ successful attempt
 //	      └─ phases (coldstart/overhead/deps-init/load-weights/
 //	         s3-read/compute/s3-write), with an input-poll wait
-//	         inserted before the work phases in eager mode
+//	         inserted before the work phases when the turn's work
+//	         starts after its initialization (an eager turn)
 //
 // Cost buckets captured around each billed operation are attached to
 // the matching span (S3 request fees land on their transfer phase), so
 // obs.SumCosts over the tree replays the meter's charges exactly.
-//
-// A staged job's invocations sit at its scheduler's stage starts instead
-// of the sequential-chain geometry (its stages wait on shared pipeline
-// slots between partitions).
 func (j *job) buildTrace() *obs.Span {
-	rep, eager := &j.rep, j.eager
 	root := &obs.Span{
 		Name: j.id, Kind: obs.KindJob, Track: "coordinator",
-		Duration: rep.Completion,
+		Duration: j.rep.Completion,
 	}
-	root.SetAttr("mode", rep.Mode)
+	root.SetAttr("mode", j.rep.Mode)
 	root.SetAttr("model", j.d.model.Name)
 	if j.batch > 1 {
 		root.SetAttr("batch", strconv.Itoa(j.batch))
@@ -45,36 +41,13 @@ func (j *job) buildTrace() *obs.Span {
 
 	j.buildUploadSpan(root)
 
-	jobCursor := j.upDur // sequential chain cursor
-	avail := j.upDur     // eager availability chain
 	for i, res := range j.results {
-		info := &j.infos[i]
-		lr := phaseSplit(res)
+		info, t := &j.infos[i], &j.turns[i]
 		track := j.d.parts[i].fnName
-
-		var invStart, workStart, exit time.Duration
-		if j.anchored {
-			invStart = j.starts[i]
-			exit = invStart + info.delay() + invokeDispatchLatency + res.Duration
-		} else if eager {
-			// Mirror settleEager's schedule arithmetic exactly.
-			invStart = 0
-			workStart = invokeDispatchLatency + lr.Init + lr.Load
-			if avail > workStart {
-				workStart = avail
-			}
-			workStart += info.delay()
-			exit = workStart + lr.Read + lr.Compute + lr.Write
-			avail = exit
-		} else {
-			invStart = jobCursor
-			exit = jobCursor + info.delay() + invokeDispatchLatency + res.Duration
-			jobCursor = exit
-		}
 
 		inv := root.AddChild(&obs.Span{
 			Name: track, Kind: obs.KindInvoke, Track: track,
-			Start: invStart, Duration: exit - invStart,
+			Start: t.start, Duration: t.exit - t.start,
 		})
 		inv.SetAttr("function", track)
 		inv.SetAttr("container", strconv.Itoa(res.ContainerID))
@@ -91,7 +64,7 @@ func (j *job) buildTrace() *obs.Span {
 		attachBucket(inv, j.partBuckets[i])
 		attachBucket(inv, info.holdBucket)
 
-		cursor := invStart
+		cursor := t.start
 		inv.AddChild(&obs.Span{
 			Name: "dispatch", Kind: obs.KindDispatch, Track: track,
 			Start: cursor, Duration: invokeDispatchLatency,
@@ -101,22 +74,15 @@ func (j *job) buildTrace() *obs.Span {
 
 		att := inv.AddChild(&obs.Span{
 			Name: fmt.Sprintf("attempt-%d", info.attempts), Kind: obs.KindAttempt, Track: track,
-			Start: cursor, Duration: exit - cursor,
+			Start: cursor, Duration: t.exit - cursor,
 		})
 		att.SetAttr("attempt", strconv.Itoa(info.attempts))
 		// The loser of the final hedge pair runs in the shadow of the
-		// winning attempt. When the hedge won, the phases belong to the
-		// hedge copy, which only started hedgeExtra after the primary:
-		// in sequential mode shift them right (the eager schedule folds
-		// hedgeExtra into workStart via info.delay() already).
-		phaseStart := cursor
+		// winning attempt.
 		if info.finalHedge != nil {
-			addHedgeSpan(inv, info.finalHedge, cursor, exit, track)
-			if info.hedgeWon && !eager {
-				phaseStart += info.hedgeExtra
-			}
+			addHedgeSpan(inv, info.finalHedge, cursor, t.exit, track)
 		}
-		addPhases(att, res, phaseStart, workStart, eager, info.finalBucket)
+		addPhases(att, res, t.run, t.work, info.finalBucket)
 	}
 
 	// Per-span cost = chronological sum of the span's own charges.
@@ -226,23 +192,23 @@ func addHedgeSpan(parent *obs.Span, h *hedgeRec, start, limit time.Duration, tra
 }
 
 // addPhases lays the successful attempt's handler phases consecutively
-// from start. In eager mode the function polls S3 for its input after
-// initialization, so a wait span bridges the gap up to workStart before
-// the first work phase. The attempt's charges are distributed: each S3
-// request fee lands on its transfer phase, the rest (invocation fee,
-// non-deferred execution) stay on the attempt span.
-func addPhases(att *obs.Span, res *lambda.Result, start, workStart time.Duration, eager bool, bucket *obs.CostBucket) {
+// from start. A function that finished initializing before work (an
+// eager turn polling S3 for its input) waits: a wait span bridges the
+// gap up to work before the first work phase. The attempt's charges are
+// distributed: each S3 request fee lands on its transfer phase, the rest
+// (invocation fee, non-deferred execution) stay on the attempt span.
+func addPhases(att *obs.Span, res *lambda.Result, start, work time.Duration, bucket *obs.CostBucket) {
 	cursor := start
 	var phases []*obs.Span
-	waited := !eager
+	waited := false
 	for _, ph := range res.Phases {
 		if !waited && workPhase(ph.Name) {
-			if workStart > cursor {
+			if work > cursor {
 				att.AddChild(&obs.Span{
 					Name: "wait-input", Kind: obs.KindWait, Track: att.Track,
-					Start: cursor, Duration: workStart - cursor,
+					Start: cursor, Duration: work - cursor,
 				})
-				cursor = workStart
+				cursor = work
 			}
 			waited = true
 		}

@@ -7,28 +7,6 @@ import (
 	"ampsinf/internal/tensor"
 )
 
-// StagedOptions configures one staged job.
-type StagedOptions struct {
-	// Deadline is the job's completion budget from its start (0 = none;
-	// negative is rejected). Stage starts count against it, so a request
-	// that queued too long behind earlier pipeline stages fails fast.
-	Deadline time.Duration
-	// Batch is the number of member requests stacked into the job's
-	// input (≥ 1). Purely descriptive: it lands on the trace so batched
-	// jobs are recognizable in exports.
-	Batch int
-	// NoTrace skips materializing the success span tree, mirroring
-	// RunOptions.NoTrace: the report's Cost falls back to the job's
-	// meter-delta accumulator (exact), failure traces are still built,
-	// and a job whose hedge won builds its tree regardless.
-	NoTrace bool
-	// Lean runs the job on a pooled job record, mirroring
-	// RunOptions.Lean: no span trees ever, Cost from the job's exact
-	// per-stage meter deltas, and the caller must hand the Report back
-	// via ReleaseReport once done. Implies NoTrace.
-	Lean bool
-}
-
 // StagedJob is the job record as an external scheduler holds it: one
 // inference job executed stage by stage — the execution mode behind
 // internal/serving's pipelined scheduler, where partition i of request n
@@ -51,11 +29,9 @@ type StagedJob job
 // input (retrying transient store faults) at the current platform
 // instant. On error the returned job is already finalized — its Report
 // carries the failure trace with the exact charges the upload billed.
-func (d *Deployment) BeginStaged(input *tensor.Tensor, opts StagedOptions) (*StagedJob, error) {
-	if opts.Batch < 1 {
-		opts.Batch = 1
-	}
-	j, err := d.begin(input, "pipelined", opts)
+// opts.Sequential does not apply: the caller schedules the stages.
+func (d *Deployment) BeginStaged(input *tensor.Tensor, opts RunOptions) (*StagedJob, error) {
+	j, err := d.begin(input, scheduleStaged, opts)
 	return (*StagedJob)(j), err
 }
 
@@ -86,34 +62,27 @@ func (sj *StagedJob) RunStage(start time.Duration) (time.Duration, error) {
 		return 0, fmt.Errorf("coordinator: staged job %s has no stage %d", j.id, j.next)
 	}
 	i := j.next
-	j.starts = append(j.starts, start)
 	// The stage's start offset is the job's committed serial time: queue
 	// waits behind earlier pipeline stages count against the deadline.
 	j.elapsed = start
 	j.before = d.meterTotal()
-	res, info, err := j.invoke()
+	info, err := j.invoke()
 	if err != nil {
 		j.spend += d.meterTotal() - j.before
 		j.elapsed = start + info.delay()
 		j.fail()
 		return info.delay(), err
 	}
-	svc := info.delay() + invokeDispatchLatency + res.Duration
-	j.elapsed = start + svc
-	// The container's true busy window ends when its turn in the staged
-	// schedule does (the platform settled it at stage start + handler
-	// duration, without the retry delays).
-	d.cfg.Platform.OccupyUntil(d.parts[i].fnName, res.ContainerID, d.cfg.Platform.Now()+svc)
-	j.settlePart(i, phaseSplit(res), res.Duration, res.BilledDuration)
+	j.settlePart(i, start)
 	j.spend += d.meterTotal() - j.before
-	return svc, nil
+	return j.turns[i].exit - start, nil
 }
 
 // Finish closes the staged job after its last stage: it decodes the
 // prediction, builds the span tree at the scheduler's stage starts and
-// publishes it to the tracer. completion is the job's end offset from
-// its start (the last stage's end).
-func (sj *StagedJob) Finish(completion time.Duration) (*Report, error) {
+// publishes it to the tracer. The job completes when its last stage
+// ends.
+func (sj *StagedJob) Finish() (*Report, error) {
 	j := (*job)(sj)
 	if j.done {
 		return &j.rep, fmt.Errorf("coordinator: staged job %s already finished", j.id)
@@ -125,7 +94,6 @@ func (sj *StagedJob) Finish(completion time.Duration) (*Report, error) {
 	if err := j.decodeOutput(); err != nil {
 		return &j.rep, err
 	}
-	j.rep.Completion = completion
 	j.complete()
 	return &j.rep, nil
 }

@@ -137,8 +137,7 @@ func AblationQuantization() (*AblationQuantizationResult, error) {
 	m, w := Model("mobilenet")
 	res := &AblationQuantizationResult{}
 	for _, bits := range []int{0, 8, 4} {
-		fw := core.NewFramework(core.Options{})
-		svc, err := fw.Submit(m, w, core.SubmitOptions{Deploy: coordinator.Config{SkipCompute: true, QuantizeBits: bits}})
+		svc, err := NewEnv(nil).Submit(m, w, core.SubmitOptions{Deploy: coordinator.Config{SkipCompute: true, QuantizeBits: bits}})
 		if err != nil {
 			return nil, err
 		}

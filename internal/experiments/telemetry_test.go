@@ -43,3 +43,17 @@ func TestRunOneReportsItsJob(t *testing.T) {
 		t.Errorf("coordinator counted %d jobs for %d runs", got, len(r.Points))
 	}
 }
+
+// TestQuantizationAblationReportsItsJobs: the quantization ablation
+// builds its three clouds through NewEnv, so each cold serve counts as a
+// coordinator job in the installed registry.
+func TestQuantizationAblationReportsItsJobs(t *testing.T) {
+	mx := withMetrics(t)
+	r, err := AblationQuantization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mx.Snapshot().Counters[`coordinator_jobs_total{mode="eager"}`]; got != 3 || len(r.Rows) != 3 {
+		t.Errorf("coordinator counted %d jobs for %d rows, want 3 and 3", got, len(r.Rows))
+	}
+}

@@ -459,7 +459,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 			j := finishQ[bestIdx]
 			finishQ = append(finishQ[:bestIdx], finishQ[bestIdx+1:]...)
 			running--
-			jrep, err := j.sj.Finish(now - j.start)
+			jrep, err := j.sj.Finish()
 			if err != nil {
 				if ferr := failUnit(j, err); ferr != nil {
 					return nil, ferr
@@ -564,7 +564,7 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 				ts.CounterHandle("serving_batches_total").Inc(now, 1)
 			}
 			ts.HistHandle("serving_batch_size").Observe(now, float64(u.Size))
-			sj, err := dep.BeginStaged(in, coordinator.StagedOptions{
+			sj, err := dep.BeginStaged(in, coordinator.RunOptions{
 				Deadline: jobDeadline,
 				Batch:    u.Size,
 				NoTrace:  !sampler.Keep(uint64(leader)),

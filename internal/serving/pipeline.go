@@ -211,7 +211,7 @@ func (s *scheduler) enqueueStage(id int32, u *unit) {
 
 // beginStaged opens an admitted unit's staged job — stacking a batch's
 // inputs on the tensor batch dimension — and queues it for stage 0.
-func (s *scheduler) beginStaged(uid int32, u *unit, opts coordinator.StagedOptions) error {
+func (s *scheduler) beginStaged(uid int32, u *unit, opts coordinator.RunOptions) error {
 	x := s.st
 	in := s.input(u.First)
 	if u.Size > 1 {
@@ -254,7 +254,7 @@ func (s *scheduler) stageEvent() error {
 
 	if e.Class == evFinish {
 		s.running--
-		jrep, err := u.sj.Finish(now - u.start)
+		jrep, err := u.sj.Finish()
 		ferr := s.settle(e.ID, u, jrep, err)
 		if err == nil {
 			x.ph.tsRunning.Set(now, float64(s.running))

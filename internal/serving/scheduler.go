@@ -452,15 +452,14 @@ func (s *scheduler) admit(uid int32, at time.Duration) error {
 // the whole-job and the staged executor (see scheduler).
 func (s *scheduler) execute(uid int32, u *unit, deadline time.Duration) error {
 	lean := !s.out.retain
-	noTrace := lean || !s.sampler.Keep(uint64(u.First))
-	if s.st != nil {
-		return s.beginStaged(uid, u, coordinator.StagedOptions{
-			Deadline: deadline, Batch: u.Size, NoTrace: noTrace, Lean: lean,
-		})
+	opts := coordinator.RunOptions{
+		Sequential: s.cfg.Sequential, Deadline: deadline, Batch: u.Size,
+		NoTrace: lean || !s.sampler.Keep(uint64(u.First)), Lean: lean,
 	}
-	jrep, err := u.dep.Run(s.input(u.First), coordinator.RunOptions{
-		Sequential: s.cfg.Sequential, Deadline: deadline, NoTrace: noTrace, Lean: lean,
-	})
+	if s.st != nil {
+		return s.beginStaged(uid, u, opts)
+	}
+	jrep, err := u.dep.Run(s.input(u.First), opts)
 	if err == nil {
 		s.samplePeak(u.start)
 	}

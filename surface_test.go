@@ -53,8 +53,9 @@ var testOnlyAllowed = map[string]string{
 
 // TestDeclarationsHaveProductionCallers fails on a func, method, type,
 // var or const declared in a non-test file under internal/ that no
-// non-test file refers to, and on a struct field there that no non-test
-// file reads — code and data only tests reach — exported or not, unless
+// non-test file refers to, on an interface method there that no non-test
+// file calls through its interface, and on a struct field there that no
+// non-test file reads — code and data only tests reach — exported or not, unless
 // testOnlyAllowed names it. It fails on a stale allowlist entry too.
 func TestDeclarationsHaveProductionCallers(t *testing.T) {
 	tree, err := repoTree()
@@ -125,6 +126,11 @@ func (t *T) String() string { return "t" }
 
 type Viaer interface{ Via() int }
 
+type Port interface {
+	Called() int
+	Uncalled()
+}
+
 func Helper() {}
 
 const (
@@ -172,6 +178,8 @@ func main() {
 	t.Stats.N++
 	var v a.Viaer = &t
 	_ = v.Via()
+	var p a.Port
+	_ = p.Called()
 	_ = t.Used()
 	_ = a.Kept
 	_ = a.Shared
@@ -200,7 +208,8 @@ func (Other) Recur() int { return 0 }
 	// T is used by its own methods' receivers; Exported's two
 	// declarations, like T.Add and m.Acc.Add, are different objects and
 	// do not keep each other; Recur calls only itself; Via is called
-	// only through Viaer and String implements fmt.Stringer; a field set
+	// only through Viaer and String implements fmt.Stringer; of Port's
+	// methods only Called is called through it; a field set
 	// by a composite-literal key, =, += or ++ is only written, Inner.Deep
 	// too, and Stats with its N, as writing N writes the Stats held by
 	// value, and m.Acc.n, which only its own package writes; Tagged is
@@ -210,6 +219,7 @@ func (Other) Recur() int { return 0 }
 	want := []string{
 		"internal/a.Dropped",
 		"internal/a.Helper",
+		"internal/a.Port.Uncalled",
 		"internal/a.T.Add",
 		"internal/a.T.Counted",
 		"internal/a.T.Inner.Deep",
@@ -416,6 +426,8 @@ func typeCheck(fsys fs.FS, pkgs []listedPackage) (*checkedTree, error) {
 //     declaration refers to, where a method also counts as used when it
 //     implements an interface method such a file refers to, or one of
 //     implicitMethods;
+//   - a method of an interface type no such file calls through the
+//     interface;
 //   - a struct field no such file reads. A composite-literal key, the
 //     left side of = or an op-assign, and ++ or -- write a field; a
 //     json-tagged field is read by the encoder.
@@ -462,8 +474,15 @@ func testOnlySurface(tree *checkedTree) []string {
 					for _, spec := range dd.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
-							if st, ok := s.Type.(*ast.StructType); ok {
-								fields(c.lp.Dir+"."+s.Name.Name, st, c.info)
+							switch t := s.Type.(type) {
+							case *ast.StructType:
+								fields(c.lp.Dir+"."+s.Name.Name, t, c.info)
+							case *ast.InterfaceType:
+								for _, m := range t.Methods.List {
+									for _, n := range m.Names {
+										decls[c.info.Defs[n]] = decl{c.lp.Dir + "." + s.Name.Name + "." + n.Name, m}
+									}
+								}
 							}
 							decls[c.info.Defs[s.Name]] = decl{c.lp.Dir + "." + s.Name.Name, s}
 						case *ast.ValueSpec:
