@@ -110,17 +110,15 @@ type turn struct{ start, run, work, exit time.Duration }
 
 // lay places a partition's turn on schedule s: dispatched at start, its
 // input in the store at ready, lr its successful attempt's phases and ri
-// its retry record. A sequential or staged turn runs its handler once
-// the dispatch and the retries' delay are over, so its work follows its
-// initialization. An eager turn initializes right after its dispatch
-// (and any failed attempts; a winning hedge's lead joins the wait) and
-// starts work once both that and its input are ready, the retries'
-// delay later.
+// its retry record. Every turn runs its handler once the dispatch and
+// the retries' delay are over (a winning hedge's lead included: the
+// winner was dispatched that much later). A sequential or staged turn's
+// work follows its initialization; an eager turn starts work once both
+// its initialization and its input are ready, the retries' delay later.
 func (s schedule) lay(start, ready time.Duration, lr *LambdaRun, ri *retryInfo) turn {
 	t := turn{start: start, run: start + invokeDispatchLatency + ri.delay()}
 	t.work = t.run + lr.Init + lr.Load
 	if s == scheduleEager {
-		t.run -= ri.hedgeExtra
 		t.work = max(start+invokeDispatchLatency+lr.Init+lr.Load, ready) + ri.delay()
 	}
 	t.exit = t.work + lr.Read + lr.Compute + lr.Write

@@ -308,6 +308,42 @@ func TestHedgeSpansOnShadowTrack(t *testing.T) {
 	}
 }
 
+// A winning hedge is dispatched a hedge delay after its primary, so on
+// the eager schedule too its handler phases start no earlier than the
+// attempt's start plus that delay and its own dispatch: the winner's
+// coldstart and init never overlap the cancelled primary.
+func TestEagerHedgeWinnerPhasesFollowItsDispatch(t *testing.T) {
+	const delay = time.Millisecond
+	_, d, m, _ := deployTinyResilient(t, 0.3, 4242, func(cfg *Config) {
+		cfg.Hedge = HedgePolicy{Delay: delay, MaxRate: 1, JitterSeed: 9}
+	})
+	won := 0
+	for j := 0; j < 8; j++ {
+		rep, err := d.Run(randomInput(m, int64(j)), RunOptions{})
+		if err != nil {
+			t.Fatalf("job %d: %v", j, err)
+		}
+		for _, inv := range rep.Trace.Children {
+			if inv.Attrs["hedge_won"] != "true" {
+				continue
+			}
+			won++
+			att := inv.Children[len(inv.Children)-1]
+			if att.Kind != obs.KindAttempt || att.Track != inv.Track {
+				att = inv.Children[len(inv.Children)-2] // the cancelled primary's shadow comes last
+			}
+			first := att.Children[0]
+			if min := att.Start + delay + invokeDispatchLatency; first.Start < min {
+				t.Fatalf("job %d %s: winning hedge's %s starts at %v, before its dispatch ends at %v or later",
+					j, inv.Name, first.Name, first.Start, min)
+			}
+		}
+	}
+	if won == 0 {
+		t.Fatal("no hedge won")
+	}
+}
+
 // Unit-level breaker state machine: closed → open on consecutive
 // failures, short-circuit while open, one probe on half-open, close on
 // its success, re-trip on a failed probe.
