@@ -38,8 +38,9 @@ staticcheck:
 # vs single writes, the window log's NDJSON encoder vs json.Marshal of
 # the frames it materialises (rendered unlocked while a writer
 # flushes), the slot meter vs the map meter, the busy-until
-# mirror vs the pointer scan, a pooled job vs a traced one — three
-# times under the race detector. For the planner's certified envelope
+# mirror vs the pointer scan, a pooled job vs a traced one, a failed
+# whole job's bill vs the staged driver's — three times under the race
+# detector. For the planner's certified envelope
 # prefixes: their independence of query order and worker count the same
 # way, and — serial code, so without the detector, under which the
 # largest cases skip themselves — the prefixes against the exact scan
@@ -63,7 +64,7 @@ equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites|TestWindowNDJSONMatchesMarshal' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
-	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights' ./internal/coordinator/
+	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights|TestFailedJobBillsCompletedTurns' ./internal/coordinator/
 	$(GO) test -race -count=3 -run 'TestForwardRangeMatchesOutOfPlaceEvaluator' ./internal/nn/
 	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestMatMulMatchesReference|TestConvListMatchesGo|TestReLUMatchesDefinition|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/
 	$(GO) test -race -count=3 -run 'TestPartitionedForwardBitIdentical' ./internal/nn/zoo/
@@ -101,7 +102,11 @@ cross:
 # min at 20 s a pass); `make bench-compare A=base.json B=new.json` sets two
 # such files side by side, row by row; `make bench-record` appends the
 # last run as one line to BENCH_history.ndjson — one line per PR, never
-# rewritten, so the measurements are a trajectory.
+# rewritten, so the measurements are a trajectory. The bench records the
+# HEAD it ran at, which before the commit is the parent, so bench-record
+# puts first what was measured: that HEAD and the sha256 of `git diff
+# HEAD` without the ledger (stage new files first: untracked files are
+# not in the diff).
 #
 # CI runs none of these. `-compare` fails on any host metric that reads
 # worse than the base beyond its bound, and against a result stored from
@@ -118,7 +123,9 @@ bench-compare:
 
 bench-record:
 	@test -s bench/out/result.json || { echo "no bench/out/result.json: run 'make bench' first" >&2; exit 1; }
-	{ tr -d '\n' < bench/out/result.json; echo; } >> BENCH_history.ndjson
+	{ printf '{"measured":{"head":"%s","diff_sha256":"%s"},' "$$(git rev-parse HEAD)" \
+		"$$(git diff HEAD -- ':(exclude)BENCH_history.ndjson' | sha256sum | cut -d' ' -f1)"; \
+		tr -d '\n' < bench/out/result.json | sed 's/^[[:space:]]*{//'; echo; } >> BENCH_history.ndjson
 	@echo "appended bench/out/result.json to BENCH_history.ndjson"
 
 # Per-package coverage report. Fails if any internal package ships with

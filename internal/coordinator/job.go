@@ -12,8 +12,8 @@ import (
 
 // job is the coordinator's one per-job record: every job — whole-job or
 // staged, pooled or traced — is built by newJob, opened by begin, walks
-// the partition chain through invoke, lays out and bills each
-// partition's turn in settlePart, and ends in fail or complete. Three
+// the partition chain one step per partition, each step settling its
+// partition's turn as it ends, and ends in fail or finish. Three
 // decisions read the record instead of forking the code: a pooled job
 // (RunOptions.Lean) comes off the deployment's free list and goes back
 // in ReleaseReport, while any other job is garbage with its Report; a
@@ -35,12 +35,11 @@ type job struct {
 	tr *obs.Tracer
 
 	// Per-partition records, truncated by ReleaseReport.
-	results      []*lambda.Result
-	infos        []retryInfo
-	turns        []turn            // partition i's place in the schedule
-	storedBefore []int64           // intermediate bytes in the store as partition i started
-	partBuckets  []*obs.CostBucket // partition i's settlement charges
-	perLambda    []LambdaRun       // backing array of rep.PerLambda
+	results     []*lambda.Result
+	infos       []retryInfo
+	turns       []turn            // partition i's place in the schedule
+	partBuckets []*obs.CostBucket // partition i's settlement charges
+	perLambda   []LambdaRun       // backing array of rep.PerLambda
 
 	// enc is the cached zero-tensor encoding set a pooled job runs on
 	// under SkipCompute (see lean.go), nil otherwise.
@@ -61,6 +60,11 @@ type jobRun struct {
 	// late.
 	deadline time.Duration
 	elapsed  time.Duration
+	// t0 is the platform clock at begin: the job start every turn's
+	// offsets count from. A whole job's clock does not move while it
+	// runs; a staged job's scheduler advances it to t0 + each stage's
+	// start.
+	t0 time.Duration
 
 	// A whole-job run points the tracer at rootBucket for charges outside
 	// any operation's own bracket and restores prevSink when it closes.
@@ -91,8 +95,7 @@ const (
 	// from dispatch to exit.
 	scheduleEager
 	// scheduleStaged takes each turn's start from an external scheduler
-	// (StagedJob), which advances the platform clock to that start: the
-	// clock already covers the job's committed time.
+	// (StagedJob), which advances the platform clock to that start.
 	scheduleStaged
 )
 
@@ -103,9 +106,9 @@ func (s schedule) String() string { return scheduleModes[s] }
 // turn is one partition's place in its job's schedule, as offsets from
 // the job start: dispatched at start, its successful attempt's handler
 // phases run from run, its work phases (read, compute, write) from work,
-// and it exits at exit. settlePart lays each turn out once; billing,
-// storage holds, container occupancy, the job's completion and its span
-// tree all read it.
+// and it exits at exit. step lays each turn out once; billing, storage
+// holds, container occupancy, the job's completion and its span tree all
+// read it.
 type turn struct{ start, run, work, exit time.Duration }
 
 // lay places a partition's turn on schedule s: dispatched at start, its
@@ -131,14 +134,13 @@ func (d *Deployment) newJob(id string) *job {
 	n := len(d.parts)
 	j := &job{
 		d: d, id: id, inKey: id + "/input",
-		outKeys:      make([]string, n),
-		payloads:     make([][]byte, n),
-		results:      make([]*lambda.Result, 0, n),
-		infos:        make([]retryInfo, 0, n),
-		turns:        make([]turn, 0, n),
-		storedBefore: make([]int64, 0, n),
-		partBuckets:  make([]*obs.CostBucket, 0, n),
-		perLambda:    make([]LambdaRun, 0, n),
+		outKeys:     make([]string, n),
+		payloads:    make([][]byte, n),
+		results:     make([]*lambda.Result, 0, n),
+		infos:       make([]retryInfo, 0, n),
+		turns:       make([]turn, 0, n),
+		partBuckets: make([]*obs.CostBucket, 0, n),
+		perLambda:   make([]LambdaRun, 0, n),
 	}
 	for i := 0; i < n; i++ {
 		j.outKeys[i] = fmt.Sprintf("%s/out%d", id, i)
@@ -179,7 +181,7 @@ func (d *Deployment) begin(input *tensor.Tensor, sched schedule, opts RunOptions
 		j = d.newJob(d.nextJobID())
 		j.tr = d.cfg.Tracer
 	}
-	j.jobRun = jobRun{sched: sched, noTrace: opts.NoTrace, batch: opts.Batch, deadline: opts.Deadline}
+	j.jobRun = jobRun{sched: sched, noTrace: opts.NoTrace, batch: opts.Batch, deadline: opts.Deadline, t0: d.cfg.Platform.Now()}
 	j.rep = Report{Mode: sched.String(), PerLambda: j.perLambda[:0], job: j}
 	var data []byte
 	if j.enc != nil {
@@ -228,13 +230,17 @@ func (d *Deployment) checkInput(input *tensor.Tensor) error {
 	return nil
 }
 
-// invoke runs the job's next partition under the resilience policies,
-// folds its retry record into the report, advances the chain and adds
-// the partition's turn in the chain to the job's committed time.
-func (j *job) invoke() (*retryInfo, error) {
-	d := j.d
-	i := j.next
-	j.storedBefore = append(j.storedBefore, j.prevBytes)
+// step runs the job's next partition, dispatched at start, under the
+// resilience policies, folds its retry record into the report, adds the
+// turn to the job's committed time and, once it succeeds, settles the
+// turn: it lays the turn out, bills — into the partition's own cost
+// bucket — the execution an eager job deferred and the storage the
+// intermediates stored at dispatch occupied for the turn, holds its
+// container until the turn's exit and appends its LambdaRun. A job that
+// fails later has billed every turn it completed.
+func (j *job) step(start time.Duration) (*retryInfo, error) {
+	d, pl := j.d, j.d.cfg.Platform
+	i, stored := j.next, j.prevBytes
 	res, ri, err := j.invokeWithRetry(d.parts[i])
 	j.infos = append(j.infos, ri)
 	info := &j.infos[i]
@@ -250,6 +256,23 @@ func (j *job) invoke() (*retryInfo, error) {
 		}
 	}
 	j.next++
+	lr := phaseSplit(res)
+	t := j.sched.lay(start, j.ready(i), &lr, info)
+	j.turns = append(j.turns, t)
+	b := j.tr.NewBucket()
+	j.partBuckets = append(j.partBuckets, b)
+	prev := j.tr.SetSink(b)
+	hold := res.Duration
+	if j.sched == scheduleEager {
+		hold = t.exit - start - invokeDispatchLatency
+		pl.SettleExecution(res.MemoryMB, hold)
+	}
+	d.cfg.Store.ChargeStorage(stored, hold)
+	j.tr.SetSink(prev)
+	// The container is busy until the turn exits, the retries' delay and
+	// an eager turn's input poll included.
+	pl.OccupyUntil(d.parts[i].fnName, res.ContainerID, j.t0+t.exit)
+	j.rep.PerLambda = append(j.rep.PerLambda, lr)
 	return info, nil
 }
 
@@ -260,54 +283,6 @@ func (j *job) ready(i int) time.Duration {
 		return j.upDur
 	}
 	return j.turns[i-1].exit
-}
-
-// settlePart closes partition i's turn, dispatched at start: it lays the
-// turn out, bills — into the partition's own cost bucket — the execution
-// an eager job deferred and the storage its upstream intermediates
-// occupied for the turn, holds its container until the turn's exit and
-// appends its LambdaRun.
-func (j *job) settlePart(i int, start time.Duration) {
-	d, pl := j.d, j.d.cfg.Platform
-	res := j.results[i]
-	lr := phaseSplit(res)
-	t := j.sched.lay(start, j.ready(i), &lr, &j.infos[i])
-	j.turns = append(j.turns, t)
-	b := j.tr.NewBucket()
-	j.partBuckets = append(j.partBuckets, b)
-	prev := j.tr.SetSink(b)
-	hold := res.Duration
-	if j.sched == scheduleEager {
-		hold = t.exit - start - invokeDispatchLatency
-		pl.SettleExecution(res.MemoryMB, hold)
-	}
-	d.cfg.Store.ChargeStorage(j.storedBefore[i], hold)
-	j.tr.SetSink(prev)
-	// The container is busy until the turn exits, the retries' delay and
-	// an eager turn's input poll included; a staged job's clock already
-	// stands at the turn's start.
-	origin := pl.Now()
-	if j.sched == scheduleStaged {
-		origin -= start
-	}
-	pl.OccupyUntil(d.parts[i].fnName, res.ContainerID, origin+t.exit)
-	j.rep.PerLambda = append(j.rep.PerLambda, lr)
-}
-
-// decodeOutput reads the prediction off the last response. A job on
-// cached encodings skips it: its last response is a recycled zero
-// tensor nobody reads.
-func (j *job) decodeOutput() error {
-	if j.enc != nil {
-		return nil
-	}
-	out, err := modelfmt.DecodeTensor(j.results[len(j.results)-1].Response)
-	if err != nil {
-		j.fail()
-		return fmt.Errorf("coordinator: decoding prediction: %w", err)
-	}
-	j.rep.Output = out
-	return nil
 }
 
 // charged is the job's marginal charge on the shared meter so far. A
@@ -352,13 +327,23 @@ func (j *job) fail() {
 	j.close()
 }
 
-// complete publishes a job whose chain ran through, at the exit of its
-// last turn. A dropped job skips the whole tree build, the dominant
-// per-job allocation. A staged job under a tracer reports the replay sum
-// of its tree's cost events, so serving-level cost splitting
-// reconstructs it exactly (an unsampled replay could associate the same
-// charges in a different order).
-func (j *job) complete() {
+// finish publishes a job whose chain ran through, at the exit of its
+// last turn: it reads the prediction off the last response (a job on
+// cached encodings skips it: its last response is a recycled zero tensor
+// nobody reads) and completes the job. A dropped job skips the whole
+// tree build, the dominant per-job allocation. A staged job under a
+// tracer reports the replay sum of its tree's cost events, so
+// serving-level cost splitting reconstructs it exactly (an unsampled
+// replay could associate the same charges in a different order).
+func (j *job) finish() error {
+	if j.enc == nil {
+		out, err := modelfmt.DecodeTensor(j.results[len(j.results)-1].Response)
+		if err != nil {
+			j.fail()
+			return fmt.Errorf("coordinator: decoding prediction: %w", err)
+		}
+		j.rep.Output = out
+	}
 	rep := &j.rep
 	rep.Completion = j.turns[len(j.turns)-1].exit
 	rep.Cost = j.charged()
@@ -370,6 +355,7 @@ func (j *job) complete() {
 	}
 	j.d.recordJobMetrics(rep, j.sched)
 	j.close()
+	return nil
 }
 
 // close deletes the job's staged objects and publishes its tree to the
@@ -439,7 +425,6 @@ func (d *Deployment) ReleaseReport(rep *Report) {
 	j.results = j.results[:0]
 	j.infos = j.infos[:0]
 	j.turns = j.turns[:0]
-	j.storedBefore = j.storedBefore[:0]
 	j.partBuckets = j.partBuckets[:0]
 	rep.Output = nil
 	rep.Trace = nil

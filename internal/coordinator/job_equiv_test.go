@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"ampsinf/internal/cloud/faults"
+	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/modelfmt"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/nn/zoo"
 	"ampsinf/internal/obs"
@@ -271,5 +273,128 @@ func comparePooledTraced(t *testing.T, side string, want, got trialView, replaye
 	// The job-cost total folds each job's Cost, so it inherits the replay's ulps.
 	if !replayed && got.metrics != want.metrics {
 		t.Fatalf("%s: coordinator metrics differ from the pooled run's:\n got  %s\n want %s", side, got.metrics, want.metrics)
+	}
+}
+
+// failedJob runs one tinycnn job with no retries on a fresh deployment
+// under a fault injector (rate 0.35, seed) through one driver; a staged
+// job's stages start where the sequential chain dispatches them. It
+// returns the report, the error, the plan and the meter's per-category
+// totals.
+func failedJob(t *testing.T, driver string, seed int64) (*Report, error, *optimizer.Plan, map[string]float64) {
+	t.Helper()
+	m := zoo.TinyCNN(0)
+	plan, err := optimizer.Optimize(optimizer.Request{Model: m, Perf: perf.Default(), MaxLayersPerPartition: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEnv()
+	e.platform.EnableClock()
+	inj := faults.New(faults.Uniform(0.35, seed))
+	e.platform.SetInjector(inj)
+	e.store.SetInjector(inj)
+	d, err := Deploy(e.config(), m, nn.InitWeights(m, 42), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Teardown()
+	in := randomInput(m, 0)
+	var rep *Report
+	if driver == "staged" {
+		var sj *StagedJob
+		sj, err = d.BeginStaged(in, RunOptions{})
+		at := sj.InputReady()
+		for err == nil && sj.next < len(d.parts) {
+			e.platform.AdvanceTo(at)
+			var svc time.Duration
+			svc, err = sj.RunStage(at)
+			at += svc
+		}
+		if err == nil {
+			_, err = sj.Finish()
+		}
+		rep = sj.Rep()
+	} else {
+		rep, err = d.Run(in, RunOptions{Sequential: driver == "sequential"})
+	}
+	return rep, err, plan, e.meter.Breakdown()
+}
+
+// A job that fails after some of its partitions completed has billed
+// every completed turn, on every driver (the paper's Eq. 3 bills every
+// partition that ran): its report lists the completed partitions, the
+// execution and storage categories hold each completed turn's charge —
+// an eager turn's execution billed from dispatch to exit, each turn's
+// storage hold the intermediates stored at its dispatch for that long —
+// and the sequential whole-job run bills exactly what the staged run on
+// the same starts bills (the injector draws one seeded sequence, so
+// every run fails at the same operation). Seed 1 fails partition 1's
+// output PUT; seed 21 fails partition 2's input GET, after partition 1
+// held partition 0's output in the store.
+func TestFailedJobBillsCompletedTurns(t *testing.T) {
+	for _, fc := range []struct {
+		seed      int64
+		completed int
+	}{{1, 1}, {21, 2}} {
+		t.Run(fmt.Sprintf("seed=%d", fc.seed), func(t *testing.T) {
+			drivers := []string{"staged", "sequential", "eager"}
+			reps := map[string]*Report{}
+			breakdowns := map[string]map[string]float64{}
+			var plan *optimizer.Plan
+			for _, driver := range drivers {
+				var err error
+				reps[driver], err, plan, breakdowns[driver] = failedJob(t, driver, fc.seed)
+				if err == nil {
+					t.Fatalf("%s: job succeeded", driver)
+				}
+			}
+			// The staged driver is the reference for the completed turns'
+			// phases: every driver runs the same invocations.
+			ref := reps["staged"].PerLambda
+			if len(ref) != fc.completed {
+				t.Fatalf("staged: PerLambda lists %d partitions, want the %d completed", len(ref), fc.completed)
+			}
+			for _, driver := range drivers {
+				rep, bd := reps[driver], breakdowns[driver]
+				if !reflect.DeepEqual(rep.PerLambda, ref) {
+					t.Errorf("%s: PerLambda %+v, want the completed partitions %+v", driver, rep.PerLambda, ref)
+				}
+				// Lay the completed turns out again from their phases.
+				j := rep.job
+				q := j.d.cfg.Platform.Quota()
+				var wantExec, wantStorage float64
+				var stored int64
+				ready := j.upDur
+				for i, lr := range ref {
+					start, work := ready, ready+invokeDispatchLatency+lr.Init+lr.Load
+					if driver == "eager" {
+						start, work = 0, max(invokeDispatchLatency+lr.Init+lr.Load, ready)
+					}
+					exit := work + lr.Read + lr.Compute + lr.Write
+					hold := exit - start - invokeDispatchLatency
+					wantExec += q.ExecutionCost(plan.Lambdas[i].MemoryMB, hold)
+					wantStorage += float64(stored) / (1 << 30) * hold.Seconds() * pricing.S3StoragePerGBSecond
+					out := j.d.parts[i].model.Output().OutShape
+					stored += int64(len(modelfmt.EncodeTensor(tensor.New(out...))))
+					ready = exit
+				}
+				// The failed partition's one attempt ran and bills its own
+				// duration; with no retries it holds no storage.
+				failed := j.infos[fc.completed].steps[0].res
+				wantExec += q.ExecutionCost(failed.MemoryMB, failed.Duration)
+				if got := bd["lambda:execution"]; got != wantExec {
+					t.Errorf("%s: lambda:execution %.12g, want the completed turns' and the failed attempt's %.12g", driver, got, wantExec)
+				}
+				if got := bd["s3:storage"]; got != wantStorage {
+					t.Errorf("%s: s3:storage %.6g, want the completed turns' holds %.6g", driver, got, wantStorage)
+				}
+			}
+			if fc.completed > 1 && breakdowns["staged"]["s3:storage"] == 0 {
+				t.Error("no completed turn held an intermediate")
+			}
+			if !reflect.DeepEqual(breakdowns["sequential"], breakdowns["staged"]) {
+				t.Errorf("sequential whole job billed %v, staged %v", breakdowns["sequential"], breakdowns["staged"])
+			}
+		})
 	}
 }

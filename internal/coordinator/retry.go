@@ -195,15 +195,10 @@ func (j *job) retryGate(ri *retryInfo, step *retryStep, err error, opKind, opNam
 }
 
 // breakerNow estimates the current simulated instant for breaker
-// decisions: the platform clock (advancing in clocked serving mode)
-// plus the job's committed serial time. A staged job has the clock
-// advanced to each stage's true start already — adding elapsed again
-// would double-count the committed time.
+// decisions: the job start plus the job's committed serial time and the
+// operation's retries so far.
 func (j *job) breakerNow(ri *retryInfo) time.Duration {
-	if j.sched == scheduleStaged {
-		return j.d.cfg.Platform.Now() + ri.delay()
-	}
-	return j.d.cfg.Platform.Now() + j.elapsed + ri.delay()
+	return j.t0 + j.elapsed + ri.delay()
 }
 
 // invokeWithRetry runs one partition invocation under the resilience

@@ -143,9 +143,8 @@ func (d *Deployment) RunEager(input *tensor.Tensor) (*Report, error) {
 	return d.Run(input, RunOptions{})
 }
 
-// run is the whole-job driver: it walks the whole chain in one call and
-// settles every partition once the chain succeeded — storage holds
-// included, so a run that fails midway has billed none of them.
+// run is the whole-job driver: it walks the whole chain in one call,
+// each step settling its partition's turn as it ends.
 func (d *Deployment) run(input *tensor.Tensor, sched schedule, opts RunOptions) (*Report, error) {
 	j, err := d.begin(input, sched, opts)
 	if err != nil {
@@ -153,23 +152,16 @@ func (d *Deployment) run(input *tensor.Tensor, sched schedule, opts RunOptions) 
 	}
 	defer j.close()
 	for j.next < len(d.parts) {
-		if _, err := j.invoke(); err != nil {
+		var start time.Duration // an eager job dispatches every partition at its start
+		if sched == scheduleSequential {
+			start = j.ready(j.next)
+		}
+		if _, err := j.step(start); err != nil {
 			j.fail()
 			return &j.rep, err
 		}
 	}
-	if err := j.decodeOutput(); err != nil {
-		return &j.rep, err
-	}
-	for i := range j.results {
-		var start time.Duration // an eager job dispatches every partition at its start
-		if sched == scheduleSequential {
-			start = j.ready(i)
-		}
-		j.settlePart(i, start)
-	}
-	j.complete()
-	return &j.rep, nil
+	return &j.rep, j.finish()
 }
 
 // recordJobMetrics folds one finished job, run on schedule sched, into

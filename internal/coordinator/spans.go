@@ -266,7 +266,7 @@ func attachBucket(s *obs.Span, b *obs.CostBucket) {
 // failureTrace builds the span tree of a job that never finished: a
 // single root carrying every charge the job billed before it gave up
 // (failed attempts, cancelled hedges, holds — and the settlements of
-// the stages a staged job completed), so obs.SumCosts over a failed
+// the turns it completed), so obs.SumCosts over a failed
 // job's trace still reproduces its charges exactly and serving-level
 // cost attribution stays bit-exact under faults.
 func (j *job) failureTrace() *obs.Span {

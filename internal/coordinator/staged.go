@@ -19,10 +19,10 @@ import (
 // whose invoke spans sit at the scheduler's stage starts and whose cost
 // events reproduce the job's exact charges.
 //
-// Where it differs from Run is when charges land: each stage bills its
-// storage hold as it completes (Run bills holds only once the whole
-// chain succeeded), and the job's cost is the sum of its own calls'
-// meter deltas, because calls of other jobs run in between.
+// Both drivers take the same step per partition, settling its turn as
+// it ends; a staged job differs from Run in its cost, the sum of its own
+// calls' meter deltas, because calls of other jobs run in between, and
+// in holding the tracer's job lock only while it publishes its tree.
 type StagedJob job
 
 // BeginStaged opens a staged job: it assigns the job id and uploads the
@@ -66,15 +66,13 @@ func (sj *StagedJob) RunStage(start time.Duration) (time.Duration, error) {
 	// waits behind earlier pipeline stages count against the deadline.
 	j.elapsed = start
 	j.before = d.meterTotal()
-	info, err := j.invoke()
+	info, err := j.step(start)
+	j.spend += d.meterTotal() - j.before
 	if err != nil {
-		j.spend += d.meterTotal() - j.before
 		j.elapsed = start + info.delay()
 		j.fail()
 		return info.delay(), err
 	}
-	j.settlePart(i, start)
-	j.spend += d.meterTotal() - j.before
 	return j.turns[i].exit - start, nil
 }
 
@@ -91,9 +89,5 @@ func (sj *StagedJob) Finish() (*Report, error) {
 		j.fail()
 		return &j.rep, fmt.Errorf("coordinator: staged job %s finished after %d of %d stages", j.id, j.next, n)
 	}
-	if err := j.decodeOutput(); err != nil {
-		return &j.rep, err
-	}
-	j.complete()
-	return &j.rep, nil
+	return &j.rep, j.finish()
 }
