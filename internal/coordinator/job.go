@@ -13,12 +13,15 @@ import (
 // job is the coordinator's one per-job record: every job — whole-job or
 // staged, pooled or traced — is built by newJob, opened by begin, walks
 // the partition chain one step per partition, each step settling its
-// partition's turn as it ends, and ends in fail or finish. Three
-// decisions read the record instead of forking the code: a pooled job
-// (RunOptions.Lean) comes off the deployment's free list and goes back
-// in ReleaseReport, while any other job is garbage with its Report; a
-// pooled job's cost recorder tr is nil, so every cost bracket is a no-op
-// for it; and traces decides who builds a span tree.
+// partition's turn as it ends, and ends in fail or finish. Every
+// synchronous call into a job — Run, BeginStaged, RunStage, Finish —
+// opens with enter and closes with leave, so every driver holds the
+// tracer and prices the job the same way. Three decisions read the
+// record instead of forking the code: a pooled job (RunOptions.Lean)
+// comes off the deployment's free list and goes back in ReleaseReport,
+// while any other job is garbage with its Report; a pooled job's cost
+// recorder tr is nil, so every cost bracket is a no-op for it; and
+// traces decides who builds a span tree.
 type job struct {
 	d *Deployment
 
@@ -66,11 +69,8 @@ type jobRun struct {
 	// start.
 	t0 time.Duration
 
-	// A whole-job run points the tracer at rootBucket for charges outside
-	// any operation's own bracket and restores prevSink when it closes.
-	rootBucket, prevSink *obs.CostBucket
-	// before is the meter total when the current synchronous call began;
-	// spend sums a staged job's call brackets (see charged).
+	// before is the meter total when the current call began; spend sums
+	// the job's finished calls' brackets (see charged).
 	before, spend float64
 
 	upDur     time.Duration
@@ -160,12 +160,13 @@ func (j *job) inputKey(i int) string {
 }
 
 // begin opens a job on the given schedule: it takes a record — pooled
-// scratch or a fresh one — and uploads the input, retrying transient
-// store faults. On error the returned job is already finalized and its
-// Report carries the exact charges the upload billed. A request that
-// cannot be served at all is turned away before anything is taken,
-// uploaded or billed: the job that comes back is finished and its Report
-// empty.
+// scratch or a fresh one — enters the caller's call (the caller leaves
+// it) and uploads the input, retrying transient store faults. On error
+// the returned job is already finalized and its Report carries the
+// exact charges the upload billed. A request that cannot be served at
+// all is turned away before anything is taken, uploaded or billed: the
+// job that comes back is finished, its Report empty and its leave a
+// no-op.
 func (d *Deployment) begin(input *tensor.Tensor, sched schedule, opts RunOptions) (*job, error) {
 	err := d.checkInput(input)
 	if err == nil && opts.Deadline < 0 {
@@ -189,21 +190,8 @@ func (d *Deployment) begin(input *tensor.Tensor, sched schedule, opts RunOptions
 	} else {
 		data = modelfmt.EncodeTensor(input)
 	}
-	if sched != scheduleStaged {
-		// A whole-job run is one synchronous call: it holds the tracer's
-		// job lock from here to close, so concurrent traced jobs cannot
-		// cross-attribute charges. Staged jobs interleave on one scheduler
-		// goroutine — holding the lock across stages would deadlock it —
-		// so every billed operation brackets its own sink instead.
-		j.tr.BeginJob()
-		j.rootBucket = j.tr.NewBucket()
-		j.prevSink = j.tr.SetSink(j.rootBucket)
-	}
-	j.before = d.meterTotal()
+	j.enter()
 	dur, err := j.putWithRetry(data)
-	if sched == scheduleStaged {
-		j.spend = d.meterTotal() - j.before
-	}
 	d.recordRetries(&j.rep, &j.upInfo)
 	if err != nil {
 		j.fail()
@@ -285,16 +273,34 @@ func (j *job) ready(i int) time.Duration {
 	return j.turns[i-1].exit
 }
 
-// charged is the job's marginal charge on the shared meter so far. A
-// whole-job run is one synchronous call, so the one bracket from begin
-// is exact. Staged calls from interleaved jobs never overlap on the
-// meter (the scheduler runs them one at a time), so the delta of a call
-// belongs entirely to its job, and a staged job sums its calls'.
-func (j *job) charged() float64 {
-	if j.sched == scheduleStaged {
-		return j.spend
+// enter opens one synchronous call into the job: it takes the tracer's
+// job lock, so concurrent traced jobs cannot cross-attribute charges,
+// and opens the call's meter bracket. Calls of interleaved staged jobs
+// never overlap on the meter (their scheduler runs them one at a time),
+// so a call's delta belongs entirely to its job.
+func (j *job) enter() {
+	j.tr.BeginJob()
+	j.before = j.d.meterTotal()
+}
+
+// leave closes the call enter opened: it banks the call's bracket in
+// spend and releases the job lock, publishing the job's tree to the
+// tracer, in completion order, if the call closed the job.
+func (j *job) leave() {
+	var root *obs.Span
+	if j.done {
+		root = j.rep.Trace
+	} else {
+		j.spend += j.d.meterTotal() - j.before
 	}
-	return j.d.meterTotal() - j.before
+	j.tr.EndJob(root)
+}
+
+// charged is the job's marginal charge on the shared meter so far: its
+// finished calls' brackets plus the open one's. A whole job is one call
+// (0 + x is x); a staged job sums its calls'.
+func (j *job) charged() float64 {
+	return j.spend + (j.d.meterTotal() - j.before)
 }
 
 // traces reports whether the job builds a span tree: never on pooled
@@ -307,9 +313,7 @@ func (j *job) traces(failed bool) bool {
 }
 
 // fail finalizes a job that cannot continue. Its failure trace collects
-// every charge the job billed, so cost attribution stays exact; a staged
-// job reports that trace's cost (under a tracer the span replay, else
-// its spend), a whole-job run its meter delta.
+// every charge the job billed, so cost attribution stays exact.
 func (j *job) fail() {
 	rep := &j.rep
 	rep.Cost = j.charged()
@@ -317,12 +321,6 @@ func (j *job) fail() {
 	j.d.jh.jobsFailed.Inc(1)
 	if j.traces(true) {
 		rep.Trace = j.failureTrace()
-		if j.sched == scheduleStaged {
-			if j.tr == nil {
-				rep.Trace.Cost = j.spend
-			}
-			rep.Cost = rep.Trace.Cost
-		}
 	}
 	j.close()
 }
@@ -331,10 +329,7 @@ func (j *job) fail() {
 // last turn: it reads the prediction off the last response (a job on
 // cached encodings skips it: its last response is a recycled zero tensor
 // nobody reads) and completes the job. A dropped job skips the whole
-// tree build, the dominant per-job allocation. A staged job under a
-// tracer reports the replay sum of its tree's cost events, so
-// serving-level cost splitting reconstructs it exactly (an unsampled
-// replay could associate the same charges in a different order).
+// tree build, the dominant per-job allocation.
 func (j *job) finish() error {
 	if j.enc == nil {
 		out, err := modelfmt.DecodeTensor(j.results[len(j.results)-1].Response)
@@ -349,19 +344,14 @@ func (j *job) finish() error {
 	rep.Cost = j.charged()
 	if j.traces(false) {
 		rep.Trace = j.buildTrace()
-		if j.sched == scheduleStaged && j.tr != nil {
-			rep.Cost = obs.SumCosts(rep.Trace)
-		}
 	}
 	j.d.recordJobMetrics(rep, j.sched)
 	j.close()
 	return nil
 }
 
-// close deletes the job's staged objects and publishes its tree to the
-// tracer in completion order, once. A whole-job run releases the job
-// lock it has held since begin; a staged job takes and releases it back
-// to back.
+// close deletes the job's staged objects, once; the call's leave
+// publishes its tree.
 func (j *job) close() {
 	if j.done {
 		return
@@ -371,12 +361,6 @@ func (j *job) close() {
 		j.d.cfg.Store.Delete(k)
 	}
 	j.d.cfg.Store.Delete(j.inKey)
-	if j.sched == scheduleStaged {
-		j.tr.BeginJob()
-	} else {
-		j.tr.SetSink(j.prevSink)
-	}
-	j.tr.EndJob(j.rep.Trace)
 }
 
 // acquirePooled checks a record out of the free list, building a fresh

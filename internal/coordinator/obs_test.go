@@ -59,7 +59,7 @@ func checkTraceInvariants(t *testing.T, rep *Report, firstJob bool) {
 	if rep.Trace.Duration != rep.Completion {
 		t.Fatalf("root span duration %v != completion %v", rep.Trace.Duration, rep.Completion)
 	}
-	sum := obs.SumCosts(rep.Trace)
+	sum := obs.SumCostsAll([]*obs.Span{rep.Trace})
 	if firstJob {
 		if sum != rep.Cost {
 			t.Fatalf("sum of span costs %.18f != Report.Cost %.18f", sum, rep.Cost)
@@ -199,7 +199,7 @@ func TestTraceRendersRetries(t *testing.T) {
 }
 
 // Tracing is opt-in: untraced runs still get a best-effort span tree,
-// but no cost events, and SumCosts degrades to zero rather than lying.
+// but no cost events, and SumCostsAll degrades to zero rather than lying.
 func TestUntracedRunsStillBuildTrace(t *testing.T) {
 	_, d, m, _ := deployTinySplit(t)
 	rep, err := d.Run(randomInput(m, 3), RunOptions{})
@@ -212,7 +212,7 @@ func TestUntracedRunsStillBuildTrace(t *testing.T) {
 	if err := obs.ValidateTree(rep.Trace); err != nil {
 		t.Fatalf("untraced span tree invalid: %v", err)
 	}
-	if got := obs.SumCosts(rep.Trace); got != 0 {
-		t.Fatalf("untraced tree should carry no cost events, SumCosts = %g", got)
+	if got := obs.SumCostsAll([]*obs.Span{rep.Trace}); got != 0 {
+		t.Fatalf("untraced tree should carry no cost events, SumCostsAll = %g", got)
 	}
 }

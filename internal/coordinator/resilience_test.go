@@ -477,7 +477,7 @@ func TestFailureTraceReproducesCharges(t *testing.T) {
 		if diff := rep.Cost - delta; diff > 1e-15 || diff < -1e-15 {
 			t.Fatalf("job %d: failed Report.Cost %.18f != meter delta %.18f", j, rep.Cost, delta)
 		}
-		sum := obs.SumCosts(rep.Trace)
+		sum := obs.SumCostsAll([]*obs.Span{rep.Trace})
 		if diff := sum - rep.Cost; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("job %d: failure trace sums %.18f, Report.Cost %.18f", j, sum, rep.Cost)
 		}

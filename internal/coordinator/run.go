@@ -53,7 +53,9 @@ type Report struct {
 	Elapsed time.Duration
 	// Cost is the job's marginal charge: execution, invocations, S3
 	// requests and intermediate storage — including everything failed
-	// attempts billed before their retries succeeded.
+	// attempts billed before their retries succeeded. It has one rule on
+	// every driver, traced or pooled: the sum of the meter deltas of the
+	// job's calls (Run's one call; BeginStaged, each RunStage, Finish).
 	Cost      float64
 	Output    *tensor.Tensor
 	PerLambda []LambdaRun
@@ -73,9 +75,9 @@ type Report struct {
 	// → phases) on the simulated clock. Built unless the caller opted
 	// out via RunOptions.NoTrace — failed jobs and hedge-won jobs always
 	// carry one regardless, so forced-sample outcomes keep their spans.
-	// When the deployment has a Tracer the spans additionally carry
-	// exact cost attributions such that obs.SumCosts(Trace) reproduces
-	// Cost.
+	// When the deployment has a Tracer the spans additionally carry the
+	// exact charges the job billed, so obs.SumCostsAll over the trees of
+	// every job served against one meter reproduces its total.
 	Trace *obs.Span
 
 	// job points back at the record the job ran on; ReleaseReport uses
@@ -109,15 +111,15 @@ type RunOptions struct {
 	Batch int
 	// NoTrace skips materializing the success span tree (Report.Trace
 	// stays nil), the head-sampling hook internal/serving uses to stop
-	// allocating a tree per request. Cost stays exact — Report.Cost is
-	// the meter delta either way. Failure traces are still built (they
-	// carry the failed job's charges), and a job whose hedge won builds
-	// its tree regardless so hedge-won outcomes are always sampled.
+	// allocating a tree per request. Cost is the same either way: the
+	// job's meter deltas, never its tree. Failure traces are still built
+	// (they carry the failed job's charges), and a job whose hedge won
+	// builds its tree regardless so hedge-won outcomes are always sampled.
 	NoTrace bool
 	// Lean runs the job on the deployment's pooled job record (see
 	// job.go): zero steady-state allocations, Report.Trace always nil
-	// (failures and hedge wins included), Cost still the exact meter
-	// delta. The caller must hand the Report back via ReleaseReport
+	// (failures and hedge wins included), Cost bit-identical to a traced
+	// job's. The caller must hand the Report back via ReleaseReport
 	// once done and must not retain it — the streaming schedulers'
 	// contract. Implies NoTrace.
 	Lean bool
@@ -147,10 +149,10 @@ func (d *Deployment) RunEager(input *tensor.Tensor) (*Report, error) {
 // each step settling its partition's turn as it ends.
 func (d *Deployment) run(input *tensor.Tensor, sched schedule, opts RunOptions) (*Report, error) {
 	j, err := d.begin(input, sched, opts)
+	defer j.leave()
 	if err != nil {
 		return &j.rep, err
 	}
-	defer j.close()
 	for j.next < len(d.parts) {
 		var start time.Duration // an eager job dispatches every partition at its start
 		if sched == scheduleSequential {

@@ -26,7 +26,7 @@ import (
 //
 // Cost buckets captured around each billed operation are attached to
 // the matching span (S3 request fees land on their transfer phase), so
-// obs.SumCosts over the tree replays the meter's charges exactly.
+// obs.SumCostsAll over the tree replays the meter's charges exactly.
 func (j *job) buildTrace() *obs.Span {
 	root := &obs.Span{
 		Name: j.id, Kind: obs.KindJob, Track: "coordinator",
@@ -37,8 +37,6 @@ func (j *job) buildTrace() *obs.Span {
 	if j.batch > 1 {
 		root.SetAttr("batch", strconv.Itoa(j.batch))
 	}
-	attachBucket(root, j.rootBucket)
-
 	j.buildUploadSpan(root)
 
 	for i, res := range j.results {
@@ -266,7 +264,7 @@ func attachBucket(s *obs.Span, b *obs.CostBucket) {
 // failureTrace builds the span tree of a job that never finished: a
 // single root carrying every charge the job billed before it gave up
 // (failed attempts, cancelled hedges, holds — and the settlements of
-// the turns it completed), so obs.SumCosts over a failed
+// the turns it completed), so obs.SumCostsAll over a failed
 // job's trace still reproduces its charges exactly and serving-level
 // cost attribution stays bit-exact under faults.
 func (j *job) failureTrace() *obs.Span {
@@ -277,7 +275,6 @@ func (j *job) failureTrace() *obs.Span {
 	root.SetAttr("mode", j.rep.Mode)
 	root.SetAttr("model", j.d.model.Name)
 	root.SetAttr("failed", "true")
-	attachBucket(root, j.rootBucket)
 	collect := func(ri *retryInfo) {
 		for _, s := range ri.steps {
 			attachBucket(root, s.bucket)

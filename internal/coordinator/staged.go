@@ -20,9 +20,10 @@ import (
 // events reproduce the job's exact charges.
 //
 // Both drivers take the same step per partition, settling its turn as
-// it ends; a staged job differs from Run in its cost, the sum of its own
-// calls' meter deltas, because calls of other jobs run in between, and
-// in holding the tracer's job lock only while it publishes its tree.
+// it ends, and price a job the same way: each call — BeginStaged, every
+// RunStage, Finish — holds the tracer's job lock and brackets its own
+// meter delta, as Run's one call does, and the job's Cost sums them.
+// Calls of other jobs run in between a staged job's.
 type StagedJob job
 
 // BeginStaged opens a staged job: it assigns the job id and uploads the
@@ -32,6 +33,7 @@ type StagedJob job
 // opts.Sequential does not apply: the caller schedules the stages.
 func (d *Deployment) BeginStaged(input *tensor.Tensor, opts RunOptions) (*StagedJob, error) {
 	j, err := d.begin(input, scheduleStaged, opts)
+	j.leave()
 	return (*StagedJob)(j), err
 }
 
@@ -65,9 +67,9 @@ func (sj *StagedJob) RunStage(start time.Duration) (time.Duration, error) {
 	// The stage's start offset is the job's committed serial time: queue
 	// waits behind earlier pipeline stages count against the deadline.
 	j.elapsed = start
-	j.before = d.meterTotal()
+	j.enter()
+	defer j.leave()
 	info, err := j.step(start)
-	j.spend += d.meterTotal() - j.before
 	if err != nil {
 		j.elapsed = start + info.delay()
 		j.fail()
@@ -85,6 +87,8 @@ func (sj *StagedJob) Finish() (*Report, error) {
 	if j.done {
 		return &j.rep, fmt.Errorf("coordinator: staged job %s already finished", j.id)
 	}
+	j.enter()
+	defer j.leave()
 	if n := len(j.d.parts); j.next != n {
 		j.fail()
 		return &j.rep, fmt.Errorf("coordinator: staged job %s finished after %d of %d stages", j.id, j.next, n)

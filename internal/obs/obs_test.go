@@ -170,7 +170,7 @@ func TestResolvedSlotLiveOnFirstWrite(t *testing.T) {
 }
 
 func TestSumCostsMatchesMeterFold(t *testing.T) {
-	// Events are attached out of charge order across spans; SumCosts
+	// Events are attached out of charge order across spans; SumCostsAll
 	// must replay them by Seq and fold per category, in sorted-category
 	// order, exactly like billing.Meter.Total.
 	root := &Span{Name: "job", Duration: time.Second}
@@ -184,11 +184,11 @@ func TestSumCostsMatchesMeterFold(t *testing.T) {
 		{Seq: 2, Category: "lambda:execution", Amount: 0.2},
 		{Seq: 4, Category: "s3:put", Amount: 0.4},
 	}
-	got := SumCosts(root)
+	got := SumCostsAll([]*Span{root})
 	// Per-category accumulation in seq order, then sorted-category sum.
 	want := (0.2 + 0.3) + (0.1 + 0.4)
 	if got != want {
-		t.Fatalf("SumCosts = %v, want %v", got, want)
+		t.Fatalf("SumCostsAll = %v, want %v", got, want)
 	}
 }
 
@@ -471,7 +471,7 @@ func TestSumCostsAllMatchesSingleTreeFold(t *testing.T) {
 	merged.CostEvents = append(append([]CostEvent(nil), one.CostEvents...), two.CostEvents...)
 
 	got := SumCostsAll([]*Span{one, two})
-	if want := SumCosts(merged); got != want {
+	if want := SumCostsAll([]*Span{merged}); got != want {
 		t.Fatalf("SumCostsAll = %v, want %v", got, want)
 	}
 	if SumCostsAll(nil) != 0 {

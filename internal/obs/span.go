@@ -9,9 +9,10 @@
 // Everything in this package is driven by simulated time, so two runs
 // with the same seeds produce byte-identical exports. Every span
 // carries a cost attribution — the exact billing.Meter events charged
-// while the span's operation ran — and SumCosts replicates the meter's
-// summation order so that a job's span costs reproduce Report.Cost
-// bit-for-bit (see the cost-attribution invariant in DESIGN.md §8).
+// while the span's operation ran — and SumCostsAll replicates the
+// meter's summation order so that the span trees of every job served
+// against one meter reproduce its total bit-for-bit (see the
+// cost-attribution invariant in DESIGN.md §8).
 package obs
 
 import (
@@ -50,7 +51,7 @@ type Span struct {
 	// included): the chronological sum of CostEvents.
 	Cost float64 `json:"cost_usd"`
 	// CostEvents are the exact billing meter charges attributed to this
-	// span, tagged with a global sequence number so SumCosts can replay
+	// span, tagged with a global sequence number so SumCostsAll can replay
 	// them in the meter's own order.
 	CostEvents []CostEvent `json:"cost_events,omitempty"`
 	Events     []Event     `json:"events,omitempty"`
@@ -120,21 +121,13 @@ func Shift(root *Span, delta time.Duration) {
 	})
 }
 
-// SumCosts returns the total cost attributed across the tree, computed
+// SumCostsAll totals the cost attributed across span trees, computed
 // exactly the way billing.Meter.Total computes it: events are replayed
 // in their global charge order, accumulated per category, and the
-// per-category totals are summed in sorted-category order. For a job
-// run against a meter that started empty, the result equals
-// Report.Cost bit-for-bit — the cost-attribution invariant.
-func SumCosts(root *Span) float64 {
-	return SumCostsAll([]*Span{root})
-}
-
-// SumCostsAll totals cost across several span trees with the same
-// meter-replay summation as SumCosts. For the trees of every job served
-// against one shared meter that started empty, the result equals
-// Meter.Total bit-for-bit — the serving-wide cost-attribution
-// invariant.
+// per-category totals are summed in sorted-category order. For the
+// trees of every job served against one shared meter that started
+// empty, the result equals Meter.Total bit-for-bit — the
+// cost-attribution invariant.
 func SumCostsAll(roots []*Span) float64 {
 	var evs []CostEvent
 	for _, root := range roots {

@@ -4,7 +4,7 @@ import "sync"
 
 // CostEvent is one exact billing charge attributed to a span. Seq is a
 // global monotonically increasing sequence number assigned in charge
-// order, so SumCosts can replay events exactly as the meter folded
+// order, so SumCostsAll can replay events exactly as the meter folded
 // them.
 type CostEvent struct {
 	Seq      uint64  `json:"seq"`
@@ -32,10 +32,10 @@ func (b *CostBucket) Events() []CostEvent {
 // meter.SetObserver(tracer.RecordCost); the coordinator then switches
 // the sink around every operation it bills.
 //
-// Traced jobs are serialized: BeginJob/EndJob bracket each job under a
-// mutex, so concurrent jobs on one deployment interleave their charges
-// correctly (untraced jobs — nil tracer — run fully concurrently, as
-// every method is nil-safe).
+// Calls into traced jobs are serialized: BeginJob/EndJob bracket each
+// synchronous call into a job under a mutex, so concurrent jobs on one
+// deployment cannot cross-attribute their charges (untraced jobs — nil
+// tracer — run fully concurrently, as every method is nil-safe).
 type Tracer struct {
 	mu   sync.Mutex
 	seq  uint64
@@ -88,8 +88,9 @@ func (t *Tracer) SetSink(b *CostBucket) *CostBucket {
 	return prev
 }
 
-// BeginJob serializes traced jobs: it blocks until no other traced job
-// is in flight. Every BeginJob must be paired with exactly one EndJob.
+// BeginJob serializes calls into traced jobs: it blocks until no other
+// such call is in flight. Every BeginJob must be paired with exactly
+// one EndJob.
 func (t *Tracer) BeginJob() {
 	if t == nil {
 		return
@@ -97,8 +98,9 @@ func (t *Tracer) BeginJob() {
 	t.jobMu.Lock()
 }
 
-// EndJob collects the finished job's span tree (nil for a job that
-// failed before producing one) and releases the job lock.
+// EndJob collects the span tree of a job the call finished (nil for a
+// call that finished none, or a job that built no tree) and releases
+// the job lock.
 func (t *Tracer) EndJob(root *Span) {
 	if t == nil {
 		return

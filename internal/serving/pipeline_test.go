@@ -241,7 +241,7 @@ func TestServeBatchedBasic(t *testing.T) {
 	var leaderJob float64
 	rep.Jobs[0].Trace.Walk(func(s *obs.Span) {
 		if s.Kind == obs.KindJob && s.Track == "coordinator" {
-			leaderJob = obs.SumCosts(s)
+			leaderJob = obs.SumCostsAll([]*obs.Span{s})
 		}
 	})
 	if batchSum != leaderJob {

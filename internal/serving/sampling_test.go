@@ -95,7 +95,7 @@ func TestSampledServeExactCostAndDeterministicStream(t *testing.T) {
 		// A kept tree is the same tree the unsampled run built: its
 		// replayed charges agree bit for bit.
 		if tr := rep1.Jobs[i].Trace; tr != nil {
-			if got, want := obs.SumCosts(tr), obs.SumCosts(repOff.Jobs[i].Trace); got != want {
+			if got, want := obs.SumCostsAll([]*obs.Span{tr}), obs.SumCostsAll([]*obs.Span{repOff.Jobs[i].Trace}); got != want {
 				t.Fatalf("request %d kept tree replays %v, unsampled %v", i, got, want)
 			}
 		}

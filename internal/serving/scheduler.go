@@ -45,12 +45,12 @@ type unit struct {
 	prevEnd time.Duration
 }
 
-// results is the run's result sink. Retained runs (Serve) keep every
+// results is the run's result sink. Every settled request folds into
+// the report's aggregates as it settles, on both entry points, so the
+// two agree on every aggregate. Retained runs (Serve) also keep every
 // request's JobResult — and, subject to sampling, its span tree — in
-// rep.Jobs and summarize once at the end. Folding runs (ServeStream)
-// reuse one scratch JobResult and fold each settled request straight
-// into the aggregates, so memory stays O(backlog) over million-request
-// traces.
+// rep.Jobs; folding runs (ServeStream) reuse one scratch JobResult, so
+// memory stays O(backlog) over million-request traces.
 type results struct {
 	rep     *Report
 	retain  bool
@@ -67,12 +67,8 @@ func (r *results) slot(idx int) *JobResult {
 	return &r.scratch
 }
 
-// commit closes a record obtained from slot once it is fully filled.
-func (r *results) commit(jr *JobResult) {
-	if !r.retain {
-		r.acc.fold(r.rep, jr)
-	}
-}
+// commit folds a record obtained from slot once it is fully filled.
+func (r *results) commit(jr *JobResult) { r.acc.fold(r.rep, jr) }
 
 // reject settles every member of a unit turned away at admission; ev
 // counts the rejection.
@@ -95,14 +91,8 @@ func (r *results) reject(u *unit, now time.Duration, outcome string, ev obs.Even
 	}
 }
 
-// finish computes the report's aggregates.
-func (r *results) finish() {
-	if r.retain {
-		summarize(r.rep)
-		return
-	}
-	r.acc.finalize(r.rep, r.rep.Requests)
-}
+// finish finalizes the report's aggregates.
+func (r *results) finish() { r.acc.finalize(r.rep, r.rep.Requests) }
 
 // scheduler is the serving event loop on the unified discrete-event
 // core (internal/sim): one admission front end, one settlement path and
@@ -232,12 +222,10 @@ func newScheduler(cfg Config, src sim.Source, input func(int) *tensor.Tensor, re
 	}
 	if retain {
 		rep.Jobs = make([]JobResult, n)
-	} else {
-		// The latency reservoir is the one per-request cost a folding run
-		// keeps; sized once, it never regrows (as summarize sizes it for
-		// retained runs).
-		s.out.acc.lats = make([]time.Duration, 0, n)
 	}
+	// The latency reservoir is the one per-request cost a folding run
+	// keeps; sized once, it never regrows.
+	s.out.acc.lats = make([]time.Duration, 0, n)
 	s.coal.ctl = s.ctl
 	var err error
 	s.lookID, s.haveLook, err = s.nextUnit()

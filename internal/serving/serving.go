@@ -459,8 +459,8 @@ func requestSpan(jr *JobResult, waits []time.Duration, job *obs.Span) *obs.Span 
 }
 
 // summaryAcc folds settled requests into a report's aggregates one at
-// a time, so streaming runs summarize without retaining per-job
-// results. Latency and queueing aggregates cover completed requests
+// a time, in settlement order, so both entry points summarize the same
+// way and streaming runs need no per-job results. Latency and queueing aggregates cover completed requests
 // only; shed and failed requests are counted by outcome, their spend
 // folded into WastedSpend (a non-answer buys nothing).
 type summaryAcc struct {
@@ -527,16 +527,6 @@ func (a *summaryAcc) finalize(rep *Report, requests int) {
 	if rep.Good > 0 {
 		rep.CostPerGood = rep.TotalCost / float64(rep.Good)
 	}
-}
-
-// summarize fills a retained report's aggregates from its per-job
-// results by folding each through the summary accumulator.
-func summarize(rep *Report) {
-	acc := summaryAcc{lats: make([]time.Duration, 0, len(rep.Jobs))}
-	for i := range rep.Jobs {
-		acc.fold(rep, &rep.Jobs[i])
-	}
-	acc.finalize(rep, len(rep.Jobs))
 }
 
 // Summary formats the report's aggregates deterministically.

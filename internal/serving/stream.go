@@ -19,11 +19,11 @@ import (
 // (batch units are coalesced incrementally, one unit of lookahead beyond
 // the admission frontier).
 //
-// One thing differs from Serve by construction: per-job costs are the
-// lean path's meter deltas, which agree with Serve's span replays to
-// 1e-9 (the shared meter total is exact). Span sampling is rejected —
-// it exists to retain trees, which contradicts the no-retention
-// contract.
+// Its report equals Serve's but for Jobs, field for field and bit for
+// bit: a job's cost is its calls' meter brackets whether it runs lean
+// or traced, and both entry points fold requests as they settle. Span
+// sampling is rejected — it exists to retain trees, which contradicts
+// the no-retention contract.
 func ServeStream(cfg Config, src sim.Source, input func(int) *tensor.Tensor) (*Report, error) {
 	requests := 0
 	if src != nil {

@@ -37,6 +37,7 @@ var surfaceRoots = []string{"internal", "cmd", "examples", "bench"}
 // then the name.
 var testOnlyAllowed = map[string]string{
 	"internal/obs.ValidateTree":                  "span-tree specification shared by obs, coordinator and serving tests",
+	"internal/obs.SumCostsAll":                   "cost-attribution oracle (DESIGN §8): obs, coordinator, serving and core tests replay span trees against the meter",
 	"internal/cloud/pricing.LambdaExecutionCost": "closed-form reference for the billing meter, shared by billing, lambda and experiments tests",
 	"internal/tensor.SetMaxWorkers":              "pins the kernel worker count in tensor, nn/zoo and core tests",
 	"internal/miqp.BruteForce":                   "exhaustive oracle the branch-and-bound is checked against in miqp and optimizer tests",
