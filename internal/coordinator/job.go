@@ -220,7 +220,8 @@ func (d *Deployment) checkInput(input *tensor.Tensor) error {
 
 // step runs the job's next partition, dispatched at start, under the
 // resilience policies, folds its retry record into the report, adds the
-// turn to the job's committed time and, once it succeeds, settles the
+// turn — or, when it fails, the time the failed operation burned — to
+// the job's committed time and, once it succeeds, settles the
 // turn: it lays the turn out, bills — into the partition's own cost
 // bucket — the execution an eager job deferred and the storage the
 // intermediates stored at dispatch occupied for the turn, holds its
@@ -234,6 +235,7 @@ func (j *job) step(start time.Duration) (*retryInfo, error) {
 	info := &j.infos[i]
 	d.recordRetries(&j.rep, info)
 	if err != nil {
+		j.elapsed += info.delay()
 		return info, &lazyError{"coordinator: partition %d: %v", i, err}
 	}
 	j.elapsed += info.delay() + invokeDispatchLatency + res.Duration

@@ -328,7 +328,8 @@ func failedJob(t *testing.T, driver string, seed int64) (*Report, error, *optimi
 // storage hold the intermediates stored at its dispatch for that long —
 // and the sequential whole-job run bills exactly what the staged run on
 // the same starts bills (the injector draws one seeded sequence, so
-// every run fails at the same operation). Seed 1 fails partition 1's
+// every run fails at the same operation). Every driver reports the same
+// Elapsed: the failed attempt's time counts on each. Seed 1 fails partition 1's
 // output PUT; seed 21 fails partition 2's input GET, after partition 1
 // held partition 0's output in the store.
 func TestFailedJobBillsCompletedTurns(t *testing.T) {
@@ -394,6 +395,16 @@ func TestFailedJobBillsCompletedTurns(t *testing.T) {
 			}
 			if !reflect.DeepEqual(breakdowns["sequential"], breakdowns["staged"]) {
 				t.Errorf("sequential whole job billed %v, staged %v", breakdowns["sequential"], breakdowns["staged"])
+			}
+			// Every driver has committed the same time when the job fails:
+			// the chain of completed turns, then what the failed attempt
+			// burned.
+			sj := reps["staged"].job
+			want := sj.turns[fc.completed-1].exit + sj.infos[fc.completed].steps[0].res.Duration
+			for _, driver := range drivers {
+				if got := reps[driver].Elapsed; got != want {
+					t.Errorf("%s: Elapsed %v, want the completed turns' and the failed attempt's %v", driver, got, want)
+				}
 			}
 		})
 	}

@@ -144,7 +144,8 @@ func (ri *retryInfo) delay() time.Duration {
 	// attempts-1, not retries(): the zero-attempt fail-fast above comes
 	// out one dispatch latency negative. That is a quirk, not a design —
 	// but the staged scheduler frees the failing stage's slot at
-	// now+delay, so clamping it here would move simulated timelines.
+	// now+delay, and a failed job's Elapsed (whole or staged) counts it,
+	// so clamping it here would move simulated timelines.
 	return ri.wasted + ri.backoff + time.Duration(ri.attempts-1)*invokeDispatchLatency + ri.hedgeExtra
 }
 

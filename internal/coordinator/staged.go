@@ -71,7 +71,6 @@ func (sj *StagedJob) RunStage(start time.Duration) (time.Duration, error) {
 	defer j.leave()
 	info, err := j.step(start)
 	if err != nil {
-		j.elapsed = start + info.delay()
 		j.fail()
 		return info.delay(), err
 	}
