@@ -39,8 +39,9 @@ staticcheck:
 # the frames it materialises (rendered unlocked while a writer
 # flushes), the slot meter vs the map meter, the busy-until
 # mirror vs the pointer scan, a pooled job vs a traced one, a failed
-# whole job's bill vs the staged driver's — three times under the race
-# detector. For the planner's certified envelope
+# whole job's bill vs the staged driver's, a retained serve's report vs
+# a streaming one's over random policy stacks — three times under the
+# race detector. For the planner's certified envelope
 # prefixes: their independence of query order and worker count the same
 # way, and — serial code, so without the detector, under which the
 # largest cases skip themselves — the prefixes against the exact scan
@@ -65,6 +66,7 @@ equiv:
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
 	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights|TestFailedJobBillsCompletedTurns' ./internal/coordinator/
+	$(GO) test -race -count=3 -run 'TestServeMatchesServeStreamProperty|TestServeStreamPipelinedMatchesServe' ./internal/serving/
 	$(GO) test -race -count=3 -run 'TestForwardRangeMatchesOutOfPlaceEvaluator' ./internal/nn/
 	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestMatMulMatchesReference|TestConvListMatchesGo|TestReLUMatchesDefinition|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/
 	$(GO) test -race -count=3 -run 'TestPartitionedForwardBitIdentical' ./internal/nn/zoo/

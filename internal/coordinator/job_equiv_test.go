@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -185,11 +184,8 @@ func jobTrial(t *testing.T, driver string, lean, tracer, skip bool, rate float64
 // observe — timings, per-lambda records, retry/hedge/breaker/budget
 // aggregates, the error's classification, the meter's per-category
 // totals, the coordinator's metrics and what is left in the store — must
-// be equal with no tolerance, on every driver. Cost is the meter delta
-// on both sides wherever the traced side reads the meter (every
-// whole-job run; staged runs without a Tracer), so it is held to ==
-// there; a traced staged job under a Tracer reports its span replay,
-// which associates the same charges in another order (1e-9 relative).
+// be equal with no tolerance, on every driver. Cost included: both
+// sides sum the meter deltas of the job's calls, traced or not.
 func TestPooledJobMatchesTracedJob(t *testing.T) {
 	type fault struct {
 		rate float64
@@ -228,8 +224,7 @@ func TestPooledJobMatchesTracedJob(t *testing.T) {
 						{"traced+tracer", false, true},
 					} {
 						got := jobTrial(t, driver, side.lean, side.tracer, skip, fc.rate, fc.seed)
-						replayed := driver == "staged" && !side.lean && side.tracer
-						comparePooledTraced(t, side.name, pooled, got, replayed, skip)
+						comparePooledTraced(t, side.name, pooled, got, skip)
 					}
 				})
 			}
@@ -237,19 +232,13 @@ func TestPooledJobMatchesTracedJob(t *testing.T) {
 	}
 }
 
-func comparePooledTraced(t *testing.T, side string, want, got trialView, replayed, skip bool) {
+func comparePooledTraced(t *testing.T, side string, want, got trialView, skip bool) {
 	t.Helper()
 	if len(got.jobs) != len(want.jobs) {
 		t.Fatalf("%s: %d jobs, pooled ran %d", side, len(got.jobs), len(want.jobs))
 	}
 	for n := range want.jobs {
 		w, g := want.jobs[n], got.jobs[n]
-		if replayed {
-			if diff := math.Abs(g.Cost - w.Cost); diff > 1e-9*math.Max(math.Abs(w.Cost), 1e-12) {
-				t.Fatalf("%s job %d: replayed cost %.18g, pooled %.18g", side, n, g.Cost, w.Cost)
-			}
-			g.Cost = w.Cost
-		}
 		if g.Cost != w.Cost {
 			t.Fatalf("%s job %d: cost %.18g, pooled %.18g (both meter deltas)", side, n, g.Cost, w.Cost)
 		}
@@ -270,8 +259,7 @@ func comparePooledTraced(t *testing.T, side string, want, got trialView, replaye
 		t.Fatalf("%s: leftover/tokens %d/%v, pooled %d/%v", side,
 			got.leftover, got.tokens, want.leftover, want.tokens)
 	}
-	// The job-cost total folds each job's Cost, so it inherits the replay's ulps.
-	if !replayed && got.metrics != want.metrics {
+	if got.metrics != want.metrics {
 		t.Fatalf("%s: coordinator metrics differ from the pooled run's:\n got  %s\n want %s", side, got.metrics, want.metrics)
 	}
 }

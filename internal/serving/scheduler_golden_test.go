@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -50,12 +51,6 @@ type goldenScenario struct {
 	// noInjector removes the fault injector from the platform and the
 	// store after deployment.
 	noInjector bool
-}
-
-// outcomes is a run's per-request outcome counts.
-type outcomes struct {
-	Completed, Good, Shed, Deadline, Throttled, Failed int
-	BudgetExhausted, BrownoutShed, FallbackServed      int
 }
 
 func goldenScenarios() []goldenScenario {
@@ -111,8 +106,9 @@ func goldenScenarios() []goldenScenario {
 }
 
 // goldenRun serves one scenario on a fresh deployment pair and hashes
-// everything observable.
-func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) (schedulerGolden, outcomes) {
+// everything observable. It also returns the report with Jobs set
+// aside.
+func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) (schedulerGolden, Report) {
 	t.Helper()
 	e, fb := deployOverloadPair(t, sc.faults, sc.mutate)
 	if sc.noInjector {
@@ -170,17 +166,16 @@ func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) (schedulerG
 	if err := series.WriteNDJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	return schedulerGolden{
-			Render:  sha([]byte(rep.Render())),
-			Traces:  sha(traces),
-			Metrics: sha(mb.Bytes()),
-			Series:  sha(sb.Bytes()),
-			Meter:   strconv.FormatFloat(e.meter.Total(), 'g', -1, 64),
-		}, outcomes{
-			Completed: rep.Completed, Good: rep.Good, Shed: rep.Shed, Deadline: rep.Deadline,
-			Throttled: rep.Throttled, Failed: rep.Failed, BudgetExhausted: rep.BudgetExhausted,
-			BrownoutShed: rep.BrownoutShed, FallbackServed: rep.FallbackServed,
-		}
+	g := schedulerGolden{
+		Render:  sha([]byte(rep.Render())),
+		Traces:  sha(traces),
+		Metrics: sha(mb.Bytes()),
+		Series:  sha(sb.Bytes()),
+		Meter:   strconv.FormatFloat(e.meter.Total(), 'g', -1, 64),
+	}
+	kept := *rep
+	kept.Jobs = nil
+	return g, kept
 }
 
 // TestSchedulerGolden pins the scheduler's output under the policies
@@ -188,7 +183,8 @@ func goldenRun(t *testing.T, sc goldenScenario, staged, stream bool) (schedulerG
 // budget, deadline fail-fast with shedding — for both executors and
 // both entry points. Serve and ServeStream differ only in what they
 // retain, so each scenario's two runs on one executor must bill the
-// same meter total and count the same outcomes. Regenerate deliberately
+// same meter total and, Jobs aside, report the same thing bit for bit.
+// Regenerate deliberately
 // with `go test ./internal/serving -run TestSchedulerGolden -update-golden`.
 func TestSchedulerGolden(t *testing.T) {
 	path := filepath.Join("testdata", "scheduler_golden.json")
@@ -198,20 +194,20 @@ func TestSchedulerGolden(t *testing.T) {
 			name   string
 			staged bool
 		}{{"whole-job", false}, {"pipelined+batched", true}} {
-			var outs [2]outcomes
+			var reps [2]Report
 			for i, entry := range []struct {
 				name   string
 				stream bool
 			}{{"Serve", false}, {"ServeStream", true}} {
 				name := sc.name + "/" + ex.name + "/" + entry.name
 				t.Run(name, func(t *testing.T) {
-					got[name], outs[i] = goldenRun(t, sc, ex.staged, entry.stream)
+					got[name], reps[i] = goldenRun(t, sc, ex.staged, entry.stream)
 				})
 			}
 			serve, stream := sc.name+"/"+ex.name+"/Serve", sc.name+"/"+ex.name+"/ServeStream"
-			if got[serve].Meter != got[stream].Meter || outs[0] != outs[1] {
+			if got[serve].Meter != got[stream].Meter || !reflect.DeepEqual(reps[0], reps[1]) {
 				t.Errorf("%s/%s: Serve billed $%s with %+v, ServeStream $%s with %+v",
-					sc.name, ex.name, got[serve].Meter, outs[0], got[stream].Meter, outs[1])
+					sc.name, ex.name, got[serve].Meter, reps[0], got[stream].Meter, reps[1])
 			}
 		}
 	}

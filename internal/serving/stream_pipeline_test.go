@@ -2,10 +2,7 @@ package serving
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,115 +13,34 @@ import (
 	"ampsinf/internal/workload"
 )
 
-// closeCosts reports whether two serving cost totals agree to a 1e-9
-// relative tolerance. The streaming staged path runs lean, so each job
-// reports its meter-delta spend where the retained traced job reports
-// the replay-sum of the same charges — the same association-order float
-// divergence head sampling documents (ulps apart; the shared meter
-// total itself must match exactly, and is compared without tolerance).
-func closeCosts(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	m := math.Abs(a)
-	if n := math.Abs(b); n > m {
-		m = n
-	}
-	return math.Abs(a-b) <= 1e-9*m
-}
-
-// normalizeStream re-marshals every frame of an NDJSON stream (sorted
-// keys, so the result stays deterministic) with the serving cost total
-// lifted out for tolerance comparison via closeCosts, and — when
-// stripDepth is set — the queue-depth gauge removed. Both cover
-// documented stream-mode divergences: cost association order on the
-// lean path, and the retained pipelined scheduler's unit-count depth
-// semantics vs the streaming request-backlog ones.
-func normalizeStream(t *testing.T, ndjson []byte, stripDepth bool) (string, []float64) {
-	t.Helper()
-	var out strings.Builder
-	var costs []float64
-	for _, line := range strings.Split(strings.TrimSpace(string(ndjson)), "\n") {
-		if line == "" {
-			continue
-		}
-		var f obs.WindowFrame
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("bad frame %q: %v", line, err)
-		}
-		if c, ok := f.Totals["serving_cost_usd_total"]; ok {
-			costs = append(costs, c)
-			delete(f.Totals, "serving_cost_usd_total")
-			if len(f.Totals) == 0 {
-				f.Totals = nil
-			}
-		}
-		if stripDepth {
-			delete(f.Gauges, "serving_queue_depth")
-			if len(f.Gauges) == 0 {
-				f.Gauges = nil
-			}
-		}
-		b, err := json.Marshal(&f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(b)
-		out.WriteByte('\n')
-	}
-	return out.String(), costs
-}
-
-// normalizeSnapshot renders a metrics snapshot with the serving cost
-// total lifted out like normalizeStream does.
-func normalizeSnapshot(t *testing.T, mx *obs.Metrics) (string, float64) {
-	t.Helper()
-	s := mx.Snapshot()
-	var cost float64
-	if c, ok := s.Totals["serving_cost_usd_total"]; ok {
-		cost = c
-		delete(s.Totals, "serving_cost_usd_total")
-	}
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b), cost
-}
-
 // TestServeStreamPipelinedMatchesServe: the streaming entry point under
 // pipelined and batched policies must reproduce the retained staged
 // scheduler's summary, metrics snapshot, time-series stream and meter
-// total from the same lazy source — per-request results and span trees
-// are the only things it may drop. The pipeline-only stack (every batch
-// unit is one request) must match byte for byte including the
-// queue-depth gauge; batched stacks match everywhere else, with the
-// gauge excluded per its documented unit-count vs request-count
-// divergence.
+// total from the same lazy source, byte for byte — per-request results
+// and span trees are the only things it may drop.
 func TestServeStreamPipelinedMatchesServe(t *testing.T) {
 	n := 64
 	if testing.Short() {
 		n = 24
 	}
 	stacks := []struct {
-		name      string
-		cfg       Config
-		depthSame bool // size-1 units: queue depth gauge must match too
+		name string
+		cfg  Config
 	}{
 		{"pipeline", Config{
 			Throttle: ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
 			Pipeline: PipelinePolicy{Depth: 3},
-		}, true},
+		}},
 		{"batch", Config{
 			Throttle: ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
 			Batch:    BatchPolicy{MaxBatch: 3, Window: 300 * time.Millisecond, JitterSeed: 5},
-		}, false},
+		}},
 		{"full", Config{
 			Throttle: ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
 			Pipeline: PipelinePolicy{Depth: 3},
 			Batch:    BatchPolicy{MaxBatch: 2, Window: 250 * time.Millisecond, JitterSeed: 7},
 			SLO:      SLOPolicy{Deadline: 2 * time.Second, Shed: true, TolerateFailures: true},
-		}, false},
+		}},
 	}
 	faults := []struct {
 		rate float64
@@ -178,34 +94,17 @@ func TestServeStreamPipelinedMatchesServe(t *testing.T) {
 				if repS.Requests != n || len(repS.Jobs) != 0 {
 					t.Errorf("stream run retained %d jobs (requests %d)", len(repS.Jobs), repS.Requests)
 				}
-				sn1, c1 := normalizeSnapshot(t, mx1)
-				sn2, c2 := normalizeSnapshot(t, mx2)
-				if sn1 != sn2 {
-					t.Errorf("metrics snapshots diverge:\n%s\nvs\n%s", sn1, sn2)
-				}
-				if !closeCosts(c1, c2) {
-					t.Errorf("snapshot cost totals diverge: %v vs %v", c1, c2)
-				}
-				var sa, sb bytes.Buffer
-				if err := ts1.WriteNDJSON(&sa); err != nil {
-					t.Fatal(err)
-				}
-				if err := ts2.WriteNDJSON(&sb); err != nil {
-					t.Fatal(err)
-				}
-				na, ca := normalizeStream(t, sa.Bytes(), !st.depthSame)
-				nb, cb := normalizeStream(t, sb.Bytes(), !st.depthSame)
-				if na != nb {
-					t.Errorf("time-series streams diverge:\n%s\nvs\n%s", na, nb)
-				}
-				if len(ca) != len(cb) {
-					t.Errorf("cost frame counts diverge: %d vs %d", len(ca), len(cb))
-				} else {
-					for i := range ca {
-						if !closeCosts(ca[i], cb[i]) {
-							t.Errorf("cost frame %d diverges: %v vs %v", i, ca[i], cb[i])
-						}
+				var ma, mb, sa, sb bytes.Buffer
+				for _, err := range []error{mx1.WriteJSON(&ma), mx2.WriteJSON(&mb), ts1.WriteNDJSON(&sa), ts2.WriteNDJSON(&sb)} {
+					if err != nil {
+						t.Fatal(err)
 					}
+				}
+				if !bytes.Equal(ma.Bytes(), mb.Bytes()) {
+					t.Errorf("metrics snapshots diverge:\n%s\nvs\n%s", ma.Bytes(), mb.Bytes())
+				}
+				if !bytes.Equal(sa.Bytes(), sb.Bytes()) {
+					t.Errorf("time-series streams diverge:\n%s\nvs\n%s", sa.Bytes(), sb.Bytes())
 				}
 				if t1, t2 := e1.meter.Total(), e2.meter.Total(); t1 != t2 {
 					t.Errorf("meter totals diverge: %v vs %v", t1, t2)
