@@ -39,7 +39,8 @@ staticcheck:
 # the frames it materialises (rendered unlocked while a writer
 # flushes), the slot meter vs the map meter, the busy-until
 # mirror vs the pointer scan, a pooled job vs a traced one, a failed
-# whole job's bill vs the staged driver's, a retained serve's report vs
+# whole job's bill vs the staged driver's, concurrent traced jobs' costs
+# vs their own trees, a retained serve's report vs
 # a streaming one's over random policy stacks — three times under the
 # race detector. For the planner's certified envelope
 # prefixes: their independence of query order and worker count the same
@@ -65,7 +66,7 @@ equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites|TestWindowNDJSONMatchesMarshal' ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestMeterMatchesReference' ./internal/cloud/billing/
 	$(GO) test -race -count=3 -run 'TestBusyMirrorMatchesPointerScan|TestConcurrentInvokesFirstSightPhases' ./internal/cloud/lambda/
-	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights|TestFailedJobBillsCompletedTurns' ./internal/coordinator/
+	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights|TestFailedJobBillsCompletedTurns|TestConcurrentTracedJobsKeepTheirCharges' ./internal/coordinator/
 	$(GO) test -race -count=3 -run 'TestServeMatchesServeStreamProperty|TestServeStreamPipelinedMatchesServe' ./internal/serving/
 	$(GO) test -race -count=3 -run 'TestForwardRangeMatchesOutOfPlaceEvaluator' ./internal/nn/
 	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestMatMulMatchesReference|TestConvListMatchesGo|TestReLUMatchesDefinition|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/

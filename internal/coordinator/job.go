@@ -251,14 +251,14 @@ func (j *job) step(start time.Duration) (*retryInfo, error) {
 	j.turns = append(j.turns, t)
 	b := j.tr.NewBucket()
 	j.partBuckets = append(j.partBuckets, b)
-	prev := j.tr.SetSink(b)
 	hold := res.Duration
-	if j.sched == scheduleEager {
-		hold = t.exit - start - invokeDispatchLatency
-		pl.SettleExecution(res.MemoryMB, hold)
-	}
-	d.cfg.Store.ChargeStorage(stored, hold)
-	j.tr.SetSink(prev)
+	d.chargeInto(b, func() {
+		if j.sched == scheduleEager {
+			hold = t.exit - start - invokeDispatchLatency
+			pl.SettleExecution(res.MemoryMB, hold)
+		}
+		d.cfg.Store.ChargeStorage(stored, hold)
+	})
 	// The container is busy until the turn exits, the retries' delay and
 	// an eager turn's input poll included.
 	pl.OccupyUntil(d.parts[i].fnName, res.ContainerID, j.t0+t.exit)

@@ -2,7 +2,9 @@ package coordinator
 
 import (
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ampsinf/internal/cloud/faults"
 	"ampsinf/internal/nn"
@@ -214,5 +216,66 @@ func TestUntracedRunsStillBuildTrace(t *testing.T) {
 	}
 	if got := obs.SumCostsAll([]*obs.Span{rep.Trace}); got != 0 {
 		t.Fatalf("untraced tree should carry no cost events, SumCostsAll = %g", got)
+	}
+}
+
+// Concurrent calls into traced jobs — whole jobs, and staged jobs
+// driven stage by stage from other goroutines — each hold the tracer's
+// job lock and bracket their own meter delta, so no job's Cost picks up
+// another's charges: every job's tree replays its Cost, and all trees
+// together replay the meter's total (run under -race).
+func TestConcurrentTracedJobsKeepTheirCharges(t *testing.T) {
+	e, d, m, tr := deployTinyTraced(t, 0, 0)
+	const workers, jobs = 4, 3
+	reps := make([][]*Report, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < jobs; n++ {
+				in := randomInput(m, int64(10*w+n))
+				var rep *Report
+				var err error
+				if w%2 == 0 {
+					rep, err = d.Run(in, RunOptions{Sequential: n%2 == 0})
+				} else {
+					var sj *StagedJob
+					sj, err = d.BeginStaged(in, RunOptions{})
+					at := sj.InputReady()
+					for err == nil && sj.next < len(d.parts) {
+						var svc time.Duration
+						svc, err = sj.RunStage(at)
+						at += svc
+					}
+					if err == nil {
+						_, err = sj.Finish()
+					}
+					rep = sj.Rep()
+				}
+				if err != nil {
+					t.Errorf("worker %d job %d: %v", w, n, err)
+					return
+				}
+				reps[w] = append(reps[w], rep)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var trees []*obs.Span
+	for w := range reps {
+		for n, rep := range reps[w] {
+			sum := obs.SumCostsAll([]*obs.Span{rep.Trace})
+			if diff := sum - rep.Cost; diff > 1e-12 || diff < -1e-12 {
+				t.Errorf("worker %d job %d (%s): tree replays %.18f, Cost %.18f", w, n, rep.Mode, sum, rep.Cost)
+			}
+			trees = append(trees, rep.Trace)
+		}
+	}
+	if got, want := obs.SumCostsAll(trees), e.meter.Total(); got != want {
+		t.Errorf("trees replay %v, meter total %v", got, want)
+	}
+	if got := len(tr.Jobs()); got != workers*jobs {
+		t.Errorf("tracer collected %d trees, want %d", got, workers*jobs)
 	}
 }

@@ -277,9 +277,7 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 				ri.hedges++
 				p.h.tsHedgesFired.Inc(j.breakerNow(&ri), 1)
 				hbucket = tr.NewBucket()
-				hprev := tr.SetSink(hbucket)
-				hres, herr = d.cfg.Platform.Invoke(fnName, payload, lambda.InvokeOptions{DeferBilling: true})
-				tr.SetSink(hprev)
+				d.chargeInto(hbucket, func() { hres, herr = d.cfg.Platform.Invoke(fnName, payload, lambda.InvokeOptions{DeferBilling: true}) })
 			}
 		}
 
@@ -327,9 +325,7 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 				// Upstream intermediates sat in S3 through the failed
 				// attempts and backoff waits; that storage time bills.
 				ri.holdBucket = tr.NewBucket()
-				pb := tr.SetSink(ri.holdBucket)
-				d.cfg.Store.ChargeStorage(j.prevBytes, hold)
-				tr.SetSink(pb)
+				d.chargeInto(ri.holdBucket, func() { d.cfg.Store.ChargeStorage(j.prevBytes, hold) })
 			}
 			return res, ri, nil
 		}
@@ -483,8 +479,9 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
-// chargeInto runs f with the tracer sink pointed at bucket. A nil
-// bucket (a pooled job, or no tracer) runs f without touching the sink.
+// chargeInto runs f with the tracer sink pointed at bucket: every
+// billed operation's bracket. A nil bucket (a pooled job, or no tracer)
+// runs f without touching the sink.
 func (d *Deployment) chargeInto(b *obs.CostBucket, f func()) {
 	if b == nil {
 		f()
@@ -574,18 +571,19 @@ func (j *job) putWithRetry(data []byte) (time.Duration, error) {
 	for {
 		ri.attempts++
 		bucket := tr.NewBucket()
-		prevSink := tr.SetSink(bucket)
 		var dur time.Duration
 		var err error
-		if d.stablePut != nil {
-			// The encoded input is immutable for the object's lifetime (a
-			// cached zero encoding, or a fresh encoding only this job
-			// holds), so the store may retain the slice without a copy.
-			dur, err = d.stablePut.PutStable(j.inKey, data)
-		} else {
-			dur, err = d.cfg.Store.Put(j.inKey, data)
-		}
-		tr.SetSink(prevSink)
+		d.chargeInto(bucket, func() {
+			if d.stablePut != nil {
+				// The encoded input is immutable for the object's lifetime
+				// (a cached zero encoding, or a fresh encoding only this
+				// job holds), so the store may retain the slice without a
+				// copy.
+				dur, err = d.stablePut.PutStable(j.inKey, data)
+			} else {
+				dur, err = d.cfg.Store.Put(j.inKey, data)
+			}
+		})
 		if err == nil {
 			if ri.attempts == 1 {
 				d.earnBudgetToken()

@@ -56,11 +56,10 @@ func (sj *StagedJob) InputReady() time.Duration { return sj.upDur }
 // time the failed stage burned.
 func (sj *StagedJob) RunStage(start time.Duration) (time.Duration, error) {
 	j := (*job)(sj)
-	d := j.d
 	if j.done {
 		return 0, fmt.Errorf("coordinator: staged job %s already finished", j.id)
 	}
-	if j.next >= len(d.parts) {
+	if j.next >= len(j.d.parts) {
 		return 0, fmt.Errorf("coordinator: staged job %s has no stage %d", j.id, j.next)
 	}
 	i := j.next
