@@ -479,8 +479,8 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
-// chargeInto runs f with the tracer sink pointed at bucket: every
-// billed operation's bracket. A nil bucket (a pooled job, or no tracer)
+// chargeInto runs f with the tracer sink pointed at bucket: a billed
+// operation's cost bracket. A nil bucket (a pooled job, or no tracer)
 // runs f without touching the sink.
 func (d *Deployment) chargeInto(b *obs.CostBucket, f func()) {
 	if b == nil {
