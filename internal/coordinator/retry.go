@@ -258,9 +258,9 @@ func (j *job) invokeWithRetry(p *partition) (*lambda.Result, retryInfo, error) {
 			d.retryMu.Unlock()
 		}
 		bucket := tr.NewBucket()
-		prevSink := tr.SetSink(bucket)
+		prev := tr.SetSink(bucket)
 		res, err := d.cfg.Platform.Invoke(fnName, payload, lambda.InvokeOptions{DeferBilling: deferred})
-		tr.SetSink(prevSink)
+		tr.SetSink(prev)
 
 		// Hedge decision: only an attempt that actually executed has a
 		// timeline to outlive the hedge delay (a throttle rejects at
