@@ -234,6 +234,68 @@ func TestMatMulMatchesReference(t *testing.T) {
 	})
 }
 
+// The layers between the convolutions against their scalar loops. Each
+// shape crosses the grain, so at more than one worker the kernel splits;
+// the pools take sparse input, whose ±0 ties and NaNs a max with its
+// operands swapped would resolve the other way.
+const refW2 = 12 // refBatch·refH·refW2·refCout = 71 040 elements
+
+func TestBatchNormMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	in := spicedTensor(rng, refBatch, refH, refW2, refCout)
+	gamma, beta, mean := spicedTensor(rng, refCout), spicedTensor(rng, refCout), spicedTensor(rng, refCout)
+	variance := spicedTensor(rng, refCout)
+	for i, v := range variance.data {
+		variance.data[i] = v * v
+	}
+	requireSplits(t, refBatch*refH*refW2, refCout)
+	atWorkerCounts(t, func(t *testing.T) {
+		want := refBatchNorm(in, gamma, beta, mean, variance, 1e-3)
+		requireIdentical(t, batchNorm(in, gamma, beta, mean, variance, 1e-3), want)
+		x := in.clone()
+		requireIdentical(t, BatchNormTo(x, x, gamma, beta, mean, variance, 1e-3), want)
+	})
+}
+
+func TestPool2DMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	in := sparseTensor(rng, refBatch, refH, refW, refCout)
+	requireSplits(t, refBatch*refH, refW*3*3*refCout)
+	atWorkerCounts(t, func(t *testing.T) {
+		for _, k := range []int{1, 2, 3} {
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []Padding{Same, Valid} {
+					requireIdentical(t, MaxPool2D(in, k, stride, pad), refPool2D(in, k, stride, pad, true))
+					requireIdentical(t, AvgPool2D(in, k, stride, pad), refPool2D(in, k, stride, pad, false))
+				}
+			}
+		}
+	})
+}
+
+func TestGlobalAvgPoolMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	in := spicedTensor(rng, refBatch, refH, refW2, refCout)
+	requireSplits(t, refBatch, refH*refW2*refCout)
+	atWorkerCounts(t, func(t *testing.T) {
+		requireIdentical(t, GlobalAvgPool2D(in), refGlobalAvgPool(in))
+	})
+}
+
+func TestAddMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := spicedTensor(rng, refBatch, refH, refW2, refCout)
+	b := spicedTensor(rng, refBatch, refH, refW2, refCout)
+	requireSplits(t, a.Elems(), 1)
+	atWorkerCounts(t, func(t *testing.T) {
+		want := refAdd(a, b)
+		requireIdentical(t, add(a, b), want)
+		x, y := a.clone(), b.clone()
+		requireIdentical(t, AddTo(x, x, b), want)
+		requireIdentical(t, AddTo(y, a, y), want)
+	})
+}
+
 // In-place bias must still reject a bias of the wrong length, before any
 // work is done.
 func TestKernelBiasMismatchPanics(t *testing.T) {
