@@ -55,12 +55,14 @@ staticcheck:
 # quantized, checksummed and dequantized by several workers against one,
 # and concurrent jobs over those views. For the tensor kernels' split by
 # work: the split contract, the conv kernels against their scalar
-# reference on single-image shapes that split, and whole zoo models —
-# partitioned and at 1, 2 and 3 workers — against one worker, bit for
-# bit. The kernel reference tests run with the assembly and again without
-# it, on inputs and kernels carrying -0, NaN, ±Inf and denormals; beside
-# them, the branch-free conv term-list walk (convList) and ReLU/ReLU6
-# against their Go definitions at every width and offset, both paths.
+# reference on single-image shapes that split, BatchNorm, the pools and
+# the residual Add against theirs, and whole zoo models — partitioned and
+# at 1, 2 and 3 workers — against one worker, bit for bit. The kernel
+# reference tests run with the assembly and again without it, on inputs
+# and kernels carrying -0, NaN, ±Inf and denormals; beside them, every
+# assembly routine against its Go definition at every width and offset,
+# both paths: the conv term-list walk (convList), the depthwise tile
+# (depthwiseTaps), scale-shift, scale, add, max-into and ReLU/ReLU6.
 # CI runs this target.
 equiv:
 	$(GO) test -race -count=3 -run 'TestWriteSectionsMatchSingleWrites|TestWindowNDJSONMatchesMarshal' ./internal/obs/
@@ -69,7 +71,7 @@ equiv:
 	$(GO) test -race -count=3 -run 'TestPooledJobMatchesTracedJob|TestConcurrentBatchesOnlyReadSharedWeights|TestFailedJobBillsCompletedTurns|TestConcurrentTracedJobsKeepTheirCharges' ./internal/coordinator/
 	$(GO) test -race -count=3 -run 'TestServeMatchesServeStreamProperty|TestServeStreamPipelinedMatchesServe' ./internal/serving/
 	$(GO) test -race -count=3 -run 'TestForwardRangeMatchesOutOfPlaceEvaluator' ./internal/nn/
-	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestMatMulMatchesReference|TestConvListMatchesGo|TestReLUMatchesDefinition|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/
+	$(GO) test -race -count=3 -run 'TestParallelForSplitContract|TestConv2DMatchesReference|TestDepthwiseConv2DMatchesReference|TestMatMulMatchesReference|TestBatchNormMatchesReference|TestPool2DMatchesReference|TestGlobalAvgPoolMatchesReference|TestAddMatchesReference|TestConvListMatchesGo|TestDepthwiseTapsMatchesGo|TestElementwisePrimitivesMatchGo|TestReLUMatchesDefinition|TestParallelismInvariance|TestSelfAttentionParallelismInvariance' ./internal/tensor/
 	$(GO) test -race -count=3 -run 'TestPartitionedForwardBitIdentical' ./internal/nn/zoo/
 	$(GO) test -race -count=3 -run 'TestDecodeWeightsAliasesAlignedContainer|TestDecodeWeightsCopiesMisalignedContainer|TestParallelChunksMatchInline' ./internal/modelfmt/
 	$(GO) test -race -count=3 -run 'TestQueryOrderIndependence|TestSpanTableIdenticalAcrossGOMAXPROCS' ./internal/optimizer/

@@ -22,6 +22,14 @@ func (m *Model) Forward(w Weights, input *tensor.Tensor) (*tensor.Tensor, error)
 // it last (batch norm, add, an activation, or one fused behind a compute
 // layer) instead of a new tensor being made for every such layer.
 func (m *Model) ForwardRange(w Weights, lo, hi int, input *tensor.Tensor) (*tensor.Tensor, error) {
+	return m.forwardRange(w, lo, hi, input, m.eval)
+}
+
+// evalFunc computes one layer, as (*Model).eval does.
+type evalFunc func(l *Layer, w Weights, ins []*tensor.Tensor, mine []bool) (*tensor.Tensor, bool, error)
+
+// forwardRange is ForwardRange with each layer computed by eval.
+func (m *Model) forwardRange(w Weights, lo, hi int, input *tensor.Tensor, eval evalFunc) (*tensor.Tensor, error) {
 	if lo < 1 || hi > len(m.Layers) || lo >= hi {
 		return nil, fmt.Errorf("nn: invalid layer range [%d, %d) of %d", lo, hi, len(m.Layers))
 	}
@@ -55,7 +63,7 @@ func (m *Model) ForwardRange(w Weights, lo, hi int, input *tensor.Tensor) (*tens
 			}
 			ins[j], mine[j] = t, owned[name] && refs[name] == 1
 		}
-		t, own, err := m.eval(l, w, ins, mine)
+		t, own, err := eval(l, w, ins, mine)
 		if err != nil {
 			return nil, err
 		}

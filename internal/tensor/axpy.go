@@ -2,12 +2,13 @@ package tensor
 
 import "math"
 
-// The inner primitives every multiply-accumulate kernel bottoms out in.
-// The Go loops here are the definition: an architecture-specific routine
-// may replace them only if it rounds the product and the sum separately,
-// in that order, so results stay bit-identical. The float32 conversion of
-// the product forbids fusing the two into one FMA rounding where the
-// compiler would (arm64, GOAMD64=v3). None branches on the data.
+// The inner primitives every per-element loop of the forward pass
+// bottoms out in. The Go loops here are the definition: an
+// architecture-specific routine may replace them only if it rounds the
+// product and the sum separately, in that order, so results stay
+// bit-identical. The float32 conversion of the product forbids fusing the
+// two into one FMA rounding where the compiler would (arm64, GOAMD64=v3).
+// Only maxIntoGo branches on the data; its assembly form does not.
 
 // axpyGo computes y[i] += a*x[i] for i < len(y). len(x) must be >= len(y).
 func axpyGo(a float32, x, y []float32) {
@@ -24,6 +25,56 @@ func mulAddGo(x, k, y []float32) {
 	k = k[:len(y)]
 	for i := range y {
 		y[i] += float32(x[i] * k[i])
+	}
+}
+
+// scaleShiftGo computes out[i] = x[i]*s[i] + b[i] for i < len(x), the
+// product rounded before the add. len(out), len(s) and len(b) must be >=
+// len(x).
+func scaleShiftGo(out, x, s, b []float32) {
+	out, s, b = out[:len(x)], s[:len(x)], b[:len(x)]
+	for i, v := range x {
+		out[i] = float32(v*s[i]) + b[i]
+	}
+}
+
+// scaleGo computes y[i] *= a for i < len(y).
+func scaleGo(a float32, y []float32) {
+	for i := range y {
+		y[i] *= a
+	}
+}
+
+// addVecGo computes out[i] = x[i] + y[i] for i < len(x). len(out) and len(y)
+// must be >= len(x); out may be x or y.
+func addVecGo(out, x, y []float32) {
+	out, y = out[:len(x)], y[:len(x)]
+	for i, v := range x {
+		out[i] = v + y[i]
+	}
+}
+
+// maxIntoGo sets y[i] = x[i] where x[i] > y[i], for i < len(y): a NaN in
+// x never replaces y[i], and of two equal values (±0) y keeps its own.
+// len(x) must be >= len(y).
+func maxIntoGo(x, y []float32) {
+	x = x[:len(y)]
+	for i, v := range x {
+		if v > y[i] {
+			y[i] = v
+		}
+	}
+}
+
+// tap is one in-bounds tap of a depthwise output pixel: the offsets of
+// its input pixel and of its kernel row.
+type tap struct{ in, k int32 }
+
+// depthwiseTapsGo computes dst[c] += in[t.in+c]*k[t.k+c] for c <
+// len(dst), for each tap t in order.
+func depthwiseTapsGo(taps []tap, in, k, dst []float32) {
+	for _, t := range taps {
+		mulAddGo(in[t.in:], k[t.k:], dst)
 	}
 }
 

@@ -32,15 +32,6 @@ func axpy(a float32, x, y []float32) {
 	axpyGo(a, x, y)
 }
 
-// mulAdd computes y[i] += x[i]*k[i] for i < len(y).
-func mulAdd(x, k, y []float32) {
-	if useAVX2 {
-		mulAddAVX2(x[:len(y)], k[:len(y)], y)
-		return
-	}
-	mulAddGo(x, k, y)
-}
-
 // convList computes dst[co] += t.val*k[t.off+co] for co < len(dst), for
 // each term t of list in order.
 func convList(list []term, k, dst []float32) {
@@ -52,6 +43,56 @@ func convList(list []term, k, dst []float32) {
 		_ = k[:int(list[n-1].off)+len(dst)] // offsets ascend: this bounds every row
 	}
 	convListAVX2(list, k, dst)
+}
+
+// depthwiseTaps computes dst[c] += in[t.in+c]*k[t.k+c] for c < len(dst),
+// for each tap t in order.
+func depthwiseTaps(taps []tap, in, k, dst []float32) {
+	if !useAVX2 {
+		depthwiseTapsGo(taps, in, k, dst)
+		return
+	}
+	if n := len(taps); n > 0 {
+		// Both offsets ascend: this bounds every row.
+		_, _ = in[:int(taps[n-1].in)+len(dst)], k[:int(taps[n-1].k)+len(dst)]
+	}
+	depthwiseTapsAVX2(taps, in, k, dst)
+}
+
+// scaleShift computes out[i] = x[i]*s[i] + b[i] for i < len(x).
+func scaleShift(out, x, s, b []float32) {
+	if useAVX2 {
+		scaleShiftAVX2(out[:len(x)], x, s[:len(x)], b[:len(x)])
+		return
+	}
+	scaleShiftGo(out, x, s, b)
+}
+
+// scale computes y[i] *= a for i < len(y).
+func scale(a float32, y []float32) {
+	if useAVX2 {
+		scaleAVX2(a, y)
+		return
+	}
+	scaleGo(a, y)
+}
+
+// addVec computes out[i] = x[i] + y[i] for i < len(x).
+func addVec(out, x, y []float32) {
+	if useAVX2 {
+		addVecAVX2(out[:len(x)], x, y[:len(x)])
+		return
+	}
+	addVecGo(out, x, y)
+}
+
+// maxInto sets y[i] = x[i] where x[i] > y[i], for i < len(y).
+func maxInto(x, y []float32) {
+	if useAVX2 {
+		maxIntoAVX2(x[:len(y)], y)
+		return
+	}
+	maxIntoGo(x, y)
 }
 
 func relu(out, in []float32)  { activation(reluAVX2, reluGo, out, in) }
@@ -68,16 +109,28 @@ func activation(asm, def func(out, in []float32), out, in []float32) {
 }
 
 // Implemented in axpy_amd64.s. The slicing in the callers above is the
-// bounds check; the assembly trusts len(y), len(dst) and len(in).
+// bounds check; the assembly trusts len(y), len(dst), len(in) and len(x).
 
 //go:noescape
 func axpyAVX2(a float32, x, y []float32)
 
 //go:noescape
-func mulAddAVX2(x, k, y []float32)
+func convListAVX2(list []term, k, dst []float32)
 
 //go:noescape
-func convListAVX2(list []term, k, dst []float32)
+func depthwiseTapsAVX2(taps []tap, in, k, dst []float32)
+
+//go:noescape
+func scaleShiftAVX2(out, x, s, b []float32)
+
+//go:noescape
+func scaleAVX2(a float32, y []float32)
+
+//go:noescape
+func addVecAVX2(out, x, y []float32)
+
+//go:noescape
+func maxIntoAVX2(x, y []float32)
 
 //go:noescape
 func reluAVX2(out, in []float32)

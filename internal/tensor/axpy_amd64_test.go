@@ -32,20 +32,3 @@ func TestAxpyMatchesGo(t *testing.T) {
 		sameBits(t, "axpy", got, want)
 	})
 }
-
-func TestMulAddMatchesGo(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2: mulAdd already is mulAddGo")
-	}
-	rng := rand.New(rand.NewSource(2))
-	forEachWindow(func(n, offX, offY, total int) {
-		offK := (offX + offY) % 8
-		x := payload(rng, total)
-		k := payload(rng, total)
-		want := payload(rng, total)
-		got := append([]float32(nil), want...)
-		mulAddGo(x[offX:offX+n], k[offK:offK+n], want[offY:offY+n])
-		mulAddAVX2(x[offX:offX+n], k[offK:offK+n], got[offY:offY+n])
-		sameBits(t, "mulAdd", got, want)
-	})
-}

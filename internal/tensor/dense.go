@@ -56,21 +56,19 @@ func BatchNormTo(dst, in, gamma, beta, mean, variance *Tensor, eps float32) *Ten
 			panic(fmt.Sprintf("tensor: batchnorm param length %d for %d channels", p.Elems(), c))
 		}
 	}
-	// Fold into scale/shift once, then apply as a fused multiply-add.
+	// Fold into a scale and a shift once, then apply them per row: one
+	// rounded multiply and one rounded add an element.
 	scale := make([]float32, c)
 	shift := make([]float32, c)
 	for i := 0; i < c; i++ {
 		s := gamma.data[i] / sqrt32(variance.data[i]+eps)
 		scale[i] = s
-		shift[i] = beta.data[i] - mean.data[i]*s
+		shift[i] = beta.data[i] - float32(mean.data[i]*s)
 	}
 	rows := len(in.data) / c
 	parallelFor(rows, c, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			out := dst.data[r*c : (r+1)*c]
-			for i, x := range in.data[r*c : (r+1)*c] {
-				out[i] = x*scale[i] + shift[i]
-			}
+			scaleShift(dst.data[r*c:(r+1)*c], in.data[r*c:(r+1)*c], scale, shift)
 		}
 	})
 	return dst

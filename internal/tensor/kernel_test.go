@@ -182,6 +182,13 @@ func TestConv2DMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		// Two rows an image: every output row reads both input rows of its
+		// image, which keep their band slots until the next image's rows,
+		// at the same heights, displace them.
+		flat := sparseTensor(rng, refBatch, 2, refW, refCin)
+		kernel := spicedTensor(rng, 3, 3, refCin, refCout)
+		requireSplits(t, refBatch*2*refW, 3*3*refCin*refCout)
+		requireIdentical(t, Conv2D(flat, kernel, bias, 1, Same), refConv2D(flat, kernel, bias, 1, Same))
 		for _, c := range singleImage {
 			in := sparseTensor(rng, 1, c.side, c.side, singleCin)
 			kernel := spicedTensor(rng, c.k, c.k, singleCin, refCout)
@@ -307,16 +314,26 @@ func TestKernelBiasMismatchPanics(t *testing.T) {
 	})
 }
 
-// The primitives take the length from y (dst, in) and must refuse a short
-// operand instead of reading or writing past it.
+// The primitives take the length from y (dst, in, x) and must refuse a
+// short operand instead of reading or writing past it.
 func TestAxpyShortOperandPanics(t *testing.T) {
 	requirePanics(t, "accepted an operand shorter than y", map[string]func(){
 		"axpy":     func() { axpy(2, make([]float32, 7), make([]float32, 8)) },
-		"mulAdd x": func() { mulAdd(make([]float32, 7), make([]float32, 8), make([]float32, 8)) },
-		"mulAdd k": func() { mulAdd(make([]float32, 8), make([]float32, 7), make([]float32, 8)) },
 		"convList": func() { convList([]term{{0, 1}, {4, 1}}, make([]float32, 8), make([]float32, 5)) },
 		"relu":     func() { relu(make([]float32, 7), make([]float32, 8)) },
 		"relu6":    func() { relu6(make([]float32, 7), make([]float32, 8)) },
+		"depthwiseTaps in": func() {
+			depthwiseTaps([]tap{{0, 0}, {4, 0}}, make([]float32, 8), make([]float32, 8), make([]float32, 5))
+		},
+		"depthwiseTaps k": func() {
+			depthwiseTaps([]tap{{0, 0}, {0, 4}}, make([]float32, 8), make([]float32, 8), make([]float32, 5))
+		},
+		"scaleShift out": func() { scaleShift(make([]float32, 7), make([]float32, 8), make([]float32, 8), make([]float32, 8)) },
+		"scaleShift s":   func() { scaleShift(make([]float32, 8), make([]float32, 8), make([]float32, 7), make([]float32, 8)) },
+		"scaleShift b":   func() { scaleShift(make([]float32, 8), make([]float32, 8), make([]float32, 8), make([]float32, 7)) },
+		"addVec out":     func() { addVec(make([]float32, 7), make([]float32, 8), make([]float32, 8)) },
+		"addVec y":       func() { addVec(make([]float32, 8), make([]float32, 8), make([]float32, 7)) },
+		"maxInto":        func() { maxInto(make([]float32, 7), make([]float32, 8)) },
 	})
 }
 
@@ -343,6 +360,81 @@ func TestConvListMatchesGo(t *testing.T) {
 			convList(list, k, got[offY:offY+n])
 			sameBits(t, "convList", got, want)
 		})
+	})
+}
+
+// depthwiseTaps against its Go definition at every channel count 0..257
+// and every pair of input/dst offsets 0..7, over 0 to 9 taps whose input
+// and kernel rows lie at unequal alignments, with the specials in input,
+// kernel and dst.
+func TestDepthwiseTapsMatchesGo(t *testing.T) {
+	atBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(6))
+		var in, k, dst []float32
+		var stride int
+		forEachWindow(func(n, offIn, offY, total int) {
+			if offIn == 0 && offY == 0 {
+				stride = n + rng.Intn(8)
+				in, k, dst = payload(rng, 7+9*stride), payload(rng, 7+9*(stride+3)), payload(rng, total)
+			}
+			taps := make([]tap, (n+offIn+offY)%10)
+			for j := range taps {
+				taps[j] = tap{int32(offIn + j*stride), int32((offIn+offY)%8 + j*(stride+3))}
+			}
+			want := append([]float32(nil), dst...)
+			got := append([]float32(nil), dst...)
+			depthwiseTapsGo(taps, in, k, want[offY:offY+n])
+			depthwiseTaps(taps, in, k, got[offY:offY+n])
+			sameBits(t, "depthwiseTaps", got, want)
+		})
+	})
+}
+
+// The elementwise primitives against their Go definitions at every
+// length 0..257 and every pair of offsets 0..7, with the specials in
+// every operand, writing into a window of their own and over an input.
+// Between them the payloads hold ±0 ties and NaNs on either side of
+// maxInto, which a max with its operands swapped resolves the other way,
+// and products an FMA would round once instead of twice.
+func TestElementwisePrimitivesMatchGo(t *testing.T) {
+	cases := []struct {
+		name    string
+		fn, def func(a float32, x, s, b, y []float32)
+	}{
+		{"scaleShift", func(_ float32, x, s, b, y []float32) { scaleShift(y, x, s, b) },
+			func(_ float32, x, s, b, y []float32) { scaleShiftGo(y, x, s, b) }},
+		{"scaleShift in place", func(_ float32, x, s, b, _ []float32) { scaleShift(x, x, s, b) },
+			func(_ float32, x, s, b, _ []float32) { scaleShiftGo(x, x, s, b) }},
+		{"scale", func(a float32, _, _, _, y []float32) { scale(a, y) },
+			func(a float32, _, _, _, y []float32) { scaleGo(a, y) }},
+		{"addVec", func(_ float32, x, s, _, y []float32) { addVec(y, x, s) },
+			func(_ float32, x, s, _, y []float32) { addVecGo(y, x, s) }},
+		{"addVec into x", func(_ float32, x, _, _, y []float32) { addVec(x, x, y) },
+			func(_ float32, x, _, _, y []float32) { addVecGo(x, x, y) }},
+		{"addVec into y", func(_ float32, x, _, _, y []float32) { addVec(y, x, y) },
+			func(_ float32, x, _, _, y []float32) { addVecGo(y, x, y) }},
+		{"maxInto", func(_ float32, x, _, _, y []float32) { maxInto(x, y) },
+			func(_ float32, x, _, _, y []float32) { maxIntoGo(x, y) }},
+	}
+	scalars := append([]float32{1, -1.5, 1.0 / 9}, specials...)
+	atBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		var x, s, b, y []float32
+		for _, c := range cases {
+			forEachWindow(func(n, offX, offY, total int) {
+				if offX == 0 && offY == 0 {
+					x, s, b, y = payload(rng, total), payload(rng, total), payload(rng, total), payload(rng, total)
+				}
+				offS, offB := (offX+offY)%8, (offX+2*offY)%8
+				a := scalars[rng.Intn(len(scalars))]
+				wantX, wantY := append([]float32(nil), x...), append([]float32(nil), y...)
+				gotX, gotY := append([]float32(nil), x...), append([]float32(nil), y...)
+				c.def(a, wantX[offX:offX+n], s[offS:offS+n], b[offB:offB+n], wantY[offY:offY+n])
+				c.fn(a, gotX[offX:offX+n], s[offS:offS+n], b[offB:offB+n], gotY[offY:offY+n])
+				sameBits(t, c.name+" x", gotX, wantX)
+				sameBits(t, c.name+" y", gotY, wantY)
+			})
+		}
 	})
 }
 

@@ -91,12 +91,7 @@ func AddTo(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", a.shape, b.shape))
 	}
 	mustFit("add", dst, a)
-	parallelFor(len(a.data), 1, func(lo, hi int) {
-		out, y := dst.data[lo:hi], b.data[lo:hi]
-		for i, x := range a.data[lo:hi] {
-			out[i] = x + y[i]
-		}
-	})
+	parallelFor(len(a.data), 1, func(lo, hi int) { addVec(dst.data[lo:hi], a.data[lo:hi], b.data[lo:hi]) })
 	return dst
 }
 

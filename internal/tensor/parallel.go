@@ -32,8 +32,8 @@ func MaxWorkers() int {
 	return maxWorkers
 }
 
-// termLists recycles the term lists Conv2D and MatMul workers compact
-// their input rows into.
+// termLists recycles the term lists 1×1 Conv2D and MatMul workers
+// compact their input rows into.
 var termLists = sync.Pool{New: func() any { return new([]term) }}
 
 // grain is the least work, in multiply-adds or elements touched, worth

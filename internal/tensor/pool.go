@@ -16,6 +16,10 @@ func AvgPool2D(in *Tensor, k, stride int, pad Padding) *Tensor {
 	return pool2D(in, k, stride, pad, false)
 }
 
+// pool2D writes each window's result straight into its output pixel: a
+// max starts from -Inf and takes each in-bounds cell through maxInto, an
+// average sums them from +0 through axpy(1, ·) — 1·v is exact, so that is
+// the plain add — and is scaled by 1/count.
 func pool2D(in *Tensor, k, stride int, pad Padding, isMax bool) *Tensor {
 	if in.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: pool wants rank-4 NHWC input, got %v", in.shape))
@@ -28,24 +32,20 @@ func pool2D(in *Tensor, k, stride int, pad Padding, isMax bool) *Tensor {
 	}
 	out := New(n, oh, ow, c)
 	parallelFor(n*oh, ow*k*k*c, func(lo, hi int) {
-		acc := make([]float32, c)
+		var negInf []float32
+		if isMax {
+			negInf = make([]float32, c)
+			for i := range negInf {
+				negInf[i] = float32(math.Inf(-1))
+			}
+		}
 		for row := lo; row < hi; row++ {
-			b := row / oh
-			oy := row % oh
-			inBase := b * h * w * c
-			outBase := (b*oh + oy) * ow * c
+			inBase := row / oh * h * w * c
+			iy0 := row%oh*stride - padH
 			for ox := 0; ox < ow; ox++ {
-				if isMax {
-					for i := range acc {
-						acc[i] = float32(math.Inf(-1))
-					}
-				} else {
-					for i := range acc {
-						acc[i] = 0
-					}
-				}
+				dst := out.data[(row*ow+ox)*c : (row*ow+ox+1)*c]
+				copy(dst, negInf) // a max starts from -Inf, an average from +0
 				count := 0
-				iy0 := oy*stride - padH
 				ix0 := ox*stride - padW
 				for ky := 0; ky < k; ky++ {
 					iy := iy0 + ky
@@ -60,26 +60,14 @@ func pool2D(in *Tensor, k, stride int, pad Padding, isMax bool) *Tensor {
 						src := in.data[inBase+(iy*w+ix)*c : inBase+(iy*w+ix+1)*c]
 						count++
 						if isMax {
-							for ci, v := range src {
-								if v > acc[ci] {
-									acc[ci] = v
-								}
-							}
+							maxInto(src, dst)
 						} else {
-							for ci, v := range src {
-								acc[ci] += v
-							}
+							axpy(1, src, dst)
 						}
 					}
 				}
-				dst := out.data[outBase+ox*c : outBase+(ox+1)*c]
-				if isMax {
-					copy(dst, acc)
-				} else if count > 0 {
-					inv := float32(1) / float32(count)
-					for ci := range dst {
-						dst[ci] = acc[ci] * inv
-					}
+				if !isMax && count > 0 {
+					scale(1/float32(count), dst)
 				}
 			}
 		}
@@ -99,16 +87,10 @@ func GlobalAvgPool2D(in *Tensor) *Tensor {
 	parallelFor(n, h*w*c, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			dst := out.data[b*c : (b+1)*c]
-			base := b * h * w * c
-			for p := 0; p < h*w; p++ {
-				src := in.data[base+p*c : base+(p+1)*c]
-				for ci, v := range src {
-					dst[ci] += v
-				}
+			for p := b * h * w; p < (b+1)*h*w; p++ {
+				axpy(1, in.data[p*c:(p+1)*c], dst)
 			}
-			for ci := range dst {
-				dst[ci] *= inv
-			}
+			scale(inv, dst)
 		}
 	})
 	return out
