@@ -14,7 +14,9 @@ import (
 // own eval, and reports per layer kind the milliseconds a forward pass
 // spends in it and its rate in GFLOP/s by the layers' FLOP estimate. A
 // fused activation counts to the layer it follows. Nothing asserts a
-// time: run it with -bench ForwardByKind and read the table.
+// time: run it with -bench ForwardByKind and read the table. It is an
+// external test because the zoo imports nn; export_test.go lends it the
+// timed loop.
 func BenchmarkForwardByKind(b *testing.B) {
 	for _, name := range []string{"mobilenet", "resnet50", "inceptionv3"} {
 		b.Run(name, func(b *testing.B) {
